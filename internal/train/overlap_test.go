@@ -161,26 +161,19 @@ func compressSpanKeys(s obs.Snapshot) []string {
 // the exact same bytes through the wire and the compression kernels. Only
 // the simulated schedule may move.
 func TestOverlapBitIdentityMatrix(t *testing.T) {
-	run := func(mut func(*Config), overlap bool, plan *fault.Plan) (*Result, obs.Snapshot) {
-		cfg := baseConfig(6)
-		mut(&cfg)
-		cfg.Overlap = overlap
-		cfg.Fault = plan
-		cfg.Obs = obs.NewRecorder()
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, *res.Metrics
-	}
 	for _, cell := range overlapCells() {
+		// Memoized: TestScheduleFingerprint pins these same runs.
+		run := func(overlap bool, plan *fault.Plan) (*Result, obs.Snapshot) {
+			res := matrixRun(t, cell.name, cell.mut, overlap, plan)
+			return res, *res.Metrics
+		}
 		for _, plan := range []*fault.Plan{nil, timingPlan()} {
 			name := cell.name
 			if plan != nil {
 				name += "+faults"
 			}
-			off, sOff := run(cell.mut, false, plan)
-			on, sOn := run(cell.mut, true, plan)
+			off, sOff := run(false, plan)
+			on, sOn := run(true, plan)
 
 			if off.FinalLoss != on.FinalLoss || off.FinalAcc != on.FinalAcc {
 				t.Fatalf("%s: final metrics differ: %v/%v vs %v/%v",
