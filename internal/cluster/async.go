@@ -5,29 +5,32 @@ import (
 	"compso/internal/pool"
 )
 
-// Non-blocking collective handles for the compute/communication overlap
-// scheduler (internal/train/overlap.go).
+// Launch/wait collective handles: the one implementation of all-reduce and
+// all-gather. The training step's schedules (internal/train/step.go) place
+// compute between a launch and its wait to hide the collective's latency;
+// the blocking Worker.AllReduce/AllGather are a launch with an immediate
+// wait.
 //
 // The launch/wait contract:
 //
 //   - Launch (AllReduceAsync / AllGatherAsync) performs the rendezvous and
 //     the engine scheduling immediately — every rank must reach the launch
-//     in identical program order, exactly like the blocking calls, and the
-//     exchanged bytes are identical to the blocking calls'. Launch never
-//     advances the worker's clock.
-//   - Wait performs the time accounting the blocking call would have done
-//     (note + account), at the worker's *current* clock. A collective
-//     whose scheduled end the clock has already passed charges nothing:
-//     its latency was fully hidden behind the compute issued between
-//     launch and wait. Wait is idempotent; every handle must be waited
+//     in identical program order. Launch never advances the worker's
+//     clock.
+//   - Wait does the time accounting (note, creditHidden, account) at the
+//     worker's *current* clock. A collective whose scheduled end the clock
+//     has already passed charges nothing: its latency was fully hidden
+//     behind the compute issued between launch and wait. Waited at the
+//     launch clock it charges the whole blocked interval and credits
+//     nothing as hidden. Wait is idempotent; every handle must be waited
 //     exactly once per rank, in any per-rank order.
 //   - With Cluster.SerializeWire enabled, collectives launched while
 //     earlier ones are still in flight queue on the simulated fabric
 //     instead of being scheduled as if each had the links to itself.
 //
-// Because the data exchange happens at launch under the rendezvous (all
-// ranks blocked), the numerics are bit-identical to the blocking calls —
-// only the accounting moment differs.
+// The data exchange happens at launch under the rendezvous (all ranks
+// blocked), so the numerics never depend on where the wait is placed —
+// only the accounting moment does.
 
 // PendingReduce is an all-reduce in flight: launched, scheduled, but not
 // yet charged to the worker's clock.
@@ -97,7 +100,7 @@ type PendingGather struct {
 // so it must never come from the pool arena.
 func (w *Worker) AllGatherAsync(payload []byte, category string) *PendingGather {
 	w.enterCollective()
-	pool.AssertNotArena(payload, "AllGatherAsync payload")
+	pool.AssertNotArena(payload, "AllGather payload")
 	c := w.cluster
 	res, tEnd := c.rv.exchange(w.rank, w.simTime, payload, func(slots []any, times []float64) ([]any, []float64) {
 		payloads := make([][]byte, len(slots))

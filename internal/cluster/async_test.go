@@ -162,21 +162,29 @@ func TestSerializeWireQueuesInFlightCollectives(t *testing.T) {
 // TestSerializeWireOffLeavesSyncPathUntouched: the default (off) must keep
 // blocking collectives on the exact pre-overlap timeline — per-rank early
 // finishers may legitimately arrive at the next collective "under" a
-// previous one's max end, and no cursor may clamp them.
+// previous one's max end, and no cursor may clamp them. The blocking calls
+// are a launch with an immediate wait, so a blocking-only program must
+// also leave every rank with nothing credited as hidden.
 func TestSerializeWireOffLeavesSyncPathUntouched(t *testing.T) {
 	run := func() float64 {
 		c := New(tinyConfig(), 4)
 		var end float64
-		c.Run(func(w *Worker) {
+		workers := c.Run(func(w *Worker) {
 			d := make([]float64, 1<<14)
 			for i := 0; i < 4; i++ {
 				w.AllReduce(d, "x")
 				w.Compute(1e-6*float64(w.Rank()), "skew")
+				w.AllGather(make([]byte, 256*(w.Rank()+1)), "y")
 			}
 			if w.Rank() == 0 {
 				end = w.Time()
 			}
 		})
+		for _, w := range workers {
+			if exposed, total := w.OverlapStats(); total <= 0 || exposed != total {
+				t.Fatalf("rank %d: blocking-only program exposed %v of %v collective seconds", w.Rank(), exposed, total)
+			}
+		}
 		return end
 	}
 	if a, b := run(), run(); a != b {
@@ -186,19 +194,26 @@ func TestSerializeWireOffLeavesSyncPathUntouched(t *testing.T) {
 
 // TestAsyncGatherRejectsArenaPayloads: the launch boundary must enforce
 // the retention contract under pool debug mode — gathered payloads are
-// retained by other goroutines, so arena buffers may never enter them.
+// retained by other goroutines, so arena buffers may never enter them,
+// through the handle or through the blocking call built on it.
 func TestAsyncGatherRejectsArenaPayloads(t *testing.T) {
 	pool.SetDebug(true)
 	defer pool.SetDebug(false)
 	b := pool.Bytes(64)
-	var panicked bool
-	c := New(tinyConfig(), 1)
-	c.Run(func(w *Worker) {
-		defer func() { panicked = recover() != nil }()
-		w.AllGatherAsync(b, "x")
-	})
-	if !panicked {
-		t.Fatal("AllGatherAsync accepted a live arena payload")
+	defer pool.PutBytes(b)
+	gathers := map[string]func(w *Worker){
+		"AllGatherAsync": func(w *Worker) { w.AllGatherAsync(b, "x") },
+		"AllGather":      func(w *Worker) { w.AllGather(b, "x") },
 	}
-	pool.PutBytes(b)
+	for name, gather := range gathers {
+		var panicked bool
+		c := New(tinyConfig(), 1)
+		c.Run(func(w *Worker) {
+			defer func() { panicked = recover() != nil }()
+			gather(w)
+		})
+		if !panicked {
+			t.Fatalf("%s accepted a live arena payload", name)
+		}
+	}
 }

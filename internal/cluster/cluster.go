@@ -449,45 +449,18 @@ func sameForAll(p int, v any) []any {
 
 // AllReduce sums data element-wise across all workers in place (averaging
 // is the caller's choice). The wire charge is 4·len bytes (FP32 on the
-// wire), scheduled by the engine's chosen all-reduce algorithm.
+// wire), scheduled by the engine's chosen all-reduce algorithm. It is the
+// launch with an immediate wait: at launch == now the wait charges exactly
+// the blocked interval and credits nothing as hidden.
 func (w *Worker) AllReduce(data []float64, category string) {
-	w.enterCollective()
-	c := w.cluster
-	res, tEnd := c.rv.exchange(w.rank, w.simTime, data, func(slots []any, times []float64) ([]any, []float64) {
-		vecs := make([][]float64, len(slots))
-		for i, s := range slots {
-			vecs[i] = s.([]float64)
-		}
-		sum, out := c.engine.AllReduce(vecs, c.wireStarts(times))
-		c.advanceWire(out)
-		return sameForAll(c.p, collResult{data: sum, out: out}), out.Ends
-	})
-	cr := res.(collResult)
-	copy(data, cr.data.([]float64))
-	w.note(cr.out, tEnd, category)
-	w.account(tEnd, category)
+	w.AllReduceAsync(data, category).Wait()
 }
 
 // AllGather exchanges each worker's byte payload (which may be empty) and
 // returns all payloads in rank order — the collective COMPSO compresses.
 // The schedule uses the actual per-worker sizes.
 func (w *Worker) AllGather(payload []byte, category string) [][]byte {
-	w.enterCollective()
-	pool.AssertNotArena(payload, "AllGather payload")
-	c := w.cluster
-	res, tEnd := c.rv.exchange(w.rank, w.simTime, payload, func(slots []any, times []float64) ([]any, []float64) {
-		payloads := make([][]byte, len(slots))
-		for i, s := range slots {
-			payloads[i], _ = s.([]byte)
-		}
-		data, out := c.engine.AllGather(payloads, c.wireStarts(times))
-		c.advanceWire(out)
-		return sameForAll(c.p, collResult{data: data, out: out}), out.Ends
-	})
-	cr := res.(collResult)
-	w.note(cr.out, tEnd, category)
-	w.account(tEnd, category)
-	return cr.data.([][]byte)
+	return w.AllGatherAsync(payload, category).Wait()
 }
 
 // Broadcast sends root's payload to every worker.

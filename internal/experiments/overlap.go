@@ -23,7 +23,7 @@ import (
 // training step on the tuned collective engine and the A100 device model
 // twice — once under the sequential schedule (every collective blocks at
 // its call site) and once under the overlap scheduler's pipeline
-// (internal/train/overlap.go): fused gradient buckets and the covariance
+// (internal/train/step.go): fused gradient buckets and the covariance
 // all-reduce launched before the owned-layer eigendecompositions, and the
 // per-group preconditioned exchange software-pipelined so round r's
 // all-gather rides under round r+1's precondition+compress compute. The

@@ -282,7 +282,7 @@ func RunPerf(quick bool) (*PerfReport, error) {
 	}
 
 	// Overlap group: engine-predicted K-FAC step time per modelzoo profile
-	// under the sequential and the pipelined schedule (overlap.go).
+	// under the sequential and the pipelined schedule (train/step.go).
 	if err := runOverlapPerf(quick, rep); err != nil {
 		return nil, err
 	}

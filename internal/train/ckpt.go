@@ -2,17 +2,12 @@ package train
 
 import (
 	"fmt"
-	"math/rand/v2"
-	"sort"
+	"slices"
 	"sync"
 
 	"compso/internal/ckpt"
-	"compso/internal/cluster"
-	"compso/internal/compress"
 	"compso/internal/kfac"
-	"compso/internal/modelzoo"
 	"compso/internal/obs"
-	"compso/internal/opt"
 )
 
 // Crash-fault tolerance: periodic checkpoints of the complete training
@@ -254,12 +249,10 @@ func captureCounters(rec *obs.Recorder) map[string]float64 {
 // assembles, encodes and persists the checkpoint. The barrier moves no
 // wire bytes, so the wire counters stay comparable to a checkpoint-free
 // run.
-func saveCheckpoint(w *cluster.Worker, cfg Config, coord *ckptCoord, task *modelzoo.ProxyTask,
-	sgd *opt.SGD, optimizer *kfac.KFAC, comp compress.Compressor, layerComps map[int]compress.Compressor,
-	dataSrc *rand.PCG, cr *crAccum, result *Result, mu *sync.Mutex, step int) error {
-
+func saveCheckpoint(p *pipeline, coord *ckptCoord, result *Result, mu *sync.Mutex, step int) error {
+	w, cr, comp, layerComps, optimizer := p.w, p.cr, p.comp, p.layerComps, p.k
 	rs := ckpt.RankState{CRSum: cr.sum, CRCount: cr.count}
-	b, err := dataSrc.MarshalBinary()
+	b, err := p.dataSrc.MarshalBinary()
 	if err != nil {
 		return fmt.Errorf("train: data RNG marshal: %w", err)
 	}
@@ -270,13 +263,8 @@ func saveCheckpoint(w *cluster.Worker, cfg Config, coord *ckptCoord, task *model
 			return err
 		}
 	}
-	if len(layerComps) > 0 {
-		layers := make([]int, 0, len(layerComps))
-		for li := range layerComps {
-			layers = append(layers, li)
-		}
-		sort.Ints(layers)
-		for _, li := range layers {
+	if layerComps != nil {
+		for _, li := range p.owned[w.Rank()] { // ascending
 			cs, err := ckpt.CaptureCompressor(layerComps[li])
 			if err != nil {
 				return err
@@ -288,7 +276,7 @@ func saveCheckpoint(w *cluster.Worker, cfg Config, coord *ckptCoord, task *model
 	}
 	var caches []kfac.LayerCache
 	if optimizer != nil {
-		caches, err = optimizer.CaptureCaches(ownedLayers(optimizer.NumLayers(), w.Size(), w.Rank()))
+		caches, err = optimizer.CaptureCaches(p.owned[w.Rank()])
 		if err != nil {
 			return err
 		}
@@ -304,7 +292,7 @@ func saveCheckpoint(w *cluster.Worker, cfg Config, coord *ckptCoord, task *model
 	w.Barrier()
 	err = nil
 	if w.Rank() == 0 {
-		err = persistRankZero(w, cfg, coord, task, sgd, optimizer, result, mu, step)
+		err = persistRankZero(p, coord, result, mu, step)
 	}
 	w.Barrier()
 	return err
@@ -313,9 +301,8 @@ func saveCheckpoint(w *cluster.Worker, cfg Config, coord *ckptCoord, task *model
 // persistRankZero assembles the cluster-wide checkpoint from the deposited
 // per-rank state and hands it to the coordinator. Only rank 0 calls it,
 // between saveCheckpoint's two barriers.
-func persistRankZero(w *cluster.Worker, cfg Config, coord *ckptCoord, task *modelzoo.ProxyTask,
-	sgd *opt.SGD, optimizer *kfac.KFAC, result *Result, mu *sync.Mutex, step int) error {
-
+func persistRankZero(p *pipeline, coord *ckptCoord, result *Result, mu *sync.Mutex, step int) error {
+	w, cfg, task, sgd, optimizer := p.w, p.cfg, p.task, p.sgd, p.k
 	ck := &ckpt.Checkpoint{
 		Step: step, Seed: cfg.Seed, Workers: cfg.Workers, UseKFAC: cfg.UseKFAC,
 		Method:     methodFingerprint(cfg),
@@ -357,10 +344,8 @@ func persistRankZero(w *cluster.Worker, cfg Config, coord *ckptCoord, task *mode
 // decomposition caches), compressor streams, data-RNG position and the
 // CR accumulator. After it returns, the worker's state is bit-identical
 // to what it was when the checkpoint was taken.
-func restoreWorker(w *cluster.Worker, cfg Config, c *ckpt.Checkpoint, task *modelzoo.ProxyTask,
-	sgd *opt.SGD, optimizer *kfac.KFAC, comp compress.Compressor, layerComps map[int]compress.Compressor,
-	dataSrc *rand.PCG, cr *crAccum) error {
-
+func restoreWorker(p *pipeline, c *ckpt.Checkpoint) error {
+	w, task, sgd, optimizer, comp, layerComps, cr := p.w, p.task, p.sgd, p.k, p.comp, p.layerComps, p.cr
 	params := task.Model.Params()
 	if len(c.Params) != len(params) {
 		return fmt.Errorf("train: checkpoint has %d parameters, model has %d", len(c.Params), len(params))
@@ -385,13 +370,9 @@ func restoreWorker(w *cluster.Worker, cfg Config, c *ckpt.Checkpoint, task *mode
 		if err := optimizer.RestoreState(c.KFAC); err != nil {
 			return err
 		}
-		owned := map[int]bool{}
-		for _, li := range ownedLayers(optimizer.NumLayers(), w.Size(), w.Rank()) {
-			owned[li] = true
-		}
 		var mine []kfac.LayerCache
 		for _, lc := range c.KFACCaches {
-			if owned[lc.Layer] {
+			if slices.Contains(p.owned[w.Rank()], lc.Layer) {
 				mine = append(mine, lc)
 			}
 		}
@@ -419,7 +400,7 @@ func restoreWorker(w *cluster.Worker, cfg Config, c *ckpt.Checkpoint, task *mode
 	if rs.DataRNG == nil {
 		return fmt.Errorf("train: checkpoint rank %d has no data RNG state", w.Rank())
 	}
-	if err := dataSrc.UnmarshalBinary(rs.DataRNG); err != nil {
+	if err := p.dataSrc.UnmarshalBinary(rs.DataRNG); err != nil {
 		return fmt.Errorf("train: data RNG restore: %w", err)
 	}
 	cr.sum, cr.count = rs.CRSum, rs.CRCount

@@ -454,3 +454,36 @@ func TestUncompressedOverlapCrashAtAsyncLaunch(t *testing.T) {
 	}
 	assertBitIdentical(t, crashed, plain, crec, prec)
 }
+
+// TestCrashUnwindClosesSpans: a worker loss unwinds every rank out of the
+// middle of a step, and the recovered run still returns the whole trace.
+// The victim dies entering the step's second collective — so the crashed
+// step already has a closed child phase — and every step and phase span,
+// the abandoned ones included, must end no earlier than its latest child.
+func TestCrashUnwindClosesSpans(t *testing.T) {
+	cfg := baseConfig(8)
+	cfg.BuildTask = smallResNet
+	cfg.EvalEvery = 4
+	cfg.UseKFAC = true
+	cfg.KFAC = kfac.DefaultConfig()
+	cfg.Obs = obs.NewRecorder()
+	cfg.Fault = crashPlan(fault.WorkerCrash{Rank: 1, Point: fault.CrashMidCollective, Step: 4, CollSite: 2})
+	cfg.Checkpoint = CheckpointConfig{Interval: 3}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Restarts != 1 {
+		t.Fatalf("restarts: got %d, want 1", res.Restarts)
+	}
+	lastChild := map[obs.SpanID]float64{}
+	for _, sp := range res.Metrics.Spans {
+		lastChild[sp.Parent] = max(lastChild[sp.Parent], sp.End)
+	}
+	for _, sp := range res.Metrics.Spans {
+		if (sp.Cat == obs.CatStep || sp.Cat == obs.CatPhase) && sp.End < lastChild[sp.ID] {
+			t.Fatalf("rank %d %s span %q ends at %v, before its last child at %v",
+				sp.Rank, sp.Cat, sp.Name, sp.End, lastChild[sp.ID])
+		}
+	}
+}

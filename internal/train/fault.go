@@ -1,32 +1,20 @@
 package train
 
 import (
-	"fmt"
-
 	"compso/internal/cluster"
-	"compso/internal/compress"
 	"compso/internal/fault"
 	"compso/internal/obs"
 )
 
-// This file is the training loop's graceful-degradation layer over the
-// fault-injection subsystem (internal/fault): in-flight corruption of
-// gathered blobs, the bounded-retry + lossless-fallback recovery
-// protocol, and the straggler-aware collective guard that re-tunes the
-// engine when the fabric's measured behaviour diverges from the model.
-//
-// The recovery protocol is SPMD throughout. Corruption verdicts are pure
-// hashes of (plan seed, step, sender, attempt), so every rank — including
-// the sender receiving its own contribution — observes the same bytes and
-// takes the same control-flow path. Retries and fallbacks are therefore
-// ordinary collectives (broadcasts from the afflicted sender) that every
-// rank enters in lockstep, exactly as a collective-based training system
-// would re-issue them; mismatched paths would deadlock, as on a real
-// cluster.
+// This file is the training loop's graceful-degradation state over the
+// fault-injection subsystem (internal/fault): the in-flight corruption
+// draw for gathered blobs (the recovery ladder that answers it is
+// gatherRx.attempt in gather.go), the straggler-aware collective guard
+// that re-tunes the engine when the fabric's measured behaviour diverges
+// from the model, and the fault telemetry.
 
-// faultCtx carries per-worker fault state through one training run. A nil
-// *faultCtx (faults disabled) keeps every hot path on the exact pre-fault
-// behaviour.
+// faultCtx carries per-worker fault state through one training run; it is
+// nil when the config has no fault plan.
 type faultCtx struct {
 	inj     *fault.Injector
 	retries int
@@ -64,115 +52,6 @@ func (fc *faultCtx) deliver(blob []byte, it, sender, attempt int) []byte {
 	return out
 }
 
-// decodeGathered decodes one sender's gathered gradient blob. Without
-// faults it is a plain decompress + length check. With faults the blob
-// passes through the corruption model first; a decode failure triggers up
-// to fc.retries re-broadcasts of the sender's compressed blob (each with a
-// fresh corruption draw), then a lossless FP32 re-broadcast as the final
-// fallback for this layer-step — the compressed path degrades, the run
-// survives.
-func decodeGathered(fc *faultCtx, w *cluster.Worker, tel *tele, comp compress.Compressor,
-	it, sender int, part, ownBlob []byte, ownRaw []float32, wantLen int, category string) ([]float32, error) {
-
-	decode := func(blob []byte) ([]float32, error) {
-		vals, err := comp.Decompress(blob)
-		if err != nil {
-			return nil, err
-		}
-		tel.decompress(len(vals), len(blob), category)
-		if len(vals) != wantLen {
-			return nil, fmt.Errorf("%w: train: gathered %d values from rank %d, want %d",
-				compress.ErrCorrupt, len(vals), sender, wantLen)
-		}
-		return vals, nil
-	}
-	if fc == nil {
-		return decode(part)
-	}
-	vals, err := decode(fc.deliver(part, it, sender, 0))
-	for attempt := 1; err != nil && attempt <= fc.retries; attempt++ {
-		fc.tel.faultRetry(it, sender)
-		var payload []byte
-		if w.Rank() == sender {
-			payload = ownBlob
-		}
-		re := w.Broadcast(payload, sender, category+"-retry")
-		vals, err = decode(fc.deliver(re, it, sender, attempt))
-	}
-	if err == nil {
-		return vals, nil
-	}
-	// Retries exhausted: the sender re-broadcasts raw FP32 (lossless).
-	fc.tel.faultFallback(it, sender)
-	var payload []byte
-	if w.Rank() == sender {
-		payload = f32ToBytes(ownRaw)
-	}
-	raw := w.Broadcast(payload, sender, category+"-fallback")
-	vals = bytesToF32(raw)
-	if len(vals) != wantLen {
-		return nil, fmt.Errorf("train: lossless fallback from rank %d has %d values, want %d",
-			sender, len(vals), wantLen)
-	}
-	return vals, nil
-}
-
-// installPart decodes one sender's framed K-FAC all-gather payload and
-// installs its preconditioned gradients, with the same corrupt → retry →
-// lossless-fallback ladder as decodeGathered applied to the whole frame.
-func installPart(fc *faultCtx, w *cluster.Worker, cfg Config, tel *tele, st *kfacState,
-	comp compress.Compressor, it, sender int, part, ownPayload, ownRaw []byte) error {
-
-	lossless := comp == nil && !st.perLayer
-	parse := func(p []byte, fallback bool) error {
-		if fallback {
-			return st.parsePart(w, cfg, tel, nil, sender, p, true)
-		}
-		return st.parsePart(w, cfg, tel, comp, sender, p, lossless)
-	}
-	return installFramed(fc, w, it, sender, part, ownPayload, ownRaw, parse)
-}
-
-// installFramed runs the corrupt → retry → lossless-fallback ladder over
-// one sender's framed payload: parse decodes and installs it (fallback
-// selects raw-FP32 frame decoding of the sender's lossless mirror). With
-// faults disabled it is a plain parse. ownPayload/ownRaw are this rank's
-// sender-side material for the recovery broadcasts — both must be fresh
-// allocations, never arena buffers, because broadcast payloads are
-// retained by other workers' goroutines. Both the sequential whole-payload
-// install and the overlap scheduler's per-round installs share this
-// ladder.
-func installFramed(fc *faultCtx, w *cluster.Worker, it, sender int,
-	part, ownPayload, ownRaw []byte, parse func(p []byte, fallback bool) error) error {
-
-	if fc == nil {
-		return parse(part, false)
-	}
-	err := parse(fc.deliver(part, it, sender, 0), false)
-	for attempt := 1; err != nil && attempt <= fc.retries; attempt++ {
-		fc.tel.faultRetry(it, sender)
-		var payload []byte
-		if w.Rank() == sender {
-			payload = ownPayload
-		}
-		re := w.Broadcast(payload, sender, "kfac-allgather-retry")
-		err = parse(fc.deliver(re, it, sender, attempt), false)
-	}
-	if err == nil {
-		return nil
-	}
-	fc.tel.faultFallback(it, sender)
-	var payload []byte
-	if w.Rank() == sender {
-		payload = ownRaw
-	}
-	raw := w.Broadcast(payload, sender, "kfac-allgather-fallback")
-	if err := parse(raw, true); err != nil {
-		return fmt.Errorf("train: lossless fallback from rank %d: %w", sender, err)
-	}
-	return nil
-}
-
 // guardStep is the straggler-aware collective guard: rank 0 compares each
 // step's executed-schedule seconds against the engine's fault-free
 // prediction for the same collectives; when the ratio exceeds Guard.Ratio
@@ -195,65 +74,34 @@ func (fc *faultCtx) guardStep(it int) {
 	}
 	fc.streak = 0
 	fc.w.Engine().Retune()
-	fc.tel.faultRetune(it, dm/dp)
+	fc.tel.faultInstant("retunes", "fault/retunes", "collective-retune", "collective-retune", it, -1, dm/dp)
 }
 
 // Fault telemetry: logical fault events happen identically on every rank
-// (the SPMD lockstep), so rank 0 counts them once — into the local
-// tally surfaced as Result.FaultEvents and, when observability is on,
-// into obs counters and control-category instants.
+// (the SPMD lockstep), so rank 0 counts them once — into the tally
+// surfaced as Result.FaultEvents and, when observability is on, into obs
+// counters and control-category instants.
 
 // faultEvent bumps a named fault tally + counter on rank 0.
 func (t *tele) faultEvent(key, counter string) {
 	if t.w.Rank() != 0 {
 		return
 	}
-	if t.faults == nil {
-		t.faults = make(map[string]int64)
-	}
 	t.faults[key]++
-	if t.rec != nil {
-		t.rec.Counter(counter).Inc()
-	}
+	t.rec.Counter(counter).Inc()
 }
 
-// faultRetry records one decode-retry round for a sender's blob.
-func (t *tele) faultRetry(it, sender int) {
-	t.faultEvent("retries", "fault/decode_retries")
+// faultInstant is faultEvent plus a control-category instant at the
+// worker's clock. peer is -1 for events without one.
+func (t *tele) faultInstant(key, counter, name, label string, it, peer int, value float64) {
+	t.faultEvent(key, counter)
 	if t.rec == nil || t.w.Rank() != 0 {
 		return
 	}
 	a := obs.NoAttrs
 	a.Step = it
-	a.Peer = sender
-	a.Label = "decode-retry"
-	t.rec.Instant(t.step, t.w.Rank(), obs.CatControl, "decode-retry", t.w.Time(), a)
-}
-
-// faultFallback records a lossless fallback for a sender's layer-step: a
-// counter plus a strategy-switch instant (the per-layer-step strategy
-// changed from compressed to lossless).
-func (t *tele) faultFallback(it, sender int) {
-	t.faultEvent("fallbacks", "fault/decode_fallbacks")
-	if t.rec == nil || t.w.Rank() != 0 {
-		return
-	}
-	a := obs.NoAttrs
-	a.Step = it
-	a.Peer = sender
-	a.Label = "lossless-fallback"
-	t.rec.Instant(t.step, t.w.Rank(), obs.CatControl, "strategy-switch", t.w.Time(), a)
-}
-
-// faultRetune records a guard-triggered autotuner reset.
-func (t *tele) faultRetune(it int, ratio float64) {
-	t.faultEvent("retunes", "fault/retunes")
-	if t.rec == nil || t.w.Rank() != 0 {
-		return
-	}
-	a := obs.NoAttrs
-	a.Step = it
-	a.Value = ratio
-	a.Label = "collective-retune"
-	t.rec.Instant(t.step, t.w.Rank(), obs.CatControl, "collective-retune", t.w.Time(), a)
+	a.Peer = peer
+	a.Value = value
+	a.Label = label
+	t.rec.Instant(t.step, t.w.Rank(), obs.CatControl, name, t.w.Time(), a)
 }

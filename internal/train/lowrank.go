@@ -55,19 +55,9 @@ func ringCompressor(comp compress.Compressor) (compress.AllReducible, *compress.
 func lowrankSync(w *cluster.Worker, model *nn.Sequential, ar compress.AllReducible,
 	ef *compress.ErrorFeedback, tel *tele, cr *crAccum, category string) error {
 	params := model.Params()
-	total := 0
-	for _, p := range params {
-		total += len(p.Grad.Data)
-	}
-	flat := pool.F32(total)
+	flat := flatGrads32(params)
 	defer pool.PutF32(flat)
-	pos := 0
-	for _, p := range params {
-		for _, v := range p.Grad.Data {
-			flat[pos] = float32(v)
-			pos++
-		}
-	}
+	total := len(flat)
 	src := flat
 	if ef != nil {
 		corrected, err := ef.Corrected(flat)
@@ -84,14 +74,14 @@ func lowrankSync(w *cluster.Worker, model *nn.Sequential, ar compress.AllReducib
 	// factor costs 4·len(vec) on the wire — that is the compressed size
 	// for CR accounting and span attribution.
 	wire := 4 * len(vec)
-	tel.compressWith(gpusim.PowerSGDGEMM(), total, wire, category)
+	tel.compress(gpusim.PowerSGDGEMM(), total, wire, category)
 	recordCR(total, wire, cr)
 	w.AllReduce(vec, category)
 	restored, err := ar.InstallReduced(vec, w.Size())
 	if err != nil {
 		return err
 	}
-	tel.decompressWith(gpusim.PowerSGDGEMM(), total, wire, category)
+	tel.decompress(gpusim.PowerSGDGEMM(), total, wire, category)
 	if len(restored) != total {
 		return fmt.Errorf("%w: train: low-rank restore %d values, want %d",
 			compress.ErrCorrupt, len(restored), total)
@@ -101,12 +91,6 @@ func lowrankSync(w *cluster.Worker, model *nn.Sequential, ar compress.AllReducib
 			return err
 		}
 	}
-	pos = 0
-	for _, p := range params {
-		for i := range p.Grad.Data {
-			p.Grad.Data[i] = float64(restored[pos])
-			pos++
-		}
-	}
+	scatterGrads(params, restored, 1)
 	return nil
 }

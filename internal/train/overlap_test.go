@@ -1,6 +1,7 @@
 package train
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -12,10 +13,8 @@ import (
 	"compso/internal/compso"
 	"compso/internal/fault"
 	"compso/internal/kfac"
-	"compso/internal/modelzoo"
 	"compso/internal/obs"
 	"compso/internal/pool"
-	"compso/internal/xrand"
 )
 
 func TestFuseBuckets(t *testing.T) {
@@ -64,35 +63,60 @@ func TestFuseBuckets(t *testing.T) {
 	}
 }
 
-// TestSplitFramesEmptyPart pins the worldSize > nLayers framing contract:
-// a rank that owns no layers sends zero groups, and the framing layer must
-// accept its empty payload without flagging corruption.
+// TestSplitFramesEmptyPart pins the worldSize > nLayers framing contract —
+// a rank that owns no layers sends zero groups, and the frame reader must
+// accept its empty payload without flagging corruption — and the reader's
+// prefix-then-error contract: what arrived intact comes back with the
+// error.
 func TestSplitFramesEmptyPart(t *testing.T) {
-	blobs, err := splitFrames(nil, 0, 7)
+	blobs, err := readFrames(nil, 0, 7)
 	if err != nil {
 		t.Fatalf("empty part with zero groups rejected: %v", err)
 	}
 	if len(blobs) != 0 {
 		t.Fatalf("empty part produced %d blobs", len(blobs))
 	}
-	if _, err := splitFrames([]byte{1, 2, 3}, 0, 7); !errors.Is(err, compress.ErrCorrupt) {
+	if _, err := readFrames([]byte{1, 2, 3}, 0, 7); !errors.Is(err, compress.ErrCorrupt) {
 		t.Fatalf("trailing bytes with zero groups: err = %v, want ErrCorrupt", err)
 	}
-	if _, err := splitFrames(nil, 1, 7); !errors.Is(err, compress.ErrCorrupt) {
+	if _, err := readFrames(nil, 1, 7); !errors.Is(err, compress.ErrCorrupt) {
 		t.Fatalf("empty part with one expected group: err = %v, want ErrCorrupt", err)
+	}
+
+	first := appendFrame(nil, []byte("abc"))
+	for name, c := range map[string]struct {
+		part []byte
+		n    int
+	}{
+		// 2^64−1: in range as a uint64, negative once cast to int.
+		"length varint overflowing int": {binary.AppendUvarint(first, math.MaxUint64), 2},
+		"trailing bytes":                {append(first[:len(first):len(first)], 9, 9), 1},
+	} {
+		blobs, err := readFrames(c.part, c.n, 7)
+		if !errors.Is(err, compress.ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		if len(blobs) != 1 || string(blobs[0]) != "abc" {
+			t.Fatalf("%s: intact prefix = %q, want the first frame", name, blobs)
+		}
 	}
 }
 
-// TestParseGroupsEmptyOwnership: parseGroups with an empty group list (an
+// TestParseGroupsEmptyOwnership: receiving from a rank with no groups (an
 // empty-ownership rank, or a short rank's empty exchange round) accepts
-// only an empty part.
+// only an empty part, and installs nothing.
 func TestParseGroupsEmptyOwnership(t *testing.T) {
-	rng := xrand.NewSeeded(3)
-	st := &kfacState{k: kfac.New(modelzoo.ProxyResNet(rng, 5).Model, kfac.DefaultConfig())}
-	if err := st.parseGroups(nil, nil, 8, nil, true, nil, nil); err != nil {
+	rx := gatherRx{
+		frames: func(sender int, part []byte) ([][]byte, error) { return readFrames(part, 0, sender) },
+		install: func(sender, frame int, vals []float32) error {
+			t.Fatalf("installed frame %d from empty-ownership rank %d", frame, sender)
+			return nil
+		},
+	}
+	if err := rx.receive([][]byte{nil}); err != nil {
 		t.Fatalf("empty part from an empty-ownership rank rejected: %v", err)
 	}
-	err := st.parseGroups(nil, nil, 8, []byte{0, 1}, true, nil, nil)
+	err := rx.receive([][]byte{{0, 1}})
 	if !errors.Is(err, compress.ErrCorrupt) {
 		t.Fatalf("non-empty part from an empty-ownership rank: err = %v, want ErrCorrupt", err)
 	}

@@ -31,8 +31,8 @@ type tele struct {
 	pipe gpusim.Pipeline
 	cm   modelzoo.ComputeModel
 	step obs.SpanID
-	// faults tallies logical fault events on rank 0 (lazily allocated;
-	// nil on fault-free runs), surfaced as Result.FaultEvents.
+	// faults tallies logical fault events on rank 0 (the run's shared
+	// tally; nil without a fault plan), surfaced as Result.FaultEvents.
 	faults map[string]int64
 }
 
@@ -56,7 +56,9 @@ func (t *tele) beginStep(it int) {
 	t.w.SetSpanContext(t.step)
 }
 
-// endStep closes the iteration's step span.
+// endStep closes the iteration's step span at the worker's current clock.
+// The step runner defers it, so error returns and worker-loss unwinds
+// close the span too.
 func (t *tele) endStep(it int) {
 	if t.rec == nil {
 		return
@@ -66,24 +68,23 @@ func (t *tele) endStep(it int) {
 	t.rec.EndSpanAttrs(t.step, t.w.Time(), a)
 	t.w.SetSpanContext(0)
 	t.step = 0
-	if t.w.Rank() == 0 {
-		t.rec.Counter("train/steps").Inc()
-		t.overlapGauge()
-	}
 }
 
-// overlapGauge publishes the overlap scheduler's headline efficiency
-// number: the fraction of this worker's collective time hidden behind
-// compute so far. exposed is the comm time actually charged to the clock
-// (waits that outran the compute), total each collective's full
-// launch-to-end latency; sequential runs sit at exactly 0, and the gauge
-// rises as the scheduler pipelines launches ahead of their waits.
-func (t *tele) overlapGauge() {
-	exposed, total := t.w.OverlapStats()
-	if total <= 0 {
+// stepDone counts a completed step on rank 0 and publishes the overlap
+// schedule's headline efficiency number: the fraction of this worker's
+// collective time hidden behind compute so far. exposed is the comm time
+// actually charged to the clock (waits that outran the compute), total
+// each collective's full launch-to-end latency; sequential runs sit at
+// exactly 0, and the gauge rises as launches are pipelined ahead of their
+// waits.
+func (t *tele) stepDone() {
+	if t.rec == nil || t.w.Rank() != 0 {
 		return
 	}
-	t.rec.Gauge("overlap/hidden_comm_fraction").Set(1 - exposed/total)
+	t.rec.Counter("train/steps").Inc()
+	if exposed, total := t.w.OverlapStats(); total > 0 {
+		t.rec.Gauge("overlap/hidden_comm_fraction").Set(1 - exposed/total)
+	}
 }
 
 // beginPhase opens a named phase span under the current step and makes it
@@ -108,16 +109,11 @@ func (t *tele) endPhase(id obs.SpanID) {
 	t.w.SetSpanContext(t.step)
 }
 
-// compress charges the modeled fused-kernel time for compressing n float32
-// values and records a compress span plus ratio/wire-size metrics.
-func (t *tele) compress(n, blobBytes int, label string) {
-	t.compressWith(t.pipe, n, blobBytes, label)
-}
-
-// compressWith is compress with an explicit kernel pipeline — the
-// low-rank path charges its GEMM-shaped pipeline instead of the default
-// fused COMPSO kernel.
-func (t *tele) compressWith(pipe gpusim.Pipeline, n, blobBytes int, label string) {
+// compress charges the modeled time of compressing n float32 values on
+// the given kernel pipeline (t.pipe, the fused COMPSO kernel, for every
+// family but the low-rank one, which charges its GEMM-shaped pipeline) and
+// records a compress span plus ratio/wire-size metrics.
+func (t *tele) compress(pipe gpusim.Pipeline, n, blobBytes int, label string) {
 	start := t.w.Time()
 	t.w.Compute(t.dev.Time(pipe, n), "compress")
 	if t.rec == nil {
@@ -139,12 +135,7 @@ func (t *tele) compressWith(pipe gpusim.Pipeline, n, blobBytes int, label string
 
 // decompress charges the modeled decode time for recovering n float32
 // values from a blobBytes-sized buffer and records a decompress span.
-func (t *tele) decompress(n, blobBytes int, label string) {
-	t.decompressWith(t.pipe, n, blobBytes, label)
-}
-
-// decompressWith is decompress with an explicit kernel pipeline.
-func (t *tele) decompressWith(pipe gpusim.Pipeline, n, blobBytes int, label string) {
+func (t *tele) decompress(pipe gpusim.Pipeline, n, blobBytes int, label string) {
 	start := t.w.Time()
 	t.w.Compute(t.dev.DecompressTime(pipe, n), "decompress")
 	if t.rec == nil {

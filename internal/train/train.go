@@ -8,10 +8,8 @@
 package train
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"sync"
 
@@ -25,7 +23,6 @@ import (
 	"compso/internal/nn"
 	"compso/internal/obs"
 	"compso/internal/opt"
-	"compso/internal/pool"
 	"compso/internal/xrand"
 )
 
@@ -86,12 +83,12 @@ type Config struct {
 	EvalEvery int
 	// EvalSize is the validation batch size (default 512).
 	EvalSize int
-	// Overlap enables the compute/communication overlap scheduler
-	// (overlap.go): gradient all-reduces launch as fused buckets of at
-	// most FusionBytes and complete asynchronously, and the K-FAC path
+	// Overlap selects the overlap schedule of the training step (step.go):
+	// gradient all-reduces launch as fused buckets of at most FusionBytes
+	// and are waited only when their result is needed, and the K-FAC step
 	// overlaps the owned-layer eigendecompositions with the gradient
 	// collectives and pipelines the per-group preconditioned-gradient
-	// exchange. Numerics are bit-identical to the sequential path (see
+	// exchange. Numerics are bit-identical to the sequential schedule (see
 	// DESIGN.md §8) — only the simulated schedule changes. Off by default.
 	Overlap bool
 	// FusionBytes caps each fused gradient bucket's FP32 wire size in
@@ -106,8 +103,9 @@ type Config struct {
 	// straggler compute slowdowns, degraded/flaky links, in-flight
 	// payload corruption with bounded-retry + lossless-fallback recovery,
 	// and worker crashes (recovered through Checkpoint). Nil (the default)
-	// runs the fault-free fast path bit-identically to a config without
-	// the field.
+	// injects nothing and recovers nothing: a failed decode is the run's
+	// error. A plan that injects nothing reproduces the nil run bit for
+	// bit.
 	Fault *fault.Plan
 	// Checkpoint enables periodic checkpointing and crash recovery (see
 	// ckpt.go): with Interval > 0 a worker loss rolls every rank back to
@@ -364,99 +362,23 @@ func runWorker(w *cluster.Worker, cfg Config, result *Result, mu *sync.Mutex, cr
 			panic(r)
 		}
 	}()
-	// Identical model on every worker; distinct data stream per worker. The
-	// data stream's PCG is held directly so its exact position can be
-	// checkpointed and restored (xrand.NewSeeded wraps the same generator).
-	task := cfg.BuildTask(xrand.NewSeeded(cfg.Seed))
-	dataSrc := xrand.NewPCG(cfg.Seed*1000 + 7 + int64(w.Rank()))
-	dataRng := rand.New(dataSrc)
-
-	var optimizer *kfac.KFAC
-	var sgd *opt.SGD
-	if cfg.UseKFAC {
-		optimizer = kfac.New(task.Model, cfg.KFAC)
-	} else {
-		sgd = opt.NewSGD(0.9, 0)
-	}
-	var comp compress.Compressor
-	if cfg.NewCompressor != nil {
-		comp = cfg.NewCompressor(w.Rank())
-	}
-	// Per-layer compressors are built once per worker for its owned
-	// layers, so stateful families (PowerSGD warm starts, EF residuals)
-	// persist across steps exactly like the single-compressor path.
-	var layerComps map[int]compress.Compressor
-	if cfg.NewLayerCompressor != nil && cfg.UseKFAC {
-		layerComps = make(map[int]compress.Compressor)
-		for _, li := range ownedLayers(optimizer.NumLayers(), w.Size(), w.Rank()) {
-			layerComps[li] = cfg.NewLayerCompressor(w.Rank(), li)
-		}
-	}
-
-	evalGen := func() *rand.Rand { return xrand.NewSeeded(cfg.Seed*77 + 13) }
-	tel := newTele(w)
-	if tally != nil {
-		// Fault tallies survive restart attempts (rank 0 is the only
-		// writer, and attempts are sequential).
-		tel.faults = tally
-	}
-	fc := newFaultCtx(w, cfg, tel)
-
+	pl := newPipeline(w, cfg, cr, tally)
 	startIt := 0
 	if start != nil {
-		if err := restoreWorker(w, cfg, start, task, sgd, optimizer, comp, layerComps, dataSrc, cr); err != nil {
+		if err := restoreWorker(pl, start); err != nil {
 			return err
 		}
 		startIt = start.Step
 	}
-	crashes := cfg.Fault.HasCrashes() && w.Faults() != nil
+	task := pl.task
+	evalGen := func() *rand.Rand { return xrand.NewSeeded(cfg.Seed*77 + 13) }
 
 	for it := startIt; it < cfg.Iters; it++ {
-		w.SetStep(it)
-		if crashes {
-			if pt, ok := w.CrashDue(); ok && pt == fault.CrashAtStepStart {
-				w.Crash(pt.String())
-			}
+		if err := pl.step(it); err != nil {
+			return err
 		}
-		tel.beginStep(it)
-		if cfg.Controller != nil {
-			if cc, ok := comp.(*compress.COMPSO); ok {
-				cfg.Controller.Apply(it, cc)
-				tel.controller(cfg.Controller, it)
-			}
-		}
-		x, y := task.Data.Sample(dataRng, task.Batch)
-		logits := task.Model.Forward(x, true)
-		_, grad := task.Loss.Loss(logits, y)
-		task.Model.ZeroGrad()
-		task.Model.Backward(grad)
-		if crashes {
-			if pt, ok := w.CrashDue(); ok && pt == fault.CrashMidStep {
-				w.Crash(pt.String())
-			}
-		}
-
-		lr := cfg.Schedule.LR(it)
-		switch {
-		case cfg.UseKFAC && cfg.Overlap:
-			if err := kfacIterationOverlap(w, cfg, task, optimizer, comp, layerComps, it, lr, tel, fc, cr); err != nil {
-				return err
-			}
-		case cfg.UseKFAC:
-			if err := kfacIteration(w, cfg, task, optimizer, comp, layerComps, it, lr, tel, fc, cr); err != nil {
-				return err
-			}
-		case cfg.Overlap:
-			if err := sgdIterationOverlap(w, cfg, task, sgd, comp, it, lr, tel, fc, cr); err != nil {
-				return err
-			}
-		default:
-			if err := sgdIteration(w, task, sgd, comp, it, lr, tel, fc, cr); err != nil {
-				return err
-			}
-		}
-		tel.endStep(it)
-		fc.guardStep(it)
+		pl.tel.stepDone()
+		pl.fc.guardStep(it)
 
 		if w.Rank() == 0 && ((it+1)%cfg.EvalEvery == 0 || it == cfg.Iters-1) {
 			ex, ey := task.Data.Sample(evalGen(), cfg.EvalSize)
@@ -478,8 +400,7 @@ func runWorker(w *cluster.Worker, cfg Config, result *Result, mu *sync.Mutex, cr
 		}
 
 		if coord != nil && (it+1)%cfg.Checkpoint.Interval == 0 {
-			if err := saveCheckpoint(w, cfg, coord, task, sgd, optimizer, comp, layerComps,
-				dataSrc, cr, result, mu, it+1); err != nil {
+			if err := saveCheckpoint(pl, coord, result, mu, it+1); err != nil {
 				return err
 			}
 		}
@@ -491,544 +412,11 @@ func runWorker(w *cluster.Worker, cfg Config, result *Result, mu *sync.Mutex, cr
 			result.FaultEvents = map[string]int64{
 				"corrupted": 0, "retries": 0, "fallbacks": 0, "retunes": 0,
 			}
-			for k, v := range tel.faults {
+			for k, v := range pl.tel.faults {
 				result.FaultEvents[k] = v
 			}
 		}
 		mu.Unlock()
-	}
-	return nil
-}
-
-// allReduceGrads averages all parameter gradients across workers. The flat
-// staging buffer is pooled: the collective's reduction allocates its own sum
-// vector, so the buffer is only read during the exchange and can be recycled
-// as soon as the averages are scattered back.
-func allReduceGrads(w *cluster.Worker, model *nn.Sequential, category string) {
-	params := model.Params()
-	total := 0
-	for _, p := range params {
-		total += len(p.Grad.Data)
-	}
-	buf := pool.F64(total)[:0]
-	// Deferred so the buffer recycles even when the collective unwinds on a
-	// worker-loss panic.
-	defer func() { pool.PutF64(buf) }()
-	for _, p := range params {
-		buf = append(buf, p.Grad.Data...)
-	}
-	w.AllReduce(buf, category)
-	inv := 1.0 / float64(w.Size())
-	pos := 0
-	for _, p := range params {
-		for i := range p.Grad.Data {
-			p.Grad.Data[i] = buf[pos] * inv
-			pos++
-		}
-	}
-}
-
-// sgdIteration is the first-order path: (optionally compressed) gradient
-// exchange, then a momentum step.
-func sgdIteration(w *cluster.Worker, task *modelzoo.ProxyTask, sgd *opt.SGD,
-	comp compress.Compressor, it int, lr float64, tel *tele, fc *faultCtx, cr *crAccum) error {
-	phase := tel.beginPhase("grad-sync")
-	defer tel.endPhase(phase)
-	if comp == nil {
-		allReduceGrads(w, task.Model, "grad-allreduce")
-	} else if ar, ef := ringCompressor(comp); ar != nil {
-		// Low-rank family: the alternating P/Q factors aggregate as a
-		// sum, so the exchange is a ring all-reduce over one factor
-		// instead of an all-gather of per-rank blobs.
-		if err := lowrankSync(w, task.Model, ar, ef, tel, cr, "grad-lowrank-allreduce"); err != nil {
-			return err
-		}
-	} else {
-		// Compressed exchange: each worker compresses its local gradient,
-		// all-gathers, and averages the decompressed replicas — the
-		// all-gather-based scheme that avoids ring error propagation. The
-		// flat staging and sum buffers are pooled; neither escapes the call
-		// (the collective payload is the compressed blob, not flat).
-		params := task.Model.Params()
-		total := 0
-		for _, p := range params {
-			total += len(p.Grad.Data)
-		}
-		flat := pool.F32(total)
-		defer pool.PutF32(flat)
-		pos := 0
-		for _, p := range params {
-			for _, v := range p.Grad.Data {
-				flat[pos] = float32(v)
-				pos++
-			}
-		}
-		blob, err := comp.Compress(flat)
-		if err != nil {
-			return err
-		}
-		tel.compress(len(flat), len(blob), "grad-allgather")
-		tel.filterStats(comp)
-		recordCR(len(flat), len(blob), cr)
-		parts := w.AllGather(blob, "grad-allgather")
-		sum := pool.F64(len(flat))
-		clear(sum)
-		defer pool.PutF64(sum)
-		// Fault-free fast path: each sender's blob decodes independently, so
-		// the decompressions fan out over the shared worker pool; the
-		// simulated-time charges and the averaging sum replay serially in
-		// rank order, keeping the timeline and the float arithmetic exactly
-		// those of the serial path. With faults enabled the serial
-		// decodeGathered ladder runs instead — its retry broadcasts are
-		// collectives every rank must enter in lockstep.
-		var pvals [][]float32
-		var perrs []error
-		if fc == nil {
-			pvals = make([][]float32, len(parts))
-			perrs = make([]error, len(parts))
-			pool.ParallelFor(len(parts), 0, func(r int) {
-				pvals[r], perrs[r] = comp.Decompress(parts[r])
-			})
-		}
-		for rank, part := range parts {
-			var vals []float32
-			var err error
-			if fc == nil {
-				vals, err = chargeGathered(tel, pvals[rank], perrs[rank], len(part), rank, len(flat), "grad-allgather")
-			} else {
-				vals, err = decodeGathered(fc, w, tel, comp, it, rank, part, blob, flat, len(flat), "grad-allgather")
-			}
-			if err != nil {
-				return fmt.Errorf("train: gathered gradient from rank %d: %w", rank, err)
-			}
-			for i, v := range vals {
-				sum[i] += float64(v)
-			}
-		}
-		inv := 1.0 / float64(w.Size())
-		pos = 0
-		for _, p := range params {
-			for i := range p.Grad.Data {
-				p.Grad.Data[i] = sum[pos] * inv
-				pos++
-			}
-		}
-	}
-	sgd.Step(task.Model.Params(), lr)
-	return nil
-}
-
-// chargeGathered applies the serial tail of a gathered-blob decode to an
-// already-decompressed value slice: the simulated decompress-time charge and
-// the length check, with decodeGathered's exact charge order and error
-// wording. It is the install half of the parallel-decode fast path.
-func chargeGathered(tel *tele, vals []float32, decErr error, blobBytes, sender, wantLen int, category string) ([]float32, error) {
-	if decErr != nil {
-		return nil, decErr
-	}
-	tel.decompress(len(vals), blobBytes, category)
-	if len(vals) != wantLen {
-		return nil, fmt.Errorf("%w: train: gathered %d values from rank %d, want %d",
-			compress.ErrCorrupt, len(vals), sender, wantLen)
-	}
-	return vals, nil
-}
-
-// kfacIteration is the distributed K-FAC path of Figure 2. layerComps,
-// when non-nil, selects a compressor per owned layer for the
-// preconditioned-gradient exchange (AggregationM == 1, enforced by Run);
-// receivers decode the mixed-family frames through compress.Decode.
-func kfacIteration(w *cluster.Worker, cfg Config, task *modelzoo.ProxyTask, k *kfac.KFAC,
-	comp compress.Compressor, layerComps map[int]compress.Compressor,
-	it int, lr float64, tel *tele, fc *faultCtx, cr *crAccum) error {
-	// Step 0: standard data-parallel gradient average.
-	phase := tel.beginPhase("grad-sync")
-	allReduceGrads(w, task.Model, "grad-allreduce")
-	tel.endPhase(phase)
-
-	// Steps 1–2: covariance computation + factor all-reduce (amortized).
-	if it%cfg.StatFreq == 0 {
-		phase = tel.beginPhase("factor-sync")
-		k.AccumulateStats(task.Batch)
-		cov := k.PendingCovariances()
-		if cfg.CompressFactors {
-			if err := compressedFactorExchange(w, cfg, tel, cov); err != nil {
-				return err
-			}
-		} else {
-			w.AllReduce(cov, "kfac-allreduce")
-		}
-		if err := k.CommitCovariances(cov, w.Size()); err != nil {
-			return err
-		}
-		tel.endPhase(phase)
-	}
-
-	// Step 3: eigendecomposition of owned layers. The decompositions are
-	// independent per layer (each touches only its own layerState), so the
-	// real compute fans out over the shared worker pool; the simulated-time
-	// charges replay serially in layer order, exactly as the serial loop
-	// issued them. Layers whose factors are unchanged since the last commit
-	// are version-cache hits inside RefreshEigen and skip the solve — the
-	// timing model still charges them, so the simulated results are
-	// independent of the cache.
-	owned := ownedLayers(k.NumLayers(), w.Size(), w.Rank())
-	if k.NeedsEigen() {
-		phase = tel.beginPhase("eigendecomp")
-		eigErrs := make([]error, len(owned))
-		pool.ParallelFor(len(owned), 0, func(j int) {
-			eigErrs[j] = k.RefreshEigen(owned[j])
-		})
-		for j, li := range owned {
-			if eigErrs[j] != nil {
-				return eigErrs[j]
-			}
-			tel.eigen(k, li)
-		}
-		tel.endPhase(phase)
-	}
-
-	// Steps 4–5: precondition owned layers, compress per aggregation
-	// group, all-gather, decompress everything.
-	phase = tel.beginPhase("precond-exchange")
-	groups := compso.Groups(len(owned), cfg.AggregationM)
-	payload := make([]byte, 0, 1024)
-	// rawPayload mirrors payload with lossless FP32 frames; it is the
-	// sender-side material for the fault path's last-resort re-broadcast
-	// and is only built when faults are enabled.
-	var rawPayload []byte
-	if fc != nil {
-		rawPayload = make([]byte, 0, 1024)
-	}
-	for _, g := range groups {
-		frame, rawFrame, err := buildGroupFrame(k, tel, cr, comp, layerComps, owned, g, fc != nil)
-		if err != nil {
-			return err
-		}
-		payload = append(payload, frame...)
-		rawPayload = append(rawPayload, rawFrame...)
-	}
-	parts := w.AllGather(payload, "kfac-allgather")
-
-	// Install every worker's decompressed preconditioned gradients. On the
-	// fault-free fast path the pure frame decompressions fan out over the
-	// shared worker pool with a serial rank-order install; with faults
-	// enabled each sender frame goes through the serial corrupt → retry →
-	// lossless-fallback ladder, whose recovery broadcasts are collectives
-	// every rank must enter in lockstep.
-	st := &kfacState{k: k, perLayer: layerComps != nil}
-	if fc == nil {
-		if err := installPartsParallel(w, cfg, tel, st, comp, parts); err != nil {
-			return err
-		}
-	} else {
-		for rank, part := range parts {
-			if err := installPart(fc, w, cfg, tel, st, comp, it, rank, part, payload, rawPayload); err != nil {
-				return err
-			}
-		}
-	}
-	tel.endPhase(phase)
-	return k.ApplyUpdate(lr)
-}
-
-// buildGroupFrame preconditioned-and-compresses one aggregation group of
-// owned layers and returns its uvarint-framed payload bytes, plus the
-// lossless FP32 mirror frame when withRaw is set (the sender-side material
-// for the fault path's last-resort re-broadcast). It is the per-group unit
-// both the sequential exchange (frames concatenated into one payload) and
-// the overlap scheduler (one all-gather round per frame) are built from —
-// the operations, their order, and the bytes are identical either way.
-func buildGroupFrame(k *kfac.KFAC, tel *tele, cr *crAccum,
-	comp compress.Compressor, layerComps map[int]compress.Compressor,
-	owned []int, g []int, withRaw bool) (frame, rawFrame []byte, err error) {
-
-	grads := make([][]float32, 0, len(g))
-	for _, oi := range g {
-		vals, err := k.Precondition(owned[oi])
-		if err != nil {
-			return nil, nil, err
-		}
-		tel.precondition(k, owned[oi])
-		grads = append(grads, vals)
-	}
-	flat := compso.Concat(grads)
-	gcomp := comp
-	if layerComps != nil {
-		// AggregationM == 1: each group is exactly one owned layer.
-		gcomp = layerComps[owned[g[0]]]
-	}
-	if gcomp != nil {
-		blob, err := gcomp.Compress(flat)
-		if err != nil {
-			return nil, nil, err
-		}
-		tel.compressWith(compressorPipe(gcomp), len(flat), len(blob), "kfac-allgather")
-		tel.filterStats(gcomp)
-		recordCR(len(flat), len(blob), cr)
-		frame = binary.AppendUvarint(frame, uint64(len(blob)))
-		frame = append(frame, blob...)
-	} else {
-		// The FP32 frame is copied into the payload immediately, so its
-		// staging buffer comes from the arena.
-		raw := f32ToBytesPooled(flat)
-		frame = binary.AppendUvarint(frame, uint64(len(raw)))
-		frame = append(frame, raw...)
-		pool.PutBytes(raw)
-	}
-	if withRaw {
-		raw := f32ToBytesPooled(flat)
-		rawFrame = binary.AppendUvarint(rawFrame, uint64(len(raw)))
-		rawFrame = append(rawFrame, raw...)
-		pool.PutBytes(raw)
-	}
-	return frame, rawFrame, nil
-}
-
-// kfacState wraps the optimizer for frame-by-frame installation of gathered
-// preconditioned gradients. perLayer marks a mixed-family per-layer
-// compressor plan: frames then decode through compress.Decode (magic-byte
-// dispatch) instead of a single shared compressor.
-type kfacState struct {
-	k        *kfac.KFAC
-	perLayer bool
-}
-
-// parsePart decodes one sender's uvarint-framed all-gather payload and
-// installs its preconditioned gradients. lossless selects raw-FP32 frame
-// decoding (comp is ignored and may be nil). All structural failures wrap
-// compress.ErrCorrupt so the caller's recovery ladder can distinguish
-// payload damage from programming errors.
-func (st *kfacState) parsePart(w *cluster.Worker, cfg Config, tel *tele,
-	comp compress.Compressor, sender int, part []byte, lossless bool) error {
-	rOwned := ownedLayers(st.k.NumLayers(), w.Size(), sender)
-	rGroups := compso.Groups(len(rOwned), cfg.AggregationM)
-	return st.parseGroups(tel, comp, sender, part, lossless, rOwned, rGroups)
-}
-
-// parseGroups is parsePart over an explicit group subset: part must carry
-// exactly one frame per entry of rGroups (group indices into rOwned, the
-// sender's owned-layer list). An empty rGroups accepts only an empty part
-// — the shape a rank with no owned layers (worldSize > nLayers) or a
-// shorter exchange-round schedule legitimately sends — without flagging
-// ErrCorrupt. The sequential path passes the sender's full group list; the
-// overlap scheduler passes one group per exchange round.
-func (st *kfacState) parseGroups(tel *tele, comp compress.Compressor,
-	sender int, part []byte, lossless bool, rOwned []int, rGroups [][]int) error {
-	k := st.k
-	pos := 0
-	for _, g := range rGroups {
-		blobLen, used := binary.Uvarint(part[pos:])
-		// Bound the frame length in uint64 space before the int cast: a
-		// corrupted varint can encode values whose int conversion
-		// overflows negative and sails past a signed comparison.
-		if used <= 0 || blobLen > uint64(len(part)-pos-used) {
-			return fmt.Errorf("%w: train: corrupt all-gather payload from rank %d", compress.ErrCorrupt, sender)
-		}
-		pos += used
-		blob := part[pos : pos+int(blobLen)]
-		pos += int(blobLen)
-		var flat []float32
-		if !lossless && (comp != nil || st.perLayer) {
-			var err error
-			if st.perLayer {
-				flat, err = compress.Decode(blob)
-			} else {
-				flat, err = comp.Decompress(blob)
-			}
-			if err != nil {
-				return err
-			}
-			tel.decompress(len(flat), len(blob), "kfac-allgather")
-		} else {
-			if len(blob)%4 != 0 {
-				return fmt.Errorf("%w: train: raw frame from rank %d has %d bytes", compress.ErrCorrupt, sender, len(blob))
-			}
-			flat = bytesToF32(blob)
-		}
-		lengths := make([]int, len(g))
-		for i, oi := range g {
-			lengths[i] = k.LayerGradSize(rOwned[oi])
-		}
-		split, err := compso.Split(flat, lengths)
-		if err != nil {
-			return fmt.Errorf("%w: %v", compress.ErrCorrupt, err)
-		}
-		for i, oi := range g {
-			if err := k.SetPreconditioned(rOwned[oi], split[i]); err != nil {
-				return err
-			}
-		}
-	}
-	if pos != len(part) {
-		return fmt.Errorf("%w: train: %d trailing bytes in all-gather payload from rank %d",
-			compress.ErrCorrupt, len(part)-pos, sender)
-	}
-	return nil
-}
-
-// splitFrames cuts one sender's uvarint-framed payload into its per-group
-// blobs without decoding them — the pure framing half of parsePart, used by
-// the parallel fast path.
-func splitFrames(part []byte, nGroups, sender int) ([][]byte, error) {
-	blobs := make([][]byte, 0, nGroups)
-	pos := 0
-	for g := 0; g < nGroups; g++ {
-		blobLen, used := binary.Uvarint(part[pos:])
-		if used <= 0 || blobLen > uint64(len(part)-pos-used) {
-			return nil, fmt.Errorf("%w: train: corrupt all-gather payload from rank %d", compress.ErrCorrupt, sender)
-		}
-		pos += used
-		blobs = append(blobs, part[pos:pos+int(blobLen)])
-		pos += int(blobLen)
-	}
-	if pos != len(part) {
-		return nil, fmt.Errorf("%w: train: %d trailing bytes in all-gather payload from rank %d",
-			compress.ErrCorrupt, len(part)-pos, sender)
-	}
-	return blobs, nil
-}
-
-// installPartsParallel is the fault-free fast path for installing the
-// gathered preconditioned gradients: every sender frame decompresses
-// independently over the shared worker pool (pure decode, no shared writes —
-// all in-tree Decompress implementations only read receiver state), then the
-// simulated-time charges, group splits and SetPreconditioned installs replay
-// serially in (rank, group) order so the timeline and numerics are exactly
-// the serial path's. Lossless FP32 frames decode into pooled buffers;
-// SetPreconditioned copies, so they recycle on return.
-func installPartsParallel(w *cluster.Worker, cfg Config, tel *tele, st *kfacState,
-	comp compress.Compressor, parts [][]byte) error {
-
-	k := st.k
-	lossless := comp == nil && !st.perLayer
-	type frame struct {
-		sender int
-		blob   []byte
-		vals   []float32
-		err    error
-		pooled bool
-	}
-	frames := make([][]frame, len(parts))
-	splitErrs := make([]error, len(parts))
-	jobs := make([]*frame, 0, len(parts))
-	for rank, part := range parts {
-		rOwned := ownedLayers(k.NumLayers(), w.Size(), rank)
-		rGroups := compso.Groups(len(rOwned), cfg.AggregationM)
-		blobs, err := splitFrames(part, len(rGroups), rank)
-		if err != nil {
-			// Surfaced at this rank's serial turn below, after earlier
-			// ranks' charges and installs have replayed.
-			splitErrs[rank] = err
-			continue
-		}
-		frames[rank] = make([]frame, len(blobs))
-		for g, b := range blobs {
-			frames[rank][g] = frame{sender: rank, blob: b}
-			jobs = append(jobs, &frames[rank][g])
-		}
-	}
-	pool.ParallelFor(len(jobs), 0, func(j int) {
-		f := jobs[j]
-		if lossless {
-			if len(f.blob)%4 != 0 {
-				f.err = fmt.Errorf("%w: train: raw frame from rank %d has %d bytes", compress.ErrCorrupt, f.sender, len(f.blob))
-				return
-			}
-			f.vals = bytesToF32Pooled(f.blob)
-			f.pooled = true
-		} else if st.perLayer {
-			f.vals, f.err = compress.Decode(f.blob)
-		} else {
-			f.vals, f.err = comp.Decompress(f.blob)
-		}
-	})
-	defer func() {
-		for rank := range frames {
-			for g := range frames[rank] {
-				if frames[rank][g].pooled {
-					pool.PutF32(frames[rank][g].vals)
-				}
-			}
-		}
-	}()
-	for rank := range parts {
-		if splitErrs[rank] != nil {
-			return splitErrs[rank]
-		}
-		rOwned := ownedLayers(k.NumLayers(), w.Size(), rank)
-		rGroups := compso.Groups(len(rOwned), cfg.AggregationM)
-		for gi, g := range rGroups {
-			f := &frames[rank][gi]
-			if f.err != nil {
-				return f.err
-			}
-			if !lossless {
-				tel.decompress(len(f.vals), len(f.blob), "kfac-allgather")
-			}
-			lengths := make([]int, len(g))
-			for i, oi := range g {
-				lengths[i] = k.LayerGradSize(rOwned[oi])
-			}
-			split, err := compso.Split(f.vals, lengths)
-			if err != nil {
-				return fmt.Errorf("%w: %v", compress.ErrCorrupt, err)
-			}
-			for i, oi := range g {
-				if err := k.SetPreconditioned(rOwned[oi], split[i]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// compressedFactorExchange replaces the factor all-reduce with a
-// compressed all-gather + local sum: each worker error-bound-compresses its
-// float32 factor contribution, gathers everyone's buffers, and sums the
-// decompressed replicas back into cov. Every worker decodes identical
-// bytes, so the replicas stay consistent.
-func compressedFactorExchange(w *cluster.Worker, cfg Config, tel *tele, cov []float64) error {
-	comp := compress.NewCOMPSO(991 + int64(w.Rank()))
-	comp.FilterEnabled = true
-	comp.EBFilter = cfg.FactorEB
-	comp.EBQuant = cfg.FactorEB
-	local := pool.F32(len(cov))
-	for i, v := range cov {
-		local[i] = float32(v)
-	}
-	blob, err := comp.Compress(local)
-	pool.PutF32(local)
-	if err != nil {
-		return fmt.Errorf("train: factor compression: %w", err)
-	}
-	tel.compress(len(cov), len(blob), "kfac-allreduce")
-	parts := w.AllGather(blob, "kfac-allreduce")
-	// The per-rank replica decodes are independent pure reads of the shared
-	// gathered buffers, so they fan out over the shared worker pool; the
-	// decompress-time charges and the replica sum replay serially in rank
-	// order, keeping the simulated timeline and the float arithmetic
-	// identical to the serial path.
-	vals := make([][]float32, len(parts))
-	errs := make([]error, len(parts))
-	pool.ParallelFor(len(parts), 0, func(r int) {
-		vals[r], errs[r] = comp.Decompress(parts[r])
-	})
-	for i := range cov {
-		cov[i] = 0
-	}
-	for rank, part := range parts {
-		if errs[rank] != nil {
-			return fmt.Errorf("train: factor decompression from rank %d: %w", rank, errs[rank])
-		}
-		tel.decompress(len(vals[rank]), len(part), "kfac-allreduce")
-		if len(vals[rank]) != len(cov) {
-			return fmt.Errorf("train: factor buffer from rank %d has %d values, want %d", rank, len(vals[rank]), len(cov))
-		}
-		for i, v := range vals[rank] {
-			cov[i] += float64(v)
-		}
 	}
 	return nil
 }
@@ -1056,44 +444,4 @@ func recordCR(nFloats, nBytes int, cr *crAccum) {
 	}
 	cr.sum += float64(4*nFloats) / float64(nBytes)
 	cr.count++
-}
-
-// f32ToBytes encodes v little-endian into a fresh allocation. It is the
-// right choice for buffers that escape into collectives — Broadcast and
-// AllGather payloads are retained by other workers' goroutines and must
-// never come from the arena.
-func f32ToBytes(v []float32) []byte {
-	out := make([]byte, 4*len(v))
-	for i, f := range v {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(f))
-	}
-	return out
-}
-
-// f32ToBytesPooled is f32ToBytes into an arena buffer, for frames that are
-// copied out immediately; the caller must hand it back via pool.PutBytes.
-func f32ToBytesPooled(v []float32) []byte {
-	out := pool.Bytes(4 * len(v))
-	for i, f := range v {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(f))
-	}
-	return out
-}
-
-func bytesToF32(b []byte) []float32 {
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-// bytesToF32Pooled is bytesToF32 into an arena buffer; the caller must hand
-// it back via pool.PutF32 once the values have been copied out.
-func bytesToF32Pooled(b []byte) []float32 {
-	out := pool.F32(len(b) / 4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
 }
