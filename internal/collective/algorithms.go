@@ -20,8 +20,6 @@ const (
 	OpSendRecv      = "sendrecv"
 )
 
-func mod(a, p int) int { return ((a % p) + p) % p }
-
 // splitBytes splits n bytes into p near-even chunks (first n%p chunks get
 // the extra byte) — the wire chunking of ring reduce collectives.
 func splitBytes(n, p int) []int {
@@ -36,159 +34,126 @@ func splitBytes(n, p int) []int {
 	return out
 }
 
-// ringAllGather schedules the classic P−1 step ring: at step s, rank r
-// forwards chunk (r−s) mod P to rank r+1. Handles variable per-rank sizes.
-func ringAllGather(s *sim, sizes []int) {
-	p := s.topo.P
-	for step := 0; step < p-1; step++ {
-		ts := make([]Transfer, 0, p)
-		for r := 0; r < p; r++ {
-			ts = append(ts, Transfer{Src: r, Dst: (r + 1) % p, Bytes: sizes[mod(r-step, p)]})
+// wrap folds x in [0, 2m) into [0, m).
+func wrap(x, m int) int {
+	if x >= m {
+		x -= m
+	}
+	return x
+}
+
+// ring schedules the n−1 steps of a ring over n members spaced stride
+// ranks apart (member i is rank i·stride): at step k, member i forwards
+// chunk (i+off−k) mod n to member i+1. The walk adds and wraps — a leader
+// ring at fleet scale is millions of transfers, none of which divides.
+func ring(s *sim, n, stride, off int, chunks []int) {
+	for step := 0; step < n-1; step++ {
+		c := wrap(off+n-step, n) // off is 0 or 1, so the sum is in [0, 2n)
+		src := 0
+		for i := 1; i < n; i++ {
+			s.send(src, src+stride, chunks[c])
+			src += stride
+			c = wrap(c+1, n)
 		}
-		s.runStep(ts)
+		s.send(src, 0, chunks[c])
+		s.endStep()
 	}
 }
 
-// ringReduceScatter schedules the P−1 step reduce-scatter ring over the
-// given per-chunk wire sizes: at step s, rank r forwards the partial sum of
-// chunk (r−s) mod P to rank r+1; after P−1 steps rank r owns completed
-// chunk (r+1) mod P.
-func ringReduceScatter(s *sim, chunkBytes []int) {
-	p := s.topo.P
-	for step := 0; step < p-1; step++ {
-		ts := make([]Transfer, 0, p)
-		for r := 0; r < p; r++ {
-			ts = append(ts, Transfer{Src: r, Dst: (r + 1) % p, Bytes: chunkBytes[mod(r-step, p)]})
-		}
-		s.runStep(ts)
-	}
-}
+// ringChunks schedules the classic P−1 step ring: at step s, rank r
+// forwards chunk (r−s) mod P to rank r+1. It is both the ring all-gather
+// (chunks are the variable per-rank contributions) and the ring
+// reduce-scatter (partial sums of the per-rank shards; after P−1 steps rank
+// r owns completed chunk (r+1) mod P).
+func ringChunks(s *sim, sp spec) { ring(s, s.topo.P, 1, 0, sp.sizes) }
 
 // ringAllReduce schedules reduce-scatter followed by all-gather of the
-// reduced chunks: 2(P−1) steps moving 2(P−1)/P · n bytes per rank.
-func ringAllReduce(s *sim, nBytes int) {
+// reduced chunks: 2(P−1) steps moving 2(P−1)/P · n bytes per rank. In the
+// all-gather phase rank r starts owning chunk (r+1) mod P and forwards
+// chunk (r+1−s) mod P at step s.
+func ringAllReduce(s *sim, sp spec) {
 	p := s.topo.P
-	chunks := splitBytes(nBytes, p)
-	ringReduceScatter(s, chunks)
-	// All-gather phase: rank r starts owning chunk (r+1) mod P and forwards
-	// chunk (r+1−s) mod P at step s.
-	for step := 0; step < p-1; step++ {
-		ts := make([]Transfer, 0, p)
-		for r := 0; r < p; r++ {
-			ts = append(ts, Transfer{Src: r, Dst: (r + 1) % p, Bytes: chunks[mod(r+1-step, p)]})
-		}
-		s.runStep(ts)
-	}
+	chunks := splitBytes(sp.total(), p)
+	ring(s, p, 1, 0, chunks)
+	ring(s, p, 1, 1, chunks)
 }
 
 // recursiveDoublingAllGather schedules the log-step exchange. Non-power-of-
 // two world sizes use the standard pre/post fixup: the p−q highest ranks
 // fold their block into a partner below the largest power of two q, the q
 // ranks double, and the partners send the full result back.
-func recursiveDoublingAllGather(s *sim, sizes []int) {
-	p := s.topo.P
+func recursiveDoublingAllGather(s *sim, sp spec) {
+	p, sizes := s.topo.P, sp.sizes
 	q := 1
 	for q*2 <= p {
 		q *= 2
 	}
-	extras := p - q
 	held := append([]int(nil), sizes...)
-	total := 0
-	for _, sz := range sizes {
-		total += sz
-	}
-	if extras > 0 {
-		ts := make([]Transfer, 0, extras)
+	if q < p {
 		for e := q; e < p; e++ {
-			ts = append(ts, Transfer{Src: e, Dst: e - q, Bytes: sizes[e]})
-		}
-		s.runStep(ts)
-		for e := q; e < p; e++ {
+			s.send(e, e-q, sizes[e])
 			held[e-q] += sizes[e]
 		}
+		s.endStep()
 	}
 	for d := 1; d < q; d <<= 1 {
-		ts := make([]Transfer, 0, q)
 		for r := 0; r < q; r++ {
-			ts = append(ts, Transfer{Src: r, Dst: r ^ d, Bytes: held[r]})
+			s.send(r, r^d, held[r])
 		}
-		s.runStep(ts)
-		next := append([]int(nil), held[:q]...)
+		s.endStep()
 		for r := 0; r < q; r++ {
-			next[r] = held[r] + held[r^d]
-		}
-		copy(held, next)
-	}
-	if extras > 0 {
-		ts := make([]Transfer, 0, extras)
-		for e := q; e < p; e++ {
-			ts = append(ts, Transfer{Src: e - q, Dst: e, Bytes: total - sizes[e]})
-		}
-		s.runStep(ts)
-	}
-}
-
-// binomialBcastRounds returns the round-by-round transfers of a binomial
-// tree broadcast of bytes within group, rooted at group[rootIdx]. Rounds
-// from different groups can be merged step-wise to run trees concurrently.
-func binomialBcastRounds(group []int, rootIdx, bytes int) [][]Transfer {
-	n := len(group)
-	vr := func(j int) int { return group[(rootIdx+j)%n] }
-	var rounds [][]Transfer
-	for d := 1; d < n; d <<= 1 {
-		var ts []Transfer
-		for j := 0; j < d && j+d < n; j++ {
-			ts = append(ts, Transfer{Src: vr(j), Dst: vr(j + d), Bytes: bytes})
-		}
-		rounds = append(rounds, ts)
-	}
-	return rounds
-}
-
-// binomialReduceRounds returns the rounds of a binomial-tree reduction of
-// bytes within group toward group[0].
-func binomialReduceRounds(group []int, bytes int) [][]Transfer {
-	n := len(group)
-	var rounds [][]Transfer
-	for d := 1; d < n; d <<= 1 {
-		var ts []Transfer
-		for j := d; j < n; j += 2 * d {
-			ts = append(ts, Transfer{Src: group[j], Dst: group[j-d], Bytes: bytes})
-		}
-		rounds = append(rounds, ts)
-	}
-	return rounds
-}
-
-// mergeRounds interleaves several groups' round sequences step-wise so the
-// groups progress concurrently (e.g. every node's intra-node tree runs in
-// parallel).
-func mergeRounds(groups [][][]Transfer) [][]Transfer {
-	maxLen := 0
-	for _, g := range groups {
-		if len(g) > maxLen {
-			maxLen = len(g)
-		}
-	}
-	out := make([][]Transfer, maxLen)
-	for k := 0; k < maxLen; k++ {
-		for _, g := range groups {
-			if k < len(g) {
-				out[k] = append(out[k], g[k]...)
+			if r&d == 0 {
+				held[r] += held[r|d]
+				held[r|d] = held[r]
 			}
 		}
 	}
-	return out
+	if q < p {
+		total := sp.total()
+		for e := q; e < p; e++ {
+			s.send(e-q, e, total-sizes[e])
+		}
+		s.endStep()
+	}
+}
+
+// groupBcast schedules a binomial-tree broadcast of bytes inside every
+// group of g consecutive ranks (the last may be partial). The trees run
+// concurrently: each round is one step holding every group's transfers in
+// group order. Group rootGroup's tree is rooted at its member rootIdx, every
+// other at its first rank.
+func groupBcast(s *sim, g, rootGroup, rootIdx, bytes int) {
+	p := s.topo.P
+	for d := 1; d < g && d < p; d <<= 1 {
+		for lo := 0; lo < p; lo += g {
+			m, root := min(g, p-lo), 0
+			if lo == rootGroup*g {
+				root = rootIdx
+			}
+			for j := 0; j < d && j+d < m; j++ {
+				s.send(lo+wrap(root+j, m), lo+wrap(root+j+d, m), bytes)
+			}
+		}
+		s.endStep()
+	}
+}
+
+// nodeReduce schedules a binomial-tree reduction of bytes toward every
+// node's leader, all nodes concurrently (one step per round, node order).
+func nodeReduce(s *sim, bytes int) {
+	p, g := s.topo.P, s.topo.GPUsPerNode
+	for d := 1; d < g && d < p; d <<= 1 {
+		for lo := 0; lo < p; lo += g {
+			for j := d; j < min(g, p-lo); j += 2 * d {
+				s.send(lo+j, lo+j-d, bytes)
+			}
+		}
+		s.endStep()
+	}
 }
 
 // binomialBroadcast schedules a flat binomial tree over all ranks.
-func binomialBroadcast(s *sim, bytes, root int) {
-	group := make([]int, s.topo.P)
-	for i := range group {
-		group[i] = i
-	}
-	s.runRounds(binomialBcastRounds(group, root, bytes))
-}
+func binomialBroadcast(s *sim, sp spec) { groupBcast(s, s.topo.P, 0, sp.root, sp.total()) }
 
 // hierarchicalAllGather schedules the paper's §4 two-level exchange:
 //  1. intra-node gather — every member sends its payload to the node
@@ -197,156 +162,75 @@ func binomialBroadcast(s *sim, bytes, root int) {
 //  2. inter-node ring all-gather among node leaders over the NICs, with
 //     per-node aggregated sizes;
 //  3. intra-node binomial broadcast of the full result from each leader.
-func hierarchicalAllGather(s *sim, sizes []int) {
-	t := s.topo
-	n := t.Nodes()
+func hierarchicalAllGather(s *sim, sp spec) {
+	g, n := s.topo.GPUsPerNode, s.topo.Nodes()
 	nodeBytes := make([]int, n)
-	total := 0
-	var gather []Transfer
-	for node := 0; node < n; node++ {
-		lead := t.Leader(node)
-		for _, r := range t.NodeRanks(node) {
-			nodeBytes[node] += sizes[r]
-			total += sizes[r]
-			if r != lead {
-				gather = append(gather, Transfer{Src: r, Dst: lead, Bytes: sizes[r]})
-			}
+	for r, sz := range sp.sizes {
+		lead := int(s.node[r]) * g
+		nodeBytes[s.node[r]] += sz
+		if r != lead {
+			s.send(r, lead, sz)
 		}
 	}
-	s.runStep(gather)
-	// Ring all-gather among leaders: leader i forwards node chunk
-	// (i−step) mod n to leader i+1.
-	for step := 0; step < n-1; step++ {
-		ts := make([]Transfer, 0, n)
-		for i := 0; i < n; i++ {
-			ts = append(ts, Transfer{Src: t.Leader(i), Dst: t.Leader((i + 1) % n), Bytes: nodeBytes[mod(i-step, n)]})
-		}
-		s.runStep(ts)
-	}
-	// Intra-node broadcast of the complete buffer, all nodes concurrently.
-	var groups [][][]Transfer
-	for node := 0; node < n; node++ {
-		ranks := t.NodeRanks(node)
-		if len(ranks) > 1 {
-			groups = append(groups, binomialBcastRounds(ranks, 0, total))
-		}
-	}
-	s.runRounds(mergeRounds(groups))
+	s.endStep()
+	ring(s, n, g, 0, nodeBytes)
+	groupBcast(s, g, 0, 0, sp.total())
 }
 
 // hierarchicalAllReduce schedules the two-level reduction:
 //  1. intra-node binomial-tree reduce of the full vector to each leader;
-//  2. inter-node ring all-reduce among leaders;
+//  2. inter-node ring all-reduce among leaders (chunked by node count);
 //  3. intra-node binomial broadcast of the reduced vector.
-func hierarchicalAllReduce(s *sim, nBytes int) {
-	t := s.topo
-	n := t.Nodes()
-	var reduce, bcast [][][]Transfer
-	for node := 0; node < n; node++ {
-		ranks := t.NodeRanks(node)
-		if len(ranks) > 1 {
-			reduce = append(reduce, binomialReduceRounds(ranks, nBytes))
-			bcast = append(bcast, binomialBcastRounds(ranks, 0, nBytes))
-		}
-	}
-	s.runRounds(mergeRounds(reduce))
-	if n > 1 {
-		// Ring all-reduce among the node leaders (chunked by node count).
-		chunks := splitBytes(nBytes, n)
-		for step := 0; step < n-1; step++ {
-			ts := make([]Transfer, 0, n)
-			for i := 0; i < n; i++ {
-				ts = append(ts, Transfer{Src: t.Leader(i), Dst: t.Leader((i + 1) % n), Bytes: chunks[mod(i-step, n)]})
-			}
-			s.runStep(ts)
-		}
-		for step := 0; step < n-1; step++ {
-			ts := make([]Transfer, 0, n)
-			for i := 0; i < n; i++ {
-				ts = append(ts, Transfer{Src: t.Leader(i), Dst: t.Leader((i + 1) % n), Bytes: chunks[mod(i+1-step, n)]})
-			}
-			s.runStep(ts)
-		}
-	}
-	s.runRounds(mergeRounds(bcast))
+func hierarchicalAllReduce(s *sim, sp spec) {
+	g, n, nBytes := s.topo.GPUsPerNode, s.topo.Nodes(), sp.total()
+	nodeReduce(s, nBytes)
+	chunks := splitBytes(nBytes, n)
+	ring(s, n, g, 0, chunks)
+	ring(s, n, g, 1, chunks)
+	groupBcast(s, g, 0, 0, nBytes)
 }
 
 // hierarchicalReduceScatter schedules the two-level variant: intra-node
-// tree reduce to leaders, ring reduce-scatter among leaders, then leaders
-// return each member's shard directly.
-func hierarchicalReduceScatter(s *sim, chunkBytes []int) {
-	t := s.topo
-	n := t.Nodes()
-	total := 0
-	for _, c := range chunkBytes {
-		total += c
+// tree reduce to leaders, ring reduce-scatter among leaders over per-node
+// byte groups, then leaders return each member's shard directly.
+func hierarchicalReduceScatter(s *sim, sp spec) {
+	g, n := s.topo.GPUsPerNode, s.topo.Nodes()
+	nodeReduce(s, sp.total())
+	nodeBytes := make([]int, n)
+	for r, c := range sp.sizes {
+		nodeBytes[s.node[r]] += c
 	}
-	var reduce [][][]Transfer
-	for node := 0; node < n; node++ {
-		ranks := t.NodeRanks(node)
-		if len(ranks) > 1 {
-			reduce = append(reduce, binomialReduceRounds(ranks, total))
+	ring(s, n, g, 0, nodeBytes)
+	for r, c := range sp.sizes {
+		if lead := int(s.node[r]) * g; r != lead {
+			s.send(lead, r, c)
 		}
 	}
-	s.runRounds(mergeRounds(reduce))
-	if n > 1 {
-		// Ring reduce-scatter among leaders over per-node byte groups.
-		nodeBytes := make([]int, n)
-		for r, c := range chunkBytes {
-			nodeBytes[t.Node(r)] += c
-		}
-		for step := 0; step < n-1; step++ {
-			ts := make([]Transfer, 0, n)
-			for i := 0; i < n; i++ {
-				ts = append(ts, Transfer{Src: t.Leader(i), Dst: t.Leader((i + 1) % n), Bytes: nodeBytes[mod(i-step, n)]})
-			}
-			s.runStep(ts)
-		}
-	}
-	// Leaders deliver each member's shard.
-	var scatter []Transfer
-	for node := 0; node < n; node++ {
-		lead := t.Leader(node)
-		for _, r := range t.NodeRanks(node) {
-			if r != lead {
-				scatter = append(scatter, Transfer{Src: lead, Dst: r, Bytes: chunkBytes[r]})
-			}
-		}
-	}
-	s.runStep(scatter)
+	s.endStep()
 }
 
 // hierarchicalBroadcast schedules root → other node leaders (binomial over
 // NIC links) followed by concurrent intra-node binomial trees. The root
 // acts as its own node's leader.
-func hierarchicalBroadcast(s *sim, bytes, root int) {
-	t := s.topo
-	n := t.Nodes()
-	rootNode := t.Node(root)
-	// Inter-node stage: root plus the leaders of the other nodes.
-	heads := []int{root}
-	for node := 0; node < n; node++ {
-		if node != rootNode {
-			heads = append(heads, t.Leader(node))
+func hierarchicalBroadcast(s *sim, sp spec) {
+	g, n, root, bytes := s.topo.GPUsPerNode, s.topo.Nodes(), sp.root, sp.total()
+	rootNode := int(s.node[root])
+	// head is member j of the inter-node tree: the root, then the leaders
+	// of the other nodes in node order.
+	head := func(j int) int {
+		if j == 0 {
+			return root
 		}
+		if j <= rootNode {
+			j--
+		}
+		return j * g
 	}
-	s.runRounds(binomialBcastRounds(heads, 0, bytes))
-	// Intra-node stage: each node's tree rooted at its head.
-	var groups [][][]Transfer
-	for node := 0; node < n; node++ {
-		ranks := t.NodeRanks(node)
-		if len(ranks) <= 1 {
-			continue
+	for d := 1; d < n; d <<= 1 {
+		for j := 0; j < d && j+d < n; j++ {
+			s.send(head(j), head(j+d), bytes)
 		}
-		rootIdx := 0
-		if node == rootNode {
-			for i, r := range ranks {
-				if r == root {
-					rootIdx = i
-				}
-			}
-		}
-		groups = append(groups, binomialBcastRounds(ranks, rootIdx, bytes))
+		s.endStep()
 	}
-	s.runRounds(mergeRounds(groups))
+	groupBcast(s, g, rootNode, root-rootNode*g, bytes)
 }

@@ -273,22 +273,53 @@ func TestSingleNodeRingUsesOnlyNVLink(t *testing.T) {
 func TestContentionSerializesSharedNIC(t *testing.T) {
 	// Two concurrent inter-node transfers from the same source node must
 	// serialize on its NIC: the pair takes ~2x one transfer's time.
-	topo := testTopology(8)
-	one := newSim(topo, "x", "y", make([]float64, 8))
-	one.runStep([]Transfer{{Src: 0, Dst: 4, Bytes: 1 << 20}})
-	two := newSim(topo, "x", "y", make([]float64, 8))
-	two.runStep([]Transfer{{Src: 0, Dst: 4, Bytes: 1 << 20}, {Src: 1, Dst: 5, Bytes: 1 << 20}})
-	t1 := maxOf(one.clock) - topo.Launch
-	t2 := maxOf(two.clock) - topo.Launch
+	e := forcedEngine(t, 8, "")
+	launch := e.Topology().Launch
+	// step runs one schedule step of 1 MB transfers between the (src, dst)
+	// pairs and returns its makespan.
+	step := func(pairs ...[2]int) float64 {
+		s := e.newSim("x", "y", make([]float64, 8))
+		defer s.release()
+		for _, pr := range pairs {
+			s.send(pr[0], pr[1], 1<<20)
+		}
+		s.endStep()
+		return maxOf(s.clock) - launch
+	}
+	t1 := step([2]int{0, 4})
+	t2 := step([2]int{0, 4}, [2]int{1, 5})
 	if ratio := t2 / t1; math.Abs(ratio-2) > 0.05 {
 		t.Fatalf("shared-NIC pair took %.2fx one transfer, want ~2x", ratio)
 	}
 	// Distinct node pairs do not contend.
-	three := newSim(topo, "x", "y", make([]float64, 8))
-	three.runStep([]Transfer{{Src: 0, Dst: 4, Bytes: 1 << 20}, {Src: 4, Dst: 0, Bytes: 1 << 20}})
-	t3 := maxOf(three.clock) - topo.Launch
+	t3 := step([2]int{0, 4}, [2]int{4, 0})
 	if math.Abs(t3/t1-1) > 0.05 {
 		t.Fatalf("full-duplex pair took %.2fx one transfer, want ~1x", t3/t1)
+	}
+}
+
+// TestSendValidatesBeforeSkippingSelfTransfers: a self-transfer is free, but
+// only between ranks that exist — an out-of-range pair is a schedule bug
+// whichever way its endpoints compare.
+func TestSendValidatesBeforeSkippingSelfTransfers(t *testing.T) {
+	e := forcedEngine(t, 8, "")
+	for _, bad := range [][3]int{{-1, -1, 8}, {8, 8, 8}, {3, 3, -1}, {0, 8, 1}, {-1, 0, 1}} {
+		func() {
+			s := e.newSim("x", "y", make([]float64, 8))
+			defer s.release()
+			defer func() {
+				if recover() == nil {
+					t.Errorf("send(%d, %d, %d) did not panic", bad[0], bad[1], bad[2])
+				}
+			}()
+			s.send(bad[0], bad[1], bad[2])
+		}()
+	}
+	s := e.newSim("x", "y", make([]float64, 8))
+	defer s.release()
+	s.send(3, 3, 1<<20)
+	if len(s.events) != 0 || s.clock[3] != e.Topology().Launch {
+		t.Fatalf("in-range self-transfer was charged: %d events, clock %g", len(s.events), s.clock[3])
 	}
 }
 
@@ -362,9 +393,6 @@ func TestTopologyHelpers(t *testing.T) {
 	}
 	if topo.Leader(2) != 8 {
 		t.Fatalf("leader(2) = %d", topo.Leader(2))
-	}
-	if got := topo.NodeRanks(2); len(got) != 2 || got[0] != 8 || got[1] != 9 {
-		t.Fatalf("node 2 ranks %v", got)
 	}
 	if !topo.SameNode(4, 7) || topo.SameNode(3, 4) {
 		t.Fatal("SameNode wrong")

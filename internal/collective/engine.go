@@ -70,7 +70,10 @@ type LinkPerturber interface {
 // It is safe for concurrent use; in practice the cluster's rendezvous
 // serializes collective execution.
 type Engine struct {
-	topo   *Topology
+	topo *Topology
+	// node is the rank→node table every schedule step looks links up in,
+	// built once here so no transfer divides by GPUsPerNode.
+	node   []int32
 	cost   CostModel
 	policy string
 	pert   LinkPerturber
@@ -115,7 +118,11 @@ func NewEngine(topo *Topology, cost CostModel, policy string) (*Engine, error) {
 		cost.ReduceScatter == nil || cost.Broadcast == nil) {
 		return nil, fmt.Errorf("collective: analytic policy requires a full cost model")
 	}
-	return &Engine{topo: topo, cost: cost, policy: policy, tuner: newAutotuner()}, nil
+	node := make([]int32, topo.P)
+	for r := range node {
+		node[r] = int32(topo.Node(r))
+	}
+	return &Engine{topo: topo, node: node, cost: cost, policy: policy, tuner: newAutotuner()}, nil
 }
 
 // Topology returns the engine's platform model.
@@ -163,24 +170,19 @@ func (e *Engine) Retune() {
 // (topology cost when none). It is the engine-aware replacement for
 // Topology.P2PTime on live transfer paths.
 func (e *Engine) P2PTime(src, dst, bytes int, start float64) float64 {
-	t := e.topo
 	if src == dst {
 		return 0
 	}
-	var alpha, beta float64
-	link := LinkInter
-	if t.SameNode(src, dst) {
-		link = LinkIntra
-		alpha, beta = t.IntraAlpha, t.IntraBeta
-	} else {
-		alpha, beta = t.InterAlpha, t.InterBeta
+	t := e.topo
+	sn, dn := t.Node(src), t.Node(dst)
+	link, alpha, beta := LinkInter, t.InterAlpha, t.InterBeta
+	if sn == dn {
+		link, alpha, beta = LinkIntra, t.IntraAlpha, t.IntraBeta
 	}
-	dur := alpha + beta*float64(bytes)
 	if p := e.perturber(); p != nil {
-		as, bs, j := p.PerturbLink(src, dst, t.Node(src), t.Node(dst), link, bytes, start)
-		dur = (alpha*as + beta*float64(bytes)*bs) * (1 + j)
+		return perturbedTime(p, src, dst, sn, dn, link, bytes, start, alpha, beta)
 	}
-	return dur
+	return alpha + beta*float64(bytes)
 }
 
 // Algorithms returns the step-level algorithm menu for an op (the analytic
@@ -217,39 +219,40 @@ func (sp spec) total() int {
 	return t
 }
 
-// scheduleFor returns the schedule builder for (op, alg), or nil when the
-// algorithm does not implement the op.
-func (e *Engine) scheduleFor(alg string, sp spec) func(*sim) {
-	switch sp.op {
+// scheduleFor returns the schedule of (op, alg) — a function streaming the
+// spec's steps through a sim — or nil when the algorithm does not implement
+// the op.
+func scheduleFor(alg, op string) func(*sim, spec) {
+	switch op {
 	case OpAllGather:
 		switch alg {
 		case AlgRing:
-			return func(s *sim) { ringAllGather(s, sp.sizes) }
+			return ringChunks
 		case AlgRecursiveDoubling:
-			return func(s *sim) { recursiveDoublingAllGather(s, sp.sizes) }
+			return recursiveDoublingAllGather
 		case AlgHierarchical:
-			return func(s *sim) { hierarchicalAllGather(s, sp.sizes) }
+			return hierarchicalAllGather
 		}
 	case OpAllReduce:
 		switch alg {
 		case AlgRing:
-			return func(s *sim) { ringAllReduce(s, sp.total()) }
+			return ringAllReduce
 		case AlgHierarchical:
-			return func(s *sim) { hierarchicalAllReduce(s, sp.total()) }
+			return hierarchicalAllReduce
 		}
 	case OpReduceScatter:
 		switch alg {
 		case AlgRing:
-			return func(s *sim) { ringReduceScatter(s, sp.sizes) }
+			return ringChunks
 		case AlgHierarchical:
-			return func(s *sim) { hierarchicalReduceScatter(s, sp.sizes) }
+			return hierarchicalReduceScatter
 		}
 	case OpBroadcast:
 		switch alg {
 		case AlgBinomial:
-			return func(s *sim) { binomialBroadcast(s, sp.total(), sp.root) }
+			return binomialBroadcast
 		case AlgHierarchical:
-			return func(s *sim) { hierarchicalBroadcast(s, sp.total(), sp.root) }
+			return hierarchicalBroadcast
 		}
 	}
 	return nil
@@ -309,10 +312,10 @@ func (e *Engine) dispatch(sp spec, starts []float64) *Outcome {
 				Link: link, Bytes: sp.total(), Start: start, End: t}},
 		}
 	}
-	s := newSim(e.topo, sp.op, alg, starts)
+	s := e.newSim(sp.op, alg, starts)
 	s.pert = e.perturber()
 	s.dropEvents = e.dropEvents
-	e.scheduleFor(alg, sp)(s)
+	scheduleFor(alg, sp.op)(s, sp)
 	out := &Outcome{Op: sp.op, Algorithm: alg, Bytes: sp.total(), Start: start, Ends: s.clock, Events: s.events}
 	s.release()
 	e.mu.Lock()
@@ -329,7 +332,7 @@ func (e *Engine) pick(sp spec) string {
 	case AlgAnalytic:
 		return AlgAnalytic
 	default:
-		if e.scheduleFor(e.policy, sp) != nil {
+		if scheduleFor(e.policy, sp.op) != nil {
 			return e.policy
 		}
 		// Forced algorithm does not implement this op: autotune instead.
@@ -346,9 +349,9 @@ func (e *Engine) predictSeed(alg string, sp spec) float64 {
 	if v, ok := e.tuner.seeds[key]; ok {
 		return v
 	}
-	s := newSim(e.topo, sp.op, alg, make([]float64, e.topo.P))
+	s := e.newSim(sp.op, alg, make([]float64, e.topo.P))
 	s.dropEvents = true // dry run: nobody reads the trace
-	e.scheduleFor(alg, sp)(s)
+	scheduleFor(alg, sp.op)(s, sp)
 	v := maxOf(s.clock)
 	s.release()
 	if len(e.tuner.seeds) < seedCacheCap {

@@ -6,20 +6,16 @@ import (
 	"compso/internal/pool"
 )
 
-// Transfer is one point-to-point message inside a schedule step.
-type Transfer struct {
-	Src, Dst int
-	// Bytes is the wire size; zero-byte transfers still pay the link α
-	// (they are real messages).
-	Bytes int
-}
-
-// sim executes a step schedule over the topology's links, advancing
-// per-rank clocks and per-link occupancy. One sim instance covers one
-// collective; occupancy does not persist across collectives because the
-// SPMD rendezvous serializes them.
+// sim executes a schedule over the topology's links, advancing per-rank
+// clocks and per-link occupancy. A schedule is a sequence of streamed
+// steps: the builder calls send once per transfer, in order, and endStep
+// to close the step. One sim instance covers one collective; occupancy does
+// not persist across collectives because the SPMD rendezvous serializes
+// them.
 type sim struct {
 	topo *Topology
+	// node is the engine's rank→node table.
+	node []int32
 	// clock is each rank's simulated time.
 	clock []float64
 	// egress/ingress are per-rank NVLink port busy-until times.
@@ -27,8 +23,15 @@ type sim struct {
 	// nicOut/nicIn are per-node NIC busy-until times (full duplex).
 	nicOut, nicIn []float64
 
-	// snap is the per-step clock snapshot scratch, reused across steps.
-	snap []float64
+	// snap[r] is rank r's clock at the entry of step stamp[r]−1, saved the
+	// first time that step advanced it; a rank the current step has not
+	// advanced still holds its entry time in clock. Stamping on first
+	// write costs a step the ranks it touches, not all P.
+	snap  []float64
+	stamp []int
+	// f64 is the pooled block egress, ingress, snap, nicOut and nicIn are
+	// cut from.
+	f64 []float64
 
 	op, alg string
 	step    int
@@ -46,109 +49,108 @@ type sim struct {
 // the per-collective launch cost to every rank. All link-occupancy state
 // comes from the buffer pool; release returns it (the clock slice is a
 // plain allocation because it escapes as Outcome.Ends).
-func newSim(topo *Topology, op, alg string, starts []float64) *sim {
-	clock := make([]float64, topo.P)
+func (e *Engine) newSim(op, alg string, starts []float64) *sim {
+	p, n := e.topo.P, e.topo.Nodes()
+	clock := make([]float64, p)
 	for i := range clock {
-		clock[i] = starts[i] + topo.Launch
+		clock[i] = starts[i] + e.topo.Launch
 	}
-	n := topo.Nodes()
-	egress := pool.F64(topo.P)
-	clear(egress)
-	ingress := pool.F64(topo.P)
-	clear(ingress)
-	nicOut := pool.F64(n)
-	clear(nicOut)
-	nicIn := pool.F64(n)
-	clear(nicIn)
+	f64 := pool.F64(3*p + 2*n)
+	clear(f64)
+	stamp := pool.Ints(p)
+	clear(stamp)
 	return &sim{
-		topo: topo, clock: clock,
-		egress: egress, ingress: ingress,
-		nicOut: nicOut, nicIn: nicIn,
-		snap: pool.F64(topo.P),
-		op:   op, alg: alg,
+		topo: e.topo, node: e.node, clock: clock,
+		egress: f64[:p], ingress: f64[p : 2*p], snap: f64[2*p : 3*p],
+		nicOut: f64[3*p : 3*p+n], nicIn: f64[3*p+n:],
+		stamp: stamp, f64: f64,
+		op: op, alg: alg,
 	}
 }
 
-// release returns the pooled occupancy scratch. The clock slice stays
-// valid (it is handed out as Outcome.Ends).
+// release returns the pooled scratch. The clock slice stays valid (it is
+// handed out as Outcome.Ends).
 func (s *sim) release() {
-	pool.PutF64(s.egress)
-	pool.PutF64(s.ingress)
-	pool.PutF64(s.nicOut)
-	pool.PutF64(s.nicIn)
-	pool.PutF64(s.snap)
-	s.egress, s.ingress, s.nicOut, s.nicIn, s.snap = nil, nil, nil, nil, nil
+	pool.PutF64(s.f64)
+	pool.PutInts(s.stamp)
+	s.f64, s.egress, s.ingress, s.snap, s.nicOut, s.nicIn, s.stamp = nil, nil, nil, nil, nil, nil, nil
 }
 
-// runStep executes one step: every transfer's start time is derived from
-// the rank clocks at step entry, so transfers within a step are concurrent
-// except where they share a link — shared egress ports or NICs serialize
-// in transfer order, which is how contention emerges from the schedule.
-func (s *sim) runStep(ts []Transfer) {
-	if len(ts) == 0 {
-		s.step++
+// send schedules one transfer of the current step. Its start time derives
+// from the endpoints' clocks at step entry, so transfers within a step are
+// concurrent except where they share a link — shared ports or NICs
+// serialize in send order, which is how contention emerges from the
+// schedule. Zero-byte transfers still pay the link α (they are real
+// messages); a rank sending to itself is free.
+func (s *sim) send(src, dst, bytes int) {
+	if uint(src) >= uint(len(s.clock)) || uint(dst) >= uint(len(s.clock)) || bytes < 0 {
+		panic(fmt.Sprintf("collective: bad transfer %d→%d of %d bytes for P=%d", src, dst, bytes, len(s.clock)))
+	}
+	if src == dst {
 		return
 	}
-	snap := s.snap
-	copy(snap, s.clock)
-	for _, tr := range ts {
-		if tr.Src == tr.Dst {
-			continue
-		}
-		if tr.Src < 0 || tr.Src >= s.topo.P || tr.Dst < 0 || tr.Dst >= s.topo.P || tr.Bytes < 0 {
-			panic(fmt.Sprintf("collective: bad transfer %+v for P=%d", tr, s.topo.P))
-		}
-		ready := snap[tr.Src]
-		if snap[tr.Dst] > ready {
-			ready = snap[tr.Dst]
-		}
-		var start, end float64
-		var link LinkClass
-		if s.topo.SameNode(tr.Src, tr.Dst) {
-			link = LinkIntra
-			start = max3(ready, s.egress[tr.Src], s.ingress[tr.Dst])
-			end = start + s.linkTime(tr, link, start, s.topo.IntraAlpha, s.topo.IntraBeta)
-			s.egress[tr.Src], s.ingress[tr.Dst] = end, end
-		} else {
-			link = LinkInter
-			sn, dn := s.topo.Node(tr.Src), s.topo.Node(tr.Dst)
-			start = max3(ready, s.nicOut[sn], s.nicIn[dn])
-			end = start + s.linkTime(tr, link, start, s.topo.InterAlpha, s.topo.InterBeta)
-			s.nicOut[sn], s.nicIn[dn] = end, end
-		}
-		if end > s.clock[tr.Src] {
-			s.clock[tr.Src] = end
-		}
-		if end > s.clock[tr.Dst] {
-			s.clock[tr.Dst] = end
-		}
-		if s.dropEvents {
-			continue
-		}
-		s.events = append(s.events, Event{
-			Op: s.op, Algorithm: s.alg, Step: s.step,
-			Src: tr.Src, Dst: tr.Dst, Link: link, Bytes: tr.Bytes,
-			Start: start, End: end,
-		})
+	mark := s.step + 1
+	ready, dstReady := s.clock[src], s.clock[dst]
+	if s.stamp[src] == mark {
+		ready = s.snap[src]
 	}
-	s.step++
+	if s.stamp[dst] == mark {
+		dstReady = s.snap[dst]
+	}
+	if dstReady > ready {
+		ready = dstReady
+	}
+	t := s.topo
+	sn, dn := int(s.node[src]), int(s.node[dst])
+	var link LinkClass
+	var alpha, beta float64
+	var out, in *float64
+	if sn == dn {
+		link, alpha, beta = LinkIntra, t.IntraAlpha, t.IntraBeta
+		out, in = &s.egress[src], &s.ingress[dst]
+	} else {
+		link, alpha, beta = LinkInter, t.InterAlpha, t.InterBeta
+		out, in = &s.nicOut[sn], &s.nicIn[dn]
+	}
+	start := max3(ready, *out, *in)
+	dur := alpha + beta*float64(bytes)
+	if s.pert != nil {
+		dur = perturbedTime(s.pert, src, dst, sn, dn, link, bytes, start, alpha, beta)
+	}
+	end := start + dur
+	*out, *in = end, end
+	s.advance(src, mark, end)
+	s.advance(dst, mark, end)
+	if s.dropEvents {
+		return
+	}
+	s.events = append(s.events, Event{
+		Op: s.op, Algorithm: s.alg, Step: s.step,
+		Src: src, Dst: dst, Link: link, Bytes: bytes,
+		Start: start, End: end,
+	})
 }
 
-// linkTime returns one transfer's duration over a link, applying the
-// optional fault perturber to the clean α–β charge.
-func (s *sim) linkTime(tr Transfer, link LinkClass, start, alpha, beta float64) float64 {
-	if s.pert == nil {
-		return alpha + beta*float64(tr.Bytes)
+// advance moves rank r's clock forward to end, saving its step-entry time
+// the first time the step numbered mark−1 does so.
+func (s *sim) advance(r, mark int, end float64) {
+	if end > s.clock[r] {
+		if s.stamp[r] != mark {
+			s.stamp[r], s.snap[r] = mark, s.clock[r]
+		}
+		s.clock[r] = end
 	}
-	as, bs, j := s.pert.PerturbLink(tr.Src, tr.Dst, s.topo.Node(tr.Src), s.topo.Node(tr.Dst), link, tr.Bytes, start)
-	return (alpha*as + beta*float64(tr.Bytes)*bs) * (1 + j)
 }
 
-// runRounds executes a sequence of steps.
-func (s *sim) runRounds(rounds [][]Transfer) {
-	for _, r := range rounds {
-		s.runStep(r)
-	}
+// endStep closes the current step: later sends see the clocks as they now
+// stand.
+func (s *sim) endStep() { s.step++ }
+
+// perturbedTime returns one transfer's duration over a link a fault
+// perturber degrades, in place of the clean α + β·bytes.
+func perturbedTime(pert LinkPerturber, src, dst, srcNode, dstNode int, link LinkClass, bytes int, start, alpha, beta float64) float64 {
+	as, bs, j := pert.PerturbLink(src, dst, srcNode, dstNode, link, bytes, start)
+	return (alpha*as + beta*float64(bytes)*bs) * (1 + j)
 }
 
 func max3(a, b, c float64) float64 {

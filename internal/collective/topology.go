@@ -116,20 +116,6 @@ func (t *Topology) SameNode(a, b int) bool { return t.Node(a) == t.Node(b) }
 // Leader returns the designated leader rank of a node (its first rank).
 func (t *Topology) Leader(node int) int { return node * t.GPUsPerNode }
 
-// NodeRanks returns the ranks housed by node, in rank order.
-func (t *Topology) NodeRanks(node int) []int {
-	lo := node * t.GPUsPerNode
-	hi := lo + t.GPUsPerNode
-	if hi > t.P {
-		hi = t.P
-	}
-	out := make([]int, 0, hi-lo)
-	for r := lo; r < hi; r++ {
-		out = append(out, r)
-	}
-	return out
-}
-
 // P2PTime returns the α–β cost of one point-to-point message between two
 // ranks, ignoring occupancy (used by the Worker.SendRecv primitive, where
 // the pair is the only user of its links).

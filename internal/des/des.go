@@ -220,9 +220,20 @@ func (w *World) exec(op string, sizes []int, root int, category string) *collect
 		}
 	}
 	if w.tracing {
-		for r := 0; r < w.p; r++ {
-			for _, ev := range out.EventsFor(r) {
-				w.addEvent(r, ev)
+		// One walk in schedule order appends each event to the rings
+		// Outcome.EventsFor would have selected it for — its endpoints, or
+		// every rank for an analytic summary (Src = Dst = -1) — so each
+		// rank's arrival order is the goroutine engine's.
+		for _, ev := range out.Events {
+			if ev.Src < 0 {
+				for r := 0; r < w.p; r++ {
+					w.addEvent(r, ev)
+				}
+				continue
+			}
+			w.addEvent(ev.Src, ev)
+			if ev.Dst != ev.Src {
+				w.addEvent(ev.Dst, ev)
 			}
 		}
 	}

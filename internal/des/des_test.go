@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"compso/internal/cluster"
+	"compso/internal/collective"
 	"compso/internal/des"
 	"compso/internal/fault"
 )
@@ -126,4 +127,68 @@ func TestProgramValidation(t *testing.T) {
 		}
 	}()
 	des.RunOnWorld(w, des.Program{{Kind: des.KindAllGather, Sizes: []int{1, 2, 3}, Category: "x"}})
+}
+
+// TestWorldTracingMatchesEventsFor: exec files each event under its
+// endpoints in one walk of Outcome.Events; the reference is the per-rank
+// Outcome.EventsFor scan the goroutine engine's workers use, replayed on a
+// second engine from the same clocks. Enough hierarchical all-reduces run at
+// P=256 for the leaders' rings to evict, and an analytic world covers the
+// summary event every rank sees.
+func TestWorldTracingMatchesEventsFor(t *testing.T) {
+	const ringCap = 4096 // the World's per-rank ring, mirroring the goroutine engine
+	for _, tc := range []struct {
+		policy  string
+		p, reps int
+	}{{"hierarchical", 256, 20}, {"analytic", 8, 3}} {
+		cfg := cluster.Platform1()
+		cfg.Collective = tc.policy
+		w := des.NewWorld(cfg, tc.p)
+		w.SetTracing(true)
+		ref := cluster.EngineFor(cfg, tc.p)
+		clocks := make([]float64, tc.p)
+		want := make([][]collective.Event, tc.p)
+		exec := func(op string, sizes []int, root int) {
+			out := ref.Exec(op, sizes, root, clocks)
+			for r := range clocks {
+				want[r] = append(want[r], out.EventsFor(r)...)
+				clocks[r] = max(clocks[r], out.Ends[r])
+			}
+		}
+		sizes := make([]int, tc.p)
+		for r := range sizes {
+			sizes[r] = 700 + 13*(r%5)
+		}
+		for i := 0; i < tc.reps; i++ {
+			w.AllReduce(1531, "cov")
+			exec(collective.OpAllReduce, []int{4 * 1531}, 0)
+			w.AllGather(sizes, "gather")
+			exec(collective.OpAllGather, sizes, 0)
+			w.Broadcast(4096, tc.p-1, "bcast")
+			exec(collective.OpBroadcast, []int{4096}, tc.p-1)
+		}
+		evicted := false
+		for r := 0; r < tc.p; r++ {
+			if got := w.TotalEventsOf(r); got != int64(len(want[r])) {
+				t.Fatalf("%s rank %d: TotalEventsOf = %d, EventsFor reference %d", tc.policy, r, got, len(want[r]))
+			}
+			tail := want[r]
+			if len(tail) > ringCap {
+				tail, evicted = tail[len(tail)-ringCap:], true
+			}
+			got := w.EventsOf(r)
+			if len(got) != len(tail) {
+				t.Fatalf("%s rank %d: %d retained events, reference %d", tc.policy, r, len(got), len(tail))
+			}
+			for i := range got {
+				if got[i] != tail[i] {
+					t.Fatalf("%s rank %d event %d: %+v, reference %+v", tc.policy, r, i, got[i], tail[i])
+				}
+			}
+		}
+		if tc.policy == "hierarchical" && !evicted {
+			t.Fatal("no rank's ring evicted; raise reps")
+		}
+		w.Release()
+	}
 }

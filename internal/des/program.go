@@ -59,19 +59,15 @@ type Op struct {
 // bit-identity tests compare them on identical workloads.
 type Program []Op
 
-// gatherSizes expands an all-gather size spec for world size p.
-func gatherSizes(op Op, p int) []int {
-	if len(op.Sizes) == 1 {
-		sizes := make([]int, p)
-		for i := range sizes {
-			sizes[i] = op.Sizes[0]
-		}
-		return sizes
+// gatherSize returns rank's all-gather contribution in a world of p.
+func gatherSize(op Op, p, rank int) int {
+	switch len(op.Sizes) {
+	case 1:
+		return op.Sizes[0]
+	case p:
+		return op.Sizes[rank]
 	}
-	if len(op.Sizes) != p {
-		panic(fmt.Sprintf("des: allgather op with %d sizes, world %d", len(op.Sizes), p))
-	}
-	return op.Sizes
+	panic(fmt.Sprintf("des: allgather op with %d sizes, world %d", len(op.Sizes), p))
 }
 
 // RunOnWorld replays the program on a discrete-event world.
@@ -86,7 +82,11 @@ func RunOnWorld(w *World, prog Program) {
 			}
 			w.ComputeEach(func(r int) float64 { return op.PerRank[r] }, op.Category)
 		case KindAllGather:
-			w.AllGather(gatherSizes(op, w.Size()), op.Category)
+			if len(op.Sizes) == 1 {
+				w.AllGatherUniform(op.Sizes[0], op.Category)
+			} else {
+				w.AllGather(op.Sizes, op.Category) // Exec rejects a length other than the world size
+			}
 		case KindAllReduce:
 			w.AllReduce(op.Elems, op.Category)
 		case KindReduceScatter:
@@ -119,7 +119,7 @@ func RunOnCluster(c *cluster.Cluster, prog Program) []*cluster.Worker {
 				}
 				w.Compute(op.PerRank[w.Rank()], op.Category)
 			case KindAllGather:
-				w.AllGather(make([]byte, gatherSizes(op, p)[w.Rank()]), op.Category)
+				w.AllGather(make([]byte, gatherSize(op, p, w.Rank())), op.Category)
 			case KindAllReduce:
 				w.AllReduce(make([]float64, op.Elems), op.Category)
 			case KindReduceScatter:
