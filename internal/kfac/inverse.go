@@ -93,7 +93,7 @@ func (k *KFAC) preconditionCholesky(i int) ([]float32, error) {
 		return nil, fmt.Errorf("kfac: layer %s preconditioned before factor inversion", l.name)
 	}
 	grad := l.layer.KFACParam().Grad
-	tmp := tensor.New(0, 0).MatMul(l.invA, grad)
+	tmp := l.tmp.MatMul(l.invA, grad)
 	p := tensor.New(0, 0).MatMul(tmp, l.invG)
 	l.precond = p
 	out := make([]float32, len(p.Data))

@@ -3,7 +3,10 @@ package kfac
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
+
+	"compso/internal/tensor"
 )
 
 // TestRefreshCholeskyRejectsNonFiniteFactors pins the pi-guard bugfix: a
@@ -55,5 +58,36 @@ func TestRefreshCholeskyAcceptsFiniteFactors(t *testing.T) {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			t.Fatal("non-finite inverse from finite factors")
 		}
+	}
+}
+
+// TestRefreshEigenRejectsNonFiniteFactors: in eigendecomposition mode a
+// poisoned factor must surface tensor.ErrNonFinite, with the layer's name,
+// at once — not "failed to converge" after 64 full Jacobi sweeps — and must
+// leave no decomposition cached.
+func TestRefreshEigenRejectsNonFiniteFactors(t *testing.T) {
+	for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		k := New(buildModel(9), DefaultConfig())
+		l := k.layers[1]
+		l.G.Data[1] = poison
+		err := k.RefreshEigen(1)
+		if !errors.Is(err, tensor.ErrNonFinite) || !strings.Contains(err.Error(), l.name) {
+			t.Fatalf("poison %v: error %v, want tensor.ErrNonFinite naming layer %s", poison, err, l.name)
+		}
+		if l.eigA != nil || l.eigG != nil || k.EigenCached(1) {
+			t.Fatalf("poison %v: decomposition cached despite the error", poison)
+		}
+	}
+}
+
+// TestShampooRejectsNonFiniteGradient: the same typed error reaches
+// Shampoo's callers with the layer's parameter name.
+func TestShampooRejectsNonFiniteGradient(t *testing.T) {
+	s := NewShampoo(buildModel(9), 1e-4, 1)
+	p := s.layers[0].param
+	p.Grad.Data[0] = math.NaN()
+	_, err := s.Precondition(0)
+	if !errors.Is(err, tensor.ErrNonFinite) || !strings.Contains(err.Error(), p.Name) {
+		t.Fatalf("error %v, want tensor.ErrNonFinite naming %s", err, p.Name)
 	}
 }

@@ -56,9 +56,13 @@ type layerState struct {
 
 	// Running Kronecker factors: A is (in+1)×(in+1), G is out×out.
 	A, G *tensor.Matrix
-	// Pending locally computed batch factors awaiting the factor
-	// all-reduce (nil between iterations).
-	pendA, pendG *tensor.Matrix
+	// Locally computed batch factors awaiting the factor all-reduce;
+	// pending is set by AccumulateStats and cleared by CommitCovariances.
+	// Their storage, like that of Precondition's temporaries tmp, v and
+	// tmp2, is reused from step to step and collected with the optimizer.
+	pendA, pendG tensor.Matrix
+	pending      bool
+	tmp, v, tmp2 tensor.Matrix
 
 	eigA, eigG *tensor.Eigen
 	// eigVersion is the statVersion the cached eigendecomposition was
@@ -150,12 +154,13 @@ func (k *KFAC) AccumulateStats(batchSize int) {
 	for _, l := range k.layers {
 		a, g := l.layer.KFACStats()
 		rows := float64(a.Rows)
-		l.pendA = tensor.New(0, 0).TMatMul(a, a)
-		l.pendA.Scale(1/rows, l.pendA)
-		l.pendG = tensor.New(0, 0).TMatMul(g, g)
+		l.pendA.TMatMul(a, a)
+		l.pendA.Scale(1/rows, &l.pendA)
+		l.pendG.TMatMul(g, g)
 		// Backward gradients carry the 1/batch loss scaling; multiplying
 		// by the batch size restores the per-sample scale of G.
-		l.pendG.Scale(float64(batchSize), l.pendG)
+		l.pendG.Scale(float64(batchSize), &l.pendG)
+		l.pending = true
 	}
 }
 
@@ -175,7 +180,7 @@ func (k *KFAC) CovarianceLen() int {
 func (k *KFAC) PendingCovariances() []float64 {
 	buf := make([]float64, 0, k.CovarianceLen())
 	for _, l := range k.layers {
-		if l.pendA == nil {
+		if !l.pending {
 			panic("kfac: PendingCovariances before AccumulateStats")
 		}
 		buf = append(buf, l.pendA.Data...)
@@ -206,7 +211,7 @@ func (k *KFAC) CommitCovariances(buf []float64, worldSize int) error {
 			l.G.Data[i] = decay*l.G.Data[i] + (1-decay)*buf[pos]*inv
 			pos++
 		}
-		l.pendA, l.pendG = nil, nil
+		l.pending = false
 	}
 	k.statVersion++
 	return nil
@@ -273,8 +278,8 @@ func (k *KFAC) Precondition(i int) ([]float32, error) {
 	}
 	grad := l.layer.KFACParam().Grad
 	// V = Q_Aᵀ · Ĝ · Q_G.
-	tmp := tensor.New(0, 0).TMatMul(l.eigA.Q, grad)
-	v := tensor.New(0, 0).MatMul(tmp, l.eigG.Q)
+	tmp := l.tmp.TMatMul(l.eigA.Q, grad)
+	v := l.v.MatMul(tmp, l.eigG.Q)
 	// Divide elementwise by the damped Kronecker eigenvalues.
 	for r := 0; r < v.Rows; r++ {
 		la := l.eigA.Values[r]
@@ -290,7 +295,7 @@ func (k *KFAC) Precondition(i int) ([]float32, error) {
 		}
 	}
 	// P = Q_A · V · Q_Gᵀ.
-	tmp2 := tensor.New(0, 0).MatMul(l.eigA.Q, v)
+	tmp2 := l.tmp2.MatMul(l.eigA.Q, v)
 	p := tensor.New(0, 0).MatMulT(tmp2, l.eigG.Q)
 	l.precond = p
 	out := make([]float32, len(p.Data))

@@ -85,11 +85,11 @@ func (s *Shampoo) Precondition(i int) ([]float32, error) {
 		var err error
 		l.lRoot, err = inverseFourthRoot(l.l, s.Epsilon)
 		if err != nil {
-			return nil, fmt.Errorf("kfac: shampoo L factor: %w", err)
+			return nil, fmt.Errorf("kfac: shampoo layer %s L factor: %w", l.param.Name, err)
 		}
 		l.rRoot, err = inverseFourthRoot(l.r, s.Epsilon)
 		if err != nil {
-			return nil, fmt.Errorf("kfac: shampoo R factor: %w", err)
+			return nil, fmt.Errorf("kfac: shampoo layer %s R factor: %w", l.param.Name, err)
 		}
 	}
 	tmp := tensor.New(0, 0).MatMul(l.lRoot, grad)

@@ -23,7 +23,7 @@ import (
 //     recompute it from newer factors. CaptureCaches/RestoreCaches handle
 //     them per owned layer.
 //
-// Pending batch factors (pendA/pendG) are nil at every step boundary —
+// Pending batch factors (pendA/pendG) are consumed at every step boundary —
 // AccumulateStats and CommitCovariances bracket them within a single
 // iteration — so checkpoints taken between steps never need them;
 // CaptureState rejects a mid-exchange capture instead of silently dropping
@@ -66,7 +66,7 @@ func (k *KFAC) CaptureState() *State {
 		OtherVel:    make([][]float64, len(k.others)),
 	}
 	for i, l := range k.layers {
-		if l.pendA != nil || l.pendG != nil {
+		if l.pending {
 			panic(fmt.Sprintf("kfac: CaptureState with pending factors on layer %d (mid-exchange capture)", i))
 		}
 		st.A[i] = l.A.Clone()
@@ -130,7 +130,7 @@ func (k *KFAC) RestoreState(st *State) error {
 		// them (RestoreCaches re-installs the checkpointed ones).
 		l.eigA, l.eigG, l.eigVersion = nil, nil, 0
 		l.invA, l.invG, l.invVersion = nil, nil, 0
-		l.pendA, l.pendG, l.precond = nil, nil, nil
+		l.pending, l.precond = false, nil
 	}
 	for i, p := range k.others {
 		if st.OtherVel[i] != nil {

@@ -23,6 +23,10 @@ type Conv2D struct {
 	Weight     *Param // (K·K·InC + 1) × OutC, bias in the last row
 	lastCols   *tensor.Matrix
 	lastGradPA *tensor.Matrix
+	// Temporaries of a training-mode Forward (prod) and of Backward. Like
+	// the two caches above they are reused from step to step and collected
+	// with the layer.
+	prod, gradW, gradCols tensor.Matrix
 }
 
 // NewConv2D creates a valid-padding stride-1 convolution layer.
@@ -54,11 +58,12 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.Weight} }
 func (c *Conv2D) OutFeatures() int { return c.OutC * c.OH * c.OW }
 
 // im2col unrolls a batch into (batch·OH·OW) × (K·K·InC + 1) patch rows
-// with a trailing homogeneous one.
-func (c *Conv2D) im2col(x *tensor.Matrix) *tensor.Matrix {
+// with a trailing homogeneous one, in dst's storage when reuse finds room
+// there.
+func (c *Conv2D) im2col(dst, x *tensor.Matrix) *tensor.Matrix {
 	positions := c.OH * c.OW
 	cols := c.K*c.K*c.InC + 1
-	out := tensor.New(x.Rows*positions, cols)
+	out := reuse(dst, x.Rows*positions, cols)
 	for b := 0; b < x.Rows; b++ {
 		img := x.Data[b*x.Cols : (b+1)*x.Cols]
 		for oy := 0; oy < c.OH; oy++ {
@@ -85,12 +90,16 @@ func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != c.InC*c.H*c.W {
 		panic(fmt.Sprintf("nn: %s fed %d features, want %d", c.Name(), x.Cols, c.InC*c.H*c.W))
 	}
-	colsM := c.im2col(x)
+	// Evaluation leaves the layer untouched and works in fresh storage.
+	var colsM, prod *tensor.Matrix
 	if train {
-		c.lastCols = colsM
+		c.lastCols = c.im2col(c.lastCols, x)
+		colsM, prod = c.lastCols, &c.prod
+	} else {
+		colsM, prod = c.im2col(nil, x), new(tensor.Matrix)
 	}
 	// (batch·positions)×cols · cols×OutC.
-	prod := tensor.New(0, 0).MatMul(colsM, c.Weight.W)
+	prod.MatMul(colsM, c.Weight.W)
 	// Re-layout to batch×(OutC·OH·OW) CHW order.
 	positions := c.OH * c.OW
 	out := tensor.New(x.Rows, c.OutFeatures())
@@ -116,7 +125,7 @@ func (c *Conv2D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 		panic(fmt.Sprintf("nn: %s Backward got width %d", c.Name(), gradOut.Cols))
 	}
 	// Re-layout gradOut to (batch·positions)×OutC rows.
-	gpa := tensor.New(batch*positions, c.OutC)
+	gpa := reuse(c.lastGradPA, batch*positions, c.OutC)
 	for b := 0; b < batch; b++ {
 		for p := 0; p < positions; p++ {
 			for ch := 0; ch < c.OutC; ch++ {
@@ -125,11 +134,10 @@ func (c *Conv2D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	c.lastGradPA = gpa
-	gradW := tensor.New(0, 0).TMatMul(c.lastCols, gpa)
-	c.Weight.Grad.AXPY(1, gradW)
+	c.Weight.Grad.AXPY(1, c.gradW.TMatMul(c.lastCols, gpa))
 
 	// ∂L/∂cols = gpa · Wᵀ, then col2im scatter-add.
-	gradCols := tensor.New(0, 0).MatMulT(gpa, c.Weight.W)
+	gradCols := c.gradCols.MatMulT(gpa, c.Weight.W)
 	gradIn := tensor.New(batch, c.InC*c.H*c.W)
 	colsWidth := c.K*c.K*c.InC + 1
 	for b := 0; b < batch; b++ {

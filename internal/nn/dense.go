@@ -18,6 +18,9 @@ type Dense struct {
 
 	lastInput  *tensor.Matrix // cached [x 1], batch×(In+1)
 	lastGradPA *tensor.Matrix // cached pre-activation gradient, batch×Out
+	// Backward's temporaries. Like the two caches above they are reused
+	// from step to step and collected with the layer.
+	gradW, full tensor.Matrix
 }
 
 // NewDense creates a Dense layer with He-initialized weights and zero bias.
@@ -37,9 +40,10 @@ func (d *Dense) Name() string { return fmt.Sprintf("dense(%d->%d)", d.In, d.Out)
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.Weight} }
 
-// appendOnes returns [x 1]: x with a trailing column of ones.
-func appendOnes(x *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(x.Rows, x.Cols+1)
+// appendOnes returns [x 1]: x with a trailing column of ones, in dst's
+// storage when reuse finds room there.
+func appendOnes(dst, x *tensor.Matrix) *tensor.Matrix {
+	out := reuse(dst, x.Rows, x.Cols+1)
 	for i := 0; i < x.Rows; i++ {
 		copy(out.Data[i*out.Cols:], x.Data[i*x.Cols:(i+1)*x.Cols])
 		out.Data[i*out.Cols+x.Cols] = 1
@@ -52,9 +56,12 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: %s fed %d features", d.Name(), x.Cols))
 	}
-	withBias := appendOnes(x)
+	var withBias *tensor.Matrix
 	if train {
-		d.lastInput = withBias
+		d.lastInput = appendOnes(d.lastInput, x)
+		withBias = d.lastInput
+	} else {
+		withBias = appendOnes(nil, x)
 	}
 	return tensor.New(0, 0).MatMul(withBias, d.Weight.W)
 }
@@ -67,12 +74,12 @@ func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	if gradOut.Rows != d.lastInput.Rows || gradOut.Cols != d.Out {
 		panic(fmt.Sprintf("nn: %s Backward got %dx%d", d.Name(), gradOut.Rows, gradOut.Cols))
 	}
-	d.lastGradPA = gradOut.Clone()
+	d.lastGradPA = reuse(d.lastGradPA, gradOut.Rows, gradOut.Cols)
+	copy(d.lastGradPA.Data, gradOut.Data)
 	// ∂L/∂W = [x 1]ᵀ · gradOut.
-	gradW := tensor.New(0, 0).TMatMul(d.lastInput, gradOut)
-	d.Weight.Grad.AXPY(1, gradW)
+	d.Weight.Grad.AXPY(1, d.gradW.TMatMul(d.lastInput, gradOut))
 	// ∂L/∂x = gradOut · Wᵀ, dropping the bias column.
-	full := tensor.New(0, 0).MatMulT(gradOut, d.Weight.W)
+	full := d.full.MatMulT(gradOut, d.Weight.W)
 	gradIn := tensor.New(gradOut.Rows, d.In)
 	for i := 0; i < gradOut.Rows; i++ {
 		copy(gradIn.Data[i*d.In:(i+1)*d.In], full.Data[i*full.Cols:i*full.Cols+d.In])

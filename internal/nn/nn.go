@@ -63,7 +63,8 @@ type Composite interface {
 }
 
 // KFACLayer is implemented by layers K-FAC can precondition. The stats are
-// those of the most recent training-mode Forward/Backward pair.
+// those of the most recent training-mode Forward/Backward pair; they are the
+// layer's own storage, overwritten by the next such pair.
 type KFACLayer interface {
 	Layer
 	// KFACStats returns the activation rows (including the homogeneous
@@ -157,6 +158,18 @@ func (s *Sequential) ParamCount() int {
 		total += p.Size()
 	}
 	return total
+}
+
+// reuse returns a rows×cols matrix of unspecified contents, for callers that
+// overwrite every element: m itself when its storage is large enough,
+// otherwise (and always for a nil m) a new one.
+func reuse(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
+	n := rows * cols
+	if m == nil || cap(m.Data) < n {
+		return tensor.New(rows, cols)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
+	return m
 }
 
 // initMatrix fills m with He initialization: N(0, sqrt(2/fanIn)).

@@ -1,0 +1,318 @@
+package tensor
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"runtime"
+	"testing"
+)
+
+// skipUnlessAMD64 gates the bit-for-bit comparisons the way the schedule
+// goldens are gated: other architectures may fuse the oracle's and the
+// kernel's multiply-adds differently.
+func skipUnlessAMD64(t *testing.T) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("bit equality with the reference kernels is checked on amd64; %s may fuse multiply-adds differently", runtime.GOARCH)
+	}
+}
+
+// sameBits requires got and want to agree bit for bit, NaNs excepted: which
+// operand's payload and sign an x86 add of two NaNs keeps depends on the
+// operand order the compiler picked, so a NaN only has to meet a NaN.
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			t.Fatalf("%s: element %d = %x (%g), want %x (%g)", what, i,
+				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+}
+
+// reluCovariance is the shape of a K-FAC activation factor: aᵀa/rows over
+// rectified Gaussian rows with a trailing homogeneous one.
+func reluCovariance(rng *rand.Rand, n int) *Matrix {
+	rows := 2*n + 3
+	a := New(rows, n)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < n-1; j++ {
+			a.Data[i*n+j] = math.Max(0, rng.NormFloat64())
+		}
+		a.Data[i*n+n-1] = 1
+	}
+	c := refTMatMul(a, a)
+	return c.Scale(1/float64(rows), c).Symmetrize()
+}
+
+// eigCases returns the named n×n inputs of the EigenSym differential test.
+func eigCases(rng *rand.Rand, n int) map[string]*Matrix {
+	cov := reluCovariance(rng, n)
+	diag := New(n, n)
+	for i := 0; i < n; i++ {
+		diag.Data[i*n+i] = rng.NormFloat64()
+	}
+	// Two eigenvalues, each repeated: Q·diag(1,1,…,3,3,…)·Qᵀ with Q the
+	// Householder reflection I − 2vvᵀ/vᵀv.
+	v := randomMatrix(rng, n, 1)
+	q := Identity(n).AXPY(-2/refTMatMul(v, v).Data[0], refMatMulT(v, v))
+	qd := q.Clone()
+	for i := 0; i < n; i++ {
+		for j := n / 2; j < n; j++ {
+			qd.Data[i*n+j] *= 3
+		}
+	}
+	repeated := refMatMulT(qd, q).Symmetrize()
+	// Block diagonal: the off-diagonal blocks are exact zeros and stay so,
+	// which is what the |a_pr| < 1e-300 skip exists for. A denormal entry
+	// below the threshold rides along.
+	blocks := cov.Clone()
+	h := n / 2
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if (i < h) != (j < h) {
+				blocks.Data[i*n+j] = 0
+			}
+		}
+	}
+	if n >= 2 {
+		blocks.Data[0*n+n-1], blocks.Data[(n-1)*n+0] = 1e-310, 1e-310
+	}
+	return map[string]*Matrix{
+		"relu-covariance": cov,
+		"diagonal":        diag,
+		"identity":        Identity(n),
+		"repeated":        repeated,
+		"zero-blocks":     blocks,
+		"scaled-1e+150":   New(n, n).Scale(1e150, cov),
+		"scaled-1e-150":   New(n, n).Scale(1e-150, cov),
+	}
+}
+
+func must(e *Eigen, err error) *Eigen {
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+func TestEigenSymMatchesReference(t *testing.T) {
+	skipUnlessAMD64(t)
+	sizes := []int{1, 2, 3, 10, 33, 55, 128, 289}
+	if testing.Short() {
+		sizes = sizes[:6]
+	}
+	for _, n := range sizes {
+		rng := rand.New(rand.NewPCG(uint64(n), 15))
+		for name, a := range eigCases(rng, n) {
+			t.Run(fmt.Sprintf("n=%d/%s", n, name), func(t *testing.T) {
+				in := a.Clone()
+				want, wantErr := refEigenSym(a)
+				got, err := EigenSym(a)
+				sameBits(t, "input after the call", a.Data, in.Data)
+				if (err == nil) != (wantErr == nil) {
+					t.Fatalf("error %v, reference error %v", err, wantErr)
+				}
+				if err != nil {
+					return
+				}
+				sameBits(t, "eigenvalues", got.Values, want.Values)
+				sameBits(t, "Q", got.Q.Data, want.Q.Data)
+			})
+		}
+	}
+}
+
+// A matrix the caller did not symmetrize exercises the two triangles
+// independently.
+func TestEigenSymMatchesReferenceAsymmetricInput(t *testing.T) {
+	skipUnlessAMD64(t)
+	rng := rand.New(rand.NewPCG(7, 15))
+	a := reluCovariance(rng, 33)
+	for i := range a.Data {
+		a.Data[i] *= 1 + 1e-13*rng.NormFloat64()
+	}
+	want, got := must(refEigenSym(a)), must(EigenSym(a))
+	sameBits(t, "eigenvalues", got.Values, want.Values)
+	sameBits(t, "Q", got.Q.Data, want.Q.Data)
+}
+
+func TestEigenSymNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 15))
+	for _, n := range []int{1, 2, 33} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, at := range [][2]int{{0, 0}, {n - 1, n - 1}, {0, n - 1}, {n - 1, 0}} {
+				a := reluCovariance(rng, n)
+				a.Data[at[0]*n+at[1]] = bad
+				e, err := EigenSym(a)
+				if !errors.Is(err, ErrNonFinite) || e != nil {
+					t.Fatalf("n=%d %g at %v: got (%v, %v), want ErrNonFinite", n, bad, at, e, err)
+				}
+			}
+		}
+	}
+	// The largest finite values are not rejected by the scan.
+	a := FromSlice(2, 2, []float64{math.MaxFloat64, 0, 0, -math.MaxFloat64})
+	if _, err := EigenSym(a); err != nil {
+		t.Fatalf("finite extreme input: %v", err)
+	}
+}
+
+// gemmShapes are (a.Rows, a.Cols, b.Cols) triples: the four products of the
+// ProxyResNet step, then sizes that leave every remainder of the blocking
+// and rows wider than one gather block.
+var gemmShapes = [][3]int{
+	{2048, 10, 6}, {1152, 55, 8}, {32, 289, 32}, {32, 33, 10},
+	{1, 1, 1}, {3, 5, 7}, {7, 3, 2}, {5, 17, 9}, {9, 70, 3}, {6, 131, 5}, {2, 1030, 3},
+}
+
+var zeroDensities = []float64{0, 0.5, 0.95, 1}
+
+// sparseMatrix draws a rows×cols Gaussian matrix in which each element is
+// zero with probability density; some of the zeros are negative.
+func sparseMatrix(rng *rand.Rand, rows, cols int, density float64) *Matrix {
+	m := randomMatrix(rng, rows, cols)
+	for i := range m.Data {
+		if rng.Float64() < density {
+			m.Data[i] = 0
+			if rng.IntN(4) == 0 {
+				m.Data[i] = math.Copysign(0, -1)
+			}
+		}
+	}
+	return m
+}
+
+// poison plants −0, NaN and ±Inf in b. Under a zero a entry the skip keeps
+// them out of the product; under a non-zero one they must propagate exactly
+// as in the reference.
+func poison(rng *rand.Rand, b *Matrix) {
+	specials := []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1)}
+	for range 1 + len(b.Data)/16 {
+		b.Data[rng.IntN(len(b.Data))] = specials[rng.IntN(len(specials))]
+	}
+}
+
+func TestMatMulMatchesReference(t *testing.T) {
+	skipUnlessAMD64(t)
+	for _, s := range gemmShapes {
+		for _, density := range zeroDensities {
+			rng := rand.New(rand.NewPCG(uint64(s[0]*s[1]), uint64(density*100)))
+			a := sparseMatrix(rng, s[0], s[1], density)
+			b := randomMatrix(rng, s[1], s[2])
+			if density > 0 {
+				poison(rng, b)
+			}
+			name := fmt.Sprintf("%dx%d·%dx%d/zeros=%g", s[0], s[1], s[1], s[2], density)
+			sameBits(t, "MatMul "+name, New(0, 0).MatMul(a, b).Data, refMatMul(a, b).Data)
+			// Reused storage holding stale values must be cleared first.
+			m := randomMatrix(rng, s[0]+1, s[2]+1)
+			sameBits(t, "MatMul into reused storage "+name, m.MatMul(a, b).Data, refMatMul(a, b).Data)
+		}
+	}
+}
+
+func TestTMatMulMatchesReference(t *testing.T) {
+	skipUnlessAMD64(t)
+	for _, s := range gemmShapes {
+		for _, density := range zeroDensities {
+			rng := rand.New(rand.NewPCG(uint64(s[0]*s[1]), uint64(density*100)))
+			a := sparseMatrix(rng, s[0], s[1], density)
+			b := randomMatrix(rng, s[0], s[2])
+			if density > 0 {
+				poison(rng, b)
+			}
+			name := fmt.Sprintf("(%dx%d)ᵀ·%dx%d/zeros=%g", s[0], s[1], s[0], s[2], density)
+			sameBits(t, "TMatMul "+name, New(0, 0).TMatMul(a, b).Data, refTMatMul(a, b).Data)
+			m := randomMatrix(rng, s[1]+1, s[2]+1)
+			sameBits(t, "TMatMul into reused storage "+name, m.TMatMul(a, b).Data, refTMatMul(a, b).Data)
+			// aᵀa, the Kronecker-factor product; poisoned a under its own zeros.
+			if density > 0 {
+				poison(rng, a)
+			}
+			sameBits(t, "TMatMul aᵀa "+name, New(0, 0).TMatMul(a, a).Data, refTMatMul(a, a).Data)
+		}
+	}
+}
+
+func TestMatMulTMatchesReference(t *testing.T) {
+	skipUnlessAMD64(t)
+	for _, s := range gemmShapes {
+		for _, density := range zeroDensities {
+			rng := rand.New(rand.NewPCG(uint64(s[0]*s[1]), uint64(density*100)))
+			a := sparseMatrix(rng, s[0], s[1], density)
+			b := randomMatrix(rng, s[2], s[1])
+			poison(rng, b)
+			name := fmt.Sprintf("%dx%d·(%dx%d)ᵀ/zeros=%g", s[0], s[1], s[2], s[1], density)
+			sameBits(t, "MatMulT "+name, New(0, 0).MatMulT(a, b).Data, refMatMulT(a, b).Data)
+			m := randomMatrix(rng, s[0]+1, s[2]+1)
+			sameBits(t, "MatMulT into reused storage "+name, m.MatMulT(a, b).Data, refMatMulT(a, b).Data)
+		}
+	}
+}
+
+func TestEigenSymAllocatesConstantObjects(t *testing.T) {
+	for _, n := range []int{10, 55} {
+		a := reluCovariance(rand.New(rand.NewPCG(3, 15)), n)
+		// Working matrix and Qᵀ (header and data each), column buffer,
+		// eigenvalues, the Eigen: seven whatever n is, and one to spare.
+		if allocs := testing.AllocsPerRun(3, func() { must(EigenSym(a)) }); allocs > 8 {
+			t.Errorf("n=%d: EigenSym allocated %.0f objects, want at most 8", n, allocs)
+		}
+	}
+}
+
+var sinkEigen *Eigen
+
+func BenchmarkEigenSym(b *testing.B) {
+	for _, n := range []int{55, 128, 289} {
+		a := reluCovariance(rand.New(rand.NewPCG(uint64(n), 15)), n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e, err := EigenSym(a)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkEigen = e
+			}
+		})
+	}
+}
+
+// benchGEMM runs mul on each of the workload's shapes; dims maps a shape
+// triple to the dimensions of the two operands. The first operand is half
+// zeros, as the rectified activations it stands for are.
+func benchGEMM(b *testing.B, mul func(m, x, y *Matrix) *Matrix, dims func(s [3]int) (xr, xc, yr, yc int)) {
+	for _, s := range gemmShapes[:4] {
+		xr, xc, yr, yc := dims(s)
+		rng := rand.New(rand.NewPCG(uint64(s[0]), 15))
+		x, y := sparseMatrix(rng, xr, xc, 0.5), randomMatrix(rng, yr, yc)
+		m := New(0, 0)
+		b.Run(fmt.Sprintf("%dx%d,%dx%d", xr, xc, yr, yc), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mul(m, x, y)
+			}
+		})
+	}
+}
+
+func BenchmarkMatMul(b *testing.B) {
+	benchGEMM(b, (*Matrix).MatMul, func(s [3]int) (int, int, int, int) { return s[0], s[1], s[1], s[2] })
+}
+
+func BenchmarkTMatMul(b *testing.B) {
+	benchGEMM(b, (*Matrix).TMatMul, func(s [3]int) (int, int, int, int) { return s[0], s[1], s[0], s[2] })
+}
+
+// BenchmarkMatMulT is the backward pass's product: the output gradient times
+// the transposed weight matrix.
+func BenchmarkMatMulT(b *testing.B) {
+	benchGEMM(b, (*Matrix).MatMulT, func(s [3]int) (int, int, int, int) { return s[0], s[2], s[1], s[2] })
+}

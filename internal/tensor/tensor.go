@@ -166,31 +166,81 @@ func (a *Matrix) Transpose() *Matrix {
 	return t
 }
 
+// gatherBlock is how many consecutive k the GEMM kernels scan for non-zero
+// a entries before handing them to accumulate.
+const gatherBlock = 16
+
 // MatMul stores a·b into m and returns m. m must not alias a or b.
 // It panics if the inner dimensions disagree.
+//
+// Terms with a zero a entry are skipped, so a NaN or ±Inf in b under a zero
+// in a does not reach the product.
 func (m *Matrix) MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	m.reshape(a.Rows, b.Cols)
-	for i := range m.Data {
-		m.Data[i] = 0
+	if !m.reshape(a.Rows, b.Cols) {
+		clear(m.Data)
 	}
-	// i-k-j loop order keeps both b and m accesses sequential.
+	var (
+		ks [gatherBlock]int
+		vs [gatherBlock]float64
+	)
 	for i := 0; i < a.Rows; i++ {
 		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+		cnt := 0
 		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				mrow[j] += av * bv
+			ks[cnt], vs[cnt] = k, av
+			if cnt += nonZero(av); cnt == gatherBlock {
+				accumulate(mrow, b, ks[:], vs[:])
+				cnt = 0
 			}
 		}
+		accumulate(mrow, b, ks[:cnt], vs[:cnt])
 	}
 	return m
+}
+
+// nonZero is 1 when v takes part in a product and 0 when it is skipped (±0).
+// The gathers store every candidate and advance by nonZero, a flag set, not
+// a branch: rectified activations are zero about every other element, and a
+// branch on them mispredicts about every other time. The test is v != 0
+// written on the bits, because the float comparison compiles to a branch.
+func nonZero(v float64) int {
+	if math.Float64bits(v)<<1 != 0 {
+		return 1
+	}
+	return 0
+}
+
+// accumulate adds Σ_t vs[t]·b[ks[t],:] into mrow, term by term in the order
+// given: each element of mrow sees the additions of the one-term-at-a-time
+// loop in the same order with the same roundings, but is loaded and stored
+// once per four terms.
+func accumulate(mrow []float64, b *Matrix, ks []int, vs []float64) {
+	n := len(mrow)
+	for len(ks) >= 4 && len(vs) >= 4 {
+		a0, a1, a2, a3 := vs[0], vs[1], vs[2], vs[3]
+		b0 := b.Data[ks[0]*n:][:n]
+		b1 := b.Data[ks[1]*n:][:n]
+		b2 := b.Data[ks[2]*n:][:n]
+		b3 := b.Data[ks[3]*n:][:n]
+		for j, v := range mrow {
+			v += a0 * b0[j]
+			v += a1 * b1[j]
+			v += a2 * b2[j]
+			v += a3 * b3[j]
+			mrow[j] = v
+		}
+		ks, vs = ks[4:], vs[4:]
+	}
+	for t, av := range vs {
+		brow := b.Data[ks[t]*n:][:n]
+		for j, bv := range brow {
+			mrow[j] += av * bv
+		}
+	}
 }
 
 // MatMulT stores a·bᵀ into m and returns m. m must not alias a or b.
@@ -199,11 +249,29 @@ func (m *Matrix) MatMulT(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: MatMulT %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	m.reshape(a.Rows, b.Rows)
+	kn := a.Cols
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+		arow := a.Data[i*kn : (i+1)*kn]
 		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Data[j*b.Cols : (j+1)*b.Cols]
+		// Four dot products share each load of arow; every sum still adds
+		// its terms in k order.
+		j := 0
+		for ; j+4 <= b.Rows; j += 4 {
+			b0 := b.Data[j*kn:][:kn]
+			b1 := b.Data[(j+1)*kn:][:kn]
+			b2 := b.Data[(j+2)*kn:][:kn]
+			b3 := b.Data[(j+3)*kn:][:kn]
+			var s0, s1, s2, s3 float64
+			for k, av := range arow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			mrow[j], mrow[j+1], mrow[j+2], mrow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < b.Rows; j++ {
+			brow := b.Data[j*kn:][:kn]
 			var sum float64
 			for k, av := range arow {
 				sum += av * brow[k]
@@ -215,25 +283,30 @@ func (m *Matrix) MatMulT(a, b *Matrix) *Matrix {
 }
 
 // TMatMul stores aᵀ·b into m and returns m. m must not alias a or b.
+// Terms with a zero a entry are skipped, as in MatMul.
 func (m *Matrix) TMatMul(a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: TMatMul (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	m.reshape(a.Cols, b.Cols)
-	for i := range m.Data {
-		m.Data[i] = 0
+	if !m.reshape(a.Cols, b.Cols) {
+		clear(m.Data)
 	}
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
-		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-		for i, av := range arow {
-			if av == 0 {
-				continue
+	var (
+		ks [gatherBlock]int
+		vs [gatherBlock]float64
+	)
+	// Output row i accumulates over column i of a; a block of gatherBlock
+	// rows of a and b stays cached while every output row takes its turn.
+	for k0 := 0; k0 < a.Rows; k0 += gatherBlock {
+		k1 := min(k0+gatherBlock, a.Rows)
+		for i := 0; i < a.Cols; i++ {
+			cnt := 0
+			for k := k0; k < k1; k++ {
+				av := a.Data[k*a.Cols+i]
+				ks[cnt], vs[cnt] = k, av
+				cnt += nonZero(av)
 			}
-			mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
-			for j, bv := range brow {
-				mrow[j] += av * bv
-			}
+			accumulate(m.Data[i*m.Cols:(i+1)*m.Cols], b, ks[:cnt], vs[:cnt])
 		}
 	}
 	return m
@@ -318,13 +391,16 @@ func (a *Matrix) MulVec(dst, x []float64) []float64 {
 }
 
 // reshape sets the dimensions of m, reusing Data when the capacity allows.
-func (m *Matrix) reshape(rows, cols int) {
+// It reports whether it allocated: fresh storage is zero, reused storage
+// holds whatever the last user left.
+func (m *Matrix) reshape(rows, cols int) (fresh bool) {
 	n := rows * cols
-	if cap(m.Data) < n {
+	if fresh = cap(m.Data) < n; fresh {
 		m.Data = make([]float64, n)
 	}
 	m.Data = m.Data[:n]
 	m.Rows, m.Cols = rows, cols
+	return fresh
 }
 
 func checkSameDims(a, b *Matrix) {
