@@ -83,6 +83,9 @@ func (Huffman) DecodeInto(scratch, src []byte) ([]byte, error) {
 		if err != nil {
 			return nil, corruptf("Huffman: truncated length table")
 		}
+		if v > huffMaxCodeLen {
+			return nil, corruptf("Huffman: code length %d for symbol %d", v, i)
+		}
 		lens[i] = int(v)
 	}
 	// Canonical decode tables: symbols sorted by (length, symbol) — the same
