@@ -15,12 +15,17 @@ func fusedTestInputs(t *testing.T) map[string][]float32 {
 	xrand.KFACGradient(xrand.NewSeeded(7), grad, 1.0)
 	small := make([]float32, 33)
 	xrand.KFACGradient(xrand.NewSeeded(9), small, 1e-3)
+	// With the filter off, plane 0 of this one is 40 003 bytes: past the
+	// length from which rANS interleaves, where the others all stay below it.
+	wide := make([]float32, 40003)
+	xrand.KFACGradient(xrand.NewSeeded(11), wide, 1.0)
 	return map[string][]float32{
 		"empty":    {},
 		"one":      {0.125},
 		"zeros":    make([]float32, 100),
 		"small":    small,
 		"gradient": grad,
+		"wide":     wide,
 	}
 }
 

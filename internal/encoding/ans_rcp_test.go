@@ -1,40 +1,47 @@
 package encoding
 
-import (
-	"math/bits"
-	"testing"
-)
+import "testing"
 
-// TestANSReciprocalExact exhaustively verifies the encoder's reciprocal
-// division: for every normalized frequency f in [1, ansProbScale] the
-// widening multiply by m = 2^44/f + 1 must floor-divide exactly at every
-// state the renormalized encoder can hold (x < xMax = 2^19 * f), including
-// the division boundaries where an off-by-one would first appear.
+// TestANSReciprocalExact verifies the encoder's state update where it could
+// first go wrong: for every normalized frequency f in [1, ansProbScale], put
+// — whose x/f is a widening multiply by 2^44/f + 1 — must equal
+// (x/f)<<12 + x%f + cum at every state a renormalized encoder can hold. That
+// is x < f·2^19 in layout 1 and x < f·2^20 <= 2^32 in layout 2, whose range
+// contains the other's; checked at the division boundaries, where an
+// off-by-one would first appear, and on a sweep.
 func TestANSReciprocalExact(t *testing.T) {
 	for f := uint32(1); f <= ansProbScale; f++ {
-		m := (1<<44)/uint64(f) + 1
-		xMax := ((ansLowBound >> ansProbBits) << 8) * f
-		check := func(x uint32) {
-			hi, lo := bits.Mul64(uint64(x), m)
-			q := uint32(hi<<20 | lo>>44)
-			if q != x/f {
-				t.Fatalf("f=%d x=%d: reciprocal quotient %d, want %d", f, x, q, x/f)
+		// f as the second symbol, so that cum is not 0 (unless f is 4096).
+		var freq [256]uint32
+		freq[0], freq[1] = ansProbScale-f, f
+		var tab [256]ansEncSym
+		buildEncTable(&tab, &freq, 32-ansProbBits)
+		e, cum := &tab[1], ansProbScale-f
+		top := uint64(f) << 20 // one past the largest state
+		if uint64(e.xTop) != top-1 {
+			t.Fatalf("f=%d: xTop = %d, want %d", f, e.xTop, top-1)
+		}
+		check := func(x64 uint64) {
+			x := uint32(x64)
+			if got, want := e.put(x), (x/f)<<ansProbBits+x%f+cum; got != want {
+				t.Fatalf("f=%d x=%d: put = %d, want %d (quotient %d)", f, x, got, want, x/f)
 			}
 		}
-		// Division boundaries: the largest multiples of f below xMax, their
-		// neighbors, and the extremes.
 		check(0)
 		check(1)
-		check(xMax - 1)
-		for k := uint32(1); k <= 8; k++ {
-			mult := (xMax/f - k) * f
-			check(mult)
-			check(mult - 1)
-			check(mult + 1)
+		check(top - 1)
+		for _, edge := range []uint64{top, top / 2, 1 << 31, 1 << 16} { // layout 2's, layout 1's, the old proof's and the lane bound
+			for k := uint64(0); k <= 8; k++ {
+				if mult := (edge/uint64(f) - k) * uint64(f); mult >= 1 && mult < top {
+					check(mult)
+					check(mult - 1)
+					if mult+1 < top {
+						check(mult + 1)
+					}
+				}
+			}
 		}
-		// A coarse sweep across the state range.
-		step := xMax/97 + 1
-		for x := uint32(0); x < xMax; x += step {
+		for x := uint64(0); x < top; x += top/97 + 1 {
 			check(x)
 		}
 	}

@@ -6,7 +6,9 @@ import (
 	"testing"
 )
 
-// fastPathInputs covers empty, tiny, runny, and entropy-heavy streams.
+// fastPathInputs covers empty, tiny, runny, and entropy-heavy streams, and
+// the lengths on both sides of ansInterleaveMin: the last layout-1 stream,
+// then all four tail lengths (n mod 4) of layout 2.
 func fastPathInputs() [][]byte {
 	rng := rand.New(rand.NewPCG(17, 29))
 	random := make([]byte, 8192)
@@ -17,7 +19,7 @@ func fastPathInputs() [][]byte {
 	for i := range runny {
 		runny[i] = byte(i / 512)
 	}
-	return [][]byte{
+	inputs := [][]byte{
 		nil,
 		{},
 		{0},
@@ -26,6 +28,10 @@ func fastPathInputs() [][]byte {
 		random,
 		runny,
 	}
+	for n := ansInterleaveMin - 1; n <= ansInterleaveMin+3; n++ {
+		inputs = append(inputs, gradientPlane(n, uint64(n)))
+	}
+	return inputs
 }
 
 // TestEncodeAppendMatchesEncode proves the pooled append paths emit exactly
