@@ -5,10 +5,15 @@ import (
 	"math"
 )
 
-// The kernels as they stood before the cache-friendly rewrite, kept
+// The GEMM kernels as they stood before the cache-friendly rewrite, kept
 // verbatim as the oracles of the differential tests: the rewrite may change
 // layout, blocking and storage reuse, never a floating-point operation or
-// its order, so every output must match these bit for bit.
+// its order, so every product must match these bit for bit.
+//
+// refEigenSym, the textbook cyclic Jacobi solver, is an accuracy oracle
+// only: EigenSym's eigenvalues are held to its within a rounding bound, no
+// bit of either is compared. Its convergence test is relative to ‖A‖_F, so
+// it serves at any scale.
 
 func refEigenSym(a *Matrix) (*Eigen, error) {
 	if !a.IsSquare() {
@@ -27,7 +32,7 @@ func refEigenSym(a *Matrix) (*Eigen, error) {
 
 	for sweep := 0; sweep < maxJacobiSweeps; sweep++ {
 		off := offDiagNorm(w)
-		if off <= 1e-14*(1+w.FrobeniusNorm()) {
+		if off <= 1e-14*w.FrobeniusNorm() {
 			return refFinishEigen(w, q), nil
 		}
 		for p := 0; p < n-1; p++ {
@@ -52,12 +57,7 @@ func refEigenSym(a *Matrix) (*Eigen, error) {
 			}
 		}
 	}
-	if off := offDiagNorm(w); off <= 1e-8*(1+w.FrobeniusNorm()) {
-		// Good enough for preconditioning even if the strict tolerance
-		// was missed (ill-scaled factors).
-		return refFinishEigen(w, q), nil
-	}
-	return nil, fmt.Errorf("tensor: EigenSym failed to converge for %dx%d matrix", n, n)
+	return nil, fmt.Errorf("tensor: refEigenSym failed to converge for %dx%d matrix", n, n)
 }
 
 func refApplyJacobiRotation(w, q *Matrix, p, r int, c, s float64) {
