@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"compso/internal/nn"
+	"compso/internal/tensor"
 	"compso/internal/xrand"
 )
 
@@ -78,6 +79,37 @@ func TestFactorCacheHitMatchesRecompute(t *testing.T) {
 		}
 		if k.EigenCached(0) {
 			t.Fatalf("%v: still cached after a covariance commit", inv)
+		}
+	}
+}
+
+// TestRefreshEigenAllocatesOnlyTheResults: once a layer's scratch exists, a
+// refresh allocates what its two EigenSym calls return and nothing else —
+// no copy of a factor, whatever its size.
+func TestRefreshEigenAllocatesOnlyTheResults(t *testing.T) {
+	k := New(buildModel(13), DefaultConfig())
+	for i, l := range k.layers {
+		for j := range l.A.Data {
+			l.A.Data[j] = float64(j%7) / 7
+		}
+		for j := range l.G.Data {
+			l.G.Data[j] = float64(j%5) / 5
+		}
+		results := testing.AllocsPerRun(3, func() {
+			for _, m := range []*tensor.Matrix{l.A, l.G} {
+				if _, err := tensor.EigenSym(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		refresh := testing.AllocsPerRun(3, func() {
+			k.statVersion++
+			if err := k.RefreshEigen(i); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if refresh > results {
+			t.Errorf("layer %s: a refresh allocated %.0f objects, its two EigenSym calls %.0f", l.name, refresh, results)
 		}
 	}
 }

@@ -63,8 +63,8 @@ func TestRefreshCholeskyAcceptsFiniteFactors(t *testing.T) {
 
 // TestRefreshEigenRejectsNonFiniteFactors: in eigendecomposition mode a
 // poisoned factor must surface tensor.ErrNonFinite, with the layer's name,
-// at once — not "failed to converge" after 64 full Jacobi sweeps — and must
-// leave no decomposition cached.
+// at once — not "failed to converge" after the QL iteration has spent its
+// budget on every eigenvalue — and must leave no decomposition cached.
 func TestRefreshEigenRejectsNonFiniteFactors(t *testing.T) {
 	for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		k := New(buildModel(9), DefaultConfig())

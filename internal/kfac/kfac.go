@@ -58,10 +58,12 @@ type layerState struct {
 	A, G *tensor.Matrix
 	// Locally computed batch factors awaiting the factor all-reduce;
 	// pending is set by AccumulateStats and cleared by CommitCovariances.
-	// Their storage, like that of Precondition's temporaries tmp, v and
-	// tmp2, is reused from step to step and collected with the optimizer.
+	// Their storage, like that of RefreshEigen's symmetrized factor copies
+	// symA and symG and Precondition's temporaries tmp, v and tmp2, is
+	// reused from step to step and collected with the optimizer.
 	pendA, pendG tensor.Matrix
 	pending      bool
+	symA, symG   tensor.Matrix
 	tmp, v, tmp2 tensor.Matrix
 
 	eigA, eigG *tensor.Eigen
@@ -236,8 +238,10 @@ func (k *KFAC) RefreshEigen(i int) error {
 	if l.eigA != nil && l.eigG != nil && l.eigVersion == k.statVersion {
 		return nil
 	}
-	a := l.A.Clone().Symmetrize()
-	g := l.G.Clone().Symmetrize()
+	// Scale by 1 is the copy into reused storage; EigenSym makes the one
+	// fresh copy, which becomes Q.
+	a := l.symA.Scale(1, l.A).Symmetrize()
+	g := l.symG.Scale(1, l.G).Symmetrize()
 	eigA, err := tensor.EigenSym(a)
 	if err != nil {
 		return fmt.Errorf("kfac: layer %s factor A: %w", l.name, err)

@@ -140,8 +140,8 @@ func inverseFourthRoot(m *tensor.Matrix, eps float64) (*tensor.Matrix, error) {
 		return nil, err
 	}
 	n := len(e.Values)
-	// Q · diag(λ^{-1/4}) · Qᵀ.
-	qd := tensor.New(n, n)
+	// Q · diag(λ^{-1/4}) · Qᵀ; the damped copy has served and holds Q·diag.
+	qd := damped
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			lam := e.Values[j]
