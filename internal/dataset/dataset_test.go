@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"compso/internal/xrand"
@@ -179,5 +180,53 @@ func TestSpanF1EM(t *testing.T) {
 	// Mismatched input.
 	if f1, em = d.SpanF1EM(nil, []int{1}); f1 != 0 || em != 0 {
 		t.Fatal("mismatched lengths should score 0")
+	}
+}
+
+// Every generator's Sample is a pure function of the rng's state and n: it
+// keeps no stream position of its own, hands out storage nobody else holds,
+// and reads nothing a caller's writes to an earlier sample could have
+// changed. The trainer draws its validation set once per attempt on that
+// ground (a resumed attempt draws it again and must get the same set).
+func TestSampleIsAPureFunctionOfRngStateAndN(t *testing.T) {
+	generators := []Generator{
+		NewImageClassification(5, 2, 6, 6, 0.3, 42),
+		NewDetection(1, 12, 12, 0.1),
+		NewTextClassification(3, 11, 9, 4),
+		NewSpanExtraction(20, 16, 4),
+	}
+	for _, g := range generators {
+		const n, seed = 13, 77
+		x, y := g.Sample(xrand.NewSeeded(seed), n)
+		wantX, wantY := x.Clone(), y.Clone()
+		// Whatever happens in between — other draws of other sizes, the
+		// caller scribbling over what it was given — the same rng state
+		// and n give the same bits in separate storage.
+		g.Sample(xrand.NewSeeded(seed+1), 2*n+1)
+		for i := range x.Data {
+			x.Data[i] = math.NaN()
+		}
+		for i := range y.Data {
+			y.Data[i] = math.NaN()
+		}
+		rng := xrand.NewSeeded(seed)
+		gotX, gotY := g.Sample(rng, n)
+		if !reflect.DeepEqual(gotX, wantX) || !reflect.DeepEqual(gotY, wantY) {
+			t.Fatalf("%s: the same rng state and n drew a different sample the second time", g.Name())
+		}
+		if gotX.Cols != g.InputDim() || gotX.Rows != n || gotY.Rows != n {
+			t.Fatalf("%s: sample is %dx%d with %d targets, want %dx%d with %d", g.Name(), gotX.Rows, gotX.Cols, gotY.Rows, n, g.InputDim(), n)
+		}
+		// The rng is the only state that advances: continuing it gives a
+		// different batch, and that batch too repeats from the same state.
+		nextX, _ := g.Sample(rng, n)
+		if reflect.DeepEqual(nextX, wantX) {
+			t.Fatalf("%s: the rng did not advance", g.Name())
+		}
+		replay := xrand.NewSeeded(seed)
+		g.Sample(replay, n)
+		if againX, _ := g.Sample(replay, n); !reflect.DeepEqual(againX, nextX) {
+			t.Fatalf("%s: the second batch of a stream does not repeat", g.Name())
+		}
 	}
 }

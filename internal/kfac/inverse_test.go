@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"compso/internal/nn"
 	"compso/internal/tensor"
+	"compso/internal/xrand"
 )
 
 // TestRefreshCholeskyRejectsNonFiniteFactors pins the pi-guard bugfix: a
@@ -76,6 +78,45 @@ func TestRefreshEigenRejectsNonFiniteFactors(t *testing.T) {
 		}
 		if l.eigA != nil || l.eigG != nil || k.EigenCached(1) {
 			t.Fatalf("poison %v: decomposition cached despite the error", poison)
+		}
+	}
+}
+
+// TestRefreshEigenRejectsNonFiniteActivation: the same error must come up
+// from the other end, a non-finite activation in a training batch. The factor
+// product is symmetric (tensor.Gram): beside a rectified zero the value stays
+// out of the off-diagonal elements, but its square is on the diagonal.
+func TestRefreshEigenRejectsNonFiniteActivation(t *testing.T) {
+	for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		model := buildModel(9)
+		k := New(model, DefaultConfig())
+		x, y := makeBatch(xrand.NewSeeded(5), 16)
+		_, grad := nn.SoftmaxCrossEntropy{}.Loss(model.Forward(x, true), y)
+		model.Backward(grad)
+		// The second Dense layer's activations are rectified: find a row
+		// with a zero in it and poison another column of that row.
+		l := k.layers[1]
+		act, _ := l.layer.KFACStats()
+		row, col := -1, -1
+		for i := 0; i < act.Rows && row < 0; i++ {
+			for j := 0; j < act.Cols-1; j++ {
+				if act.Data[i*act.Cols+j] == 0 {
+					row, col = i, (j+1)%(act.Cols-1)
+					break
+				}
+			}
+		}
+		if row < 0 {
+			t.Fatal("no rectified zero in the batch")
+		}
+		act.Data[row*act.Cols+col] = poison
+		k.AccumulateStats(16)
+		if err := k.CommitCovariances(k.PendingCovariances(), 1); err != nil {
+			t.Fatal(err)
+		}
+		err := k.RefreshEigen(1)
+		if !errors.Is(err, tensor.ErrNonFinite) || !strings.Contains(err.Error(), l.name) {
+			t.Fatalf("poison %v: error %v, want tensor.ErrNonFinite naming layer %s", poison, err, l.name)
 		}
 	}
 }

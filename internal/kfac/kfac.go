@@ -11,6 +11,7 @@ package kfac
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"compso/internal/nn"
 	"compso/internal/tensor"
@@ -156,9 +157,9 @@ func (k *KFAC) AccumulateStats(batchSize int) {
 	for _, l := range k.layers {
 		a, g := l.layer.KFACStats()
 		rows := float64(a.Rows)
-		l.pendA.TMatMul(a, a)
+		l.pendA.Gram(a)
 		l.pendA.Scale(1/rows, &l.pendA)
-		l.pendG.TMatMul(g, g)
+		l.pendG.Gram(g)
 		// Backward gradients carry the 1/batch loss scaling; multiplying
 		// by the batch size restores the per-sample scale of G.
 		l.pendG.Scale(float64(batchSize), &l.pendG)
@@ -177,18 +178,25 @@ func (k *KFAC) CovarianceLen() int {
 }
 
 // PendingCovariances flattens this batch's factor contributions into one
-// buffer in layer order (A then G per layer) — the payload of the paper's
-// "KFAC Allreduce" step. AccumulateStats must have been called.
+// new buffer in layer order (A then G per layer) — the payload of the
+// paper's "KFAC Allreduce" step. AccumulateStats must have been called.
 func (k *KFAC) PendingCovariances() []float64 {
-	buf := make([]float64, 0, k.CovarianceLen())
+	return k.AppendPendingCovariances(nil)
+}
+
+// AppendPendingCovariances is PendingCovariances appending to dst, for a
+// caller that exchanges factors every step and keeps one buffer for it.
+// The values are copied: the result shares nothing with the optimizer.
+func (k *KFAC) AppendPendingCovariances(dst []float64) []float64 {
+	dst = slices.Grow(dst, k.CovarianceLen())
 	for _, l := range k.layers {
 		if !l.pending {
 			panic("kfac: PendingCovariances before AccumulateStats")
 		}
-		buf = append(buf, l.pendA.Data...)
-		buf = append(buf, l.pendG.Data...)
+		dst = append(dst, l.pendA.Data...)
+		dst = append(dst, l.pendG.Data...)
 	}
-	return buf
+	return dst
 }
 
 // CommitCovariances folds the (all-reduced, summed) covariance buffer into

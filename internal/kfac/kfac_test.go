@@ -2,6 +2,7 @@ package kfac
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"compso/internal/compress"
@@ -132,6 +133,41 @@ func TestCovarianceRoundTrip(t *testing.T) {
 	}
 	if err := k.CommitCovariances(buf, 0); err == nil {
 		t.Fatal("world size 0 accepted")
+	}
+}
+
+// The trainer keeps one covariance buffer per rank: appending into it must
+// overwrite whatever the step before left there, in its storage, and neither
+// the optimizer nor a state snapshot may hold on to it afterwards.
+func TestAppendPendingCovariancesReusesTheCallersBuffer(t *testing.T) {
+	model := buildModel(4)
+	k := New(model, DefaultConfig())
+	x, y := makeBatch(xrand.NewSeeded(5), 16)
+	_, grad := nn.SoftmaxCrossEntropy{}.Loss(model.Forward(x, true), y)
+	model.Backward(grad)
+	k.AccumulateStats(16)
+	want := k.PendingCovariances()
+
+	buf := make([]float64, k.CovarianceLen())
+	for i := range buf {
+		buf[i] = math.NaN()
+	}
+	got := k.AppendPendingCovariances(buf[:0])
+	if &got[0] != &buf[0] {
+		t.Fatal("a buffer with room was not reused")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("appended covariances differ from PendingCovariances")
+	}
+	if err := k.CommitCovariances(got, 1); err != nil {
+		t.Fatal(err)
+	}
+	before := k.CaptureState()
+	for i := range got {
+		got[i] = math.NaN()
+	}
+	if after := k.CaptureState(); !reflect.DeepEqual(after, before) {
+		t.Fatal("overwriting the caller's buffer after the commit changed the optimizer's state")
 	}
 }
 

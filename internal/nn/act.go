@@ -22,7 +22,7 @@ func (r *ReLU) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	out := x.Clone()
+	out := output(train, x.Rows, x.Cols)
 	if train {
 		if cap(r.mask) < len(x.Data) {
 			r.mask = make([]bool, len(x.Data))
@@ -32,8 +32,9 @@ func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	for i, v := range x.Data {
 		keep := v > 0
 		if !keep {
-			out.Data[i] = 0
+			v = 0
 		}
+		out.Data[i] = v
 		if train {
 			r.mask[i] = keep
 		}
@@ -88,7 +89,7 @@ func (g *GELU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if train {
 		g.lastInput = x.Clone()
 	}
-	out := tensor.New(x.Rows, x.Cols)
+	out := output(train, x.Rows, x.Cols)
 	for i, v := range x.Data {
 		out.Data[i] = gelu(v)
 	}
@@ -123,7 +124,7 @@ func (t *Tanh) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (t *Tanh) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	out := tensor.New(x.Rows, x.Cols)
+	out := output(train, x.Rows, x.Cols)
 	for i, v := range x.Data {
 		out.Data[i] = math.Tanh(v)
 	}

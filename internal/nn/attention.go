@@ -129,9 +129,14 @@ func (a *SelfAttention) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		a.batch, a.probs = batch, probs
 		a.q, a.k, a.v = q, k, v
 	}
-	out := a.unTokens(y, batch).Clone()
+	// The output projection hands out storage nothing else refers to, so
+	// the residual lands in it.
+	out := a.unTokens(y, batch)
 	if !a.NoResidual {
 		out.AXPY(1, x)
+	}
+	if !train {
+		release(q, k, v)
 	}
 	return out
 }

@@ -90,19 +90,20 @@ func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != c.InC*c.H*c.W {
 		panic(fmt.Sprintf("nn: %s fed %d features, want %d", c.Name(), x.Cols, c.InC*c.H*c.W))
 	}
-	// Evaluation leaves the layer untouched and works in fresh storage.
-	var colsM, prod *tensor.Matrix
+	// Evaluation leaves the layer untouched and works in arena storage.
+	positions := c.OH * c.OW
+	var colsM, prod, out *tensor.Matrix
 	if train {
 		c.lastCols = c.im2col(c.lastCols, x)
-		colsM, prod = c.lastCols, &c.prod
+		colsM, prod, out = c.lastCols, &c.prod, tensor.New(x.Rows, c.OutFeatures())
 	} else {
-		colsM, prod = c.im2col(nil, x), new(tensor.Matrix)
+		colsM = c.im2col(scratch(x.Rows*positions, c.Weight.W.Rows), x)
+		prod, out = scratch(x.Rows*positions, c.OutC), scratch(x.Rows, c.OutFeatures())
+		defer release(colsM, prod)
 	}
 	// (batch·positions)×cols · cols×OutC.
 	prod.MatMul(colsM, c.Weight.W)
-	// Re-layout to batch×(OutC·OH·OW) CHW order.
-	positions := c.OH * c.OW
-	out := tensor.New(x.Rows, c.OutFeatures())
+	// Re-layout to batch×(OutC·OH·OW) CHW order: every element is written.
 	for b := 0; b < x.Rows; b++ {
 		for p := 0; p < positions; p++ {
 			src := prod.Data[(b*positions+p)*c.OutC : (b*positions+p+1)*c.OutC]

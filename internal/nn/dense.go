@@ -56,14 +56,16 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != d.In {
 		panic(fmt.Sprintf("nn: %s fed %d features", d.Name(), x.Cols))
 	}
-	var withBias *tensor.Matrix
+	// Evaluation leaves the layer untouched and works in arena storage.
+	var withBias, out *tensor.Matrix
 	if train {
 		d.lastInput = appendOnes(d.lastInput, x)
-		withBias = d.lastInput
+		withBias, out = d.lastInput, new(tensor.Matrix)
 	} else {
-		withBias = appendOnes(nil, x)
+		withBias, out = appendOnes(scratch(x.Rows, d.In+1), x), scratch(x.Rows, d.Out)
+		defer release(withBias)
 	}
-	return tensor.New(0, 0).MatMul(withBias, d.Weight.W)
+	return out.MatMul(withBias, d.Weight.W)
 }
 
 // Backward implements Layer.

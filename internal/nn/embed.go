@@ -40,7 +40,10 @@ func (e *Embedding) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != e.SeqLen {
 		panic(fmt.Sprintf("nn: %s fed %d tokens, want %d", e.Name(), x.Cols, e.SeqLen))
 	}
-	out := tensor.New(x.Rows, e.Dim)
+	out := output(train, x.Rows, e.Dim)
+	if !train {
+		clear(out.Data) // the sums below start from zero
+	}
 	ids := make([]int, x.Rows*e.SeqLen)
 	inv := 1.0 / float64(e.SeqLen)
 	for b := 0; b < x.Rows; b++ {

@@ -5,8 +5,9 @@
 // paper: A = a·aᵀ, G = g·gᵀ).
 //
 // All tensors are tensor.Matrix values with the batch dimension first.
-// Layers are not safe for concurrent use; in data-parallel training each
-// simulated GPU holds its own model replica.
+// Training a layer is not safe for concurrent use; in data-parallel training
+// each simulated GPU holds its own model replica. Evaluating one
+// (Forward(x, false)) is.
 package nn
 
 import (
@@ -14,6 +15,7 @@ import (
 	"math"
 	"math/rand/v2"
 
+	"compso/internal/pool"
 	"compso/internal/tensor"
 )
 
@@ -46,6 +48,14 @@ type Layer interface {
 	Name() string
 	// Forward computes the layer output for a batch×in input. When train is
 	// true the layer may cache whatever Backward and K-FAC need.
+	//
+	// With train false it writes no layer field, so one model may be
+	// evaluated from several goroutines at once, and row r of the output
+	// depends on row r of the input only: any split of a batch into row
+	// blocks gives the bits of the whole batch. Sequential evaluates in
+	// blocks on that ground. The output is then the caller's alone, on
+	// arena storage (pool.F64): a caller done with it may hand it to
+	// pool.PutF64, as Sequential does, and one that keeps it just keeps it.
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
 	// Backward consumes ∂L/∂output and returns ∂L/∂input, accumulating
 	// parameter gradients along the way. It must follow a training-mode
@@ -96,10 +106,50 @@ func NewSequential(layers ...Layer) *Sequential {
 	return s
 }
 
-// Forward runs the whole stack.
+// evalBlockRows is how many rows of an evaluation batch go through the
+// stack together: the proxies' training batch, small enough that the widest
+// temporary of a block (ProxyResNet's second im2col, 1152×55) stays in L2.
+const evalBlockRows = 32
+
+// Forward runs the whole stack. Evaluation (train false) splits x into
+// blocks of evalBlockRows rows, runs them through the layers on the shared
+// worker pool and gathers their outputs into one ordinary matrix; by the
+// row-independence clause of Layer the result does not depend on the block
+// size or the number of workers. Every activation between two layers goes
+// back to the arena before Forward returns.
 func (s *Sequential) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
+	if train || len(s.Layers) == 0 {
+		for _, l := range s.Layers {
+			x = l.Forward(x, true)
+		}
+		return x
+	}
+	outs := make([]*tensor.Matrix, max(1, (x.Rows+evalBlockRows-1)/evalBlockRows))
+	pool.ParallelFor(len(outs), 0, func(b int) {
+		outs[b] = s.evalBlock(rowsOf(x, b*evalBlockRows, min((b+1)*evalBlockRows, x.Rows)))
+	})
+	out := tensor.New(x.Rows, outs[0].Cols)
+	for b, y := range outs {
+		copy(out.Data[b*evalBlockRows*out.Cols:], y.Data)
+		if !sharesStorage(y, x) {
+			release(y)
+		}
+	}
+	return out
+}
+
+// evalBlock walks one row block through the stack and returns the last
+// layer's output. It releases each activation once the next layer has
+// consumed it — unless that is the caller's input, or the layer answered
+// with a view of it.
+func (s *Sequential) evalBlock(in *tensor.Matrix) *tensor.Matrix {
+	x := in
 	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+		y := l.Forward(x, false)
+		if !sharesStorage(x, in) && !sharesStorage(x, y) {
+			release(x)
+		}
+		x = y
 	}
 	return x
 }
@@ -170,6 +220,45 @@ func reuse(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
 	}
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
 	return m
+}
+
+// scratch returns a rows×cols matrix of unspecified contents on arena
+// storage, for evaluation's temporaries and outputs: whoever takes one
+// overwrites or clears all of it, and whoever is done with it — the layer
+// for its temporaries, the consumer for an output — calls release.
+func scratch(rows, cols int) *tensor.Matrix {
+	return tensor.FromSlice(rows, cols, pool.F64(rows*cols))
+}
+
+// output returns the rows×cols matrix a Forward pass hands out: zeroed and
+// from the heap in training, scratch in evaluation.
+func output(train bool, rows, cols int) *tensor.Matrix {
+	if train {
+		return tensor.New(rows, cols)
+	}
+	return scratch(rows, cols)
+}
+
+// release hands the storage of matrices nothing refers to any more back to
+// the arena. Storage that did not come from there is dropped or adopted, as
+// pool.PutF64 does with any foreign slice.
+func release(ms ...*tensor.Matrix) {
+	for _, m := range ms {
+		pool.PutF64(m.Data)
+	}
+}
+
+// rowsOf is the view of rows lo:hi of m.
+func rowsOf(m *tensor.Matrix, lo, hi int) *tensor.Matrix {
+	return tensor.FromSlice(hi-lo, m.Cols, m.Data[lo*m.Cols:hi*m.Cols])
+}
+
+// sharesStorage reports whether a and b are views of one allocation. Views
+// cut by plain slicing end where their allocation ends, so comparing the
+// last element within capacity finds them whatever their offsets.
+func sharesStorage(a, b *tensor.Matrix) bool {
+	ad, bd := a.Data[:cap(a.Data)], b.Data[:cap(b.Data)]
+	return a == b || len(ad) > 0 && len(bd) > 0 && &ad[len(ad)-1] == &bd[len(bd)-1]
 }
 
 // initMatrix fills m with He initialization: N(0, sqrt(2/fanIn)).

@@ -47,7 +47,7 @@ func (ln *LayerNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != ln.Dim {
 		panic(fmt.Sprintf("nn: %s fed width %d", ln.Name(), x.Cols))
 	}
-	out := tensor.New(x.Rows, x.Cols)
+	out := output(train, x.Rows, x.Cols)
 	norm := tensor.New(x.Rows, x.Cols)
 	stds := make([]float64, x.Rows)
 	for i := 0; i < x.Rows; i++ {

@@ -40,7 +40,7 @@ func (m *MaxPool2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != m.C*m.H*m.W {
 		panic(fmt.Sprintf("nn: %s fed width %d", m.Name(), x.Cols))
 	}
-	out := tensor.New(x.Rows, m.OutFeatures())
+	out := output(train, x.Rows, m.OutFeatures())
 	var argmax []int
 	if train {
 		argmax = make([]int, x.Rows*m.OutFeatures())

@@ -51,7 +51,7 @@ func (e *EmbeddingSeq) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != e.Seq {
 		panic(fmt.Sprintf("nn: %s fed %d tokens, want %d", e.Name(), x.Cols, e.Seq))
 	}
-	out := tensor.New(x.Rows, e.Seq*e.Dim)
+	out := output(train, x.Rows, e.Seq*e.Dim)
 	ids := make([]int, x.Rows*e.Seq)
 	for b := 0; b < x.Rows; b++ {
 		for s := 0; s < e.Seq; s++ {
@@ -130,7 +130,7 @@ func (ln *SeqLayerNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		panic(fmt.Sprintf("nn: %s fed width %d", ln.Name(), x.Cols))
 	}
 	rows := x.Rows * ln.Seq
-	out := tensor.New(x.Rows, x.Cols)
+	out := output(train, x.Rows, x.Cols)
 	norm := tensor.New(x.Rows, x.Cols)
 	stds := make([]float64, rows)
 	for r := 0; r < rows; r++ {
@@ -208,7 +208,10 @@ func (m *MeanPool) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != m.Seq*m.Dim {
 		panic(fmt.Sprintf("nn: %s fed width %d", m.Name(), x.Cols))
 	}
-	out := tensor.New(x.Rows, m.Dim)
+	out := output(train, x.Rows, m.Dim)
+	if !train {
+		clear(out.Data) // the sums below start from zero
+	}
 	inv := 1.0 / float64(m.Seq)
 	for b := 0; b < x.Rows; b++ {
 		dst := out.Data[b*m.Dim : (b+1)*m.Dim]

@@ -64,3 +64,17 @@ func BenchmarkProxyResNetStep(b *testing.B) {
 		task.Model.Backward(grad)
 	}
 }
+
+var sinkEval *tensor.Matrix
+
+// BenchmarkProxyResNetEval is the trainer's validation pass: 512 examples
+// through Sequential.Forward(x, false).
+func BenchmarkProxyResNetEval(b *testing.B) {
+	task := modelzoo.ProxyResNet(xrand.NewSeeded(1), 1)
+	x, _ := task.Data.Sample(xrand.NewSeeded(2), 512)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkEval = task.Model.Forward(x, false)
+	}
+}

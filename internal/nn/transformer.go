@@ -67,15 +67,21 @@ func (b *TransformerBlock) Forward(x *tensor.Matrix, train bool) *tensor.Matrix 
 	if x.Cols != b.Seq*b.Dim {
 		panic(fmt.Sprintf("nn: %s fed width %d", b.Name(), x.Cols))
 	}
-	// Attention sub-block with residual.
-	h := b.attn.Forward(b.ln1.Forward(x, train), train).Clone()
+	// Attention sub-block with residual. Every sub-layer hands out storage
+	// nothing else refers to, so the residuals land in it.
+	n1 := b.ln1.Forward(x, train)
+	h := b.attn.Forward(n1, train)
 	h.AXPY(1, x)
 	// FFN sub-block on per-token rows, with residual.
 	norm := b.ln2.Forward(h, train)
 	tokens := tensor.FromSlice(norm.Rows*b.Seq, b.Dim, norm.Data)
-	f := b.ffn2.Forward(b.act.Forward(b.ffn1.Forward(tokens, train), train), train)
-	out := tensor.FromSlice(h.Rows, b.Seq*b.Dim, f.Data).Clone()
+	f1 := b.ffn1.Forward(tokens, train)
+	g := b.act.Forward(f1, train)
+	out := tensor.FromSlice(h.Rows, b.Seq*b.Dim, b.ffn2.Forward(g, train).Data)
 	out.AXPY(1, h)
+	if !train {
+		release(n1, h, norm, f1, g)
+	}
 	return out
 }
 

@@ -353,6 +353,57 @@ func TestTMatMulMatchesReference(t *testing.T) {
 	}
 }
 
+// Gram is TMatMul(a, a) on finite input, bit for bit: zeros of either sign
+// and denormals (whose products underflow to a zero of either sign) included,
+// fresh storage or reused.
+func TestGramMatchesReference(t *testing.T) {
+	skipUnlessAMD64(t)
+	denormals := []float64{5e-324, -5e-324, 1e-310, -2.5e-308}
+	for _, s := range gemmShapes {
+		for _, density := range zeroDensities {
+			rng := rand.New(rand.NewPCG(uint64(s[0]*s[1]), uint64(density*100)))
+			a := sparseMatrix(rng, s[0], s[1], density)
+			for range 1 + len(a.Data)/16 {
+				a.Data[rng.IntN(len(a.Data))] = denormals[rng.IntN(len(denormals))]
+			}
+			want := refTMatMul(a, a).Data
+			name := fmt.Sprintf("(%dx%d)ᵀ·itself/zeros=%g", s[0], s[1], density)
+			sameBits(t, "Gram "+name, New(0, 0).Gram(a).Data, want)
+			sameBits(t, "TMatMul "+name, New(0, 0).TMatMul(a, a).Data, want)
+			m := randomMatrix(rng, s[1]+1, s[1]+1)
+			sameBits(t, "Gram into reused storage "+name, m.Gram(a).Data, want)
+		}
+	}
+}
+
+// The one place Gram and TMatMul(a, a) part: a NaN or ±Inf in column j of a
+// row whose column i holds a zero. TMatMul skips on the row index of the
+// output, so it keeps the value out of (i, j) and lets it into (j, i); Gram
+// mirrors (i, j), so it stays out of both. It cannot hide: its square is a
+// term of (j, j), which no zero guards.
+func TestGramNonFiniteReachesTheDiagonal(t *testing.T) {
+	const rows, n, i, j = 5, 4, 1, 2
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, zero := range []float64{0, math.Copysign(0, -1)} {
+			a := randomMatrix(rand.New(rand.NewPCG(9, 15)), rows, n)
+			a.Data[3*n+i], a.Data[3*n+j] = zero, bad
+			g, tm := New(0, 0).Gram(a), New(0, 0).TMatMul(a, a)
+			if v := tm.Data[j*n+i]; !math.IsNaN(v) {
+				t.Fatalf("%g beside %g: TMatMul(a, a)[%d,%d] = %g, want NaN (the premise of this test)", bad, zero, j, i, v)
+			}
+			for _, at := range [][2]int{{i, j}, {j, i}} {
+				got, want := g.Data[at[0]*n+at[1]], tm.Data[i*n+j]
+				if math.Float64bits(got) != math.Float64bits(want) || math.IsNaN(got) || math.IsInf(got, 0) {
+					t.Fatalf("%g beside %g: Gram[%d,%d] = %g, want the finite %g of TMatMul's [%d,%d]", bad, zero, at[0], at[1], got, want, i, j)
+				}
+			}
+			if d := g.Data[j*n+j]; !math.IsNaN(d) && !math.IsInf(d, 1) {
+				t.Fatalf("%g beside %g: Gram[%d,%d] = %g, want NaN or +Inf", bad, zero, j, j, d)
+			}
+		}
+	}
+}
+
 func TestMatMulTMatchesReference(t *testing.T) {
 	skipUnlessAMD64(t)
 	for _, s := range gemmShapes {
@@ -432,6 +483,27 @@ func BenchmarkMatMul(b *testing.B) {
 
 func BenchmarkTMatMul(b *testing.B) {
 	benchGEMM(b, (*Matrix).TMatMul, func(s [3]int) (int, int, int, int) { return s[0], s[1], s[0], s[2] })
+}
+
+// BenchmarkGram times the Kronecker-factor product aᵀa on the activation
+// shapes of the ProxyResNet step and, under tmatmul/, the general kernel on
+// the same operands.
+func BenchmarkGram(b *testing.B) {
+	for _, s := range gemmShapes[:4] {
+		a := sparseMatrix(rand.New(rand.NewPCG(uint64(s[0]), 15)), s[0], s[1], 0.5)
+		m := New(0, 0)
+		for _, k := range []struct {
+			prefix string
+			mul    func()
+		}{{"", func() { m.Gram(a) }}, {"tmatmul/", func() { m.TMatMul(a, a) }}} {
+			b.Run(fmt.Sprintf("%s%dx%d", k.prefix, s[0], s[1]), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k.mul()
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkMatMulT is the backward pass's product: the output gradient times

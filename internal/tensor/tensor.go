@@ -193,11 +193,11 @@ func (m *Matrix) MatMul(a, b *Matrix) *Matrix {
 		for k, av := range arow {
 			ks[cnt], vs[cnt] = k, av
 			if cnt += nonZero(av); cnt == gatherBlock {
-				accumulate(mrow, b, ks[:], vs[:])
+				accumulate(mrow, b.Data, b.Cols, ks[:], vs[:])
 				cnt = 0
 			}
 		}
-		accumulate(mrow, b, ks[:cnt], vs[:cnt])
+		accumulate(mrow, b.Data, b.Cols, ks[:cnt], vs[:cnt])
 	}
 	return m
 }
@@ -214,18 +214,20 @@ func nonZero(v float64) int {
 	return 0
 }
 
-// accumulate adds Σ_t vs[t]·b[ks[t],:] into mrow, term by term in the order
-// given: each element of mrow sees the additions of the one-term-at-a-time
-// loop in the same order with the same roundings, but is loaded and stored
-// once per four terms.
-func accumulate(mrow []float64, b *Matrix, ks []int, vs []float64) {
+// accumulate adds Σ_t vs[t]·row ks[t] of b into mrow, term by term in the
+// order given: each element of mrow sees the additions of the
+// one-term-at-a-time loop in the same order with the same roundings, but is
+// loaded and stored once per four terms. Row k of b is the len(mrow) values
+// from b[k*stride]; the upper-triangle kernel passes a suffix of its operand
+// to start every row at the diagonal.
+func accumulate(mrow, b []float64, stride int, ks []int, vs []float64) {
 	n := len(mrow)
 	for len(ks) >= 4 && len(vs) >= 4 {
 		a0, a1, a2, a3 := vs[0], vs[1], vs[2], vs[3]
-		b0 := b.Data[ks[0]*n:][:n]
-		b1 := b.Data[ks[1]*n:][:n]
-		b2 := b.Data[ks[2]*n:][:n]
-		b3 := b.Data[ks[3]*n:][:n]
+		b0 := b[ks[0]*stride:][:n]
+		b1 := b[ks[1]*stride:][:n]
+		b2 := b[ks[2]*stride:][:n]
+		b3 := b[ks[3]*stride:][:n]
 		for j, v := range mrow {
 			v += a0 * b0[j]
 			v += a1 * b1[j]
@@ -236,7 +238,7 @@ func accumulate(mrow []float64, b *Matrix, ks []int, vs []float64) {
 		ks, vs = ks[4:], vs[4:]
 	}
 	for t, av := range vs {
-		brow := b.Data[ks[t]*n:][:n]
+		brow := b[ks[t]*stride:][:n]
 		for j, bv := range brow {
 			mrow[j] += av * bv
 		}
@@ -288,6 +290,12 @@ func (m *Matrix) TMatMul(a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: TMatMul (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
+	return m.tmatmul(a, b, false)
+}
+
+// tmatmul is TMatMul's kernel. With upper set it leaves out the elements
+// below the diagonal: output row i starts at column i.
+func (m *Matrix) tmatmul(a, b *Matrix, upper bool) *Matrix {
 	if !m.reshape(a.Cols, b.Cols) {
 		clear(m.Data)
 	}
@@ -306,7 +314,32 @@ func (m *Matrix) TMatMul(a, b *Matrix) *Matrix {
 				ks[cnt], vs[cnt] = k, av
 				cnt += nonZero(av)
 			}
-			accumulate(m.Data[i*m.Cols:(i+1)*m.Cols], b, ks[:cnt], vs[:cnt])
+			from := 0
+			if upper {
+				from = i
+			}
+			accumulate(m.Data[i*m.Cols+from:(i+1)*m.Cols], b.Data[from:], b.Cols, ks[:cnt], vs[:cnt])
+		}
+	}
+	return m
+}
+
+// Gram stores the symmetric product aᵀ·a into m and returns m. m must not
+// alias a. It is TMatMul(a, a) at about half the work: row i accumulates
+// columns i… only, in TMatMul's order, and the strict upper triangle is
+// then copied below the diagonal. On finite input the result is TMatMul's
+// bit for bit (a skipped term is a zero, and no partial sum is −0).
+//
+// Element (i, j), i ≤ j, skips the terms with a zero in column i, as in
+// TMatMul — and so does its mirror (j, i), where TMatMul skips on column j:
+// a NaN or ±Inf in column j beside a zero in column i stays out of both.
+// Squared, it always reaches the diagonal element (j, j).
+func (m *Matrix) Gram(a *Matrix) *Matrix {
+	m.tmatmul(a, a, true)
+	n := a.Cols
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m.Data[j*n+i] = m.Data[i*n+j]
 		}
 	}
 	return m

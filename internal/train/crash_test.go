@@ -309,6 +309,15 @@ func TestCrashRecoveryLeaksNoPooledBuffers(t *testing.T) {
 		if s := pool.Stats(); s.Live != 0 {
 			t.Fatalf("overlap=%v: %d pooled buffers still live after the run", overlap, s.Live)
 		}
+		// Evaluation works in arena storage too: an undisturbed run that
+		// evaluates after every step must hand all of it back.
+		cfg.Fault, cfg.Checkpoint, cfg.EvalEvery = nil, CheckpointConfig{}, 1
+		if res, err = Run(cfg); err != nil || len(res.Losses) != cfg.Iters {
+			t.Fatalf("overlap=%v, EvalEvery=1: %d evaluations, error %v", overlap, len(res.Losses), err)
+		}
+		if s := pool.Stats(); s.Live != 0 {
+			t.Fatalf("overlap=%v, EvalEvery=1: %d pooled buffers still live after the run", overlap, s.Live)
+		}
 	}
 }
 

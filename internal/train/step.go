@@ -340,7 +340,11 @@ func (p *pipeline) gatherSum(comp compress.Compressor, fc *faultCtx, vals []floa
 // is an all-gather + local sum whose result feeds the commit immediately.
 func (p *pipeline) launchStats() error {
 	p.k.AccumulateStats(p.task.Batch)
-	p.cov = p.k.PendingCovariances()
+	// One buffer serves every stat step: the launch rendezvous is the only
+	// reader besides this rank, commitStats has folded the last sum into the
+	// factors before the next launch, and the factors (which checkpoints
+	// copy) are the only thing that outlives the step.
+	p.cov = p.k.AppendPendingCovariances(p.cov[:0])
 	if !p.cfg.CompressFactors {
 		p.covPend = p.w.AllReduceAsync(p.cov, "kfac-allreduce")
 	}

@@ -23,6 +23,7 @@ import (
 	"compso/internal/nn"
 	"compso/internal/obs"
 	"compso/internal/opt"
+	"compso/internal/tensor"
 	"compso/internal/xrand"
 )
 
@@ -371,7 +372,13 @@ func runWorker(w *cluster.Worker, cfg Config, result *Result, mu *sync.Mutex, cr
 		startIt = start.Step
 	}
 	task := pl.task
-	evalGen := func() *rand.Rand { return xrand.NewSeeded(cfg.Seed*77 + 13) }
+	// The validation set is a function of cfg.Seed alone (a Generator's
+	// Sample depends on the rng state and n, nothing else), so rank 0 draws
+	// it once and a resumed attempt draws the same one.
+	var ex, ey *tensor.Matrix
+	if w.Rank() == 0 {
+		ex, ey = task.Data.Sample(xrand.NewSeeded(cfg.Seed*77+13), cfg.EvalSize)
+	}
 
 	for it := startIt; it < cfg.Iters; it++ {
 		if err := pl.step(it); err != nil {
@@ -381,7 +388,6 @@ func runWorker(w *cluster.Worker, cfg Config, result *Result, mu *sync.Mutex, cr
 		pl.fc.guardStep(it)
 
 		if w.Rank() == 0 && ((it+1)%cfg.EvalEvery == 0 || it == cfg.Iters-1) {
-			ex, ey := task.Data.Sample(evalGen(), cfg.EvalSize)
 			out := task.Model.Forward(ex, false)
 			l, _ := task.Loss.Loss(out, ey)
 			acc := -1.0
