@@ -1,5 +1,7 @@
 package collective
 
+import "fmt"
+
 // Algorithm names. "analytic" reproduces the legacy closed-form α–β charge
 // and is only used when forced by policy (it is not an autotuner
 // candidate).
@@ -42,22 +44,155 @@ func wrap(x, m int) int {
 	return x
 }
 
+// ringScratch is the ring kernel's working set in floats per member: a
+// clock, its link's occupancy, α and β, and two entries of the doubled
+// chunk-size table.
+const ringScratch = 6
+
+// ringMembers is the member count of the rings alg's schedules run, which
+// is what a sim for it sizes the kernel's scratch by: the flat ring has
+// every rank in it, the hierarchical schedules ring over the node leaders.
+func ringMembers(alg string, t *Topology) int {
+	switch alg {
+	case AlgRing:
+		return t.P
+	case AlgHierarchical:
+		return t.Nodes()
+	}
+	return 0
+}
+
 // ring schedules the n−1 steps of a ring over n members spaced stride
 // ranks apart (member i is rank i·stride): at step k, member i forwards
-// chunk (i+off−k) mod n to member i+1. The walk adds and wraps — a leader
-// ring at fleet scale is millions of transfers, none of which divides.
+// chunk (i+off−k) mod n to member i+1 over link i. It charges exactly the
+// transfers n−1 steps of n sends would, with the same arithmetic in the
+// same order, but not through send — a leader ring at fleet scale is
+// millions of transfers. Three facts let it run dense: link i owns its two
+// ports (egress/ingress of its endpoints, or the NICs of their nodes — no
+// other link of the ring touches them), so one busy-until time stands for
+// both; member i's clock is written by links i−1 and i only; and a step
+// reads clocks as they stood at its entry. So the ring's state is gathered
+// once, every step is one pass over the links, and clocks and ports are
+// written back at the end.
 func ring(s *sim, n, stride, off int, chunks []int) {
-	for step := 0; step < n-1; step++ {
-		c := wrap(off+n-step, n) // off is 0 or 1, so the sum is in [0, 2n)
-		src := 0
-		for i := 1; i < n; i++ {
-			s.send(src, src+stride, chunks[c])
-			src += stride
-			c = wrap(c+1, n)
-		}
-		s.send(src, 0, chunks[c])
-		s.endStep()
+	if n < 2 {
+		return
 	}
+	p := len(s.clock)
+	if len(chunks) < n || uint((n-1)*stride) >= uint(p) {
+		panic(fmt.Sprintf("collective: bad transfer: ring of %d members %d apart with %d chunks for P=%d", n, stride, len(chunks), p))
+	}
+	chunks = chunks[:n]
+	for c, b := range chunks {
+		if b < 0 {
+			panic(fmt.Sprintf("collective: bad transfer: ring chunk %d of %d bytes for P=%d", c, b, p))
+		}
+	}
+
+	// clk[i] is member i's clock, with clk[n] a copy of clk[0] for the
+	// closing link; busy[i], alpha[i] and beta[i] describe link i; size is
+	// the chunk table twice over, so a step's chunks are one window of it.
+	sc := s.scratch[:ringScratch*n]
+	clk, busy, alpha, beta, size := sc[:n+1], sc[n+1:2*n+1], sc[2*n+1:3*n+1], sc[3*n+1:4*n+1], sc[4*n+1:]
+	t := s.topo
+	for i, src := 0, 0; i < n; i, src = i+1, src+stride {
+		dst := wrap(i+1, n) * stride
+		clk[i] = s.clock[src]
+		if sn, dn := s.node[src], s.node[dst]; sn == dn {
+			alpha[i], beta[i], busy[i] = t.IntraAlpha, t.IntraBeta, later(s.egress[src], s.ingress[dst])
+		} else {
+			alpha[i], beta[i], busy[i] = t.InterAlpha, t.InterBeta, later(s.nicOut[sn], s.nicIn[dn])
+		}
+		size[i] = float64(chunks[i])
+		if i < n-1 {
+			size[n+i] = size[i]
+		}
+	}
+	clk[n] = clk[0]
+
+	var tr *ringTrace
+	if s.pert != nil || !s.dropEvents {
+		tr = &ringTrace{s: s, stride: stride, chunks: chunks}
+	}
+	for k := 0; k < n-1; k++ {
+		c := wrap(off+n-k, n) // off is 0 or 1, so the sum is in [0, 2n)
+		if tr != nil {
+			tr.step, tr.first = s.step+k, c
+		}
+		ringStep(clk, busy, alpha, beta, size[c:c+n], tr)
+	}
+
+	for i, src := 0, 0; i < n; i, src = i+1, src+stride {
+		dst := wrap(i+1, n) * stride
+		s.clock[src] = clk[i]
+		if sn, dn := s.node[src], s.node[dst]; sn == dn {
+			s.egress[src], s.ingress[dst] = busy[i], busy[i]
+		} else {
+			s.nicOut[sn], s.nicIn[dn] = busy[i], busy[i]
+		}
+	}
+	s.step += n - 1
+}
+
+// ringStep runs one step of a ring: link i starts when its endpoints,
+// as they stood at the step's entry, and its ports are free, and moves
+// both endpoints' clocks to its end. Link i writes clk[i] once it has read
+// it, so every read in the pass is a step-entry clock: clk[i+1] is not yet
+// written, and the closing link reads clk[n], the copy of clk[0].
+func ringStep(clk, busy, alpha, beta, size []float64, tr *ringTrace) {
+	n := len(busy)
+	// Every slice gets busy's length, so the loop checks no bound.
+	cur, nxt := clk[:n], clk[1:][:n]
+	alpha, beta, size = alpha[:n], beta[:n], size[:n]
+	a, prev := cur[0], cur[0] // prev is the end on link i−1
+	for i := range busy {
+		b := nxt[i]
+		start := later(later(a, b), busy[i])
+		dur := linkTime(alpha[i], beta[i], size[i])
+		if tr != nil {
+			dur = tr.transfer(i, start, dur, alpha[i], beta[i])
+		}
+		end := start + dur
+		busy[i] = end
+		cur[i] = later(later(a, prev), end)
+		a, prev = b, end
+	}
+	cur[0] = later(cur[0], prev)
+	nxt[n-1] = cur[0]
+}
+
+// ringTrace is what a perturber or a retained trace needs to know of a
+// ring step besides its times: the ring's stride and chunks (one a
+// member), the step's number in the collective and the chunk its link 0
+// moves.
+type ringTrace struct {
+	s           *sim
+	stride      int
+	chunks      []int
+	step, first int
+}
+
+// transfer returns the duration the perturber charges link i (dur when
+// there is no perturber) and records the event.
+func (r *ringTrace) transfer(i int, start, dur, alpha, beta float64) float64 {
+	s, n := r.s, len(r.chunks)
+	src, dst, bytes := i*r.stride, wrap(i+1, n)*r.stride, r.chunks[wrap(r.first+i, n)]
+	sn, dn := int(s.node[src]), int(s.node[dst])
+	link := LinkInter
+	if sn == dn {
+		link = LinkIntra
+	}
+	if s.pert != nil {
+		dur = perturbedTime(s.pert, src, dst, sn, dn, link, bytes, start, alpha, beta)
+	}
+	if !s.dropEvents {
+		s.events = append(s.events, Event{
+			Op: s.op, Algorithm: s.alg, Step: r.step,
+			Src: src, Dst: dst, Link: link, Bytes: bytes,
+			Start: start, End: start + dur,
+		})
+	}
+	return dur
 }
 
 // ringChunks schedules the classic P−1 step ring: at step s, rank r

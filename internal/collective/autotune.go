@@ -15,9 +15,21 @@ const seedCacheCap = 4096
 // ewmaAlpha is the refinement smoothing factor.
 const ewmaAlpha = 0.2
 
+// seedKey identifies one dry run: the schedule of (op, alg) over a size
+// vector, which it holds as its FNV-1a hash (one 64-bit word a step; for
+// the ops that take one total the hash is a bijection of it). Two
+// all-gathers of equal total and different per-rank sizes are two keys.
 type seedKey struct {
 	op, alg string
-	total   int
+	sizes   uint64
+}
+
+func sizesHash(sizes []int) uint64 {
+	h := uint64(14695981039346656037)
+	for _, s := range sizes {
+		h = (h ^ uint64(s)) * 1099511628211
+	}
+	return h
 }
 
 type tuneKey struct {

@@ -100,3 +100,37 @@ func TestForcedPolicyFallsBackForUnimplementedOp(t *testing.T) {
 		t.Fatalf("broadcast dispatched to %q", bout.Algorithm)
 	}
 }
+
+// TestPredictedIgnoresEarlierSizeVectors: Outcome.Predicted is the dry run
+// of the same algorithm and spec, so two all-gathers (or reduce-scatters)
+// of equal total and different per-rank sizes must not share one — each
+// reports what a fresh engine gives, whichever ran first.
+func TestPredictedIgnoresEarlierSizeVectors(t *testing.T) {
+	const p = 16
+	uniform, ragged := make([]int, p), make([]int, p)
+	for r := range uniform {
+		uniform[r] = 4096
+	}
+	ragged[3], ragged[12] = 4096*(p-1), 4096
+	starts := make([]float64, p)
+	for _, op := range []string{OpAllGather, OpReduceScatter} {
+		for _, alg := range []string{AlgRing, AlgHierarchical} {
+			fresh := func(sizes []int) float64 {
+				return forcedEngine(t, p, alg).Exec(op, sizes, 0, starts).Predicted
+			}
+			wantU, wantR := fresh(uniform), fresh(ragged)
+			if wantU == wantR {
+				t.Fatalf("%s/%s: the two size vectors predict the same %g; the test needs them apart", op, alg, wantU)
+			}
+			e := forcedEngine(t, p, alg)
+			for _, c := range []struct {
+				sizes []int
+				want  float64
+			}{{uniform, wantU}, {ragged, wantR}, {uniform, wantU}} {
+				if got := e.Exec(op, c.sizes, 0, starts).Predicted; got != c.want {
+					t.Errorf("%s/%s: Predicted %g on a used engine, %g on a fresh one", op, alg, got, c.want)
+				}
+			}
+		}
+	}
+}

@@ -182,7 +182,7 @@ func (e *Engine) P2PTime(src, dst, bytes int, start float64) float64 {
 	if p := e.perturber(); p != nil {
 		return perturbedTime(p, src, dst, sn, dn, link, bytes, start, alpha, beta)
 	}
-	return alpha + beta*float64(bytes)
+	return linkTime(alpha, beta, float64(bytes))
 }
 
 // Algorithms returns the step-level algorithm menu for an op (the analytic
@@ -345,7 +345,7 @@ func (e *Engine) pick(sp spec) string {
 // predictSeed dry-runs an algorithm's schedule from uniform clocks and
 // returns its cost-model makespan. Called with e.mu held (memoized).
 func (e *Engine) predictSeed(alg string, sp spec) float64 {
-	key := seedKey{op: sp.op, alg: alg, total: sp.total()}
+	key := seedKey{op: sp.op, alg: alg, sizes: sizesHash(sp.sizes)}
 	if v, ok := e.tuner.seeds[key]; ok {
 		return v
 	}

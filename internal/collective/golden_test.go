@@ -129,17 +129,17 @@ func goldenRecord(out *Outcome) string {
 	return b.String()
 }
 
-// TestScheduleGolden pins every schedule's simulated result bit for bit
-// against testdata/schedule_ends_v1.json: {op × algorithm} × world size ×
-// node width (partial last nodes included) × size pattern × {clean,
-// perturbed links} × broadcast root, from non-uniform arrival times. The
-// engine-vs-engine matrices cannot see a rewrite that moves both engines
-// the same way; this file, written by `go test -run TestScheduleGolden
-// -update` at the reference commit, can.
-func TestScheduleGolden(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("golden float bits are recorded on amd64; %s may fuse multiply-adds differently", runtime.GOARCH)
-	}
+// goldenCell is one cell of the schedule matrix: {op × algorithm} × world
+// size × node width (partial last nodes included) × size pattern × {clean,
+// perturbed links} × broadcast root, from non-uniform arrival times.
+type goldenCell struct {
+	key, op, alg string
+	p, g, root   int
+	kind         string
+	pert         bool
+}
+
+func goldenCells() []goldenCell {
 	menu := []struct {
 		op   string
 		algs []string
@@ -149,7 +149,7 @@ func TestScheduleGolden(t *testing.T) {
 		{OpReduceScatter, []string{AlgRing, AlgHierarchical}},
 		{OpBroadcast, []string{AlgBinomial, AlgHierarchical}},
 	}
-	got := map[string]string{}
+	var cells []goldenCell
 	for _, m := range menu {
 		for _, alg := range m.algs {
 			for _, p := range []int{1, 2, 3, 5, 8, 13, 16, 64} {
@@ -161,27 +161,51 @@ func TestScheduleGolden(t *testing.T) {
 					for _, kind := range goldenSizeKinds {
 						for _, pert := range []bool{false, true} {
 							for _, root := range roots {
-								topo := testTopology(p)
-								topo.GPUsPerNode = g
-								e, err := NewEngine(topo, CostModel{}, alg)
-								if err != nil {
-									t.Fatal(err)
-								}
 								key := fmt.Sprintf("%s/%s/p=%d/g=%d/%s", m.op, alg, p, g, kind)
 								if pert {
-									e.SetPerturber(goldenPerturber{})
 									key += "/perturbed"
 								}
 								if m.op == OpBroadcast {
 									key += fmt.Sprintf("/root=%d", root)
 								}
-								got[key] = goldenRecord(e.Exec(m.op, goldenSizes(m.op, kind, p), root, goldenStarts(p)))
+								cells = append(cells, goldenCell{key, m.op, alg, p, g, root, kind, pert})
 							}
 						}
 					}
 				}
 			}
 		}
+	}
+	return cells
+}
+
+// exec runs the cell on a fresh engine, with or without event retention.
+func (c goldenCell) exec(t *testing.T, retain bool) *Outcome {
+	topo := testTopology(c.p)
+	topo.GPUsPerNode = c.g
+	e, err := NewEngine(topo, CostModel{}, c.alg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.pert {
+		e.SetPerturber(goldenPerturber{})
+	}
+	e.SetEventRetention(retain)
+	return e.Exec(c.op, goldenSizes(c.op, c.kind, c.p), c.root, goldenStarts(c.p))
+}
+
+// TestScheduleGolden pins every schedule's simulated result bit for bit
+// against testdata/schedule_ends_v1.json, over the cells of goldenCells. The
+// engine-vs-engine matrices cannot see a rewrite that moves both engines
+// the same way; this file, written by `go test -run TestScheduleGolden
+// -update` at the reference commit, can.
+func TestScheduleGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden float bits are recorded on amd64; %s may fuse multiply-adds differently", runtime.GOARCH)
+	}
+	got := map[string]string{}
+	for _, c := range goldenCells() {
+		got[c.key] = goldenRecord(c.exec(t, true))
 	}
 
 	path := filepath.Join("testdata", "schedule_ends_v1.json")
@@ -222,4 +246,33 @@ func TestScheduleGolden(t *testing.T) {
 	if bad > 10 {
 		t.Errorf("%d cells differ (first 10 shown)", bad)
 	}
+}
+
+// TestScheduleGoldenWithoutRetention re-runs every golden cell the way des
+// runs collectives — events dropped — and wants the times of the retained
+// run, bit for bit: events record, they never steer.
+func TestScheduleGoldenWithoutRetention(t *testing.T) {
+	for _, c := range goldenCells() {
+		kept, dropped := c.exec(t, true), c.exec(t, false)
+		if len(dropped.Events) != 0 {
+			t.Errorf("%s: %d events retained with retention off", c.key, len(dropped.Events))
+		}
+		if !sameBits([]float64{kept.Start, kept.Predicted}, []float64{dropped.Start, dropped.Predicted}) ||
+			!sameBits(kept.Ends, dropped.Ends) {
+			t.Errorf("%s: times differ with retention off\n kept    %s\n dropped %s", c.key, goldenRecord(kept), goldenRecord(dropped))
+		}
+	}
+}
+
+// sameBits reports whether two vectors hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

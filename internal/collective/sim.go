@@ -9,9 +9,10 @@ import (
 // sim executes a schedule over the topology's links, advancing per-rank
 // clocks and per-link occupancy. A schedule is a sequence of streamed
 // steps: the builder calls send once per transfer, in order, and endStep
-// to close the step. One sim instance covers one collective; occupancy does
-// not persist across collectives because the SPMD rendezvous serializes
-// them.
+// to close the step; a ring's steps go through the dense kernel in ring
+// instead, which charges the same transfers. One sim instance covers one
+// collective; occupancy does not persist across collectives because the
+// SPMD rendezvous serializes them.
 type sim struct {
 	topo *Topology
 	// node is the engine's rank→node table.
@@ -29,8 +30,12 @@ type sim struct {
 	// write costs a step the ranks it touches, not all P.
 	snap  []float64
 	stamp []int
-	// f64 is the pooled block egress, ingress, snap, nicOut and nicIn are
-	// cut from.
+	// scratch is the ring kernel's working set, 6 floats a ring member. It
+	// starts on snap's storage: between steps no stamp equals a future
+	// step+1, so nothing reads snap until a later send writes it again.
+	scratch []float64
+	// f64 is the pooled block egress, ingress, nicOut, nicIn, snap and
+	// scratch are cut from.
 	f64 []float64
 
 	op, alg string
@@ -55,14 +60,16 @@ func (e *Engine) newSim(op, alg string, starts []float64) *sim {
 	for i := range clock {
 		clock[i] = starts[i] + e.topo.Launch
 	}
-	f64 := pool.F64(3*p + 2*n)
-	clear(f64)
+	ports := 2*p + 2*n
+	f64 := pool.F64(ports + max(p, ringScratch*ringMembers(alg, e.topo)))
+	clear(f64[:ports]) // snap is guarded by stamp, scratch is written before it is read
 	stamp := pool.Ints(p)
 	clear(stamp)
 	return &sim{
 		topo: e.topo, node: e.node, clock: clock,
-		egress: f64[:p], ingress: f64[p : 2*p], snap: f64[2*p : 3*p],
-		nicOut: f64[3*p : 3*p+n], nicIn: f64[3*p+n:],
+		egress: f64[:p], ingress: f64[p : 2*p],
+		nicOut: f64[2*p : 2*p+n], nicIn: f64[2*p+n : ports],
+		snap: f64[ports : ports+p], scratch: f64[ports:len(f64):len(f64)],
 		stamp: stamp, f64: f64,
 		op: op, alg: alg,
 	}
@@ -73,7 +80,7 @@ func (e *Engine) newSim(op, alg string, starts []float64) *sim {
 func (s *sim) release() {
 	pool.PutF64(s.f64)
 	pool.PutInts(s.stamp)
-	s.f64, s.egress, s.ingress, s.snap, s.nicOut, s.nicIn, s.stamp = nil, nil, nil, nil, nil, nil, nil
+	s.f64, s.egress, s.ingress, s.snap, s.scratch, s.nicOut, s.nicIn, s.stamp = nil, nil, nil, nil, nil, nil, nil, nil
 }
 
 // send schedules one transfer of the current step. Its start time derives
@@ -112,8 +119,8 @@ func (s *sim) send(src, dst, bytes int) {
 		link, alpha, beta = LinkInter, t.InterAlpha, t.InterBeta
 		out, in = &s.nicOut[sn], &s.nicIn[dn]
 	}
-	start := max3(ready, *out, *in)
-	dur := alpha + beta*float64(bytes)
+	start := later(later(ready, *out), *in)
+	dur := linkTime(alpha, beta, float64(bytes))
 	if s.pert != nil {
 		dur = perturbedTime(s.pert, src, dst, sn, dn, link, bytes, start, alpha, beta)
 	}
@@ -153,12 +160,16 @@ func perturbedTime(pert LinkPerturber, src, dst, srcNode, dstNode int, link Link
 	return (alpha*as + beta*float64(bytes)*bs) * (1 + j)
 }
 
-func max3(a, b, c float64) float64 {
+// linkTime is the clean cost of one transfer: the link's latency plus its
+// inverse bandwidth times the message size. send and the ring kernel both
+// charge through it, so an architecture that fuses the multiply-add fuses
+// it for both.
+func linkTime(alpha, beta, bytes float64) float64 { return alpha + beta*bytes }
+
+// later returns the later of two simulated times.
+func later(a, b float64) float64 {
 	if b > a {
-		a = b
-	}
-	if c > a {
-		a = c
+		return b
 	}
 	return a
 }
