@@ -119,17 +119,22 @@ func benchCompressor(b *testing.B, c compso.Compressor) {
 	b.ReportMetric(compso.Ratio(len(src), blob), "CR")
 }
 
-func BenchmarkCompressCOMPSO(b *testing.B) { benchCompressor(b, compso.NewCompressor(1)) }
-func BenchmarkCompressQSGD8(b *testing.B)  { benchCompressor(b, compso.NewQSGD(8, 2)) }
-func BenchmarkCompressSZ(b *testing.B)     { benchCompressor(b, compso.NewSZ(4e-3)) }
+func BenchmarkCompressCOMPSO(b *testing.B) { benchCompressor(b, compso.New(compso.WithSeed(1))) }
+func BenchmarkCompressQSGD8(b *testing.B) {
+	benchCompressor(b, mustCompressor(b, "qsgd", compso.WithBits(8), compso.WithSeed(2)))
+}
+func BenchmarkCompressSZ(b *testing.B) {
+	benchCompressor(b, mustCompressor(b, "sz", compso.WithRelErrorBound(4e-3)))
+}
 func BenchmarkCompressCocktail(b *testing.B) {
-	benchCompressor(b, compso.NewCocktailSGD(0.2, 8, 4))
+	benchCompressor(b, mustCompressor(b, "cocktail", compso.WithKeepFraction(0.2), compso.WithBits(8), compso.WithSeed(4)))
 }
 
 // BenchmarkCompressCOMPSOReference measures the preserved multi-pass COMPSO
 // pipeline (the pre-fusion implementation in internal/compress/reference.go)
-// on the same input as BenchmarkCompressCOMPSO — the before/after pair the
-// perf harness commits to BENCH_PR5.json.
+// on the same input as BenchmarkCompressCOMPSO — the before/after pair of
+// the kernel-fusion claim (DESIGN.md §5). Host-time numbers that gate a
+// change come from bench/ (BENCHMARK.json), not from these.
 func BenchmarkCompressCOMPSOReference(b *testing.B) {
 	c := compress.NewCOMPSO(1)
 	src := benchGradient()
@@ -144,7 +149,7 @@ func BenchmarkCompressCOMPSOReference(b *testing.B) {
 }
 
 func BenchmarkDecompressCOMPSO(b *testing.B) {
-	c := compso.NewCompressor(5)
+	c := compso.New(compso.WithSeed(5))
 	src := benchGradient()
 	blob, err := c.Compress(src)
 	if err != nil {

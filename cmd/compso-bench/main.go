@@ -1,87 +1,29 @@
 // Command compso-bench regenerates the paper's evaluation tables and
-// figures (§5) from the reproduction's simulated platforms and synthetic
-// workloads.
+// figures (§5), plus the repository's judges, from the reproduction's
+// simulated platforms and synthetic workloads. Every experiment is one
+// entry of the ordered registry in internal/experiments, run with -exp:
 //
-// Usage:
+//	compso-bench -exp all              # everything (slow: trains proxies)
+//	compso-bench -exp quick            # every entry that trains no proxy
+//	compso-bench -exp fig1             # one experiment
+//	compso-bench -exp fig6,table1 -iters 60  # several, custom budget
+//	compso-bench -exp fig8 -measure    # include real Go throughput runs
+//	compso-bench -exp lowrank -quick   # CI-sized samples and budgets
 //
-//	compso-bench -exp all            # everything (slow: trains proxies)
-//	compso-bench -exp fig1           # one experiment
-//	compso-bench -exp fig6 -iters 60 # convergence with a custom budget
-//	compso-bench -exp fig8 -measure  # include real Go throughput runs
+// Experiments: headline, fig1, fig3, fig5, fig6, table1, fig7, table2,
+// comm, fig8, fig9, ablation (the paper), then lowrank (per-layer
+// PowerSGD/COMPSO plan vs all-COMPSO), overlap (pipelined vs sequential
+// K-FAC step), chaos (fault-injection matrix), crash (checkpoint-interval
+// sweep plus a measured crash-and-restore) and observed (one instrumented
+// 8-GPU K-FAC + COMPSO run). A judge exits non-zero when its acceptance
+// bar fails; no flag is needed for that.
 //
-// Experiments: fig1, fig3, fig5, fig6, fig7, fig8, fig9, table1, table2,
-// comm, ablation. With -json PATH the structured rows of every experiment
-// run are additionally written to PATH as a {experiment: rows} JSON object.
-//
-// Observability: -trace trace.json (and optionally -metrics metrics.json)
-// additionally runs one fully instrumented 8-GPU K-FAC + COMPSO job and
-// writes a Perfetto-viewable Chrome trace of the simulated timeline plus a
-// flat metrics dump, after self-checking that the collective span sums
-// reconcile with the run's AlgSeconds attribution. -validate FILE checks an
-// existing trace against the Chrome trace-event schema and exits.
-//
-// Fault injection: "compso-bench chaos" runs the fault-injection matrix —
-// the same instrumented job under a clean fabric, a persistent straggler,
-// degraded inter-node links, payload corruption, and all combined — and
-// reports the recovery tallies (retries, lossless fallbacks, autotuner
-// retunes) per scenario:
-//
-//	compso-bench chaos                  # default CI-sized budget
-//	compso-bench chaos -iters 30        # bigger budget
-//	compso-bench chaos -trace t.json    # also write the combined trace
-//	compso-bench chaos -json rows.json  # machine-readable rows
-//
-// Crash recovery: "compso-bench crash" runs the checkpoint-interval judge —
-// an analytic save-overhead vs expected-lost-work sweep over the four
-// evaluation profiles (marking both the grid optimum and Young's τ*), plus
-// a measured proxy leg that really loses a worker mid-step, restores from
-// the last checkpoint, and verifies the recovered run is bit-identical to
-// its uninterrupted twin:
-//
-//	compso-bench crash                  # sweep + measured leg
-//	compso-bench crash -quick           # CI-sized measured budget
-//	compso-bench crash -json rows.json  # machine-readable rows
-//
-// Performance: "compso-bench perf" runs the fused-vs-reference benchmark
-// harness — wall-clock and allocation measurements of the single-pass
-// compression kernels against the preserved multi-pass reference pipelines,
-// per back-end codec and per pipeline stage — and writes a machine-readable
-// report (schema compso/bench-perf/v1):
-//
-//	compso-bench perf                   # full run, writes BENCH_PR7.json
-//	compso-bench perf -quick -out p.json # CI-sized smoke run
-//	compso-bench perf -validate p.json  # schema-check an existing report
-//
-// Low-rank family judge: "compso-bench lowrank" compares the per-layer
-// compressor plan (PowerSGD on large 2D layers, COMPSO elsewhere) against
-// all-COMPSO on every modelzoo profile — measured compression ratio,
-// simulated gradient-exchange step time, and a ring-all-reduce convergence
-// leg:
-//
-//	compso-bench lowrank                # full judge run
-//	compso-bench lowrank -quick -validate # CI smoke: judge + perf-row check
-//	compso-bench lowrank -json rows.json  # machine-readable report
-//
-// Overlap scheduler judge: "compso-bench overlap" prices one K-FAC+COMPSO
-// step per modelzoo profile under the sequential schedule and under the
-// compute/communication overlap pipeline (tensor-fusion buckets +
-// per-round preconditioned exchange), and with -validate also reruns the
-// proxy trainer with the scheduler off and on to prove the two answers
-// are bit-identical while the hidden-communication gauge moves:
-//
-//	compso-bench overlap                  # full judge run
-//	compso-bench overlap -quick -validate # CI smoke: judge + trainer leg
-//	compso-bench overlap -json rows.json  # machine-readable report
-//
-// Mega-scale sweep: "compso-bench scale" replays the COMPSO training
-// loop's communication program on the discrete-event engine at 64 → 8192
-// simulated GPUs in one process — after a small-world leg proving the
-// event engine bit-identical to the goroutine engine — and writes a
-// machine-readable report (schema compso/bench-scale/v1):
-//
-//	compso-bench scale                       # full sweep, writes BENCH_PR10.json
-//	compso-bench scale -quick -max-heap-mb 4096 # CI smoke with RSS ceiling
-//	compso-bench scale -validate BENCH_PR10.json # schema-check a report
+// With -json PATH the rows of every experiment run are written to PATH as
+// a {experiment: rows} JSON object. -trace and -metrics write the Chrome
+// trace (Perfetto-viewable, schema-validated) and flat metrics dump of the
+// one traced experiment selected, observed or chaos's combined scenario.
+// -validate FILE checks an existing trace against the Chrome trace-event
+// schema and exits.
 package main
 
 import (
@@ -96,46 +38,23 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "chaos" {
-		chaosMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "crash" {
-		crashMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "perf" {
-		perfMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "lowrank" {
-		lowrankMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "overlap" {
-		overlapMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "scale" {
-		scaleMain(os.Args[2:])
-		return
-	}
-	exp := flag.String("exp", "all", "experiment to run: all, quick, fig1, fig3, fig5, fig6, fig7, fig8, fig9, table1, table2, comm, ablation")
-	iters := flag.Int("iters", 0, "training iteration budget for convergence experiments (0 = paper-scale default)")
-	measure := flag.Bool("measure", false, "fig8: also measure real Go implementation throughput")
-	jsonPath := flag.String("json", "", "write machine-readable results of the selected experiments to this file")
-	tracePath := flag.String("trace", "", "also run an instrumented 8-GPU K-FAC+COMPSO job and write its Chrome trace to this file")
-	metricsPath := flag.String("metrics", "", "with the instrumented run, write its flat metrics dump (JSON) to this file")
+	var o experiments.Options
+	exp := flag.String("exp", "all", "experiments to run: all, quick, or a comma-separated list of "+strings.Join(experiments.Names(), ", "))
+	flag.IntVar(&o.Iters, "iters", 0, "training iteration budget of fig3, fig6, table1, chaos, crash and observed (0 = each experiment's default)")
+	flag.BoolVar(&o.Quick, "quick", false, "CI-sized gradient samples and training budgets")
+	flag.BoolVar(&o.Measure, "measure", false, "fig8: also measure real Go implementation throughput")
+	jsonPath := flag.String("json", "", "write the rows of the selected experiments to this file")
+	flag.StringVar(&o.TracePath, "trace", "", "write the selected traced experiment's Chrome trace to this file")
+	flag.StringVar(&o.MetricsPath, "metrics", "", "write the selected traced experiment's flat metrics dump (JSON) to this file")
 	validatePath := flag.String("validate", "", "validate an existing Chrome trace file against the trace-event schema and exit")
 	flag.Parse()
 
 	if *validatePath != "" {
 		blob, err := os.ReadFile(*validatePath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "validate: %v\n", err)
-			os.Exit(1)
+		if err == nil {
+			err = obs.ValidateChromeTrace(blob)
 		}
-		if err := obs.ValidateChromeTrace(blob); err != nil {
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "validate: %s: %v\n", *validatePath, err)
 			os.Exit(1)
 		}
@@ -143,257 +62,52 @@ func main() {
 		return
 	}
 
-	collected := map[string]any{}
-	runners := map[string]func() error{
-		"fig1": func() error {
-			rows, tb := experiments.Figure1()
-			collected["fig1"] = rows
-			fmt.Println(tb)
-			return nil
-		},
-		"fig3": func() error {
-			rows, tb, err := experiments.Figure3(*iters)
-			if err != nil {
-				return err
-			}
-			collected["fig3"] = rows
-			fmt.Println(tb)
-			return nil
-		},
-		"fig5": func() error {
-			results, tb := experiments.Figure5()
-			collected["fig5"] = results
-			fmt.Println(tb)
-			// Render the histograms as ASCII densities.
-			for _, r := range results {
-				fmt.Printf("%-5s %-26s ", r.Mode, r.LayerType)
-				for _, d := range r.Density {
-					fmt.Print(spark(d))
-				}
-				fmt.Println()
-			}
-			fmt.Println()
-			return nil
-		},
-		"fig6": func() error {
-			runs, tb, err := experiments.Figure6(*iters)
-			if err != nil {
-				return err
-			}
-			collected["fig6"] = runs
-			fmt.Println(tb)
-			for _, r := range runs {
-				fmt.Printf("%-13s %-17s losses:", r.Model, r.Method)
-				for _, l := range r.Losses {
-					fmt.Printf(" %.3f", l)
-				}
-				fmt.Println()
-			}
-			fmt.Println()
-			return nil
-		},
-		"fig7": func() error {
-			rows, tb, err := experiments.Figure7()
-			if err != nil {
-				return err
-			}
-			collected["fig7"] = rows
-			fmt.Println(tb)
-			return nil
-		},
-		"fig8": func() error {
-			rows, tb, err := experiments.Figure8(*measure)
-			if err != nil {
-				return err
-			}
-			collected["fig8"] = rows
-			fmt.Println(tb)
-			return nil
-		},
-		"fig9": func() error {
-			rows, tb, err := experiments.Figure9()
-			if err != nil {
-				return err
-			}
-			collected["fig9"] = rows
-			fmt.Println(tb)
-			return nil
-		},
-		"table1": func() error {
-			rows, tb, err := experiments.Table1(*iters)
-			if err != nil {
-				return err
-			}
-			collected["table1"] = rows
-			fmt.Println(tb)
-			return nil
-		},
-		"table2": func() error {
-			rows, tb, err := experiments.Table2()
-			if err != nil {
-				return err
-			}
-			collected["table2"] = rows
-			fmt.Println(tb)
-			return nil
-		},
-		"comm": func() error {
-			rows, tb, err := experiments.CommBreakdown()
-			if err != nil {
-				return err
-			}
-			collected["comm"] = rows
-			fmt.Println(tb)
-			return nil
-		},
-		"headline": func() error {
-			res, tb, err := experiments.Headline()
-			if err != nil {
-				return err
-			}
-			collected["headline"] = res
-			fmt.Println(tb)
-			return nil
-		},
-		"ablation": func() error {
-			rows, tb, err := experiments.Ablations()
-			if err != nil {
-				return err
-			}
-			collected["ablation"] = rows
-			fmt.Println(tb)
-			return nil
-		},
+	selected, err := experiments.Select(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	order := []string{"headline", "fig1", "fig3", "fig5", "fig6", "table1", "fig7", "table2", "comm", "fig8", "fig9", "ablation"}
-	quick := []string{"headline", "fig1", "fig5", "fig7", "table2", "comm", "fig8", "fig9", "ablation"}
-
-	var selected []string
-	switch *exp {
-	case "all":
-		selected = order
-	case "quick":
-		selected = quick
-	default:
-		if _, ok := runners[*exp]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (have: all, quick, %s)\n", *exp, strings.Join(order, ", "))
+	if o.TracePath != "" || o.MetricsPath != "" {
+		traced := 0
+		for _, e := range selected {
+			if e.Traced {
+				traced++
+			}
+		}
+		if traced != 1 {
+			fmt.Fprintf(os.Stderr, "-trace and -metrics need exactly one traced experiment (observed or chaos) selected; -exp %s selects %d\n", *exp, traced)
 			os.Exit(2)
 		}
-		selected = []string{*exp}
 	}
-	for _, name := range selected {
-		if err := runners[name](); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+
+	collected := map[string]any{}
+	for _, e := range selected {
+		rep, err := e.Run(o)
+		if rep != nil {
+			for _, tb := range rep.Tables {
+				fmt.Println(tb)
+			}
+			collected[rep.Name] = rep.Rows
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
 			os.Exit(1)
 		}
 	}
-	if *tracePath != "" || *metricsPath != "" {
-		if err := experiments.CaptureObserved(*tracePath, *metricsPath, *iters); err != nil {
-			fmt.Fprintf(os.Stderr, "observed run: %v\n", err)
-			os.Exit(1)
+	for _, path := range []string{o.TracePath, o.MetricsPath} {
+		if path != "" {
+			fmt.Printf("wrote %s\n", path)
 		}
 	}
 	if *jsonPath != "" {
 		blob, err := json.MarshalIndent(collected, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "encoding results: %v\n", err)
-			os.Exit(1)
+		if err == nil {
+			err = os.WriteFile(*jsonPath, append(blob, '\n'), 0o644)
 		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(*jsonPath, blob, 0o644); err != nil {
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s (%d experiments)\n", *jsonPath, len(collected))
 	}
-}
-
-// chaosMain is the "compso-bench chaos" subcommand: run the fault-injection
-// matrix and report per-scenario recovery tallies.
-func chaosMain(args []string) {
-	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
-	iters := fs.Int("iters", 0, "training iteration budget per scenario (0 = small CI default)")
-	jsonPath := fs.String("json", "", "write machine-readable scenario rows to this file")
-	tracePath := fs.String("trace", "", "write the combined scenario's Chrome trace to this file")
-	_ = fs.Parse(args)
-
-	rows, tb, err := experiments.ChaosMatrix(*iters, *tracePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println(tb)
-	fmt.Println("span sums reconcile with AlgSeconds within 1% in every scenario")
-	if *tracePath != "" {
-		fmt.Printf("wrote combined-scenario Chrome trace to %s\n", *tracePath)
-	}
-	if *jsonPath != "" {
-		blob, err := json.MarshalIndent(map[string]any{"chaos": rows}, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: encoding results: %v\n", err)
-			os.Exit(1)
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(*jsonPath, blob, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-	}
-}
-
-// crashMain is the "compso-bench crash" subcommand: the checkpoint-interval
-// recovery judge (analytic sweep over the modelzoo profiles) plus one
-// measured crash-and-restore proxy run.
-func crashMain(args []string) {
-	fs := flag.NewFlagSet("crash", flag.ExitOnError)
-	iters := fs.Int("iters", 0, "measured leg's training budget (0 = small CI default)")
-	quick := fs.Bool("quick", false, "CI-sized measured budget (same as the default today; reserved)")
-	jsonPath := fs.String("json", "", "write machine-readable sweep rows and the measured leg to this file")
-	_ = fs.Parse(args)
-	if *quick && *iters == 0 {
-		*iters = 12
-	}
-
-	rows, tb := experiments.CrashRecoverySweep()
-	fmt.Println(tb)
-	measured, err := experiments.CrashMeasuredRun(*iters)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "crash: measured leg: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("measured proxy leg: %d crash(es), %d restore(s), %d checkpoint save(s), %d checkpoint bytes\n",
-		measured.Restarts, measured.Restores, measured.Saves, measured.CkptBytes)
-	fmt.Printf("recovered run bit-identical to uninterrupted twin: %v\n", measured.BitIdentical)
-	fmt.Printf("measured recovery cost: %.4f simulated collective seconds per worker\n", measured.RecoverySec)
-
-	if *jsonPath != "" {
-		blob, err := json.MarshalIndent(map[string]any{
-			"crash_sweep":    rows,
-			"crash_measured": measured,
-		}, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "crash: encoding results: %v\n", err)
-			os.Exit(1)
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(*jsonPath, blob, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "crash: writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-	}
-}
-
-// spark maps a density to a block character for ASCII histograms.
-func spark(d float64) string {
-	blocks := []rune(" ▁▂▃▄▅▆▇█")
-	idx := int(d * 8 / 0.12)
-	if idx >= len(blocks) {
-		idx = len(blocks) - 1
-	}
-	if idx < 0 {
-		idx = 0
-	}
-	return string(blocks[idx])
 }

@@ -12,7 +12,7 @@
 //
 // Quick start:
 //
-//	c := compso.NewCompressor(1234) // COMPSO with default bounds + ANS
+//	c := compso.New(compso.WithSeed(1234)) // COMPSO with default bounds + ANS
 //	blob, err := c.Compress(gradient)
 //	...
 //	restored, err := c.Decompress(blob)
@@ -94,14 +94,6 @@ type LookupTable = perfmodel.LookupTable
 // OnlineProfile is the performance model's warmup measurement input.
 type OnlineProfile = perfmodel.OnlineProfile
 
-// NewCompressor returns a COMPSO compressor with the paper's default
-// configuration (filter+SR at eb 4e-3, ANS back-end) and a deterministic
-// stochastic-rounding stream derived from seed.
-//
-// Deprecated-in-doc: New(WithSeed(seed)) is the preferred constructor; this
-// wrapper remains for existing callers.
-func NewCompressor(seed int64) *COMPSO { return New(WithSeed(seed)) }
-
 // Stateful is the optional contract for compressors carrying per-stream
 // state (error-feedback residuals, PowerSGD's warm-started factors).
 // Holders of a long-lived Compressor should type-assert for Stateful and
@@ -130,49 +122,6 @@ func NewPowerSGD(rank int, seed int64) *PowerSGD { return compress.NewPowerSGD(r
 // Codecs/Models/Platforms registry pattern. Build one with
 // NewCompressorFor.
 func Families() []string { return compress.Families() }
-
-// NewQSGD returns the QSGD baseline compressor (fixed-bit SR quantization
-// with Elias-gamma coding).
-//
-// Deprecated: use NewCompressorFor("qsgd", WithBits(bitWidth),
-// WithSeed(seed)). This shim resolves through the registry and panics on
-// out-of-range widths (previously the panic surfaced at first Compress).
-func NewQSGD(bitWidth int, seed int64) Compressor {
-	c, err := NewCompressorFor("qsgd", WithBits(bitWidth), WithSeed(seed))
-	if err != nil {
-		panic("compso.NewQSGD: " + err.Error())
-	}
-	return c
-}
-
-// NewSZ returns the SZ/cuSZ baseline compressor (Lorenzo prediction,
-// RN quantization, Huffman coding) with a range-relative error bound.
-//
-// Deprecated: use NewCompressorFor("sz", WithRelErrorBound(relErrorBound)).
-// A zero bound now selects the registry default (1e-3).
-func NewSZ(relErrorBound float64) Compressor {
-	c, err := NewCompressorFor("sz", WithRelErrorBound(relErrorBound))
-	if err != nil {
-		panic("compso.NewSZ: " + err.Error())
-	}
-	return c
-}
-
-// NewCocktailSGD returns the CocktailSGD baseline compressor (top-k
-// sparsification plus fixed-bit SR quantization).
-//
-// Deprecated: use NewCompressorFor("cocktail", WithKeepFraction(keep),
-// WithBits(bits), WithSeed(seed)). This shim resolves through the
-// registry and panics on out-of-range parameters (previously invalid
-// widths surfaced at first Compress).
-func NewCocktailSGD(keepFraction float64, bitWidth int, seed int64) Compressor {
-	c, err := NewCompressorFor("cocktail",
-		WithKeepFraction(keepFraction), WithBits(bitWidth), WithSeed(seed))
-	if err != nil {
-		panic("compso.NewCocktailSGD: " + err.Error())
-	}
-	return c
-}
 
 // NewController returns the paper's default iteration-wise adaptive
 // controller for the given schedule and iteration budget.
@@ -234,18 +183,6 @@ func Platforms() []string { return cluster.Platforms() }
 // "slingshot11" its Platform 2 (200 Gbps). Unknown names return an error
 // wrapping ErrUnknownPlatform.
 func PlatformByName(name string) (Platform, error) { return cluster.PlatformByName(name) }
-
-// Platform1 and Platform2 return the paper's two evaluation clusters
-// (Slingshot-10 and Slingshot-11, four A100-class GPUs per node).
-//
-// Deprecated-in-doc: PlatformByName("slingshot10") is the preferred
-// lookup; these aliases remain for existing callers.
-func Platform1() Platform { return cluster.Platform1() }
-
-// Platform2 returns the Slingshot-11 platform.
-//
-// Deprecated-in-doc: prefer PlatformByName("slingshot11").
-func Platform2() Platform { return cluster.Platform2() }
 
 // DefaultKFAC returns the K-FAC configuration used across the experiments.
 func DefaultKFAC() KFACConfig { return kfac.DefaultConfig() }

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"compso"
+	"compso/internal/cluster"
+	"compso/internal/compress"
 	"compso/internal/obs"
 )
 
@@ -17,11 +19,11 @@ import (
 func TestFacadeNewOptions(t *testing.T) {
 	src := gradientSample(20000, 11)
 
-	t.Run("defaults match NewCompressor", func(t *testing.T) {
+	t.Run("defaults match direct construction", func(t *testing.T) {
 		a, _ := compso.New(compso.WithSeed(3)).Compress(src)
-		b, _ := compso.NewCompressor(3).Compress(src)
+		b, _ := compress.NewCOMPSO(3).Compress(src)
 		if !bytes.Equal(a, b) {
-			t.Fatal("New() and NewCompressor produce different streams for the same seed")
+			t.Fatal("New() and compress.NewCOMPSO produce different streams for the same seed")
 		}
 	})
 
@@ -108,7 +110,7 @@ func TestFacadeNewOptions(t *testing.T) {
 }
 
 // TestFacadePlatformRegistry checks the name-based platform lookup against
-// the legacy constructors.
+// the cluster package's platform definitions.
 func TestFacadePlatformRegistry(t *testing.T) {
 	want := []string{"slingshot10", "slingshot11"}
 	if got := compso.Platforms(); !reflect.DeepEqual(got, want) {
@@ -118,15 +120,15 @@ func TestFacadePlatformRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p1 != compso.Platform1() {
-		t.Fatal("slingshot10 does not match Platform1()")
+	if p1 != cluster.Platform1() {
+		t.Fatal("slingshot10 does not match cluster.Platform1()")
 	}
 	p2, err := compso.PlatformByName("slingshot11")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2 != compso.Platform2() {
-		t.Fatal("slingshot11 does not match Platform2()")
+	if p2 != cluster.Platform2() {
+		t.Fatal("slingshot11 does not match cluster.Platform2()")
 	}
 }
 
@@ -134,7 +136,7 @@ func TestFacadePlatformRegistry(t *testing.T) {
 // facade's lookup and decode paths.
 func TestFacadeSentinelErrors(t *testing.T) {
 	badDecode := func() error {
-		_, err := compso.NewCompressor(1).Decompress([]byte{0x00, 0x01, 0x02})
+		_, err := compso.New(compso.WithSeed(1)).Decompress([]byte{0x00, 0x01, 0x02})
 		return err
 	}
 	cases := []struct {
@@ -239,7 +241,7 @@ func TestFacadeObservedTraining(t *testing.T) {
 			return compso.ProxyResNet(rng, 21)
 		},
 		Workers:  workers,
-		Platform: compso.Platform1(),
+		Platform: mustPlatform(t, "slingshot10"),
 		Iters:    8,
 		Seed:     21,
 		Schedule: sched,
@@ -303,7 +305,7 @@ func TestFacadeCrashRecovery(t *testing.T) {
 				return compso.ProxyResNet(rng, 51)
 			},
 			Workers:  4,
-			Platform: compso.Platform1(),
+			Platform: mustPlatform(t, "slingshot10"),
 			Iters:    8,
 			Seed:     51,
 			Schedule: &compso.StepLR{BaseLR: 0.03, Drops: []int{6}, Gamma: 0.1},
@@ -365,7 +367,7 @@ func TestFacadeObserverDisabledIsInert(t *testing.T) {
 				return compso.ProxyResNet(rng, 31)
 			},
 			Workers:  4,
-			Platform: compso.Platform1(),
+			Platform: mustPlatform(t, "slingshot10"),
 			Iters:    6,
 			Seed:     31,
 			Schedule: sched,

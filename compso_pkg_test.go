@@ -9,6 +9,26 @@ import (
 	"compso/internal/xrand"
 )
 
+// mustCompressor builds a registry family or fails the test.
+func mustCompressor(tb testing.TB, family string, opts ...compso.Option) compso.Compressor {
+	tb.Helper()
+	c, err := compso.NewCompressorFor(family, opts...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// mustPlatform looks up a registry platform or fails the test.
+func mustPlatform(tb testing.TB, name string) compso.Platform {
+	tb.Helper()
+	p, err := compso.PlatformByName(name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
 func gradientSample(n int, seed int64) []float32 {
 	src := make([]float32, n)
 	xrand.KFACGradient(xrand.NewSeeded(seed), src, 1.0)
@@ -18,11 +38,11 @@ func gradientSample(n int, seed int64) []float32 {
 func TestFacadeCompressors(t *testing.T) {
 	src := gradientSample(50000, 1)
 	compressors := []compso.Compressor{
-		compso.NewCompressor(1),
-		compso.NewQSGD(8, 2),
-		compso.NewSZ(4e-3),
-		compso.NewCocktailSGD(0.2, 8, 3),
-		compso.NewErrorFeedback(compso.NewQSGD(8, 4)),
+		compso.New(compso.WithSeed(1)),
+		mustCompressor(t, "qsgd", compso.WithBits(8), compso.WithSeed(2)),
+		mustCompressor(t, "sz", compso.WithRelErrorBound(4e-3)),
+		mustCompressor(t, "cocktail", compso.WithKeepFraction(0.2), compso.WithBits(8), compso.WithSeed(3)),
+		compso.NewErrorFeedback(mustCompressor(t, "qsgd", compso.WithBits(8), compso.WithSeed(4))),
 	}
 	for _, c := range compressors {
 		blob, err := c.Compress(src)
@@ -44,7 +64,7 @@ func TestFacadeCompressors(t *testing.T) {
 
 func TestFacadeCompressorErrorBound(t *testing.T) {
 	src := gradientSample(50000, 5)
-	c := compso.NewCompressor(6)
+	c := compso.New(compso.WithSeed(6))
 	blob, err := c.Compress(src)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +131,7 @@ func TestFacadeTuner(t *testing.T) {
 }
 
 func TestFacadePerformanceModel(t *testing.T) {
-	lt, err := compso.BuildLookupTable(compso.Platform1(), []int{8, 64})
+	lt, err := compso.BuildLookupTable(mustPlatform(t, "slingshot10"), []int{8, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +150,14 @@ func TestFacadeEndToEndTraining(t *testing.T) {
 			return compso.ProxyResNet(rng, 9)
 		},
 		Workers:  4,
-		Platform: compso.Platform2(),
+		Platform: mustPlatform(t, "slingshot11"),
 		Iters:    40,
 		Seed:     10,
 		Schedule: sched,
 		UseKFAC:  true,
 		KFAC:     compso.DefaultKFAC(),
 		NewCompressor: func(rank int) compso.Compressor {
-			return compso.NewCompressor(int64(rank) + 20)
+			return compso.New(compso.WithSeed(int64(rank) + 20))
 		},
 		Controller:   compso.NewController(sched, 40),
 		AggregationM: 4,

@@ -6,9 +6,9 @@ import (
 	"compso"
 )
 
-// ExampleNewCompressor demonstrates the basic compress/decompress cycle
-// with the error-bound guarantee.
-func ExampleNewCompressor() {
+// ExampleNew demonstrates the basic compress/decompress cycle with the
+// error-bound guarantee.
+func ExampleNew() {
 	// A gradient with COMPSO-friendly structure: near-zero bulk + outliers.
 	gradient := make([]float32, 10000)
 	rng := compso.NewRand(7)
@@ -20,7 +20,7 @@ func ExampleNewCompressor() {
 		}
 	}
 
-	c := compso.NewCompressor(42)
+	c := compso.New(compso.WithSeed(42))
 	blob, err := c.Compress(gradient)
 	if err != nil {
 		panic(err)

@@ -17,7 +17,8 @@ import (
 // encode) materializes its intermediate buffer. The fused single-pass
 // implementations in compso.go/sz.go/qsgd.go must produce byte-identical
 // blobs from identical state — the equivalence tests diff the two paths, and
-// the perf harness reports fused-vs-reference throughput.
+// the root package's Benchmark…Reference pairs report fused-vs-reference
+// throughput.
 
 // ReferenceCompress is the multi-pass COMPSO compression pipeline. It uses
 // (and advances) the same stochastic-rounding RNG stream as Compress, so a

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand/v2"
-	"os"
 	"sort"
 
 	"compso/internal/cluster"
@@ -72,9 +70,10 @@ func chaosScenarios() []chaosScenario {
 	}
 }
 
-// chaosConfig is the shared training job of every scenario: 8 simulated
-// GPUs on Platform 1, distributed K-FAC with the COMPSO compressor.
-func chaosConfig(iters int, rec *obs.Recorder, plan *fault.Plan) train.Config {
+// kfacJob is the instrumented training job of every chaos scenario and of
+// the observed capture: 8 simulated GPUs on Platform 1, distributed K-FAC
+// with the COMPSO compressor.
+func kfacJob(iters int, rec *obs.Recorder, plan *fault.Plan) train.Config {
 	const seed = int64(42)
 	schedule := &opt.StepLR{BaseLR: 0.03, Drops: []int{iters * 2 / 3}, Gamma: 0.1}
 	return train.Config{
@@ -115,18 +114,18 @@ func ckptFor(plan *fault.Plan) train.CheckpointConfig {
 // inter-node links, payload corruption, and all of them combined. Every
 // scenario self-checks that its collective span sums still reconcile with
 // the run's AlgSeconds attribution within 1% — fault injection perturbs the
-// timeline, never the accounting. When tracePath is non-empty the combined
-// scenario's Chrome trace is schema-validated and written there.
+// timeline, never the accounting. The combined scenario's Chrome trace and
+// metrics dump go to tracePath and metricsPath (see writeArtifacts).
 //
 // iters <= 0 selects a small default budget suitable for CI.
-func ChaosMatrix(iters int, tracePath string) ([]ChaosRow, *Table, error) {
+func ChaosMatrix(iters int, tracePath, metricsPath string) ([]ChaosRow, *Table, error) {
 	if iters <= 0 {
 		iters = 12
 	}
 	var rows []ChaosRow
 	for _, sc := range chaosScenarios() {
 		rec := obs.NewRecorder()
-		cfg := chaosConfig(iters, rec, sc.plan)
+		cfg := kfacJob(iters, rec, sc.plan)
 		res, err := train.Run(cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("chaos %s: %w", sc.name, err)
@@ -158,22 +157,15 @@ func ChaosMatrix(iters int, tracePath string) ([]ChaosRow, *Table, error) {
 		}
 		rows = append(rows, row)
 
-		if sc.name == "combined" && tracePath != "" {
-			var buf bytes.Buffer
-			if err := snap.WriteChromeTrace(&buf); err != nil {
-				return nil, nil, fmt.Errorf("chaos trace: %w", err)
-			}
-			if err := obs.ValidateChromeTrace(buf.Bytes()); err != nil {
-				return nil, nil, fmt.Errorf("chaos trace failed schema validation: %w", err)
-			}
-			if err := os.WriteFile(tracePath, buf.Bytes(), 0o644); err != nil {
-				return nil, nil, fmt.Errorf("writing chaos trace: %w", err)
+		if sc.name == "combined" {
+			if err := writeArtifacts(snap, tracePath, metricsPath); err != nil {
+				return nil, nil, fmt.Errorf("chaos %s: %w", sc.name, err)
 			}
 		}
 	}
 
 	tb := &Table{
-		Title:   "Chaos matrix: fault injection vs recovery (8 GPUs, K-FAC + COMPSO)",
+		Title:   "Chaos matrix: fault injection vs recovery (8 GPUs, K-FAC + COMPSO; span sums reconcile with AlgSeconds within 1%)",
 		Headers: []string{"scenario", "comm s", "final loss", "mean CR", "corrupted", "retries", "fallbacks", "retunes", "crashes", "restores"},
 	}
 	for _, r := range rows {

@@ -16,7 +16,7 @@ func TestChaosMatrix(t *testing.T) {
 		t.Skip("chaos matrix trains 7 scenarios; skipped in -short")
 	}
 	tracePath := filepath.Join(t.TempDir(), "chaos-trace.json")
-	rows, tb, err := ChaosMatrix(4, tracePath)
+	rows, tb, err := ChaosMatrix(4, tracePath, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,22 +79,17 @@ func CommBreakdown() ([]CommRow, *Table, error) {
 	return rows, commTable(rows), nil
 }
 
-// commAnalytic is the legacy closed-form charge for the same operation.
+// commAnalytic is the legacy closed-form charge for the same operation,
+// one of commOps.
 func commAnalytic(cfg cluster.Config, op string, totalBytes, p int) float64 {
-	switch op {
-	case collective.OpAllReduce:
+	if op == collective.OpAllReduce {
 		return cfg.AllReduceTime(totalBytes, p)
-	case collective.OpAllGather:
-		sizes := make([]int, p)
-		for i := range sizes {
-			sizes[i] = totalBytes / p
-		}
-		return cfg.AllGatherVarTime(sizes, p)
-	case collective.OpReduceScatter:
-		return cfg.ReduceScatterTime(totalBytes, p)
-	default:
-		return cfg.BroadcastTime(totalBytes, p)
 	}
+	sizes := make([]int, p)
+	for i := range sizes {
+		sizes[i] = totalBytes / p
+	}
+	return cfg.AllGatherVarTime(sizes, p)
 }
 
 func commTable(rows []CommRow) *Table {

@@ -151,6 +151,18 @@ func CrashRecoverySweep() ([]CrashRow, *Table) {
 	return rows, tb
 }
 
+// crashMeasuredTable renders the measured leg.
+func crashMeasuredTable(m CrashMeasured) *Table {
+	return &Table{
+		Title:   "Measured crash-and-restore proxy leg (4 GPUs, K-FAC + COMPSO)",
+		Headers: []string{"crashes", "restores", "saves", "ckpt bytes", "bit-identical", "recovery s/worker"},
+		Rows: [][]string{{
+			fmt.Sprint(m.Restarts), fmt.Sprint(m.Restores), fmt.Sprint(m.Saves), fmt.Sprint(m.CkptBytes),
+			fmt.Sprint(m.BitIdentical), fmtF(m.RecoverySec, 4),
+		}},
+	}
+}
+
 // CrashMeasuredRun is the measured leg: a 4-GPU K-FAC + COMPSO proxy run
 // that loses a worker mid-step and recovers from its last checkpoint, next
 // to an uninterrupted twin with the same cadence. It verifies the recovery

@@ -12,6 +12,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"compso/internal/compress"
 	"compso/internal/modelzoo"
@@ -29,12 +30,12 @@ type Table struct {
 func (t *Table) String() string {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(cell))
 			}
 		}
 	}

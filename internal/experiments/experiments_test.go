@@ -2,11 +2,25 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"compso/internal/compress"
 	"compso/internal/compso"
 	"compso/internal/modelzoo"
+)
+
+// fig7Rows and fig9Rows compute Figures 7 and 9 once for the tests that
+// assert on them, TestHeadline included.
+var (
+	fig7Rows = sync.OnceValues(func() ([]Fig7Row, error) {
+		rows, _, err := Figure7()
+		return rows, err
+	})
+	fig9Rows = sync.OnceValues(func() ([]Fig9Row, error) {
+		rows, _, err := Figure9()
+		return rows, err
+	})
 )
 
 func TestTableRendering(t *testing.T) {
@@ -91,7 +105,7 @@ func TestFigure5RoundingShapes(t *testing.T) {
 }
 
 func TestFigure7COMPSOWins(t *testing.T) {
-	rows, _, err := Figure7()
+	rows, err := fig7Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +238,7 @@ func TestFigure8Measured(t *testing.T) {
 }
 
 func TestFigure9EndToEnd(t *testing.T) {
-	rows, _, err := Figure9()
+	rows, err := fig9Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +417,15 @@ func TestAblationsShape(t *testing.T) {
 }
 
 func TestHeadline(t *testing.T) {
-	res, tb, err := Headline()
+	f7, err := fig7Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f9, err := fig9Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, tb, err := headline(f7, f9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"compso/internal/modelzoo"
 	"compso/internal/quant"
@@ -76,4 +77,21 @@ func Figure5() ([]Fig5Result, *Table) {
 		}
 	}
 	return results, table
+}
+
+// fig5DensityTable renders each histogram as a row of block characters.
+func fig5DensityTable(results []Fig5Result) *Table {
+	levels := []rune(" ▁▂▃▄▅▆▇█")
+	t := &Table{
+		Title:   "Figure 5: error densities over [-eb, eb]",
+		Headers: []string{"Rounding", "Layer type", "Density"},
+	}
+	for _, r := range results {
+		var b strings.Builder
+		for _, d := range r.Density {
+			b.WriteRune(levels[max(0, min(len(levels)-1, int(d*8/0.12)))])
+		}
+		t.Rows = append(t.Rows, []string{r.Mode.String(), r.LayerType, b.String()})
+	}
+	return t
 }

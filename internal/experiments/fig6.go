@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand/v2"
+	"strings"
 
 	"compso/internal/cluster"
 	"compso/internal/compress"
@@ -169,4 +170,17 @@ func Figure6(baseIters int) ([]Fig6Run, *Table, error) {
 		}
 	}
 	return runs, table, nil
+}
+
+// fig6LossTable renders Figure 6a: every run's logged training losses.
+func fig6LossTable(runs []Fig6Run) *Table {
+	t := &Table{Title: "Figure 6a: training loss curves", Headers: []string{"Model", "Method", "Losses"}}
+	for _, r := range runs {
+		losses := make([]string, len(r.Losses))
+		for i, l := range r.Losses {
+			losses[i] = fmtF(l, 3)
+		}
+		t.Rows = append(t.Rows, []string{r.Model, r.Method, strings.Join(losses, " ")})
+	}
+	return t
 }

@@ -22,6 +22,20 @@ type HeadlineResult struct {
 
 // Headline computes the summary from the Figure 7 and Figure 9 machinery.
 func Headline() (HeadlineResult, *Table, error) {
+	fig7Rows, _, err := Figure7()
+	if err != nil {
+		return HeadlineResult{}, nil, err
+	}
+	fig9Rows, _, err := Figure9()
+	if err != nil {
+		return HeadlineResult{}, nil, err
+	}
+	return headline(fig7Rows, fig9Rows)
+}
+
+// headline summarizes computed Figure 7 and Figure 9 rows, next to a
+// freshly measured mean COMPSO compression ratio.
+func headline(fig7Rows []Fig7Row, fig9Rows []Fig9Row) (HeadlineResult, *Table, error) {
 	var res HeadlineResult
 
 	// Mean COMPSO compression ratio across the four models.
@@ -35,10 +49,6 @@ func Headline() (HeadlineResult, *Table, error) {
 	}
 	res.MeanCR = crSum / float64(len(modelzoo.All()))
 
-	fig7Rows, _, err := Figure7()
-	if err != nil {
-		return res, nil, err
-	}
 	var commSum float64
 	var commN int
 	for _, r := range fig7Rows {
@@ -53,10 +63,6 @@ func Headline() (HeadlineResult, *Table, error) {
 	}
 	res.MeanCommSpeedup = commSum / float64(commN)
 
-	fig9Rows, _, err := Figure9()
-	if err != nil {
-		return res, nil, err
-	}
 	var e2eSum float64
 	var e2eN int
 	for _, r := range fig9Rows {

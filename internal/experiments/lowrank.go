@@ -23,7 +23,7 @@ import (
 // pipeline), and proxy-model convergence under the ring-all-reduce
 // path. COMPSO's CR is measured, not assumed: each layer's synthetic
 // gradient is compressed for real and the blob size scaled to the full
-// layer. The report is what CI's lowrank-smoke job validates.
+// layer.
 
 // lowRankWorkers is the simulated GPU count the judge prices
 // collectives for.
@@ -70,16 +70,15 @@ type LowRankReport struct {
 	Convergence *LowRankConvergence `json:"convergence,omitempty"`
 }
 
-// LowRankJudge runs the judge. quick shrinks the per-layer gradient
+// LowRankJudge runs the judge and returns an error, beside the report,
+// when its acceptance bar fails. quick shrinks the per-layer gradient
 // samples and the convergence budget for CI smoke runs; the comparisons
 // stay the same.
 func LowRankJudge(quick bool) (*LowRankReport, *Table, error) {
 	const rank = 4
-	maxElems := 1 << 18
-	iters := 24
+	maxElems, iters := 1<<18, 24
 	if quick {
-		maxElems = 1 << 15
-		iters = 8
+		maxElems, iters = 1<<15, 8
 	}
 	eng := cluster.EngineFor(cluster.Platform1(), lowRankWorkers)
 	dev := gpusim.A100()
@@ -143,7 +142,7 @@ func LowRankJudge(quick bool) (*LowRankReport, *Table, error) {
 		return nil, nil, err
 	}
 	rep.Convergence = conv
-	return rep, lowRankTable(rep), nil
+	return rep, lowRankTable(rep), rep.validate()
 }
 
 // lowRankConvergence trains the ResNet proxy with first-order SGD twice:
@@ -191,6 +190,17 @@ func lowRankConvergence(iters int) (*LowRankConvergence, error) {
 	}, nil
 }
 
+// lowRankConvergenceTable renders the ring-path convergence leg.
+func lowRankConvergenceTable(c *LowRankConvergence) *Table {
+	return &Table{
+		Title:   fmt.Sprintf("Low-rank ring-path convergence (%s proxy, %d iters, SGD)", c.Model, c.Iters),
+		Headers: []string{"COMPSO loss", "PowerSGD loss", "PowerSGD CR"},
+		Rows: [][]string{{
+			fmtF(c.CompsoLoss, 4), fmtF(c.PowerSGDLoss, 4), fmtF(c.PowerSGDCR, 1) + "x",
+		}},
+	}
+}
+
 // lowRankTable renders the judge report.
 func lowRankTable(rep *LowRankReport) *Table {
 	t := &Table{
@@ -213,12 +223,11 @@ func lowRankTable(rep *LowRankReport) *Table {
 	return t
 }
 
-// Validate enforces the judge's acceptance bar: the planned family mix
-// must beat all-COMPSO's compression ratio on at least two modelzoo
-// profiles at equal-or-better simulated step time, and the ring-path
-// convergence leg must land in the same loss regime as the COMPSO
-// baseline.
-func (rep *LowRankReport) Validate() error {
+// validate is the judge's acceptance bar: the planned family mix must
+// beat all-COMPSO's compression ratio on at least two modelzoo profiles
+// at equal-or-better simulated step time, and the ring-path convergence
+// leg must land in the same loss regime as the COMPSO baseline.
+func (rep *LowRankReport) validate() error {
 	wins := 0
 	for _, r := range rep.Rows {
 		for _, v := range []float64{r.CompsoCR, r.MixCR, r.CompsoStepSec, r.MixStepSec} {

@@ -14,9 +14,6 @@ func TestLowRankJudgeQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if len(rep.Rows) != 4 {
 		t.Fatalf("%d rows, want one per modelzoo profile", len(rep.Rows))
 	}

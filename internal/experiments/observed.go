@@ -3,24 +3,27 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"math/rand/v2"
 	"os"
 	"sort"
 
-	"compso/internal/cluster"
-	"compso/internal/compress"
 	"compso/internal/compso"
-	"compso/internal/kfac"
-	"compso/internal/modelzoo"
 	"compso/internal/obs"
-	"compso/internal/opt"
 	"compso/internal/train"
 )
 
+// ObservedRow is one collective algorithm's per-worker seconds in the
+// observed capture, as the cluster attributes them and as the span sums
+// add them up.
+type ObservedRow struct {
+	Algorithm  string  `json:"algorithm"`
+	ClusterSec float64 `json:"cluster_s"`
+	SpanSec    float64 `json:"span_s"`
+}
+
 // CaptureObserved runs one fully instrumented distributed K-FAC + COMPSO
-// training job (Platform 1, 8 simulated GPUs, per-transfer spans enabled)
-// and writes its Chrome trace and flat metrics dump to the given paths
-// (either may be empty to skip that artifact).
+// training job (kfacJob with the adaptive controller and per-transfer
+// spans enabled) and writes its Chrome trace and flat metrics dump to the
+// given paths (see writeArtifacts).
 //
 // Before writing anything it self-checks the capture:
 //
@@ -32,39 +35,19 @@ import (
 //     validation (required keys, monotonic timestamps).
 //
 // iters <= 0 selects a small default budget suitable for CI.
-func CaptureObserved(tracePath, metricsPath string, iters int) error {
+func CaptureObserved(iters int, tracePath, metricsPath string) ([]ObservedRow, *Table, error) {
 	if iters <= 0 {
 		iters = 12
 	}
-	const workers = 8
-	rec := obs.NewRecorder(obs.WithTransferSpans(true))
-	seed := int64(42)
-	schedule := &opt.StepLR{BaseLR: 0.03, Drops: []int{iters * 2 / 3}, Gamma: 0.1}
-	cfg := train.Config{
-		BuildTask: func(rng *rand.Rand) *modelzoo.ProxyTask {
-			return modelzoo.ProxyResNet(rng, seed)
-		},
-		Workers:  workers,
-		Platform: cluster.Platform1(),
-		Iters:    iters,
-		Seed:     seed,
-		Schedule: schedule,
-		UseKFAC:  true,
-		KFAC:     kfac.DefaultConfig(),
-		NewCompressor: func(rank int) compress.Compressor {
-			return compso.NewCompressor(nil, rank, seed)
-		},
-		Controller:   compso.DefaultController(schedule, iters),
-		AggregationM: 4,
-		Obs:          rec,
-	}
+	cfg := kfacJob(iters, obs.NewRecorder(obs.WithTransferSpans(true)), nil)
+	cfg.Controller = compso.DefaultController(cfg.Schedule, iters)
 	res, err := train.Run(cfg)
 	if err != nil {
-		return fmt.Errorf("observed run: %w", err)
+		return nil, nil, fmt.Errorf("observed run: %w", err)
 	}
 	snap := res.Metrics
 	if snap == nil {
-		return fmt.Errorf("observed run returned no metrics snapshot")
+		return nil, nil, fmt.Errorf("observed run returned no metrics snapshot")
 	}
 
 	// Category check: the trace must show the full step → phase →
@@ -77,7 +60,7 @@ func CaptureObserved(tracePath, metricsPath string, iters int) error {
 		obs.CatStep, obs.CatPhase, obs.CatCollective, obs.CatCompress, obs.CatPrecondition,
 	} {
 		if !have[want] {
-			return fmt.Errorf("observed trace is missing span category %q (have %v)", want, snap.Categories())
+			return nil, nil, fmt.Errorf("observed trace is missing span category %q (have %v)", want, snap.Categories())
 		}
 	}
 
@@ -85,24 +68,35 @@ func CaptureObserved(tracePath, metricsPath string, iters int) error {
 	// own per-algorithm attribution (mean per worker, so scale down).
 	perWorker := map[string]float64{}
 	for k, v := range snap.AlgSeconds() {
-		perWorker[k] = v / float64(workers)
+		perWorker[k] = v / float64(cfg.Workers)
 	}
 	if err := obs.ReconcileAlgSeconds(perWorker, res.AlgSeconds, 0.01); err != nil {
-		return fmt.Errorf("span/AlgSeconds reconciliation failed: %w", err)
+		return nil, nil, fmt.Errorf("span/AlgSeconds reconciliation failed: %w", err)
+	}
+	if err := writeArtifacts(snap, tracePath, metricsPath); err != nil {
+		return nil, nil, err
 	}
 
-	fmt.Printf("observed run: %d iterations, %d workers, %d spans (%d dropped), categories %v\n",
-		iters, workers, len(snap.Spans), snap.DroppedSpans, snap.Categories())
-	keys := make([]string, 0, len(res.AlgSeconds))
-	for k := range res.AlgSeconds {
-		keys = append(keys, k)
+	var rows []ObservedRow
+	for k, v := range res.AlgSeconds {
+		rows = append(rows, ObservedRow{Algorithm: k, ClusterSec: v, SpanSec: perWorker[k]})
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Printf("  %-28s cluster %.6fs  spans %.6fs\n", k, res.AlgSeconds[k], perWorker[k])
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Algorithm < rows[j].Algorithm })
+	tb := &Table{
+		Title: fmt.Sprintf("Observed run: %d iterations, %d workers, %d spans (%d dropped); span sums reconcile with AlgSeconds within 1%%",
+			iters, cfg.Workers, len(snap.Spans), snap.DroppedSpans),
+		Headers: []string{"Algorithm", "Cluster s", "Spans s"},
 	}
-	fmt.Println("span sums reconcile with AlgSeconds within 1%")
+	for _, r := range rows {
+		tb.Rows = append(tb.Rows, []string{r.Algorithm, fmtF(r.ClusterSec, 6), fmtF(r.SpanSec, 6)})
+	}
+	return rows, tb, nil
+}
 
+// writeArtifacts writes an instrumented run's Chrome trace, after
+// validating it against the trace-event schema, to tracePath and its flat
+// metrics dump (JSON) to metricsPath; an empty path skips that artifact.
+func writeArtifacts(snap *obs.Snapshot, tracePath, metricsPath string) error {
 	if tracePath != "" {
 		var buf bytes.Buffer
 		if err := snap.WriteChromeTrace(&buf); err != nil {
@@ -112,19 +106,15 @@ func CaptureObserved(tracePath, metricsPath string, iters int) error {
 			return fmt.Errorf("emitted trace failed schema validation: %w", err)
 		}
 		if err := os.WriteFile(tracePath, buf.Bytes(), 0o644); err != nil {
-			return fmt.Errorf("writing trace: %w", err)
+			return err
 		}
-		fmt.Printf("wrote Chrome trace to %s (open in Perfetto or chrome://tracing)\n", tracePath)
 	}
 	if metricsPath != "" {
 		var buf bytes.Buffer
 		if err := snap.WriteMetricsJSON(&buf); err != nil {
 			return fmt.Errorf("rendering metrics: %w", err)
 		}
-		if err := os.WriteFile(metricsPath, buf.Bytes(), 0o644); err != nil {
-			return fmt.Errorf("writing metrics: %w", err)
-		}
-		fmt.Printf("wrote metrics dump to %s\n", metricsPath)
+		return os.WriteFile(metricsPath, buf.Bytes(), 0o644)
 	}
 	return nil
 }

@@ -4,18 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"strings"
 
 	"compso/internal/cluster"
 	"compso/internal/collective"
 	"compso/internal/compress"
 	"compso/internal/compso"
 	"compso/internal/gpusim"
-	"compso/internal/kfac"
 	"compso/internal/modelzoo"
-	"compso/internal/obs"
-	"compso/internal/opt"
-	"compso/internal/train"
 	"compso/internal/xrand"
 )
 
@@ -29,9 +24,9 @@ import (
 // all-gather rides under round r+1's precondition+compress compute. The
 // COMPSO blob sizes are measured, not assumed — each layer's synthetic
 // gradient is compressed for real and the blob scaled to the full layer.
-// The optional validation leg reruns the proxy K-FAC trainer with overlap
-// off and on and asserts the two answers are bit-identical while the
-// overlap gauge moves, which is what CI's overlap-smoke job checks.
+// That the trainer's two schedules give bit-identical answers while the
+// overlap gauge moves is internal/train's test contract
+// (TestOverlapBitIdentityMatrix, TestOverlapHidesCommunication).
 
 // overlapWorkers is the simulated GPU count the judge prices
 // collectives for.
@@ -63,37 +58,20 @@ type OverlapRow struct {
 	Win bool `json:"win"`
 }
 
-// OverlapValidation is the proxy-trainer leg: the same K-FAC+COMPSO run
-// with the scheduler off and on must produce bit-identical results while
-// the overlap gauge rises from exactly zero.
-type OverlapValidation struct {
-	Iters        int     `json:"iters"`
-	FinalLossOff float64 `json:"final_loss_off"`
-	FinalLossOn  float64 `json:"final_loss_on"`
-	BitIdentical bool    `json:"bit_identical"`
-	// GaugeOff and GaugeOn are the overlap/hidden_comm_fraction gauge
-	// values of the two runs.
-	GaugeOff float64 `json:"gauge_off"`
-	GaugeOn  float64 `json:"gauge_on"`
-}
-
 // OverlapReport is the full judge output.
 type OverlapReport struct {
-	Workers     int                `json:"workers"`
-	FusionBytes int                `json:"fusion_bytes"`
-	Rows        []OverlapRow       `json:"rows"`
-	Validation  *OverlapValidation `json:"validation,omitempty"`
+	Workers     int          `json:"workers"`
+	FusionBytes int          `json:"fusion_bytes"`
+	Rows        []OverlapRow `json:"rows"`
 }
 
-// OverlapJudge runs the judge. quick shrinks the per-layer gradient
-// samples and the validation budget for CI smoke runs; withValidation
-// adds the proxy-trainer bit-identity leg.
-func OverlapJudge(quick, withValidation bool) (*OverlapReport, *Table, error) {
+// OverlapJudge runs the judge and returns an error, beside the report,
+// when its acceptance bar fails. quick shrinks the per-layer gradient
+// samples for CI smoke runs.
+func OverlapJudge(quick bool) (*OverlapReport, *Table, error) {
 	maxElems := 1 << 18
-	iters := 10
 	if quick {
 		maxElems = 1 << 15
-		iters = 6
 	}
 	eng := cluster.EngineFor(cluster.Platform1(), overlapWorkers)
 	dev := gpusim.A100()
@@ -109,15 +87,7 @@ func OverlapJudge(quick, withValidation bool) (*OverlapReport, *Table, error) {
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
-
-	if withValidation {
-		v, err := overlapValidation(iters)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep.Validation = v
-	}
-	return rep, overlapTable(rep), nil
+	return rep, overlapTable(rep), rep.validate()
 }
 
 // judgeProfile prices one profile's K-FAC step under both schedules with
@@ -294,92 +264,6 @@ func fuseBytes(sizes []float64, limit float64) []float64 {
 	return out
 }
 
-// overlapValidation trains the K-FAC+COMPSO proxy twice — scheduler off,
-// then on — and checks the bit-identity contract plus the gauge movement
-// the simulated trainer should show.
-func overlapValidation(iters int) (*OverlapValidation, error) {
-	run := func(on bool) (*train.Result, float64, error) {
-		builder := func(rng *rand.Rand) *modelzoo.ProxyTask { return modelzoo.ProxyResNet(rng, 5) }
-		probe := builder(xrand.NewSeeded(0))
-		rec := obs.NewRecorder()
-		cfg := train.Config{
-			BuildTask: builder,
-			Workers:   4,
-			Platform:  cluster.Platform1(),
-			Iters:     iters,
-			Seed:      88,
-			Schedule:  &opt.StepLR{BaseLR: probe.BaseLR, Drops: []int{iters / 2}, Gamma: 0.1},
-			StatFreq:  1,
-			UseKFAC:   true,
-			KFAC:      kfac.DefaultConfig(),
-			NewCompressor: func(rank int) compress.Compressor {
-				return compso.NewCompressor(nil, rank, 88)
-			},
-			AggregationM: overlapAggregationM,
-			Obs:          rec,
-			Overlap:      on,
-		}
-		res, err := train.Run(cfg)
-		if err != nil {
-			return nil, 0, err
-		}
-		return res, res.Metrics.Gauges["overlap/hidden_comm_fraction"], nil
-	}
-	off, gOff, err := run(false)
-	if err != nil {
-		return nil, fmt.Errorf("overlap: validation off: %w", err)
-	}
-	on, gOn, err := run(true)
-	if err != nil {
-		return nil, fmt.Errorf("overlap: validation on: %w", err)
-	}
-	identical := off.FinalLoss == on.FinalLoss && off.FinalAcc == on.FinalAcc &&
-		len(off.Losses) == len(on.Losses)
-	for i := range off.Losses {
-		if !identical || off.Losses[i] != on.Losses[i] {
-			identical = false
-			break
-		}
-	}
-	return &OverlapValidation{
-		Iters:        iters,
-		FinalLossOff: off.FinalLoss,
-		FinalLossOn:  on.FinalLoss,
-		BitIdentical: identical,
-		GaugeOff:     gOff,
-		GaugeOn:      gOn,
-	}, nil
-}
-
-// runOverlapPerf appends the overlap judge's engine-predicted step times
-// to the bench-perf report as an "overlap" row group — two rows per
-// modelzoo profile (sequential and pipelined schedule), NsPerOp carrying
-// the predicted step nanoseconds so CI can diff schedules across PRs
-// with the same tooling it uses for wall-clock rows.
-func runOverlapPerf(quick bool, rep *PerfReport) error {
-	maxElems := 1 << 18
-	if quick {
-		maxElems = 1 << 15
-	}
-	eng := cluster.EngineFor(cluster.Platform1(), overlapWorkers)
-	dev := gpusim.A100()
-	cm := modelzoo.A100Compute()
-	rng := xrand.NewSeeded(8)
-	comp := compress.NewCOMPSO(8)
-	for _, prof := range modelzoo.All() {
-		row, err := judgeProfile(prof, eng, dev, cm, rng, comp, maxElems)
-		if err != nil {
-			return err
-		}
-		slug := strings.ToLower(strings.ReplaceAll(prof.Name, " ", "-"))
-		rep.Rows = append(rep.Rows,
-			PerfRow{Name: "overlap/" + slug + "/sequential", Group: "overlap", NsPerOp: row.SeqStepSec * 1e9},
-			PerfRow{Name: "overlap/" + slug + "/pipelined", Group: "overlap", NsPerOp: row.OverlapStepSec * 1e9},
-		)
-	}
-	return nil
-}
-
 // overlapTable renders the judge report.
 func overlapTable(rep *OverlapReport) *Table {
 	t := &Table{
@@ -402,12 +286,10 @@ func overlapTable(rep *OverlapReport) *Table {
 	return t
 }
 
-// Validate enforces the judge's acceptance bar: the pipelined schedule
-// must beat the sequential one on at least three of the four modelzoo
-// profiles with finite metrics, and when the validation leg ran, the two
-// trainer answers must be bit-identical with the gauge at exactly zero
-// sequentially and strictly positive overlapped.
-func (rep *OverlapReport) Validate() error {
+// validate is the judge's acceptance bar: the pipelined schedule must
+// beat the sequential one on at least three of the four modelzoo
+// profiles, with finite metrics everywhere.
+func (rep *OverlapReport) validate() error {
 	wins := 0
 	for _, r := range rep.Rows {
 		for _, v := range []float64{r.SeqStepSec, r.OverlapStepSec, r.Speedup} {
@@ -424,25 +306,6 @@ func (rep *OverlapReport) Validate() error {
 	}
 	if wins < 3 {
 		return fmt.Errorf("overlap: pipelined schedule wins on %d profiles, need >= 3", wins)
-	}
-	v := rep.Validation
-	if v == nil {
-		return nil
-	}
-	if !v.BitIdentical {
-		return fmt.Errorf("overlap: validation runs differ (off %.6f vs on %.6f)",
-			v.FinalLossOff, v.FinalLossOn)
-	}
-	for _, l := range []float64{v.FinalLossOff, v.FinalLossOn} {
-		if math.IsNaN(l) || math.IsInf(l, 0) {
-			return fmt.Errorf("overlap: non-finite validation loss")
-		}
-	}
-	if v.GaugeOff != 0 {
-		return fmt.Errorf("overlap: sequential gauge %g, want exactly 0", v.GaugeOff)
-	}
-	if v.GaugeOn <= 0 || v.GaugeOn > 1 {
-		return fmt.Errorf("overlap: overlapped gauge %g, want in (0, 1]", v.GaugeOn)
 	}
 	return nil
 }

@@ -7,15 +7,10 @@ import (
 
 // TestOverlapJudgeQuick: the overlap judge must produce finite rows for
 // every profile and clear the acceptance bar (the pipelined schedule
-// beats the sequential one on at least three profiles), and the
-// validation leg must confirm the trainer's bit-identity contract with
-// the gauge at zero sequentially and positive overlapped.
+// beats the sequential one on at least three profiles).
 func TestOverlapJudgeQuick(t *testing.T) {
-	rep, tbl, err := OverlapJudge(true, true)
+	rep, tbl, err := OverlapJudge(true)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Rows) != 4 {
@@ -39,16 +34,6 @@ func TestOverlapJudgeQuick(t *testing.T) {
 	}
 	if wins < 3 {
 		t.Fatalf("pipelined schedule wins on %d profiles, acceptance needs >= 3", wins)
-	}
-	v := rep.Validation
-	if v == nil {
-		t.Fatal("missing validation leg")
-	}
-	if !v.BitIdentical {
-		t.Fatalf("overlap on/off diverged: off %.6f vs on %.6f", v.FinalLossOff, v.FinalLossOn)
-	}
-	if v.GaugeOff != 0 || v.GaugeOn <= 0 {
-		t.Fatalf("gauges off=%g on=%g, want exactly 0 and > 0", v.GaugeOff, v.GaugeOn)
 	}
 	if !strings.Contains(tbl.String(), "BERT") {
 		t.Fatalf("table missing profiles:\n%s", tbl)

@@ -8,7 +8,7 @@
 //
 // The generator talks plain HTTP through a pluggable RoundTripper:
 // cmd/compso-serve's loadgen subcommand uses a real TCP transport, while the
-// smoke mode, tests and the perf harness drive the server's http.Handler
+// smoke mode and tests drive the server's http.Handler
 // in-process with HandlerTransport — no ports, no fd limits, which is what
 // makes the 1000-session CI run practical.
 package loadgen

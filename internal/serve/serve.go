@@ -143,7 +143,7 @@ func New(cfg Config) *Server {
 }
 
 // Handler returns the server's HTTP handler (also usable directly in-process
-// by the load generator and the perf harness — no TCP required).
+// by the load generator and the benchmark — no TCP required).
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Obs exposes the metrics recorder backing /metrics.

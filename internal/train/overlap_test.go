@@ -358,9 +358,9 @@ func TestOverlapDeterministicUnderCorruption(t *testing.T) {
 }
 
 // TestOverlapHidesCommunication: the point of the scheduler. The hidden-
-// communication gauge (1 − exposed/total collective time) must rise when
-// overlap is on, and the span-side phase decomposition must show busy time
-// recorded under the overlap phases.
+// communication gauge (1 − exposed/total collective time) must be exactly
+// zero sequentially and rise when overlap is on, and the span-side phase
+// decomposition must show busy time recorded under the overlap phases.
 func TestOverlapHidesCommunication(t *testing.T) {
 	run := func(overlap bool) (*Result, obs.Snapshot) {
 		cfg := baseConfig(10)
@@ -378,6 +378,9 @@ func TestOverlapHidesCommunication(t *testing.T) {
 	_, sOn := run(true)
 	gOff := sOff.Gauges["overlap/hidden_comm_fraction"]
 	gOn := sOn.Gauges["overlap/hidden_comm_fraction"]
+	if gOff != 0 {
+		t.Fatalf("sequential hidden-comm fraction %v, want exactly 0", gOff)
+	}
 	if gOn <= gOff {
 		t.Fatalf("overlap did not raise the hidden-comm fraction: on=%v off=%v", gOn, gOff)
 	}

@@ -1,11 +1,13 @@
 package train
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"compso/internal/cluster"
 	"compso/internal/des"
+	"compso/internal/obs"
 )
 
 func TestBuildCommProgramKFAC(t *testing.T) {
@@ -104,6 +106,55 @@ func TestBuildCommProgramElemScale(t *testing.T) {
 		if full[i].Kind == des.KindAllReduce && small[i].Elems >= full[i].Elems {
 			t.Fatalf("op %d: scaled elems %d not smaller than full %d", i, small[i].Elems, full[i].Elems)
 		}
+	}
+}
+
+// TestBuildCommProgramEngineIdentity replays the lowered K-FAC + COMPSO
+// program on both time engines and requires bit-identical per-rank time,
+// stats and AlgSeconds, schedule seconds and wire bytes. The golden matrix
+// in internal/des holds the engines together on hand-built programs; this
+// holds them together on the program BuildCommProgram really emits.
+func TestBuildCommProgramEngineIdentity(t *testing.T) {
+	cfg := CommSimConfig{Model: "ResNet-50", Compressor: "compso", Steps: 4, KFAC: true, Seed: 17,
+		// Reduced payloads: the goroutine engine moves real bytes, and
+		// identity only needs both engines replaying the same program.
+		ElemScale: 1.0 / 64}
+	for _, p := range []int{3, 8} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			prog, _, err := BuildCommProgram(cfg, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			platform := cluster.Platform1()
+			c := cluster.New(platform, p)
+			rec := obs.NewRecorder()
+			c.Observe(rec)
+			workers := des.RunOnCluster(c, prog)
+
+			w := des.NewWorld(platform, p)
+			defer w.Release()
+			des.RunOnWorld(w, prog)
+
+			for r := 0; r < p; r++ {
+				if got, want := w.TimeOf(r), workers[r].Time(); got != want {
+					t.Errorf("rank %d: time %v, goroutine engine %v", r, got, want)
+				}
+				if got, want := w.StatsOf(r), workers[r].Stats(); !reflect.DeepEqual(got, want) {
+					t.Errorf("rank %d: stats %v, goroutine engine %v", r, got, want)
+				}
+				if got, want := w.AlgSecondsOf(r), workers[r].AlgSeconds(); !reflect.DeepEqual(got, want) {
+					t.Errorf("rank %d: AlgSeconds %v, goroutine engine %v", r, got, want)
+				}
+			}
+			meas, pred := w.ScheduleSeconds()
+			refMeas, refPred := workers[0].ScheduleSeconds()
+			if meas != refMeas || pred != refPred {
+				t.Errorf("schedule seconds (%v, %v), goroutine engine (%v, %v)", meas, pred, refMeas, refPred)
+			}
+			if got, want := float64(w.WireBytes()), rec.Counter("wire/total/bytes").Value(); got != want {
+				t.Errorf("wire bytes %v, goroutine engine %v", got, want)
+			}
+		})
 	}
 }
 

@@ -165,10 +165,9 @@ func (c *compressorConfig) registryOptions() compress.Options {
 }
 
 // New builds a COMPSO compressor from functional options, resolving
-// through the family registry. With no options it matches
-// NewCompressor(0): filter+SR at the paper's default bounds (eb_f = eb_q =
-// 4e-3) with the ANS back-end and a deterministic stochastic-rounding
-// stream.
+// through the family registry. With no options it is the paper's default
+// configuration: filter+SR at eb_f = eb_q = 4e-3 with the ANS back-end
+// and a deterministic stochastic-rounding stream (seed 0).
 //
 // New always returns the concrete *COMPSO type; it panics when given
 // WithFamily for a different family or WithErrorFeedback (which would
@@ -194,8 +193,7 @@ func New(opts ...Option) *COMPSO {
 }
 
 // NewCompressorFor builds any registered compressor family by name from
-// functional options — the registry-backed replacement for the ad-hoc
-// NewQSGD/NewSZ/NewCocktailSGD constructors:
+// functional options:
 //
 //	c, err := compso.NewCompressorFor("powersgd",
 //		compso.WithRank(4), compso.WithSeed(7), compso.WithErrorFeedback())

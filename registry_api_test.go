@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"compso"
+	"compso/internal/compress"
 )
 
 func apiGrad(n int) []float32 {
@@ -18,7 +19,7 @@ func apiGrad(n int) []float32 {
 }
 
 // TestNewCompressorForBitIdentity: the public registry entry point must
-// match both the deprecated shims and direct construction, family by
+// match direct construction with the internal constructors, family by
 // family.
 func TestNewCompressorForBitIdentity(t *testing.T) {
 	src := apiGrad(900)
@@ -26,34 +27,34 @@ func TestNewCompressorForBitIdentity(t *testing.T) {
 		name   string
 		family string
 		opts   []compso.Option
-		legacy func() compso.Compressor
+		direct func() compso.Compressor
 		rounds int
 	}{
 		{"compso", "compso", []compso.Option{compso.WithSeed(9)},
-			func() compso.Compressor { return compso.NewCompressor(9) }, 3},
+			func() compso.Compressor { return compress.NewCOMPSO(9) }, 3},
 		{"qsgd", "qsgd", []compso.Option{compso.WithSeed(9), compso.WithBits(8)},
-			func() compso.Compressor { return compso.NewQSGD(8, 9) }, 3},
+			func() compso.Compressor { return compress.NewQSGD(8, 9) }, 3},
 		{"sz", "sz", []compso.Option{compso.WithRelErrorBound(4e-3)},
-			func() compso.Compressor { return compso.NewSZ(4e-3) }, 1},
+			func() compso.Compressor { return compress.NewSZ(4e-3) }, 1},
 		{"cocktail", "cocktail", []compso.Option{compso.WithSeed(9), compso.WithKeepFraction(0.2), compso.WithBits(8)},
-			func() compso.Compressor { return compso.NewCocktailSGD(0.2, 8, 9) }, 3},
+			func() compso.Compressor { return compress.NewCocktailSGD(0.2, 8, 9) }, 3},
 		{"powersgd", "powersgd", []compso.Option{compso.WithSeed(9), compso.WithRank(4)},
-			func() compso.Compressor { return compso.NewPowerSGD(4, 9) }, 3},
+			func() compso.Compressor { return compress.NewPowerSGD(4, 9) }, 3},
 	}
 	for _, tc := range cases {
 		reg, err := compso.NewCompressorFor(tc.family, tc.opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		legacy := tc.legacy()
+		direct := tc.direct()
 		for r := 0; r < tc.rounds; r++ {
 			rb, err1 := reg.Compress(src)
-			lb, err2 := legacy.Compress(src)
+			db, err2 := direct.Compress(src)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("%s round %d: %v %v", tc.name, r, err1, err2)
 			}
-			if !bytes.Equal(rb, lb) {
-				t.Fatalf("%s round %d: registry blob differs from legacy construction", tc.name, r)
+			if !bytes.Equal(rb, db) {
+				t.Fatalf("%s round %d: registry blob differs from direct construction", tc.name, r)
 			}
 		}
 	}
