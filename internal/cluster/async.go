@@ -15,14 +15,12 @@ import (
 //
 //   - Launch (AllReduceAsync / AllGatherAsync) performs the rendezvous and
 //     the engine scheduling immediately — every rank must reach the launch
-//     in identical program order. Launch never advances the worker's
-//     clock.
-//   - Wait does the time accounting (note, creditHidden, account) at the
-//     worker's *current* clock. A collective whose scheduled end the clock
-//     has already passed charges nothing: its latency was fully hidden
-//     behind the compute issued between launch and wait. Waited at the
-//     launch clock it charges the whole blocked interval and credits
-//     nothing as hidden. Wait is idempotent; every handle must be waited
+//     in identical program order — and books the collective's
+//     once-per-collective totals (Ledger.Launch). It never advances a clock.
+//   - Wait settles the worker's rank (Ledger.Wait) at its *current* clock.
+//     A collective whose scheduled end the clock has already passed charges
+//     nothing: its latency was hidden behind the compute issued between
+//     launch and wait. Wait is idempotent; every handle must be waited
 //     exactly once per rank, in any per-rank order.
 //   - With Cluster.SerializeWire enabled, collectives launched while
 //     earlier ones are still in flight queue on the simulated fabric
@@ -37,7 +35,6 @@ import (
 type PendingReduce struct {
 	w        *Worker
 	out      *collective.Outcome
-	tEnd     float64
 	launch   float64
 	category string
 	dst      []float64
@@ -53,18 +50,18 @@ type PendingReduce struct {
 func (w *Worker) AllReduceAsync(data []float64, category string) *PendingReduce {
 	w.enterCollective()
 	c := w.cluster
-	res, tEnd := c.rv.exchange(w.rank, w.simTime, data, func(slots []any, times []float64) ([]any, []float64) {
+	res, _ := c.rv.exchange(w.rank, w.Time(), data, func(slots []any, times []float64) ([]any, []float64) {
 		vecs := make([][]float64, len(slots))
 		for i, s := range slots {
 			vecs[i] = s.([]float64)
 		}
 		sum, out := c.engine.AllReduce(vecs, c.wireStarts(times))
-		c.advanceWire(out)
+		c.launch(w.led, out)
 		return sameForAll(c.p, collResult{data: sum, out: out}), out.Ends
 	})
 	cr := res.(collResult)
 	return &PendingReduce{
-		w: w, out: cr.out, tEnd: tEnd, launch: w.simTime, category: category,
+		w: w, out: cr.out, launch: w.Time(), category: category,
 		dst: data, sum: cr.data.([]float64),
 	}
 }
@@ -77,9 +74,7 @@ func (p *PendingReduce) Wait() {
 	}
 	p.done = true
 	copy(p.dst, p.sum)
-	p.w.note(p.out, p.tEnd, p.category)
-	p.w.creditHidden(p.tEnd, p.launch)
-	p.w.account(p.tEnd, p.category)
+	p.w.wait(p.out, p.launch, p.category)
 }
 
 // PendingGather is an all-gather in flight: launched, scheduled, but not
@@ -87,7 +82,6 @@ func (p *PendingReduce) Wait() {
 type PendingGather struct {
 	w        *Worker
 	out      *collective.Outcome
-	tEnd     float64
 	launch   float64
 	category string
 	data     [][]byte
@@ -102,18 +96,18 @@ func (w *Worker) AllGatherAsync(payload []byte, category string) *PendingGather 
 	w.enterCollective()
 	pool.AssertNotArena(payload, "AllGather payload")
 	c := w.cluster
-	res, tEnd := c.rv.exchange(w.rank, w.simTime, payload, func(slots []any, times []float64) ([]any, []float64) {
+	res, _ := c.rv.exchange(w.rank, w.Time(), payload, func(slots []any, times []float64) ([]any, []float64) {
 		payloads := make([][]byte, len(slots))
 		for i, s := range slots {
 			payloads[i], _ = s.([]byte)
 		}
 		data, out := c.engine.AllGather(payloads, c.wireStarts(times))
-		c.advanceWire(out)
+		c.launch(w.led, out)
 		return sameForAll(c.p, collResult{data: data, out: out}), out.Ends
 	})
 	cr := res.(collResult)
 	return &PendingGather{
-		w: w, out: cr.out, tEnd: tEnd, launch: w.simTime, category: category,
+		w: w, out: cr.out, launch: w.Time(), category: category,
 		data: cr.data.([][]byte),
 	}
 }
@@ -123,27 +117,7 @@ func (w *Worker) AllGatherAsync(payload []byte, category string) *PendingGather 
 func (p *PendingGather) Wait() [][]byte {
 	if !p.done {
 		p.done = true
-		p.w.note(p.out, p.tEnd, p.category)
-		p.w.creditHidden(p.tEnd, p.launch)
-		p.w.account(p.tEnd, p.category)
+		p.w.wait(p.out, p.launch, p.category)
 	}
 	return p.data
-}
-
-// creditHidden tops commFull up from the charged (exposed) interval to
-// the collective's full launch-to-end latency — the hidden share an async
-// wait never charges to the clock. Must run after note (which added the
-// exposed share) and before account (which advances the clock).
-func (w *Worker) creditHidden(tEnd, launch float64) {
-	full := tEnd - launch
-	if full < 0 {
-		full = 0
-	}
-	charged := tEnd - w.simTime
-	if charged < 0 {
-		charged = 0
-	}
-	if full > charged {
-		w.commFull += full - charged
-	}
 }

@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"compso/internal/collective"
@@ -36,27 +36,15 @@ type Cluster struct {
 	serializeWire bool
 	wireTail      float64
 
+	// tracing is the event-trace switch each Run's ledger starts with.
+	tracing bool
+
 	// incarnation is the restart attempt this cluster serves (crash
 	// recovery); downCh unblocks SendRecv waiters when a worker dies.
 	incarnation int
 	downOnce    sync.Once
 	downCh      chan struct{}
 }
-
-// traceCap bounds each worker's retained event trace (most recent events
-// win); the full per-collective trace still feeds per-algorithm stats.
-const traceCap = 4096
-
-// traceRings recycles worker event rings. Rings are allocated lazily — a
-// worker that never retains an event (tracing disabled, or a run with no
-// collectives) never owns one — and at exactly traceCap capacity, so an
-// 8k-worker world does not pay append-doubling overshoot on thousands of
-// rings. Pooled rings are cleared on put so evicted events do not pin
-// payload-sized strings across runs.
-var traceRings = sync.Pool{New: func() any {
-	s := make([]collective.Event, 0, traceCap)
-	return &s
-}}
 
 // New creates a cluster of p workers on the given platform. It panics on an
 // invalid configuration, which is a programming error in experiment setup.
@@ -123,24 +111,24 @@ func (c *Cluster) wireStarts(times []float64) []float64 {
 	}
 	eff := make([]float64, len(times))
 	for i, t := range times {
-		if t < c.wireTail {
-			t = c.wireTail
-		}
-		eff[i] = t
+		eff[i] = max(t, c.wireTail)
 	}
 	return eff
 }
 
-// advanceWire moves the wire cursor past a scheduled collective. Must be
-// called inside a rendezvous combine.
-func (c *Cluster) advanceWire(out *collective.Outcome) {
-	if !c.serializeWire {
-		return
-	}
-	if m := out.MaxEnd(); m > c.wireTail {
-		c.wireTail = m
+// launch books a scheduled collective on the run's ledger and moves the
+// wire cursor past it. Must be called inside a rendezvous combine.
+func (c *Cluster) launch(led *Ledger, out *collective.Outcome) {
+	led.Launch(out)
+	if c.serializeWire {
+		c.wireTail = max(c.wireTail, out.MaxEnd())
 	}
 }
+
+// SetTracing turns per-rank event-trace retention on or off for the runs
+// that follow — the switch des.World.SetTracing is too, off by default in
+// both engines. Traces are read through Worker.Ledger. Call before Run.
+func (c *Cluster) SetTracing(on bool) { c.tracing = on }
 
 // Observe attaches an observability recorder: every collective records a
 // per-rank span covering exactly the simulated time the rank was blocked
@@ -155,17 +143,18 @@ func (c *Cluster) Observe(rec *obs.Recorder) { c.rec = rec }
 func (c *Cluster) Recorder() *obs.Recorder { return c.rec }
 
 // Run executes fn on every worker concurrently and blocks until all
-// return. It returns the workers in rank order for post-run inspection
-// (simulated time, per-category stats, per-algorithm stats, event traces).
+// return. Each Run charges a fresh Ledger, every clock at zero, and
+// returns the workers in rank order; they keep reading that run's ledger
+// (simulated time, stats, traces) after Run returns.
 func (c *Cluster) Run(fn func(w *Worker)) []*Worker {
+	led := NewLedger(c.p, false)
+	led.SetTracing(c.tracing)
+	c.engine.SetEventRetention(c.tracing || c.rec.TransferSpans())
+	c.wireTail = 0
 	workers := make([]*Worker, c.p)
 	var wg sync.WaitGroup
-	for rank := 0; rank < c.p; rank++ {
-		workers[rank] = &Worker{
-			cluster: c, rank: rank,
-			stats:    make(map[string]float64),
-			algStats: make(map[string]float64),
-		}
+	for rank := range workers {
+		workers[rank] = &Worker{cluster: c, led: led, rank: rank}
 		wg.Add(1)
 		go func(w *Worker) {
 			defer wg.Done()
@@ -176,21 +165,12 @@ func (c *Cluster) Run(fn func(w *Worker)) []*Worker {
 	return workers
 }
 
-// Worker is one simulated GPU. Methods must be called only from the
-// goroutine Run assigned to it.
+// Worker is one simulated GPU: a rank of its Run's ledger. Methods must be
+// called only from the goroutine Run assigned to it.
 type Worker struct {
 	cluster *Cluster
+	led     *Ledger
 	rank    int
-	simTime float64
-	stats   map[string]float64
-	// algStats accumulates simulated seconds per "op/algorithm" key.
-	algStats map[string]float64
-	// trace is a ring buffer of the most recent collective events this
-	// worker participated in.
-	trace      []collective.Event
-	traceHead  int
-	evTotal    int64
-	traceIsOff bool
 	// spanCtx is the current parent span for spans this worker records
 	// (set by the training loop around steps and phases).
 	spanCtx obs.SpanID
@@ -200,18 +180,6 @@ type Worker struct {
 	// collSeq counts the step's collective entries (reset by SetStep) —
 	// the site index mid-collective crash injection keys on.
 	collSeq int
-	// measSchedule/predSchedule accumulate each executed collective's
-	// makespan and its fault-free cost-model prediction — the divergence
-	// signal the training loop's straggler guard watches.
-	measSchedule, predSchedule float64
-	// commExposed accumulates the seconds this worker actually spent
-	// blocked on collectives — the exposed (non-hidden) communication
-	// time. commFull accumulates each collective's full launch-to-end
-	// latency: blocking calls add the same amount to both, async waits
-	// add only the non-hidden remainder to commExposed. 1 − exposed/full
-	// is the overlap-efficiency gauge.
-	commExposed float64
-	commFull    float64
 }
 
 // Rank returns the worker's 0-based rank.
@@ -246,149 +214,55 @@ func (w *Worker) SetStep(it int) { w.step = it; w.collSeq = 0 }
 // Step returns the last step set by SetStep.
 func (w *Worker) Step() int { return w.step }
 
-// OverlapStats returns the seconds this worker spent blocked on
-// collectives (exposed communication) alongside the full launch-to-end
-// latency of every collective it participated in. For blocking calls the
-// two are equal; an async handle whose Wait the clock has already passed
-// contributes its full latency but zero exposure. Their ratio is the
-// overlap scheduler's efficiency signal: hidden fraction = 1 − exposed /
-// total, identically 0 for a fully sequential run. Read after Run, or
-// from the worker's own goroutine.
-func (w *Worker) OverlapStats() (exposed, total float64) {
-	return w.commExposed, w.commFull
-}
+// Ledger returns the ledger of the Run this worker belongs to: its event
+// trace, the run's merged stats, wire bytes and collective count.
+func (w *Worker) Ledger() *Ledger { return w.led }
 
-// ScheduleSeconds returns the worker's accumulated executed-collective
-// makespan seconds alongside the fault-free cost-model prediction for the
-// same schedule sequence. Under a healthy fabric the two track each other;
-// sustained divergence is the straggler guard's re-tune trigger.
-func (w *Worker) ScheduleSeconds() (measured, predicted float64) {
-	return w.measSchedule, w.predSchedule
-}
+// OverlapStats returns the worker's exposed and total collective seconds
+// (Ledger.OverlapOf).
+func (w *Worker) OverlapStats() (exposed, total float64) { return w.led.OverlapOf(w.rank) }
 
 // Time returns the worker's simulated clock in seconds.
-func (w *Worker) Time() float64 { return w.simTime }
+func (w *Worker) Time() float64 { return w.led.TimeOf(w.rank) }
 
-// Stats returns the accumulated per-category simulated seconds. The map is
-// live; read it only after Run returns.
-func (w *Worker) Stats() map[string]float64 { return w.stats }
+// Stats returns the worker's per-category simulated seconds (a fresh map).
+func (w *Worker) Stats() map[string]float64 { return w.led.StatsOf(w.rank) }
 
-// AlgSeconds returns the accumulated simulated seconds per collective
-// "op/algorithm" pair (e.g. "allgather/hierarchical"), the step-level
-// engine's time breakdown. Read only after Run returns.
-func (w *Worker) AlgSeconds() map[string]float64 { return w.algStats }
-
-// Events returns a copy of the worker's retained event trace in arrival
-// order (the most recent traceCap entries). Read only after Run returns.
-// The copy is what makes ReleaseTrace safe: recycling the ring never
-// invalidates a previously returned slice.
-func (w *Worker) Events() []collective.Event {
-	out := make([]collective.Event, 0, len(w.trace))
-	out = append(out, w.trace[w.traceHead:]...)
-	out = append(out, w.trace[:w.traceHead]...)
-	return out
-}
-
-// ReleaseTrace returns the worker's event ring to the shared pool and
-// resets the trace to empty. Call once the events are no longer needed
-// (slices previously returned by Events remain valid — they are copies).
-func (w *Worker) ReleaseTrace() {
-	if w.trace == nil {
-		return
-	}
-	ring := w.trace[:cap(w.trace)]
-	clear(ring)
-	ring = ring[:0]
-	traceRings.Put(&ring)
-	w.trace, w.traceHead = nil, 0
-}
-
-// ReleaseTraces recycles every worker's event ring (see ReleaseTrace).
-// The training loop calls it when a run's workers are dropped, so long
-// sweeps and crash-recovery restarts reuse rings instead of growing the
-// heap by O(P·traceCap).
-func ReleaseTraces(workers []*Worker) {
-	for _, w := range workers {
-		if w != nil {
-			w.ReleaseTrace()
-		}
-	}
-}
-
-// TotalEvents returns how many trace events the worker has seen (including
-// ones evicted from the ring buffer).
-func (w *Worker) TotalEvents() int64 { return w.evTotal }
-
-// DisableTrace stops event retention for this worker (per-algorithm stats
-// are still kept). Useful for very long training runs.
-func (w *Worker) DisableTrace() { w.traceIsOff = true }
+// AlgSeconds returns the worker's simulated seconds per collective
+// "op/algorithm" pair, the step-level engine's time breakdown.
+func (w *Worker) AlgSeconds() map[string]float64 { return w.led.AlgSecondsOf(w.rank) }
 
 // Compute advances the simulated clock by the given seconds under the
 // category label (e.g. "forward-backward", "kfac-compute", "compress").
 // An installed fault injector scales the charge by the worker's current
 // straggler factor (1 when unafflicted).
 func (w *Worker) Compute(seconds float64, category string) {
-	if seconds < 0 {
-		panic(fmt.Sprintf("cluster: negative compute time %g", seconds))
-	}
-	if f := w.cluster.faults; f != nil {
-		seconds *= f.ComputeFactor(w.rank, w.step)
-	}
-	w.simTime += seconds
-	w.stats[category] += seconds
+	w.led.ComputeRanks(w.rank, w.rank+1, func(int) float64 { return seconds }, w.cluster.faults, w.step, category)
 }
 
-// account charges a communication interval ending at tEnd to a category:
-// the worker was blocked from its local time until the collective finished.
-func (w *Worker) account(tEnd float64, category string) {
-	if tEnd > w.simTime {
-		w.stats[category] += tEnd - w.simTime
-		w.simTime = tEnd
-	}
-}
-
-// note records a collective outcome into the worker's per-algorithm stats,
-// the observability recorder, and the event trace. Must be called before
-// account advances the clock: the recorded span covers [w.simTime, tEnd],
-// exactly the interval account charges, so per-algorithm span sums
-// reconcile with AlgSeconds by construction.
-func (w *Worker) note(out *collective.Outcome, tEnd float64, category string) {
-	if out == nil {
-		return
-	}
-	w.measSchedule += out.MaxEnd() - out.Start
-	w.predSchedule += out.Predicted
-	if tEnd > w.simTime {
-		w.algStats[out.Op+"/"+out.Algorithm] += tEnd - w.simTime
-		w.commExposed += tEnd - w.simTime
-		w.commFull += tEnd - w.simTime
-	}
+// wait records the collective's span and settles this worker on it,
+// launched at the clock launch (the current one for a blocking call).
+func (w *Worker) wait(out *collective.Outcome, launch float64, category string) {
 	if rec := w.cluster.rec; rec != nil {
-		w.noteObs(rec, out, tEnd, category)
+		w.noteObs(rec, out, category)
 	}
-	if w.traceIsOff {
-		return
-	}
-	for _, ev := range out.EventsFor(w.rank) {
-		w.addEvent(ev)
-	}
+	w.led.Wait(w.rank, w.rank+1, out, []float64{launch}, category)
 }
 
 // noteObs records the collective into the observability layer: a per-rank
-// blocked-time span, once-per-collective wire-byte and autotuner-pick
-// counters (rank 0 only, so totals are not multiplied by P), and — with
-// transfer spans enabled — one link-occupancy span per scheduled transfer
-// (each event recorded by its source rank so it appears exactly once).
-func (w *Worker) noteObs(rec *obs.Recorder, out *collective.Outcome, tEnd float64, category string) {
-	end := tEnd
-	if end < w.simTime {
-		end = w.simTime
-	}
+// span over exactly the interval the wait charges (so per-algorithm span
+// sums reconcile with AlgSeconds), once-per-collective wire-byte and
+// autotuner-pick counters (rank 0 only, so totals are not multiplied by
+// P), and — with transfer spans enabled — one link-occupancy span per
+// scheduled transfer (each event recorded by its source rank so it appears
+// exactly once).
+func (w *Worker) noteObs(rec *obs.Recorder, out *collective.Outcome, category string) {
+	now := w.Time()
 	attrs := obs.NoAttrs
 	attrs.Algorithm = out.Algorithm
 	attrs.Label = category
 	attrs.BytesIn = int64(out.Bytes)
-	rec.Span(w.spanCtx, w.rank, obs.CatCollective, out.Op, w.simTime, end, attrs)
+	rec.Span(w.spanCtx, w.rank, obs.CatCollective, out.Op, now, max(out.Ends[w.rank], now), attrs)
 	if w.rank == 0 {
 		rec.Counter("collective/picks/" + out.Op + "/" + out.Algorithm).Inc()
 		rec.Counter("wire/" + category + "/bytes").Add(float64(out.Bytes))
@@ -416,19 +290,6 @@ func (w *Worker) noteObs(rec *obs.Recorder, out *collective.Outcome, tEnd float6
 		ta.BytesIn = int64(ev.Bytes)
 		rec.Span(0, src, obs.CatTransfer, ev.Op, ev.Start, ev.End, ta)
 	}
-}
-
-func (w *Worker) addEvent(ev collective.Event) {
-	w.evTotal++
-	if w.trace == nil {
-		w.trace = *traceRings.Get().(*[]collective.Event)
-	}
-	if len(w.trace) < traceCap {
-		w.trace = append(w.trace, ev)
-		return
-	}
-	w.trace[w.traceHead] = ev
-	w.traceHead = (w.traceHead + 1) % traceCap
 }
 
 // collResult carries a collective's data plus its shared outcome through
@@ -468,35 +329,32 @@ func (w *Worker) Broadcast(payload []byte, root int, category string) []byte {
 	w.enterCollective()
 	pool.AssertNotArena(payload, "Broadcast payload")
 	c := w.cluster
-	res, tEnd := c.rv.exchange(w.rank, w.simTime, payload, func(slots []any, times []float64) ([]any, []float64) {
+	res, _ := c.rv.exchange(w.rank, w.Time(), payload, func(slots []any, times []float64) ([]any, []float64) {
 		bufs := make([][]byte, len(slots))
 		for i, s := range slots {
 			bufs[i], _ = s.([]byte)
 		}
 		data, out := c.engine.Broadcast(bufs, root, c.wireStarts(times))
-		c.advanceWire(out)
+		c.launch(w.led, out)
 		return sameForAll(c.p, collResult{data: data, out: out}), out.Ends
 	})
 	cr := res.(collResult)
-	w.note(cr.out, tEnd, category)
-	w.account(tEnd, category)
+	w.wait(cr.out, w.Time(), category)
 	return cr.data.([]byte)
 }
 
 // ReduceScatter sums data element-wise across workers and returns this
-// worker's 1/P shard of the result (rank r receives elements
-// [r·n/P, (r+1)·n/P) of the sum, with the last rank absorbing the
-// remainder).
+// worker's collective.ShardRange shard of the result.
 func (w *Worker) ReduceScatter(data []float64, category string) []float64 {
 	w.enterCollective()
 	c := w.cluster
-	res, tEnd := c.rv.exchange(w.rank, w.simTime, data, func(slots []any, times []float64) ([]any, []float64) {
+	res, _ := c.rv.exchange(w.rank, w.Time(), data, func(slots []any, times []float64) ([]any, []float64) {
 		vecs := make([][]float64, len(slots))
 		for i, s := range slots {
 			vecs[i] = s.([]float64)
 		}
 		shards, out := c.engine.ReduceScatter(vecs, c.wireStarts(times))
-		c.advanceWire(out)
+		c.launch(w.led, out)
 		res := make([]any, c.p)
 		for r := range res {
 			res[r] = collResult{data: shards[r], out: out}
@@ -504,23 +362,17 @@ func (w *Worker) ReduceScatter(data []float64, category string) []float64 {
 		return res, out.Ends
 	})
 	cr := res.(collResult)
-	w.note(cr.out, tEnd, category)
-	w.account(tEnd, category)
+	w.wait(cr.out, w.Time(), category)
 	return cr.data.([]float64)
 }
 
 // Barrier synchronizes all workers' clocks to the maximum.
 func (w *Worker) Barrier() {
 	w.enterCollective()
-	_, tEnd := w.cluster.rv.exchange(w.rank, w.simTime, nil, func(_ []any, times []float64) ([]any, []float64) {
-		m := maxOf(times)
-		ends := make([]float64, len(times))
-		for i := range ends {
-			ends[i] = m
-		}
-		return make([]any, len(times)), ends
+	_, tEnd := w.cluster.rv.exchange(w.rank, w.Time(), nil, func(_ []any, times []float64) ([]any, []float64) {
+		return make([]any, len(times)), slices.Repeat([]float64{slices.Max(times)}, len(times))
 	})
-	w.account(tEnd, "barrier")
+	w.led.BarrierRanks(w.rank, w.rank+1, tEnd)
 }
 
 // pairKey identifies a SendRecv meeting point (unordered rank pair).
@@ -561,21 +413,14 @@ func (w *Worker) SendRecv(peer int, payload []byte, category string) []byte {
 		// Second arriver: compute the transfer and release the partner.
 		delete(c.pairs, k)
 		c.pairMu.Unlock()
-		bytes := len(payload)
-		if len(st.payload) > bytes {
-			bytes = len(st.payload)
-		}
-		start := w.simTime
-		if st.t > start {
-			start = st.t
-		}
+		bytes := max(len(payload), len(st.payload))
+		start := max(w.Time(), st.t)
 		tEnd := start + c.engine.P2PTime(w.rank, peer, bytes, start)
 		st.reply <- pairReply{payload: payload, tEnd: tEnd}
-		w.noteP2P(peer, bytes, start, tEnd)
-		w.account(tEnd, category)
+		w.exchanged(peer, bytes, start, tEnd, category)
 		return st.payload
 	}
-	st := &pairSlot{payload: payload, t: w.simTime, reply: make(chan pairReply, 1)}
+	st := &pairSlot{payload: payload, t: w.Time(), reply: make(chan pairReply, 1)}
 	c.pairs[k] = st
 	c.pairMu.Unlock()
 	var rep pairReply
@@ -593,77 +438,30 @@ func (w *Worker) SendRecv(peer int, payload []byte, category string) []byte {
 			panic(p)
 		}
 	}
-	w.noteP2P(peer, max(len(payload), len(rep.payload)), w.simTime, rep.tEnd)
-	w.account(rep.tEnd, category)
+	w.exchanged(peer, max(len(payload), len(rep.payload)), w.Time(), rep.tEnd, category)
 	return rep.payload
 }
 
-func (w *Worker) noteP2P(peer, bytes int, start, tEnd float64) {
-	if tEnd > w.simTime {
-		w.algStats[collective.OpSendRecv+"/p2p"] += tEnd - w.simTime
-	}
+// exchanged records a point-to-point transfer's span and settles this
+// worker on it.
+func (w *Worker) exchanged(peer, bytes int, start, tEnd float64, category string) {
 	if rec := w.cluster.rec; rec != nil {
-		// Cover exactly the interval account() charges so p2p span sums
+		// Cover exactly the interval the ledger charges so p2p span sums
 		// reconcile with AlgSeconds.
-		end := tEnd
-		if end < w.simTime {
-			end = w.simTime
-		}
 		a := obs.NoAttrs
 		a.Algorithm = "p2p"
 		a.Peer = peer
 		a.BytesIn = int64(bytes)
-		rec.Span(w.spanCtx, w.rank, obs.CatCollective, collective.OpSendRecv, w.simTime, end, a)
-	}
-	if w.traceIsOff {
-		return
+		now := w.Time()
+		rec.Span(w.spanCtx, w.rank, obs.CatCollective, collective.OpSendRecv, now, max(tEnd, now), a)
 	}
 	link := collective.LinkInter
 	if w.cluster.engine.Topology().SameNode(w.rank, peer) {
 		link = collective.LinkIntra
 	}
-	w.addEvent(collective.Event{
+	w.led.Exchange(w.rank, collective.Event{
 		Op: collective.OpSendRecv, Algorithm: "p2p",
 		Src: w.rank, Dst: peer, Link: link, Bytes: bytes,
 		Start: start, End: tEnd,
-	})
-}
-
-func maxOf(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// MergeStats sums per-category stats across workers and returns them with
-// the sorted category list, for experiment reporting.
-func MergeStats(workers []*Worker) (map[string]float64, []string) {
-	merged := make(map[string]float64)
-	for _, w := range workers {
-		for k, v := range w.stats {
-			merged[k] += v
-		}
-	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return merged, keys
-}
-
-// MergeAlgStats sums per-"op/algorithm" simulated seconds across workers —
-// the per-algorithm communication breakdown the experiments report.
-func MergeAlgStats(workers []*Worker) map[string]float64 {
-	merged := make(map[string]float64)
-	for _, w := range workers {
-		for k, v := range w.algStats {
-			merged[k] += v
-		}
-	}
-	return merged
+	}, category)
 }

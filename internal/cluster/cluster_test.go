@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -195,12 +196,56 @@ func TestMergeStats(t *testing.T) {
 		w.Compute(1, "a")
 		w.Compute(2, "b")
 	})
-	merged, keys := MergeStats(workers)
-	if merged["a"] != 2 || merged["b"] != 4 {
+	merged, algs := workers[0].Ledger().Merged()
+	if len(merged) != 2 || merged["a"] != 2 || merged["b"] != 4 {
 		t.Fatalf("merged = %v", merged)
 	}
-	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
-		t.Fatalf("keys = %v", keys)
+	if len(algs) != 0 {
+		t.Fatalf("merged algorithm seconds %v without a collective", algs)
+	}
+}
+
+// TestRepeatedRunStartsFromZero: every Run charges a fresh ledger, so two
+// Runs of one program on one cluster (forced policy, so the autotuner has
+// nothing to learn between them) see the same clocks and stats, and the
+// first Run's workers still read their own values afterwards.
+func TestRepeatedRunStartsFromZero(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Collective = "ring"
+	c := New(cfg, 4)
+	run := func() []*Worker {
+		return c.Run(func(w *Worker) {
+			if w.Time() != 0 || len(w.Stats()) != 0 || len(w.AlgSeconds()) != 0 {
+				panic(fmt.Sprintf("rank %d starts at %v with stats %v", w.Rank(), w.Time(), w.Stats()))
+			}
+			w.Compute(1e-3*float64(w.Rank()+1), "work")
+			w.AllReduce(make([]float64, 512), "ar")
+			w.AllGather(make([]byte, 100*(w.Rank()+1)), "ag")
+		})
+	}
+	first := run()
+	want := make([]float64, len(first))
+	for r, w := range first {
+		want[r] = w.Time()
+	}
+	second := run()
+	for r := range first {
+		if first[r].Time() != want[r] {
+			t.Fatalf("rank %d: first run's clock moved %v -> %v", r, want[r], first[r].Time())
+		}
+		if first[r].Time() != second[r].Time() {
+			t.Fatalf("rank %d: runs end at %v and %v", r, first[r].Time(), second[r].Time())
+		}
+		if a, b := first[r].Stats(), second[r].Stats(); !maps.Equal(a, b) {
+			t.Fatalf("rank %d: stats %v then %v", r, a, b)
+		}
+		if a, b := first[r].AlgSeconds(), second[r].AlgSeconds(); !maps.Equal(a, b) {
+			t.Fatalf("rank %d: AlgSeconds %v then %v", r, a, b)
+		}
+	}
+	if first[0].Ledger().Collectives() != 2 || second[0].Ledger().Collectives() != 2 {
+		t.Fatalf("collectives %d then %d, want 2 each",
+			first[0].Ledger().Collectives(), second[0].Ledger().Collectives())
 	}
 }
 
@@ -280,6 +325,7 @@ func TestRendezvousStressMixedCollectives(t *testing.T) {
 	const p = 8
 	const rounds = 60
 	c := New(tinyConfig(), p)
+	c.SetTracing(true) // every rank writes its own trace ring concurrently too
 	type roundData struct {
 		sum     float64
 		gather  string
@@ -418,10 +464,12 @@ func TestSendRecvExchangesAndCharges(t *testing.T) {
 
 func TestAlgStatsAndEventTrace(t *testing.T) {
 	c := New(tinyConfig(), 4)
+	c.SetTracing(true)
 	workers := c.Run(func(w *Worker) {
 		w.AllReduce(make([]float64, 256), "ar")
 		w.AllGather(make([]byte, 128), "ag")
 	})
+	led := workers[0].Ledger()
 	for _, w := range workers {
 		if len(w.AlgSeconds()) == 0 {
 			t.Fatalf("rank %d: no per-algorithm stats", w.Rank())
@@ -431,18 +479,18 @@ func TestAlgStatsAndEventTrace(t *testing.T) {
 				t.Fatalf("rank %d: negative alg time %s=%g", w.Rank(), k, v)
 			}
 		}
-		if len(w.Events()) == 0 || w.TotalEvents() == 0 {
+		events := led.EventsOf(w.Rank())
+		if len(events) == 0 || led.TotalEventsOf(w.Rank()) == 0 {
 			t.Fatalf("rank %d: no event trace", w.Rank())
 		}
-		for _, ev := range w.Events() {
+		for _, ev := range events {
 			if ev.Src != w.Rank() && ev.Dst != w.Rank() && ev.Src >= 0 {
 				t.Fatalf("rank %d trace holds foreign event %+v", w.Rank(), ev)
 			}
 		}
 	}
-	merged := MergeAlgStats(workers)
-	if len(merged) == 0 {
-		t.Fatal("MergeAlgStats empty")
+	if _, merged := led.Merged(); len(merged) == 0 {
+		t.Fatal("merged algorithm seconds empty")
 	}
 }
 
@@ -512,8 +560,5 @@ func benchRendezvous(b *testing.B, p int, fn func(w *Worker, rounds int)) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	c := New(cfg, p)
-	c.Run(func(w *Worker) {
-		w.DisableTrace()
-		fn(w, b.N)
-	})
+	c.Run(func(w *Worker) { fn(w, b.N) })
 }

@@ -140,9 +140,10 @@ func (e *Engine) SetPerturber(p LinkPerturber) {
 }
 
 // SetEventRetention enables or disables per-transfer event retention in
-// executed schedules (on by default). Mega-scale discrete-event runs turn
-// it off: a flat ring at P=8192 schedules ~67M transfers per collective,
-// and retaining them would dominate memory for traces nobody reads.
+// executed schedules (on by default). Both time engines turn it off unless
+// their trace switch (or a recorder's transfer spans) wants the events: a
+// flat ring at P=8192 schedules ~67M transfers per collective, and
+// retaining them would dominate memory for traces nobody reads.
 // Timing is bit-identical either way — events only record, never steer.
 // Call before the engine starts executing collectives.
 func (e *Engine) SetEventRetention(on bool) { e.dropEvents = !on }
@@ -456,20 +457,27 @@ func (e *Engine) AllReduce(vecs [][]float64, starts []float64) ([]float64, *Outc
 	return sum, out
 }
 
-// ReduceScatter sums the per-rank vectors and splits the result into
-// contiguous shards: rank r receives elements [r·n/P, (r+1)·n/P), with the
-// last rank absorbing the remainder.
+// ShardRange returns rank r's elements [lo, hi) of an n-element
+// reduce-scatter over p ranks: contiguous n/p-element shards, the last rank
+// absorbing the remainder.
+func ShardRange(n, p, r int) (lo, hi int) {
+	shard := n / p
+	lo, hi = r*shard, (r+1)*shard
+	if r == p-1 {
+		hi = n
+	}
+	return lo, hi
+}
+
+// ReduceScatter sums the per-rank vectors and splits the result into the
+// ShardRange shards.
 func (e *Engine) ReduceScatter(vecs [][]float64, starts []float64) ([][]float64, *Outcome) {
 	sum := e.rankOrderSum(vecs, OpReduceScatter)
 	p := e.topo.P
-	shard := len(sum) / p
 	sizes := make([]int, p)
 	shards := make([][]float64, p)
 	for r := 0; r < p; r++ {
-		lo, hi := r*shard, (r+1)*shard
-		if r == p-1 {
-			hi = len(sum)
-		}
+		lo, hi := ShardRange(len(sum), p, r)
 		shards[r] = sum[lo:hi]
 		sizes[r] = 4 * (hi - lo)
 	}

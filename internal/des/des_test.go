@@ -136,7 +136,6 @@ func TestProgramValidation(t *testing.T) {
 // P=256 for the leaders' rings to evict, and an analytic world covers the
 // summary event every rank sees.
 func TestWorldTracingMatchesEventsFor(t *testing.T) {
-	const ringCap = 4096 // the World's per-rank ring, mirroring the goroutine engine
 	for _, tc := range []struct {
 		policy  string
 		p, reps int
@@ -173,8 +172,8 @@ func TestWorldTracingMatchesEventsFor(t *testing.T) {
 				t.Fatalf("%s rank %d: TotalEventsOf = %d, EventsFor reference %d", tc.policy, r, got, len(want[r]))
 			}
 			tail := want[r]
-			if len(tail) > ringCap {
-				tail, evicted = tail[len(tail)-ringCap:], true
+			if len(tail) > cluster.TraceCap {
+				tail, evicted = tail[len(tail)-cluster.TraceCap:], true
 			}
 			got := w.EventsOf(r)
 			if len(got) != len(tail) {

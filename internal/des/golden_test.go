@@ -78,10 +78,13 @@ func injectorFor(t *testing.T, plan *fault.Plan) *fault.Injector {
 
 // TestGoldenBitIdentity is the golden contract of the discrete-event
 // engine: for every world size (including non-power-of-two), collective
-// policy, and fault plan in the matrix, a World must reproduce the
-// goroutine engine's results bit-for-bit — per-rank simulated times,
-// per-category stats, per-algorithm attribution, event traces, schedule
-// seconds, and wire bytes.
+// policy, fault plan and goroutine-side trace switch in the matrix, a
+// traced World must reproduce the goroutine engine's results bit-for-bit —
+// per-rank simulated times, per-category stats, per-algorithm attribution,
+// schedule seconds, wire bytes and collective count, and with the
+// goroutine side traced, its event traces. The untraced cells pin that
+// events only record and never steer: the goroutine engine then retains
+// none, and every number still matches.
 func TestGoldenBitIdentity(t *testing.T) {
 	worlds := []int{2, 3, 5, 8, 16}
 	policies := []string{"auto", collective.AlgRing, collective.AlgRecursiveDoubling,
@@ -89,51 +92,71 @@ func TestGoldenBitIdentity(t *testing.T) {
 	for _, p := range worlds {
 		for _, policy := range policies {
 			for planName, plan := range goldenFaultPlans(p) {
-				t.Run(fmt.Sprintf("p=%d/%s/%s", p, policy, planName), func(t *testing.T) {
-					t.Parallel()
-					cfg := cluster.Platform1()
-					cfg.Collective = policy
-					prog := goldenProgram(p)
-
-					// Goroutine reference engine, with a recorder so the
-					// canonical wire-byte counter is comparable.
-					c := cluster.New(cfg, p)
-					c.InjectFaults(injectorFor(t, plan))
-					rec := obs.NewRecorder()
-					c.Observe(rec)
-					workers := des.RunOnCluster(c, prog)
-
-					// Discrete-event engine.
-					w := des.NewWorld(cfg, p)
-					defer w.Release()
-					w.SetTracing(true)
-					w.InjectFaults(injectorFor(t, plan))
-					des.RunOnWorld(w, prog)
-
-					for r := 0; r < p; r++ {
-						ref := workers[r]
-						if got, want := w.TimeOf(r), ref.Time(); got != want {
-							t.Errorf("rank %d: Time = %v, goroutine engine %v", r, got, want)
-						}
-						compareMaps(t, fmt.Sprintf("rank %d stats", r), w.StatsOf(r), ref.Stats())
-						compareMaps(t, fmt.Sprintf("rank %d algseconds", r), w.AlgSecondsOf(r), ref.AlgSeconds())
-						if got, want := w.TotalEventsOf(r), ref.TotalEvents(); got != want {
-							t.Errorf("rank %d: TotalEvents = %d, goroutine engine %d", r, got, want)
-						}
-						compareEvents(t, r, w.EventsOf(r), ref.Events())
+				for _, traced := range []bool{true, false} {
+					name := fmt.Sprintf("p=%d/%s/%s", p, policy, planName)
+					if !traced {
+						name += "/untraced"
 					}
-					meas, pred := w.ScheduleSeconds()
-					refMeas, refPred := workers[0].ScheduleSeconds()
-					if meas != refMeas || pred != refPred {
-						t.Errorf("ScheduleSeconds = (%v, %v), goroutine engine (%v, %v)",
-							meas, pred, refMeas, refPred)
-					}
-					if got, want := float64(w.WireBytes()), rec.Counter("wire/total/bytes").Value(); got != want {
-						t.Errorf("WireBytes = %v, goroutine engine counter %v", got, want)
-					}
-				})
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						goldenCell(t, p, policy, plan, traced)
+					})
+				}
 			}
 		}
+	}
+}
+
+func goldenCell(t *testing.T, p int, policy string, plan *fault.Plan, traced bool) {
+	cfg := cluster.Platform1()
+	cfg.Collective = policy
+	prog := goldenProgram(p)
+
+	// Goroutine reference engine, with a recorder so the canonical
+	// wire-byte counter is comparable.
+	c := cluster.New(cfg, p)
+	c.SetTracing(traced)
+	c.InjectFaults(injectorFor(t, plan))
+	rec := obs.NewRecorder()
+	c.Observe(rec)
+	workers := des.RunOnCluster(c, prog)
+	ref := workers[0].Ledger()
+
+	// Discrete-event engine.
+	w := des.NewWorld(cfg, p)
+	defer w.Release()
+	w.SetTracing(true)
+	w.InjectFaults(injectorFor(t, plan))
+	des.RunOnWorld(w, prog)
+
+	for r := 0; r < p; r++ {
+		if got, want := w.TimeOf(r), workers[r].Time(); got != want {
+			t.Errorf("rank %d: Time = %v, goroutine engine %v", r, got, want)
+		}
+		compareMaps(t, fmt.Sprintf("rank %d stats", r), w.StatsOf(r), workers[r].Stats())
+		compareMaps(t, fmt.Sprintf("rank %d algseconds", r), w.AlgSecondsOf(r), workers[r].AlgSeconds())
+		if !traced {
+			if n := ref.TotalEventsOf(r); n != 0 {
+				t.Errorf("rank %d: untraced goroutine engine retained %d events", r, n)
+			}
+			continue
+		}
+		if got, want := w.TotalEventsOf(r), ref.TotalEventsOf(r); got != want {
+			t.Errorf("rank %d: TotalEvents = %d, goroutine engine %d", r, got, want)
+		}
+		compareEvents(t, r, w.EventsOf(r), ref.EventsOf(r))
+	}
+	meas, pred := w.ScheduleSeconds()
+	refMeas, refPred := ref.ScheduleSeconds()
+	if meas != refMeas || pred != refPred {
+		t.Errorf("ScheduleSeconds = (%v, %v), goroutine engine (%v, %v)", meas, pred, refMeas, refPred)
+	}
+	if w.WireBytes() != ref.WireBytes() || w.Collectives() != ref.Collectives() {
+		t.Errorf("WireBytes, Collectives = %d, %d; goroutine engine %d, %d",
+			w.WireBytes(), w.Collectives(), ref.WireBytes(), ref.Collectives())
+	}
+	if got, want := float64(w.WireBytes()), rec.Counter("wire/total/bytes").Value(); got != want {
+		t.Errorf("WireBytes = %v, goroutine engine counter %v", got, want)
 	}
 }
 

@@ -61,7 +61,7 @@ func (fc *faultCtx) guardStep(it int) {
 	if fc == nil || fc.guard.Ratio <= 0 || fc.w.Rank() != 0 {
 		return
 	}
-	meas, pred := fc.w.ScheduleSeconds()
+	meas, pred := fc.w.Ledger().ScheduleSeconds()
 	dm, dp := meas-fc.lastMeas, pred-fc.lastPred
 	fc.lastMeas, fc.lastPred = meas, pred
 	if dp <= 0 || dm <= fc.guard.Ratio*dp {

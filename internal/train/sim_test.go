@@ -147,7 +147,7 @@ func TestBuildCommProgramEngineIdentity(t *testing.T) {
 				}
 			}
 			meas, pred := w.ScheduleSeconds()
-			refMeas, refPred := workers[0].ScheduleSeconds()
+			refMeas, refPred := workers[0].Ledger().ScheduleSeconds()
 			if meas != refMeas || pred != refPred {
 				t.Errorf("schedule seconds (%v, %v), goroutine engine (%v, %v)", meas, pred, refMeas, refPred)
 			}

@@ -216,18 +216,16 @@ func Run(c Config) (*Result, error) {
 				return nil, err
 			}
 		}
-		result, workers, err := runAttempt(cfg, attempt, start, coord, tally)
-		merged, _ := cluster.MergeStats(workers)
-		for k, v := range merged {
-			commAccum[k] += v
+		result, led, err := runAttempt(cfg, attempt, start, coord, tally)
+		if led != nil {
+			stats, algs := led.Merged()
+			for k, v := range stats {
+				commAccum[k] += v
+			}
+			for k, v := range algs {
+				algAccum[k] += v
+			}
 		}
-		for k, v := range cluster.MergeAlgStats(workers) {
-			algAccum[k] += v
-		}
-		// The training loop never reads the per-worker event rings; recycle
-		// them so repeated runs and crash-recovery restarts reuse the same
-		// pooled rings instead of holding O(P·traceCap) events per attempt.
-		cluster.ReleaseTraces(workers)
 		if err == nil {
 			for k, v := range commAccum {
 				result.CommSeconds[k] = v / float64(cfg.Workers)
@@ -273,11 +271,11 @@ func Run(c Config) (*Result, error) {
 }
 
 // runAttempt executes one incarnation of the run on a fresh cluster,
-// optionally restored from a checkpoint. It returns the workers for stats
-// merging even on error; a *cluster.WorkerLost error (and only that) marks
-// the attempt as recoverable.
+// optionally restored from a checkpoint. It returns the run's ledger for
+// stats merging even on error; a *cluster.WorkerLost error (and only that)
+// marks the attempt as recoverable.
 func runAttempt(cfg Config, attempt int, start *ckpt.Checkpoint, coord *ckptCoord,
-	tally map[string]int64) (*Result, []*cluster.Worker, error) {
+	tally map[string]int64) (*Result, *cluster.Ledger, error) {
 
 	inj, err := fault.NewInjector(cfg.Fault)
 	if err != nil {
@@ -307,11 +305,11 @@ func runAttempt(cfg Config, attempt int, start *ckpt.Checkpoint, coord *ckptCoor
 	crs := make([]crAccum, cfg.Workers)
 	errs := make([]error, cfg.Workers)
 
-	workers := cl.Run(func(w *cluster.Worker) {
+	led := cl.Run(func(w *cluster.Worker) {
 		if err := runWorker(w, cfg, result, &mu, &crs[w.Rank()], start, coord, tally); err != nil {
 			errs[w.Rank()] = fmt.Errorf("rank %d: %w", w.Rank(), err)
 		}
-	})
+	})[0].Ledger()
 	// A genuine error outranks the worker-loss unwinds it may have caused
 	// on the other ranks; among pure losses any one identifies the crash.
 	var lostErr error
@@ -325,11 +323,11 @@ func runAttempt(cfg Config, attempt int, start *ckpt.Checkpoint, coord *ckptCoor
 				lostErr = e
 			}
 		} else {
-			return nil, workers, e
+			return nil, led, e
 		}
 	}
 	if lostErr != nil {
-		return nil, workers, lostErr
+		return nil, led, lostErr
 	}
 	var crSum float64
 	var crCount int
@@ -340,7 +338,7 @@ func runAttempt(cfg Config, attempt int, start *ckpt.Checkpoint, coord *ckptCoor
 	if crCount > 0 {
 		result.MeanCR = crSum / float64(crCount)
 	}
-	return result, workers, nil
+	return result, led, nil
 }
 
 // runWorker is the SPMD body. A worker-crash unwind (the victim's
