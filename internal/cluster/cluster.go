@@ -27,14 +27,11 @@ type Cluster struct {
 	pairMu sync.Mutex
 	pairs  map[pairKey]*pairSlot
 
-	// serializeWire queues engine-scheduled collectives on a single wire
-	// cursor (wireTail), so collectives launched back-to-back without
+	// serializeWire queues engine-scheduled collectives on the run
+	// ledger's wire cursor, so collectives launched back-to-back without
 	// blocking (the async handles) occupy the fabric one after another
 	// instead of each being scheduled as if it had the links to itself.
-	// Both fields are only touched inside rendezvous combines, which run
-	// single-threaded with every rank blocked.
 	serializeWire bool
-	wireTail      float64
 
 	// tracing is the event-trace switch each Run's ledger starts with.
 	tracing bool
@@ -92,38 +89,13 @@ func (c *Cluster) InjectFaults(inj *fault.Injector) {
 // Faults returns the installed fault injector (nil when fault-free).
 func (c *Cluster) Faults() *fault.Injector { return c.faults }
 
-// SerializeWire enables (or disables) wire serialization for the async
-// collective handles: each engine-scheduled collective starts no earlier
-// than the previous one's makespan end. For a purely blocking workload the
-// clamp changes nothing at the schedule level — every rank leaves a
-// collective at or after its own end, so the next collective's last
-// arrival is never before the previous makespan — but per-rank early
-// finishers can arrive under the cursor, so the mode is off by default and
-// only the overlap scheduler turns it on. Call before Run.
+// SerializeWire enables (or disables) wire serialization: each
+// engine-scheduled collective starts no earlier than the run ledger's wire
+// cursor, the latest end of those launched before it. Per-rank early
+// finishers of a blocking collective can arrive under the cursor, so the
+// mode is off by default; the overlap scheduler and programs that launch
+// turn it on. Call before Run.
 func (c *Cluster) SerializeWire(on bool) { c.serializeWire = on }
-
-// wireStarts returns each rank's effective start time for the next
-// engine-scheduled collective, clamped to the wire cursor when
-// serialization is on. Must be called inside a rendezvous combine.
-func (c *Cluster) wireStarts(times []float64) []float64 {
-	if !c.serializeWire {
-		return times
-	}
-	eff := make([]float64, len(times))
-	for i, t := range times {
-		eff[i] = max(t, c.wireTail)
-	}
-	return eff
-}
-
-// launch books a scheduled collective on the run's ledger and moves the
-// wire cursor past it. Must be called inside a rendezvous combine.
-func (c *Cluster) launch(led *Ledger, out *collective.Outcome) {
-	led.Launch(out)
-	if c.serializeWire {
-		c.wireTail = max(c.wireTail, out.MaxEnd())
-	}
-}
 
 // SetTracing turns per-rank event-trace retention on or off for the runs
 // that follow — the switch des.World.SetTracing is too, off by default in
@@ -150,7 +122,6 @@ func (c *Cluster) Run(fn func(w *Worker)) []*Worker {
 	led := NewLedger(c.p, false)
 	led.SetTracing(c.tracing)
 	c.engine.SetEventRetention(c.tracing || c.rec.TransferSpans())
-	c.wireTail = 0
 	workers := make([]*Worker, c.p)
 	var wg sync.WaitGroup
 	for rank := range workers {
@@ -237,7 +208,7 @@ func (w *Worker) AlgSeconds() map[string]float64 { return w.led.AlgSecondsOf(w.r
 // An installed fault injector scales the charge by the worker's current
 // straggler factor (1 when unafflicted).
 func (w *Worker) Compute(seconds float64, category string) {
-	w.led.ComputeRanks(w.rank, w.rank+1, func(int) float64 { return seconds }, w.cluster.faults, w.step, category)
+	w.led.ComputeRanks(w.rank, w.rank+1, seconds, nil, w.cluster.faults, w.step, category)
 }
 
 // wait records the collective's span and settles this worker on it,
@@ -292,20 +263,39 @@ func (w *Worker) noteObs(rec *obs.Recorder, out *collective.Outcome, category st
 	}
 }
 
-// collResult carries a collective's data plus its shared outcome through
-// the rendezvous to each rank.
-type collResult struct {
-	data any
-	out  *collective.Outcome
+// launch is the half every collective shares. It enters the collective
+// (crash injection), rendezvouses this rank's payload with every rank's,
+// and in the combine — every rank blocked — runs exec on the payloads from
+// the arrival clocks (clamped to the wire cursor when serialized), books
+// the outcome on the run's ledger, and hands each rank its result.
+func launch[T, R any](w *Worker, payload T, exec func(in []T, starts []float64) ([]R, *collective.Outcome)) (R, *collective.Outcome) {
+	w.enterCollective()
+	c := w.cluster
+	res, _ := c.rv.exchange(w.rank, w.Time(), payload, func(slots []any, times []float64) ([]any, []float64) {
+		in := make([]T, len(slots))
+		for i, s := range slots {
+			in[i], _ = s.(T)
+		}
+		if c.serializeWire {
+			times = WireStarts(w.led, make([]float64, len(times)), times)
+		}
+		rs, out := exec(in, times)
+		w.led.Launch(out)
+		res := make([]any, len(rs))
+		for i, r := range rs {
+			res[i] = launched[R]{r, out}
+		}
+		return res, out.Ends
+	})
+	l := res.(launched[R])
+	return l.data, l.out
 }
 
-// sameForAll builds per-rank results all sharing one value.
-func sameForAll(p int, v any) []any {
-	res := make([]any, p)
-	for i := range res {
-		res[i] = v
-	}
-	return res
+// launched carries one rank's result and the shared outcome through the
+// rendezvous.
+type launched[R any] struct {
+	data R
+	out  *collective.Outcome
 }
 
 // AllReduce sums data element-wise across all workers in place (averaging
@@ -326,44 +316,21 @@ func (w *Worker) AllGather(payload []byte, category string) [][]byte {
 
 // Broadcast sends root's payload to every worker.
 func (w *Worker) Broadcast(payload []byte, root int, category string) []byte {
-	w.enterCollective()
 	pool.AssertNotArena(payload, "Broadcast payload")
-	c := w.cluster
-	res, _ := c.rv.exchange(w.rank, w.Time(), payload, func(slots []any, times []float64) ([]any, []float64) {
-		bufs := make([][]byte, len(slots))
-		for i, s := range slots {
-			bufs[i], _ = s.([]byte)
-		}
-		data, out := c.engine.Broadcast(bufs, root, c.wireStarts(times))
-		c.launch(w.led, out)
-		return sameForAll(c.p, collResult{data: data, out: out}), out.Ends
+	data, out := launch(w, payload, func(bufs [][]byte, starts []float64) ([][]byte, *collective.Outcome) {
+		data, out := w.cluster.engine.Broadcast(bufs, root, starts)
+		return slices.Repeat([][]byte{data}, len(bufs)), out
 	})
-	cr := res.(collResult)
-	w.wait(cr.out, w.Time(), category)
-	return cr.data.([]byte)
+	w.wait(out, w.Time(), category)
+	return data
 }
 
 // ReduceScatter sums data element-wise across workers and returns this
 // worker's collective.ShardRange shard of the result.
 func (w *Worker) ReduceScatter(data []float64, category string) []float64 {
-	w.enterCollective()
-	c := w.cluster
-	res, _ := c.rv.exchange(w.rank, w.Time(), data, func(slots []any, times []float64) ([]any, []float64) {
-		vecs := make([][]float64, len(slots))
-		for i, s := range slots {
-			vecs[i] = s.([]float64)
-		}
-		shards, out := c.engine.ReduceScatter(vecs, c.wireStarts(times))
-		c.launch(w.led, out)
-		res := make([]any, c.p)
-		for r := range res {
-			res[r] = collResult{data: shards[r], out: out}
-		}
-		return res, out.Ends
-	})
-	cr := res.(collResult)
-	w.wait(cr.out, w.Time(), category)
-	return cr.data.([]float64)
+	shard, out := launch(w, data, w.cluster.engine.ReduceScatter)
+	w.wait(out, w.Time(), category)
+	return shard
 }
 
 // Barrier synchronizes all workers' clocks to the maximum.

@@ -56,6 +56,8 @@ type Ledger struct {
 
 	meas, pred  float64
 	wire, colls int64
+	// tail is the wire cursor: the latest end of any collective launched.
+	tail float64
 
 	tracing bool
 	rings   [][]collective.Event
@@ -124,13 +126,16 @@ func (l *Ledger) block(r int, end float64) float64 {
 	return 0
 }
 
-// ComputeRanks advances each rank r in [lo, hi) by seconds(r), scaled by
-// the injector's straggler factor at step (f nil: unscaled), charged to
-// category.
-func (l *Ledger) ComputeRanks(lo, hi int, seconds func(r int) float64, f *fault.Injector, step int, category string) {
+// ComputeRanks advances each rank r in [lo, hi) by seconds, or by
+// perRank[r-lo] when perRank is non-nil, scaled by the injector's
+// straggler factor at step (f nil: unscaled), charged to category.
+func (l *Ledger) ComputeRanks(lo, hi int, seconds float64, perRank []float64, f *fault.Injector, step int, category string) {
 	cat := l.column(l.cats, category)
 	for r := lo; r < hi; r++ {
-		s := seconds(r)
+		s := seconds
+		if perRank != nil {
+			s = perRank[r-lo]
+		}
 		if s < 0 {
 			panic(fmt.Sprintf("cluster: negative compute time %g for rank %d", s, r))
 		}
@@ -144,12 +149,27 @@ func (l *Ledger) ComputeRanks(lo, hi int, seconds func(r int) float64, f *fault.
 
 // Launch books a scheduled collective's once-per-collective totals: wire
 // bytes, the collective count, and its executed makespan beside the
-// fault-free prediction (ScheduleSeconds).
+// fault-free prediction (ScheduleSeconds). It moves the wire cursor past
+// the collective's end.
 func (l *Ledger) Launch(out *collective.Outcome) {
+	end := out.MaxEnd()
 	l.colls++
 	l.wire += int64(out.Bytes)
-	l.meas += out.MaxEnd() - out.Start
+	l.meas += end - out.Start
 	l.pred += out.Predicted
+	l.tail = max(l.tail, end)
+}
+
+// WireStarts writes to dst, and returns, each rank's start for a
+// collective queued on l's fabric behind every one launched so far: times
+// clamped to l's wire cursor. An engine serializing its wire schedules
+// from these instead of the bare clocks. (A function, not a method, so it
+// does not join the API of the engines that embed a Ledger.)
+func WireStarts(l *Ledger, dst, times []float64) []float64 {
+	for i, t := range times {
+		dst[i] = max(t, l.tail)
+	}
+	return dst
 }
 
 // Wait settles ranks [lo, hi) on the collective out at their current
@@ -157,8 +177,9 @@ func (l *Ledger) Launch(out *collective.Outcome) {
 // out's "op/algorithm". launch, when non-nil, holds rank lo+i's clock at
 // the launch in launch[i], and the wait books exposure too — the part of
 // the launch-to-end latency the clock had already passed was hidden
-// behind compute. With tracing on, each rank's ring receives the events it
-// took part in, in schedule order.
+// behind compute. launch may be the clock vector itself (lo = 0): rank r's
+// entry is read before r's clock moves. With tracing on, each rank's ring
+// receives the events it took part in, in schedule order.
 func (l *Ledger) Wait(lo, hi int, out *collective.Outcome, launch []float64, category string) {
 	cat, alg := l.column(l.cats, category), l.column(l.algs, out.Op+"/"+out.Algorithm)
 	var exposed, full []float64
@@ -182,13 +203,6 @@ func (l *Ledger) Wait(lo, hi int, out *collective.Outcome, launch []float64, cat
 	if l.tracing {
 		l.trace(lo, hi, out.Events)
 	}
-}
-
-// Settle launches out and waits every rank on it at once: a blocking
-// collective all ranks issue together.
-func (l *Ledger) Settle(out *collective.Outcome, category string) {
-	l.Launch(out)
-	l.Wait(0, l.p, out, nil, category)
 }
 
 // Exchange settles rank's side of the point-to-point transfer ev, which

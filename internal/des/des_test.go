@@ -1,6 +1,8 @@
 package des_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"compso/internal/cluster"
@@ -13,13 +15,13 @@ func TestWorldBasics(t *testing.T) {
 	w := des.NewWorld(cluster.Platform1(), 8)
 	defer w.Release()
 
-	w.Compute(0.5, "fwd")
+	des.RunOnWorld(w, des.Program{{Kind: des.KindCompute, Seconds: 0.5, Category: "fwd"}})
 	for r := 0; r < 8; r++ {
 		if got := w.TimeOf(r); got != 0.5 {
 			t.Fatalf("rank %d time after compute = %v, want 0.5", r, got)
 		}
 	}
-	w.AllReduce(1000, "sync")
+	des.RunOnWorld(w, des.Program{{Kind: des.KindAllReduce, Elems: 1000, Category: "sync"}})
 	if w.MaxTime() <= 0.5 {
 		t.Fatalf("all-reduce did not advance clocks: %v", w.MaxTime())
 	}
@@ -51,8 +53,10 @@ func TestWorldBasics(t *testing.T) {
 func TestWorldBarrier(t *testing.T) {
 	w := des.NewWorld(cluster.Platform1(), 4)
 	defer w.Release()
-	w.ComputeEach(func(r int) float64 { return float64(r + 1) }, "work")
-	w.Barrier()
+	des.RunOnWorld(w, des.Program{
+		{Kind: des.KindComputeEach, PerRank: []float64{1, 2, 3, 4}, Category: "work"},
+		{Kind: des.KindBarrier},
+	})
 	for r := 0; r < 4; r++ {
 		if got := w.TimeOf(r); got != 4 {
 			t.Fatalf("rank %d time after barrier = %v, want 4", r, got)
@@ -77,8 +81,7 @@ func TestWorldStragglerFaults(t *testing.T) {
 	w := des.NewWorld(cluster.Platform1(), 4)
 	defer w.Release()
 	w.InjectFaults(inj)
-	w.SetStep(0)
-	w.Compute(1, "work")
+	des.RunOnWorld(w, des.Program{{Kind: des.KindSetStep}, {Kind: des.KindCompute, Seconds: 1, Category: "work"}})
 	if got := w.TimeOf(1); got != 2 {
 		t.Fatalf("straggler rank time = %v, want 2", got)
 	}
@@ -94,7 +97,7 @@ func TestWorldTracing(t *testing.T) {
 		t.Fatalf("events retained with tracing off: %d", len(evs))
 	}
 	w.SetTracing(true)
-	w.AllGatherUniform(1024, "gather")
+	des.RunOnWorld(w, des.Program{{Kind: des.KindAllGather, Sizes: []int{1024}, Category: "gather"}})
 	if w.TotalEventsOf(0) == 0 {
 		t.Fatal("no events retained with tracing on")
 	}
@@ -106,7 +109,8 @@ func TestWorldTracing(t *testing.T) {
 
 func TestWorldReleaseIdempotent(t *testing.T) {
 	w := des.NewWorld(cluster.Platform1(), 4)
-	w.AllReduce(100, "sync")
+	sync := des.Program{{Kind: des.KindAllReduce, Elems: 100, Category: "sync"}}
+	des.RunOnWorld(w, sync)
 	w.Release()
 	w.Release() // second release must be a no-op
 
@@ -115,18 +119,50 @@ func TestWorldReleaseIdempotent(t *testing.T) {
 			t.Fatal("collective on a released world should panic")
 		}
 	}()
-	w.AllReduce(100, "sync")
+	des.RunOnWorld(w, sync)
 }
 
+// TestProgramValidation: a malformed program panics before any clock
+// moves, on either engine — per-rank sizes that do not fit the world, and
+// every way a launch/wait pairing can break.
 func TestProgramValidation(t *testing.T) {
-	w := des.NewWorld(cluster.Platform1(), 4)
-	defer w.Release()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched per-rank sizes should panic")
+	compute := des.Op{Kind: des.KindCompute, Seconds: 1, Category: "x"}
+	launch := des.Op{Kind: des.KindLaunch, Of: des.KindAllReduce, Elems: 8, ID: 3, Category: "x"}
+	wait := des.Op{Kind: des.KindWait, ID: 3}
+	for _, c := range []struct {
+		name string
+		prog des.Program
+		want string
+	}{
+		{"mismatched sizes", des.Program{compute, {Kind: des.KindAllGather, Sizes: []int{1, 2, 3}, Category: "x"}}, "des: allgather op with 3 sizes, world 4"},
+		{"mismatched charges", des.Program{compute, {Kind: des.KindComputeEach, PerRank: []float64{1}, Category: "x"}}, "des: computeeach op with 1 charges, world 4"},
+		{"wait without launch", des.Program{compute, wait}, "des: wait 3 with no launch"},
+		{"double wait", des.Program{compute, launch, wait, wait}, "des: launch 3 waited twice"},
+		{"never waited", des.Program{compute, launch}, "des: launch 3 never waited"},
+		{"reissued", des.Program{compute, launch, launch, wait}, "des: launch 3 reissued before its wait"},
+		{"not a collective", des.Program{compute, {Kind: des.KindLaunch, Of: des.KindBarrier, ID: 3}, wait}, "des: launch 3 of op kind"},
+	} {
+		w := des.NewWorld(cluster.Platform1(), 4)
+		for engine, run := range map[string]func(){
+			"world": func() { des.RunOnWorld(w, c.prog) },
+			// The goroutine engine panics on the caller, before any worker
+			// starts.
+			"cluster": func() { des.RunOnCluster(cluster.New(cluster.Platform1(), 4), c.prog) },
+		} {
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				run()
+				return ""
+			}()
+			if !strings.Contains(msg, c.want) {
+				t.Errorf("%s on %s: panic %q, want one containing %q", c.name, engine, msg, c.want)
+			}
 		}
-	}()
-	des.RunOnWorld(w, des.Program{{Kind: des.KindAllGather, Sizes: []int{1, 2, 3}, Category: "x"}})
+		if w.MaxTime() != 0 || w.Collectives() != 0 {
+			t.Errorf("%s: clocks moved to %v before the panic", c.name, w.MaxTime())
+		}
+		w.Release()
+	}
 }
 
 // TestWorldTracingMatchesEventsFor: exec files each event under its
@@ -159,11 +195,13 @@ func TestWorldTracingMatchesEventsFor(t *testing.T) {
 			sizes[r] = 700 + 13*(r%5)
 		}
 		for i := 0; i < tc.reps; i++ {
-			w.AllReduce(1531, "cov")
+			des.RunOnWorld(w, des.Program{
+				{Kind: des.KindAllReduce, Elems: 1531, Category: "cov"},
+				{Kind: des.KindAllGather, Sizes: sizes, Category: "gather"},
+				{Kind: des.KindBroadcast, Bytes: 4096, Root: tc.p - 1, Category: "bcast"},
+			})
 			exec(collective.OpAllReduce, []int{4 * 1531}, 0)
-			w.AllGather(sizes, "gather")
 			exec(collective.OpAllGather, sizes, 0)
-			w.Broadcast(4096, tc.p-1, "bcast")
 			exec(collective.OpBroadcast, []int{4096}, tc.p-1)
 		}
 		evicted := false

@@ -16,8 +16,11 @@ import (
 // non-uniform per-rank blob sizes, K-FAC covariance all-reduces, a
 // reduce-scatter with a non-divisible element count (remainder shard),
 // an inverse-factor broadcast, and a barrier. Sizes are deliberately
-// awkward (odd, non-power-of-two) to exercise schedule edge cases.
-func goldenProgram(p int) des.Program {
+// awkward (odd, non-power-of-two) to exercise schedule edge cases. With
+// launchWait the all-gather and the all-reduce are launched back to back,
+// stay in flight over the per-rank compute, and are waited out of launch
+// order.
+func goldenProgram(p int, launchWait bool) des.Program {
 	var prog des.Program
 	perRank := make([]float64, p)
 	for r := range perRank {
@@ -30,10 +33,21 @@ func goldenProgram(p int) des.Program {
 		}
 		prog = append(prog,
 			des.Op{Kind: des.KindSetStep, Step: step},
-			des.Op{Kind: des.KindCompute, Seconds: 0.004, Category: "fwd-bwd"},
-			des.Op{Kind: des.KindAllGather, Sizes: sizes, Category: "grad-gather"},
-			des.Op{Kind: des.KindAllReduce, Elems: 1531, Category: "kfac-cov"},
-			des.Op{Kind: des.KindComputeEach, PerRank: perRank, Category: "kfac-inv"},
+			des.Op{Kind: des.KindCompute, Seconds: 0.004, Category: "fwd-bwd"})
+		if launchWait {
+			prog = append(prog,
+				des.Op{Kind: des.KindLaunch, Of: des.KindAllGather, ID: 0, Sizes: sizes, Category: "grad-gather"},
+				des.Op{Kind: des.KindLaunch, Of: des.KindAllReduce, ID: 1, Elems: 1531, Category: "kfac-cov"},
+				des.Op{Kind: des.KindComputeEach, PerRank: perRank, Category: "kfac-inv"},
+				des.Op{Kind: des.KindWait, ID: 1},
+				des.Op{Kind: des.KindWait, ID: 0})
+		} else {
+			prog = append(prog,
+				des.Op{Kind: des.KindAllGather, Sizes: sizes, Category: "grad-gather"},
+				des.Op{Kind: des.KindAllReduce, Elems: 1531, Category: "kfac-cov"},
+				des.Op{Kind: des.KindComputeEach, PerRank: perRank, Category: "kfac-inv"})
+		}
+		prog = append(prog,
 			des.Op{Kind: des.KindReduceScatter, Elems: 2003, Category: "grad-rs"},
 			des.Op{Kind: des.KindBroadcast, Bytes: 4096 + 321*step, Root: step % p, Category: "factor-bcast"},
 			des.Op{Kind: des.KindBarrier},
@@ -78,13 +92,15 @@ func injectorFor(t *testing.T, plan *fault.Plan) *fault.Injector {
 
 // TestGoldenBitIdentity is the golden contract of the discrete-event
 // engine: for every world size (including non-power-of-two), collective
-// policy, fault plan and goroutine-side trace switch in the matrix, a
-// traced World must reproduce the goroutine engine's results bit-for-bit —
+// policy, fault plan, goroutine-side trace switch and program shape
+// (blocking, or with two collectives in flight) in the matrix, a traced
+// World must reproduce the goroutine engine's results bit-for-bit —
 // per-rank simulated times, per-category stats, per-algorithm attribution,
-// schedule seconds, wire bytes and collective count, and with the
-// goroutine side traced, its event traces. The untraced cells pin that
-// events only record and never steer: the goroutine engine then retains
-// none, and every number still matches.
+// schedule seconds, wire bytes and collective count, with the goroutine
+// side traced its event traces, and on the launch/wait cells the exposure
+// (OverlapOf). The untraced cells pin that events only record and never
+// steer: the goroutine engine then retains none, and every number still
+// matches.
 func TestGoldenBitIdentity(t *testing.T) {
 	worlds := []int{2, 3, 5, 8, 16}
 	policies := []string{"auto", collective.AlgRing, collective.AlgRecursiveDoubling,
@@ -93,24 +109,29 @@ func TestGoldenBitIdentity(t *testing.T) {
 		for _, policy := range policies {
 			for planName, plan := range goldenFaultPlans(p) {
 				for _, traced := range []bool{true, false} {
-					name := fmt.Sprintf("p=%d/%s/%s", p, policy, planName)
-					if !traced {
-						name += "/untraced"
+					for _, launchWait := range []bool{false, true} {
+						name := fmt.Sprintf("p=%d/%s/%s", p, policy, planName)
+						if !traced {
+							name += "/untraced"
+						}
+						if launchWait {
+							name += "/launch-wait"
+						}
+						t.Run(name, func(t *testing.T) {
+							t.Parallel()
+							goldenCell(t, p, policy, plan, traced, launchWait)
+						})
 					}
-					t.Run(name, func(t *testing.T) {
-						t.Parallel()
-						goldenCell(t, p, policy, plan, traced)
-					})
 				}
 			}
 		}
 	}
 }
 
-func goldenCell(t *testing.T, p int, policy string, plan *fault.Plan, traced bool) {
+func goldenCell(t *testing.T, p int, policy string, plan *fault.Plan, traced, launchWait bool) {
 	cfg := cluster.Platform1()
 	cfg.Collective = policy
-	prog := goldenProgram(p)
+	prog := goldenProgram(p, launchWait)
 
 	// Goroutine reference engine, with a recorder so the canonical
 	// wire-byte counter is comparable.
@@ -135,6 +156,14 @@ func goldenCell(t *testing.T, p int, policy string, plan *fault.Plan, traced boo
 		}
 		compareMaps(t, fmt.Sprintf("rank %d stats", r), w.StatsOf(r), workers[r].Stats())
 		compareMaps(t, fmt.Sprintf("rank %d algseconds", r), w.AlgSecondsOf(r), workers[r].AlgSeconds())
+		if launchWait {
+			exposed, total := w.OverlapOf(r)
+			refExposed, refTotal := workers[r].OverlapStats()
+			if exposed != refExposed || total != refTotal || total <= exposed {
+				t.Errorf("rank %d: OverlapOf = (%v, %v), goroutine engine (%v, %v); want equal, with some latency hidden",
+					r, exposed, total, refExposed, refTotal)
+			}
+		}
 		if !traced {
 			if n := ref.TotalEventsOf(r); n != 0 {
 				t.Errorf("rank %d: untraced goroutine engine retained %d events", r, n)
@@ -194,7 +223,7 @@ func TestGoldenPlatform2(t *testing.T) {
 	for _, p := range []int{3, 8} {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
 			cfg := cluster.Platform2()
-			prog := goldenProgram(p)
+			prog := goldenProgram(p, false)
 			c := cluster.New(cfg, p)
 			workers := des.RunOnCluster(c, prog)
 			w := des.NewWorld(cfg, p)

@@ -43,21 +43,26 @@ func TestMegaScaleAcceptance(t *testing.T) {
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 
+	const blob = 4 << 20 / 8 // ~0.5 MB compressed gradient per rank
+	var prog des.Program
+	for step := 0; step < 10; step++ {
+		prog = append(prog,
+			des.Op{Kind: des.KindSetStep, Step: step},
+			des.Op{Kind: des.KindCompute, Seconds: 0.04, Category: "fwd-bwd"},
+			des.Op{Kind: des.KindAllGather, Sizes: []int{blob}, Category: "grad-allgather"})
+		if step%5 == 0 {
+			prog = append(prog,
+				des.Op{Kind: des.KindAllReduce, Elems: 1 << 22, Category: "kfac-allreduce"},
+				des.Op{Kind: des.KindBroadcast, Bytes: 1 << 20, Category: "factor-bcast"})
+		}
+		prog = append(prog, des.Op{Kind: des.KindBarrier})
+	}
+
 	start := time.Now()
 	w := des.NewWorld(cfg, p)
 	defer w.Release()
 	w.InjectFaults(inj)
-	const blob = 4 << 20 / 8 // ~0.5 MB compressed gradient per rank
-	for step := 0; step < 10; step++ {
-		w.SetStep(step)
-		w.Compute(0.04, "fwd-bwd")
-		w.AllGatherUniform(blob, "grad-allgather")
-		if step%5 == 0 {
-			w.AllReduce(1<<22, "kfac-allreduce")
-			w.Broadcast(1<<20, 0, "factor-bcast")
-		}
-		w.Barrier()
-	}
+	des.RunOnWorld(w, prog)
 	elapsed := time.Since(start)
 
 	var after runtime.MemStats

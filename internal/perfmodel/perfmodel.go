@@ -35,34 +35,9 @@ type LookupTable struct {
 // BuildLookupTable benchmarks the platform's all-gather across the given
 // GPU counts and a geometric ladder of message sizes.
 func BuildLookupTable(cfg cluster.Config, gpuCounts []int) (*LookupTable, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(gpuCounts) == 0 {
-		return nil, fmt.Errorf("perfmodel: no GPU counts")
-	}
-	counts := append([]int(nil), gpuCounts...)
-	sort.Ints(counts)
-	var sizes []int
-	for s := 1 << 10; s <= 1<<28; s <<= 1 { // 1 KB .. 256 MB
-		sizes = append(sizes, s)
-	}
-	t := &LookupTable{cfg: cfg, sizes: sizes, counts: counts}
-	for _, p := range counts {
-		row := make([]float64, len(sizes))
-		for i, sz := range sizes {
-			sec := cfg.AllGatherTime(sz, p)
-			if sec <= 0 {
-				// Single GPU: communication is free; use an effectively
-				// infinite throughput stand-in.
-				row[i] = math.Inf(1)
-				continue
-			}
-			row[i] = float64(sz) / sec
-		}
-		t.tput = append(t.tput, row)
-	}
-	return t, nil
+	return buildLookupTable(cfg, gpuCounts, func(p int) func(int) float64 {
+		return func(sz int) float64 { return cfg.AllGatherTime(sz, p) }
+	})
 }
 
 // BuildLookupTableSim builds the same table from the step-level collective
@@ -74,6 +49,18 @@ func BuildLookupTable(cfg cluster.Config, gpuCounts []int) (*LookupTable, error)
 // micro-benchmarks, which likewise measure whatever schedule the real
 // library picks.
 func BuildLookupTableSim(cfg cluster.Config, gpuCounts []int) (*LookupTable, error) {
+	return buildLookupTable(cfg, gpuCounts, func(p int) func(int) float64 {
+		eng := cluster.EngineFor(cfg, p)
+		return func(sz int) float64 {
+			_, sec := eng.PredictAllGather(sz)
+			return sec
+		}
+	})
+}
+
+// buildLookupTable fills the table over the 1 KB .. 256 MB ladder; secondsAt(p)
+// returns the all-gather seconds of one message size at p GPUs.
+func buildLookupTable(cfg cluster.Config, gpuCounts []int, secondsAt func(p int) func(sz int) float64) (*LookupTable, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -83,16 +70,18 @@ func BuildLookupTableSim(cfg cluster.Config, gpuCounts []int) (*LookupTable, err
 	counts := append([]int(nil), gpuCounts...)
 	sort.Ints(counts)
 	var sizes []int
-	for s := 1 << 10; s <= 1<<28; s <<= 1 { // 1 KB .. 256 MB
+	for s := 1 << 10; s <= 1<<28; s <<= 1 {
 		sizes = append(sizes, s)
 	}
 	t := &LookupTable{cfg: cfg, sizes: sizes, counts: counts}
 	for _, p := range counts {
-		eng := cluster.EngineFor(cfg, p)
+		seconds := secondsAt(p)
 		row := make([]float64, len(sizes))
 		for i, sz := range sizes {
-			_, sec := eng.PredictAllGather(sz)
+			sec := seconds(sz)
 			if sec <= 0 {
+				// Single GPU: communication is free; use an effectively
+				// infinite throughput stand-in.
 				row[i] = math.Inf(1)
 				continue
 			}

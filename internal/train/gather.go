@@ -185,7 +185,7 @@ func (rx *gatherRx) replay(sender int, d *delivery) error {
 			return f.err
 		}
 		if !d.lossless {
-			rx.tel.decompress(rx.tel.pipe, len(f.vals), len(f.blob), rx.category)
+			rx.tel.decompress(fused, len(f.vals), len(f.blob), rx.category)
 		}
 		if err := rx.install(sender, i, f.vals); err != nil {
 			return err

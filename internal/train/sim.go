@@ -5,23 +5,28 @@ import (
 
 	"compso/internal/compress"
 	"compso/internal/des"
-	"compso/internal/gpusim"
+	"compso/internal/kfac"
 	"compso/internal/modelzoo"
 	"compso/internal/xrand"
 )
 
-// Mega-scale communication simulation. The payload-carrying training loop
-// in this package runs P real model replicas, so it cannot scale past the
-// paper's world sizes. CommSim is the discrete-event counterpart: the
+// Mega-scale communication simulation. The training loop in this package
+// runs P real model replicas, so it cannot scale past the paper's world
+// sizes. BuildCommProgram is its discrete-event counterpart: the
 // compression payload math runs ONCE on a model rank — a synthetic K-FAC
-// gradient is compressed through the real compressor to calibrate the
-// blob size — and the per-step communication pattern of the training loop
-// (compressed gradient all-gather, K-FAC covariance all-reduce,
-// owned-layer eigendecomposition, preconditioned-gradient exchange) is
-// emitted as a des.Program whose collective sizes and compute charges come
-// from the same models (gpusim roofline, modelzoo ComputeModel) the live
-// loop charges. Replaying the program on a des.World then simulates
-// thousands of ranks in one process.
+// gradient is compressed through the real compressor to calibrate the blob
+// size — and the profile's step model is lowered like the trainer's own
+// step (lower.go), so a des.World replays thousands of ranks in one process.
+
+const (
+	// commSimStatFreq is the covariance cadence in steps (the paper's
+	// amortization setting); eigendecompositions follow
+	// kfac.DefaultConfig's InvFreq, the same 10.
+	commSimStatFreq = 10
+	// calibElems caps the gradient compressed for calibration; the
+	// measured ratio extrapolates to the full gradient.
+	calibElems = 1 << 20
+)
 
 // CommSimConfig selects the workload whose communication profile is
 // simulated.
@@ -33,43 +38,20 @@ type CommSimConfig struct {
 	Compressor string
 	// Steps is how many training iterations to emit.
 	Steps int
-	// StatFreq is the K-FAC covariance/eigendecomposition cadence in steps
-	// (default 10, the paper's amortization setting).
-	StatFreq int
 	// KFAC selects the second-order pipeline: covariance all-reduces,
 	// owned-layer eigendecompositions and a compressed preconditioned-
 	// gradient exchange on top of the gradient sync. Off simulates the
-	// first-order compressed-all-gather loop.
+	// first-order loop: the bucketed gradient all-reduce uncompressed, the
+	// compressed blob all-gather otherwise.
 	KFAC bool
 	// Seed drives the synthetic calibration gradient.
 	Seed int64
-	// CalibElems caps the number of gradient elements compressed during
-	// blob-size calibration (default 1<<20; the measured ratio
-	// extrapolates to the full gradient).
-	CalibElems int
 	// ElemScale scales every collective's element/byte sizes (0 or 1 =
 	// full size). The bit-identity legs use a small scale so the
 	// goroutine engine's REAL payload buffers stay affordable — engine
 	// equivalence only needs both engines replaying the same program, not
 	// the full-size one.
 	ElemScale float64
-}
-
-func (c *CommSimConfig) withDefaults() CommSimConfig {
-	out := *c
-	if out.Steps <= 0 {
-		out.Steps = 10
-	}
-	if out.StatFreq <= 0 {
-		out.StatFreq = 10
-	}
-	if out.CalibElems <= 0 {
-		out.CalibElems = 1 << 20
-	}
-	if out.Model == "" {
-		out.Model = "ResNet-50"
-	}
-	return out
 }
 
 // CommSimInfo reports the calibration the program was built from.
@@ -85,14 +67,30 @@ type CommSimInfo struct {
 	Ops int `json:"ops"`
 }
 
-// BuildCommProgram calibrates the compressor on the model rank and emits
-// the des.Program of cfg.Steps training iterations for a world of p
-// ranks.
-func BuildCommProgram(cfg CommSimConfig, p int) (des.Program, CommSimInfo, error) {
-	c := cfg.withDefaults()
+// BuildCommProgram calibrates the compressor on the model rank and lowers
+// cfg.Steps sequential training iterations of the profile for a world of
+// p ranks. A first-order run of a ring family (powersgd) is an error: it
+// trains on the ring all-reduce, which is not lowered.
+func BuildCommProgram(c CommSimConfig, p int) (des.Program, CommSimInfo, error) {
+	if c.Steps <= 0 {
+		c.Steps = 10
+	}
+	if c.Model == "" {
+		c.Model = "ResNet-50"
+	}
 	prof, err := modelzoo.ByName(c.Model)
 	if err != nil {
 		return nil, CommSimInfo{}, err
+	}
+	compressed := c.Compressor != "" && c.Compressor != "none"
+	if compressed && !c.KFAC {
+		comp, err := compress.ByName(c.Compressor, compress.Options{Seed: c.Seed})
+		if err != nil {
+			return nil, CommSimInfo{}, err
+		}
+		if ar, _ := ringCompressor(comp); ar != nil {
+			return nil, CommSimInfo{}, fmt.Errorf("train: first-order %q trains on the ring all-reduce, which BuildCommProgram does not lower", c.Compressor)
+		}
 	}
 	ratio, err := calibrateRatio(prof, c)
 	if err != nil {
@@ -103,55 +101,27 @@ func BuildCommProgram(cfg CommSimConfig, p int) (des.Program, CommSimInfo, error
 	if scale <= 0 || scale > 1 {
 		scale = 1
 	}
+	m := ProfileModel(prof, compressed, func(li int) int {
+		if !compressed {
+			return 4 * scaled(prof.Layers[li].Params(), scale)
+		}
+		return scaled(int(float64(4*prof.Layers[li].Params())/ratio), scale)
+	})
+	for i := range m.Layers {
+		m.Grads[i] = scaled(m.Grads[i], scale)
+		m.Layers[i].Elems = m.Grads[i]
+	}
+	m.CovElems = scaled(m.CovElems, scale)
+	prog, err := Lower(Config{Workers: p, Iters: c.Steps, UseKFAC: c.KFAC, KFAC: kfac.DefaultConfig(), StatFreq: commSimStatFreq}, m)
+	if err != nil {
+		return nil, CommSimInfo{}, err
+	}
 	elems := scaled(prof.TotalParams(), scale)
-	covElems := scaled(prof.CovarianceFloats(), scale)
-	blob := scaled(int(float64(4*elems)/ratio), 1)
-	dev, pipe := gpusim.A100(), gpusim.COMPSOFused()
-	cm := modelzoo.A100Compute()
-	compressT := dev.Time(pipe, elems)
-	decompressT := dev.DecompressTime(pipe, elems)
-	if ratio == 1 {
-		compressT, decompressT = 0, 0 // uncompressed: no kernel charges
-	}
-
-	info := CommSimInfo{Model: prof.Name, GradElems: elems, BlobBytes: blob, Ratio: ratio}
-	var prog des.Program
-	for step := 0; step < c.Steps; step++ {
-		prog = append(prog, des.Op{Kind: des.KindSetStep, Step: step})
-		prog = append(prog, des.Op{Kind: des.KindCompute, Seconds: cm.FwdBwdTime(prof), Category: "fwd-bwd"})
-		if !c.KFAC {
-			// First-order loop: compress local gradient, all-gather the
-			// blobs, decode all P replicas.
-			prog = append(prog,
-				des.Op{Kind: des.KindCompute, Seconds: compressT, Category: "compress"},
-				des.Op{Kind: des.KindAllGather, Sizes: []int{blob}, Category: "grad-allgather"},
-				des.Op{Kind: des.KindCompute, Seconds: float64(p) * decompressT, Category: "decompress"},
-			)
-			continue
-		}
-		// K-FAC loop (Figure 2): raw gradient average, amortized factor
-		// sync, owned-layer inverse work, compressed preconditioned
-		// exchange.
-		prog = append(prog, des.Op{Kind: des.KindAllReduce, Elems: elems, Category: "grad-allreduce"})
-		if step%c.StatFreq == 0 {
-			prog = append(prog,
-				des.Op{Kind: des.KindCompute, Seconds: cm.CovTime(prof), Category: "kfac-cov"},
-				des.Op{Kind: des.KindAllReduce, Elems: covElems, Category: "kfac-allreduce"},
-				des.Op{Kind: des.KindComputeEach, PerRank: eigCharges(prof, cm, p), Category: "kfac-eigendecomp"},
-			)
-		}
-		prog = append(prog,
-			des.Op{Kind: des.KindComputeEach, PerRank: precondCharges(prof, cm, p), Category: "kfac-precondition"},
-			des.Op{Kind: des.KindCompute, Seconds: compressT, Category: "compress"},
-			des.Op{Kind: des.KindAllGather, Sizes: kfacGatherSizes(prof, ratio, scale, p), Category: "kfac-allgather"},
-			des.Op{Kind: des.KindCompute, Seconds: float64(p) * decompressT, Category: "decompress"},
-		)
-	}
-	info.Ops = len(prog)
-	return prog, info, nil
+	return prog, CommSimInfo{Model: prof.Name, GradElems: elems, BlobBytes: scaled(int(float64(4*elems)/ratio), 1),
+		Ratio: ratio, Ops: len(prog)}, nil
 }
 
-// calibrateRatio compresses one synthetic gradient (capped at CalibElems)
+// calibrateRatio compresses one synthetic gradient (capped at calibElems)
 // through the configured compressor and returns the measured ratio.
 func calibrateRatio(prof modelzoo.Profile, c CommSimConfig) (float64, error) {
 	if c.Compressor == "" || c.Compressor == "none" {
@@ -162,9 +132,9 @@ func calibrateRatio(prof modelzoo.Profile, c CommSimConfig) (float64, error) {
 		return 0, err
 	}
 	rng := xrand.NewSeeded(c.Seed)
-	flat := make([]float32, 0, c.CalibElems)
+	flat := make([]float32, 0, calibElems)
 	for li := range prof.Layers {
-		remaining := c.CalibElems - len(flat)
+		remaining := calibElems - len(flat)
 		if remaining <= 0 {
 			break
 		}
@@ -179,37 +149,6 @@ func calibrateRatio(prof modelzoo.Profile, c CommSimConfig) (float64, error) {
 		return 0, fmt.Errorf("train: comm-sim calibration produced ratio %g", ratio)
 	}
 	return ratio, nil
-}
-
-// eigCharges returns each rank's eigendecomposition seconds over its
-// owned layers (the round-robin layer assignment of the training loop).
-func eigCharges(prof modelzoo.Profile, cm modelzoo.ComputeModel, p int) []float64 {
-	out := make([]float64, p)
-	for li := range prof.Layers {
-		out[li%p] += cm.EigTime(prof, li)
-	}
-	return out
-}
-
-// precondCharges returns each rank's preconditioning seconds over its
-// owned layers.
-func precondCharges(prof modelzoo.Profile, cm modelzoo.ComputeModel, p int) []float64 {
-	out := make([]float64, p)
-	for li := range prof.Layers {
-		out[li%p] += cm.PrecondTime(prof, li)
-	}
-	return out
-}
-
-// kfacGatherSizes returns the per-rank compressed preconditioned-gradient
-// contribution: each rank ships its owned layers' parameters at the
-// calibrated ratio (ranks beyond the layer count contribute nothing).
-func kfacGatherSizes(prof modelzoo.Profile, ratio, scale float64, p int) []int {
-	sizes := make([]int, p)
-	for li, l := range prof.Layers {
-		sizes[li%p] += scaled(int(float64(4*l.Params())/ratio), scale)
-	}
-	return sizes
 }
 
 // scaled applies the ElemScale size reduction, keeping sizes positive.

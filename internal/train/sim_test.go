@@ -1,13 +1,12 @@
 package train
 
 import (
-	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"compso/internal/cluster"
 	"compso/internal/des"
-	"compso/internal/obs"
 )
 
 func TestBuildCommProgramKFAC(t *testing.T) {
@@ -41,28 +40,6 @@ func TestBuildCommProgramKFAC(t *testing.T) {
 	des.RunOnWorld(w, prog)
 	if w.MaxTime() <= 0 || w.Collectives() == 0 {
 		t.Fatalf("replay produced no results: time %v, %d collectives", w.MaxTime(), w.Collectives())
-	}
-}
-
-func TestBuildCommProgramFirstOrderUncompressed(t *testing.T) {
-	cfg := CommSimConfig{Model: "ResNet-50", Compressor: "none", Steps: 3}
-	prog, info, err := BuildCommProgram(cfg, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Ratio != 1 {
-		t.Fatalf("uncompressed ratio %v, want 1", info.Ratio)
-	}
-	if info.BlobBytes != 4*info.GradElems {
-		t.Fatalf("uncompressed blob %d, want %d", info.BlobBytes, 4*info.GradElems)
-	}
-	for _, op := range prog {
-		if op.Kind == des.KindCompute && (op.Category == "compress" || op.Category == "decompress") && op.Seconds != 0 {
-			t.Fatalf("uncompressed program charges %q time %v", op.Category, op.Seconds)
-		}
-		if op.Category == "grad-allreduce" || op.Category == "kfac-allgather" {
-			t.Fatalf("first-order program has K-FAC op %q", op.Category)
-		}
 	}
 }
 
@@ -109,60 +86,24 @@ func TestBuildCommProgramElemScale(t *testing.T) {
 	}
 }
 
-// TestBuildCommProgramEngineIdentity replays the lowered K-FAC + COMPSO
-// program on both time engines and requires bit-identical per-rank time,
-// stats and AlgSeconds, schedule seconds and wire bytes. The golden matrix
-// in internal/des holds the engines together on hand-built programs; this
-// holds them together on the program BuildCommProgram really emits.
-func TestBuildCommProgramEngineIdentity(t *testing.T) {
-	cfg := CommSimConfig{Model: "ResNet-50", Compressor: "compso", Steps: 4, KFAC: true, Seed: 17,
-		// Reduced payloads: the goroutine engine moves real bytes, and
-		// identity only needs both engines replaying the same program.
-		ElemScale: 1.0 / 64}
-	for _, p := range []int{3, 8} {
-		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
-			prog, _, err := BuildCommProgram(cfg, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			platform := cluster.Platform1()
-			c := cluster.New(platform, p)
-			rec := obs.NewRecorder()
-			c.Observe(rec)
-			workers := des.RunOnCluster(c, prog)
-
-			w := des.NewWorld(platform, p)
-			defer w.Release()
-			des.RunOnWorld(w, prog)
-
-			for r := 0; r < p; r++ {
-				if got, want := w.TimeOf(r), workers[r].Time(); got != want {
-					t.Errorf("rank %d: time %v, goroutine engine %v", r, got, want)
-				}
-				if got, want := w.StatsOf(r), workers[r].Stats(); !reflect.DeepEqual(got, want) {
-					t.Errorf("rank %d: stats %v, goroutine engine %v", r, got, want)
-				}
-				if got, want := w.AlgSecondsOf(r), workers[r].AlgSeconds(); !reflect.DeepEqual(got, want) {
-					t.Errorf("rank %d: AlgSeconds %v, goroutine engine %v", r, got, want)
-				}
-			}
-			meas, pred := w.ScheduleSeconds()
-			refMeas, refPred := workers[0].Ledger().ScheduleSeconds()
-			if meas != refMeas || pred != refPred {
-				t.Errorf("schedule seconds (%v, %v), goroutine engine (%v, %v)", meas, pred, refMeas, refPred)
-			}
-			if got, want := float64(w.WireBytes()), rec.Counter("wire/total/bytes").Value(); got != want {
-				t.Errorf("wire bytes %v, goroutine engine %v", got, want)
-			}
-		})
-	}
-}
-
 func TestBuildCommProgramUnknownInputs(t *testing.T) {
 	if _, _, err := BuildCommProgram(CommSimConfig{Model: "no-such-model"}, 8); err == nil {
 		t.Fatal("unknown model should error")
 	}
 	if _, _, err := BuildCommProgram(CommSimConfig{Compressor: "no-such-comp"}, 8); err == nil {
 		t.Fatal("unknown compressor should error")
+	}
+}
+
+// TestBuildCommProgramRejectsRingFamily: a first-order powersgd run trains
+// on the ring all-reduce, which the lowering does not cover, so the builder
+// names the family instead of emitting a blob all-gather the live loop
+// never runs.
+func TestBuildCommProgramRejectsRingFamily(t *testing.T) {
+	for _, name := range []string{"powersgd", "PowerSGD"} {
+		_, _, err := BuildCommProgram(CommSimConfig{Compressor: name, Steps: 1}, 4)
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("first-order %s: err = %v, want one naming the family", name, err)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"compso/internal/cluster"
 	"compso/internal/compress"
 	"compso/internal/compso"
+	"compso/internal/des"
 	"compso/internal/fault"
 	"compso/internal/kfac"
 	"compso/internal/modelzoo"
@@ -20,44 +21,108 @@ import (
 // A training step is Figure 2's dataflow — gradient average → factor sync →
 // owned-layer eigendecomposition → precondition + compress per aggregation
 // group → all-gather → decode/install — written once, as stages over the
-// cluster's launch/wait collective handles. A schedule is an ordering of
-// those stages:
+// cluster's launch/wait collective handles, followed by the optimizer
+// update. A schedule is one of the stage tables below, read twice: the live
+// pipeline runs each stage on a worker (stage.run), and the lowering
+// (lower.go) emits each stage's des.Program ops (stage.lower).
 //
-//	sequential K-FAC            overlap K-FAC
-//	grad-sync:   launchGrads    grad-launch:  launchStats
-//	             installGrads                 launchGrads
-//	factor-sync: launchStats    factor-sync:  commitStats
-//	             commitStats    eigendecomp:  eigen
-//	eigendecomp: eigen          grad-install: installGrads
-//	precond-exchange: exchange  precond-exchange: exchange
-//
-// followed, under either, by the optimizer update. Sequential is Figure-2
-// order with every wait directly after its launch,
-// one whole-model gradient bucket and one exchange round carrying all of a
-// rank's groups. Overlap launches the factor sum and the FusionBytes
-// gradient buckets back-to-back, eigendecomposes while the buckets are on
-// the wire, and pipelines the exchange one aggregation group per round, so
-// round r decodes while rounds r+1… are in flight. First-order steps are
-// launchGrads, installGrads under both (only the bucket cap differs); a
-// compressed first-order exchange is a single whole-model
-// compress → gather → decode chain (gatherGrads) or one fused factor
-// all-reduce (lowrank), with no sub-step unit to reorder.
-//
-// The collectives, their program order across ranks, the compressed bytes
-// and the installed values are the same under every schedule, which is why
-// the numerics are bit-identical (DESIGN.md §8). Only the simulated
-// schedule moves: launches cluster at phase starts, waits charge only the
-// exposed remainder, and SerializeWire queues the in-flight collectives on
-// the fabric so the win is honest.
+// Sequential is Figure-2 order with every wait directly after its launch.
+// Overlap launches the factor sum and the gradient buckets back-to-back,
+// eigendecomposes while they are on the wire, and pipelines the exchange,
+// so round r decodes while rounds r+1… are in flight. The collectives,
+// their order, the compressed bytes and the installed values are the same
+// under every schedule, so the numerics are bit-identical (DESIGN.md §8);
+// only the simulated schedule moves.
 
 // stage is one entry of a schedule. Consecutive stages naming the same
 // phase run inside one obs phase span.
 type stage struct {
 	phase string
 	run   func(*pipeline) error
-	// when, if set, gates the stage (and with it the opening of its phase)
-	// on per-step state: factor stages run on stat steps only.
-	when func(*pipeline) bool
+	// lower returns the stage's ops, the same every step it runs; nil for
+	// a stage the lowering does not cover.
+	lower func(*lowering) []des.Op
+	// when gates the stage (and with it the opening of its phase) on the
+	// step; nil runs it every step.
+	when func(cfg Config, it int) bool
+}
+
+// statStep gates the factor stages, eigenStep the eigendecompositions: the
+// optimizer's InvFreq cadence, its step count being the iteration's.
+func statStep(cfg Config, it int) bool  { return it%cfg.StatFreq == 0 }
+func eigenStep(cfg Config, it int) bool { return it%max(cfg.KFAC.InvFreq, 1) == 0 }
+
+var (
+	sequentialKFAC = []stage{
+		{"grad-sync", (*pipeline).launchGrads, (*lowering).launchGrads, nil},
+		{"grad-sync", (*pipeline).installGrads, (*lowering).installGrads, nil},
+		{"factor-sync", (*pipeline).launchStats, (*lowering).launchStats, statStep},
+		{"factor-sync", (*pipeline).commitStats, (*lowering).commitStats, statStep},
+		{"eigendecomp", (*pipeline).eigen, (*lowering).eigen, eigenStep},
+		{"precond-exchange", (*pipeline).exchange, (*lowering).exchange, nil},
+	}
+	overlapKFAC = []stage{
+		{"grad-launch", (*pipeline).launchStats, (*lowering).launchStats, statStep},
+		{"grad-launch", (*pipeline).launchGrads, (*lowering).launchGrads, nil},
+		{"factor-sync", (*pipeline).commitStats, (*lowering).commitStats, statStep},
+		{"eigendecomp", (*pipeline).eigen, (*lowering).eigen, eigenStep},
+		{"grad-install", (*pipeline).installGrads, (*lowering).installGrads, nil},
+		{"precond-exchange", (*pipeline).exchange, (*lowering).exchange, nil},
+	}
+)
+
+// stagesFor picks cfg's schedule. A first-order step's exchange follows its
+// compressor: the gradient buckets when there is none, else a blob or ring
+// family's.
+func stagesFor(cfg Config, compressed, ring bool) []stage {
+	switch {
+	case cfg.UseKFAC && cfg.Overlap:
+		return overlapKFAC
+	case cfg.UseKFAC:
+		return sequentialKFAC
+	case ring:
+		// The low-rank family's alternating P/Q factors aggregate as a sum,
+		// so its exchange is a ring all-reduce over one factor.
+		return []stage{{"grad-sync", (*pipeline).lowrank, nil, nil}}
+	case compressed:
+		return []stage{{"grad-sync", (*pipeline).gatherGrads, (*lowering).gatherGrads, nil}}
+	}
+	return sequentialKFAC[:2]
+}
+
+// shape is the layout of a step, a function of the gradient sizes, the
+// K-FAC layer count and cfg's Workers, Overlap, FusionBytes and
+// AggregationM only. Overlap caps the gradient buckets at FusionBytes (one
+// whole-model bucket otherwise) and sends one aggregation group per
+// exchange round (otherwise every group of rank 0, which owns the most).
+// owned[r] lists rank r's layers under the round-robin split and groups[r]
+// the same layers cut into aggregation groups.
+type shape struct {
+	buckets  []bucket
+	owned    [][]int
+	groups   [][][]int
+	perRound int
+}
+
+func newShape(cfg Config, grads []int, nLayers int) shape {
+	limit, p := math.MaxInt, cfg.Workers
+	if cfg.Overlap {
+		limit = cfg.FusionBytes
+	}
+	s := shape{buckets: fuseBuckets(grads, limit), owned: make([][]int, p), groups: make([][][]int, p), perRound: 1}
+	for r := range p {
+		for li := r; li < nLayers; li += p {
+			s.owned[r] = append(s.owned[r], li)
+		}
+		for g := 0; g < len(s.owned[r]); g += cfg.AggregationM {
+			end := min(g+cfg.AggregationM, len(s.owned[r]))
+			s.groups[r] = append(s.groups[r], s.owned[r][g:end:end])
+		}
+	}
+	if !cfg.Overlap {
+		s.perRound = max(1, len(s.groups[0]))
+	}
+	return s
 }
 
 // pipeline is one worker's per-run training state plus the in-flight
@@ -78,15 +143,8 @@ type pipeline struct {
 	dataSrc *rand.PCG
 	dataRng *rand.Rand
 
-	stages  []stage
-	buckets []bucket
-	// owned[r] lists rank r's layers under the round-robin split and
-	// groups[r] their aggregation groups (indices into owned[r]): functions
-	// of layer count, world size and AggregationM only. Each exchange
-	// round carries perRound groups per rank.
-	owned    [][]int
-	groups   [][][]int
-	perRound int
+	stages []stage
+	shape
 	// decode decompresses one gathered K-FAC frame; nil when frames are
 	// lossless FP32.
 	decode func([]byte) ([]float32, error)
@@ -117,47 +175,24 @@ func newPipeline(w *cluster.Worker, cfg Config, cr *crAccum, tally map[string]in
 	}
 	p.fc = newFaultCtx(w, cfg, p.tel)
 
-	// Gradient buckets: capped at FusionBytes under overlap, one
-	// whole-model bucket otherwise.
-	limit := math.MaxInt
-	if cfg.Overlap {
-		limit = cfg.FusionBytes
-	}
+	ar, _ := ringCompressor(p.comp)
+	p.stages = stagesFor(cfg, p.comp != nil, ar != nil)
 	params := p.task.Model.Params()
 	sizes := make([]int, len(params))
 	for i, pm := range params {
 		sizes[i] = len(pm.Grad.Data)
 	}
-	p.buckets = fuseBuckets(sizes, limit)
-	p.pend = make([]*cluster.PendingReduce, len(p.buckets))
-	p.bufs = make([][]float64, len(p.buckets))
-
 	if !cfg.UseKFAC {
 		p.sgd = opt.NewSGD(0.9, 0)
-		gradSync := []stage{
-			{"grad-sync", (*pipeline).launchGrads, nil},
-			{"grad-sync", (*pipeline).installGrads, nil},
-		}
-		if ar, ef := ringCompressor(p.comp); ar != nil {
-			// Low-rank family: the alternating P/Q factors aggregate as a
-			// sum, so the exchange is a ring all-reduce over one factor
-			// instead of an all-gather of per-rank blobs.
-			gradSync = []stage{{"grad-sync", func(p *pipeline) error {
-				return lowrankSync(p.w, p.task.Model, ar, ef, p.tel, p.cr, "grad-lowrank-allreduce")
-			}, nil}}
-		} else if p.comp != nil {
-			gradSync = []stage{{"grad-sync", (*pipeline).gatherGrads, nil}}
-		}
-		p.stages = gradSync
-		return p
+		p.shape = newShape(cfg, sizes, 0)
+	} else {
+		p.k = kfac.New(p.task.Model, cfg.KFAC)
+		p.shape = newShape(cfg, sizes, p.k.NumLayers())
 	}
-
-	p.k = kfac.New(p.task.Model, cfg.KFAC)
-	p.owned = make([][]int, w.Size())
-	p.groups = make([][][]int, w.Size())
-	for r := range p.owned {
-		p.owned[r] = ownedLayers(p.k.NumLayers(), w.Size(), r)
-		p.groups[r] = compso.Groups(len(p.owned[r]), cfg.AggregationM)
+	p.pend = make([]*cluster.PendingReduce, len(p.buckets))
+	p.bufs = make([][]float64, len(p.buckets))
+	if p.k == nil {
+		return p
 	}
 	switch {
 	case cfg.NewLayerCompressor != nil:
@@ -172,30 +207,6 @@ func newPipeline(w *cluster.Worker, cfg Config, cr *crAccum, tally map[string]in
 		p.decode = compress.Decode
 	case p.comp != nil:
 		p.decode = p.comp.Decompress
-	}
-	statStep := func(p *pipeline) bool { return p.w.Step()%p.cfg.StatFreq == 0 }
-	needsEigen := func(p *pipeline) bool { return p.k.NeedsEigen() }
-	if cfg.Overlap {
-		p.perRound = 1
-		p.stages = []stage{
-			{"grad-launch", (*pipeline).launchStats, statStep},
-			{"grad-launch", (*pipeline).launchGrads, nil},
-			{"factor-sync", (*pipeline).commitStats, statStep},
-			{"eigendecomp", (*pipeline).eigen, needsEigen},
-			{"grad-install", (*pipeline).installGrads, nil},
-			{"precond-exchange", (*pipeline).exchange, nil},
-		}
-		return p
-	}
-	// Rank 0 owns the most layers, hence the most groups.
-	p.perRound = max(1, len(p.groups[0]))
-	p.stages = []stage{
-		{"grad-sync", (*pipeline).launchGrads, nil},
-		{"grad-sync", (*pipeline).installGrads, nil},
-		{"factor-sync", (*pipeline).launchStats, statStep},
-		{"factor-sync", (*pipeline).commitStats, statStep},
-		{"eigendecomp", (*pipeline).eigen, needsEigen},
-		{"precond-exchange", (*pipeline).exchange, nil},
 	}
 	return p
 }
@@ -232,7 +243,7 @@ func (p *pipeline) step(it int) error {
 	var span obs.SpanID
 	defer func() { tel.endPhase(span) }()
 	for _, st := range p.stages {
-		if st.when != nil && !st.when(p) {
+		if st.when != nil && !st.when(p.cfg, it) {
 			continue
 		}
 		if st.phase != phase {
@@ -293,6 +304,12 @@ func (p *pipeline) releaseBuckets() {
 	}
 }
 
+// lowrank is the ring family's first-order exchange (lowrankSync).
+func (p *pipeline) lowrank() error {
+	ar, ef := ringCompressor(p.comp)
+	return lowrankSync(p.w, p.task.Model, ar, ef, p.tel, p.cr, "grad-lowrank-allreduce")
+}
+
 // gatherGrads is the compressed first-order exchange: each worker
 // compresses its whole-model gradient, all-gathers the blobs, and averages
 // the decompressed replicas — the all-gather-based scheme that avoids ring
@@ -324,7 +341,7 @@ func (p *pipeline) gatherSum(comp compress.Compressor, fc *faultCtx, vals []floa
 	if err != nil {
 		return 0, err
 	}
-	p.tel.compress(p.tel.pipe, len(vals), len(blob), category)
+	p.tel.compress(fused, len(vals), len(blob), category)
 	parts := p.w.AllGather(blob, category)
 	clear(sum)
 	rx := gatherRx{
@@ -414,7 +431,7 @@ func (p *pipeline) eigen() error {
 // contributes an empty payload to rounds its own groups do not reach.
 func (p *pipeline) exchange() error {
 	w, k, tel := p.w, p.k, p.tel
-	owned, groups := p.owned[w.Rank()], p.groups[w.Rank()]
+	groups := p.groups[w.Rank()]
 	type round struct {
 		payload []byte
 		// flats are the round's uncompressed groups, from which a lossless
@@ -428,12 +445,12 @@ func (p *pipeline) exchange() error {
 		for gi := r * p.perRound; gi < min((r+1)*p.perRound, len(groups)); gi++ {
 			g := groups[gi]
 			grads := make([][]float32, len(g))
-			for i, oi := range g {
-				vals, err := k.Precondition(owned[oi])
+			for i, li := range g {
+				vals, err := k.Precondition(li)
 				if err != nil {
 					return err
 				}
-				tel.precondition(k, owned[oi])
+				tel.precondition(k, li)
 				grads[i] = vals
 			}
 			flat := compso.Concat(grads)
@@ -441,7 +458,7 @@ func (p *pipeline) exchange() error {
 			gcomp := p.comp
 			if p.layerComps != nil {
 				// AggregationM == 1: each group is exactly one owned layer.
-				gcomp = p.layerComps[owned[g[0]]]
+				gcomp = p.layerComps[g[0]]
 			}
 			if gcomp == nil {
 				rd.payload = appendRawFrame(rd.payload, flat)
@@ -466,7 +483,7 @@ func (p *pipeline) exchange() error {
 				return readFrames(part, min(max(len(p.groups[sender])-first, 0), p.perRound), sender)
 			},
 			install: func(sender, frame int, vals []float32) error {
-				return p.installGroup(sender, p.groups[sender][first+frame], vals)
+				return p.installGroup(p.groups[sender][first+frame], vals)
 			},
 			own: rd.payload,
 			ownRaw: func() []byte {
@@ -484,21 +501,20 @@ func (p *pipeline) exchange() error {
 	return nil
 }
 
-// installGroup splits one decoded aggregation group of sender's into its
-// layers and installs them; SetPreconditioned copies, and installs are
+// installGroup splits one decoded aggregation group into its layers and
+// installs them; SetPreconditioned copies, and installs are
 // keyed by layer, so the order rounds arrive in does not matter.
-func (p *pipeline) installGroup(sender int, g []int, vals []float32) error {
-	owned := p.owned[sender]
+func (p *pipeline) installGroup(g []int, vals []float32) error {
 	lengths := make([]int, len(g))
-	for i, oi := range g {
-		lengths[i] = p.k.LayerGradSize(owned[oi])
+	for i, li := range g {
+		lengths[i] = p.k.LayerGradSize(li)
 	}
 	split, err := compso.Split(vals, lengths)
 	if err != nil {
 		return fmt.Errorf("%w: %v", compress.ErrCorrupt, err)
 	}
-	for i, oi := range g {
-		if err := p.k.SetPreconditioned(owned[oi], split[i]); err != nil {
+	for i, li := range g {
+		if err := p.k.SetPreconditioned(li, split[i]); err != nil {
 			return err
 		}
 	}

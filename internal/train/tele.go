@@ -11,9 +11,9 @@ import (
 )
 
 // tele is the per-worker instrumentation state: the observability recorder
-// (nil when tracing is off), the roofline device model used to charge
-// compression-kernel time, the flop-rate model for the K-FAC numerics, and
-// the currently open step/phase spans.
+// (nil when tracing is off), the flop-rate model for the K-FAC numerics,
+// and the currently open step/phase spans. Compression kernels are charged
+// on the a100 roofline model.
 //
 // Two invariants hold throughout:
 //
@@ -27,8 +27,6 @@ import (
 type tele struct {
 	w    *cluster.Worker
 	rec  *obs.Recorder
-	dev  gpusim.Device
-	pipe gpusim.Pipeline
 	cm   modelzoo.ComputeModel
 	step obs.SpanID
 	// faults tallies logical fault events on rank 0 (the run's shared
@@ -36,14 +34,12 @@ type tele struct {
 	faults map[string]int64
 }
 
+// a100 and fused are the device and kernel every compress and decode is
+// charged on, live and lowered.
+var a100, fused = gpusim.A100(), gpusim.COMPSOFused()
+
 func newTele(w *cluster.Worker) *tele {
-	return &tele{
-		w:    w,
-		rec:  w.Recorder(),
-		dev:  gpusim.A100(),
-		pipe: gpusim.COMPSOFused(),
-		cm:   modelzoo.A100Compute(),
-	}
+	return &tele{w: w, rec: w.Recorder(), cm: modelzoo.A100Compute()}
 }
 
 // beginStep opens the iteration's step span and parents subsequent
@@ -110,15 +106,10 @@ func (t *tele) endPhase(id obs.SpanID) {
 }
 
 // compress charges the modeled time of compressing n float32 values on
-// the given kernel pipeline (t.pipe, the fused COMPSO kernel, for every
+// the given kernel pipeline (fused, the COMPSO kernel, for every
 // family but the low-rank one, which charges its GEMM-shaped pipeline) and
 // records a compress span plus ratio/wire-size metrics.
 func (t *tele) compress(pipe gpusim.Pipeline, n, blobBytes int, label string) {
-	start := t.w.Time()
-	t.w.Compute(t.dev.Time(pipe, n), "compress")
-	if t.rec == nil {
-		return
-	}
 	a := obs.NoAttrs
 	a.Label = label
 	a.BytesIn = int64(4 * n)
@@ -126,7 +117,9 @@ func (t *tele) compress(pipe gpusim.Pipeline, n, blobBytes int, label string) {
 	if n > 0 && blobBytes > 0 {
 		a.Value = float64(4*n) / float64(blobBytes)
 	}
-	t.rec.Span(t.w.SpanContext(), t.w.Rank(), obs.CatCompress, "compress", start, t.w.Time(), a)
+	if !t.charge(a100.Time(pipe, n), "compress", obs.CatCompress, "compress", a) {
+		return
+	}
 	if t.w.Rank() == 0 && a.Value > 0 {
 		t.rec.Histogram("compress/ratio").Observe(a.Value)
 		t.rec.Histogram("compress/blob_bytes").Observe(float64(blobBytes))
@@ -136,16 +129,11 @@ func (t *tele) compress(pipe gpusim.Pipeline, n, blobBytes int, label string) {
 // decompress charges the modeled decode time for recovering n float32
 // values from a blobBytes-sized buffer and records a decompress span.
 func (t *tele) decompress(pipe gpusim.Pipeline, n, blobBytes int, label string) {
-	start := t.w.Time()
-	t.w.Compute(t.dev.DecompressTime(pipe, n), "decompress")
-	if t.rec == nil {
-		return
-	}
 	a := obs.NoAttrs
 	a.Label = label
 	a.BytesIn = int64(blobBytes)
 	a.BytesOut = int64(4 * n)
-	t.rec.Span(t.w.SpanContext(), t.w.Rank(), obs.CatCompress, "decompress", start, t.w.Time(), a)
+	t.charge(a100.DecompressTime(pipe, n), "decompress", obs.CatCompress, "decompress", a)
 }
 
 // eigen charges the modeled eigendecomposition time for layer li (9·(a³+g³)
@@ -153,14 +141,9 @@ func (t *tele) decompress(pipe gpusim.Pipeline, n, blobBytes int, label string) 
 func (t *tele) eigen(k *kfac.KFAC, li int) {
 	da, dg := k.FactorDims(li)
 	a, g := float64(da), float64(dg)
-	start := t.w.Time()
-	t.w.Compute(9*(a*a*a+g*g*g)/t.cm.EigFlops, "kfac-eigendecomp")
-	if t.rec == nil {
-		return
-	}
 	at := obs.NoAttrs
 	at.Layer = li
-	t.rec.Span(t.w.SpanContext(), t.w.Rank(), obs.CatPrecondition, "eigendecomp", start, t.w.Time(), at)
+	t.charge(9*(a*a*a+g*g*g)/t.cm.EigFlops, "kfac-eigendecomp", obs.CatPrecondition, "eigendecomp", at)
 }
 
 // precondition charges the modeled two-sided eigenbasis GEMM time for
@@ -168,14 +151,22 @@ func (t *tele) eigen(k *kfac.KFAC, li int) {
 func (t *tele) precondition(k *kfac.KFAC, li int) {
 	da, dg := k.FactorDims(li)
 	a, g := float64(da), float64(dg)
-	start := t.w.Time()
-	t.w.Compute(4*(a*a*g+a*g*g)/t.cm.Flops, "kfac-precondition")
-	if t.rec == nil {
-		return
-	}
 	at := obs.NoAttrs
 	at.Layer = li
-	t.rec.Span(t.w.SpanContext(), t.w.Rank(), obs.CatPrecondition, "precondition", start, t.w.Time(), at)
+	t.charge(4*(a*a*g+a*g*g)/t.cm.Flops, "kfac-precondition", obs.CatPrecondition, "precondition", at)
+}
+
+// charge advances the clock by seconds under category and, with a
+// recorder, records a span of cat named name over the charge; it reports
+// whether it recorded.
+func (t *tele) charge(seconds float64, category string, cat obs.Category, name string, a obs.Attrs) bool {
+	start := t.w.Time()
+	t.w.Compute(seconds, category)
+	if t.rec == nil {
+		return false
+	}
+	t.rec.Span(t.w.SpanContext(), t.w.Rank(), cat, name, start, t.w.Time(), a)
+	return true
 }
 
 // filterStats observes the compressor's last filter hit rate (the dropped

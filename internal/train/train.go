@@ -425,16 +425,6 @@ func runWorker(w *cluster.Worker, cfg Config, result *Result, mu *sync.Mutex, cr
 	return nil
 }
 
-// ownedLayers returns the layer indices assigned to rank under the
-// round-robin layer-wise work split.
-func ownedLayers(nLayers, worldSize, rank int) []int {
-	var out []int
-	for i := rank; i < nLayers; i += worldSize {
-		out = append(out, i)
-	}
-	return out
-}
-
 // crAccum is one worker's lock-free compression-ratio accumulator; Run
 // merges the per-rank accumulators in rank order after the workers finish.
 type crAccum struct {

@@ -3,6 +3,7 @@ package train
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"compso/internal/cluster"
@@ -188,9 +189,19 @@ func TestStatFreqAmortization(t *testing.T) {
 
 func TestOwnedLayersPartition(t *testing.T) {
 	seen := map[int]int{}
-	for rank := 0; rank < 4; rank++ {
-		for _, l := range ownedLayers(10, 4, rank) {
+	s := newShape(Config{Workers: 4, AggregationM: 2}, nil, 10)
+	owned, groups := s.owned, s.groups
+	for rank := range owned {
+		for _, l := range owned[rank] {
 			seen[l]++
+		}
+		for _, g := range groups[rank] {
+			if len(g) == 0 || len(g) > 2 {
+				t.Fatalf("rank %d: aggregation group %v, want 1 or 2 layers", rank, g)
+			}
+		}
+		if got := slices.Concat(groups[rank]...); !slices.Equal(got, owned[rank]) {
+			t.Fatalf("rank %d: groups %v do not cut its layers %v in order", rank, groups[rank], owned[rank])
 		}
 	}
 	if len(seen) != 10 {
