@@ -106,7 +106,7 @@ func Ablations() ([]AblationRow, *Table, error) {
 		return nil, nil, err
 	}
 	for _, m := range []int{1, 4, 16} {
-		t := commTime(p, cfg, 64, cr, m)
+		t := gatherSeconds(cfg, p, 64, m, cr)
 		add(AblationRow{Study: "aggregation", Variant: fmt.Sprintf("m=%d", m), CR: cr, Cosine: 1,
 			Note: fmt.Sprintf("allgather %.2f ms/iter", 1e3*t)})
 	}

@@ -99,7 +99,7 @@ func CrashRecoverySweep() ([]CrashRow, *Table) {
 	cfg := cluster.Platform1()
 	var rows []CrashRow
 	for _, p := range modelzoo.All() {
-		stepSec := IterationBreakdown(p, cfg, crashSweepGPUs, 1).Total
+		stepSec := breakdown(p, cfg, crashSweepGPUs).Total
 		bytes := crashCkptBytes(p)
 		saveSec := bytes / storageBytesPerSec
 		restoreSec := detectSeconds + bytes/storageBytesPerSec

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -282,6 +283,13 @@ func TestFigure9EndToEnd(t *testing.T) {
 	if wins <= losses {
 		t.Errorf("COMPSO-p won %d vs lost %d configurations", wins, losses)
 	}
+	// The performance model's m (§4.4) costs at most 0.1% over the best m
+	// the replay finds among the candidates.
+	for _, r := range rows {
+		if r.Method == "COMPSO-p" && r.Lost > 1e-3 {
+			t.Errorf("%s %s @%d: model m=%d loses %.3f%% to replay-best m=%d", r.Platform, r.Model, r.GPUs, r.AggM, 100*r.Lost, r.BestM)
+		}
+	}
 }
 
 func fmt1(v int) string { return string(rune('0'+v%10)) + string(rune('0'+(v/10)%10)) }
@@ -402,8 +410,14 @@ func TestAblationsShape(t *testing.T) {
 		t.Errorf("SR cosine %.4f well below RN %.4f", by["rounding/SR"].Cosine, by["rounding/RN"].Cosine)
 	}
 	// Aggregation shortens the all-gather (the m=1 note carries more ms).
-	if by["aggregation/m=1"].Note <= by["aggregation/m=4"].Note {
-		// String compare is fine: same format, larger ms sorts larger.
+	ms := func(variant string) float64 {
+		var v float64
+		if _, err := fmt.Sscanf(by["aggregation/"+variant].Note, "allgather %f ms/iter", &v); err != nil {
+			t.Fatalf("aggregation/%s note %q: %v", variant, by["aggregation/"+variant].Note, err)
+		}
+		return v
+	}
+	if ms("m=1") <= ms("m=4") {
 		t.Errorf("aggregation did not reduce comm: %q vs %q",
 			by["aggregation/m=1"].Note, by["aggregation/m=4"].Note)
 	}

@@ -37,60 +37,24 @@ func (b Breakdown) Percent() [5]float64 {
 	}
 }
 
-// kfacTimingConstants are the KAISA amortization frequencies used across
-// the timing experiments.
-const (
-	statFreq = 10  // Kronecker factor refresh every 10 iterations
-	invFreq  = 100 // eigendecomposition refresh every 100 iterations
-	// ownershipImbalance inflates the per-worker K-FAC compute slice for
-	// round-robin layer assignment of unequal layers.
-	ownershipImbalance = 1.15
-	// othersFraction models data loading, batch-norm and optimizer-step
-	// time as a fraction of forward+backward.
-	othersFraction = 0.30
-)
-
-// IterationBreakdown computes the modeled per-iteration breakdown of
-// distributed K-FAC for one model on a platform with the given total GPU
-// count, with the all-gather payload scaled by compressionRatio (1 = no
-// compression) and (de)compression overhead added separately by callers
-// that model it.
-func IterationBreakdown(p modelzoo.Profile, cfg cluster.Config, gpus int, compressionRatio float64) Breakdown {
-	cm := modelzoo.A100Compute()
-	fwdBwd := cm.FwdBwdTime(p)
-
-	// Factor all-reduce: the Kronecker factors are symmetric, so only the
-	// triangular half is exchanged, and synchronization is amortized over
-	// the stat period (local running averages update every iteration).
-	allreduce := cfg.AllReduceTime(4*p.CovarianceFloats()/2, gpus) / statFreq
-
-	// K-FAC compute: covariance construction every iteration, plus the
-	// owned share of eigendecompositions (amortized) and preconditioning.
-	kfacCompute := cm.CovTime(p)
-	var eig, precond float64
-	for i := range p.Layers {
-		eig += cm.EigTime(p, i)
-		precond += cm.PrecondTime(p, i)
+// breakdown replays figureSteps uncompressed steps of prof on gpus ranks
+// of the platform's analytic fabric; each category is its per-step seconds
+// averaged over ranks, Total the per-step makespan. Ranks owning less K-FAC
+// work wait at the all-gather, so placement imbalance reads as all-gather.
+func breakdown(prof modelzoo.Profile, plat cluster.Config, gpus int) Breakdown {
+	r := replay(analytic(plat), figureStep(gpus, 1), figureModel(prof, nil, ratioPayload(prof, 1)))
+	c := func(cats ...string) (s float64) {
+		for _, k := range cats {
+			s += r.mean[k] / figureSteps
+		}
+		return s
 	}
-	kfacCompute += (eig/invFreq + precond) / float64(gpus) * ownershipImbalance
-
-	// Preconditioned-gradient all-gather: per-group collectives over the
-	// layer-wise work split (no aggregation in the vanilla breakdown).
-	allgather := commTime(p, cfg, gpus, compressionRatio, 1)
-
-	// Others: data loading, norm layers and the optimizer step. The
-	// first-order gradient all-reduce overlaps with the backward pass
-	// (standard DDP bucketing) and is not a separate share, matching the
-	// paper's small "Others" slice.
-	others := othersFraction * fwdBwd
-
-	b := Breakdown{
-		Model: p.Name, Nodes: gpus / cfg.GPUsPerNode, GPUs: gpus,
-		Allgather: allgather, Allreduce: allreduce, KFACCompute: kfacCompute,
-		FwdBwd: fwdBwd, Others: others,
+	return Breakdown{
+		Model: prof.Name, Nodes: gpus / plat.GPUsPerNode, GPUs: gpus,
+		Allgather: c("kfac-allgather"), Allreduce: c("kfac-allreduce"),
+		KFACCompute: c("kfac-cov", "kfac-eigendecomp", "kfac-precondition"),
+		FwdBwd:      c("fwd-bwd"), Others: c("others"), Total: r.makespan / figureSteps,
 	}
-	b.Total = allgather + allreduce + kfacCompute + fwdBwd + others
-	return b
 }
 
 // Figure1 regenerates the paper's Figure 1 on Platform 1.
@@ -103,7 +67,7 @@ func Figure1() ([]Breakdown, *Table) {
 	}
 	for _, p := range modelzoo.All() {
 		for _, nodes := range []int{16, 32, 64} {
-			b := IterationBreakdown(p, cfg, nodes*cfg.GPUsPerNode, 1)
+			b := breakdown(p, cfg, nodes*cfg.GPUsPerNode)
 			rows = append(rows, b)
 			pct := b.Percent()
 			table.Rows = append(table.Rows, []string{

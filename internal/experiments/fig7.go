@@ -13,7 +13,9 @@ import (
 // compressed K-FAC gradient all-gathers across the four models, GPU counts
 // {8, 16, 32, 64} and both platforms. As in the paper, the communication
 // time excludes (de)compression overhead: the speedup isolates the benefit
-// of moving fewer bytes, with layer aggregation (m=4) applied.
+// of moving fewer bytes, with layer aggregation (m=4) applied. Each worker
+// owns a round-robin share of the layers, and every round gathers one
+// aggregation group per worker (gatherSeconds).
 
 // Fig7Row is one (platform, model, method, GPU count) speedup.
 type Fig7Row struct {
@@ -23,66 +25,18 @@ type Fig7Row struct {
 	Speedup                 float64
 }
 
-// fig7Compressors returns the Figure 7 method set in plot order.
-func fig7Compressors() []struct {
-	name string
-	mk   func() compress.Compressor
-} {
-	return []struct {
-		name string
-		mk   func() compress.Compressor
-	}{
-		{"cuSZ", func() compress.Compressor { return compress.NewSZ(4e-3) }},
-		{"QSGD", func() compress.Compressor { return compress.NewQSGD(8, 61) }},
-		{"CocktailSGD", func() compress.Compressor { return compress.NewCocktailSGD(0.2, 8, 62) }},
-		{"COMPSO", func() compress.Compressor { return compso.NewCompressor(nil, 0, 63) }},
+// fig7Methods returns the Figure 7 method set in plot order.
+func fig7Methods() []figMethod {
+	return []figMethod{
+		{name: "cuSZ", mk: func() compress.Compressor { return compress.NewSZ(4e-3) }},
+		{name: "QSGD", mk: func() compress.Compressor { return compress.NewQSGD(8, 61) }},
+		{name: "CocktailSGD", mk: func() compress.Compressor { return compress.NewCocktailSGD(0.2, 8, 62) }},
+		{name: "COMPSO", mk: func() compress.Compressor { return compso.NewCompressor(nil, 0, 63) }},
 	}
 }
 
 // fig7AggM is the layer-aggregation factor for the communication study.
 const fig7AggM = 4
-
-// commTime models the per-iteration K-FAC all-gather time for a gradient
-// compressed at the given ratio: each worker owns ~1/gpus of the layers
-// (round-robin), aggregates them into groups of m, and in each round every
-// worker contributes its next group to a variable-size all-gather (KAISA
-// gathers each layer's result immediately on completion, so the exchange
-// is a sequence of per-group collectives, not one bulk transfer).
-func commTime(p modelzoo.Profile, cfg cluster.Config, gpus int, cr float64, m int) float64 {
-	// groupBytes[rank] = that worker's aggregated group sizes in order.
-	groupBytes := make([][]int, gpus)
-	rounds := 0
-	for rank := 0; rank < gpus; rank++ {
-		var group int
-		count := 0
-		for li := rank; li < len(p.Layers); li += gpus {
-			group += 4 * p.Layers[li].Params()
-			count++
-			if count == m {
-				groupBytes[rank] = append(groupBytes[rank], group)
-				group, count = 0, 0
-			}
-		}
-		if count > 0 {
-			groupBytes[rank] = append(groupBytes[rank], group)
-		}
-		if len(groupBytes[rank]) > rounds {
-			rounds = len(groupBytes[rank])
-		}
-	}
-	var total float64
-	sizes := make([]int, gpus)
-	for r := 0; r < rounds; r++ {
-		for rank := 0; rank < gpus; rank++ {
-			sizes[rank] = 0
-			if r < len(groupBytes[rank]) {
-				sizes[rank] = int(float64(groupBytes[rank][r]) / cr)
-			}
-		}
-		total += cfg.AllGatherVarTime(sizes, gpus)
-	}
-	return total
-}
 
 // Figure7 regenerates the communication-speedup comparison.
 func Figure7() ([]Fig7Row, *Table, error) {
@@ -95,14 +49,14 @@ func Figure7() ([]Fig7Row, *Table, error) {
 		platform := fmt.Sprintf("Platform %d", pi+1)
 		for _, p := range modelzoo.All() {
 			// Measure each compressor's CR once per model.
-			for _, method := range fig7Compressors() {
+			for _, method := range fig7Methods() {
 				cr, err := MeasureCR(p, method.mk(), fig7AggM, 900+int64(pi))
 				if err != nil {
 					return nil, nil, err
 				}
 				for _, gpus := range []int{8, 16, 32, 64} {
-					base := commTime(p, cfg, gpus, 1, fig7AggM)
-					comp := commTime(p, cfg, gpus, cr, fig7AggM)
+					base := gatherSeconds(cfg, p, gpus, fig7AggM, 1)
+					comp := gatherSeconds(cfg, p, gpus, fig7AggM, cr)
 					speedup := base / comp
 					rows = append(rows, Fig7Row{
 						Platform: platform, Model: p.Name, Method: method.name,

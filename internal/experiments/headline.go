@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"compso/internal/compso"
 	"compso/internal/modelzoo"
+	"compso/internal/stats"
 )
 
 // Headline reproduces the abstract's summary numbers: "a compression ratio
@@ -49,33 +51,19 @@ func headline(fig7Rows []Fig7Row, fig9Rows []Fig9Row) (HeadlineResult, *Table, e
 	}
 	res.MeanCR = crSum / float64(len(modelzoo.All()))
 
-	var commSum float64
-	var commN int
+	var comm, e2e []float64
 	for _, r := range fig7Rows {
-		if r.Method != "COMPSO" {
-			continue
+		if r.Method == "COMPSO" {
+			comm = append(comm, r.Speedup)
 		}
-		if r.Speedup > res.MaxCommSpeedup {
-			res.MaxCommSpeedup = r.Speedup
-		}
-		commSum += r.Speedup
-		commN++
 	}
-	res.MeanCommSpeedup = commSum / float64(commN)
-
-	var e2eSum float64
-	var e2eN int
 	for _, r := range fig9Rows {
-		if r.Method != "COMPSO-p" {
-			continue
+		if r.Method == "COMPSO-p" {
+			e2e = append(e2e, r.Speedup)
 		}
-		if r.Speedup > res.MaxE2ESpeedup {
-			res.MaxE2ESpeedup = r.Speedup
-		}
-		e2eSum += r.Speedup
-		e2eN++
 	}
-	res.MeanE2ESpeedup = e2eSum / float64(e2eN)
+	res.MaxCommSpeedup, res.MeanCommSpeedup = slices.Max(comm), stats.Mean(comm)
+	res.MaxE2ESpeedup, res.MeanE2ESpeedup = slices.Max(e2e), stats.Mean(e2e)
 
 	table := &Table{
 		Title:   "Headline: abstract-level summary vs the paper",

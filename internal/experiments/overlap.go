@@ -6,7 +6,7 @@ import (
 
 	"compso/internal/cluster"
 	"compso/internal/compress"
-	"compso/internal/des"
+	"compso/internal/gpusim"
 	"compso/internal/kfac"
 	"compso/internal/modelzoo"
 	"compso/internal/train"
@@ -65,7 +65,7 @@ func OverlapJudge(quick bool) (*OverlapReport, *Table, error) {
 		maxElems = 1 << 15
 	}
 	rng := xrand.NewSeeded(8)
-	comp := compress.NewCOMPSO(8)
+	comp, fused := compress.NewCOMPSO(8), gpusim.COMPSOFused()
 
 	rep := &OverlapReport{Workers: overlapJob.Workers, FusionBytes: overlapJob.FusionBytes}
 	for _, prof := range modelzoo.All() {
@@ -78,43 +78,15 @@ func OverlapJudge(quick bool) (*OverlapReport, *Table, error) {
 			}
 			blobs[i] = int(float64(len(blob)) * float64(l.Params()) / float64(len(sample)))
 		}
-		m := train.ProfileModel(prof, true, func(li int) int { return blobs[li] })
-		seq, _, _, err := replayStep(m, false)
-		if err != nil {
-			return nil, nil, err
-		}
-		ovl, hidden, buckets, err := replayStep(m, true)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep.Rows = append(rep.Rows, OverlapRow{Model: prof.Name, Layers: len(prof.Layers), Buckets: buckets,
-			SeqStepSec: seq, OverlapStepSec: ovl, Speedup: seq / ovl, HiddenFrac: hidden, Win: ovl < seq})
+		m := train.ProfileModel(prof, &fused, func(li int) int { return blobs[li] })
+		cfg := overlapJob
+		seq := replay(cluster.Platform1(), cfg, m).makespan
+		cfg.Overlap = true
+		ovl := replay(cluster.Platform1(), cfg, m)
+		rep.Rows = append(rep.Rows, OverlapRow{Model: prof.Name, Layers: len(prof.Layers), Buckets: ovl.ops["grad-allreduce"],
+			SeqStepSec: seq, OverlapStepSec: ovl.makespan, Speedup: seq / ovl.makespan, HiddenFrac: ovl.hidden, Win: ovl.makespan < seq})
 	}
 	return rep, overlapTable(rep), rep.validate()
-}
-
-// replayStep replays the lowered judged step of m under one schedule and
-// returns its makespan, rank 0's hidden fraction, and how many gradient
-// all-reduces it issues.
-func replayStep(m train.StepModel, overlap bool) (seconds, hidden float64, buckets int, err error) {
-	cfg := overlapJob
-	cfg.Overlap = overlap
-	prog, err := train.Lower(cfg, m)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	for _, op := range prog {
-		if op.Category == "grad-allreduce" {
-			buckets++
-		}
-	}
-	w := des.NewWorld(cluster.Platform1(), cfg.Workers)
-	defer w.Release()
-	des.RunOnWorld(w, prog)
-	if exposed, total := w.OverlapOf(0); total > 0 {
-		hidden = 1 - exposed/total
-	}
-	return w.MaxTime(), hidden, buckets, nil
 }
 
 // overlapTable renders the judge report.

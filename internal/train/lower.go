@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"compso/internal/des"
+	"compso/internal/gpusim"
 	"compso/internal/modelzoo"
 )
 
@@ -16,15 +17,16 @@ type StepModel struct {
 	Grads []int
 	// Layers are the K-FAC layers in optimizer order.
 	Layers []LayerModel
-	// FwdBwd and Cov are one step's forward+backward and covariance
-	// seconds (the live loop charges neither).
-	FwdBwd, Cov float64
+	// FwdBwd, Others and Cov are one step's forward+backward, remaining
+	// (data loading, norm layers, optimizer) and covariance seconds (the
+	// live loop charges none of them).
+	FwdBwd, Others, Cov float64
 	// CovElems is the covariance all-reduce length.
 	CovElems int
-	// Compressed frames are blobs charged on the fused COMPSO kernel,
-	// compressed per owned group and decoded per received frame; otherwise
-	// frames are raw FP32 and cost no kernel time.
-	Compressed bool
+	// Pipeline, when set, is the kernel frames are charged on: blobs
+	// compressed per owned group and decoded per received frame. nil frames
+	// are raw FP32 and cost no kernel time.
+	Pipeline *gpusim.Pipeline
 }
 
 // LayerModel is one K-FAC layer: its gradient length, eigendecomposition
@@ -37,10 +39,10 @@ type LayerModel struct {
 }
 
 // ProfileModel is a modelzoo profile's step model on the A100 compute
-// model, layer li shipping payload(li) bytes.
-func ProfileModel(prof modelzoo.Profile, compressed bool, payload func(layer int) int) StepModel {
+// model, layer li shipping payload(li) bytes charged on pipe.
+func ProfileModel(prof modelzoo.Profile, pipe *gpusim.Pipeline, payload func(layer int) int) StepModel {
 	cm := modelzoo.A100Compute()
-	m := StepModel{FwdBwd: cm.FwdBwdTime(prof), Cov: cm.CovTime(prof), CovElems: prof.CovarianceFloats(), Compressed: compressed}
+	m := StepModel{FwdBwd: cm.FwdBwdTime(prof), Cov: cm.CovTime(prof), CovElems: prof.CovarianceFloats(), Pipeline: pipe}
 	for li, l := range prof.Layers {
 		m.Grads = append(m.Grads, l.Params())
 		m.Layers = append(m.Layers, LayerModel{l.Params(), cm.EigTime(prof, li), cm.PrecondTime(prof, li), payload(li)})
@@ -61,7 +63,7 @@ func Lower(c Config, m StepModel) (des.Program, error) {
 		return nil, fmt.Errorf("train: cannot lower %d steps on %d workers (compressed factors %v)", cfg.Iters, cfg.Workers, cfg.CompressFactors)
 	}
 	l := &lowering{m: m, p: cfg.Workers, async: cfg.Overlap, shape: newShape(cfg, m.Grads, len(m.Layers))}
-	stages := stagesFor(cfg, m.Compressed, false)
+	stages := stagesFor(cfg, m.Pipeline != nil, false)
 	ops := make([][]des.Op, len(stages))
 	for i, st := range stages {
 		ops[i] = st.lower(l)
@@ -71,6 +73,9 @@ func Lower(c Config, m StepModel) (des.Program, error) {
 		prog = append(prog, des.Op{Kind: des.KindSetStep, Step: it})
 		if m.FwdBwd > 0 {
 			prog = append(prog, des.Op{Kind: des.KindCompute, Seconds: m.FwdBwd, Category: "fwd-bwd"})
+		}
+		if m.Others > 0 {
+			prog = append(prog, des.Op{Kind: des.KindCompute, Seconds: m.Others, Category: "others"})
 		}
 		for i, st := range stages {
 			if st.when == nil || st.when(cfg, it) {
@@ -140,10 +145,10 @@ func (l *lowering) gatherGrads() []des.Op {
 	for _, ly := range l.m.Layers {
 		blob += ly.Payload
 	}
-	ops := []des.Op{{Kind: des.KindCompute, Seconds: a100.Time(fused, elems), Category: "compress"}}
+	ops := []des.Op{{Kind: des.KindCompute, Seconds: a100.Time(*l.m.Pipeline, elems), Category: "compress"}}
 	ops = l.wait(l.launch(ops, des.Op{Kind: des.KindAllGather, Sizes: []int{blob}, Category: "grad-allgather"}, 0), 0)
 	for range l.p {
-		ops = append(ops, des.Op{Kind: des.KindCompute, Seconds: a100.DecompressTime(fused, elems), Category: "decompress"})
+		ops = append(ops, des.Op{Kind: des.KindCompute, Seconds: a100.DecompressTime(*l.m.Pipeline, elems), Category: "decompress"})
 	}
 	return ops
 }
@@ -199,8 +204,8 @@ func (l *lowering) exchange() (ops []des.Op) {
 					return 0
 				}))
 			}
-			if l.m.Compressed {
-				ops = append(ops, l.each("compress", func(r int) float64 { return a100.Time(fused, sum(r, gi, elems)) }))
+			if l.m.Pipeline != nil {
+				ops = append(ops, l.each("compress", func(r int) float64 { return a100.Time(*l.m.Pipeline, sum(r, gi, elems)) }))
 			}
 			for r := range sizes {
 				if gi < len(l.groups[r]) {
@@ -213,9 +218,9 @@ func (l *lowering) exchange() (ops []des.Op) {
 	}
 	for rd := range rounds {
 		ops = l.wait(ops, 1+len(l.buckets)+rd)
-		for s := 0; s < l.p && l.m.Compressed; s++ {
+		for s := 0; s < l.p && l.m.Pipeline != nil; s++ {
 			for gi := rd * l.perRound; gi < min((rd+1)*l.perRound, len(l.groups[s])); gi++ {
-				ops = append(ops, des.Op{Kind: des.KindCompute, Seconds: a100.DecompressTime(fused, sum(s, gi, elems)), Category: "decompress"})
+				ops = append(ops, des.Op{Kind: des.KindCompute, Seconds: a100.DecompressTime(*l.m.Pipeline, sum(s, gi, elems)), Category: "decompress"})
 			}
 		}
 	}

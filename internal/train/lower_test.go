@@ -98,7 +98,10 @@ func lowerConfig(p int, overlap bool) Config {
 // FP32 frame bytes.
 func proxyModel(cfg Config, compressed bool) StepModel {
 	task := cfg.BuildTask(xrand.NewSeeded(cfg.Seed))
-	m := StepModel{Compressed: compressed}
+	var m StepModel
+	if compressed {
+		m.Pipeline = &fused
+	}
 	for _, pm := range task.Model.Params() {
 		m.Grads = append(m.Grads, len(pm.Grad.Data))
 	}

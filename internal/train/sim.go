@@ -101,7 +101,7 @@ func BuildCommProgram(c CommSimConfig, p int) (des.Program, CommSimInfo, error) 
 	if scale <= 0 || scale > 1 {
 		scale = 1
 	}
-	m := ProfileModel(prof, compressed, func(li int) int {
+	m := ProfileModel(prof, nil, func(li int) int {
 		if !compressed {
 			return 4 * scaled(prof.Layers[li].Params(), scale)
 		}
@@ -112,6 +112,9 @@ func BuildCommProgram(c CommSimConfig, p int) (des.Program, CommSimInfo, error) 
 		m.Layers[i].Elems = m.Grads[i]
 	}
 	m.CovElems = scaled(m.CovElems, scale)
+	if compressed {
+		m.Pipeline = &fused
+	}
 	prog, err := Lower(Config{Workers: p, Iters: c.Steps, UseKFAC: c.KFAC, KFAC: kfac.DefaultConfig(), StatFreq: commSimStatFreq}, m)
 	if err != nil {
 		return nil, CommSimInfo{}, err
