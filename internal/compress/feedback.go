@@ -24,6 +24,8 @@ type ErrorFeedback struct {
 	Inner Compressor
 	// residual carries the accumulated compression error.
 	residual []float32
+	// corrected is Corrected's result, reused from call to call.
+	corrected []float32
 	// expect pins the stream's gradient length from first use on.
 	expect    int
 	expectSet bool
@@ -37,17 +39,20 @@ func NewErrorFeedback(inner Compressor) *ErrorFeedback {
 // Name implements Compressor.
 func (e *ErrorFeedback) Name() string { return e.Inner.Name() + "+EF" }
 
-// Corrected returns src plus the stored residual as a fresh slice, pinning
-// the stream length on first use. It is the first half of Compress, split
-// out for aggregation paths (the low-rank ring all-reduce) that compress
-// and restore through a collective instead of a local round trip; such
-// callers pair it with Observe.
+// Corrected returns src plus the stored residual, pinning the stream length
+// on first use. It is the first half of Compress, split out for
+// aggregation paths (the low-rank ring all-reduce) that compress and
+// restore through a collective instead of a local round trip; such callers
+// pair it with Observe. The result is the wrapper's own buffer, valid
+// until the next Corrected or Compress call: through the Observe that
+// pairs with it, not beyond.
 func (e *ErrorFeedback) Corrected(src []float32) ([]float32, error) {
 	if e.expectSet && e.expect != len(src) {
 		return nil, fmt.Errorf("%w: EF stream length %d, input %d", ErrLengthMismatch, e.expect, len(src))
 	}
 	e.expect, e.expectSet = len(src), true
-	corrected := make([]float32, len(src))
+	e.corrected = resize(e.corrected, len(src))
+	corrected := e.corrected
 	copy(corrected, src)
 	if e.residual != nil {
 		for i := range corrected {

@@ -54,6 +54,8 @@ type PowerSGD struct {
 	// q is the cols×k query factor, orthonormal columns; p is the rows×k
 	// left factor (ring mode only).
 	q, p []float64
+	// out is InstallReduced's result, reused from call to call.
+	out []float32
 	// phase alternates ring-mode steps: 0 → communicate P, 1 → communicate Q.
 	phase int
 	step  int
@@ -349,7 +351,8 @@ type AllReducible interface {
 	// bytes). The returned slice is owned by the caller.
 	ReduceFactor(src []float32) ([]float64, error)
 	// InstallReduced consumes the element-wise sum of all workers'
-	// factors and returns the averaged restored gradient.
+	// factors and returns the averaged restored gradient. The result is
+	// the compressor's own buffer, valid until its next InstallReduced.
 	InstallReduced(sum []float64, world int) ([]float32, error)
 }
 
@@ -379,7 +382,8 @@ func (pc *PowerSGD) ReduceFactor(src []float32) ([]float64, error) {
 
 // InstallReduced implements AllReducible. The averaged factor reconstructs
 // the gradient against the shared non-communicated factor, and its
-// orthonormalization becomes that shared factor for the next step.
+// orthonormalization becomes that shared factor for the next step. The
+// average is taken in the storage of the factor it retires.
 func (pc *PowerSGD) InstallReduced(sum []float64, world int) ([]float32, error) {
 	if world <= 0 {
 		return nil, fmt.Errorf("compress: PowerSGD: world size %d", world)
@@ -395,12 +399,13 @@ func (pc *PowerSGD) InstallReduced(sum []float64, world int) ([]float32, error) 
 	}
 	n, rows, cols, k := pc.n, pc.rows, pc.cols, pc.k
 	inv := 1 / float64(world)
-	out := make([]float32, n)
+	pc.out = resize(pc.out, n)
+	out := pc.out
 	if pc.phase == 0 {
 		if len(sum) != rows*k {
 			return nil, fmt.Errorf("compress: PowerSGD: P factor %d values, want %d", len(sum), rows*k)
 		}
-		avg := make([]float64, len(sum))
+		avg := resize(pc.p, len(sum))
 		for i, v := range sum {
 			avg[i] = v * inv
 		}
@@ -412,7 +417,7 @@ func (pc *PowerSGD) InstallReduced(sum []float64, world int) ([]float32, error) 
 		if len(sum) != cols*k {
 			return nil, fmt.Errorf("compress: PowerSGD: Q factor %d values, want %d", len(sum), cols*k)
 		}
-		avg := make([]float64, len(sum))
+		avg := resize(pc.q, len(sum))
 		for i, v := range sum {
 			avg[i] = v * inv
 		}
@@ -423,6 +428,15 @@ func (pc *PowerSGD) InstallReduced(sum []float64, world int) ([]float32, error) 
 	}
 	pc.step++
 	return out, nil
+}
+
+// resize returns s with length n and unspecified contents, in s's storage
+// when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // FactorLen reports the communicated factor length (in values) for a

@@ -9,6 +9,8 @@ import (
 // ReLU is the rectified linear activation.
 type ReLU struct {
 	mask []bool
+	// The training output and input gradient it hands out (Layer).
+	out, gradIn tensor.Matrix
 }
 
 // NewReLU returns a ReLU layer.
@@ -22,12 +24,9 @@ func (r *ReLU) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	out := output(train, x.Rows, x.Cols)
+	out := output(&r.out, train, x.Rows, x.Cols)
 	if train {
-		if cap(r.mask) < len(x.Data) {
-			r.mask = make([]bool, len(x.Data))
-		}
-		r.mask = r.mask[:len(x.Data)]
+		r.mask = resize(r.mask, len(x.Data))
 	}
 	for i, v := range x.Data {
 		keep := v > 0
@@ -47,11 +46,12 @@ func (r *ReLU) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	if len(r.mask) != len(gradOut.Data) {
 		panic("nn: ReLU.Backward shape mismatch with cached mask")
 	}
-	out := gradOut.Clone()
-	for i := range out.Data {
+	out := reuse(&r.gradIn, gradOut.Rows, gradOut.Cols)
+	for i, g := range gradOut.Data {
 		if !r.mask[i] {
-			out.Data[i] = 0
+			g = 0
 		}
+		out.Data[i] = g
 	}
 	return out
 }
@@ -59,7 +59,8 @@ func (r *ReLU) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 // GELU is the Gaussian error linear unit (tanh approximation), the
 // transformer-standard activation.
 type GELU struct {
-	lastInput *tensor.Matrix
+	lastInput   *tensor.Matrix
+	out, gradIn tensor.Matrix
 }
 
 // NewGELU returns a GELU layer.
@@ -87,9 +88,10 @@ func geluGrad(x float64) float64 {
 // Forward implements Layer.
 func (g *GELU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if train {
-		g.lastInput = x.Clone()
+		g.lastInput = reuse(g.lastInput, x.Rows, x.Cols)
+		copy(g.lastInput.Data, x.Data)
 	}
-	out := output(train, x.Rows, x.Cols)
+	out := output(&g.out, train, x.Rows, x.Cols)
 	for i, v := range x.Data {
 		out.Data[i] = gelu(v)
 	}
@@ -101,7 +103,7 @@ func (g *GELU) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	if g.lastInput == nil || len(g.lastInput.Data) != len(gradOut.Data) {
 		panic("nn: GELU.Backward shape mismatch")
 	}
-	out := tensor.New(gradOut.Rows, gradOut.Cols)
+	out := reuse(&g.gradIn, gradOut.Rows, gradOut.Cols)
 	for i, v := range g.lastInput.Data {
 		out.Data[i] = gradOut.Data[i] * geluGrad(v)
 	}
@@ -110,7 +112,8 @@ func (g *GELU) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 
 // Tanh is the hyperbolic-tangent activation.
 type Tanh struct {
-	lastOutput *tensor.Matrix
+	lastOutput  *tensor.Matrix
+	out, gradIn tensor.Matrix
 }
 
 // NewTanh returns a Tanh layer.
@@ -124,12 +127,13 @@ func (t *Tanh) Params() []*Param { return nil }
 
 // Forward implements Layer.
 func (t *Tanh) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	out := output(train, x.Rows, x.Cols)
+	out := output(&t.out, train, x.Rows, x.Cols)
 	for i, v := range x.Data {
 		out.Data[i] = math.Tanh(v)
 	}
 	if train {
-		t.lastOutput = out.Clone()
+		t.lastOutput = reuse(t.lastOutput, out.Rows, out.Cols)
+		copy(t.lastOutput.Data, out.Data)
 	}
 	return out
 }
@@ -139,7 +143,7 @@ func (t *Tanh) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	if t.lastOutput == nil || len(t.lastOutput.Data) != len(gradOut.Data) {
 		panic("nn: Tanh.Backward shape mismatch")
 	}
-	out := tensor.New(gradOut.Rows, gradOut.Cols)
+	out := reuse(&t.gradIn, gradOut.Rows, gradOut.Cols)
 	for i, y := range t.lastOutput.Data {
 		out.Data[i] = gradOut.Data[i] * (1 - y*y)
 	}

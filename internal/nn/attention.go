@@ -24,6 +24,9 @@ type SelfAttention struct {
 	batch   int
 	probs   []*tensor.Matrix // softmax attention per (batch·head), Seq×Seq
 	q, k, v *tensor.Matrix   // projected activations, (batch·Seq)×Dim
+	// Training storage reused from step to step: the heads' concatenated
+	// output, and the gradients of the three projections' outputs.
+	attnOut, gradQ, gradK, gradV tensor.Matrix
 }
 
 // NewSelfAttention creates the block. Dim must be divisible by heads.
@@ -107,7 +110,8 @@ func (a *SelfAttention) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 	dh := a.Dim / a.Heads
 	scale := 1 / math.Sqrt(float64(dh))
-	attnOut := tensor.New(batch*a.Seq, a.Dim)
+	attnOut := output(&a.attnOut, train, batch*a.Seq, a.Dim)
+	clear(attnOut.Data) // the heads add into it
 	var probs []*tensor.Matrix
 	for b := 0; b < batch; b++ {
 		for h := 0; h < a.Heads; h++ {
@@ -129,14 +133,14 @@ func (a *SelfAttention) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		a.batch, a.probs = batch, probs
 		a.q, a.k, a.v = q, k, v
 	}
-	// The output projection hands out storage nothing else refers to, so
+	// The output projection's output is this layer's to write into, so
 	// the residual lands in it.
 	out := a.unTokens(y, batch)
 	if !a.NoResidual {
 		out.AXPY(1, x)
 	}
 	if !train {
-		release(q, k, v)
+		release(q, k, v, attnOut)
 	}
 	return out
 }
@@ -156,9 +160,12 @@ func (a *SelfAttention) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 
 	dh := a.Dim / a.Heads
 	scale := 1 / math.Sqrt(float64(dh))
-	gradQ := tensor.New(batch*a.Seq, a.Dim)
-	gradK := tensor.New(batch*a.Seq, a.Dim)
-	gradV := tensor.New(batch*a.Seq, a.Dim)
+	gradQ := reuse(&a.gradQ, batch*a.Seq, a.Dim)
+	gradK := reuse(&a.gradK, batch*a.Seq, a.Dim)
+	gradV := reuse(&a.gradV, batch*a.Seq, a.Dim)
+	clear(gradQ.Data) // the heads add into all three
+	clear(gradK.Data)
+	clear(gradV.Data)
 	pi := 0
 	for b := 0; b < batch; b++ {
 		for h := 0; h < a.Heads; h++ {
@@ -191,10 +198,12 @@ func (a *SelfAttention) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 			a.addHeadSlice(gradV, gVh, b, h)
 		}
 	}
+	// The projections' input gradients are this layer's to write into: the
+	// sum and the residual land in Wq's.
 	gradIn := a.Wq.Backward(gradQ)
 	gradIn.AXPY(1, a.Wk.Backward(gradK))
 	gradIn.AXPY(1, a.Wv.Backward(gradV))
-	out := a.unTokens(gradIn, batch).Clone()
+	out := a.unTokens(gradIn, batch)
 	if !a.NoResidual {
 		out.AXPY(1, gradOut)
 	}

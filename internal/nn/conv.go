@@ -23,10 +23,12 @@ type Conv2D struct {
 	Weight     *Param // (K·K·InC + 1) × OutC, bias in the last row
 	lastCols   *tensor.Matrix
 	lastGradPA *tensor.Matrix
-	// Temporaries of a training-mode Forward (prod) and of Backward. Like
-	// the two caches above they are reused from step to step and collected
-	// with the layer.
-	prod, gradW, gradCols tensor.Matrix
+	// Temporaries of a training-mode Forward (prod) and of Backward, and
+	// the output and input gradient it hands out (Layer). Like the two
+	// caches above they are reused from step to step and collected with the
+	// layer.
+	prod, gradW, wT, gradCols tensor.Matrix
+	out, gradIn               tensor.Matrix
 }
 
 // NewConv2D creates a valid-padding stride-1 convolution layer.
@@ -95,7 +97,7 @@ func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	var colsM, prod, out *tensor.Matrix
 	if train {
 		c.lastCols = c.im2col(c.lastCols, x)
-		colsM, prod, out = c.lastCols, &c.prod, tensor.New(x.Rows, c.OutFeatures())
+		colsM, prod, out = c.lastCols, &c.prod, reuse(&c.out, x.Rows, c.OutFeatures())
 	} else {
 		colsM = c.im2col(scratch(x.Rows*positions, c.Weight.W.Rows), x)
 		prod, out = scratch(x.Rows*positions, c.OutC), scratch(x.Rows, c.OutFeatures())
@@ -137,10 +139,12 @@ func (c *Conv2D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	c.lastGradPA = gpa
 	c.Weight.Grad.AXPY(1, c.gradW.TMatMul(c.lastCols, gpa))
 
-	// ∂L/∂cols = gpa · Wᵀ, then col2im scatter-add.
-	gradCols := c.gradCols.MatMulT(gpa, c.Weight.W)
-	gradIn := tensor.New(batch, c.InC*c.H*c.W)
-	colsWidth := c.K*c.K*c.InC + 1
+	// ∂L/∂cols = gpa · Wᵀ over the weight rows (the bias column has no
+	// input), then col2im scatter-add.
+	colsWidth := c.K * c.K * c.InC
+	gradCols := c.gradCols.MatMul(gpa, weightsT(&c.wT, c.Weight.W, colsWidth))
+	gradIn := reuse(&c.gradIn, batch, c.InC*c.H*c.W)
+	clear(gradIn.Data)
 	for b := 0; b < batch; b++ {
 		img := gradIn.Data[b*gradIn.Cols : (b+1)*gradIn.Cols]
 		for oy := 0; oy < c.OH; oy++ {

@@ -18,9 +18,11 @@ type Dense struct {
 
 	lastInput  *tensor.Matrix // cached [x 1], batch×(In+1)
 	lastGradPA *tensor.Matrix // cached pre-activation gradient, batch×Out
-	// Backward's temporaries. Like the two caches above they are reused
-	// from step to step and collected with the layer.
-	gradW, full tensor.Matrix
+	// Backward's temporaries, and the output and input gradient it hands
+	// out (Layer). Like the two caches above they are reused from step to
+	// step and collected with the layer.
+	gradW, wT   tensor.Matrix
+	out, gradIn tensor.Matrix
 }
 
 // NewDense creates a Dense layer with He-initialized weights and zero bias.
@@ -60,7 +62,7 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	var withBias, out *tensor.Matrix
 	if train {
 		d.lastInput = appendOnes(d.lastInput, x)
-		withBias, out = d.lastInput, new(tensor.Matrix)
+		withBias, out = d.lastInput, &d.out
 	} else {
 		withBias, out = appendOnes(scratch(x.Rows, d.In+1), x), scratch(x.Rows, d.Out)
 		defer release(withBias)
@@ -80,13 +82,18 @@ func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	copy(d.lastGradPA.Data, gradOut.Data)
 	// ∂L/∂W = [x 1]ᵀ · gradOut.
 	d.Weight.Grad.AXPY(1, d.gradW.TMatMul(d.lastInput, gradOut))
-	// ∂L/∂x = gradOut · Wᵀ, dropping the bias column.
-	full := d.full.MatMulT(gradOut, d.Weight.W)
-	gradIn := tensor.New(gradOut.Rows, d.In)
-	for i := 0; i < gradOut.Rows; i++ {
-		copy(gradIn.Data[i*d.In:(i+1)*d.In], full.Data[i*full.Cols:i*full.Cols+d.In])
-	}
-	return gradIn
+	// ∂L/∂x = gradOut · Wᵀ over the weight rows: the bias has no input.
+	return d.gradIn.MatMul(gradOut, weightsT(&d.wT, d.Weight.W, d.In))
+}
+
+// weightsT stores the transpose of w's first rows rows — a combined
+// weight+bias matrix without its bias row — into dst and returns dst. An
+// input gradient is gradOut·Wᵀ, and MatMul against the explicit transpose
+// skips the zeros a ReLU left in gradOut, with MatMulT's bits on finite
+// input (DESIGN.md §5).
+func weightsT(dst, w *tensor.Matrix, rows int) *tensor.Matrix {
+	weights := tensor.Matrix{Rows: rows, Cols: w.Cols, Data: w.Data[:rows*w.Cols]}
+	return dst.TransposeOf(&weights)
 }
 
 // KFACStats implements KFACLayer.

@@ -17,6 +17,7 @@ type Embedding struct {
 	Table              *Param // Vocab×Dim
 	lastIDs            []int
 	lastBatch          int
+	out, gradIn        tensor.Matrix // handed out (Layer)
 }
 
 // NewEmbedding creates an embedding table with N(0, 0.1) init.
@@ -40,11 +41,11 @@ func (e *Embedding) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != e.SeqLen {
 		panic(fmt.Sprintf("nn: %s fed %d tokens, want %d", e.Name(), x.Cols, e.SeqLen))
 	}
-	out := output(train, x.Rows, e.Dim)
-	if !train {
-		clear(out.Data) // the sums below start from zero
+	out := output(&e.out, train, x.Rows, e.Dim)
+	clear(out.Data) // the sums below start from zero
+	if train {
+		e.lastIDs, e.lastBatch = resize(e.lastIDs, x.Rows*e.SeqLen), x.Rows
 	}
-	ids := make([]int, x.Rows*e.SeqLen)
 	inv := 1.0 / float64(e.SeqLen)
 	for b := 0; b < x.Rows; b++ {
 		dst := out.Data[b*e.Dim : (b+1)*e.Dim]
@@ -53,16 +54,14 @@ func (e *Embedding) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 			if id < 0 || id >= e.Vocab {
 				panic(fmt.Sprintf("nn: token id %d outside vocab %d", id, e.Vocab))
 			}
-			ids[b*e.SeqLen+s] = id
+			if train {
+				e.lastIDs[b*e.SeqLen+s] = id
+			}
 			row := e.Table.W.Data[id*e.Dim : (id+1)*e.Dim]
 			for j, v := range row {
 				dst[j] += v * inv
 			}
 		}
-	}
-	if train {
-		e.lastIDs = ids
-		e.lastBatch = x.Rows
 	}
 	return out
 }
@@ -85,5 +84,7 @@ func (e *Embedding) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 			}
 		}
 	}
-	return tensor.New(gradOut.Rows, e.SeqLen)
+	gradIn := reuse(&e.gradIn, gradOut.Rows, e.SeqLen)
+	clear(gradIn.Data)
+	return gradIn
 }

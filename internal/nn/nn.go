@@ -46,8 +46,12 @@ func (p *Param) Size() int { return len(p.W.Data) }
 type Layer interface {
 	// Name identifies the layer in logs and K-FAC work assignment.
 	Name() string
-	// Forward computes the layer output for a batch×in input. When train is
-	// true the layer may cache whatever Backward and K-FAC need.
+	// Forward computes the layer output for a batch×in input; it never
+	// writes into x. When train is true the layer keeps its own copy of
+	// whatever Backward and K-FAC need, and the output is the layer's own
+	// storage: valid until its next training-mode Forward, the caller may
+	// read it or write into it, and the layer never reads it again
+	// (DESIGN.md §5).
 	//
 	// With train false it writes no layer field, so one model may be
 	// evaluated from several goroutines at once, and row r of the output
@@ -59,7 +63,9 @@ type Layer interface {
 	Forward(x *tensor.Matrix, train bool) *tensor.Matrix
 	// Backward consumes ∂L/∂output and returns ∂L/∂input, accumulating
 	// parameter gradients along the way. It must follow a training-mode
-	// Forward.
+	// Forward and never writes into gradOut. The input gradient is the
+	// layer's own storage on the terms of a training output, valid until
+	// its next Backward.
 	Backward(gradOut *tensor.Matrix) *tensor.Matrix
 	// Params returns the learnable parameters (empty for stateless layers).
 	Params() []*Param
@@ -210,16 +216,24 @@ func (s *Sequential) ParamCount() int {
 	return total
 }
 
-// reuse returns a rows×cols matrix of unspecified contents, for callers that
-// overwrite every element: m itself when its storage is large enough,
-// otherwise (and always for a nil m) a new one.
+// reuse returns m reshaped to rows×cols, of unspecified contents, for
+// callers that overwrite every element: in m's storage when it is large
+// enough, otherwise in new storage. A nil m gets a new matrix.
 func reuse(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
-	n := rows * cols
-	if m == nil || cap(m.Data) < n {
-		return tensor.New(rows, cols)
+	if m == nil {
+		m = new(tensor.Matrix)
 	}
-	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
+	m.Rows, m.Cols, m.Data = rows, cols, resize(m.Data, rows*cols)
 	return m
+}
+
+// resize returns s with length n and unspecified contents, in s's storage
+// when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // scratch returns a rows×cols matrix of unspecified contents on arena
@@ -230,11 +244,12 @@ func scratch(rows, cols int) *tensor.Matrix {
 	return tensor.FromSlice(rows, cols, pool.F64(rows*cols))
 }
 
-// output returns the rows×cols matrix a Forward pass hands out: zeroed and
-// from the heap in training, scratch in evaluation.
-func output(train bool, rows, cols int) *tensor.Matrix {
+// output returns the rows×cols matrix a Forward pass hands out, of
+// unspecified contents: the layer's own field own, reshaped by reuse, in
+// training; scratch in evaluation, which leaves own alone.
+func output(own *tensor.Matrix, train bool, rows, cols int) *tensor.Matrix {
 	if train {
-		return tensor.New(rows, cols)
+		return reuse(own, rows, cols)
 	}
 	return scratch(rows, cols)
 }

@@ -10,10 +10,11 @@ import (
 // MaxPool2D applies non-overlapping K×K max pooling per channel on
 // batch×(C·H·W) inputs (CHW order). H and W must be divisible by K.
 type MaxPool2D struct {
-	C, H, W, K int
-	OH, OW     int
-	argmax     []int // flat input index chosen per output element
-	lastBatch  int
+	C, H, W, K  int
+	OH, OW      int
+	argmax      []int // flat input index chosen per output element
+	lastBatch   int
+	out, gradIn tensor.Matrix // handed out (Layer)
 }
 
 // NewMaxPool2D creates the pooling layer.
@@ -40,10 +41,9 @@ func (m *MaxPool2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if x.Cols != m.C*m.H*m.W {
 		panic(fmt.Sprintf("nn: %s fed width %d", m.Name(), x.Cols))
 	}
-	out := output(train, x.Rows, m.OutFeatures())
-	var argmax []int
+	out := output(&m.out, train, x.Rows, m.OutFeatures())
 	if train {
-		argmax = make([]int, x.Rows*m.OutFeatures())
+		m.argmax, m.lastBatch = resize(m.argmax, x.Rows*m.OutFeatures()), x.Rows
 	}
 	for b := 0; b < x.Rows; b++ {
 		img := x.Data[b*x.Cols : (b+1)*x.Cols]
@@ -64,14 +64,11 @@ func (m *MaxPool2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 					outIdx := b*m.OutFeatures() + c*m.OH*m.OW + oy*m.OW + ox
 					out.Data[outIdx] = best
 					if train {
-						argmax[outIdx] = bestIdx
+						m.argmax[outIdx] = bestIdx
 					}
 				}
 			}
 		}
-	}
-	if train {
-		m.argmax, m.lastBatch = argmax, x.Rows
 	}
 	return out
 }
@@ -81,7 +78,8 @@ func (m *MaxPool2D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	if m.argmax == nil || gradOut.Rows != m.lastBatch || gradOut.Cols != m.OutFeatures() {
 		panic("nn: MaxPool2D.Backward shape mismatch")
 	}
-	gradIn := tensor.New(gradOut.Rows, m.C*m.H*m.W)
+	gradIn := reuse(&m.gradIn, gradOut.Rows, m.C*m.H*m.W)
+	clear(gradIn.Data) // the scatter below adds
 	for b := 0; b < gradOut.Rows; b++ {
 		for o := 0; o < m.OutFeatures(); o++ {
 			outIdx := b*m.OutFeatures() + o

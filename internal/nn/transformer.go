@@ -67,8 +67,8 @@ func (b *TransformerBlock) Forward(x *tensor.Matrix, train bool) *tensor.Matrix 
 	if x.Cols != b.Seq*b.Dim {
 		panic(fmt.Sprintf("nn: %s fed width %d", b.Name(), x.Cols))
 	}
-	// Attention sub-block with residual. Every sub-layer hands out storage
-	// nothing else refers to, so the residuals land in it.
+	// Attention sub-block with residual. A sub-layer's output is this
+	// block's to write into, so the residuals land in it.
 	n1 := b.ln1.Forward(x, train)
 	h := b.attn.Forward(n1, train)
 	h.AXPY(1, x)
@@ -91,14 +91,15 @@ func (b *TransformerBlock) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	gTokens := tensor.FromSlice(gradOut.Rows*b.Seq, b.Dim, gradOut.Data)
 	gFFNTokens := b.ffn1.Backward(b.act.Backward(b.ffn2.Backward(gTokens)))
 	gNorm := tensor.FromSlice(gradOut.Rows, b.Seq*b.Dim, gFFNTokens.Data)
-	gH := b.ln2.Backward(gNorm).Clone()
-	// FFN residual.
+	// FFN residual, in ln2's input gradient: this block's to write into,
+	// and valid until ln2's next Backward.
+	gH := b.ln2.Backward(gNorm)
 	gH.AXPY(1, gradOut)
 
 	// Attention path.
 	gLn1 := b.attn.Backward(gH)
-	gX := b.ln1.Backward(gLn1).Clone()
 	// Attention residual.
+	gX := b.ln1.Backward(gLn1)
 	gX.AXPY(1, gH)
 	return gX
 }

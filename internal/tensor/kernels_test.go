@@ -420,6 +420,45 @@ func TestMatMulTMatchesReference(t *testing.T) {
 	}
 }
 
+// The layers' input gradients are gpa·Wᵀ with gpa half zeros behind a ReLU.
+// MatMul against the explicit transpose skips those zeros and must give
+// MatMulT's bits on finite input: the ProxyResNet backward shapes (k = 6, 8,
+// 32, 10), then random ones, into fresh and reused storage. The one intended
+// difference comes first: a NaN or ±Inf in b under a zero in a reaches
+// MatMulT's product and not MatMul's.
+func TestMatMulOfTransposeMatchesMatMulT(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, zero := range []float64{0, math.Copysign(0, -1)} {
+			rng := rand.New(rand.NewPCG(5, 8))
+			a, b := randomMatrix(rng, 3, 4), randomMatrix(rng, 2, 4)
+			a.Data[1*4+2], b.Data[0*4+2] = zero, bad
+			if v := New(0, 0).MatMulT(a, b).Data[1*2+0]; !math.IsNaN(v) && !math.IsInf(v, 0) {
+				t.Fatalf("%g under %g: MatMulT[1,0] = %g, want it non-finite", bad, zero, v)
+			}
+			if v := New(0, 0).MatMul(a, b.Transpose()).Data[1*2+0]; math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%g under %g: MatMul(a, bᵀ)[1,0] = %g, want it finite", bad, zero, v)
+			}
+		}
+	}
+	skipUnlessAMD64(t)
+	shapes := [][3]int{{2048, 6, 10}, {1152, 8, 55}, {32, 32, 288}, {32, 10, 32}, {5, 6, 3}, {9, 8, 17}, {4, 32, 7}}
+	rng := rand.New(rand.NewPCG(6, 8))
+	for range 24 {
+		shapes = append(shapes, [3]int{1 + rng.IntN(40), 1 + rng.IntN(40), 1 + rng.IntN(40)})
+	}
+	for _, s := range shapes {
+		for _, density := range []float64{0, 0.5, 1} {
+			a := sparseMatrix(rng, s[0], s[1], density)
+			b := randomMatrix(rng, s[2], s[1])
+			want := New(0, 0).MatMulT(a, b).Data
+			name := fmt.Sprintf("%dx%d·(%dx%d)ᵀ/zeros=%g", s[0], s[1], s[2], s[1], density)
+			sameBits(t, "MatMul(a, bᵀ) "+name, New(0, 0).MatMul(a, b.Transpose()).Data, want)
+			m, bt := randomMatrix(rng, s[0]+1, s[2]+1), randomMatrix(rng, s[1]+2, s[2])
+			sameBits(t, "MatMul(a, bᵀ) into reused storage "+name, m.MatMul(a, bt.TransposeOf(b)).Data, want)
+		}
+	}
+}
+
 func TestEigenSymAllocatesConstantObjects(t *testing.T) {
 	for _, n := range []int{10, 55} {
 		a := reluCovariance(rand.New(rand.NewPCG(3, 15)), n)

@@ -155,15 +155,18 @@ func (m *Matrix) Trace() float64 {
 }
 
 // Transpose returns aᵀ as a new matrix.
-func (a *Matrix) Transpose() *Matrix {
-	t := New(a.Cols, a.Rows)
+func (a *Matrix) Transpose() *Matrix { return new(Matrix).TransposeOf(a) }
+
+// TransposeOf stores aᵀ into m and returns m. m must not alias a.
+func (m *Matrix) TransposeOf(a *Matrix) *Matrix {
+	m.reshape(a.Cols, a.Rows)
 	for i := 0; i < a.Rows; i++ {
 		row := a.Data[i*a.Cols : (i+1)*a.Cols]
 		for j, v := range row {
-			t.Data[j*t.Cols+i] = v
+			m.Data[j*m.Cols+i] = v
 		}
 	}
-	return t
+	return m
 }
 
 // gatherBlock is how many consecutive k the GEMM kernels scan for non-zero
@@ -246,6 +249,12 @@ func accumulate(mrow, b []float64, stride int, ks []int, vs []float64) {
 }
 
 // MatMulT stores a·bᵀ into m and returns m. m must not alias a or b.
+//
+// Every term takes part, so a NaN or ±Inf in b reaches the product even
+// under a zero in a. On finite input MatMul(a, bᵀ) gives the same bits
+// while skipping a's zeros: both sums start at +0 and add their terms in k
+// order, and a sum that starts at +0 never becomes −0, so a skipped ±0 term
+// changes nothing.
 func (m *Matrix) MatMulT(a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))

@@ -1,11 +1,15 @@
 package train
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
+	"compso/internal/cluster"
 	"compso/internal/compress"
 	"compso/internal/kfac"
+	"compso/internal/modelzoo"
+	"compso/internal/xrand"
 )
 
 // powerSGDFactory builds shared-seed PowerSGD instances — identical on
@@ -181,5 +185,43 @@ func TestPerLayerKFACValidation(t *testing.T) {
 	cfg.NewCompressor = func(rank int) compress.Compressor { return compress.NewQSGD(8, 1) }
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("NewLayerCompressor alongside NewCompressor accepted")
+	}
+}
+
+// A steady-state low-rank exchange reuses its buffers: the error-feedback
+// correction, the reconstruction and the averaged factors live in the
+// compressor, and the flat gradient in the arena. What a call may still
+// allocate (the communicated factor, the collective's bookkeeping) stays
+// under one stream's worth of bytes.
+func TestLowRankSyncAllocatesLessThanAStream(t *testing.T) {
+	task := modelzoo.ProxyResNet(xrand.NewSeeded(1), 1)
+	x, y := task.Data.Sample(xrand.NewSeeded(2), task.Batch)
+	_, grad := task.Loss.Loss(task.Model.Forward(x, true), y)
+	task.Model.Backward(grad)
+	ar, ef := ringCompressor(powerSGDFactory(true)(0))
+	stream := 4 * task.Model.ParamCount()
+	const calls = 6
+	var perCall uint64
+	cluster.New(cluster.Platform1(), 1).Run(func(w *cluster.Worker) {
+		tel, cr := newTele(w), &crAccum{}
+		sync := func() {
+			if err := lowrankSync(w, task.Model, ar, ef, tel, cr, "grad-lowrank-allreduce"); err != nil {
+				t.Error(err)
+			}
+		}
+		// Both phases once: the first P and Q factors are new storage.
+		sync()
+		sync()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			sync()
+		}
+		runtime.ReadMemStats(&after)
+		perCall = (after.TotalAlloc - before.TotalAlloc) / calls
+	})
+	t.Logf("%d B/call, stream %d B", perCall, stream)
+	if perCall >= uint64(stream) {
+		t.Fatalf("lowrankSync allocated %d B/call, want less than one %d B stream", perCall, stream)
 	}
 }
