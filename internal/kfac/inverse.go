@@ -94,7 +94,7 @@ func (k *KFAC) preconditionCholesky(i int) ([]float32, error) {
 	}
 	grad := l.layer.KFACParam().Grad
 	tmp := l.tmp.MatMul(l.invA, grad)
-	p := tensor.New(0, 0).MatMul(tmp, l.invG)
+	p := l.pre.MatMul(tmp, l.invG)
 	l.precond = p
 	out := make([]float32, len(p.Data))
 	for j, x := range p.Data {

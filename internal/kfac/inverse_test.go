@@ -83,9 +83,10 @@ func TestRefreshEigenRejectsNonFiniteFactors(t *testing.T) {
 }
 
 // TestRefreshEigenRejectsNonFiniteActivation: the same error must come up
-// from the other end, a non-finite activation in a training batch. The factor
-// product is symmetric (tensor.Gram): beside a rectified zero the value stays
-// out of the off-diagonal elements, but its square is on the diagonal.
+// from the other end, a non-finite activation in a training batch. The
+// factor product is symmetric (tensor.GramRows): beside a rectified zero the
+// value stays out of the off-diagonal elements, but its square is on the
+// diagonal.
 func TestRefreshEigenRejectsNonFiniteActivation(t *testing.T) {
 	for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		model := buildModel(9)
@@ -93,23 +94,24 @@ func TestRefreshEigenRejectsNonFiniteActivation(t *testing.T) {
 		x, y := makeBatch(xrand.NewSeeded(5), 16)
 		_, grad := nn.SoftmaxCrossEntropy{}.Loss(model.Forward(x, true), y)
 		model.Backward(grad)
-		// The second Dense layer's activations are rectified: find a row
-		// with a zero in it and poison another column of that row.
+		// The second Dense layer's activations are rectified: find an
+		// example (a column of the feature-major statistics) with a zero in
+		// it and poison another feature of that example.
 		l := k.layers[1]
 		act, _ := l.layer.KFACStats()
-		row, col := -1, -1
-		for i := 0; i < act.Rows && row < 0; i++ {
-			for j := 0; j < act.Cols-1; j++ {
+		feature, example := -1, -1
+		for j := 0; j < act.Cols && example < 0; j++ {
+			for i := 0; i < act.Rows-1; i++ {
 				if act.Data[i*act.Cols+j] == 0 {
-					row, col = i, (j+1)%(act.Cols-1)
+					feature, example = (i+1)%(act.Rows-1), j
 					break
 				}
 			}
 		}
-		if row < 0 {
+		if example < 0 {
 			t.Fatal("no rectified zero in the batch")
 		}
-		act.Data[row*act.Cols+col] = poison
+		act.Data[feature*act.Cols+example] = poison
 		k.AccumulateStats(16)
 		if err := k.CommitCovariances(k.PendingCovariances(), 1); err != nil {
 			t.Fatal(err)

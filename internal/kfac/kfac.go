@@ -60,12 +60,14 @@ type layerState struct {
 	// Locally computed batch factors awaiting the factor all-reduce;
 	// pending is set by AccumulateStats and cleared by CommitCovariances.
 	// Their storage, like that of RefreshEigen's symmetrized factor copies
-	// symA and symG and Precondition's temporaries tmp, v and tmp2, is
-	// reused from step to step and collected with the optimizer.
+	// symA and symG, Precondition's temporaries tmp, v and tmp2 and the
+	// preconditioned gradient pre, is reused from step to step and
+	// collected with the optimizer.
 	pendA, pendG tensor.Matrix
 	pending      bool
 	symA, symG   tensor.Matrix
 	tmp, v, tmp2 tensor.Matrix
+	pre          tensor.Matrix
 
 	eigA, eigG *tensor.Eigen
 	// eigVersion is the statVersion the cached eigendecomposition was
@@ -76,8 +78,8 @@ type layerState struct {
 	// stamped with invVersion the same way.
 	invA, invG *tensor.Matrix
 	invVersion int
-	// precond holds the layer's preconditioned gradient after
-	// Precondition/SetPreconditioned.
+	// precond points at pre once Precondition or SetPreconditioned has
+	// filled it; ApplyUpdate clears the pointer and keeps the storage.
 	precond *tensor.Matrix
 	vel     []float64
 }
@@ -156,10 +158,10 @@ func (k *KFAC) LayerGradSize(i int) int {
 func (k *KFAC) AccumulateStats(batchSize int) {
 	for _, l := range k.layers {
 		a, g := l.layer.KFACStats()
-		rows := float64(a.Rows)
-		l.pendA.Gram(a)
-		l.pendA.Scale(1/rows, &l.pendA)
-		l.pendG.Gram(g)
+		samples := float64(a.Cols)
+		l.pendA.GramRows(a)
+		l.pendA.Scale(1/samples, &l.pendA)
+		l.pendG.GramRows(g)
 		// Backward gradients carry the 1/batch loss scaling; multiplying
 		// by the batch size restores the per-sample scale of G.
 		l.pendG.Scale(float64(batchSize), &l.pendG)
@@ -308,7 +310,7 @@ func (k *KFAC) Precondition(i int) ([]float32, error) {
 	}
 	// P = Q_A · V · Q_Gᵀ.
 	tmp2 := l.tmp2.MatMul(l.eigA.Q, v)
-	p := tensor.New(0, 0).MatMulT(tmp2, l.eigG.Q)
+	p := l.pre.MatMulT(tmp2, l.eigG.Q)
 	l.precond = p
 	out := make([]float32, len(p.Data))
 	for j, x := range p.Data {
@@ -326,7 +328,10 @@ func (k *KFAC) SetPreconditioned(i int, vals []float32) error {
 		return fmt.Errorf("kfac: layer %s preconditioned gradient has %d values, want %d",
 			l.name, len(vals), p.W.Rows*p.W.Cols)
 	}
-	m := tensor.New(p.W.Rows, p.W.Cols)
+	m := &l.pre
+	if len(m.Data) != len(vals) {
+		*m = *tensor.New(p.W.Rows, p.W.Cols)
+	}
 	for j, v := range vals {
 		m.Data[j] = float64(v)
 	}

@@ -112,6 +112,37 @@ func TestPreconditionBeforeEigenFails(t *testing.T) {
 	}
 }
 
+// TestPreconditionAllocatesOnlyItsPayload: after one step a layer's
+// preconditioned gradient lives in the layer state, so Precondition
+// allocates only the float32 payload it returns and SetPreconditioned
+// nothing, on both inversion routes.
+func TestPreconditionAllocatesOnlyItsPayload(t *testing.T) {
+	for _, inv := range []Inversion{EigenDecomp, CholeskyInverse} {
+		model := buildModel(11)
+		cfg := DefaultConfig()
+		cfg.Inversion = inv
+		k := New(model, cfg)
+		x, y := makeBatch(xrand.NewSeeded(12), 8)
+		_, grad := nn.SoftmaxCrossEntropy{}.Loss(model.Forward(x, true), y)
+		model.Backward(grad)
+		if err := k.Step(8, 0.02); err != nil {
+			t.Fatal(err)
+		}
+		for i := range k.layers {
+			var vals []float32
+			if n := testing.AllocsPerRun(3, func() { vals, _ = k.Precondition(i) }); n > 1 {
+				t.Errorf("%v layer %d: Precondition allocated %.0f objects, want only its payload", inv, i, n)
+			}
+			if n := testing.AllocsPerRun(3, func() { _ = k.SetPreconditioned(i, vals) }); n > 0 {
+				t.Errorf("%v layer %d: SetPreconditioned allocated %.0f objects, want none", inv, i, n)
+			}
+		}
+		if err := k.ApplyUpdate(0.02); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestCovarianceRoundTrip(t *testing.T) {
 	model := buildModel(4)
 	k := New(model, DefaultConfig())

@@ -7,28 +7,34 @@ import (
 	"compso/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution implemented via im2col: every receptive
-// field becomes a row of an unrolled matrix, turning the convolution into
-// a Dense-style GEMM over (kernel²·inChannels + 1) columns. That is also
-// exactly how K-FAC treats convolutions: the activation factor A is built
-// from the unrolled patch rows, the gradient factor G from the per-position
-// pre-activation gradients (Grosse & Martens' KFC approximation).
+// Conv2D is a 2-D convolution implemented via im2col, laid out
+// channel-major as in Caffe: the unrolled patch matrix has one row per
+// kernel offset (channel, ky, kx) and a last row of ones for the bias, and
+// one column per output position of every example. Each GEMM then runs its
+// inner loop along batch·OH·OW rather than along the few output channels.
+// The patch matrix is also K-FAC's view of a convolution: the activation
+// factor A is built from its rows, the gradient factor G from the
+// pre-activation gradients regrouped the same way, one row per output
+// channel (Grosse & Martens' KFC approximation).
 //
 // Inputs are batch×(C·H·W) matrices in CHW order; outputs are
 // batch×(OutC·OH·OW) with OH = H−K+1 (valid padding, stride 1).
 type Conv2D struct {
-	InC, H, W  int
-	OutC, K    int
-	OH, OW     int
-	Weight     *Param // (K·K·InC + 1) × OutC, bias in the last row
+	InC, H, W int
+	OutC, K   int
+	OH, OW    int
+	Weight    *Param // (K·K·InC + 1) × OutC, bias in the last row
+	// The patch matrix, (K·K·InC + 1) × (batch·OH·OW), and the
+	// pre-activation gradient, OutC × (batch·OH·OW), of the last training
+	// step: Backward's and K-FAC's inputs.
 	lastCols   *tensor.Matrix
 	lastGradPA *tensor.Matrix
 	// Temporaries of a training-mode Forward (prod) and of Backward, and
 	// the output and input gradient it hands out (Layer). Like the two
 	// caches above they are reused from step to step and collected with the
 	// layer.
-	prod, gradW, wT, gradCols tensor.Matrix
-	out, gradIn               tensor.Matrix
+	prod, gradW, gradCols tensor.Matrix
+	out, gradIn           tensor.Matrix
 }
 
 // NewConv2D creates a valid-padding stride-1 convolution layer.
@@ -59,30 +65,29 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.Weight} }
 // OutFeatures returns the flattened output width.
 func (c *Conv2D) OutFeatures() int { return c.OutC * c.OH * c.OW }
 
-// im2col unrolls a batch into (batch·OH·OW) × (K·K·InC + 1) patch rows
-// with a trailing homogeneous one, in dst's storage when reuse finds room
-// there.
+// im2col unrolls a batch into the (K·K·InC + 1) × (batch·OH·OW) patch
+// matrix, in dst's storage when reuse finds room there. Row (ch, ky, kx)
+// holds, for every example and output row oy, the OW input pixels from
+// (oy+ky, kx) on; the last row is all ones.
 func (c *Conv2D) im2col(dst, x *tensor.Matrix) *tensor.Matrix {
-	positions := c.OH * c.OW
-	cols := c.K*c.K*c.InC + 1
-	out := reuse(dst, x.Rows*positions, cols)
-	for b := 0; b < x.Rows; b++ {
-		img := x.Data[b*x.Cols : (b+1)*x.Cols]
-		for oy := 0; oy < c.OH; oy++ {
-			for ox := 0; ox < c.OW; ox++ {
-				row := out.Data[(b*positions+oy*c.OW+ox)*cols:]
-				idx := 0
-				for ch := 0; ch < c.InC; ch++ {
-					chBase := ch * c.H * c.W
-					for ky := 0; ky < c.K; ky++ {
-						srcBase := chBase + (oy+ky)*c.W + ox
-						copy(row[idx:idx+c.K], img[srcBase:srcBase+c.K])
-						idx += c.K
+	n := x.Rows * c.OH * c.OW
+	out := reuse(dst, c.K*c.K*c.InC+1, n)
+	row := out.Data
+	for ch := 0; ch < c.InC; ch++ {
+		for ky := 0; ky < c.K; ky++ {
+			for kx := 0; kx < c.K; kx++ {
+				for b := 0; b < x.Rows; b++ {
+					img := x.Data[b*x.Cols+ch*c.H*c.W:]
+					for oy := 0; oy < c.OH; oy++ {
+						copy(row[(b*c.OH+oy)*c.OW:][:c.OW], img[(oy+ky)*c.W+kx:])
 					}
 				}
-				row[cols-1] = 1
+				row = row[n:]
 			}
 		}
+	}
+	for i := range row {
+		row[i] = 1
 	}
 	return out
 }
@@ -99,19 +104,16 @@ func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		c.lastCols = c.im2col(c.lastCols, x)
 		colsM, prod, out = c.lastCols, &c.prod, reuse(&c.out, x.Rows, c.OutFeatures())
 	} else {
-		colsM = c.im2col(scratch(x.Rows*positions, c.Weight.W.Rows), x)
-		prod, out = scratch(x.Rows*positions, c.OutC), scratch(x.Rows, c.OutFeatures())
+		colsM = c.im2col(scratch(c.Weight.W.Rows, x.Rows*positions), x)
+		prod, out = scratch(c.OutC, x.Rows*positions), scratch(x.Rows, c.OutFeatures())
 		defer release(colsM, prod)
 	}
-	// (batch·positions)×cols · cols×OutC.
-	prod.MatMul(colsM, c.Weight.W)
-	// Re-layout to batch×(OutC·OH·OW) CHW order: every element is written.
+	// Wᵀ·cols: OutC × (batch·positions), channel ch of example b the run of
+	// positions from column b·positions of row ch.
+	prod.TMatMul(c.Weight.W, colsM)
 	for b := 0; b < x.Rows; b++ {
-		for p := 0; p < positions; p++ {
-			src := prod.Data[(b*positions+p)*c.OutC : (b*positions+p+1)*c.OutC]
-			for ch, v := range src {
-				out.Data[b*out.Cols+ch*positions+p] = v
-			}
+		for ch := 0; ch < c.OutC; ch++ {
+			copy(out.Data[b*out.Cols+ch*positions:][:positions], prod.Data[ch*prod.Cols+b*positions:])
 		}
 	}
 	return out
@@ -124,40 +126,41 @@ func (c *Conv2D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	}
 	batch := gradOut.Rows
 	positions := c.OH * c.OW
-	if gradOut.Cols != c.OutFeatures() {
-		panic(fmt.Sprintf("nn: %s Backward got width %d", c.Name(), gradOut.Cols))
+	n := batch * positions
+	if gradOut.Cols != c.OutFeatures() || n != c.lastCols.Cols {
+		panic(fmt.Sprintf("nn: %s Backward got %dx%d", c.Name(), gradOut.Rows, gradOut.Cols))
 	}
-	// Re-layout gradOut to (batch·positions)×OutC rows.
-	gpa := reuse(c.lastGradPA, batch*positions, c.OutC)
+	// Regroup gradOut by channel, as Forward's product: OutC × n.
+	gpa := reuse(c.lastGradPA, c.OutC, n)
 	for b := 0; b < batch; b++ {
-		for p := 0; p < positions; p++ {
-			for ch := 0; ch < c.OutC; ch++ {
-				gpa.Data[(b*positions+p)*c.OutC+ch] = gradOut.Data[b*gradOut.Cols+ch*positions+p]
-			}
+		for ch := 0; ch < c.OutC; ch++ {
+			copy(gpa.Data[ch*n+b*positions:][:positions], gradOut.Data[b*gradOut.Cols+ch*positions:])
 		}
 	}
 	c.lastGradPA = gpa
-	c.Weight.Grad.AXPY(1, c.gradW.TMatMul(c.lastCols, gpa))
+	c.Weight.Grad.AXPY(1, c.gradW.MatMulT(c.lastCols, gpa))
 
-	// ∂L/∂cols = gpa · Wᵀ over the weight rows (the bias column has no
-	// input), then col2im scatter-add.
+	// ∂L/∂cols = W·gpa over the weight rows (the bias row has no input),
+	// then col2im scatter-add.
 	colsWidth := c.K * c.K * c.InC
-	gradCols := c.gradCols.MatMul(gpa, weightsT(&c.wT, c.Weight.W, colsWidth))
+	weights := tensor.Matrix{Rows: colsWidth, Cols: c.OutC, Data: c.Weight.W.Data[:colsWidth*c.OutC]}
+	gradCols := c.gradCols.MatMul(&weights, gpa)
 	gradIn := reuse(&c.gradIn, batch, c.InC*c.H*c.W)
 	clear(gradIn.Data)
+	// Each pixel adds its terms in ascending (oy, ox), the direct
+	// convolution's order: with oy and ky fixed, kx runs down so that the
+	// outputs reaching one pixel come in ascending ox.
 	for b := 0; b < batch; b++ {
-		img := gradIn.Data[b*gradIn.Cols : (b+1)*gradIn.Cols]
-		for oy := 0; oy < c.OH; oy++ {
-			for ox := 0; ox < c.OW; ox++ {
-				row := gradCols.Data[(b*positions+oy*c.OW+ox)*colsWidth:]
-				idx := 0
-				for ch := 0; ch < c.InC; ch++ {
-					chBase := ch * c.H * c.W
-					for ky := 0; ky < c.K; ky++ {
-						dstBase := chBase + (oy+ky)*c.W + ox
-						for kx := 0; kx < c.K; kx++ {
-							img[dstBase+kx] += row[idx]
-							idx++
+		for ch := 0; ch < c.InC; ch++ {
+			img := gradIn.Data[b*gradIn.Cols+ch*c.H*c.W:]
+			for oy := 0; oy < c.OH; oy++ {
+				for ky := 0; ky < c.K; ky++ {
+					for kx := c.K - 1; kx >= 0; kx-- {
+						row := (ch*c.K+ky)*c.K + kx
+						src := gradCols.Data[row*n+b*positions+oy*c.OW:][:c.OW]
+						dst := img[(oy+ky)*c.W+kx:][:c.OW]
+						for ox, v := range src {
+							dst[ox] += v
 						}
 					}
 				}
@@ -167,7 +170,8 @@ func (c *Conv2D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	return gradIn
 }
 
-// KFACStats implements KFACLayer.
+// KFACStats implements KFACLayer: the patch matrix and the pre-activation
+// gradient, one column per output position of every example.
 func (c *Conv2D) KFACStats() (act, grad *tensor.Matrix) {
 	if c.lastCols == nil || c.lastGradPA == nil {
 		panic("nn: Conv2D.KFACStats before Forward/Backward")

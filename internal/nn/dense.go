@@ -16,8 +16,10 @@ type Dense struct {
 	// Weight is the (In+1)×Out combined weight+bias matrix.
 	Weight *Param
 
-	lastInput  *tensor.Matrix // cached [x 1], batch×(In+1)
-	lastGradPA *tensor.Matrix // cached pre-activation gradient, batch×Out
+	// The K-FAC statistics, feature-major: [x 1]ᵀ, (In+1)×batch, and the
+	// pre-activation gradient's transpose, Out×batch.
+	lastInput  *tensor.Matrix
+	lastGradPA *tensor.Matrix
 	// Backward's temporaries, and the output and input gradient it hands
 	// out (Layer). Like the two caches above they are reused from step to
 	// step and collected with the layer.
@@ -42,13 +44,18 @@ func (d *Dense) Name() string { return fmt.Sprintf("dense(%d->%d)", d.In, d.Out)
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.Weight} }
 
-// appendOnes returns [x 1]: x with a trailing column of ones, in dst's
-// storage when reuse finds room there.
-func appendOnes(dst, x *tensor.Matrix) *tensor.Matrix {
-	out := reuse(dst, x.Rows, x.Cols+1)
+// appendOnesT returns [x 1]ᵀ: the transpose of x with a trailing row of
+// ones, in dst's storage when reuse finds room there.
+func appendOnesT(dst, x *tensor.Matrix) *tensor.Matrix {
+	out := reuse(dst, x.Cols+1, x.Rows)
 	for i := 0; i < x.Rows; i++ {
-		copy(out.Data[i*out.Cols:], x.Data[i*x.Cols:(i+1)*x.Cols])
-		out.Data[i*out.Cols+x.Cols] = 1
+		for j, v := range x.Data[i*x.Cols : (i+1)*x.Cols] {
+			out.Data[j*x.Rows+i] = v
+		}
+	}
+	ones := out.Data[x.Cols*x.Rows:]
+	for i := range ones {
+		ones[i] = 1
 	}
 	return out
 }
@@ -61,13 +68,14 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	// Evaluation leaves the layer untouched and works in arena storage.
 	var withBias, out *tensor.Matrix
 	if train {
-		d.lastInput = appendOnes(d.lastInput, x)
+		d.lastInput = appendOnesT(d.lastInput, x)
 		withBias, out = d.lastInput, &d.out
 	} else {
-		withBias, out = appendOnes(scratch(x.Rows, d.In+1), x), scratch(x.Rows, d.Out)
+		withBias, out = appendOnesT(scratch(d.In+1, x.Rows), x), scratch(x.Rows, d.Out)
 		defer release(withBias)
 	}
-	return out.MatMul(withBias, d.Weight.W)
+	// ([x 1]ᵀ)ᵀ·W, skipping the zeros of x as MatMul([x 1], W) would.
+	return out.TMatMul(withBias, d.Weight.W)
 }
 
 // Backward implements Layer.
@@ -75,25 +83,17 @@ func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	if d.lastInput == nil {
 		panic("nn: Dense.Backward before training-mode Forward")
 	}
-	if gradOut.Rows != d.lastInput.Rows || gradOut.Cols != d.Out {
+	if gradOut.Rows != d.lastInput.Cols || gradOut.Cols != d.Out {
 		panic(fmt.Sprintf("nn: %s Backward got %dx%d", d.Name(), gradOut.Rows, gradOut.Cols))
 	}
-	d.lastGradPA = reuse(d.lastGradPA, gradOut.Rows, gradOut.Cols)
-	copy(d.lastGradPA.Data, gradOut.Data)
+	d.lastGradPA = reuse(d.lastGradPA, gradOut.Cols, gradOut.Rows).TransposeOf(gradOut)
 	// ∂L/∂W = [x 1]ᵀ · gradOut.
-	d.Weight.Grad.AXPY(1, d.gradW.TMatMul(d.lastInput, gradOut))
-	// ∂L/∂x = gradOut · Wᵀ over the weight rows: the bias has no input.
-	return d.gradIn.MatMul(gradOut, weightsT(&d.wT, d.Weight.W, d.In))
-}
-
-// weightsT stores the transpose of w's first rows rows — a combined
-// weight+bias matrix without its bias row — into dst and returns dst. An
-// input gradient is gradOut·Wᵀ, and MatMul against the explicit transpose
-// skips the zeros a ReLU left in gradOut, with MatMulT's bits on finite
-// input (DESIGN.md §5).
-func weightsT(dst, w *tensor.Matrix, rows int) *tensor.Matrix {
-	weights := tensor.Matrix{Rows: rows, Cols: w.Cols, Data: w.Data[:rows*w.Cols]}
-	return dst.TransposeOf(&weights)
+	d.Weight.Grad.AXPY(1, d.gradW.MatMul(d.lastInput, gradOut))
+	// ∂L/∂x = gradOut · Wᵀ over the weight rows (the bias has no input).
+	// MatMul against the explicit transpose skips the zeros a ReLU left in
+	// gradOut, with MatMulT's bits on finite input (DESIGN.md §5).
+	weights := tensor.Matrix{Rows: d.In, Cols: d.Out, Data: d.Weight.W.Data[:d.In*d.Out]}
+	return d.gradIn.MatMul(gradOut, d.wT.TransposeOf(&weights))
 }
 
 // KFACStats implements KFACLayer.

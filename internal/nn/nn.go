@@ -83,9 +83,12 @@ type Composite interface {
 // layer's own storage, overwritten by the next such pair.
 type KFACLayer interface {
 	Layer
-	// KFACStats returns the activation rows (including the homogeneous
-	// bias coordinate) and the pre-activation gradient rows used to build
-	// the Kronecker factors A = E[aaᵀ] and G = E[ggᵀ].
+	// KFACStats returns the statistics the Kronecker factors A = E[aaᵀ]
+	// and G = E[ggᵀ] are built from, feature-major: one column per sample,
+	// act with a row per input feature and a last row of ones (the
+	// homogeneous bias coordinate), grad with a row per output. A dense
+	// layer's samples are its batch rows, a convolution's every output
+	// position of every example.
 	KFACStats() (act, grad *tensor.Matrix)
 	// KFACParam returns the combined weight matrix of shape
 	// (in+1)×out that the preconditioned gradient applies to.
@@ -114,7 +117,7 @@ func NewSequential(layers ...Layer) *Sequential {
 
 // evalBlockRows is how many rows of an evaluation batch go through the
 // stack together: the proxies' training batch, small enough that the widest
-// temporary of a block (ProxyResNet's second im2col, 1152×55) stays in L2.
+// temporary of a block (ProxyResNet's second im2col, 55×1152) stays in L2.
 const evalBlockRows = 32
 
 // Forward runs the whole stack. Evaluation (train false) splits x into

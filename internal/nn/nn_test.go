@@ -257,27 +257,54 @@ func TestKFACStatsShapes(t *testing.T) {
 	if names[0] == names[1] {
 		t.Fatal("KFAC layer names not unique")
 	}
+	// Feature-major: a row per feature, a column per example.
 	a, g := layers[0].KFACStats()
-	if a.Rows != 5 || a.Cols != 5 { // in+1
+	if a.Rows != 5 || a.Cols != 5 { // in+1 features
 		t.Fatalf("act stats %dx%d, want 5x5", a.Rows, a.Cols)
 	}
-	if g.Rows != 5 || g.Cols != 6 {
-		t.Fatalf("grad stats %dx%d, want 5x6", g.Rows, g.Cols)
+	if g.Rows != 6 || g.Cols != 5 {
+		t.Fatalf("grad stats %dx%d, want 6x5", g.Rows, g.Cols)
+	}
+	for j := 0; j < a.Cols; j++ {
+		if a.At(0, j) != x.At(j, 0) || a.At(4, j) != 1 {
+			t.Fatalf("act stats column %d is not [x 1] of example %d", j, j)
+		}
 	}
 	if p := layers[0].KFACParam(); p.W.Rows != 5 || p.W.Cols != 6 {
 		t.Fatalf("KFAC param %dx%d, want 5x6", p.W.Rows, p.W.Cols)
 	}
 }
 
-func TestConvKFACStatsRowsArePositions(t *testing.T) {
+// A convolution's statistics have a column per output position of every
+// example: the patch matrix's rows are the kernel offsets plus the bias's
+// ones, the gradient's the output channels.
+func TestConvKFACStatsColumnsArePositions(t *testing.T) {
 	c := NewConv2D(1, 5, 5, 2, 3, xrand.NewSeeded(20))
 	x := randomInput(3, 25, 21)
 	out := c.Forward(x, true)
 	c.Backward(out.Clone())
 	a, g := c.KFACStats()
 	positions := 3 * 3 // (5-3+1)²
-	if a.Rows != 3*positions || g.Rows != 3*positions {
-		t.Fatalf("stats rows %d/%d, want %d", a.Rows, g.Rows, 3*positions)
+	if a.Rows != 3*3+1 || g.Rows != 2 {
+		t.Fatalf("stats rows %d/%d, want %d/%d", a.Rows, g.Rows, 3*3+1, 2)
+	}
+	if a.Cols != 3*positions || g.Cols != 3*positions {
+		t.Fatalf("stats columns %d/%d, want %d", a.Cols, g.Cols, 3*positions)
+	}
+	// Example 1's output position (1, 2) sees pixel (1+ky, 2+kx) at kernel
+	// offset (ky, kx); its gradient is that example's output there.
+	col := 1*positions + 1*3 + 2
+	for ky := 0; ky < 3; ky++ {
+		for kx := 0; kx < 3; kx++ {
+			if got, want := a.At(ky*3+kx, col), x.At(1, (1+ky)*5+2+kx); got != want {
+				t.Fatalf("patch (%d,%d) of column %d = %g, want %g", ky, kx, col, got, want)
+			}
+		}
+	}
+	for ch := 0; ch < 2; ch++ {
+		if got, want := g.At(ch, col), out.At(1, ch*positions+1*3+2); got != want || a.At(9, col) != 1 {
+			t.Fatalf("channel %d of column %d = %g, want %g", ch, col, got, want)
+		}
 	}
 }
 

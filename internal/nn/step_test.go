@@ -1,10 +1,12 @@
 package nn_test
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"compso/internal/modelzoo"
+	"compso/internal/nn"
 	"compso/internal/tensor"
 	"compso/internal/xrand"
 )
@@ -65,5 +67,33 @@ func BenchmarkProxyResNetEval(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkEval = task.Model.Forward(x, false)
+	}
+}
+
+// BenchmarkConv2D times a training-mode Forward and a Backward of
+// ProxyResNet's two convolutions at its batch of 32.
+func BenchmarkConv2D(b *testing.B) {
+	for _, s := range []struct{ inC, hw, outC int }{{1, 10, 6}, {6, 8, 8}} {
+		c := nn.NewConv2D(s.inC, s.hw, s.hw, s.outC, 3, xrand.NewSeeded(3))
+		x := tensor.New(32, s.inC*s.hw*s.hw)
+		rng := xrand.NewSeeded(4)
+		for i := range x.Data {
+			x.Data[i] = max(0, rng.NormFloat64())
+		}
+		grad := c.Forward(x, true).Clone()
+		c.Backward(grad)
+		name := fmt.Sprintf("%dx%dx%d->%d", s.inC, s.hw, s.hw, s.outC)
+		b.Run("forward/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.Forward(x, true)
+			}
+		})
+		b.Run("backward/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.Backward(grad)
+			}
+		})
 	}
 }

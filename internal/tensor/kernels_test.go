@@ -353,10 +353,10 @@ func TestTMatMulMatchesReference(t *testing.T) {
 	}
 }
 
-// Gram is TMatMul(a, a) on finite input, bit for bit: zeros of either sign
-// and denormals (whose products underflow to a zero of either sign) included,
+// GramRows(aᵀ) is TMatMul(a, a) bit for bit: zeros of either sign and
+// denormals (whose products underflow to a zero of either sign) included,
 // fresh storage or reused.
-func TestGramMatchesReference(t *testing.T) {
+func TestGramRowsMatchesReference(t *testing.T) {
 	skipUnlessAMD64(t)
 	denormals := []float64{5e-324, -5e-324, 1e-310, -2.5e-308}
 	for _, s := range gemmShapes {
@@ -366,39 +366,40 @@ func TestGramMatchesReference(t *testing.T) {
 			for range 1 + len(a.Data)/16 {
 				a.Data[rng.IntN(len(a.Data))] = denormals[rng.IntN(len(denormals))]
 			}
+			at := a.Transpose()
 			want := refTMatMul(a, a).Data
-			name := fmt.Sprintf("(%dx%d)ᵀ·itself/zeros=%g", s[0], s[1], density)
-			sameBits(t, "Gram "+name, New(0, 0).Gram(a).Data, want)
-			sameBits(t, "TMatMul "+name, New(0, 0).TMatMul(a, a).Data, want)
+			name := fmt.Sprintf("%dx%d·itselfᵀ/zeros=%g", s[1], s[0], density)
+			sameBits(t, "GramRows "+name, New(0, 0).GramRows(at).Data, want)
+			sameBits(t, "MatMul(a, aᵀ) "+name, New(0, 0).MatMul(at, a).Data, want)
 			m := randomMatrix(rng, s[1]+1, s[1]+1)
-			sameBits(t, "Gram into reused storage "+name, m.Gram(a).Data, want)
+			sameBits(t, "GramRows into reused storage "+name, m.GramRows(at).Data, want)
 		}
 	}
 }
 
-// The one place Gram and TMatMul(a, a) part: a NaN or ±Inf in column j of a
-// row whose column i holds a zero. TMatMul skips on the row index of the
-// output, so it keeps the value out of (i, j) and lets it into (j, i); Gram
-// mirrors (i, j), so it stays out of both. It cannot hide: its square is a
-// term of (j, j), which no zero guards.
-func TestGramNonFiniteReachesTheDiagonal(t *testing.T) {
-	const rows, n, i, j = 5, 4, 1, 2
+// The one place GramRows and MatMul(a, aᵀ) part: a NaN or ±Inf in row j of
+// a column whose row i holds a zero. MatMul skips on the row index of the
+// output, so it keeps the value out of (i, j) and lets it into (j, i);
+// GramRows mirrors (i, j), so it stays out of both. It cannot hide: its
+// square is a term of (j, j), which no zero guards.
+func TestGramRowsNonFiniteReachesTheDiagonal(t *testing.T) {
+	const n, cols, i, j = 4, 5, 1, 2
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for _, zero := range []float64{0, math.Copysign(0, -1)} {
-			a := randomMatrix(rand.New(rand.NewPCG(9, 15)), rows, n)
-			a.Data[3*n+i], a.Data[3*n+j] = zero, bad
-			g, tm := New(0, 0).Gram(a), New(0, 0).TMatMul(a, a)
-			if v := tm.Data[j*n+i]; !math.IsNaN(v) {
-				t.Fatalf("%g beside %g: TMatMul(a, a)[%d,%d] = %g, want NaN (the premise of this test)", bad, zero, j, i, v)
+			a := randomMatrix(rand.New(rand.NewPCG(9, 15)), n, cols)
+			a.Data[i*cols+3], a.Data[j*cols+3] = zero, bad
+			g, mm := New(0, 0).GramRows(a), New(0, 0).MatMul(a, a.Transpose())
+			if v := mm.Data[j*n+i]; !math.IsNaN(v) {
+				t.Fatalf("%g beside %g: MatMul(a, aᵀ)[%d,%d] = %g, want NaN (the premise of this test)", bad, zero, j, i, v)
 			}
 			for _, at := range [][2]int{{i, j}, {j, i}} {
-				got, want := g.Data[at[0]*n+at[1]], tm.Data[i*n+j]
+				got, want := g.Data[at[0]*n+at[1]], mm.Data[i*n+j]
 				if math.Float64bits(got) != math.Float64bits(want) || math.IsNaN(got) || math.IsInf(got, 0) {
-					t.Fatalf("%g beside %g: Gram[%d,%d] = %g, want the finite %g of TMatMul's [%d,%d]", bad, zero, at[0], at[1], got, want, i, j)
+					t.Fatalf("%g beside %g: GramRows[%d,%d] = %g, want the finite %g of MatMul's [%d,%d]", bad, zero, at[0], at[1], got, want, i, j)
 				}
 			}
 			if d := g.Data[j*n+j]; !math.IsNaN(d) && !math.IsInf(d, 1) {
-				t.Fatalf("%g beside %g: Gram[%d,%d] = %g, want NaN or +Inf", bad, zero, j, j, d)
+				t.Fatalf("%g beside %g: GramRows[%d,%d] = %g, want NaN or +Inf", bad, zero, j, j, d)
 			}
 		}
 	}
@@ -524,24 +525,20 @@ func BenchmarkTMatMul(b *testing.B) {
 	benchGEMM(b, (*Matrix).TMatMul, func(s [3]int) (int, int, int, int) { return s[0], s[1], s[0], s[2] })
 }
 
-// BenchmarkGram times the Kronecker-factor product aᵀa on the activation
-// shapes of the ProxyResNet step and, under tmatmul/, the general kernel on
-// the same operands.
-func BenchmarkGram(b *testing.B) {
-	for _, s := range gemmShapes[:4] {
+// BenchmarkGramRows times the Kronecker-factor product a·aᵀ on the
+// feature-major statistics of the ProxyResNet step — A and G of both
+// convolutions, then A of the first dense layer — half zeros, as rectified
+// activations and the gradients behind them are.
+func BenchmarkGramRows(b *testing.B) {
+	for _, s := range [][2]int{{10, 2048}, {6, 2048}, {55, 1152}, {8, 1152}, {289, 32}} {
 		a := sparseMatrix(rand.New(rand.NewPCG(uint64(s[0]), 15)), s[0], s[1], 0.5)
 		m := New(0, 0)
-		for _, k := range []struct {
-			prefix string
-			mul    func()
-		}{{"", func() { m.Gram(a) }}, {"tmatmul/", func() { m.TMatMul(a, a) }}} {
-			b.Run(fmt.Sprintf("%s%dx%d", k.prefix, s[0], s[1]), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					k.mul()
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("%dx%d", s[0], s[1]), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.GramRows(a)
+			}
+		})
 	}
 }
 

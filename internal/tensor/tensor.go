@@ -221,8 +221,7 @@ func nonZero(v float64) int {
 // order given: each element of mrow sees the additions of the
 // one-term-at-a-time loop in the same order with the same roundings, but is
 // loaded and stored once per four terms. Row k of b is the len(mrow) values
-// from b[k*stride]; the upper-triangle kernel passes a suffix of its operand
-// to start every row at the diagonal.
+// from b[k*stride].
 func accumulate(mrow, b []float64, stride int, ks []int, vs []float64) {
 	n := len(mrow)
 	for len(ks) >= 4 && len(vs) >= 4 {
@@ -299,12 +298,6 @@ func (m *Matrix) TMatMul(a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: TMatMul (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	return m.tmatmul(a, b, false)
-}
-
-// tmatmul is TMatMul's kernel. With upper set it leaves out the elements
-// below the diagonal: output row i starts at column i.
-func (m *Matrix) tmatmul(a, b *Matrix, upper bool) *Matrix {
 	if !m.reshape(a.Cols, b.Cols) {
 		clear(m.Data)
 	}
@@ -323,35 +316,86 @@ func (m *Matrix) tmatmul(a, b *Matrix, upper bool) *Matrix {
 				ks[cnt], vs[cnt] = k, av
 				cnt += nonZero(av)
 			}
-			from := 0
-			if upper {
-				from = i
-			}
-			accumulate(m.Data[i*m.Cols+from:(i+1)*m.Cols], b.Data[from:], b.Cols, ks[:cnt], vs[:cnt])
+			accumulate(m.Data[i*m.Cols:(i+1)*m.Cols], b.Data, b.Cols, ks[:cnt], vs[:cnt])
 		}
 	}
 	return m
 }
 
-// Gram stores the symmetric product aᵀ·a into m and returns m. m must not
-// alias a. It is TMatMul(a, a) at about half the work: row i accumulates
-// columns i… only, in TMatMul's order, and the strict upper triangle is
-// then copied below the diagonal. On finite input the result is TMatMul's
-// bit for bit (a skipped term is a zero, and no partial sum is −0).
+// GramRows stores the symmetric product a·aᵀ — the inner products of a's
+// rows — into m and returns m. m must not alias a. Only the upper triangle
+// is computed; it is then copied below the diagonal. Element (i, j), i ≤ j,
+// adds its a[i,k]·a[j,k] terms one at a time in ascending k from +0,
+// skipping the terms with a zero a[i,k]: it is the (i, j) element of
+// TMatMul(aᵀ, aᵀ) bit for bit, and on finite input that of MatMul(a, aᵀ)
+// too (a skipped term is a zero, and no partial sum is −0).
 //
-// Element (i, j), i ≤ j, skips the terms with a zero in column i, as in
-// TMatMul — and so does its mirror (j, i), where TMatMul skips on column j:
-// a NaN or ±Inf in column j beside a zero in column i stays out of both.
-// Squared, it always reaches the diagonal element (j, j).
-func (m *Matrix) Gram(a *Matrix) *Matrix {
-	m.tmatmul(a, a, true)
-	n := a.Cols
+// The mirror (j, i) skips where (i, j) does, on zeros of row i, while
+// MatMul(a, aᵀ) skips on row j there: a NaN or ±Inf in row j beside a zero
+// in row i stays out of both. Squared, it always reaches the diagonal
+// element (j, j).
+func (m *Matrix) GramRows(a *Matrix) *Matrix {
+	n, kn := a.Rows, a.Cols
+	if !m.reshape(n, n) {
+		clear(m.Data)
+	}
+	var (
+		ks [gatherBlock]int
+		vs [gatherBlock]float64
+	)
+	// Row i gathers its non-zero terms a block at a time and hands them to
+	// every row j ≥ i: each sum runs along a row of a, like the samples of
+	// a feature-major K-FAC statistic.
+	for i := 0; i < n; i++ {
+		mrow := m.Data[i*n+i : (i+1)*n]
+		rest := a.Data[i*kn:]
+		cnt := 0
+		for k, av := range rest[:kn] {
+			ks[cnt], vs[cnt] = k, av
+			if cnt += nonZero(av); cnt == gatherBlock {
+				dotRows(mrow, rest, kn, ks[:], vs[:])
+				cnt = 0
+			}
+		}
+		dotRows(mrow, rest, kn, ks[:cnt], vs[:cnt])
+	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			m.Data[j*n+i] = m.Data[i*n+j]
 		}
 	}
 	return m
+}
+
+// dotRows adds Σ_t vs[t]·b[j·stride+ks[t]] into mrow[j] for every j, term
+// by term in the order given, with the roundings of the one-term loop. Four
+// rows of b share each gathered term, and each sum is loaded and stored
+// once per call.
+func dotRows(mrow, b []float64, stride int, ks []int, vs []float64) {
+	j := 0
+	for ; j+4 <= len(mrow); j += 4 {
+		b0 := b[j*stride:][:stride]
+		b1 := b[(j+1)*stride:][:stride]
+		b2 := b[(j+2)*stride:][:stride]
+		b3 := b[(j+3)*stride:][:stride]
+		s0, s1, s2, s3 := mrow[j], mrow[j+1], mrow[j+2], mrow[j+3]
+		for t, k := range ks {
+			av := vs[t]
+			s0 += av * b0[k]
+			s1 += av * b1[k]
+			s2 += av * b2[k]
+			s3 += av * b3[k]
+		}
+		mrow[j], mrow[j+1], mrow[j+2], mrow[j+3] = s0, s1, s2, s3
+	}
+	for ; j < len(mrow); j++ {
+		brow := b[j*stride:][:stride]
+		s := mrow[j]
+		for t, k := range ks {
+			s += vs[t] * brow[k]
+		}
+		mrow[j] = s
+	}
 }
 
 // Kron returns the Kronecker product a ⊗ b as a new matrix.
