@@ -201,8 +201,8 @@ func BenchmarkCodecANSOnGradientPlanes(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc := codec.Encode(plane)
-		if _, err := codec.Decode(enc); err != nil {
+		enc := codec.EncodeAppend(nil, plane)
+		if _, err := codec.DecodeInto(make([]byte, 0, len(plane)), enc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -170,7 +170,8 @@ var (
 // Deflate, Gdeflate, LZ4, Snappy, Zstd).
 func Codecs() []Codec { return encoding.All() }
 
-// CodecByName looks up a lossless encoder by its registry name.
+// CodecByName looks up a lossless encoder by its registry name, matched
+// case-insensitively.
 func CodecByName(name string) (Codec, error) { return encoding.ByName(name) }
 
 // Platforms returns the registered platform names ("slingshot10",

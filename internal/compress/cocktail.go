@@ -67,7 +67,7 @@ func (c *CocktailSGD) Compress(src []float32) ([]byte, error) {
 	for _, i := range idx {
 		bitmap[i/8] |= 1 << (i % 8)
 	}
-	encBitmap := encoding.ANS{}.Encode(bitmap)
+	encBitmap := encoding.ANS{}.EncodeAppend(nil, bitmap)
 
 	out := putHeader(nil, magicCocktail, len(src))
 	out = putFloat64(out, scale)
@@ -125,7 +125,7 @@ func (c *CocktailSGD) Decompress(data []byte) ([]float32, error) {
 		return nil, fmt.Errorf("%w: CocktailSGD: bad bitmap length", ErrCorrupt)
 	}
 	rest = rest[used:]
-	bitmap, err := (encoding.ANS{}).Decode(rest[:bmLen])
+	bitmap, err := encoding.ANS{}.DecodeInto(make([]byte, 0, (n+7)/8), rest[:bmLen])
 	if err != nil {
 		return nil, fmt.Errorf("%w: CocktailSGD bitmap: %v", ErrCorrupt, err)
 	}

@@ -134,9 +134,11 @@ func getHeader(src []byte, magic byte, name string) (n int, rest []byte, err err
 
 // PeekElements parses the common blob header — magic byte plus uvarint
 // element count — without decoding the payload. Every decoder sizes its
-// output and scratch buffers from this untrusted count, so servers must
-// enforce their element caps on the peeked value before calling Decompress;
-// the count alone can demand gigabytes from a blob a few dozen bytes long.
+// output from this untrusted count and bounds each buffer inside it by the
+// count or by the blob's own length, so a server that enforces its element
+// cap on the peeked value before calling Decompress bounds the decode's
+// memory by its cap. Without that check the count alone can demand
+// gigabytes from a blob a few dozen bytes long.
 func PeekElements(data []byte) (int, error) {
 	if len(data) == 0 {
 		return 0, fmt.Errorf("%w: empty buffer", ErrCorrupt)

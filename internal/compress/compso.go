@@ -229,7 +229,7 @@ func (c *COMPSO) Compress(src []float32) ([]byte, error) {
 	// the arena a foreign buffer and leak the pooled one.
 	scratchBuf := pool.Bytes(n/2 + 64)
 	scratch := scratchBuf[:0]
-	scratch = encoding.EncodeAppend(cdc, scratch, bitmap)
+	scratch = cdc.EncodeAppend(scratch, bitmap)
 	if bitmap != nil {
 		pool.PutBytes(bitmap)
 	}
@@ -246,7 +246,7 @@ func (c *COMPSO) Compress(src []float32) ([]byte, error) {
 		options |= 1
 		packedBuf := pool.Bytes(kept + 16)
 		packed := quant.PackZigs(packedBuf, zigs, maxZig)
-		scratch = encoding.EncodeAppend(cdc, scratch, packed)
+		scratch = cdc.EncodeAppend(scratch, packed)
 		pool.PutBytes(packedBuf)
 		nSections = 1
 		ends[0] = len(scratch)
@@ -259,7 +259,7 @@ func (c *COMPSO) Compress(src []float32) ([]byte, error) {
 		plane := pool.Bytes(kept)
 		for p := 0; p < nSections; p++ {
 			quant.FillPlane(plane, zigs, p)
-			scratch = encoding.EncodeAppend(cdc, scratch, plane)
+			scratch = cdc.EncodeAppend(scratch, plane)
 			ends[p] = len(scratch)
 		}
 		pool.PutBytes(plane)
@@ -385,7 +385,7 @@ func (c *COMPSO) Decompress(data []byte) ([]float32, error) {
 	if filterFlag != 0 {
 		buf := pool.Bytes((n + 7) / 8)
 		scratches = append(scratches, buf)
-		bitmap, err = encoding.DecodeInto(cdc, buf, rest[:bitmapLen])
+		bitmap, err = cdc.DecodeInto(buf[:0:len(buf)], rest[:bitmapLen])
 		if err != nil {
 			return nil, fmt.Errorf("%w: COMPSO bitmap: %v", ErrCorrupt, err)
 		}
@@ -415,9 +415,9 @@ func (c *COMPSO) Decompress(data []byte) ([]float32, error) {
 		if secLen > len(after) {
 			return nil, fmt.Errorf("%w: COMPSO: packed section overruns", ErrCorrupt)
 		}
-		buf := pool.Bytes(keptCount + 16)
+		buf := pool.Bytes(packedLen(keptCount))
 		scratches = append(scratches, buf)
-		packed, err := encoding.DecodeInto(cdc, buf, after[:secLen])
+		packed, err := cdc.DecodeInto(buf[:0:len(buf)], after[:secLen])
 		if err != nil {
 			return nil, fmt.Errorf("%w: COMPSO packed: %v", ErrCorrupt, err)
 		}
@@ -437,7 +437,7 @@ func (c *COMPSO) Decompress(data []byte) ([]float32, error) {
 			}
 			buf := pool.Bytes(keptCount)
 			scratches = append(scratches, buf)
-			planes[p], err = encoding.DecodeInto(cdc, buf, after[:planeLen])
+			planes[p], err = cdc.DecodeInto(buf[:0:len(buf)], after[:planeLen])
 			if err != nil {
 				return nil, fmt.Errorf("%w: COMPSO plane %d: %v", ErrCorrupt, p, err)
 			}
@@ -607,6 +607,10 @@ func unpackZigsInto(dst []uint32, packed []byte, want int) error {
 	}
 	return nil
 }
+
+// packedLen bounds the bit-packed section of kept codes: PackZigs's uvarint
+// count and 6-bit width, then kept codes of at most 32 bits each.
+func packedLen(kept int) int { return uvarintLen(uint64(kept)) + 1 + 4*kept }
 
 // MaxError returns the worst-case pointwise error of the current
 // configuration: filtered values err by up to EBFilter, quantized ones by

@@ -3,68 +3,65 @@ package compress
 import (
 	"encoding/binary"
 	"testing"
+
+	"compso/internal/encoding"
 )
 
-// Decompressor fuzzing: arbitrary bytes must never panic — only return
-// values or an error.
+// fuzzMaxElements is the element cap FuzzDecode holds its inputs to, the
+// contract a server follows: PeekElements first, Decode only under its cap.
+const fuzzMaxElements = 1 << 16
 
-func fuzzDecompress(f *testing.F, mk func() Compressor) {
-	f.Helper()
-	c := mk()
-	valid, err := c.Compress(kfacData(500, 1))
-	if err != nil {
-		f.Fatal(err)
+// FuzzDecode fuzzes the magic-byte dispatcher, and so every family's
+// decoder, from one valid blob per registered family and one COMPSO blob per
+// codec id. A blob under the cap decodes to exactly the elements it declares
+// or is rejected; it never panics.
+func FuzzDecode(f *testing.F) {
+	add := func(c Compressor, x []float32) {
+		blob, err := c.Compress(x)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
 	}
-	for _, seed := range [][]byte{nil, {0}, {0x51, 0x05}, valid} {
+	for _, seed := range [][]byte{nil, {0}, {magicQSGD, 0x05}} {
 		f.Add(seed)
 	}
+	for _, family := range Families() {
+		c, err := ByName(family, Options{Seed: 1})
+		if err != nil {
+			f.Fatal(err)
+		}
+		add(c, kfacData(500, 1))
+	}
+	for _, cdc := range encoding.All() {
+		c := NewCOMPSO(1)
+		c.Codec = cdc
+		add(c, kfacData(500, 1))
+	}
+	// With the filter off a blob's plane holds every element, so at the cap
+	// it is long enough for rANS's interleaved layout.
+	c := NewCOMPSO(2)
+	c.FilterEnabled = false
+	add(c, kfacData(fuzzMaxElements, 2))
+	// A PowerSGD header whose rows·cols product overflows and whose factor
+	// dims disagree with the payload length.
+	hdr := []byte{magicLowRank, 0xe8, 0x07, 0xff, 0xff, 0xff, 0xff, 0x0f, 0xff, 0xff, 0xff, 0xff, 0x0f, 0x04}
+	f.Add(append(hdr, 0xde, 0xad))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec := mk()
-		out, err := dec.Decompress(data)
-		if err == nil && out == nil && len(data) > 0 {
-			t.Fatal("nil output without error")
+		n, err := PeekElements(data)
+		if err != nil || n > fuzzMaxElements {
+			return
+		}
+		out, err := Decode(data)
+		if err == nil && len(out) != n {
+			t.Fatalf("decoded %d elements, the header declares %d", len(out), n)
 		}
 	})
 }
 
-// addANSSeed adds a blob of 2^18 elements: its bitmap is 32 KiB, the
-// shortest stream rANS writes in its interleaved layout, which no
-// 500-element seed reaches.
-func addANSSeed(f *testing.F, c Compressor) {
-	f.Helper()
-	blob, err := c.Compress(kfacData(1<<18, 2))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(blob)
-}
-
-func FuzzCOMPSODecompress(f *testing.F) {
-	addANSSeed(f, NewCOMPSO(1))
-	fuzzDecompress(f, func() Compressor { return NewCOMPSO(1) })
-}
-
-func FuzzQSGDDecompress(f *testing.F) {
-	fuzzDecompress(f, func() Compressor { return NewQSGD(8, 2) })
-}
-
-func FuzzSZDecompress(f *testing.F) {
-	fuzzDecompress(f, func() Compressor { return NewSZ(4e-3) })
-}
-
-func FuzzCocktailDecompress(f *testing.F) {
-	addANSSeed(f, NewCocktailSGD(0.2, 8, 3))
-	fuzzDecompress(f, func() Compressor { return NewCocktailSGD(0.2, 8, 3) })
-}
-
-func FuzzPowerSGDDecompress(f *testing.F) {
-	// Extra corpus entry: a header whose rows·cols product overflows and
-	// whose factor dims disagree with the payload length.
-	hdr := []byte{magicLowRank, 0xe8, 0x07, 0xff, 0xff, 0xff, 0xff, 0x0f, 0xff, 0xff, 0xff, 0xff, 0x0f, 0x04}
-	f.Add(append(hdr, 0xde, 0xad))
-	fuzzDecompress(f, func() Compressor { return NewPowerSGD(4, 7) })
-}
-
+// FuzzChunkedDecompress fuzzes the chunked frame around QSGD, which
+// Decode does not dispatch to: arbitrary bytes must never panic.
 func FuzzChunkedDecompress(f *testing.F) {
 	mk := func() Compressor {
 		return &Chunked{New: func(seed int64) Compressor { return NewQSGD(8, seed) }, ChunkSize: 64}
@@ -72,8 +69,7 @@ func FuzzChunkedDecompress(f *testing.F) {
 	// Corpus entries for the decode-path regressions: a valid frame with
 	// trailing garbage, and a size-table entry whose int cast used to
 	// overflow negative and panic the slicing below.
-	c := mk()
-	valid, err := c.Compress(kfacData(130, 4))
+	valid, err := mk().Compress(kfacData(130, 4))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -83,5 +79,13 @@ func FuzzChunkedDecompress(f *testing.F) {
 	huge = binary.AppendUvarint(huge, 1)  // nChunks
 	huge = binary.AppendUvarint(huge, 1<<63)
 	f.Add(append(huge, 0xde, 0xad))
-	fuzzDecompress(f, mk)
+	for _, seed := range [][]byte{nil, {0}, {magicQSGD, 0x05}, valid} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		out, err := mk().Decompress(data)
+		if err == nil && out == nil && len(data) > 0 {
+			t.Fatal("nil output without error")
+		}
+	})
 }

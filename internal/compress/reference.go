@@ -48,7 +48,7 @@ func (c *COMPSO) ReferenceCompress(src []float32) ([]byte, error) {
 	codes := quant.QuantizeEB(kept, c.EBQuant, c.Rounding, c.rng)
 
 	cdc := c.codec()
-	encBitmap := cdc.Encode(bitmap)
+	encBitmap := cdc.EncodeAppend(nil, bitmap)
 
 	// Options byte: bit 0 = bit-packed codes, bits 1-2 = rounding mode.
 	options := byte(c.Rounding) << 1
@@ -65,7 +65,7 @@ func (c *COMPSO) ReferenceCompress(src []float32) ([]byte, error) {
 	out = append(out, encBitmap...)
 	if c.BitPacked {
 		// §4.3 ablation: dense bit packing in a single plane-like section.
-		enc := cdc.Encode(quant.PackCodes(codes))
+		enc := cdc.EncodeAppend(nil, quant.PackCodes(codes))
 		out = append(out, byte(1))
 		out = putHeader(out, 0xBB, len(enc))
 		out = append(out, enc...)
@@ -76,7 +76,7 @@ func (c *COMPSO) ReferenceCompress(src []float32) ([]byte, error) {
 	planes := quant.PlaneSplit(codes)
 	out = append(out, byte(len(planes)))
 	for _, plane := range planes {
-		enc := cdc.Encode(plane)
+		enc := cdc.EncodeAppend(nil, plane)
 		out = putHeader(out, 0xBB, len(enc))
 		out = append(out, enc...)
 	}
@@ -137,7 +137,7 @@ func (c *COMPSO) ReferenceDecompress(data []byte) ([]float32, error) {
 	}
 	var bitmap []byte
 	if filterFlag != 0 {
-		bitmap, err = cdc.Decode(rest[:bitmapLen])
+		bitmap, err = cdc.DecodeInto(make([]byte, 0, (n+7)/8), rest[:bitmapLen])
 		if err != nil {
 			return nil, fmt.Errorf("%w: COMPSO bitmap: %v", ErrCorrupt, err)
 		}
@@ -163,7 +163,7 @@ func (c *COMPSO) ReferenceDecompress(data []byte) ([]float32, error) {
 		if secLen > len(after) {
 			return nil, fmt.Errorf("%w: COMPSO: packed section overruns", ErrCorrupt)
 		}
-		packed, err := cdc.Decode(after[:secLen])
+		packed, err := cdc.DecodeInto(make([]byte, 0, packedLen(keptCount)), after[:secLen])
 		if err != nil {
 			return nil, fmt.Errorf("%w: COMPSO packed: %v", ErrCorrupt, err)
 		}
@@ -184,7 +184,7 @@ func (c *COMPSO) ReferenceDecompress(data []byte) ([]float32, error) {
 			if planeLen > len(after) {
 				return nil, fmt.Errorf("%w: COMPSO: plane %d overruns", ErrCorrupt, p)
 			}
-			planes[p], err = cdc.Decode(after[:planeLen])
+			planes[p], err = cdc.DecodeInto(make([]byte, 0, keptCount), after[:planeLen])
 			if err != nil {
 				return nil, fmt.Errorf("%w: COMPSO plane %d: %v", ErrCorrupt, p, err)
 			}
@@ -244,7 +244,7 @@ func (s *SZ) ReferenceCompress(src []float32) ([]byte, error) {
 	planes := quant.PlaneSplit(codes)
 	out = append(out, byte(len(planes)))
 	for _, plane := range planes {
-		enc := encoding.Huffman{}.Encode(plane)
+		enc := encoding.Huffman{}.EncodeAppend(nil, plane)
 		out = putHeader(out, 0xBB, len(enc))
 		out = append(out, enc...)
 	}

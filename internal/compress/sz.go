@@ -145,7 +145,7 @@ func (s *SZ) Decompress(data []byte) ([]float32, error) {
 		}
 		buf := pool.Bytes(n)
 		scratches = append(scratches, buf)
-		planes[p], err = encoding.Huffman{}.DecodeInto(buf, after[:planeLen])
+		planes[p], err = encoding.Huffman{}.DecodeInto(buf[:0:len(buf)], after[:planeLen])
 		if err != nil {
 			return nil, fmt.Errorf("%w: SZ plane %d: %v", ErrCorrupt, p, err)
 		}

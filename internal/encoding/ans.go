@@ -56,12 +56,7 @@ type ANS struct{}
 // Name implements Codec.
 func (ANS) Name() string { return "ANS" }
 
-// Encode implements Codec.
-func (a ANS) Encode(src []byte) []byte {
-	return a.EncodeAppend(make([]byte, 0, len(src)/2+24), src)
-}
-
-// EncodeAppend implements AppendEncoder. The body is built back to front in
+// EncodeAppend implements Codec. The body is built back to front in
 // a buffer from the arena and appended in one piece, so steady-state encodes
 // touch the allocator only when dst must grow.
 func (ANS) EncodeAppend(dst, src []byte) []byte {
@@ -235,23 +230,11 @@ func (e *ansEncSym) shed(x uint32, w *[8]byte, at uint) (uint32, uint) {
 	return x >> (over & 16), at - uint(over&2)
 }
 
-// Decode implements Codec.
-func (a ANS) Decode(src []byte) ([]byte, error) {
-	return a.DecodeInto(nil, src)
-}
-
-// DecodeInto implements IntoDecoder.
-func (ANS) DecodeInto(scratch, src []byte) ([]byte, error) {
-	n, consumed, err := getUvarint(src)
-	if err != nil {
-		return nil, err
-	}
-	src = src[consumed:]
-	if n == 0 {
-		return []byte{}, nil
-	}
-	if n > 1<<33 {
-		return nil, corruptf("ANS: implausible length %d", n)
+// DecodeInto implements Codec.
+func (ANS) DecodeInto(dst, src []byte) ([]byte, error) {
+	dst, src, err := decodeHeader(dst, src, "ANS")
+	if err != nil || len(dst) == 0 {
+		return dst, err
 	}
 
 	distinct, consumed, err := getUvarint(src)
@@ -332,12 +315,6 @@ func (ANS) DecodeInto(scratch, src []byte) ([]byte, error) {
 	}
 	src = src[4*states:]
 
-	var dst []byte
-	if uint64(cap(scratch)) >= n {
-		dst = scratch[:n]
-	} else {
-		dst = make([]byte, n)
-	}
 	if interleaved {
 		err = ansDecodeInterleaved(dst, src, &x, &tab)
 	} else {

@@ -46,7 +46,7 @@ func TestANSLayoutGate(t *testing.T) {
 		for name, src := range map[string][]byte{
 			"constant": make([]byte, c.n), "two": twoSymbols(c.n), "plane": gradientPlane(c.n, 5),
 		} {
-			if got := ansLayout(t, ANS{}.Encode(src)); got != c.layout {
+			if got := ansLayout(t, ANS{}.EncodeAppend(nil, src)); got != c.layout {
 				t.Errorf("%s stream of %d bytes is written in layout %d, want %d", name, c.n, got, c.layout)
 			}
 		}
@@ -73,7 +73,7 @@ func TestANSInterleavedRoundTrip(t *testing.T) {
 		} {
 			for _, interleave := range []bool{true, false} {
 				enc := ansEncodeAppend(nil, src, interleave)
-				dec, err := ANS{}.Decode(enc)
+				dec, err := ANS{}.DecodeInto(make([]byte, 0, n), enc)
 				if err != nil {
 					t.Fatalf("%s n=%d interleave=%v: %v", name, n, interleave, err)
 				}
@@ -90,23 +90,25 @@ func TestANSInterleavedRoundTrip(t *testing.T) {
 // lane's state flipped does not decode — ErrCorrupt, and no panic.
 func TestANSInterleavedRejectsDamage(t *testing.T) {
 	streams := map[string][]byte{
-		"two/gate":  ANS{}.Encode(twoSymbols(ansInterleaveMin + 3)),
+		"two/gate":  ANS{}.EncodeAppend(nil, twoSymbols(ansInterleaveMin+3)),
 		"plane/4K":  ansEncodeAppend(nil, gradientPlane(4099, 3), true),
 		"plane/7":   ansEncodeAppend(nil, gradientPlane(7, 4), true),
 		"plane/2":   ansEncodeAppend(nil, gradientPlane(2, 5), true),
 		"constant":  ansEncodeAppend(nil, make([]byte, 50), true),
-		"plane/big": ANS{}.Encode(gradientPlane(3*ansInterleaveMin+1, 6)),
+		"plane/big": ANS{}.EncodeAppend(nil, gradientPlane(3*ansInterleaveMin+1, 6)),
 	}
 	for name, enc := range streams {
 		if ansLayout(t, enc) != 2 {
 			t.Fatalf("%s: not an interleaved stream", name)
 		}
-		if _, err := (ANS{}).Decode(enc); err != nil {
+		// Every damage below leaves the length the stream declares alone.
+		n, _, _ := getUvarint(enc)
+		if _, err := (ANS{}).DecodeInto(make([]byte, 0, n), enc); err != nil {
 			t.Fatalf("%s: undamaged stream: %v", name, err)
 		}
 		reject := func(what string, damaged []byte) {
 			t.Helper()
-			if _, err := (ANS{}).Decode(damaged); !errors.Is(err, ErrCorrupt) {
+			if _, err := (ANS{}).DecodeInto(make([]byte, 0, n), damaged); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("%s, %s: err = %v, want ErrCorrupt", name, what, err)
 			}
 		}
@@ -138,7 +140,7 @@ func TestANSInterleavedRejectsDamage(t *testing.T) {
 		// symbol, and that is a valid stream. What the end-state check buys
 		// is that over a stream of any length a flipped state has to walk
 		// back to 2^16 on its own, so the flips are tried on the long ones.
-		if n, _, _ := getUvarint(enc); n < 1000 {
+		if n < 1000 {
 			continue
 		}
 		states := ansStatesOffset(t, enc)

@@ -63,19 +63,20 @@ func benchEncodeSrc(b *testing.B, c Codec, src []byte) {
 	b.ResetTimer()
 	var enc []byte
 	for i := 0; i < b.N; i++ {
-		enc = c.Encode(src)
+		enc = c.EncodeAppend(enc[:0], src)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(src))/float64(len(enc)), "CR")
 }
 
 func benchDecodeSrc(b *testing.B, c Codec, src []byte) {
-	enc := c.Encode(src)
+	enc := c.EncodeAppend(nil, src)
+	dst := make([]byte, len(src))
 	b.SetBytes(int64(len(src)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Decode(enc); err != nil {
+		if _, err := c.DecodeInto(dst, enc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,9 +16,9 @@ const bitcompBlock = 4096
 // Name implements Codec.
 func (Bitcomp) Name() string { return "Bitcomp" }
 
-// Encode implements Codec.
-func (Bitcomp) Encode(src []byte) []byte {
-	out := putUvarint(nil, uint64(len(src)))
+// EncodeAppend implements Codec.
+func (Bitcomp) EncodeAppend(dst, src []byte) []byte {
+	out := putUvarint(dst, uint64(len(src)))
 	if len(src) == 0 {
 		return out
 	}
@@ -42,19 +42,14 @@ func (Bitcomp) Encode(src []byte) []byte {
 	return append(out, w.Bytes()...)
 }
 
-// Decode implements Codec.
-func (Bitcomp) Decode(src []byte) ([]byte, error) {
-	n, consumed, err := getUvarint(src)
+// DecodeInto implements Codec.
+func (Bitcomp) DecodeInto(dst, src []byte) ([]byte, error) {
+	dst, src, err := decodeHeader(dst, src, "Bitcomp")
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<33 {
-		return nil, corruptf("Bitcomp: implausible length %d", n)
-	}
-	dst := make([]byte, n)
-	r := bitstream.NewReader(src[consumed:])
-	for start := uint64(0); start < n; start += bitcompBlock {
-		end := min(start+bitcompBlock, n)
+	r := bitstream.NewReader(src)
+	for start := 0; start < len(dst); start += bitcompBlock {
 		width64, err := r.ReadBits(4)
 		if err != nil {
 			return nil, corruptf("Bitcomp: truncated width at offset %d", start)
@@ -63,7 +58,7 @@ func (Bitcomp) Decode(src []byte) ([]byte, error) {
 			return nil, corruptf("Bitcomp: invalid width %d", width64)
 		}
 		width := uint(width64)
-		for i := start; i < end; i++ {
+		for i := start; i < min(start+bitcompBlock, len(dst)); i++ {
 			v, err := r.ReadBits(width)
 			if err != nil {
 				return nil, corruptf("Bitcomp: truncated body at offset %d", i)

@@ -16,12 +16,7 @@ type Cascaded struct{}
 // Name implements Codec.
 func (Cascaded) Name() string { return "Cascaded" }
 
-// Encode implements Codec.
-func (c Cascaded) Encode(src []byte) []byte {
-	return c.EncodeAppend(make([]byte, 0, len(src)/4+16), src)
-}
-
-// EncodeAppend implements AppendEncoder. RLE pair vectors and the bit
+// EncodeAppend implements Codec. RLE pair vectors and the bit
 // writer's buffer come from the buffer arena.
 func (Cascaded) EncodeAppend(dst, src []byte) []byte {
 	out := putUvarint(dst, uint64(len(src)))
@@ -87,23 +82,11 @@ func (Cascaded) EncodeAppend(dst, src []byte) []byte {
 	return out
 }
 
-// Decode implements Codec.
-func (c Cascaded) Decode(src []byte) ([]byte, error) {
-	return c.DecodeInto(nil, src)
-}
-
-// DecodeInto implements IntoDecoder.
-func (Cascaded) DecodeInto(scratch, src []byte) ([]byte, error) {
-	n, consumed, err := getUvarint(src)
-	if err != nil {
-		return nil, err
-	}
-	src = src[consumed:]
-	if n == 0 {
-		return []byte{}, nil
-	}
-	if n > 1<<33 {
-		return nil, corruptf("Cascaded: implausible length %d", n)
+// DecodeInto implements Codec.
+func (Cascaded) DecodeInto(dst, src []byte) ([]byte, error) {
+	dst, src, err := decodeHeader(dst, src, "Cascaded")
+	if err != nil || len(dst) == 0 {
+		return dst, err
 	}
 	pairs, consumed, err := getUvarint(src)
 	if err != nil {
@@ -118,12 +101,7 @@ func (Cascaded) DecodeInto(scratch, src []byte) ([]byte, error) {
 		return nil, corruptf("Cascaded: invalid widths v=%d r=%d", vWidth, rWidth)
 	}
 	r := bitstream.NewReader(src[2:])
-	var dst []byte
-	if uint64(cap(scratch)) >= n {
-		dst = scratch[:0]
-	} else {
-		dst = make([]byte, 0, n)
-	}
+	pos := 0
 	for p := uint64(0); p < pairs; p++ {
 		v, err := r.ReadBits(vWidth)
 		if err != nil {
@@ -133,15 +111,16 @@ func (Cascaded) DecodeInto(scratch, src []byte) ([]byte, error) {
 		if err != nil {
 			return nil, corruptf("Cascaded: truncated run %d", p)
 		}
-		if run == 0 || uint64(len(dst))+run > n {
-			return nil, corruptf("Cascaded: run %d overflows output (%d+%d > %d)", p, len(dst), run, n)
+		if run == 0 || run > uint64(len(dst)-pos) {
+			return nil, corruptf("Cascaded: run %d overflows output (%d+%d > %d)", p, pos, run, len(dst))
 		}
-		for i := uint64(0); i < run; i++ {
-			dst = append(dst, byte(v))
+		end := pos + int(run)
+		for ; pos < end; pos++ {
+			dst[pos] = byte(v)
 		}
 	}
-	if uint64(len(dst)) != n {
-		return nil, corruptf("Cascaded: decoded %d bytes, want %d", len(dst), n)
+	if pos != len(dst) {
+		return nil, corruptf("Cascaded: decoded %d bytes, want %d", pos, len(dst))
 	}
 	return dst, nil
 }

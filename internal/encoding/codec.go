@@ -12,59 +12,39 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Codec losslessly encodes byte streams. Implementations are stateless and
 // safe for concurrent use.
+//
+// Every stream starts with the uvarint length of what it decodes to, and
+// DecodeInto trusts that length no further than the caller does: the output
+// is written into dst's storage, and a stream that declares more than
+// cap(dst) bytes is rejected with ErrTooLarge before any work. A decoder
+// allocates no output of its own, so a caller that knows how long the
+// stream must decode to passes a buffer of exactly that capacity and bounds
+// the decode's memory by it.
 type Codec interface {
 	// Name returns the codec's registry name (e.g. "ANS").
 	Name() string
-	// Encode compresses src into a self-describing buffer. Encode never
-	// fails; incompressible data may grow slightly.
-	Encode(src []byte) []byte
-	// Decode reverses Encode. It returns an error when the buffer is
-	// truncated or corrupt.
-	Decode(src []byte) ([]byte, error)
-}
-
-// AppendEncoder is the optional zero-copy sibling of Codec.Encode: the
-// encoded stream is appended to dst (which may be a pooled buffer) instead of
-// forcing a fresh allocation per call. The appended bytes are identical to
-// what Encode would return.
-type AppendEncoder interface {
+	// EncodeAppend appends the encoding of src to dst (nil for a fresh
+	// buffer) and returns the extended slice. It never fails;
+	// incompressible data may grow slightly.
 	EncodeAppend(dst, src []byte) []byte
-}
-
-// IntoDecoder is the optional scratch-reusing sibling of Codec.Decode: when
-// cap(dst) is large enough the decoded stream is written into dst's storage,
-// otherwise a fresh buffer is allocated. The returned slice aliases dst in
-// the former case.
-type IntoDecoder interface {
+	// DecodeInto reverses EncodeAppend into dst's storage and returns
+	// dst[:n], ignoring len(dst). A stream that declares n > cap(dst) is
+	// ErrTooLarge; a truncated or corrupt one is ErrCorrupt.
 	DecodeInto(dst, src []byte) ([]byte, error)
-}
-
-// EncodeAppend appends c's encoding of src to dst, using the codec's
-// AppendEncoder fast path when it has one and falling back to Encode+append
-// otherwise.
-func EncodeAppend(c Codec, dst, src []byte) []byte {
-	if ae, ok := c.(AppendEncoder); ok {
-		return ae.EncodeAppend(dst, src)
-	}
-	return append(dst, c.Encode(src)...)
-}
-
-// DecodeInto decodes src with c into dst's storage when the codec supports
-// IntoDecoder and cap(dst) suffices; otherwise it falls back to Decode.
-func DecodeInto(c Codec, dst, src []byte) ([]byte, error) {
-	if id, ok := c.(IntoDecoder); ok {
-		return id.DecodeInto(dst, src)
-	}
-	return c.Decode(src)
 }
 
 // ErrCorrupt is wrapped by all decoders when the input cannot have been
 // produced by the matching encoder.
 var ErrCorrupt = errors.New("encoding: corrupt input")
+
+// ErrTooLarge is wrapped by DecodeInto when a stream declares more bytes
+// than the caller's buffer can hold.
+var ErrTooLarge = errors.New("encoding: stream larger than the output buffer")
 
 // ErrUnknownCodec is wrapped by ByName when no codec matches the requested
 // registry name.
@@ -95,11 +75,12 @@ func All() []Codec {
 	return out
 }
 
-// ByName returns the codec with the given registry name. Unknown names
-// return an error wrapping ErrUnknownCodec.
+// ByName returns the codec with the given registry name, matched
+// case-insensitively ("zstd" is Zstd). Unknown names return an error
+// wrapping ErrUnknownCodec.
 func ByName(name string) (Codec, error) {
 	for _, c := range registry {
-		if c.Name() == name {
+		if strings.EqualFold(c.Name(), name) {
 			return c, nil
 		}
 	}
@@ -124,6 +105,20 @@ func putUvarint(dst []byte, v uint64) []byte {
 		v >>= 7
 	}
 	return append(dst, byte(v))
+}
+
+// decodeHeader reads the uvarint length a stream starts with and returns
+// dst resliced to it and the rest of src. A length over cap(dst) is
+// ErrTooLarge, so the caller does no work for it.
+func decodeHeader(dst, src []byte, name string) (out, rest []byte, err error) {
+	n, w, err := getUvarint(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n > uint64(cap(dst)) {
+		return nil, nil, fmt.Errorf("%w: %s stream of %d bytes, buffer holds %d", ErrTooLarge, name, n, cap(dst))
+	}
+	return dst[:n], src[w:], nil
 }
 
 // getUvarint reads a LEB128 value from src, returning the value and the

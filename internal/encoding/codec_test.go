@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -52,11 +53,17 @@ func testInputs() map[string][]byte {
 	}
 }
 
+// decode decodes enc into a fresh buffer of capacity n, the length the
+// caller knows the stream decodes to.
+func decode(c Codec, enc []byte, n int) ([]byte, error) {
+	return c.DecodeInto(make([]byte, 0, n), enc)
+}
+
 func TestAllCodecsRoundTrip(t *testing.T) {
 	for _, codec := range All() {
 		for name, input := range testInputs() {
-			enc := codec.Encode(input)
-			dec, err := codec.Decode(enc)
+			enc := codec.EncodeAppend(nil, input)
+			dec, err := decode(codec, enc, len(input))
 			if err != nil {
 				t.Fatalf("%s/%s: decode: %v", codec.Name(), name, err)
 			}
@@ -70,8 +77,8 @@ func TestAllCodecsRoundTrip(t *testing.T) {
 func TestHuffmanRoundTrip(t *testing.T) {
 	codec := Huffman{}
 	for name, input := range testInputs() {
-		enc := codec.Encode(input)
-		dec, err := codec.Decode(enc)
+		enc := codec.EncodeAppend(nil, input)
+		dec, err := decode(codec, enc, len(input))
 		if err != nil {
 			t.Fatalf("Huffman/%s: %v", name, err)
 		}
@@ -86,7 +93,7 @@ func TestSkewedDataCompresses(t *testing.T) {
 	// win Table 2 on gradient streams.
 	input := testInputs()["skewed"]
 	for _, codec := range []Codec{ANS{}, Deflate{}, Gdeflate{}, Zstd{}, Huffman{}} {
-		enc := codec.Encode(input)
+		enc := codec.EncodeAppend(nil, input)
 		if len(enc) >= len(input) {
 			t.Errorf("%s: skewed data grew: %d -> %d", codec.Name(), len(input), len(enc))
 		}
@@ -96,7 +103,7 @@ func TestSkewedDataCompresses(t *testing.T) {
 func TestConstantDataCompressesEverywhere(t *testing.T) {
 	input := testInputs()["constant"]
 	for _, codec := range All() {
-		enc := codec.Encode(input)
+		enc := codec.EncodeAppend(nil, input)
 		// Bitcomp can only drop leading-zero bits (3 bits/byte for the
 		// constant 7), so its bound is looser than the pattern-exploiting
 		// codecs'.
@@ -112,7 +119,7 @@ func TestConstantDataCompressesEverywhere(t *testing.T) {
 
 func TestCascadedBestOnRuns(t *testing.T) {
 	input := testInputs()["runs"]
-	casc := Cascaded{}.Encode(input)
+	casc := Cascaded{}.EncodeAppend(nil, input)
 	if len(casc) > 400 {
 		t.Fatalf("Cascaded on runs: %d bytes, want < 400", len(casc))
 	}
@@ -125,10 +132,10 @@ func TestEntropyCodersBeatDictionaryOnSkewed(t *testing.T) {
 	// (Cascaded). This is attributed to the gradient distribution's
 	// non-uniformity."
 	input := testInputs()["skewed"]
-	ans := len(ANS{}.Encode(input))
-	lz4 := len(LZ4{}.Encode(input))
-	snappy := len(Snappy{}.Encode(input))
-	casc := len(Cascaded{}.Encode(input))
+	ans := len(ANS{}.EncodeAppend(nil, input))
+	lz4 := len(LZ4{}.EncodeAppend(nil, input))
+	snappy := len(Snappy{}.EncodeAppend(nil, input))
+	casc := len(Cascaded{}.EncodeAppend(nil, input))
 	if ans >= lz4 || ans >= snappy || ans >= casc {
 		t.Fatalf("ANS (%d) should beat LZ4 (%d), Snappy (%d), Cascaded (%d) on skewed data",
 			ans, lz4, snappy, casc)
@@ -142,25 +149,25 @@ func TestDecodeCorruptInput(t *testing.T) {
 	codecs := All()
 	codecs = append(codecs, Huffman{})
 	for _, codec := range codecs {
-		enc := codec.Encode(input)
+		enc := codec.EncodeAppend(nil, input)
 		for _, cut := range []int{1, 2, len(enc) / 2, len(enc) - 1} {
 			if cut >= len(enc) {
 				continue
 			}
-			dec, err := codec.Decode(enc[:cut])
+			dec, err := decode(codec, enc[:cut], len(input))
 			if err == nil && !bytes.Equal(dec, input) {
 				t.Errorf("%s: truncation to %d silently misdecoded", codec.Name(), cut)
 			}
 		}
 		// Empty input buffer.
-		if _, err := codec.Decode(nil); err == nil {
-			t.Errorf("%s: Decode(nil) succeeded", codec.Name())
+		if _, err := decode(codec, nil, len(input)); err == nil {
+			t.Errorf("%s: decoding nil succeeded", codec.Name())
 		}
 	}
 }
 
 func TestDecodeErrorsWrapErrCorrupt(t *testing.T) {
-	_, err := ANS{}.Decode([]byte{0x05}) // claims 5 bytes, no table
+	_, err := decode(ANS{}, []byte{0x05}, 5) // claims 5 bytes, no table
 	if err == nil || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
@@ -176,8 +183,15 @@ func TestByName(t *testing.T) {
 			t.Fatalf("ByName(%q).Name() = %q", name, c.Name())
 		}
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("ByName(nope) succeeded")
+	// Names match case-insensitively, as compressor families do.
+	for _, name := range []string{"zstd", "ans", "LZ4", "bitCOMP"} {
+		c, err := ByName(name)
+		if err != nil || !strings.EqualFold(c.Name(), name) {
+			t.Fatalf("ByName(%q) = %v, %v", name, c, err)
+		}
+	}
+	if _, err := ByName("nope"); !errors.Is(err, ErrUnknownCodec) {
+		t.Fatalf("ByName(nope): err = %v, want ErrUnknownCodec", err)
 	}
 }
 
@@ -213,8 +227,8 @@ func TestRoundTripPropertyAllCodecs(t *testing.T) {
 					input[i] = byte(rng.IntN(alpha))
 				}
 			}
-			enc := codec.Encode(input)
-			dec, err := codec.Decode(enc)
+			enc := codec.EncodeAppend(nil, input)
+			dec, err := decode(codec, enc, len(input))
 			return err == nil && bytes.Equal(dec, input)
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -243,7 +257,7 @@ func TestANSApproachesEntropyBound(t *testing.T) {
 	// ANS is an order-0 entropy coder: on i.i.d. skewed bytes its ratio
 	// must come within ~10% of the Shannon bound (table overhead aside).
 	input := testInputs()["skewed"]
-	enc := ANS{}.Encode(input)
+	enc := ANS{}.EncodeAppend(nil, input)
 	got := float64(len(input)) / float64(len(enc))
 	bound := stats.EntropyCompressionBound(input)
 	if got > bound {

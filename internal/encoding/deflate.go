@@ -15,11 +15,13 @@ type Deflate struct{}
 // Name implements Codec.
 func (Deflate) Name() string { return "Deflate" }
 
-// Encode implements Codec.
-func (Deflate) Encode(src []byte) []byte { return flateEncode(src, flate.DefaultCompression) }
+// EncodeAppend implements Codec.
+func (Deflate) EncodeAppend(dst, src []byte) []byte {
+	return flateEncode(dst, src, flate.DefaultCompression)
+}
 
-// Decode implements Codec.
-func (Deflate) Decode(src []byte) ([]byte, error) { return flateDecode(src, "Deflate") }
+// DecodeInto implements Codec.
+func (Deflate) DecodeInto(dst, src []byte) ([]byte, error) { return flateDecode(dst, src, "Deflate") }
 
 // Gdeflate stands in for nvCOMP's GDeflate, "a variant of Deflate [that]
 // achieves a high compression ratio through entropy coding but low
@@ -31,14 +33,16 @@ type Gdeflate struct{}
 // Name implements Codec.
 func (Gdeflate) Name() string { return "Gdeflate" }
 
-// Encode implements Codec.
-func (Gdeflate) Encode(src []byte) []byte { return flateEncode(src, flate.BestCompression) }
+// EncodeAppend implements Codec.
+func (Gdeflate) EncodeAppend(dst, src []byte) []byte {
+	return flateEncode(dst, src, flate.BestCompression)
+}
 
-// Decode implements Codec.
-func (Gdeflate) Decode(src []byte) ([]byte, error) { return flateDecode(src, "Gdeflate") }
+// DecodeInto implements Codec.
+func (Gdeflate) DecodeInto(dst, src []byte) ([]byte, error) { return flateDecode(dst, src, "Gdeflate") }
 
-func flateEncode(src []byte, level int) []byte {
-	out := putUvarint(nil, uint64(len(src)))
+func flateEncode(dst, src []byte, level int) []byte {
+	out := putUvarint(dst, uint64(len(src)))
 	if len(src) == 0 {
 		return out
 	}
@@ -58,20 +62,13 @@ func flateEncode(src []byte, level int) []byte {
 	return append(out, buf.Bytes()...)
 }
 
-func flateDecode(src []byte, name string) ([]byte, error) {
-	n, consumed, err := getUvarint(src)
-	if err != nil {
-		return nil, err
+func flateDecode(dst, src []byte, name string) ([]byte, error) {
+	dst, src, err := decodeHeader(dst, src, name)
+	if err != nil || len(dst) == 0 {
+		return dst, err
 	}
-	if n == 0 {
-		return []byte{}, nil
-	}
-	if n > 1<<33 {
-		return nil, corruptf("%s: implausible length %d", name, n)
-	}
-	r := flate.NewReader(bytes.NewReader(src[consumed:]))
+	r := flate.NewReader(bytes.NewReader(src))
 	defer r.Close()
-	dst := make([]byte, n)
 	if _, err := io.ReadFull(r, dst); err != nil {
 		return nil, corruptf("%s: %v", name, err)
 	}

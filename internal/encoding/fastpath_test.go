@@ -2,6 +2,7 @@ package encoding
 
 import (
 	"bytes"
+	"errors"
 	"math/rand/v2"
 	"testing"
 )
@@ -34,57 +35,46 @@ func fastPathInputs() [][]byte {
 	return inputs
 }
 
-// TestEncodeAppendMatchesEncode proves the pooled append paths emit exactly
-// the bytes the allocating Encode paths do, for every registry codec (the
-// helper falls back to Encode for codecs without a fast path, so the whole
-// registry can be asserted uniformly).
-func TestEncodeAppendMatchesEncode(t *testing.T) {
+// TestEncodeAppendKeepsPrefix proves that appending to a buffer leaves what
+// it held alone and adds exactly the bytes a fresh encoding has.
+func TestEncodeAppendKeepsPrefix(t *testing.T) {
 	prefix := []byte{0xDE, 0xAD}
-	for _, c := range All() {
+	for _, c := range append(All(), Huffman{}) {
 		for i, src := range fastPathInputs() {
-			want := c.Encode(src)
-			got := EncodeAppend(c, append([]byte{}, prefix...), src)
+			want := c.EncodeAppend(nil, src)
+			got := c.EncodeAppend(append([]byte{}, prefix...), src)
 			if !bytes.Equal(got[:2], prefix) {
 				t.Fatalf("%s input %d: prefix clobbered", c.Name(), i)
 			}
 			if !bytes.Equal(got[2:], want) {
-				t.Fatalf("%s input %d: EncodeAppend differs from Encode", c.Name(), i)
+				t.Fatalf("%s input %d: appended encoding differs from a fresh one", c.Name(), i)
 			}
 		}
 	}
 }
 
-// TestDecodeIntoMatchesDecode proves DecodeInto round-trips into both
-// undersized and oversized scratch, aliasing the scratch when it fits.
-func TestDecodeIntoMatchesDecode(t *testing.T) {
-	for _, c := range All() {
+// TestDecodeIntoUsesCallerBuffer holds every codec to the decode contract:
+// the output lands in dst's storage whatever dst's length, and a stream
+// longer than cap(dst) is ErrTooLarge.
+func TestDecodeIntoUsesCallerBuffer(t *testing.T) {
+	for _, c := range append(All(), Huffman{}) {
 		for i, src := range fastPathInputs() {
-			enc := c.Encode(src)
-			want, err := c.Decode(enc)
-			if err != nil {
-				t.Fatalf("%s input %d: Decode: %v", c.Name(), i, err)
+			enc := c.EncodeAppend(nil, src)
+			for _, dst := range [][]byte{make([]byte, 0, len(src)), make([]byte, 5, len(src)+64)} {
+				got, err := c.DecodeInto(dst, enc)
+				if err != nil {
+					t.Fatalf("%s input %d cap %d: %v", c.Name(), i, cap(dst), err)
+				}
+				if !bytes.Equal(got, src) {
+					t.Fatalf("%s input %d cap %d: round trip mismatch", c.Name(), i, cap(dst))
+				}
+				if cap(got) > 0 && &got[:1][0] != &dst[:1][0] {
+					t.Fatalf("%s input %d cap %d: output does not alias dst", c.Name(), i, cap(dst))
+				}
 			}
-			// Undersized scratch: must still decode correctly.
-			got, err := DecodeInto(c, make([]byte, 0, 1), enc)
-			if err != nil {
-				t.Fatalf("%s input %d: DecodeInto(small): %v", c.Name(), i, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s input %d: DecodeInto(small) mismatch", c.Name(), i)
-			}
-			// Oversized scratch: correct bytes, and fast-path codecs must
-			// alias the scratch storage.
-			scratch := make([]byte, 0, len(src)+64)
-			got, err = DecodeInto(c, scratch, enc)
-			if err != nil {
-				t.Fatalf("%s input %d: DecodeInto(big): %v", c.Name(), i, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s input %d: DecodeInto(big) mismatch", c.Name(), i)
-			}
-			if _, ok := c.(IntoDecoder); ok && len(src) > 0 && len(got) > 0 {
-				if &got[0] != &scratch[:1][0] {
-					t.Fatalf("%s input %d: DecodeInto did not reuse scratch", c.Name(), i)
+			if len(src) > 0 {
+				if _, err := c.DecodeInto(make([]byte, 0, len(src)-1), enc); !errors.Is(err, ErrTooLarge) {
+					t.Fatalf("%s input %d: one byte short: err = %v, want ErrTooLarge", c.Name(), i, err)
 				}
 			}
 		}

@@ -5,55 +5,53 @@ import (
 	"testing"
 )
 
-// Decoder fuzzing: arbitrary input must never panic or hang — only return
-// data or an error. Valid encodings must round-trip.
+// fuzzCodecs is what byte 0 of a FuzzDecode input selects from (modulo its
+// length): the Table 2 registry, then Huffman.
+var fuzzCodecs = append(All(), Huffman{})
 
-func fuzzCodec(f *testing.F, c Codec) {
-	f.Helper()
-	for _, seed := range [][]byte{
-		nil,
-		{0},
-		{0xff, 0xff, 0xff},
-		c.Encode([]byte("hello hello hello")),
-		c.Encode(make([]byte, 1000)),
-		c.Encode([]byte{1, 2, 3, 4, 5, 255, 254, 253}),
-	} {
-		f.Add(seed)
+// FuzzDecode holds every decoder to the Codec contract on arbitrary input:
+// no panic and no hang, output only in the caller's buffer, and a stream
+// that decodes re-encodes to one that decodes to the same bytes.
+func FuzzDecode(f *testing.F) {
+	// ANS writes streams of ansInterleaveMin bytes and more in another
+	// layout: without seeds in it the fuzzer would spend its budget on
+	// layout 1 alone (twoSymbols keeps the first near 2 KB). Zstd
+	// entropy-codes its literal and sequence streams with ANS; the parse of
+	// a low-entropy stream this long is nearly all sequences, enough of them
+	// to reach the interleaved layout.
+	long := map[Codec][][]byte{
+		ANS{}: {
+			ANS{}.EncodeAppend(nil, twoSymbols(ansInterleaveMin+3)),
+			ansEncodeAppend(nil, gradientPlane(203, 3), true),
+		},
+		Zstd{}: {Zstd{}.EncodeAppend(nil, gradientPlane(2*ansInterleaveMin, 9))},
 	}
+	for i, c := range fuzzCodecs {
+		seeds := append(long[c], nil, []byte{0}, []byte{0xff, 0xff, 0xff})
+		for _, src := range [][]byte{[]byte("hello hello hello"), make([]byte, 1000), {1, 2, 3, 4, 5, 255, 254, 253}} {
+			seeds = append(seeds, c.EncodeAppend(nil, src))
+		}
+		for _, seed := range seeds {
+			f.Add(append([]byte{byte(i)}, seed...))
+		}
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		out, err := c.Decode(data)
+		if len(data) == 0 {
+			return
+		}
+		c := fuzzCodecs[int(data[0])%len(fuzzCodecs)]
+		dst := make([]byte, 0, 1<<20)
+		out, err := c.DecodeInto(dst, data[1:])
 		if err != nil {
 			return
 		}
-		// A successful decode of an actual encoding must round-trip.
-		reenc := c.Encode(out)
-		back, err := c.Decode(reenc)
+		if cap(out) == 0 || &out[:1][0] != &dst[:1][0] {
+			t.Fatalf("%s: output does not alias dst", c.Name())
+		}
+		back, err := c.DecodeInto(make([]byte, 0, len(out)), c.EncodeAppend(nil, out))
 		if err != nil || !bytes.Equal(back, out) {
-			t.Fatalf("re-encode round trip failed: %v", err)
+			t.Fatalf("%s: re-encode round trip failed: %v", c.Name(), err)
 		}
 	})
 }
-
-// The seeds above are all short, and ANS writes streams of ansInterleaveMin
-// bytes and more in another layout: without a seed that long the fuzzer would
-// spend its budget on layout 1 alone. twoSymbols keeps the seed near 2 KB.
-func FuzzANSDecode(f *testing.F) {
-	f.Add(ANS{}.Encode(twoSymbols(ansInterleaveMin + 3)))
-	f.Add(ansEncodeAppend(nil, gradientPlane(203, 3), true))
-	fuzzCodec(f, ANS{})
-}
-
-func FuzzBitcompDecode(f *testing.F)  { fuzzCodec(f, Bitcomp{}) }
-func FuzzCascadedDecode(f *testing.F) { fuzzCodec(f, Cascaded{}) }
-func FuzzLZ4Decode(f *testing.F)      { fuzzCodec(f, LZ4{}) }
-func FuzzSnappyDecode(f *testing.F)   { fuzzCodec(f, Snappy{}) }
-
-// Zstd entropy-codes its literal and sequence streams with ANS; the parse of
-// a low-entropy stream this long is nearly all sequences, enough of them to
-// reach the interleaved layout.
-func FuzzZstdDecode(f *testing.F) {
-	f.Add(Zstd{}.Encode(gradientPlane(2*ansInterleaveMin, 9)))
-	fuzzCodec(f, Zstd{})
-}
-
-func FuzzHuffmanDecode(f *testing.F) { fuzzCodec(f, Huffman{}) }

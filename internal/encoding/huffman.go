@@ -19,12 +19,7 @@ func (Huffman) Name() string { return "Huffman" }
 
 const huffMaxCodeLen = 57 // bounded by bitstream.Reader's width limit
 
-// Encode implements Codec.
-func (h Huffman) Encode(src []byte) []byte {
-	return h.EncodeAppend(make([]byte, 0, len(src)/2+208), src)
-}
-
-// EncodeAppend implements AppendEncoder. The bit writer runs over a pooled
+// EncodeAppend implements Codec. The bit writer runs over a pooled
 // buffer so per-call allocations are limited to dst growth.
 func (Huffman) EncodeAppend(dst, src []byte) []byte {
 	out := putUvarint(dst, uint64(len(src)))
@@ -57,26 +52,15 @@ func (Huffman) EncodeAppend(dst, src []byte) []byte {
 	return out
 }
 
-// Decode implements Codec.
-func (h Huffman) Decode(src []byte) ([]byte, error) {
-	return h.DecodeInto(nil, src)
-}
-
-// DecodeInto implements IntoDecoder. Decoding walks the canonical
+// DecodeInto implements Codec. Decoding walks the canonical
 // firstCode/count tables (one comparison per code length) instead of probing
 // a map per bit, which is both allocation-free and substantially faster.
-func (Huffman) DecodeInto(scratch, src []byte) ([]byte, error) {
-	n, consumed, err := getUvarint(src)
-	if err != nil {
-		return nil, err
+func (Huffman) DecodeInto(dst, src []byte) ([]byte, error) {
+	dst, src, err := decodeHeader(dst, src, "Huffman")
+	if err != nil || len(dst) == 0 {
+		return dst, err
 	}
-	if n == 0 {
-		return []byte{}, nil
-	}
-	if n > 1<<33 {
-		return nil, corruptf("Huffman: implausible length %d", n)
-	}
-	r := bitstream.NewReader(src[consumed:])
+	r := bitstream.NewReader(src)
 	var lens [256]int
 	for i := range lens {
 		v, err := r.ReadBits(6)
@@ -122,15 +106,9 @@ func (Huffman) DecodeInto(scratch, src []byte) ([]byte, error) {
 		}
 	}
 	if idx == 0 {
-		return nil, corruptf("Huffman: empty code table with %d symbols expected", n)
+		return nil, corruptf("Huffman: empty code table with %d symbols expected", len(dst))
 	}
-	var dst []byte
-	if uint64(cap(scratch)) >= n {
-		dst = scratch[:n]
-	} else {
-		dst = make([]byte, n)
-	}
-	for i := uint64(0); i < n; i++ {
+	for i := range dst {
 		var c uint64
 		length := 0
 		for {

@@ -22,9 +22,9 @@ const (
 // Name implements Codec.
 func (LZ4) Name() string { return "LZ4" }
 
-// Encode implements Codec.
-func (LZ4) Encode(src []byte) []byte {
-	out := putUvarint(nil, uint64(len(src)))
+// EncodeAppend implements Codec.
+func (LZ4) EncodeAppend(dst, src []byte) []byte {
+	out := putUvarint(dst, uint64(len(src)))
 	if len(src) == 0 {
 		return out
 	}
@@ -104,21 +104,13 @@ func lz4EmitLenExt(out []byte, v int) []byte {
 	return append(out, byte(v))
 }
 
-// Decode implements Codec.
-func (LZ4) Decode(src []byte) ([]byte, error) {
-	n, consumed, err := getUvarint(src)
-	if err != nil {
-		return nil, err
+// DecodeInto implements Codec.
+func (LZ4) DecodeInto(dst, src []byte) ([]byte, error) {
+	dst, src, err := decodeHeader(dst, src, "LZ4")
+	if err != nil || len(dst) == 0 {
+		return dst, err
 	}
-	src = src[consumed:]
-	if n == 0 {
-		return []byte{}, nil
-	}
-	if n > 1<<33 {
-		return nil, corruptf("LZ4: implausible length %d", n)
-	}
-	dst := make([]byte, 0, n)
-	pos := 0
+	n, pos := 0, 0 // bytes decoded, bytes read
 	for {
 		if pos >= len(src) {
 			return nil, corruptf("LZ4: missing end-of-stream sequence")
@@ -134,10 +126,10 @@ func (LZ4) Decode(src []byte) ([]byte, error) {
 			litLen += ext
 			pos = newPos
 		}
-		if pos+litLen > len(src) {
-			return nil, corruptf("LZ4: literal run of %d overruns input", litLen)
+		if litLen > len(src)-pos || litLen > len(dst)-n {
+			return nil, corruptf("LZ4: literal run of %d overruns", litLen)
 		}
-		dst = append(dst, src[pos:pos+litLen]...)
+		n += copy(dst[n:], src[pos:pos+litLen])
 		pos += litLen
 		if pos+2 > len(src) {
 			return nil, corruptf("LZ4: truncated offset")
@@ -146,8 +138,8 @@ func (LZ4) Decode(src []byte) ([]byte, error) {
 		pos += 2
 		if offset == 0 {
 			// Final sequence.
-			if uint64(len(dst)) != n {
-				return nil, corruptf("LZ4: decoded %d bytes, want %d", len(dst), n)
+			if n != len(dst) {
+				return nil, corruptf("LZ4: decoded %d bytes, want %d", n, len(dst))
 			}
 			return dst, nil
 		}
@@ -160,16 +152,16 @@ func (LZ4) Decode(src []byte) ([]byte, error) {
 			matchLen += ext
 			pos = newPos
 		}
-		start := len(dst) - offset
-		if start < 0 {
-			return nil, corruptf("LZ4: offset %d exceeds output size %d", offset, len(dst))
+		if offset > n {
+			return nil, corruptf("LZ4: offset %d exceeds output size %d", offset, n)
 		}
-		if uint64(len(dst)+matchLen) > n {
+		if matchLen > len(dst)-n {
 			return nil, corruptf("LZ4: match overflows output")
 		}
 		// Byte-wise copy: matches may overlap their own output.
-		for k := 0; k < matchLen; k++ {
-			dst = append(dst, dst[start+k])
+		for k := n - offset; matchLen > 0; matchLen-- {
+			dst[n] = dst[k]
+			n, k = n+1, k+1
 		}
 	}
 }

@@ -19,9 +19,9 @@ const (
 // Name implements Codec.
 func (Snappy) Name() string { return "Snappy" }
 
-// Encode implements Codec.
-func (Snappy) Encode(src []byte) []byte {
-	out := putUvarint(nil, uint64(len(src)))
+// EncodeAppend implements Codec.
+func (Snappy) EncodeAppend(dst, src []byte) []byte {
+	out := putUvarint(dst, uint64(len(src)))
 	if len(src) == 0 {
 		return out
 	}
@@ -73,24 +73,16 @@ func snappyEmitLiterals(out, lits []byte) []byte {
 	return append(out, lits...)
 }
 
-// Decode implements Codec.
-func (Snappy) Decode(src []byte) ([]byte, error) {
-	n, consumed, err := getUvarint(src)
+// DecodeInto implements Codec.
+func (Snappy) DecodeInto(dst, src []byte) ([]byte, error) {
+	dst, src, err := decodeHeader(dst, src, "Snappy")
 	if err != nil {
 		return nil, err
 	}
-	src = src[consumed:]
-	if n == 0 {
-		return []byte{}, nil
-	}
-	if n > 1<<33 {
-		return nil, corruptf("Snappy: implausible length %d", n)
-	}
-	dst := make([]byte, 0, n)
-	pos := 0
-	for uint64(len(dst)) < n {
+	n, pos := 0, 0 // bytes decoded, bytes read
+	for n < len(dst) {
 		if pos >= len(src) {
-			return nil, corruptf("Snappy: truncated at output offset %d", len(dst))
+			return nil, corruptf("Snappy: truncated at output offset %d", n)
 		}
 		tag := src[pos]
 		pos++
@@ -101,10 +93,10 @@ func (Snappy) Decode(src []byte) ([]byte, error) {
 				return nil, err
 			}
 			pos += consumed
-			if uint64(pos)+length > uint64(len(src)) || uint64(len(dst))+length > n {
+			if length > uint64(len(src)-pos) || length > uint64(len(dst)-n) {
 				return nil, corruptf("Snappy: literal run of %d overruns", length)
 			}
-			dst = append(dst, src[pos:pos+int(length)]...)
+			n += copy(dst[n:], src[pos:pos+int(length)])
 			pos += int(length)
 		case snappyTagCopy:
 			length, consumed, err := getUvarint(src[pos:])
@@ -117,15 +109,14 @@ func (Snappy) Decode(src []byte) ([]byte, error) {
 				return nil, err
 			}
 			pos += consumed
-			if offset == 0 || offset > uint64(len(dst)) {
-				return nil, corruptf("Snappy: offset %d at output size %d", offset, len(dst))
+			if offset == 0 || offset > uint64(n) {
+				return nil, corruptf("Snappy: offset %d at output size %d", offset, n)
 			}
-			if uint64(len(dst))+length > n {
+			if length > uint64(len(dst)-n) {
 				return nil, corruptf("Snappy: copy of %d overflows output", length)
 			}
-			start := len(dst) - int(offset)
-			for k := uint64(0); k < length; k++ {
-				dst = append(dst, dst[start+int(k)])
+			for k, end := n-int(offset), n+int(length); n < end; n, k = n+1, k+1 {
+				dst[n] = dst[k]
 			}
 		default:
 			return nil, corruptf("Snappy: unknown tag %d", tag)

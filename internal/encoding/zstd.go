@@ -1,6 +1,10 @@
 package encoding
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"compso/internal/pool"
+)
 
 // Zstd is a from-scratch codec in the style of Zstandard: an LZ77 stage
 // with hash-chain match search (deeper than LZ4's single probe, hence the
@@ -22,9 +26,9 @@ const (
 // Name implements Codec.
 func (Zstd) Name() string { return "Zstd" }
 
-// Encode implements Codec.
-func (Zstd) Encode(src []byte) []byte {
-	out := putUvarint(nil, uint64(len(src)))
+// EncodeAppend implements Codec.
+func (Zstd) EncodeAppend(dst, src []byte) []byte {
+	out := putUvarint(dst, uint64(len(src)))
 	if len(src) == 0 {
 		return out
 	}
@@ -85,37 +89,33 @@ func (Zstd) Encode(src []byte) []byte {
 	literals = append(literals, src[anchor:]...)
 
 	// Entropy-code both streams with rANS.
-	encLits := ANS{}.Encode(literals)
-	encSeqs := ANS{}.Encode(seqs)
+	encLits := ANS{}.EncodeAppend(nil, literals)
 	out = putUvarint(out, uint64(nSeq))
 	out = putUvarint(out, uint64(len(encLits)))
 	out = append(out, encLits...)
-	out = append(out, encSeqs...)
-	return out
+	return ANS{}.EncodeAppend(out, seqs)
 }
 
 func zstdHash(v uint32) uint32 {
 	return (v * 2654435761) >> (32 - zstdHashLog)
 }
 
-// Decode implements Codec.
-func (Zstd) Decode(src []byte) ([]byte, error) {
-	n, consumed, err := getUvarint(src)
-	if err != nil {
-		return nil, err
-	}
-	src = src[consumed:]
-	if n == 0 {
-		return []byte{}, nil
-	}
-	if n > 1<<33 {
-		return nil, corruptf("Zstd: implausible length %d", n)
+// DecodeInto implements Codec. The literal and sequence streams decode into
+// pooled scratch bounded by the output: there are no more literals than
+// output bytes, and no more than n/zstdMinMatch sequences of three varints.
+func (Zstd) DecodeInto(dst, src []byte) ([]byte, error) {
+	dst, src, err := decodeHeader(dst, src, "Zstd")
+	if err != nil || len(dst) == 0 {
+		return dst, err
 	}
 	nSeq, consumed, err := getUvarint(src)
 	if err != nil {
 		return nil, err
 	}
 	src = src[consumed:]
+	if nSeq > uint64(len(dst)/zstdMinMatch) {
+		return nil, corruptf("Zstd: %d sequences for %d bytes", nSeq, len(dst))
+	}
 	litsLen, consumed, err := getUvarint(src)
 	if err != nil {
 		return nil, err
@@ -124,17 +124,20 @@ func (Zstd) Decode(src []byte) ([]byte, error) {
 	if litsLen > uint64(len(src)) {
 		return nil, corruptf("Zstd: literal stream length %d overruns input", litsLen)
 	}
-	literals, err := ANS{}.Decode(src[:litsLen])
+	litBuf := pool.Bytes(len(dst))
+	defer pool.PutBytes(litBuf)
+	literals, err := ANS{}.DecodeInto(litBuf[:0:len(litBuf)], src[:litsLen])
 	if err != nil {
 		return nil, corruptf("Zstd literals: %v", err)
 	}
-	seqs, err := ANS{}.Decode(src[litsLen:])
+	seqBuf := pool.Bytes(3 * binary.MaxVarintLen64 * int(nSeq))
+	defer pool.PutBytes(seqBuf)
+	seqs, err := ANS{}.DecodeInto(seqBuf[:0:len(seqBuf)], src[litsLen:])
 	if err != nil {
 		return nil, corruptf("Zstd sequences: %v", err)
 	}
 
-	dst := make([]byte, 0, n)
-	litPos, seqPos := 0, 0
+	n, litPos, seqPos := 0, 0, 0 // bytes decoded, literals used, sequence bytes read
 	for s := uint64(0); s < nSeq; s++ {
 		litLen, c1, err := getUvarint(seqs[seqPos:])
 		if err != nil {
@@ -151,25 +154,24 @@ func (Zstd) Decode(src []byte) ([]byte, error) {
 			return nil, err
 		}
 		seqPos += c3
-		if uint64(litPos)+litLen > uint64(len(literals)) {
+		if litLen > uint64(len(literals)-litPos) || litLen > uint64(len(dst)-n) {
 			return nil, corruptf("Zstd: literal overrun in sequence %d", s)
 		}
-		dst = append(dst, literals[litPos:litPos+int(litLen)]...)
+		n += copy(dst[n:], literals[litPos:litPos+int(litLen)])
 		litPos += int(litLen)
-		if offset == 0 || offset > uint64(len(dst)) || matchLen < zstdMinMatch {
+		if offset == 0 || offset > uint64(n) || matchLen < zstdMinMatch {
 			return nil, corruptf("Zstd: bad sequence %d (off=%d len=%d)", s, offset, matchLen)
 		}
-		if uint64(len(dst))+matchLen > n {
+		if matchLen > uint64(len(dst)-n) {
 			return nil, corruptf("Zstd: match overflows output in sequence %d", s)
 		}
-		start := len(dst) - int(offset)
-		for k := uint64(0); k < matchLen; k++ {
-			dst = append(dst, dst[start+int(k)])
+		for k, end := n-int(offset), n+int(matchLen); n < end; n, k = n+1, k+1 {
+			dst[n] = dst[k]
 		}
 	}
-	dst = append(dst, literals[litPos:]...)
-	if uint64(len(dst)) != n {
-		return nil, corruptf("Zstd: decoded %d bytes, want %d", len(dst), n)
+	if len(literals)-litPos != len(dst)-n {
+		return nil, corruptf("Zstd: decoded %d bytes, want %d", n+len(literals)-litPos, len(dst))
 	}
+	copy(dst[n:], literals[litPos:])
 	return dst, nil
 }

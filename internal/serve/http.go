@@ -256,10 +256,11 @@ func (s *Server) doDecompress(w http.ResponseWriter, r *http.Request, sess *Sess
 	}
 	defer pool.PutBytes(body)
 
-	// The decoders size their output and scratch from the blob's
-	// element-count header, so the cap must hold before Decompress
-	// allocates: a crafted ~30-byte header must not be able to demand
-	// gigabytes per request.
+	// The cap holds on the blob's element-count header before Decompress
+	// runs. Decompress sizes its output from that count and every buffer
+	// inside it from the output (or from the body, itself capped), so a
+	// blob under the cap cannot make a request allocate past it, whatever
+	// its inner streams declare.
 	n, err := compress.PeekElements(body)
 	if err != nil {
 		ts.m.errors.Inc()

@@ -375,6 +375,38 @@ func TestDecompressOversizedHeaderIs400(t *testing.T) {
 	}
 }
 
+// TestDecompressHostileStreamIs400 posts a 41-byte COMPSO blob that passes
+// the element cap (64 elements) but carries a Bitcomp plane declaring 2^30
+// bytes. The decoder must reject it with a 400 without allocating for the
+// declared length.
+func TestDecompressHostileStreamIs400(t *testing.T) {
+	s := newServer(t, serve.Config{MaxElements: 1 << 10})
+	id := createSession(t, s, serve.SessionConfig{})
+
+	plane := append(binary.AppendUvarint(nil, 1<<30), make([]byte, 8)...)
+	blob := []byte{0x4f, 64, 0, 1, 0}                                     // magic 'O', 64 elements, no filter, Bitcomp, byte planes
+	blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(4e-3)) // filter bound
+	blob = binary.LittleEndian.AppendUint64(blob, math.Float64bits(4e-3)) // quantizer bound
+	blob = append(blob, 0xBB, 64, 0xBB, 0, 1, 0xBB, byte(len(plane)))     // 64 kept, no bitmap, one plane
+	blob = append(blob, plane...)
+	if len(blob) != 41 {
+		t.Fatalf("blob is %d bytes, want 41", len(blob))
+	}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rec := do(t, s, "POST", "/v1/sessions/"+id+"/decompress", blob, nil)
+	runtime.ReadMemStats(&after)
+
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("hostile stream: status %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta > 1<<20 {
+		t.Fatalf("hostile stream allocated %d bytes", delta)
+	}
+}
+
 // TestTenantCapShedsNewTenants locks in the distinct-tenant ceiling: random
 // tenant names must not grow server state without bound.
 func TestTenantCapShedsNewTenants(t *testing.T) {

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,7 +126,7 @@ func (c *SessionConfig) normalize() error {
 		if c.Codec == "" {
 			c.Codec = "ANS"
 		}
-		cdc, err := lookupCodec(c.Codec)
+		cdc, err := encoding.ByName(c.Codec)
 		if err != nil {
 			return err
 		}
@@ -192,20 +191,6 @@ func (c *SessionConfig) normalize() error {
 	return nil
 }
 
-// lookupCodec resolves a lossless back-end name case-insensitively (the
-// registry uses display casing like "ANS"; clients reasonably send "ans").
-func lookupCodec(name string) (encoding.Codec, error) {
-	if cdc, err := encoding.ByName(name); err == nil {
-		return cdc, nil
-	}
-	for _, n := range encoding.Names() {
-		if strings.EqualFold(n, name) {
-			return encoding.ByName(n)
-		}
-	}
-	return nil, fmt.Errorf("unknown codec %q (have %v)", name, encoding.Names())
-}
-
 // newSession builds the session's compressor stack from a normalized
 // config by resolving through the compress registry — the same
 // construction path as the library facade and the command-line tools, so
@@ -224,7 +209,7 @@ func newSession(id string, cfg SessionConfig) (*Session, error) {
 		ErrorFeedback: cfg.ErrorFeedback,
 	}
 	if cfg.Compressor == "compso" {
-		cdc, err := lookupCodec(cfg.Codec)
+		cdc, err := encoding.ByName(cfg.Codec)
 		if err != nil {
 			return nil, err
 		}
@@ -297,9 +282,9 @@ func (s *Session) compress(src []float32, codecOverride string) ([]byte, error) 
 		s.step++
 	}
 	if codecOverride != "" && s.compso != nil {
-		cdc, err := lookupCodec(codecOverride)
+		cdc, err := encoding.ByName(codecOverride)
 		if err != nil {
-			return nil, fmt.Errorf("%w: unknown codec %q", errBadRequest, codecOverride)
+			return nil, fmt.Errorf("%w: %w", errBadRequest, err)
 		}
 		prev := s.compso.Codec
 		s.compso.Codec = cdc
