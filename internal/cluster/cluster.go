@@ -243,14 +243,7 @@ func (w *Worker) noteObs(rec *obs.Recorder, out *collective.Outcome, category st
 		return
 	}
 	for _, ev := range out.Events {
-		src := ev.Src
-		if src < 0 {
-			// Analytic summary events have no endpoints; record once.
-			if w.rank != 0 {
-				continue
-			}
-			src = 0
-		} else if src != w.rank {
+		if ev.Src != w.rank {
 			continue
 		}
 		ta := obs.NoAttrs
@@ -259,7 +252,7 @@ func (w *Worker) noteObs(rec *obs.Recorder, out *collective.Outcome, category st
 		ta.Peer = ev.Dst
 		ta.Step = ev.Step
 		ta.BytesIn = int64(ev.Bytes)
-		rec.Span(0, src, obs.CatTransfer, ev.Op, ev.Start, ev.End, ta)
+		rec.Span(0, w.rank, obs.CatTransfer, ev.Op, ev.Start, ev.End, ta)
 	}
 }
 

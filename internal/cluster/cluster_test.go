@@ -6,6 +6,8 @@ import (
 	"math"
 	"sync/atomic"
 	"testing"
+
+	"compso/internal/collective"
 )
 
 func tinyConfig() Config {
@@ -24,38 +26,58 @@ func TestPlatformConfigsValid(t *testing.T) {
 	}
 }
 
-func TestEffectiveBandwidthHierarchy(t *testing.T) {
-	cfg := tinyConfig()
-	if got := cfg.EffectiveBandwidth(2); got != cfg.IntraBW {
-		t.Fatalf("intra-node BW = %g, want %g", got, cfg.IntraBW)
-	}
-	if got := cfg.EffectiveBandwidth(4); got != cfg.InterBW/2 {
-		t.Fatalf("inter-node BW = %g, want %g", got, cfg.InterBW/2)
+// TestCongestionIsATopologyProperty: switch contention lives in the
+// scheduled topology. EngineFor scales the inter-node β by CongestionLog per
+// doubling of the node count, ⌈log₂ nodes⌉ doublings, and leaves the
+// intra-node tier and both α terms alone.
+func TestCongestionIsATopologyProperty(t *testing.T) {
+	for _, tc := range []struct{ p, doublings int }{{4, 0}, {8, 1}, {64, 4}, {4096, 10}} {
+		for _, congestion := range []float64{0.25, 0} {
+			cfg := Platform1()
+			cfg.CongestionLog = congestion
+			topo := EngineFor(cfg, tc.p).Topology()
+			want := (1 + congestion*float64(tc.doublings)) / cfg.InterBW
+			if topo.InterBeta != want {
+				t.Errorf("p=%d CongestionLog=%g: InterBeta %g, want %g", tc.p, congestion, topo.InterBeta, want)
+			}
+			if topo.IntraBeta != 1/cfg.IntraBW || topo.IntraAlpha != cfg.IntraLatency || topo.InterAlpha != cfg.InterLatency {
+				t.Errorf("p=%d CongestionLog=%g: congestion leaked into %+v", tc.p, congestion, *topo)
+			}
+		}
 	}
 }
 
 func TestCollectiveCostsScale(t *testing.T) {
+	allReduce := func(cfg Config, p, n int) float64 { _, s := EngineFor(cfg, p).PredictAllReduce(n); return s }
+	allGather := func(cfg Config, p, n int) float64 { _, s := EngineFor(cfg, p).PredictAllGather(n); return s }
 	cfg := Platform1()
 	// More bytes → more time; more workers → more time (for fixed chunk).
-	if cfg.AllReduceTime(1<<20, 8) >= cfg.AllReduceTime(1<<24, 8) {
-		t.Fatal("AllReduceTime not increasing in bytes")
+	if allReduce(cfg, 8, 1<<20) >= allReduce(cfg, 8, 1<<24) {
+		t.Fatal("all-reduce time not increasing in bytes")
 	}
-	if cfg.AllGatherTime(1<<20, 8) >= cfg.AllGatherTime(1<<20, 64) {
-		t.Fatal("AllGatherTime not increasing in workers")
+	if allGather(cfg, 8, 1<<20) >= allGather(cfg, 64, 1<<20) {
+		t.Fatal("all-gather time not increasing in workers")
 	}
-	if cfg.AllReduceTime(1<<20, 1) != 0 || cfg.AllGatherTime(1<<20, 1) != 0 {
+	if allReduce(cfg, 1, 1<<20) != 0 || allGather(cfg, 1, 1<<20) != 0 {
 		t.Fatal("single-worker collectives should be free")
 	}
 	// Platform2's faster network must beat Platform1 beyond one node.
-	if Platform2().AllGatherTime(1<<24, 32) >= Platform1().AllGatherTime(1<<24, 32) {
+	if allGather(Platform2(), 32, 1<<24) >= allGather(Platform1(), 32, 1<<24) {
 		t.Fatal("Platform2 not faster than Platform1")
 	}
 }
 
 func TestBroadcastLogSteps(t *testing.T) {
+	// One GPU per node gives every binomial-tree sender its own NIC, so
+	// each of the ⌈log₂ p⌉ steps costs exactly one α + β·n on the critical
+	// path.
 	cfg := tinyConfig()
-	t8 := cfg.BroadcastTime(1000, 8)
-	t64 := cfg.BroadcastTime(1000, 64)
+	cfg.GPUsPerNode = 1
+	cfg.Collective = collective.AlgBinomial
+	bcast := func(p int) float64 {
+		return EngineFor(cfg, p).Exec(collective.OpBroadcast, []int{1000}, 0, make([]float64, p)).MaxEnd()
+	}
+	t8, t64 := bcast(8), bcast(64)
 	// log2(64)/log2(8) = 2 exactly under the tree model.
 	if math.Abs(t64/t8-2) > 1e-9 {
 		t.Fatalf("broadcast ratio = %g, want 2", t64/t8)
@@ -291,7 +313,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		ok     bool
 	}{
 		{"valid", func(c *Config) {}, true},
-		{"valid analytic policy", func(c *Config) { c.Collective = "analytic" }, true},
 		{"valid forced hierarchical", func(c *Config) { c.Collective = "hierarchical" }, true},
 		{"valid auto policy", func(c *Config) { c.Collective = "auto" }, true},
 		{"zero GPUs per node", func(c *Config) { c.GPUsPerNode = 0 }, false},
@@ -302,6 +323,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"negative collective launch", func(c *Config) { c.CollectiveLaunch = -1e-5 }, false},
 		{"negative congestion log", func(c *Config) { c.CongestionLog = -0.25 }, false},
 		{"unknown collective policy", func(c *Config) { c.Collective = "warp-speed" }, false},
+		{"analytic policy", func(c *Config) { c.Collective = "analytic" }, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -484,28 +506,13 @@ func TestAlgStatsAndEventTrace(t *testing.T) {
 			t.Fatalf("rank %d: no event trace", w.Rank())
 		}
 		for _, ev := range events {
-			if ev.Src != w.Rank() && ev.Dst != w.Rank() && ev.Src >= 0 {
+			if ev.Src != w.Rank() && ev.Dst != w.Rank() {
 				t.Fatalf("rank %d trace holds foreign event %+v", w.Rank(), ev)
 			}
 		}
 	}
 	if _, merged := led.Merged(); len(merged) == 0 {
 		t.Fatal("merged algorithm seconds empty")
-	}
-}
-
-func TestAnalyticPolicyKeepsClosedFormCharges(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Collective = "analytic"
-	c := New(cfg, 4)
-	workers := c.Run(func(w *Worker) {
-		w.AllReduce(make([]float64, 1024), "ar")
-	})
-	want := cfg.AllReduceTime(4*1024, 4)
-	for _, w := range workers {
-		if math.Abs(w.Time()-want) > 1e-15 {
-			t.Fatalf("rank %d analytic time %g, want %g", w.Rank(), w.Time(), want)
-		}
 	}
 }
 
@@ -517,17 +524,23 @@ func TestEngineAccessor(t *testing.T) {
 	}
 }
 
-func TestReduceScatterTimeModel(t *testing.T) {
+func TestReduceScatterCostsScale(t *testing.T) {
 	cfg := Platform1()
-	if cfg.ReduceScatterTime(1<<20, 1) != 0 {
+	if out := EngineFor(cfg, 1).Exec(collective.OpReduceScatter, []int{1 << 20}, 0, []float64{0}); out.MaxEnd() != 0 {
 		t.Fatal("single-worker reduce-scatter should be free")
 	}
-	if cfg.ReduceScatterTime(1<<24, 64) <= cfg.ReduceScatterTime(1<<20, 64) {
-		t.Fatal("reduce-scatter time not increasing in bytes")
-	}
-	// Reduce-scatter moves half of an all-reduce's volume.
-	if cfg.ReduceScatterTime(1<<24, 64) >= cfg.AllReduceTime(1<<24, 64) {
-		t.Fatal("reduce-scatter should cost less than all-reduce")
+	eng := EngineFor(cfg, 64)
+	totals := []int{1 << 20, 1 << 24}
+	rs := eng.CostTable(collective.OpReduceScatter, totals)
+	ar := eng.CostTable(collective.OpAllReduce, totals)
+	for alg, sec := range rs {
+		if sec[1] <= sec[0] {
+			t.Fatalf("%s reduce-scatter time not increasing in bytes: %v", alg, sec)
+		}
+		// Reduce-scatter moves half of an all-reduce's volume.
+		if sec[1] >= ar[alg][1] {
+			t.Fatalf("%s reduce-scatter %g not below all-reduce %g", alg, sec[1], ar[alg][1])
+		}
 	}
 }
 

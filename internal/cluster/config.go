@@ -1,9 +1,10 @@
 // Package cluster simulates the multi-GPU platforms the paper evaluates
 // on. Workers run as goroutines exchanging real data through rendezvous
-// collectives, while a hierarchical α–β cost model advances a simulated
-// clock — so convergence experiments see the exact bytes a real cluster
-// would move, and performance experiments see the communication times those
-// bytes would cost on the modeled interconnect.
+// collectives, while step-level collective schedules over a two-tier α–β
+// topology advance a simulated clock — so convergence experiments see the
+// exact bytes a real cluster would move, and performance experiments see
+// the communication times those bytes would cost on the modeled
+// interconnect.
 package cluster
 
 import (
@@ -33,10 +34,10 @@ type Config struct {
 	// IntraLatency and InterLatency are per-message α terms in seconds.
 	IntraLatency float64
 	InterLatency float64
-	// CongestionLog degrades effective inter-node bandwidth by this
-	// fraction per doubling of the node count beyond one node, modeling
-	// switch contention at scale (which the pure α–β model misses and real
-	// all-gather micro-benchmarks show).
+	// CongestionLog slows the inter-node links by this fraction per
+	// doubling of the node count beyond one node (EngineFor scales the
+	// NIC's β), modeling switch contention at scale, which the pure α–β
+	// model misses and real all-gather micro-benchmarks show.
 	CongestionLog float64
 	// CollectiveLaunch is the fixed software cost of issuing one
 	// collective operation (NCCL/MPI launch path), paid once per
@@ -45,8 +46,7 @@ type Config struct {
 	CollectiveLaunch float64
 	// Collective selects the collective engine policy: "" or "auto"
 	// autotunes the step-level algorithm per (collective, message size);
-	// "analytic" keeps the legacy closed-form α–β charges; a specific
-	// algorithm name ("ring", "recursive-doubling", "binomial",
+	// an algorithm name ("ring", "recursive-doubling", "binomial",
 	// "hierarchical") forces it for the ops that implement it (other ops
 	// fall back to autotuning).
 	Collective string
@@ -135,122 +135,27 @@ func (c Config) Validate() error {
 // EngineFor builds the step-level collective engine for a platform at
 // world size p: the two-tier topology (per-GPU NVLink ports at IntraBW,
 // per-node NICs at the full InterBW — contention between a node's GPUs
-// emerges from NIC occupancy instead of a pre-divided rate) plus the
-// closed-form cost model backing the "analytic" fallback algorithm.
+// emerges from NIC occupancy instead of a pre-divided rate). Switch
+// contention is a property of the topology too: the inter-node β grows by
+// CongestionLog per doubling of the node count, ⌈log₂ nodes⌉ doublings.
 func EngineFor(cfg Config, p int) *collective.Engine {
+	nodes := (p + cfg.GPUsPerNode - 1) / cfg.GPUsPerNode
+	doublings := 0.0
+	for n := 1; n < nodes; n <<= 1 {
+		doublings++
+	}
 	topo := &collective.Topology{
 		P:           p,
 		GPUsPerNode: cfg.GPUsPerNode,
 		IntraAlpha:  cfg.IntraLatency,
 		IntraBeta:   1 / cfg.IntraBW,
 		InterAlpha:  cfg.InterLatency,
-		InterBeta:   1 / cfg.InterBW,
+		InterBeta:   (1 + cfg.CongestionLog*doublings) / cfg.InterBW,
 		Launch:      cfg.CollectiveLaunch,
 	}
-	cost := collective.CostModel{
-		AllReduce:     func(n int) float64 { return cfg.AllReduceTime(n, p) },
-		AllGather:     func(sizes []int) float64 { return cfg.AllGatherVarTime(sizes, p) },
-		ReduceScatter: func(n int) float64 { return cfg.ReduceScatterTime(n, p) },
-		Broadcast:     func(n int) float64 { return cfg.BroadcastTime(n, p) },
-	}
-	eng, err := collective.NewEngine(topo, cost, cfg.Collective)
+	eng, err := collective.NewEngine(topo, cfg.Collective)
 	if err != nil {
 		panic(err) // unreachable after Validate
 	}
 	return eng
-}
-
-// EffectiveBandwidth returns the per-GPU bottleneck bandwidth for a
-// collective spanning p workers: NVLink when the group fits in one node,
-// otherwise the NIC share (the node bandwidth divided across its GPUs,
-// which all inject into the same link in a ring schedule).
-func (c Config) EffectiveBandwidth(p int) float64 {
-	if p <= c.GPUsPerNode {
-		return c.IntraBW
-	}
-	share := c.InterBW / float64(c.GPUsPerNode)
-	if share > c.IntraBW {
-		share = c.IntraBW
-	}
-	if c.CongestionLog > 0 {
-		nodes := (p + c.GPUsPerNode - 1) / c.GPUsPerNode
-		doublings := 0.0
-		for n := 1; n < nodes; n <<= 1 {
-			doublings++
-		}
-		share /= 1 + c.CongestionLog*doublings
-	}
-	return share
-}
-
-// Latency returns the α term for a collective spanning p workers.
-func (c Config) Latency(p int) float64 {
-	if p <= c.GPUsPerNode {
-		return c.IntraLatency
-	}
-	return c.InterLatency
-}
-
-// AllReduceTime models a ring all-reduce of n bytes across p workers:
-// 2(p−1)/p · n/B + 2(p−1)·α.
-func (c Config) AllReduceTime(nBytes int, p int) float64 {
-	if p <= 1 || nBytes == 0 {
-		return 0
-	}
-	pf := float64(p)
-	return c.CollectiveLaunch + 2*(pf-1)/pf*float64(nBytes)/c.EffectiveBandwidth(p) + 2*(pf-1)*c.Latency(p)
-}
-
-// AllGatherTime models a ring all-gather where each worker contributes
-// chunkBytes and receives (p−1) chunks: (p−1)·chunk/B + (p−1)·α.
-func (c Config) AllGatherTime(chunkBytes int, p int) float64 {
-	if p <= 1 || chunkBytes == 0 {
-		return 0
-	}
-	pf := float64(p)
-	return c.CollectiveLaunch + (pf-1)*float64(chunkBytes)/c.EffectiveBandwidth(p) + (pf-1)*c.Latency(p)
-}
-
-// AllGatherVarTime models an all-gather with per-worker chunk sizes: the
-// slowest worker receives totalBytes − ownBytes.
-func (c Config) AllGatherVarTime(sizes []int, p int) float64 {
-	if p <= 1 || len(sizes) == 0 {
-		return 0
-	}
-	total := 0
-	minOwn := sizes[0]
-	for _, s := range sizes {
-		total += s
-		if s < minOwn {
-			minOwn = s
-		}
-	}
-	recv := total - minOwn
-	if recv <= 0 {
-		return 0
-	}
-	return c.CollectiveLaunch + float64(recv)/c.EffectiveBandwidth(p) + float64(p-1)*c.Latency(p)
-}
-
-// ReduceScatterTime models a ring reduce-scatter of n total bytes across p
-// workers (each ends with n/p reduced bytes): (p−1)/p · n/B + (p−1)·α.
-func (c Config) ReduceScatterTime(nBytes int, p int) float64 {
-	if p <= 1 || nBytes == 0 {
-		return 0
-	}
-	pf := float64(p)
-	return c.CollectiveLaunch + (pf-1)/pf*float64(nBytes)/c.EffectiveBandwidth(p) + (pf-1)*c.Latency(p)
-}
-
-// BroadcastTime models a binomial-tree broadcast of n bytes:
-// ceil(log2 p)·(α + n/B).
-func (c Config) BroadcastTime(nBytes int, p int) float64 {
-	if p <= 1 || nBytes == 0 {
-		return 0
-	}
-	steps := 0
-	for v := 1; v < p; v <<= 1 {
-		steps++
-	}
-	return c.CollectiveLaunch + float64(steps)*(c.Latency(p)+float64(nBytes)/c.EffectiveBandwidth(p))
 }

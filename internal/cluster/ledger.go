@@ -227,17 +227,10 @@ func (l *Ledger) BarrierRanks(lo, hi int, t float64) {
 	}
 }
 
-// trace files each event under the ranks in [lo, hi) it involves — its
-// endpoints, or every rank for an analytic summary (Src = Dst = -1) — the
-// selection Outcome.EventsFor makes, in one walk.
+// trace files each event under its endpoints in [lo, hi) — the selection
+// Outcome.EventsFor makes, in one walk.
 func (l *Ledger) trace(lo, hi int, events []collective.Event) {
 	for _, ev := range events {
-		if ev.Src < 0 {
-			for r := lo; r < hi; r++ {
-				l.record(r, ev)
-			}
-			continue
-		}
 		if lo <= ev.Src && ev.Src < hi {
 			l.record(ev.Src, ev)
 		}

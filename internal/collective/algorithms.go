@@ -2,15 +2,12 @@ package collective
 
 import "fmt"
 
-// Algorithm names. "analytic" reproduces the legacy closed-form α–β charge
-// and is only used when forced by policy (it is not an autotuner
-// candidate).
+// Algorithm names.
 const (
 	AlgRing              = "ring"
 	AlgRecursiveDoubling = "recursive-doubling"
 	AlgBinomial          = "binomial"
 	AlgHierarchical      = "hierarchical"
-	AlgAnalytic          = "analytic"
 )
 
 // Collective op names used in traces, stats keys and the autotuner.

@@ -19,7 +19,7 @@ func benchSizes(p int) map[string][]int {
 // reports the host cost per simulated transfer.
 func benchExec(b *testing.B, p int, alg string, transfers map[string]int) {
 	topo := testTopology(p)
-	e, err := NewEngine(topo, CostModel{}, alg)
+	e, err := NewEngine(topo, alg)
 	if err != nil {
 		b.Fatal(err)
 	}

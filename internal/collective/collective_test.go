@@ -19,7 +19,7 @@ func testTopology(p int) *Topology {
 
 func forcedEngine(t *testing.T, p int, policy string) *Engine {
 	t.Helper()
-	e, err := NewEngine(testTopology(p), CostModel{}, policy)
+	e, err := NewEngine(testTopology(p), policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,47 +323,14 @@ func TestSendValidatesBeforeSkippingSelfTransfers(t *testing.T) {
 	}
 }
 
-func TestAnalyticPolicyMatchesCostModel(t *testing.T) {
-	costAR := func(n int) float64 { return 1e-3 }
-	cost := CostModel{
-		AllReduce:     costAR,
-		AllGather:     func(sizes []int) float64 { return 2e-3 },
-		ReduceScatter: costAR,
-		Broadcast:     func(n int) float64 { return 3e-3 },
-	}
-	e, err := NewEngine(testTopology(8), cost, AlgAnalytic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := starts(8)
-	_, out := e.AllReduce(mkVecs(8, 16), st)
-	want := maxOf(st) + 1e-3
-	for r, end := range out.Ends {
-		if math.Abs(end-want) > 1e-12 {
-			t.Fatalf("rank %d analytic end %g, want %g", r, end, want)
-		}
-	}
-	if out.Algorithm != AlgAnalytic {
-		t.Fatalf("algorithm %q", out.Algorithm)
-	}
-	if len(out.Events) != 1 || out.Events[0].Src != -1 {
-		t.Fatalf("analytic trace %+v", out.Events)
-	}
-	// Every rank sees the summary event.
-	if len(out.EventsFor(3)) != 1 {
-		t.Fatal("summary event not visible to all ranks")
-	}
-}
-
 func TestNewEngineValidation(t *testing.T) {
-	if _, err := NewEngine(&Topology{}, CostModel{}, ""); err == nil {
+	if _, err := NewEngine(&Topology{}, ""); err == nil {
 		t.Fatal("invalid topology accepted")
 	}
-	if _, err := NewEngine(testTopology(4), CostModel{}, "bogus"); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-	if _, err := NewEngine(testTopology(4), CostModel{}, AlgAnalytic); err == nil {
-		t.Fatal("analytic policy without cost model accepted")
+	for _, policy := range []string{"bogus", "analytic"} {
+		if _, err := NewEngine(testTopology(4), policy); err == nil {
+			t.Fatalf("unknown policy %q accepted", policy)
+		}
 	}
 }
 

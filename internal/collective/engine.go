@@ -6,16 +6,6 @@ import (
 	"sync"
 )
 
-// CostModel supplies the legacy closed-form α–β charges, used by the
-// selectable "analytic" algorithm for backward compatibility. Any nil
-// function disables the analytic path for that op.
-type CostModel struct {
-	AllReduce     func(nBytes int) float64
-	AllGather     func(sizes []int) float64
-	ReduceScatter func(nBytes int) float64
-	Broadcast     func(nBytes int) float64
-}
-
 // Outcome describes one executed collective: the chosen algorithm, each
 // rank's completion time, and the per-step event trace.
 type Outcome struct {
@@ -38,12 +28,11 @@ type Outcome struct {
 	Events []Event
 }
 
-// EventsFor returns the trace entries rank participated in (summary events
-// with Src = Dst = -1 are included for every rank).
+// EventsFor returns the trace entries rank participated in.
 func (o *Outcome) EventsFor(rank int) []Event {
 	var out []Event
 	for _, ev := range o.Events {
-		if ev.Src == rank || ev.Dst == rank || ev.Src < 0 {
+		if ev.Src == rank || ev.Dst == rank {
 			out = append(out, ev)
 		}
 	}
@@ -74,7 +63,6 @@ type Engine struct {
 	// node is the rank→node table every schedule step looks links up in,
 	// built once here so no transfer divides by GPUsPerNode.
 	node   []int32
-	cost   CostModel
 	policy string
 	pert   LinkPerturber
 	// dropEvents disables per-transfer event retention in executed
@@ -87,11 +75,10 @@ type Engine struct {
 }
 
 // Policies returns the accepted policy strings: "" / "auto" (autotune per
-// collective and message size), "analytic" (legacy closed forms), or a
-// forced algorithm name (which falls back to autotuning for ops it does
-// not implement).
+// collective and message size) or a forced algorithm name (which falls
+// back to autotuning for ops it does not implement).
 func Policies() []string {
-	return []string{"", "auto", AlgAnalytic, AlgRing, AlgRecursiveDoubling, AlgBinomial, AlgHierarchical}
+	return []string{"", "auto", AlgRing, AlgRecursiveDoubling, AlgBinomial, AlgHierarchical}
 }
 
 // ValidPolicy reports whether name is an accepted policy string.
@@ -105,24 +92,19 @@ func ValidPolicy(name string) bool {
 }
 
 // NewEngine builds an engine for the topology. policy selects the dispatch
-// rule (see Policies). The cost model may be zero-valued if the analytic
-// algorithm is never requested.
-func NewEngine(topo *Topology, cost CostModel, policy string) (*Engine, error) {
+// rule (see Policies).
+func NewEngine(topo *Topology, policy string) (*Engine, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
 	if !ValidPolicy(policy) {
 		return nil, fmt.Errorf("collective: unknown policy %q (have %v)", policy, Policies())
 	}
-	if policy == AlgAnalytic && (cost.AllReduce == nil || cost.AllGather == nil ||
-		cost.ReduceScatter == nil || cost.Broadcast == nil) {
-		return nil, fmt.Errorf("collective: analytic policy requires a full cost model")
-	}
 	node := make([]int32, topo.P)
 	for r := range node {
 		node[r] = int32(topo.Node(r))
 	}
-	return &Engine{topo: topo, node: node, cost: cost, policy: policy, tuner: newAutotuner()}, nil
+	return &Engine{topo: topo, node: node, policy: policy, tuner: newAutotuner()}, nil
 }
 
 // Topology returns the engine's platform model.
@@ -186,8 +168,7 @@ func (e *Engine) P2PTime(src, dst, bytes int, start float64) float64 {
 	return linkTime(alpha, beta, float64(bytes))
 }
 
-// Algorithms returns the step-level algorithm menu for an op (the analytic
-// fallback is policy-only and not listed).
+// Algorithms returns the step-level algorithm menu for an op.
 func (e *Engine) Algorithms(op string) []string {
 	switch op {
 	case OpAllGather:
@@ -259,34 +240,10 @@ func scheduleFor(alg, op string) func(*sim, spec) {
 	return nil
 }
 
-// analyticTime evaluates the closed-form charge for a spec.
-func (e *Engine) analyticTime(sp spec) float64 {
-	switch sp.op {
-	case OpAllGather:
-		if e.cost.AllGather != nil {
-			return e.cost.AllGather(sp.sizes)
-		}
-	case OpAllReduce:
-		if e.cost.AllReduce != nil {
-			return e.cost.AllReduce(sp.total())
-		}
-	case OpReduceScatter:
-		if e.cost.ReduceScatter != nil {
-			return e.cost.ReduceScatter(sp.total())
-		}
-	case OpBroadcast:
-		if e.cost.Broadcast != nil {
-			return e.cost.Broadcast(sp.total())
-		}
-	}
-	return 0
-}
-
 // dispatch picks an algorithm for the spec and executes its schedule.
 func (e *Engine) dispatch(sp spec, starts []float64) *Outcome {
 	start := maxOf(starts)
-	// Trivial cases keep the legacy semantics: free, but still a sync
-	// point at the last arrival.
+	// Trivial cases are free, but still a sync point at the last arrival.
 	if e.topo.P == 1 || sp.total() == 0 {
 		ends := make([]float64, e.topo.P)
 		for i := range ends {
@@ -295,24 +252,6 @@ func (e *Engine) dispatch(sp spec, starts []float64) *Outcome {
 		return &Outcome{Op: sp.op, Algorithm: "trivial", Bytes: sp.total(), Start: start, Ends: ends}
 	}
 	alg := e.pick(sp)
-	if alg == AlgAnalytic {
-		ana := e.analyticTime(sp)
-		t := start + ana
-		ends := make([]float64, e.topo.P)
-		for i := range ends {
-			ends[i] = t
-		}
-		link := LinkIntra
-		if e.topo.Nodes() > 1 {
-			link = LinkInter
-		}
-		return &Outcome{
-			Op: sp.op, Algorithm: AlgAnalytic, Bytes: sp.total(), Start: start, Ends: ends,
-			Predicted: ana,
-			Events: []Event{{Op: sp.op, Algorithm: AlgAnalytic, Src: -1, Dst: -1,
-				Link: link, Bytes: sp.total(), Start: start, End: t}},
-		}
-	}
 	s := e.newSim(sp.op, alg, starts)
 	s.pert = e.perturber()
 	s.dropEvents = e.dropEvents
@@ -330,8 +269,6 @@ func (e *Engine) dispatch(sp spec, starts []float64) *Outcome {
 func (e *Engine) pick(sp spec) string {
 	switch e.policy {
 	case "", "auto":
-	case AlgAnalytic:
-		return AlgAnalytic
 	default:
 		if scheduleFor(e.policy, sp.op) != nil {
 			return e.policy

@@ -183,7 +183,7 @@ func goldenCells() []goldenCell {
 func (c goldenCell) exec(t *testing.T, retain bool) *Outcome {
 	topo := testTopology(c.p)
 	topo.GPUsPerNode = c.g
-	e, err := NewEngine(topo, CostModel{}, c.alg)
+	e, err := NewEngine(topo, c.alg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func (c ringCase) run(t *testing.T, seed int64, ring func(s *sim, n, stride, off
 	if c.leaders {
 		alg, n, stride = AlgHierarchical, topo.Nodes(), c.g
 	}
-	e, err := NewEngine(topo, CostModel{}, alg)
+	e, err := NewEngine(topo, alg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,7 @@
 //   - an Engine that dispatches each collective to an algorithm (forced by
 //     policy or chosen by an Autotuner seeded from cost-model dry runs and
 //     refined by measured simulated times) and records a per-step event
-//     trace;
-//   - an "analytic" fallback algorithm that reproduces the legacy
-//     closed-form α–β charges for backward compatibility.
+//     trace.
 //
 // Data results are canonical: reductions sum contributions in rank order
 // regardless of the schedule, so every rank — and every algorithm — decodes
@@ -55,8 +53,7 @@ type Event struct {
 	Algorithm string
 	// Step is the 0-based schedule step within the collective.
 	Step int
-	// Src and Dst are the endpoint ranks. The analytic fallback records a
-	// single summary event with Src = Dst = -1.
+	// Src and Dst are the endpoint ranks.
 	Src, Dst int
 	// Link is the link class the transfer crossed.
 	Link LinkClass
@@ -83,7 +80,9 @@ type Topology struct {
 	// InterAlpha/InterBeta are the same for the per-node NIC. Beta is the
 	// full NIC rate: when a node's ranks inject concurrently, the NIC
 	// occupancy serializes them, so the per-rank share emerges from the
-	// schedule instead of being baked into the rate.
+	// schedule instead of being baked into the rate. Switch contention,
+	// which grows with the node count, is the caller's to fold into Beta
+	// (cluster.EngineFor does).
 	InterAlpha, InterBeta float64
 	// Launch is the fixed software cost of issuing one collective, paid
 	// once per collective by every rank.

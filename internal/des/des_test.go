@@ -169,13 +169,13 @@ func TestProgramValidation(t *testing.T) {
 // endpoints in one walk of Outcome.Events; the reference is the per-rank
 // Outcome.EventsFor scan the goroutine engine's workers use, replayed on a
 // second engine from the same clocks. Enough hierarchical all-reduces run at
-// P=256 for the leaders' rings to evict, and an analytic world covers the
-// summary event every rank sees.
+// P=256 for the leaders' rings to evict, and an autotuned world at P=8
+// covers the flat schedules.
 func TestWorldTracingMatchesEventsFor(t *testing.T) {
 	for _, tc := range []struct {
 		policy  string
 		p, reps int
-	}{{"hierarchical", 256, 20}, {"analytic", 8, 3}} {
+	}{{"hierarchical", 256, 20}, {"auto", 8, 3}} {
 		cfg := cluster.Platform1()
 		cfg.Collective = tc.policy
 		w := des.NewWorld(cfg, tc.p)

@@ -13,9 +13,7 @@ import (
 // collective schedule matters — on the two-tier Slingshot topology the
 // hierarchical schedules (NVLink stage → one NIC crossing per node →
 // NVLink broadcast) beat flat rings as soon as the group spans nodes,
-// which is why the engine's autotuner exists at all. The Analytic column
-// is the closed-form α–β charge the pre-engine simulator used; Ratio > 1
-// means the stepped schedule beats that estimate.
+// which is why the engine's autotuner exists at all.
 
 // CommRow is one (platform, op, size, world, algorithm) measurement.
 type CommRow struct {
@@ -25,9 +23,7 @@ type CommRow struct {
 	Workers   int     `json:"workers"`
 	Algorithm string  `json:"algorithm"`
 	Seconds   float64 `json:"seconds"`
-	Analytic  float64 `json:"analytic_seconds"`
-	Ratio     float64 `json:"ratio"` // Analytic / Seconds
-	Best      bool    `json:"best"`  // fastest algorithm in its group
+	Best      bool    `json:"best"` // fastest algorithm in its group
 }
 
 var (
@@ -51,17 +47,13 @@ func CommBreakdown() ([]CommRow, *Table, error) {
 				}
 				sort.Strings(algs)
 				for si, n := range commSizes {
-					ana := commAnalytic(cfg, op, n, p)
 					group := make([]CommRow, 0, len(algs))
 					bestIdx, bestSec := -1, 0.0
 					for _, alg := range algs {
 						sec := table[alg][si]
 						r := CommRow{
 							Platform: cfg.Name, Op: op, Bytes: n, Workers: p,
-							Algorithm: alg, Seconds: sec, Analytic: ana,
-						}
-						if sec > 0 {
-							r.Ratio = ana / sec
+							Algorithm: alg, Seconds: sec,
 						}
 						if bestIdx < 0 || sec < bestSec {
 							bestIdx, bestSec = len(group), sec
@@ -79,23 +71,10 @@ func CommBreakdown() ([]CommRow, *Table, error) {
 	return rows, commTable(rows), nil
 }
 
-// commAnalytic is the legacy closed-form charge for the same operation,
-// one of commOps.
-func commAnalytic(cfg cluster.Config, op string, totalBytes, p int) float64 {
-	if op == collective.OpAllReduce {
-		return cfg.AllReduceTime(totalBytes, p)
-	}
-	sizes := make([]int, p)
-	for i := range sizes {
-		sizes[i] = totalBytes / p
-	}
-	return cfg.AllGatherVarTime(sizes, p)
-}
-
 func commTable(rows []CommRow) *Table {
 	t := &Table{
 		Title:   "Collective schedule breakdown (simulated seconds per call)",
-		Headers: []string{"Platform", "Op", "Bytes", "GPUs", "Algorithm", "Seconds", "Analytic", "Ratio", "Best"},
+		Headers: []string{"Platform", "Op", "Bytes", "GPUs", "Algorithm", "Seconds", "Best"},
 	}
 	for _, r := range rows {
 		best := ""
@@ -104,8 +83,7 @@ func commTable(rows []CommRow) *Table {
 		}
 		t.Rows = append(t.Rows, []string{
 			r.Platform, r.Op, fmtBytes(r.Bytes), fmtF(float64(r.Workers), 0),
-			r.Algorithm, fmtF(r.Seconds*1e3, 3) + " ms", fmtF(r.Analytic*1e3, 3) + " ms",
-			fmtF(r.Ratio, 2), best,
+			r.Algorithm, fmtF(r.Seconds*1e3, 3) + " ms", best,
 		})
 	}
 	return t

@@ -38,11 +38,11 @@ func (b Breakdown) Percent() [5]float64 {
 }
 
 // breakdown replays figureSteps uncompressed steps of prof on gpus ranks
-// of the platform's analytic fabric; each category is its per-step seconds
-// averaged over ranks, Total the per-step makespan. Ranks owning less K-FAC
-// work wait at the all-gather, so placement imbalance reads as all-gather.
+// of the platform; each category is its per-step seconds averaged over
+// ranks, Total the per-step makespan. Ranks owning less K-FAC work wait at
+// the all-gather, so placement imbalance reads as all-gather.
 func breakdown(prof modelzoo.Profile, plat cluster.Config, gpus int) Breakdown {
-	r := replay(analytic(plat), figureStep(gpus, 1), figureModel(prof, nil, ratioPayload(prof, 1)))
+	r := replay(plat, figureStep(gpus, 1), figureModel(prof, nil, ratioPayload(prof, 1)))
 	c := func(cats ...string) (s float64) {
 		for _, k := range cats {
 			s += r.mean[k] / figureSteps

@@ -89,7 +89,7 @@ func Figure9() ([]Fig9Row, *Table, error) {
 					}
 					step := func(m int) float64 {
 						sm := figureModel(p, &method.pipeline, ratioPayload(p, cr))
-						return replay(analytic(cfg), figureStep(gpus, m), sm).makespan / figureSteps
+						return replay(cfg, figureStep(gpus, m), sm).makespan / figureSteps
 					}
 					comp := step(row.AggM)
 					best, cells := comp, []string{"", ""}

@@ -13,7 +13,8 @@ import (
 // train.Lower emits the des.Program of a train.Config over a
 // train.StepModel, and a des.World of the platform runs it. The overlap
 // judge replays the trainer's step as it is; the timing figures replay
-// figureModel on the analytic fabric.
+// figureModel. Both run on the platform's one fabric: the step-level
+// schedules of cluster.EngineFor, switch contention included.
 
 // replayed is a finished replay's readings.
 type replayed struct {
@@ -60,13 +61,6 @@ func figureStep(gpus, m int) train.Config {
 		StatFreq: 10, AggregationM: m}
 }
 
-// analytic is the platform's fabric priced by its closed forms,
-// CongestionLog included: the figures' modelling assumption.
-func analytic(plat cluster.Config) cluster.Config {
-	plat.Collective = "analytic"
-	return plat
-}
-
 // figureModel is the step the timing figures price: prof on the A100
 // compute model, layer li shipping payload(li) bytes, frames charged on
 // pipe (nil: raw FP32). Three modelling choices are data here:
@@ -88,10 +82,10 @@ func ratioPayload(prof modelzoo.Profile, cr float64) func(int) int {
 
 // gatherSeconds is the wire time of one step's K-FAC all-gathers at ratio
 // cr without (de)compression: only the exchange's frames, one group per
-// collective as the overlap schedule issues them, on the analytic fabric.
+// collective as the overlap schedule issues them.
 func gatherSeconds(plat cluster.Config, prof modelzoo.Profile, gpus, m int, cr float64) float64 {
 	cfg := figureStep(gpus, m)
 	cfg.Iters, cfg.Overlap = 1, true
 	sm := train.StepModel{Layers: train.ProfileModel(prof, nil, ratioPayload(prof, cr)).Layers}
-	return replay(analytic(plat), cfg, sm).wire
+	return replay(plat, cfg, sm).wire
 }

@@ -6,8 +6,8 @@
 // drives — the layer-aggregation factor m and the lossless encoder choice.
 //
 // The paper builds the lookup table from offline micro-benchmarks on each
-// system; here it is generated from the cluster cost model, which plays the
-// role of those measurements. The online half (compressed sizes and
+// system; here it is generated from the simulated cluster's collective
+// engine, which plays the role of those measurements. The online half (compressed sizes and
 // compressor throughput from the first k warmup iterations) comes from real
 // compression of real gradient data in the experiments.
 package perfmodel
@@ -33,34 +33,14 @@ type LookupTable struct {
 }
 
 // BuildLookupTable benchmarks the platform's all-gather across the given
-// GPU counts and a geometric ladder of message sizes.
+// GPU counts and a geometric ladder of message sizes (1 KB .. 256 MB). Each
+// (size, GPU count) cell is the step-level collective engine's predicted
+// all-gather time on the platform's topology, so the table reflects the
+// schedule the engine would actually dispatch (hierarchical inter-node,
+// ring intra-node, …), link contention included. This is the stand-in for
+// the paper's offline micro-benchmarks, which likewise measure whatever
+// schedule the real library picks.
 func BuildLookupTable(cfg cluster.Config, gpuCounts []int) (*LookupTable, error) {
-	return buildLookupTable(cfg, gpuCounts, func(p int) func(int) float64 {
-		return func(sz int) float64 { return cfg.AllGatherTime(sz, p) }
-	})
-}
-
-// BuildLookupTableSim builds the same table from the step-level collective
-// engine instead of the closed-form α–β model: each (size, GPU count) cell
-// is the autotuner's predicted all-gather time on the simulated topology,
-// so the table reflects the algorithm the engine would actually dispatch
-// (hierarchical inter-node, ring intra-node, …) including per-link
-// contention. This is the closest stand-in for the paper's offline
-// micro-benchmarks, which likewise measure whatever schedule the real
-// library picks.
-func BuildLookupTableSim(cfg cluster.Config, gpuCounts []int) (*LookupTable, error) {
-	return buildLookupTable(cfg, gpuCounts, func(p int) func(int) float64 {
-		eng := cluster.EngineFor(cfg, p)
-		return func(sz int) float64 {
-			_, sec := eng.PredictAllGather(sz)
-			return sec
-		}
-	})
-}
-
-// buildLookupTable fills the table over the 1 KB .. 256 MB ladder; secondsAt(p)
-// returns the all-gather seconds of one message size at p GPUs.
-func buildLookupTable(cfg cluster.Config, gpuCounts []int, secondsAt func(p int) func(sz int) float64) (*LookupTable, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -75,10 +55,10 @@ func buildLookupTable(cfg cluster.Config, gpuCounts []int, secondsAt func(p int)
 	}
 	t := &LookupTable{cfg: cfg, sizes: sizes, counts: counts}
 	for _, p := range counts {
-		seconds := secondsAt(p)
+		eng := cluster.EngineFor(cfg, p)
 		row := make([]float64, len(sizes))
 		for i, sz := range sizes {
-			sec := seconds(sz)
+			_, sec := eng.PredictAllGather(sz)
 			if sec <= 0 {
 				// Single GPU: communication is free; use an effectively
 				// infinite throughput stand-in.

@@ -217,42 +217,28 @@ func TestSelectEncoderBalancesRatioAndSpeed(t *testing.T) {
 	}
 }
 
-func TestBuildLookupTableSimMatchesEngine(t *testing.T) {
-	// The simulated table must be well-formed (positive, size-monotone
-	// throughput at fixed GPU count) and must reflect the autotuner's
-	// choices: large inter-node all-gathers ride the hierarchical schedule,
-	// which charges fewer NIC crossings than the closed-form flat ring, so
-	// the simulated throughput should be at least competitive with the
-	// analytic table at big sizes.
+func TestBuildLookupTableMatchesEngine(t *testing.T) {
+	// The table is well-formed (positive, size-monotone throughput at fixed
+	// GPU count) and each ladder cell is exactly the engine's prediction:
+	// the table measures the schedule the autotuner would dispatch.
 	cfg := cluster.Platform1()
-	sim, err := BuildLookupTableSim(cfg, []int{4, 16, 64})
+	lt, err := BuildLookupTable(cfg, []int{4, 16, 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ana, err := BuildLookupTable(cfg, []int{4, 16, 64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := cluster.EngineFor(cfg, 64)
 	prev := 0.0
 	for _, sz := range []int{1 << 12, 1 << 16, 1 << 20, 1 << 24} {
-		cur := sim.Throughput(sz, 64)
+		cur := lt.Throughput(sz, 64)
 		if cur <= 0 || math.IsInf(cur, 1) {
-			t.Fatalf("sim throughput at %d bytes = %g", sz, cur)
+			t.Fatalf("throughput at %d bytes = %g", sz, cur)
 		}
 		if cur < prev {
-			t.Fatalf("sim throughput dropped at %d bytes: %g -> %g", sz, prev, cur)
+			t.Fatalf("throughput dropped at %d bytes: %g -> %g", sz, prev, cur)
 		}
 		prev = cur
-	}
-	big := 1 << 24
-	if sim.Throughput(big, 64) < 0.5*ana.Throughput(big, 64) {
-		t.Fatalf("sim table far below analytic at %d bytes: %g vs %g",
-			big, sim.Throughput(big, 64), ana.Throughput(big, 64))
-	}
-	if _, err := BuildLookupTableSim(cluster.Config{}, []int{8}); err == nil {
-		t.Fatal("invalid config accepted")
-	}
-	if _, err := BuildLookupTableSim(cfg, nil); err == nil {
-		t.Fatal("empty GPU counts accepted")
+		if _, sec := eng.PredictAllGather(sz); cur != float64(sz)/sec {
+			t.Fatalf("throughput at %d bytes = %g, engine predicts %g", sz, cur, float64(sz)/sec)
+		}
 	}
 }
