@@ -66,9 +66,9 @@ type Event struct {
 // Topology describes the two-tier platform the schedules run on: P ranks
 // packed GPUsPerNode to a node (the last node may be partial), each rank
 // owning full-duplex NVLink ingress/egress ports, each node owning a
-// full-duplex NIC shared by its ranks. Contention is not a parameter: when
-// several transfers need the same port or NIC, the simulator serializes
-// them on the link's occupancy.
+// full-duplex NIC shared by its ranks. Link contention is not a parameter:
+// when several transfers need the same port or NIC, the simulator
+// serializes them on the link's occupancy.
 type Topology struct {
 	// P is the world size.
 	P int

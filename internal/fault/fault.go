@@ -1,6 +1,6 @@
 // Package fault is the deterministic fault-injection layer for the
 // simulated cluster. Real Slingshot/NVLink clusters are not the clean
-// α–β fabric the closed-form model assumes: they have straggler GPUs
+// α–β fabric the scheduled topology assumes: they have straggler GPUs
 // (thermal throttling, noisy neighbours), degraded or flaky links
 // (misbehaving switches, cable errors forcing retransmits), and — rarely
 // but measurably at scale — corrupted payloads that survive link-level
