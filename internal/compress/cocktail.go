@@ -41,7 +41,8 @@ func (c *CocktailSGD) Name() string {
 	return fmt.Sprintf("CocktailSGD-%d%%-%dbit", int(c.KeepFraction*100), c.Bits)
 }
 
-// Compress implements Compressor.
+// Compress implements Compressor. NaN or ±Inf input, which the selection
+// pass finds, fails with ErrOutOfRange.
 func (c *CocktailSGD) Compress(src []float32) ([]byte, error) {
 	if c.KeepFraction <= 0 || c.KeepFraction > 1 {
 		return nil, fmt.Errorf("compress: CocktailSGD keep fraction %g outside (0,1]", c.KeepFraction)
@@ -52,6 +53,9 @@ func (c *CocktailSGD) Compress(src []float32) ([]byte, error) {
 	idx := make([]int, 0, int(float64(len(src))*c.KeepFraction)+16)
 	vals := make([]float32, 0, cap(idx))
 	for i, v := range src {
+		if !finite(v) {
+			return nil, errNonFinite("CocktailSGD")
+		}
 		if math.Abs(float64(v)) >= threshold {
 			idx = append(idx, i)
 			vals = append(vals, v)

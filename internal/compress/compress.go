@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"compso/internal/quant"
 )
 
 // Compressor lossily compresses float32 gradient vectors.
@@ -33,20 +35,38 @@ type Compressor interface {
 // ErrCorrupt is wrapped by all decompressors on malformed input.
 var ErrCorrupt = errors.New("compress: corrupt input")
 
+// ErrOutOfRange is returned by Compress for input a family cannot code: a
+// NaN or ±Inf anywhere. Match with errors.Is.
+var ErrOutOfRange = errors.New("compress: value out of the codable range")
+
 // ErrLengthMismatch marks a stateful compressor fed a gradient whose length
 // differs from the length its stream state was built for (e.g. an
 // error-feedback residual). It is a caller error, not an internal fault.
 var ErrLengthMismatch = errors.New("compress: gradient length mismatch")
 
-// Magic bytes distinguishing the compressor formats; the first header byte
-// of every compressed buffer.
+// Magic bytes distinguishing the compressor formats: the first byte of
+// every blob except a Chunked frame, which has none (DESIGN.md §7 has the
+// wire tables).
 const (
-	magicQSGD     = 0x51 // 'Q'
-	magicSZ       = 0x5a // 'Z'
-	magicCocktail = 0x43 // 'C'
-	magicCOMPSO   = 0x4f // 'O'
-	magicLowRank  = 0x4c // 'L'
+	magicQSGD      = 0x51 // 'Q'
+	magicSZ        = 0x5a // 'Z'
+	magicCocktail  = 0x43 // 'C'
+	magicCOMPSO    = 0x4f // 'O'
+	magicLowRank   = 0x4c // 'L'
+	magicTorchQSGD = 0x54 // 'T'
 )
+
+// decoders routes a magic byte to its format's decoder. Every decode path
+// is receiver-stateless (blobs carry their own parameters), so a zero-value
+// decoder restores the vector exactly as the originating instance would.
+var decoders = map[byte]func([]byte) ([]float32, error){
+	magicCOMPSO:    func(b []byte) ([]float32, error) { return (&COMPSO{}).Decompress(b) },
+	magicQSGD:      func(b []byte) ([]float32, error) { return (&QSGD{}).Decompress(b) },
+	magicSZ:        func(b []byte) ([]float32, error) { return (&SZ{}).Decompress(b) },
+	magicCocktail:  func(b []byte) ([]float32, error) { return (&CocktailSGD{}).Decompress(b) },
+	magicLowRank:   func(b []byte) ([]float32, error) { return (&PowerSGD{}).Decompress(b) },
+	magicTorchQSGD: func(b []byte) ([]float32, error) { return (&TorchQSGD{}).Decompress(b) },
+}
 
 // Stateful is the optional contract for compressors that carry per-stream
 // state — error-feedback residuals, PowerSGD's warm-started query factors,
@@ -75,31 +95,15 @@ type Restorable interface {
 	Restore(state any) error
 }
 
-// Decode decompresses a self-describing blob from any registered family,
-// dispatching on the magic byte. Every family's decode path is
-// receiver-stateless (blobs carry their own parameters), so a zero-value
-// decoder restores the vector exactly as the originating instance would.
-// Mixed-family streams — e.g. a per-layer compressor plan where large
-// layers go low-rank and the rest COMPSO — decode through this single
-// entry point.
+// Decode decompresses a self-describing blob of any format, dispatching on
+// the magic byte. Mixed-family streams — e.g. a per-layer compressor plan
+// where large layers go low-rank and the rest COMPSO — decode through this
+// single entry point.
 func Decode(data []byte) ([]float32, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("%w: empty buffer", ErrCorrupt)
+	if _, err := PeekElements(data); err != nil {
+		return nil, err
 	}
-	switch data[0] {
-	case magicCOMPSO:
-		return (&COMPSO{}).Decompress(data)
-	case magicQSGD:
-		return (&QSGD{}).Decompress(data)
-	case magicSZ:
-		return (&SZ{}).Decompress(data)
-	case magicCocktail:
-		return (&CocktailSGD{}).Decompress(data)
-	case magicLowRank:
-		return (&PowerSGD{}).Decompress(data)
-	default:
-		return nil, fmt.Errorf("%w: unknown magic byte %#x", ErrCorrupt, data[0])
-	}
+	return decoders[data[0]](data)
 }
 
 // Ratio returns the compression ratio achieved for n float32 values
@@ -143,13 +147,99 @@ func PeekElements(data []byte) (int, error) {
 	if len(data) == 0 {
 		return 0, fmt.Errorf("%w: empty buffer", ErrCorrupt)
 	}
-	switch data[0] {
-	case magicQSGD, magicSZ, magicCocktail, magicCOMPSO, magicLowRank:
-	default:
+	if decoders[data[0]] == nil {
 		return 0, fmt.Errorf("%w: unknown magic byte %#x", ErrCorrupt, data[0])
 	}
 	n, _, err := getHeader(data, data[0], "blob")
 	return n, err
+}
+
+// sectionTag prefixes the uvarint length of every section a COMPSO or SZ
+// blob frames, and maxSections bounds their count: four byte planes cover
+// 32-bit codes.
+const (
+	sectionTag  = 0xBB
+	maxSections = 4
+)
+
+// appendSections frames a blob's code sections: a count byte, then each
+// section behind its tagged length.
+func appendSections(dst []byte, secs ...[]byte) []byte {
+	dst = append(dst, byte(len(secs)))
+	for _, sec := range secs {
+		dst = appendSection(dst, sec)
+	}
+	return dst
+}
+
+// sectionsLen is the number of bytes appendSections adds for secs.
+func sectionsLen(secs ...[]byte) int {
+	n := 1
+	for _, sec := range secs {
+		n += 1 + uvarintLen(uint64(len(sec))) + len(sec)
+	}
+	return n
+}
+
+// readSections reads appendSections' framing: at most maxSections
+// sections, each bounded by the bytes that remain. The sections are
+// subslices of src; bytes after the last are ignored.
+func readSections(src []byte, name string) (secs [maxSections][]byte, n int, err error) {
+	if len(src) < 1 {
+		return secs, 0, fmt.Errorf("%w: %s: truncated section count", ErrCorrupt, name)
+	}
+	n, src = int(src[0]), src[1:]
+	if n > maxSections {
+		return secs, 0, fmt.Errorf("%w: %s: %d sections", ErrCorrupt, name, n)
+	}
+	for i := 0; i < n; i++ {
+		if secs[i], src, err = readSection(src, name); err != nil {
+			return secs, 0, err
+		}
+	}
+	return secs, n, nil
+}
+
+// appendSection appends sec behind its tagged length.
+func appendSection(dst, sec []byte) []byte {
+	dst = putHeader(dst, sectionTag, len(sec))
+	return append(dst, sec...)
+}
+
+// readSection reads one tagged section, bounded by src.
+func readSection(src []byte, name string) (sec, rest []byte, err error) {
+	n, rest, err := getHeader(src, sectionTag, name)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n > len(rest) {
+		return nil, nil, fmt.Errorf("%w: %s: section of %d bytes overruns %d", ErrCorrupt, name, n, len(rest))
+	}
+	return rest[:n], rest[n:], nil
+}
+
+// uvarintLen returns the LEB128-encoded size of v in bytes.
+func uvarintLen(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		n++
+		v >>= 7
+	}
+	return n
+}
+
+// finite reports whether v is neither NaN nor ±Inf, from its exponent bits.
+func finite(v float32) bool { return math.Float32bits(v)&0x7f800000 != 0x7f800000 }
+
+// allFinite reports whether src holds no NaN or ±Inf.
+func allFinite(src []float32) bool {
+	m := quant.MaxAbs(src)
+	return !math.IsNaN(m) && !math.IsInf(m, 0)
+}
+
+// errNonFinite is the ErrOutOfRange of a family fed a NaN or ±Inf.
+func errNonFinite(family string) error {
+	return fmt.Errorf("%w: %s: NaN or ±Inf input", ErrOutOfRange, family)
 }
 
 func putFloat64(dst []byte, v float64) []byte {

@@ -154,23 +154,129 @@ func (c *COMPSO) Restore(state any) error {
 	return nil
 }
 
-// codec returns the configured back-end, defaulting to ANS.
-func (c *COMPSO) codec() encoding.Codec {
-	if c.Codec == nil {
-		return encoding.ANS{}
-	}
-	return c.Codec
+// compsoBlob is a COMPSO blob's framing: the header fields, then the
+// encoded filter bitmap and code sections it carries. appendTo writes it and
+// parseCOMPSO reads it — the one writer and the one reader of the format
+// (DESIGN.md §7), for the fused and the reference pipelines alike.
+type compsoBlob struct {
+	n, kept   int
+	filter    bool
+	codecID   byte
+	codec     encoding.Codec
+	bitPacked bool
+	rounding  quant.Mode
+	ebf, ebq  float64
+	bitmap    []byte              // the encoded bitmap (empty without the filter)
+	sections  [maxSections][]byte // encoded byte planes, or one bit-packed stream
+	nSections int
 }
 
-// codecID maps the configured codec to its registry index for the header.
-func (c *COMPSO) codecID() (byte, error) {
-	name := c.codec().Name()
-	for i, n := range encoding.Names() {
-		if n == name {
-			return byte(i), nil
-		}
+// header validates c's configuration and returns the blob fields it fixes
+// for n inputs: all but the kept count and the sections.
+func (c *COMPSO) header(n int) (compsoBlob, error) {
+	if c.EBQuant <= 0 {
+		return compsoBlob{}, fmt.Errorf("compress: COMPSO quantizer bound %g <= 0", c.EBQuant)
 	}
-	return 0, fmt.Errorf("compress: COMPSO codec %q not registered", name)
+	if c.FilterEnabled && c.EBFilter <= 0 {
+		return compsoBlob{}, fmt.Errorf("compress: COMPSO filter bound %g <= 0", c.EBFilter)
+	}
+	cdc := c.Codec
+	if cdc == nil {
+		cdc = encoding.ANS{}
+	}
+	id, err := encoding.ID(cdc)
+	if err != nil {
+		return compsoBlob{}, fmt.Errorf("compress: COMPSO: %w", err)
+	}
+	return compsoBlob{n: n, filter: c.FilterEnabled, codecID: id, codec: cdc, bitPacked: c.BitPacked,
+		rounding: c.Rounding, ebf: c.EBFilter, ebq: c.EBQuant}, nil
+}
+
+// size is the length appendTo writes.
+func (b *compsoBlob) size() int {
+	return uvarintLen(uint64(b.n)) + 21 + uvarintLen(uint64(b.kept)) +
+		1 + uvarintLen(uint64(len(b.bitmap))) + len(b.bitmap) + sectionsLen(b.sections[:b.nSections]...)
+}
+
+// appendTo appends the blob: magic and element count, the filter flag, codec
+// id and options byte (bit 0 bit-packed, bits 1-2 rounding mode), both
+// bounds, the tagged kept count, the bitmap section and the code sections.
+func (b *compsoBlob) appendTo(dst []byte) []byte {
+	dst = putHeader(dst, magicCOMPSO, b.n)
+	var filter, options byte
+	if b.filter {
+		filter = 1
+	}
+	if b.bitPacked {
+		options = 1
+	}
+	options |= byte(b.rounding) << 1
+	dst = append(dst, filter, b.codecID, options)
+	dst = putFloat64(dst, b.ebf)
+	dst = putFloat64(dst, b.ebq)
+	dst = putHeader(dst, sectionTag, b.kept)
+	dst = appendSection(dst, b.bitmap)
+	return appendSections(dst, b.sections[:b.nSections]...)
+}
+
+// parseCOMPSO reads appendTo's layout and checks every field against the
+// bound decode relies on; the sections stay encoded, as subslices of data.
+func parseCOMPSO(data []byte) (b compsoBlob, err error) {
+	n, rest, err := getHeader(data, magicCOMPSO, "COMPSO")
+	if err != nil {
+		return b, err
+	}
+	if len(rest) < 3 {
+		return b, fmt.Errorf("%w: COMPSO: truncated flags", ErrCorrupt)
+	}
+	b.n, b.filter, b.codecID = n, rest[0] != 0, rest[1]
+	b.bitPacked, b.rounding = rest[2]&1 != 0, quant.Mode(rest[2]>>1)
+	if b.rounding > quant.P05 {
+		return b, fmt.Errorf("%w: COMPSO: rounding mode %d", ErrCorrupt, b.rounding)
+	}
+	if b.codec, err = encoding.ByID(b.codecID); err != nil {
+		return b, fmt.Errorf("%w: COMPSO: %v", ErrCorrupt, err)
+	}
+	if b.ebf, rest, err = getFloat64(rest[3:], "COMPSO ebf"); err != nil {
+		return b, err
+	}
+	if b.ebq, rest, err = getFloat64(rest, "COMPSO ebq"); err != nil {
+		return b, err
+	}
+	if b.ebq <= 0 {
+		return b, fmt.Errorf("%w: COMPSO: quantizer bound %g", ErrCorrupt, b.ebq)
+	}
+	if b.kept, rest, err = getHeader(rest, sectionTag, "COMPSO kept count"); err != nil {
+		return b, err
+	}
+	if b.kept > n {
+		return b, fmt.Errorf("%w: COMPSO: kept count %d > %d", ErrCorrupt, b.kept, n)
+	}
+	if b.bitmap, rest, err = readSection(rest, "COMPSO bitmap"); err != nil {
+		return b, err
+	}
+	if b.sections, b.nSections, err = readSections(rest, "COMPSO"); err != nil {
+		return b, err
+	}
+	if b.bitPacked && b.nSections != 1 {
+		return b, fmt.Errorf("%w: COMPSO: bit-packed stream with %d sections", ErrCorrupt, b.nSections)
+	}
+	return b, nil
+}
+
+// COMPSOStreams returns the codec of a COMPSO blob and the encoded streams
+// it carries — the bitmap when the filter ran, then each code section — as
+// subslices of blob, so the codecs can be exercised on real sections.
+func COMPSOStreams(blob []byte) (encoding.Codec, [][]byte, error) {
+	b, err := parseCOMPSO(blob)
+	if err != nil {
+		return nil, nil, err
+	}
+	var streams [][]byte
+	if b.filter {
+		streams = append(streams, b.bitmap)
+	}
+	return b.codec, append(streams, b.sections[:b.nSections]...), nil
 }
 
 // Compress implements Compressor. It is the fused single-pass rewrite of
@@ -181,20 +287,14 @@ func (c *COMPSO) codecID() (byte, error) {
 // []float32 kept-value slice, no []int32 code vector, no per-plane or
 // per-section []byte materialization. The emitted blob is byte-identical to
 // ReferenceCompress given the same state (the multi-pass original preserved
-// in reference.go), which TestCOMPSOFusedMatchesReference enforces.
+// in reference.go), which TestCOMPSOFusedMatchesReference enforces. NaN or
+// ±Inf input, which the fused pass finds, fails with ErrOutOfRange.
 func (c *COMPSO) Compress(src []float32) ([]byte, error) {
-	if c.EBQuant <= 0 {
-		return nil, fmt.Errorf("compress: COMPSO quantizer bound %g <= 0", c.EBQuant)
-	}
-	if c.FilterEnabled && c.EBFilter <= 0 {
-		return nil, fmt.Errorf("compress: COMPSO filter bound %g <= 0", c.EBFilter)
-	}
-	codecID, err := c.codecID()
+	n := len(src)
+	b, err := c.header(n)
 	if err != nil {
 		return nil, err
 	}
-	cdc := c.codec()
-	n := len(src)
 	binW := quant.BinWidth(c.EBQuant, c.Rounding)
 
 	// Single fused pass: filter + quantize + zig-zag, tracking the max code
@@ -203,7 +303,6 @@ func (c *COMPSO) Compress(src []float32) ([]byte, error) {
 	var bitmap []byte // nil when the filter is off (encoded as an empty stream)
 	kept := n
 	var maxZig uint32
-	filterFlag := byte(0)
 	if c.FilterEnabled {
 		bitmap = pool.Bytes((n + 7) / 8)
 		if c.Rounding == quant.SR && c.src != nil {
@@ -211,7 +310,6 @@ func (c *COMPSO) Compress(src []float32) ([]byte, error) {
 		} else {
 			kept, maxZig = quant.FilterQuantizeZig(bitmap, zigs, src, c.EBFilter, binW, c.Rounding, c.rng)
 		}
-		filterFlag = 1
 	} else if c.Rounding == quant.SR && c.src != nil {
 		maxZig = quant.QuantizeZigIntoPCG(zigs, src, binW, c.src)
 	} else {
@@ -219,7 +317,15 @@ func (c *COMPSO) Compress(src []float32) ([]byte, error) {
 	}
 	c.LastFilterTotal = n
 	c.LastFilterKept = kept
+	if maxZig == quant.NonFinite && !allFinite(src) {
+		pool.PutU32(zigs)
+		if bitmap != nil {
+			pool.PutBytes(bitmap)
+		}
+		return nil, errNonFinite("COMPSO")
+	}
 	zigs = zigs[:kept]
+	b.kept = kept
 
 	// Encode every section back to back into one pooled scratch, recording
 	// cumulative boundaries, so the final blob is cut with a single
@@ -229,78 +335,49 @@ func (c *COMPSO) Compress(src []float32) ([]byte, error) {
 	// the arena a foreign buffer and leak the pooled one.
 	scratchBuf := pool.Bytes(n/2 + 64)
 	scratch := scratchBuf[:0]
-	scratch = cdc.EncodeAppend(scratch, bitmap)
+	scratch = b.codec.EncodeAppend(scratch, bitmap)
 	if bitmap != nil {
 		pool.PutBytes(bitmap)
 	}
 	bitmapEnd := len(scratch)
 
-	// Options byte: bit 0 = bit-packed codes, bits 1-2 = rounding mode.
-	options := byte(c.Rounding) << 1
-	var ends [4]int // cumulative section ends within scratch
-	nSections := 0
+	var ends [maxSections]int // cumulative section ends within scratch
 	if c.BitPacked {
 		// §4.3 ablation: dense bit packing in a single plane-like section.
 		// Wide codes (width > 8 bits) overflow the kept+16 guess and make
 		// PackZigs grow onto a fresh array, so Put the original handle.
-		options |= 1
 		packedBuf := pool.Bytes(kept + 16)
 		packed := quant.PackZigs(packedBuf, zigs, maxZig)
-		scratch = cdc.EncodeAppend(scratch, packed)
+		scratch = b.codec.EncodeAppend(scratch, packed)
 		pool.PutBytes(packedBuf)
-		nSections = 1
+		b.nSections = 1
 		ends[0] = len(scratch)
 	} else {
 		// Byte-plane layout: entropy coders get byte-aligned symbol streams
 		// (plane 0 carries the low bytes where the distribution skew lives,
 		// higher planes are near-constant zero and collapse to almost
 		// nothing). One pooled plane buffer is reused across all planes.
-		nSections = quant.PlaneCount(maxZig)
+		b.nSections = quant.PlaneCount(maxZig)
 		plane := pool.Bytes(kept)
-		for p := 0; p < nSections; p++ {
+		for p := 0; p < b.nSections; p++ {
 			quant.FillPlane(plane, zigs, p)
-			scratch = cdc.EncodeAppend(scratch, plane)
+			scratch = b.codec.EncodeAppend(scratch, plane)
 			ends[p] = len(scratch)
 		}
 		pool.PutBytes(plane)
 	}
 	pool.PutU32(zigs)
 
-	size := uvarintLen(uint64(n)) + 21 + uvarintLen(uint64(kept)) +
-		1 + uvarintLen(uint64(bitmapEnd)) + 1 + len(scratch)
+	b.bitmap = scratch[:bitmapEnd]
 	prev := bitmapEnd
-	for p := 0; p < nSections; p++ {
-		size += 1 + uvarintLen(uint64(ends[p]-prev))
+	for p := 0; p < b.nSections; p++ {
+		b.sections[p] = scratch[prev:ends[p]]
 		prev = ends[p]
 	}
-	out := make([]byte, 0, size)
-	out = putHeader(out, magicCOMPSO, n)
-	out = append(out, filterFlag, codecID, options)
-	out = putFloat64(out, c.EBFilter)
-	out = putFloat64(out, c.EBQuant)
-	out = putHeader(out, 0xBB, kept)      // kept-value count
-	out = putHeader(out, 0xBB, bitmapEnd) // bitmap section length
-	out = append(out, scratch[:bitmapEnd]...)
-	out = append(out, byte(nSections))
-	prev = bitmapEnd
-	for p := 0; p < nSections; p++ {
-		out = putHeader(out, 0xBB, ends[p]-prev)
-		out = append(out, scratch[prev:ends[p]]...)
-		prev = ends[p]
-	}
+	out := b.appendTo(make([]byte, 0, b.size()))
 	pool.PutBytes(scratchBuf)
 	c.observe(n, len(out))
 	return out, nil
-}
-
-// uvarintLen returns the LEB128-encoded size of v in bytes.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		n++
-		v >>= 7
-	}
-	return n
 }
 
 // observe feeds the attached recorder (if any) with one Compress call's
@@ -327,53 +404,12 @@ func (c *COMPSO) observe(nIn, nOut int) {
 // (and errors, modulo message wording) of the multi-pass
 // ReferenceDecompress.
 func (c *COMPSO) Decompress(data []byte) ([]float32, error) {
-	n, rest, err := getHeader(data, magicCOMPSO, "COMPSO")
+	b, err := parseCOMPSO(data)
 	if err != nil {
 		return nil, err
 	}
-	if len(rest) < 3 {
-		return nil, fmt.Errorf("%w: COMPSO: truncated flags", ErrCorrupt)
-	}
-	filterFlag, codecID, options := rest[0], rest[1], rest[2]
-	rest = rest[3:]
-	bitPacked := options&1 != 0
-	rounding := quant.Mode(options >> 1)
-	if rounding > quant.P05 {
-		return nil, fmt.Errorf("%w: COMPSO: rounding mode %d", ErrCorrupt, rounding)
-	}
-	_, rest, err = getFloat64(rest, "COMPSO ebf")
-	if err != nil {
-		return nil, err
-	}
-	ebq, rest, err := getFloat64(rest, "COMPSO ebq")
-	if err != nil {
-		return nil, err
-	}
-	if ebq <= 0 {
-		return nil, fmt.Errorf("%w: COMPSO: quantizer bound %g", ErrCorrupt, ebq)
-	}
-	names := encoding.Names()
-	if int(codecID) >= len(names) {
-		return nil, fmt.Errorf("%w: COMPSO: codec id %d", ErrCorrupt, codecID)
-	}
-	cdc, err := encoding.ByName(names[codecID])
-	if err != nil {
-		return nil, err
-	}
-	keptCount, rest, err := getHeader(rest, 0xBB, "COMPSO kept count")
-	if err != nil {
-		return nil, err
-	}
-	if keptCount > n {
-		return nil, fmt.Errorf("%w: COMPSO: kept count %d > %d", ErrCorrupt, keptCount, n)
-	}
-	bitmapLen, rest, err := getHeader(rest, 0xBB, "COMPSO bitmap section")
-	if err != nil {
-		return nil, err
-	}
-	if bitmapLen > len(rest) {
-		return nil, fmt.Errorf("%w: COMPSO: bitmap section of %d overruns %d", ErrCorrupt, bitmapLen, len(rest))
-	}
+	n, keptCount, cdc := b.n, b.kept, b.codec
+	bitPacked, nPlanes := b.bitPacked, b.nSections
 	// Pooled scratch handed back on every exit path.
 	var scratches [][]byte
 	defer func() {
@@ -382,42 +418,23 @@ func (c *COMPSO) Decompress(data []byte) ([]float32, error) {
 		}
 	}()
 	var bitmap []byte
-	if filterFlag != 0 {
+	if b.filter {
 		buf := pool.Bytes((n + 7) / 8)
 		scratches = append(scratches, buf)
-		bitmap, err = cdc.DecodeInto(buf[:0:len(buf)], rest[:bitmapLen])
+		bitmap, err = cdc.DecodeInto(buf[:0:len(buf)], b.bitmap)
 		if err != nil {
 			return nil, fmt.Errorf("%w: COMPSO bitmap: %v", ErrCorrupt, err)
 		}
-	}
-	rest = rest[bitmapLen:]
-	if len(rest) < 1 {
-		return nil, fmt.Errorf("%w: COMPSO: truncated plane count", ErrCorrupt)
-	}
-	nPlanes := int(rest[0])
-	rest = rest[1:]
-	if nPlanes > 4 {
-		return nil, fmt.Errorf("%w: COMPSO: %d planes", ErrCorrupt, nPlanes)
 	}
 
 	// Obtain the zig-zag code stream: either the dense packed section or up
 	// to four decoded byte planes (joined lazily in the fused output loop).
 	var zigs []uint32 // bit-packed path only
-	var planes [4][]byte
+	var planes [maxSections][]byte
 	if bitPacked {
-		if nPlanes != 1 {
-			return nil, fmt.Errorf("%w: COMPSO: bit-packed stream with %d sections", ErrCorrupt, nPlanes)
-		}
-		secLen, after, err := getHeader(rest, 0xBB, "COMPSO packed section")
-		if err != nil {
-			return nil, err
-		}
-		if secLen > len(after) {
-			return nil, fmt.Errorf("%w: COMPSO: packed section overruns", ErrCorrupt)
-		}
 		buf := pool.Bytes(packedLen(keptCount))
 		scratches = append(scratches, buf)
-		packed, err := cdc.DecodeInto(buf[:0:len(buf)], after[:secLen])
+		packed, err := cdc.DecodeInto(buf[:0:len(buf)], b.sections[0])
 		if err != nil {
 			return nil, fmt.Errorf("%w: COMPSO packed: %v", ErrCorrupt, err)
 		}
@@ -428,26 +445,18 @@ func (c *COMPSO) Decompress(data []byte) ([]float32, error) {
 		}
 	} else {
 		for p := 0; p < nPlanes; p++ {
-			planeLen, after, err := getHeader(rest, 0xBB, "COMPSO plane")
-			if err != nil {
-				return nil, err
-			}
-			if planeLen > len(after) {
-				return nil, fmt.Errorf("%w: COMPSO: plane %d overruns", ErrCorrupt, p)
-			}
 			buf := pool.Bytes(keptCount)
 			scratches = append(scratches, buf)
-			planes[p], err = cdc.DecodeInto(buf[:0:len(buf)], after[:planeLen])
+			planes[p], err = cdc.DecodeInto(buf[:0:len(buf)], b.sections[p])
 			if err != nil {
 				return nil, fmt.Errorf("%w: COMPSO plane %d: %v", ErrCorrupt, p, err)
 			}
 			if len(planes[p]) != keptCount {
 				return nil, fmt.Errorf("%w: COMPSO: plane %d has %d bytes, want %d", ErrCorrupt, p, len(planes[p]), keptCount)
 			}
-			rest = after[planeLen:]
 		}
 	}
-	binW := quant.BinWidth(ebq, rounding)
+	binW := quant.BinWidth(b.ebq, b.rounding)
 	out := make([]float32, n)
 	// One or two byte planes cover every real gradient stream; there the
 	// low byte dequantizes through a 256-entry table built with the exact
@@ -465,7 +474,7 @@ func (c *COMPSO) Decompress(data []byte) ([]float32, error) {
 			p1 = planes[1]
 		}
 	}
-	if filterFlag == 0 {
+	if !b.filter {
 		if keptCount != n {
 			return nil, fmt.Errorf("%w: COMPSO: %d values for %d elements", ErrCorrupt, keptCount, n)
 		}

@@ -2,6 +2,8 @@ package compress
 
 import (
 	"encoding/binary"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"compso/internal/encoding"
@@ -47,11 +49,18 @@ func checkDecoded(t *testing.T, data []byte, decode func([]byte) ([]float32, err
 }
 
 // FuzzDecode fuzzes the magic-byte dispatcher, and so every family's
-// decoder, from one valid blob per registered family and one COMPSO blob per
-// codec id.
+// decoder, from one valid blob per registered family, one COMPSO blob per
+// codec id and every blob of the recorded corpus.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range [][]byte{nil, {0}, {magicQSGD, 0x05}} {
 		f.Add(seed)
+	}
+	for _, b := range readCorpusManifest(f).Blobs {
+		blob, err := os.ReadFile(filepath.Join(corpusDir, b.File))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
 	}
 	for _, family := range Families() {
 		c, err := ByName(family, Options{Seed: 1})

@@ -273,6 +273,15 @@ func (pc *PowerSGD) Compress(src []float32) ([]byte, error) {
 	p := pool.F64(rows * k)
 	defer pool.PutF64(p)
 	mulMQ(src, n, rows, cols, k, pc.q, p)
+	// Every nonzero input meets every column of the query in M·Q, and a
+	// non-finite product stays non-finite in the sums, so P holds a NaN or
+	// an infinity exactly when the input does; finite float32 inputs cannot
+	// overflow float64 sums.
+	for _, v := range p {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, errNonFinite("PowerSGD")
+		}
+	}
 	orthonormalize(p, rows, k)
 	qn := pool.F64(cols * k)
 	defer pool.PutF64(qn)

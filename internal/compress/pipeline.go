@@ -108,7 +108,7 @@ func (t *TorchQSGD) Compress(src []float32) ([]byte, error) {
 	packed := quant.PackZigs(pool.Bytes(n*t.Bits/8+16), zigs, maxZig)
 	pool.PutU32(zigs)
 	out := make([]byte, 0, binary.MaxVarintLen64+9+len(packed))
-	out = putHeader(out, magicQSGD, n)
+	out = putHeader(out, magicTorchQSGD, n)
 	out = putFloat64(out, scale)
 	out = append(out, packed...)
 	pool.PutBytes(packed)
@@ -117,7 +117,7 @@ func (t *TorchQSGD) Compress(src []float32) ([]byte, error) {
 
 // Decompress implements Compressor.
 func (t *TorchQSGD) Decompress(data []byte) ([]float32, error) {
-	n, rest, err := getHeader(data, magicQSGD, "TorchQSGD")
+	n, rest, err := getHeader(data, magicTorchQSGD, "TorchQSGD")
 	if err != nil {
 		return nil, err
 	}

@@ -37,6 +37,7 @@ func (q *QSGD) Name() string { return fmt.Sprintf("QSGD-%dbit", q.Bits) }
 // same stochastic-rounding draws QuantizeFixed makes), zig-zags and
 // gamma-codes each element straight into a pooled bit stream — no []int32
 // level vector. Byte-identical to ReferenceCompress on the same RNG state.
+// NaN or ±Inf input, which the scan finds, fails with ErrOutOfRange.
 func (q *QSGD) Compress(src []float32) ([]byte, error) {
 	if q.Bits < 2 || q.Bits > 16 {
 		panic(fmt.Sprintf("quant: QuantizeFixed bits %d outside [2,16]", q.Bits))
@@ -44,7 +45,11 @@ func (q *QSGD) Compress(src []float32) ([]byte, error) {
 	n := len(src)
 	scale := 0.0
 	maxLevel := int64(int32(1)<<(q.Bits-1) - 1)
-	if maxAbs := quant.MaxAbs(src); maxAbs != 0 {
+	maxAbs := quant.MaxAbs(src)
+	if math.IsNaN(maxAbs) || math.IsInf(maxAbs, 0) {
+		return nil, errNonFinite("QSGD")
+	}
+	if maxAbs != 0 {
 		scale = maxAbs / float64(maxLevel)
 	}
 	var w bitstream.Writer

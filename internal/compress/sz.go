@@ -29,17 +29,18 @@ func NewSZ(relEB float64) *SZ { return &SZ{RelErrorBound: relEB} }
 // Name implements Compressor.
 func (s *SZ) Name() string { return fmt.Sprintf("SZ-%.0E", s.RelErrorBound) }
 
-// Compress implements Compressor. Fused single-pass rewrite: after the
-// unavoidable range scan (the bound is range-relative), one kernel runs
-// Lorenzo prediction + RN quantization + zig-zag into a pooled code vector,
-// and the byte planes reuse one pooled buffer each, Huffman-appended into
-// pooled scratch — byte-identical to the multi-pass ReferenceCompress.
-func (s *SZ) Compress(src []float32) ([]byte, error) {
+// absBound returns the absolute error bound, RelErrorBound times the value
+// range, from the range scan both pipelines make; the scan rejects NaN and
+// ±Inf, which have no range.
+func (s *SZ) absBound(src []float32) (float64, error) {
 	if s.RelErrorBound <= 0 {
-		return nil, fmt.Errorf("compress: SZ error bound %g <= 0", s.RelErrorBound)
+		return 0, fmt.Errorf("compress: SZ error bound %g <= 0", s.RelErrorBound)
 	}
 	var minV, maxV float64
 	for i, v := range src {
+		if !finite(v) {
+			return 0, errNonFinite("SZ")
+		}
 		f := float64(v)
 		if i == 0 || f < minV {
 			minV = f
@@ -51,6 +52,19 @@ func (s *SZ) Compress(src []float32) ([]byte, error) {
 	ebAbs := s.RelErrorBound * (maxV - minV)
 	if ebAbs == 0 {
 		ebAbs = s.RelErrorBound // constant input: any tiny bound works
+	}
+	return ebAbs, nil
+}
+
+// Compress implements Compressor. Fused single-pass rewrite: after the
+// unavoidable range scan (the bound is range-relative), one kernel runs
+// Lorenzo prediction + RN quantization + zig-zag into a pooled code vector,
+// and the byte planes reuse one pooled buffer each, Huffman-appended into
+// pooled scratch — byte-identical to the multi-pass ReferenceCompress.
+func (s *SZ) Compress(src []float32) ([]byte, error) {
+	ebAbs, err := s.absBound(src)
+	if err != nil {
+		return nil, err
 	}
 	n := len(src)
 
@@ -79,7 +93,7 @@ func (s *SZ) Compress(src []float32) ([]byte, error) {
 	scratchBuf := pool.Bytes(n/2 + 64)
 	scratch := scratchBuf[:0]
 	plane := pool.Bytes(n)
-	var ends [4]int
+	var ends [maxSections]int
 	for p := 0; p < nPlanes; p++ {
 		quant.FillPlane(plane, zigs, p)
 		scratch = encoding.Huffman{}.EncodeAppend(scratch, plane)
@@ -88,22 +102,16 @@ func (s *SZ) Compress(src []float32) ([]byte, error) {
 	pool.PutBytes(plane)
 	pool.PutU32(zigs)
 
-	size := uvarintLen(uint64(n)) + 10 + len(scratch)
+	var planes [maxSections][]byte
 	prevEnd := 0
 	for p := 0; p < nPlanes; p++ {
-		size += 1 + uvarintLen(uint64(ends[p]-prevEnd))
+		planes[p] = scratch[prevEnd:ends[p]]
 		prevEnd = ends[p]
 	}
-	out := make([]byte, 0, size)
+	out := make([]byte, 0, uvarintLen(uint64(n))+9+sectionsLen(planes[:nPlanes]...))
 	out = putHeader(out, magicSZ, n)
 	out = putFloat64(out, ebAbs)
-	out = append(out, byte(nPlanes))
-	prevEnd = 0
-	for p := 0; p < nPlanes; p++ {
-		out = putHeader(out, 0xBB, ends[p]-prevEnd)
-		out = append(out, scratch[prevEnd:ends[p]]...)
-		prevEnd = ends[p]
-	}
+	out = appendSections(out, planes[:nPlanes]...)
 	pool.PutBytes(scratchBuf)
 	return out, nil
 }
@@ -120,13 +128,9 @@ func (s *SZ) Decompress(data []byte) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(rest) < 1 {
-		return nil, fmt.Errorf("%w: SZ: truncated plane count", ErrCorrupt)
-	}
-	nPlanes := int(rest[0])
-	rest = rest[1:]
-	if nPlanes > 4 {
-		return nil, fmt.Errorf("%w: SZ: %d planes", ErrCorrupt, nPlanes)
+	sections, nPlanes, err := readSections(rest, "SZ")
+	if err != nil {
+		return nil, err
 	}
 	var scratches [][]byte
 	defer func() {
@@ -134,25 +138,17 @@ func (s *SZ) Decompress(data []byte) ([]float32, error) {
 			pool.PutBytes(b)
 		}
 	}()
-	var planes [4][]byte
+	var planes [maxSections][]byte
 	for p := 0; p < nPlanes; p++ {
-		planeLen, after, err := getHeader(rest, 0xBB, "SZ plane")
-		if err != nil {
-			return nil, err
-		}
-		if planeLen > len(after) {
-			return nil, fmt.Errorf("%w: SZ: plane %d overruns", ErrCorrupt, p)
-		}
 		buf := pool.Bytes(n)
 		scratches = append(scratches, buf)
-		planes[p], err = encoding.Huffman{}.DecodeInto(buf[:0:len(buf)], after[:planeLen])
+		planes[p], err = encoding.Huffman{}.DecodeInto(buf[:0:len(buf)], sections[p])
 		if err != nil {
 			return nil, fmt.Errorf("%w: SZ plane %d: %v", ErrCorrupt, p, err)
 		}
 		if len(planes[p]) != n {
 			return nil, fmt.Errorf("%w: SZ: plane %d has %d bytes, want %d", ErrCorrupt, p, len(planes[p]), n)
 		}
-		rest = after[planeLen:]
 	}
 	out := make([]float32, n)
 	prev := 0.0

@@ -96,3 +96,42 @@ func BenchmarkDecodeANS(b *testing.B)     { benchANS(b, benchDecodeSrc) }
 func BenchmarkDecodeBitcomp(b *testing.B) { benchDecode(b, Bitcomp{}) }
 func BenchmarkDecodeLZ4(b *testing.B)     { benchDecode(b, LZ4{}) }
 func BenchmarkDecodeZstd(b *testing.B)    { benchDecode(b, Zstd{}) }
+
+// BenchmarkHostileDecode prices what a stream can make a decoder do per
+// byte of the buffer its caller grants: every codec decodes, at caps from 1
+// to 64 MiB, streams a few bytes to a few KiB long that declare the whole
+// cap. A "bomb" is the codec's own encoding of cap zero bytes, which is valid
+// and fills the buffer. A "lie" is the encoding of 4 KiB of zeros with its
+// length header rewritten to the cap: a decoder that needs body bytes to
+// make output runs out and rejects it, one that does not (rANS on a single
+// symbol) fills the cap. The metric is ns per declared byte.
+func BenchmarkHostileDecode(b *testing.B) {
+	for _, c := range All() {
+		for _, mib := range []int{1, 4, 16, 64} {
+			n := mib << 20
+			b.Run(fmt.Sprintf("%s/%dMiB", c.Name(), mib), func(b *testing.B) {
+				enc := c.EncodeAppend(nil, make([]byte, 4096))
+				_, w, err := getUvarint(enc)
+				if err != nil {
+					b.Fatal(err)
+				}
+				streams := map[string][]byte{
+					"bomb": c.EncodeAppend(nil, make([]byte, n)),
+					"lie":  append(putUvarint(nil, uint64(n)), enc[w:]...),
+				}
+				dst := make([]byte, 0, n)
+				for _, kind := range []string{"bomb", "lie"} {
+					b.Run(kind, func(b *testing.B) {
+						for i := 0; i < b.N; i++ {
+							out, err := c.DecodeInto(dst, streams[kind])
+							if kind == "bomb" && (err != nil || len(out) != n) {
+								b.Fatalf("bomb: %d bytes, %v", len(out), err)
+							}
+						}
+						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/declared-B")
+					})
+				}
+			})
+		}
+	}
+}

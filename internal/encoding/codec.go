@@ -54,7 +54,9 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// registry holds the codecs in Table 2 order.
+// registry holds the codecs in Table 2 order, and a codec's index here is
+// its id: the byte a COMPSO blob stores to name its codec. Ids are part of
+// the wire format, so a new codec is appended and no entry moves.
 var registry = []Codec{
 	ANS{},
 	Bitcomp{},
@@ -87,6 +89,25 @@ func ByName(name string) (Codec, error) {
 	names := Names()
 	sort.Strings(names)
 	return nil, fmt.Errorf("%w %q (have %v)", ErrUnknownCodec, name, names)
+}
+
+// ID returns the wire id of c, matched by its registry name.
+func ID(c Codec) (byte, error) {
+	name := c.Name()
+	for i, r := range registry {
+		if r.Name() == name {
+			return byte(i), nil
+		}
+	}
+	return 0, fmt.Errorf("%w %q has no id", ErrUnknownCodec, name)
+}
+
+// ByID returns the codec with wire id id.
+func ByID(id byte) (Codec, error) {
+	if int(id) >= len(registry) {
+		return nil, fmt.Errorf("%w: id %d", ErrUnknownCodec, id)
+	}
+	return registry[id], nil
 }
 
 // Names lists the registered codec names in registry order.

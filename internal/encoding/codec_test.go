@@ -195,6 +195,39 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestCodecIDsAreFixed pins the wire id of every codec: a COMPSO blob
+// names its codec by id, so an id that changes or is reused re-maps every
+// stored blob.
+func TestCodecIDsAreFixed(t *testing.T) {
+	ids := map[byte]string{0: "ANS", 1: "Bitcomp", 2: "Cascaded", 3: "Deflate", 4: "Gdeflate", 5: "LZ4", 6: "Snappy", 7: "Zstd"}
+	for id, name := range ids {
+		c, err := ByID(id)
+		if err != nil || c.Name() != name {
+			t.Fatalf("ByID(%d) = %v, %v; want %s", id, c, err, name)
+		}
+	}
+	seen := map[byte]string{}
+	for _, c := range All() {
+		id, err := ID(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, ok := seen[id]; ok {
+			t.Fatalf("id %d names both %s and %s", id, prev, c.Name())
+		}
+		seen[id] = c.Name()
+		if want, ok := ids[id]; ok && want != c.Name() {
+			t.Fatalf("ID(%s) = %d, which is %s's", c.Name(), id, want)
+		}
+	}
+	if _, err := ID(Huffman{}); !errors.Is(err, ErrUnknownCodec) {
+		t.Fatalf("ID(Huffman) err = %v, want ErrUnknownCodec", err)
+	}
+	if _, err := ByID(byte(len(All()))); !errors.Is(err, ErrUnknownCodec) {
+		t.Fatalf("ByID past the table: err = %v, want ErrUnknownCodec", err)
+	}
+}
+
 func TestAllHasTableTwoOrder(t *testing.T) {
 	want := []string{"ANS", "Bitcomp", "Cascaded", "Deflate", "Gdeflate", "LZ4", "Snappy", "Zstd"}
 	got := Names()

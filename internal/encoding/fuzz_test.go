@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// fuzzCodecs is what byte 0 of a FuzzDecode input selects from (modulo its
-// length): the Table 2 registry, then Huffman.
+// fuzzCodecs is what byte 0 of a FuzzDecode input (decode_fuzz_test.go)
+// selects from, modulo its length: the Table 2 registry, then Huffman.
 var fuzzCodecs = append(All(), Huffman{})
 
 // codecSeeds is codec c's corpus: its long seeds, three malformed streams
@@ -51,22 +51,6 @@ func checkDecode(t *testing.T, c Codec, data []byte) {
 	if err != nil || !bytes.Equal(back, out) {
 		t.Fatalf("%s: re-encode round trip failed: %v", c.Name(), err)
 	}
-}
-
-// FuzzDecode fuzzes every decoder from one target: byte 0 selects the codec
-// and the rest is the stream.
-func FuzzDecode(f *testing.F) {
-	for i, c := range fuzzCodecs {
-		for _, seed := range codecSeeds(c) {
-			f.Add(append([]byte{byte(i)}, seed...))
-		}
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		checkDecode(t, fuzzCodecs[int(data[0])%len(fuzzCodecs)], data[1:])
-	})
 }
 
 // fuzzCodec fuzzes c's decoder alone, from c's seeds.

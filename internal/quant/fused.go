@@ -29,44 +29,37 @@ func BinWidth(eb float64, mode Mode) float64 { return binWidth(eb, mode) }
 // pipeline applies to each rounded level.
 func zigZag64(l int64) uint32 { return ZigZag(int32(l)) }
 
-// QuantizeZigInto quantizes src under bin width binW into zig-zagged codes,
-// writing dst[i] for every element, and returns the maximum code. dst must
-// have length >= len(src). It fuses QuantizeEB and ZigZag into one pass;
-// rng is required for SR and P05 and consumed exactly as QuantizeEB does.
-func QuantizeZigInto(dst []uint32, src []float32, binW float64, mode Mode, rng *rand.Rand) (maxZig uint32) {
-	switch mode {
-	case SR:
-		for i, v := range src {
-			x := float64(v) / binW
-			floor := math.Floor(x)
-			l := int64(floor)
-			if rng.Float64() < x-floor {
-				l++
-			}
-			z := zigZag64(l)
-			dst[i] = z
-			if z > maxZig {
-				maxZig = z
-			}
-		}
-	case RN:
-		for i, v := range src {
-			z := zigZag64(int64(math.Round(float64(v) / binW)))
-			dst[i] = z
-			if z > maxZig {
-				maxZig = z
-			}
-		}
-	default: // P05
-		for i, v := range src {
-			z := zigZag64(round(float64(v)/binW, mode, rng))
-			dst[i] = z
-			if z > maxZig {
-				maxZig = z
-			}
-		}
+// NonFinite is the maximum code a fused kernel reports when a value it
+// quantized is NaN or ±Inf. A finite value whose level leaves int32 wraps,
+// and one that wraps to −2³¹ has this code too, so a caller that sees it
+// confirms on the input.
+const NonFinite = math.MaxUint32
+
+// checkFinite returns maxZig, or NonFinite when peak — the bits of the
+// largest quantized magnitude, which order as the values do and put NaN
+// above ±Inf — is not finite. Reading the bits keeps the check independent
+// of what a platform makes of a NaN converted to an integer.
+func checkFinite(maxZig, peak uint32) uint32 {
+	if peak >= 0x7f800000 {
+		return NonFinite
 	}
 	return maxZig
+}
+
+// QuantizeZigInto quantizes src under bin width binW into zig-zagged codes,
+// writing dst[i] for every element, and returns the maximum code, or
+// NonFinite when a value is NaN or ±Inf. dst must have length >=
+// len(src). It fuses QuantizeEB and ZigZag into one pass; rng is required
+// for SR and P05 and consumed exactly as QuantizeEB does.
+func QuantizeZigInto(dst []uint32, src []float32, binW float64, mode Mode, rng *rand.Rand) (maxZig uint32) {
+	var peak uint32
+	for i, v := range src {
+		peak = max(peak, math.Float32bits(v)&^(1<<31))
+		z := zigZag64(round(float64(v)/binW, mode, rng))
+		dst[i] = z
+		maxZig = max(maxZig, z)
+	}
+	return checkFinite(maxZig, peak)
 }
 
 // FilterQuantizeZig fuses the filter scan and error-bounded quantization:
@@ -74,56 +67,30 @@ func QuantizeZigInto(dst []uint32, src []float32, binW float64, mode Mode, rng *
 // filter.Apply layout) and are dropped; the rest are quantized at bin width
 // binW and written zig-zagged to dst in order. bitmap must have length
 // (len(src)+7)/8 and is fully overwritten; dst must have length >=
-// len(src). It returns the kept count and the maximum zig-zag code.
+// len(src). It returns the kept count and the maximum zig-zag code, or
+// NonFinite when a kept value is NaN or ±Inf.
 func FilterQuantizeZig(bitmap []byte, dst []uint32, src []float32, ebf, binW float64, mode Mode, rng *rand.Rand) (kept int, maxZig uint32) {
 	var cur byte
-	if mode == SR {
-		// Specialized loop for the paper's default rounding mode: no
-		// per-element mode switch in the hot path.
-		for i, v := range src {
-			if math.Abs(float64(v)) < ebf {
-				cur |= 1 << (i & 7)
-			} else {
-				x := float64(v) / binW
-				floor := math.Floor(x)
-				l := int64(floor)
-				if rng.Float64() < x-floor {
-					l++
-				}
-				z := zigZag64(l)
-				dst[kept] = z
-				kept++
-				if z > maxZig {
-					maxZig = z
-				}
-			}
-			if i&7 == 7 {
-				bitmap[i>>3] = cur
-				cur = 0
-			}
+	var peak uint32
+	for i, v := range src {
+		if math.Abs(float64(v)) < ebf {
+			cur |= 1 << (i & 7)
+		} else {
+			peak = max(peak, math.Float32bits(v)&^(1<<31))
+			z := zigZag64(round(float64(v)/binW, mode, rng))
+			dst[kept] = z
+			kept++
+			maxZig = max(maxZig, z)
 		}
-	} else {
-		for i, v := range src {
-			if math.Abs(float64(v)) < ebf {
-				cur |= 1 << (i & 7)
-			} else {
-				z := zigZag64(round(float64(v)/binW, mode, rng))
-				dst[kept] = z
-				kept++
-				if z > maxZig {
-					maxZig = z
-				}
-			}
-			if i&7 == 7 {
-				bitmap[i>>3] = cur
-				cur = 0
-			}
+		if i&7 == 7 {
+			bitmap[i>>3] = cur
+			cur = 0
 		}
 	}
 	if len(src)&7 != 0 {
 		bitmap[len(src)>>3] = cur
 	}
-	return kept, maxZig
+	return kept, checkFinite(maxZig, peak)
 }
 
 // FilterQuantizeZigPCG is FilterQuantizeZig specialized to stochastic
@@ -143,6 +110,7 @@ func FilterQuantizeZigPCG(bitmap []byte, dst []uint32, src []float32, ebf, binW 
 	}
 	tb := math.Float32bits(t)
 	n := len(src)
+	var peak uint32
 	// 64-element blocks: the filter word is built branch-free (both operands
 	// of the subtraction are below 2^31, so its sign bit is the comparison),
 	// then only the kept lanes run the quantizer, walked in index order via
@@ -166,6 +134,7 @@ func FilterQuantizeZigPCG(bitmap []byte, dst []uint32, src []float32, ebf, binW 
 		bitmap[base+7] = byte(w >> 56)
 		for inv := ^w; inv != 0; inv &= inv - 1 {
 			j := bits.TrailingZeros64(inv)
+			peak = max(peak, math.Float32bits(blk[j])&^(1<<31))
 			x := float64(blk[j]) / binW
 			floor := math.Floor(x)
 			l := int64(floor)
@@ -182,9 +151,10 @@ func FilterQuantizeZigPCG(bitmap []byte, dst []uint32, src []float32, ebf, binW 
 	}
 	var cur byte
 	for i := nw << 6; i < n; i++ {
-		if math.Float32bits(src[i])&0x7fffffff < tb {
+		if a := math.Float32bits(src[i]) & 0x7fffffff; a < tb {
 			cur |= 1 << (i & 7)
 		} else {
+			peak = max(peak, a)
 			x := float64(src[i]) / binW
 			floor := math.Floor(x)
 			l := int64(floor)
@@ -206,13 +176,15 @@ func FilterQuantizeZigPCG(bitmap []byte, dst []uint32, src []float32, ebf, binW 
 	if n&7 != 0 {
 		bitmap[n>>3] = cur
 	}
-	return kept, maxZig
+	return kept, checkFinite(maxZig, peak)
 }
 
 // QuantizeZigIntoPCG is QuantizeZigInto's stochastic-rounding loop over a
 // concrete PCG source, mirroring FilterQuantizeZigPCG.
 func QuantizeZigIntoPCG(dst []uint32, src []float32, binW float64, pcg *rand.PCG) (maxZig uint32) {
+	var peak uint32
 	for i, v := range src {
+		peak = max(peak, math.Float32bits(v)&^(1<<31))
 		x := float64(v) / binW
 		floor := math.Floor(x)
 		l := int64(floor)
@@ -225,7 +197,7 @@ func QuantizeZigIntoPCG(dst []uint32, src []float32, binW float64, pcg *rand.PCG
 			maxZig = z
 		}
 	}
-	return maxZig
+	return checkFinite(maxZig, peak)
 }
 
 // PlaneCount returns the number of byte planes needed for the given maximum

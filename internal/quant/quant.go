@@ -74,15 +74,15 @@ func round(x float64, mode Mode, rng *rand.Rand) int64 {
 	}
 }
 
-// MaxAbs returns max(|v|) over src, ignoring NaNs (0 for empty input).
+// MaxAbs returns max(|v|) over src (0 for empty input): NaN when src holds a
+// NaN, else +Inf when it holds an infinity. It compares magnitudes by their
+// bits, whose order matches the values' and puts NaN above +Inf.
 func MaxAbs(src []float32) float64 {
-	var m float64
+	var m uint32
 	for _, v := range src {
-		if a := math.Abs(float64(v)); a > m && !math.IsNaN(a) {
-			m = a
-		}
+		m = max(m, math.Float32bits(v)&^(1<<31))
 	}
-	return m
+	return float64(math.Float32frombits(m))
 }
 
 // QuantizeFixed performs n-bit quantization in the QSGD style: values are
@@ -219,17 +219,6 @@ func UnpackCodes(buf []byte) ([]int32, error) {
 		codes[i] = UnZigZag(uint32(z))
 	}
 	return codes, nil
-}
-
-// BitWidthFor returns the packed bit width QuantizeEB+PackCodes would use
-// for data with the given max magnitude and error bound — the "eb 1e-2 →
-// 100 bins → 7 bits" sizing rule of §4.3, exposed for the performance model.
-func BitWidthFor(maxAbs, eb float64, mode Mode) int {
-	if eb <= 0 || maxAbs <= 0 {
-		return 0
-	}
-	maxCode := int64(math.Ceil(maxAbs / binWidth(eb, mode)))
-	return bits.Len64(uint64(maxCode) << 1) // zig-zag doubles the range
 }
 
 // PlaneSplit decomposes the zig-zag representation of codes into byte

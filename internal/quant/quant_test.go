@@ -254,21 +254,6 @@ func TestPackUnpackProperty(t *testing.T) {
 	}
 }
 
-func TestBitWidthFor(t *testing.T) {
-	// eb=1e-2 with range ±0.5: RN bins of width 2e-2 → 25 bins per side →
-	// codes ±25 → zig-zag max 50 → 6 bits.
-	if got := BitWidthFor(0.5, 1e-2, RN); got != 6 {
-		t.Fatalf("BitWidthFor(0.5, 1e-2, RN) = %d, want 6", got)
-	}
-	// SR bins are half as wide → one more bit.
-	if got := BitWidthFor(0.5, 1e-2, SR); got != 7 {
-		t.Fatalf("BitWidthFor(0.5, 1e-2, SR) = %d, want 7", got)
-	}
-	if got := BitWidthFor(0, 1e-2, RN); got != 0 {
-		t.Fatalf("BitWidthFor(0,...) = %d, want 0", got)
-	}
-}
-
 func TestModeString(t *testing.T) {
 	if RN.String() != "RN" || SR.String() != "SR" || P05.String() != "P0.5" {
 		t.Fatal("Mode.String mismatch")

@@ -293,8 +293,9 @@ func (s *Session) compress(src []float32, codecOverride string) ([]byte, error) 
 	blob, err := s.comp.Compress(src)
 	if err != nil {
 		// A gradient whose length breaks the stream's established shape
-		// (the EF residual contract) is the client's mistake, not ours.
-		if errors.Is(err, compress.ErrLengthMismatch) {
+		// (the EF residual contract), or with values the family cannot
+		// code, is the client's mistake, not ours.
+		if errors.Is(err, compress.ErrLengthMismatch) || errors.Is(err, compress.ErrOutOfRange) {
 			return nil, fmt.Errorf("%w: %v", errBadRequest, err)
 		}
 		return nil, err
