@@ -194,7 +194,7 @@ func Train(cfg TrainConfig) (*TrainResult, error) { return train.Run(cfg) }
 
 // FaultPlan declares a deterministic fault scenario for a training run:
 // straggler compute slowdowns, degraded/flaky links, and in-flight payload
-// corruption. Pass it via WithFaults (or TrainConfig.Fault directly); the
+// corruption. Set it as TrainConfig.Fault; the
 // same seed and plan always reproduce the same run bit-for-bit.
 type FaultPlan = fault.Plan
 
@@ -216,37 +216,6 @@ type Corruption = fault.Corruption
 // measured state is reset so algorithm picks re-learn under the degraded
 // fabric.
 type FaultGuard = fault.Guard
-
-// TrainOption mutates a TrainConfig before a TrainWith run.
-type TrainOption func(*TrainConfig)
-
-// WithFaults attaches a fault plan to a training run (see FaultPlan). Nil
-// restores the fault-free fast path.
-func WithFaults(plan *FaultPlan) TrainOption {
-	return func(c *TrainConfig) { c.Fault = plan }
-}
-
-// WithTrainObserver attaches an observability recorder to the run, exactly
-// as setting TrainConfig.Obs.
-func WithTrainObserver(o *Observer) TrainOption {
-	return func(c *TrainConfig) { c.Obs = o }
-}
-
-// WithOverlap toggles the compute/communication overlap scheduler
-// (TrainConfig.Overlap): gradients exchange through fused buckets whose
-// collectives launch asynchronously, and the K-FAC factor exchange
-// pipelines against the owned-layer eigendecompositions. Results are
-// bit-identical to the sequential path; only the simulated schedule (and
-// therefore CommSeconds) changes. Off by default.
-func WithOverlap(on bool) TrainOption {
-	return func(c *TrainConfig) { c.Overlap = on }
-}
-
-// WithFusionBytes sets the overlap scheduler's tensor-fusion bucket size
-// in bytes (TrainConfig.FusionBytes); n <= 0 keeps the 25 MB default.
-func WithFusionBytes(n int) TrainOption {
-	return func(c *TrainConfig) { c.FusionBytes = n }
-}
 
 // CheckpointConfig enables periodic checkpointing and crash recovery for a
 // training run (TrainConfig.Checkpoint): every Interval completed steps the
@@ -274,51 +243,10 @@ const (
 	CrashMidCollective = fault.CrashMidCollective
 )
 
-// WithCheckpoint enables checkpointing every interval completed steps
-// (TrainConfig.Checkpoint.Interval). Checkpoints live in memory unless
-// WithCheckpointDir also names a directory; interval <= 0 disables
-// checkpointing.
-func WithCheckpoint(interval int) TrainOption {
-	return func(c *TrainConfig) { c.Checkpoint.Interval = interval }
-}
-
-// WithCheckpointDir persists checkpoints as atomically written,
-// step-numbered files under dir, so a later process can resume via
-// WithResume(LatestCheckpoint(dir)).
-func WithCheckpointDir(dir string) TrainOption {
-	return func(c *TrainConfig) { c.Checkpoint.Dir = dir }
-}
-
-// WithResume starts the run from a checkpoint file saved by an earlier run
-// with a matching configuration; "" starts fresh.
-func WithResume(path string) TrainOption {
-	return func(c *TrainConfig) { c.Checkpoint.Resume = path }
-}
-
-// WithMaxRestarts bounds how many worker-loss recoveries a run attempts
-// before giving up (default 3).
-func WithMaxRestarts(n int) TrainOption {
-	return func(c *TrainConfig) { c.Checkpoint.MaxRestarts = n }
-}
-
 // LatestCheckpoint returns the path of the newest complete checkpoint in a
-// WithCheckpointDir directory, or "" when it holds none — torn in-progress
+// CheckpointConfig.Dir directory, or "" when it holds none — torn in-progress
 // writes are never selected.
 func LatestCheckpoint(dir string) (string, error) { return ckpt.LatestPath(dir) }
-
-// TrainWith applies options on top of a base TrainConfig and runs it — the
-// functional-options companion to Train for fault/observability toggles:
-//
-//	res, err := compso.TrainWith(cfg, compso.WithFaults(&compso.FaultPlan{
-//		Seed:       42,
-//		Corruption: compso.Corruption{Rate: 0.02},
-//	}))
-func TrainWith(cfg TrainConfig, opts ...TrainOption) (*TrainResult, error) {
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return train.Run(cfg)
-}
 
 // Models returns the paper's four evaluation model profiles.
 func Models() []ModelProfile { return modelzoo.All() }

@@ -295,7 +295,7 @@ func TestFacadeObservedTraining(t *testing.T) {
 // TestFacadeCrashRecovery drives the fault-tolerance surface end to end
 // through the facade: a run that loses a worker mid-step recovers from its
 // checkpoint directory and reproduces the uninterrupted twin bit-exactly,
-// LatestCheckpoint finds the newest complete file, and WithResume warm-starts
+// LatestCheckpoint finds the newest complete file, and Checkpoint.Resume warm-starts
 // a fresh process from it to the same final loss.
 func TestFacadeCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
@@ -315,18 +315,18 @@ func TestFacadeCrashRecovery(t *testing.T) {
 			AggregationM: 2,
 		}
 	}
-	plain, err := compso.TrainWith(base(), compso.WithCheckpoint(3))
+	plainCfg := base()
+	plainCfg.Checkpoint.Interval = 3
+	plain, err := compso.Train(plainCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	crashed, err := compso.TrainWith(base(),
-		compso.WithCheckpoint(3),
-		compso.WithCheckpointDir(dir),
-		compso.WithMaxRestarts(2),
-		compso.WithFaults(&compso.FaultPlan{Seed: 7, Crashes: []compso.WorkerCrash{
-			{Rank: 1, Point: compso.CrashMidStep, Step: 5},
-		}}),
-	)
+	crashCfg := base()
+	crashCfg.Checkpoint = compso.CheckpointConfig{Interval: 3, Dir: dir, MaxRestarts: 2}
+	crashCfg.Fault = &compso.FaultPlan{Seed: 7, Crashes: []compso.WorkerCrash{
+		{Rank: 1, Point: compso.CrashMidStep, Step: 5},
+	}}
+	crashed, err := compso.Train(crashCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,10 +344,9 @@ func TestFacadeCrashRecovery(t *testing.T) {
 	if latest == "" {
 		t.Fatal("no checkpoint found in directory")
 	}
-	resumed, err := compso.TrainWith(base(),
-		compso.WithCheckpoint(3),
-		compso.WithResume(latest),
-	)
+	resumeCfg := base()
+	resumeCfg.Checkpoint = compso.CheckpointConfig{Interval: 3, Resume: latest}
+	resumed, err := compso.Train(resumeCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

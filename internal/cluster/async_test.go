@@ -197,8 +197,8 @@ func TestSerializeWireOffLeavesSyncPathUntouched(t *testing.T) {
 // retained by other goroutines, so arena buffers may never enter them,
 // through the handle or through the blocking call built on it.
 func TestAsyncGatherRejectsArenaPayloads(t *testing.T) {
+	defer pool.SetDebug(pool.DebugEnabled())
 	pool.SetDebug(true)
-	defer pool.SetDebug(false)
 	b := pool.Bytes(64)
 	defer pool.PutBytes(b)
 	gathers := map[string]func(w *Worker){

@@ -64,15 +64,23 @@ func (c *Cluster) SetIncarnation(n int) { c.incarnation = n }
 // Incarnation returns the cluster's restart attempt number.
 func (c *Cluster) Incarnation() int { return c.incarnation }
 
-// Crash kills this worker at the given point: it poisons the rendezvous
-// (waking and unwinding all blocked peers), closes the peer-loss channel
-// for blocked SendRecv partners, and panics with *CrashPanic. It never
-// returns.
+// Crash kills this worker at the given point: it goes Down and panics
+// with *CrashPanic. It never returns.
 func (w *Worker) Crash(point string) {
+	w.Down(point)
+	panic(&CrashPanic{Rank: w.rank, Step: w.step, Point: point})
+}
+
+// Down takes this worker out of the cluster's collectives without
+// unwinding it: it poisons the rendezvous (waking and unwinding all
+// blocked peers) and closes the peer-loss channel for blocked SendRecv
+// partners. A worker that leaves its program early — a crash, or a step
+// that failed with an error — calls it so that no peer waits for it
+// forever.
+func (w *Worker) Down(point string) {
 	c := w.cluster
 	c.rv.poison(w.rank, w.step, point)
 	c.downOnce.Do(func() { close(c.downCh) })
-	panic(&CrashPanic{Rank: w.rank, Step: w.step, Point: point})
 }
 
 // CrashDue reports whether the fault plan kills this worker during the

@@ -18,9 +18,6 @@ import (
 // small-world results the golden tests prove bit-identical to the
 // goroutine engine.
 func TestMegaScaleAcceptance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("mega-scale sweep skipped in -short mode")
-	}
 	if raceEnabled {
 		t.Skip("mega-scale sweep skipped under the race detector (single-threaded loop, 10× instrumentation cost)")
 	}

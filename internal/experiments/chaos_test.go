@@ -12,9 +12,6 @@ import (
 // shape of its report: a clean baseline, fault scenarios that tally
 // recovery events, and a schema-valid combined trace.
 func TestChaosMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos matrix trains 7 scenarios; skipped in -short")
-	}
 	tracePath := filepath.Join(t.TempDir(), "chaos-trace.json")
 	rows, tb, err := ChaosMatrix(4, tracePath, "")
 	if err != nil {

@@ -46,9 +46,6 @@ func TestCrashRecoverySweep(t *testing.T) {
 // crash-and-restore on the proxy cluster that must reproduce its
 // uninterrupted twin bit-exactly.
 func TestCrashMeasuredRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measured crash leg trains twice; skipped in -short")
-	}
 	m, err := CrashMeasuredRun(0)
 	if err != nil {
 		t.Fatal(err)

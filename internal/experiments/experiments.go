@@ -74,11 +74,23 @@ const sampleCap = 1 << 18 // 256k float32 per layer
 // compressed for real, and the measured group ratio is applied to the
 // group's true size.
 func MeasureCR(p modelzoo.Profile, comp compress.Compressor, m int, seed int64) (float64, error) {
+	crs, err := measureCRs(p, []compress.Compressor{comp}, m, seed)
+	if err != nil {
+		return 0, err
+	}
+	return crs[0], nil
+}
+
+// measureCRs is MeasureCR for each of comps on the same samples: every
+// group is sampled once and compressed by each compressor in turn, so each
+// ratio equals its own MeasureCR call's, bit for bit.
+func measureCRs(p modelzoo.Profile, comps []compress.Compressor, m int, seed int64) ([]float64, error) {
 	if m < 1 {
 		m = 1
 	}
 	rng := xrand.NewSeeded(seed)
-	var origBytes, compBytes float64
+	var origBytes float64
+	compBytes := make([]float64, len(comps))
 	for g := 0; g < len(p.Layers); g += m {
 		end := min(g+m, len(p.Layers))
 		var sample []float32
@@ -87,19 +99,25 @@ func MeasureCR(p modelzoo.Profile, comp compress.Compressor, m int, seed int64) 
 			sample = append(sample, p.SyntheticGradient(rng, li, sampleCap/(end-g))...)
 			groupParams += p.Layers[li].Params()
 		}
-		blob, err := comp.Compress(sample)
-		if err != nil {
-			return 0, fmt.Errorf("experiments: %s on %s group %d: %w", comp.Name(), p.Name, g, err)
-		}
-		ratio := compress.Ratio(len(sample), blob)
-		if ratio <= 0 {
-			return 0, fmt.Errorf("experiments: zero ratio on %s group %d", p.Name, g)
-		}
 		groupBytes := float64(4 * groupParams)
 		origBytes += groupBytes
-		compBytes += groupBytes / ratio
+		for i, comp := range comps {
+			blob, err := comp.Compress(sample)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s on %s group %d: %w", comp.Name(), p.Name, g, err)
+			}
+			ratio := compress.Ratio(len(sample), blob)
+			if ratio <= 0 {
+				return nil, fmt.Errorf("experiments: zero ratio on %s group %d", p.Name, g)
+			}
+			compBytes[i] += groupBytes / ratio
+		}
 	}
-	return origBytes / compBytes, nil
+	crs := make([]float64, len(comps))
+	for i := range comps {
+		crs[i] = origBytes / compBytes[i]
+	}
+	return crs, nil
 }
 
 // fmtF formats a float at the given precision for table cells.

@@ -6,22 +6,103 @@ import (
 	"sync"
 	"testing"
 
+	"compso/internal/cluster"
 	"compso/internal/compress"
 	"compso/internal/compso"
 	"compso/internal/modelzoo"
+	"compso/internal/perfmodel"
 )
 
-// fig7Rows and fig9Rows compute Figures 7 and 9 once for the tests that
-// assert on them, TestHeadline included.
+// The whole-figure judges read their rows through these, once per test
+// binary: TestHeadline shares Figures 7 and 9, and
+// TestRunMethodCOMPSOPreservesAccuracy shares Figure 6's runs. Under the
+// race detector each is a slice of its figure (raceEnabled).
 var (
+	fig3Rows = sync.OnceValues(func() ([]Fig3Row, error) {
+		if !raceEnabled {
+			rows, _, err := Figure3(fig3TestIters)
+			return rows, err
+		}
+		// The baseline's and QSGD 8bit's accuracies, the pair one
+		// assertion compares, and QSGD 8bit's CR.
+		ladder := fig3Methods()
+		rung := ladder[len(ladder)-1]
+		base, err := proxyAccuracy("ResNet-50", nil, fig3TestIters)
+		if err != nil {
+			return nil, err
+		}
+		cr, err := MeasureCR(modelzoo.ResNet50(), rung.mk(0), 1, 333)
+		if err != nil {
+			return nil, err
+		}
+		acc, err := proxyAccuracy("ResNet-50", rung.mk, fig3TestIters)
+		return []Fig3Row{
+			{Model: "ResNet-50", Method: "KFAC (no comp.)", CR: 1, Accuracy: base},
+			{Model: "ResNet-50", Method: rung.name, CR: cr, Accuracy: acc},
+		}, err
+	})
+	fig6Runs = sync.OnceValues(func() ([]Fig6Run, error) {
+		if !raceEnabled {
+			runs, _, err := Figure6(fig6TestIters)
+			return runs, err
+		}
+		// The two ResNet-50 rows TestRunMethodCOMPSOPreservesAccuracy reads.
+		var runs []Fig6Run
+		for _, m := range Methods() {
+			if m.Name != "KFAC (No Comp.)" && m.Name != "KFAC+COMPSO" {
+				continue
+			}
+			run, err := RunMethod("ResNet-50", m, fig6TestIters)
+			if err != nil {
+				return nil, err
+			}
+			runs = append(runs, *run)
+		}
+		return runs, nil
+	})
+	table1Rows = sync.OnceValues(func() ([]Table1Row, error) {
+		if !raceEnabled {
+			rows, _, err := Table1(table1TestIters)
+			return rows, err
+		}
+		// KFAC+COMPSO's row, the last of Methods.
+		ms := Methods()
+		row, err := table1Row(ms[len(ms)-1], table1TestIters)
+		return []Table1Row{row}, err
+	})
 	fig7Rows = sync.OnceValues(func() ([]Fig7Row, error) {
-		rows, _, err := Figure7()
-		return rows, err
+		if !raceEnabled {
+			rows, _, err := Figure7()
+			return rows, err
+		}
+		// Every method on one model and platform.
+		return fig7Model(0, cluster.Platform1(), modelzoo.ResNet50())
 	})
 	fig9Rows = sync.OnceValues(func() ([]Fig9Row, error) {
-		rows, _, err := Figure9()
-		return rows, err
+		if !raceEnabled {
+			rows, _, err := Figure9()
+			return rows, err
+		}
+		// Every method on one model and platform.
+		cfg := cluster.Platform1()
+		lt, err := perfmodel.BuildLookupTable(cfg, []int{8, 16, 32, 64})
+		if err != nil {
+			return nil, err
+		}
+		return fig9Model(0, cfg, lt, modelzoo.ResNet50())
 	})
+)
+
+// The judges that compute or read whole figures run in parallel with each
+// other (t.Parallel): each is CPU-bound on its own rows, and they share
+// nothing but the rows memoized above.
+
+// The tests' training budgets: Figure 6 and
+// TestRunMethodCOMPSOPreservesAccuracy share one.
+const (
+	fig3TestIters   = 60
+	fig6TestIters   = 30
+	table1TestIters = 40
 )
 
 func TestTableRendering(t *testing.T) {
@@ -33,26 +114,52 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestMeasureCRCompsoBeatsAccuracyPreservingBaselines(t *testing.T) {
+	t.Parallel()
 	// The headline: COMPSO's CR (~22x in the paper) must exceed the
 	// accuracy-preserving baselines (QSGD-8bit, SZ-4E-3) on every model.
 	for _, p := range modelzoo.All() {
-		compsoCR, err := MeasureCR(p, compso.NewCompressor(nil, 0, 1), 4, 10)
+		crs, err := measureCRs(p, []compress.Compressor{
+			compso.NewCompressor(nil, 0, 1), compress.NewQSGD(8, 2), compress.NewSZ(4e-3),
+		}, 4, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		qsgdCR, err := MeasureCR(p, compress.NewQSGD(8, 2), 4, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		szCR, err := MeasureCR(p, compress.NewSZ(4e-3), 4, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
+		compsoCR, qsgdCR, szCR := crs[0], crs[1], crs[2]
 		if compsoCR <= qsgdCR || compsoCR <= szCR {
 			t.Errorf("%s: COMPSO %.1f vs QSGD8 %.1f, SZ4e-3 %.1f", p.Name, compsoCR, qsgdCR, szCR)
 		}
 		if compsoCR < 12 || compsoCR > 40 {
 			t.Errorf("%s: COMPSO CR %.1f outside the paper's ballpark (~20x)", p.Name, compsoCR)
+		}
+	}
+}
+
+// measureCRs shares one set of samples among its compressors; each ratio
+// must still be its own MeasureCR call's, so no compressor may alter the
+// samples it is handed.
+func TestMeasureCRsMatchesMeasureCR(t *testing.T) {
+	mks := []func() compress.Compressor{
+		func() compress.Compressor { return compso.NewCompressor(nil, 0, 1) },
+		func() compress.Compressor { return compress.NewSZ(4e-3) },
+		func() compress.Compressor { return compress.NewQSGD(8, 2) },
+		func() compress.Compressor { return compress.NewCocktailSGD(0.2, 8, 3) },
+	}
+	p := modelzoo.ResNet50()
+	comps := make([]compress.Compressor, len(mks))
+	for i, mk := range mks {
+		comps[i] = mk()
+	}
+	crs, err := measureCRs(p, comps, 16, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, mk := range mks {
+		want, err := MeasureCR(p, mk(), 16, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if crs[i] != want {
+			t.Errorf("%s: shared samples give CR %v, its own MeasureCR %v", comps[i].Name(), crs[i], want)
 		}
 	}
 }
@@ -106,6 +213,7 @@ func TestFigure5RoundingShapes(t *testing.T) {
 }
 
 func TestFigure7COMPSOWins(t *testing.T) {
+	t.Parallel()
 	rows, err := fig7Rows()
 	if err != nil {
 		t.Fatal(err)
@@ -148,9 +256,6 @@ func TestFigure7COMPSOWins(t *testing.T) {
 }
 
 func TestTable2ShapeAndSelection(t *testing.T) {
-	if testing.Short() {
-		t.Skip("encoder sweep is slow")
-	}
 	rows, tb, err := Table2()
 	if err != nil {
 		t.Fatal(err)
@@ -209,26 +314,30 @@ func TestFigure8ModelOrdering(t *testing.T) {
 	}
 }
 
+// TestFigure8Measured times the two 64 MB points it asserts on; the whole
+// sweep is -exp fig8 -measure. Each compressor is cold here, where the
+// sweep has warmed it on the smaller sizes; measured on a 2-core host, that
+// costs either side under a third of its throughput and leaves the gap
+// several-fold.
 func TestFigure8Measured(t *testing.T) {
-	if testing.Short() {
-		t.Skip("measured pass is slow")
-	}
-	points, _, err := Figure8(true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The chunk-parallel (fused-style) COMPSO must beat the multi-pass
 	// TorchQSGD on real measured throughput at large sizes.
 	var compso, torch float64
-	for _, p := range points {
-		if p.SizeMB == 64 {
-			switch p.Pipeline {
-			case "COMPSO (CUDA)":
-				compso = p.MeasuredMBps
-			case "QSGD (PyTorch)":
-				torch = p.MeasuredMBps
-			}
+	for _, impl := range fig8Impls() {
+		var into *float64
+		switch impl.pipeline.Name {
+		case "COMPSO (CUDA)":
+			into = &compso
+		case "QSGD (PyTorch)":
+			into = &torch
+		default:
+			continue
 		}
+		p, err := fig8Point(impl, impl.mk(), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*into = p.MeasuredMBps
 	}
 	if compso == 0 || torch == 0 {
 		t.Fatal("missing measured points")
@@ -239,6 +348,7 @@ func TestFigure8Measured(t *testing.T) {
 }
 
 func TestFigure9EndToEnd(t *testing.T) {
+	t.Parallel()
 	rows, err := fig9Rows()
 	if err != nil {
 		t.Fatal(err)
@@ -261,8 +371,9 @@ func TestFigure9EndToEnd(t *testing.T) {
 			fByKey[key] = r.Speedup
 		}
 	}
-	// Paper: up to 1.9x end-to-end.
-	if maxSpeedup < 1.4 || maxSpeedup > 3.2 {
+	// Paper: up to 1.9x end-to-end. (The maximum and the win count below
+	// are over the whole figure.)
+	if !raceEnabled && (maxSpeedup < 1.4 || maxSpeedup > 3.2) {
 		t.Errorf("max end-to-end speedup %.2f outside the paper's ballpark (~1.9x)", maxSpeedup)
 	}
 	// COMPSO-p (performance-model aggregation) must win or tie COMPSO-f in
@@ -280,7 +391,7 @@ func TestFigure9EndToEnd(t *testing.T) {
 			t.Errorf("%s: COMPSO-p %.4f materially below COMPSO-f %.4f", k, pv, fv)
 		}
 	}
-	if wins <= losses {
+	if !raceEnabled && wins <= losses {
 		t.Errorf("COMPSO-p won %d vs lost %d configurations", wins, losses)
 	}
 	// The performance model's m (§4.4) costs at most 0.1% over the best m
@@ -295,26 +406,27 @@ func TestFigure9EndToEnd(t *testing.T) {
 func fmt1(v int) string { return string(rune('0'+v%10)) + string(rune('0'+(v/10)%10)) }
 
 func TestRunMethodCOMPSOPreservesAccuracy(t *testing.T) {
-	// A compact version of Figure 6's claim, small enough for the default
-	// test run: KFAC+COMPSO within a few accuracy points of plain KFAC on
-	// the ResNet proxy.
-	ms := Methods()
-	var plain, withCompso Method
-	for _, m := range ms {
-		switch m.Name {
+	t.Parallel()
+	// A compact version of Figure 6's claim: KFAC+COMPSO within a few
+	// accuracy points of plain KFAC on the ResNet proxy.
+	runs, err := fig6Runs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base, comp *Fig6Run
+	for i, r := range runs {
+		if r.Model != "ResNet-50" {
+			continue
+		}
+		switch r.Method {
 		case "KFAC (No Comp.)":
-			plain = m
+			base = &runs[i]
 		case "KFAC+COMPSO":
-			withCompso = m
+			comp = &runs[i]
 		}
 	}
-	base, err := RunMethod("ResNet-50", plain, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := RunMethod("ResNet-50", withCompso, 40)
-	if err != nil {
-		t.Fatal(err)
+	if base == nil || comp == nil {
+		t.Fatal("Figure 6 has no ResNet-50 KFAC (No Comp.) and KFAC+COMPSO runs")
 	}
 	if comp.FinalAcc < base.FinalAcc-0.08 {
 		t.Errorf("COMPSO accuracy %.3f vs plain %.3f", comp.FinalAcc, base.FinalAcc)
@@ -325,16 +437,25 @@ func TestRunMethodCOMPSOPreservesAccuracy(t *testing.T) {
 }
 
 func TestFigure3Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("training sweep is slow")
-	}
-	rows, _, err := Figure3(60)
+	t.Parallel()
+	rows, err := fig3Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
 	byKey := map[string]Fig3Row{}
 	for _, r := range rows {
 		byKey[r.Model+"/"+r.Method] = r
+	}
+	// The accuracy-preserving settings stay near the uncompressed baseline.
+	base := byKey["ResNet-50/KFAC (no comp.)"].Accuracy
+	if acc := byKey["ResNet-50/QSGD 8bit"].Accuracy; acc < base-8 {
+		t.Errorf("QSGD 8bit accuracy %.1f far below baseline %.1f", acc, base)
+	}
+	if raceEnabled {
+		return // the slice holds only those two rows
+	}
+	if len(rows) != 10 {
+		t.Fatalf("Figure 3 produced %d rows", len(rows))
 	}
 	// Tight bounds compress less than loose ones.
 	if byKey["ResNet-50/SZ 4E-3"].CR >= byKey["ResNet-50/SZ 1E-1"].CR {
@@ -343,41 +464,33 @@ func TestFigure3Shape(t *testing.T) {
 	if byKey["ResNet-50/QSGD 8bit"].CR >= byKey["ResNet-50/QSGD 4bit"].CR {
 		t.Error("QSGD 8bit CR not below 4bit")
 	}
-	// The accuracy-preserving settings stay near the uncompressed baseline,
-	// while the loose SZ-1E-1 bound costs real accuracy — Figure 3's
-	// motivation.
-	base := byKey["ResNet-50/KFAC (no comp.)"].Accuracy
-	if acc := byKey["ResNet-50/QSGD 8bit"].Accuracy; acc < base-8 {
-		t.Errorf("QSGD 8bit accuracy %.1f far below baseline %.1f", acc, base)
-	}
+	// The loose SZ-1E-1 bound costs real accuracy — Figure 3's motivation.
 	if acc := byKey["ResNet-50/SZ 1E-1"].Accuracy; acc > base-2 {
 		t.Errorf("SZ 1E-1 accuracy %.1f did not drop below baseline %.1f", acc, base)
 	}
 }
 
 func TestFigure6AndTable1Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full method sweep is slow")
-	}
-	runs, _, err := Figure6(30)
+	t.Parallel()
+	runs, err := fig6Runs()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(runs) != 18 {
+	if !raceEnabled && len(runs) != 18 {
 		t.Fatalf("Figure 6 produced %d runs", len(runs))
 	}
 	// SGD runs 1.5x the iterations of the KFAC rows.
 	for _, r := range runs {
 		lastIter := r.Iterations[len(r.Iterations)-1]
-		if r.Method == "SGD+CocktailSGD" && lastIter <= 30 {
+		if r.Method == "SGD+CocktailSGD" && lastIter <= fig6TestIters {
 			t.Errorf("%s/%s ran only %d iterations", r.Model, r.Method, lastIter)
 		}
 	}
-	rows, _, err := Table1(40)
+	rows, err := table1Rows()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 {
+	if !raceEnabled && len(rows) != 6 {
 		t.Fatalf("Table 1 produced %d rows", len(rows))
 	}
 	for _, r := range rows {
@@ -431,6 +544,7 @@ func TestAblationsShape(t *testing.T) {
 }
 
 func TestHeadline(t *testing.T) {
+	t.Parallel()
 	f7, err := fig7Rows()
 	if err != nil {
 		t.Fatal(err)
@@ -446,10 +560,11 @@ func TestHeadline(t *testing.T) {
 	if res.MeanCR < 15 || res.MeanCR > 30 {
 		t.Errorf("headline CR %.1f outside the paper's ballpark (22.1)", res.MeanCR)
 	}
-	if res.MaxCommSpeedup < 8 {
+	// The speedups are maxima over the whole of Figures 7 and 9.
+	if !raceEnabled && res.MaxCommSpeedup < 8 {
 		t.Errorf("headline comm speedup %.1f too low", res.MaxCommSpeedup)
 	}
-	if res.MaxE2ESpeedup < 1.4 || res.MaxE2ESpeedup > 3.5 {
+	if !raceEnabled && (res.MaxE2ESpeedup < 1.4 || res.MaxE2ESpeedup > 3.5) {
 		t.Errorf("headline e2e speedup %.2f outside the paper's ballpark (1.9)", res.MaxE2ESpeedup)
 	}
 	if len(tb.Rows) != 6 {

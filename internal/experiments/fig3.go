@@ -103,6 +103,7 @@ func Figure3(iters int) ([]Fig3Row, *Table, error) {
 		Title:   "Figure 3: compression ratio and validation accuracy on KFAC gradients",
 		Headers: []string{"Model", "Method", "CR (x)", "Accuracy (%)"},
 	}
+	ladder := fig3Methods()
 	for _, modelName := range []string{"ResNet-50", "BERT-large"} {
 		profile, err := modelzoo.ByName(modelName)
 		if err != nil {
@@ -113,19 +114,24 @@ func Figure3(iters int) ([]Fig3Row, *Table, error) {
 			return nil, nil, fmt.Errorf("baseline %s: %w", modelName, err)
 		}
 		rows = append(rows, Fig3Row{Model: modelName, Method: "KFAC (no comp.)", CR: 1, Accuracy: base})
-		table.Rows = append(table.Rows, []string{modelName, "KFAC (no comp.)", "1.0", fmtF(base, 1)})
-		for _, m := range fig3Methods() {
-			cr, err := MeasureCR(profile, m.mk(0), 1, 333)
-			if err != nil {
-				return nil, nil, err
-			}
+		comps := make([]compress.Compressor, len(ladder))
+		for i, m := range ladder {
+			comps[i] = m.mk(0)
+		}
+		crs, err := measureCRs(profile, comps, 1, 333)
+		if err != nil {
+			return nil, nil, err
+		}
+		for i, m := range ladder {
 			acc, err := proxyAccuracy(modelName, m.mk, iters)
 			if err != nil {
 				return nil, nil, fmt.Errorf("%s on %s: %w", m.name, modelName, err)
 			}
-			rows = append(rows, Fig3Row{Model: modelName, Method: m.name, CR: cr, Accuracy: acc})
-			table.Rows = append(table.Rows, []string{modelName, m.name, fmtF(cr, 1), fmtF(acc, 1)})
+			rows = append(rows, Fig3Row{Model: modelName, Method: m.name, CR: crs[i], Accuracy: acc})
 		}
+	}
+	for _, r := range rows {
+		table.Rows = append(table.Rows, []string{r.Model, r.Method, fmtF(r.CR, 1), fmtF(r.Accuracy, 1)})
 	}
 	return rows, table, nil
 }

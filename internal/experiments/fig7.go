@@ -46,29 +46,48 @@ func Figure7() ([]Fig7Row, *Table, error) {
 		Headers: []string{"Platform", "Model", "Method", "GPUs", "CR (x)", "Speedup (x)"},
 	}
 	for pi, cfg := range []cluster.Config{cluster.Platform1(), cluster.Platform2()} {
-		platform := fmt.Sprintf("Platform %d", pi+1)
 		for _, p := range modelzoo.All() {
-			// Measure each compressor's CR once per model.
-			for _, method := range fig7Methods() {
-				cr, err := MeasureCR(p, method.mk(), fig7AggM, 900+int64(pi))
-				if err != nil {
-					return nil, nil, err
-				}
-				for _, gpus := range []int{8, 16, 32, 64} {
-					base := gatherSeconds(cfg, p, gpus, fig7AggM, 1)
-					comp := gatherSeconds(cfg, p, gpus, fig7AggM, cr)
-					speedup := base / comp
-					rows = append(rows, Fig7Row{
-						Platform: platform, Model: p.Name, Method: method.name,
-						GPUs: gpus, CR: cr, Speedup: speedup,
-					})
-					table.Rows = append(table.Rows, []string{
-						platform, p.Name, method.name, fmt.Sprint(gpus),
-						fmtF(cr, 1), fmtF(speedup, 2),
-					})
-				}
+			modelRows, err := fig7Model(pi, cfg, p)
+			if err != nil {
+				return nil, nil, err
 			}
+			for _, r := range modelRows {
+				table.Rows = append(table.Rows, []string{
+					r.Platform, r.Model, r.Method, fmt.Sprint(r.GPUs),
+					fmtF(r.CR, 1), fmtF(r.Speedup, 2),
+				})
+			}
+			rows = append(rows, modelRows...)
 		}
 	}
 	return rows, table, nil
+}
+
+// fig7Model is Figure 7's rows for one model on platform pi (cfg): each
+// method's CR, measured once per model on shared samples, and its
+// all-gather speedup at every GPU count.
+func fig7Model(pi int, cfg cluster.Config, p modelzoo.Profile) ([]Fig7Row, error) {
+	platform := fmt.Sprintf("Platform %d", pi+1)
+	methods := fig7Methods()
+	comps := make([]compress.Compressor, len(methods))
+	for i, method := range methods {
+		comps[i] = method.mk()
+	}
+	crs, err := measureCRs(p, comps, fig7AggM, 900+int64(pi))
+	if err != nil {
+		return nil, err
+	}
+	var rows []Fig7Row
+	for i, method := range methods {
+		cr := crs[i]
+		for _, gpus := range []int{8, 16, 32, 64} {
+			base := gatherSeconds(cfg, p, gpus, fig7AggM, 1)
+			comp := gatherSeconds(cfg, p, gpus, fig7AggM, cr)
+			rows = append(rows, Fig7Row{
+				Platform: platform, Model: p.Name, Method: method.name,
+				GPUs: gpus, CR: cr, Speedup: base / comp,
+			})
+		}
+	}
+	return rows, nil
 }

@@ -59,10 +59,33 @@ func fig8Impls() []fig8Impl {
 	}
 }
 
+// fig8Point models one pipeline at one size on the A100 and, when comp is
+// not nil, times comp (the pipeline's Go implementation) compressing a
+// K-FAC-shaped gradient of that size.
+func fig8Point(impl fig8Impl, comp compress.Compressor, mb int) (Fig8Point, error) {
+	nElem := mb << 20 / 4
+	pt := Fig8Point{
+		Pipeline:  impl.pipeline.Name,
+		SizeMB:    mb,
+		ModelGBps: gpusim.A100().Throughput(impl.pipeline, nElem) / 1e9,
+	}
+	if comp == nil {
+		return pt, nil
+	}
+	src := make([]float32, nElem)
+	xrand.KFACGradient(xrand.NewSeeded(int64(mb)), src, 1.0)
+	start := time.Now()
+	if _, err := comp.Compress(src); err != nil {
+		return pt, fmt.Errorf("fig8 %s: %w", impl.pipeline.Name, err)
+	}
+	pt.MeasuredMBps = float64(4*nElem) / 1e6 / time.Since(start).Seconds()
+	return pt, nil
+}
+
 // Figure8 regenerates the throughput study. measure controls whether the
-// (slower) real Go measurement pass runs in addition to the model.
+// (slower) real Go measurement pass runs in addition to the model; each
+// pipeline's compressor is measured over the sizes in increasing order.
 func Figure8(measure bool) ([]Fig8Point, *Table, error) {
-	device := gpusim.A100()
 	var points []Fig8Point
 	table := &Table{
 		Title:   "Figure 8: compression throughput vs data size",
@@ -74,20 +97,9 @@ func Figure8(measure bool) ([]Fig8Point, *Table, error) {
 			comp = impl.mk()
 		}
 		for _, mb := range fig8Sizes {
-			nElem := mb << 20 / 4
-			pt := Fig8Point{
-				Pipeline:  impl.pipeline.Name,
-				SizeMB:    mb,
-				ModelGBps: device.Throughput(impl.pipeline, nElem) / 1e9,
-			}
-			if measure {
-				src := make([]float32, nElem)
-				xrand.KFACGradient(xrand.NewSeeded(int64(mb)), src, 1.0)
-				start := time.Now()
-				if _, err := comp.Compress(src); err != nil {
-					return nil, nil, fmt.Errorf("fig8 %s: %w", impl.pipeline.Name, err)
-				}
-				pt.MeasuredMBps = float64(4*nElem) / 1e6 / time.Since(start).Seconds()
+			pt, err := fig8Point(impl, comp, mb)
+			if err != nil {
+				return nil, nil, err
 			}
 			points = append(points, pt)
 			measured := "-"

@@ -62,72 +62,95 @@ func Figure9() ([]Fig9Row, *Table, error) {
 	table := &Table{Headers: []string{"Platform", "Model", "Method", "GPUs", "m", "Speedup (x)", "Best m", "Lost"}}
 	var win, tie, loss, agree int
 	for pi, cfg := range []cluster.Config{cluster.Platform1(), cluster.Platform2()} {
-		platform := fmt.Sprintf("Platform %d", pi+1)
 		lt, err := perfmodel.BuildLookupTable(cfg, []int{8, 16, 32, 64})
 		if err != nil {
 			return nil, nil, err
 		}
 		for _, p := range modelzoo.All() {
-			base, fixed := map[int]Breakdown{}, map[int]float64{}
-			for _, gpus := range []int{8, 16, 32, 64} {
-				base[gpus] = breakdown(p, cfg, gpus)
+			modelRows, err := fig9Model(pi, cfg, lt, p)
+			if err != nil {
+				return nil, nil, err
 			}
-			for _, method := range fig9Methods() {
-				cr, err := MeasureCR(p, method.mk(), fig7AggM, 1100+int64(pi))
-				if err != nil {
-					return nil, nil, err
+			fixed := map[int]float64{}
+			for _, row := range modelRows {
+				cells := []string{"", ""}
+				switch row.Method {
+				case "COMPSO-f":
+					fixed[row.GPUs] = row.Speedup
+				case "COMPSO-p":
+					cells = []string{fmt.Sprint(row.BestM), fmtF(100*row.Lost, 2) + "%"}
+					if row.BestM == row.AggM {
+						agree++
+					}
+					switch f := fixed[row.GPUs]; {
+					case row.Speedup > f*(1+1e-4):
+						win++
+					case row.Speedup < f*(1-1e-4):
+						loss++
+					default:
+						tie++
+					}
 				}
-				for _, gpus := range []int{8, 16, 32, 64} {
-					b := base[gpus]
-					row := Fig9Row{Platform: platform, Model: p.Name, Method: method.name, GPUs: gpus, AggM: fig7AggM}
-					var cands []int
-					if method.dynamicM {
-						if row.AggM, err = chooseAggregation(lt, p, gpus, cr, method.pipeline, b.Allgather/b.Total); err != nil {
-							return nil, nil, err
-						}
-						cands = perfmodel.AggregationCandidates
-					}
-					step := func(m int) float64 {
-						sm := figureModel(p, &method.pipeline, ratioPayload(p, cr))
-						return replay(cfg, figureStep(gpus, m), sm).makespan / figureSteps
-					}
-					comp := step(row.AggM)
-					best, cells := comp, []string{"", ""}
-					row.BestM = row.AggM
-					for _, m := range cands {
-						if t := step(m); t < best {
-							best, row.BestM = t, m
-						}
-					}
-					row.Speedup, row.Lost = b.Total/comp, comp/best-1
-					if method.name == "COMPSO-f" {
-						fixed[gpus] = row.Speedup
-					}
-					if method.dynamicM {
-						cells = []string{fmt.Sprint(row.BestM), fmtF(100*row.Lost, 2) + "%"}
-						if row.BestM == row.AggM {
-							agree++
-						}
-						switch f := fixed[gpus]; {
-						case row.Speedup > f*(1+1e-4):
-							win++
-						case row.Speedup < f*(1-1e-4):
-							loss++
-						default:
-							tie++
-						}
-					}
-					rows = append(rows, row)
-					table.Rows = append(table.Rows, append([]string{
-						platform, p.Name, method.name, fmt.Sprint(gpus), fmt.Sprint(row.AggM), fmtF(row.Speedup, 2),
-					}, cells...))
-				}
+				table.Rows = append(table.Rows, append([]string{
+					row.Platform, row.Model, row.Method, fmt.Sprint(row.GPUs), fmt.Sprint(row.AggM), fmtF(row.Speedup, 2),
+				}, cells...))
 			}
+			rows = append(rows, modelRows...)
 		}
 	}
 	table.Title = fmt.Sprintf("Figure 9: end-to-end speedup over uncompressed distributed KFAC "+
 		"(COMPSO-p vs COMPSO-f: %d wins, %d ties, %d losses; model m is the replay-best in %d/%d)", win, tie, loss, agree, win+tie+loss)
 	return rows, table, nil
+}
+
+// fig9Model is Figure 9's rows for one model on platform pi (cfg, whose
+// performance-model lookup table is lt), in method order: COMPSO-f's row
+// at a GPU count comes before COMPSO-p's.
+func fig9Model(pi int, cfg cluster.Config, lt *perfmodel.LookupTable, p modelzoo.Profile) ([]Fig9Row, error) {
+	platform := fmt.Sprintf("Platform %d", pi+1)
+	base := map[int]Breakdown{}
+	for _, gpus := range []int{8, 16, 32, 64} {
+		base[gpus] = breakdown(p, cfg, gpus)
+	}
+	methods := fig9Methods()
+	comps := make([]compress.Compressor, len(methods))
+	for i, method := range methods {
+		comps[i] = method.mk()
+	}
+	crs, err := measureCRs(p, comps, fig7AggM, 1100+int64(pi))
+	if err != nil {
+		return nil, err
+	}
+	var rows []Fig9Row
+	for i, method := range methods {
+		cr := crs[i]
+		for _, gpus := range []int{8, 16, 32, 64} {
+			b := base[gpus]
+			row := Fig9Row{Platform: platform, Model: p.Name, Method: method.name, GPUs: gpus, AggM: fig7AggM}
+			var cands []int
+			if method.dynamicM {
+				if row.AggM, err = chooseAggregation(lt, p, gpus, cr, method.pipeline, b.Allgather/b.Total); err != nil {
+					return nil, err
+				}
+				cands = perfmodel.AggregationCandidates
+			}
+			step := func(m int) float64 {
+				sm := figureModel(p, &method.pipeline, ratioPayload(p, cr))
+				return replay(cfg, figureStep(gpus, m), sm).makespan / figureSteps
+			}
+			comp := step(row.AggM)
+			best := comp
+			row.BestM = row.AggM
+			for _, m := range cands {
+				if t := step(m); t < best {
+					best, row.BestM = t, m
+				}
+			}
+			row.Speedup, row.Lost = b.Total/comp, comp/best-1
+			rows = append(rows, row)
+		}
+	}
+	return rows, nil
 }
 
 // chooseAggregation runs the performance model's m selection for COMPSO-p,

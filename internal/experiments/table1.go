@@ -36,59 +36,69 @@ func Table1(iters int) ([]Table1Row, *Table, error) {
 		Title:   "Table 1: SQuAD-proxy fine-tuning quality of BERT-large",
 		Headers: []string{"Approach", "F1 Score", "Exact Match", "Mean CR"},
 	}
-	// The span scorer; the same seed reproduces the task the workers train.
-	_, spanData := modelzoo.ProxySQuAD(xrand.NewSeeded(1), 31)
 	for _, m := range Methods() {
-		mIters := int(float64(iters) * m.IterScale)
-		sched := &opt.SmoothLR{BaseLR: 0.02, MinLR: 0.002, Warmup: mIters / 20, Total: mIters}
-		cfg := train.Config{
-			BuildTask: func(rng *rand.Rand) *modelzoo.ProxyTask {
-				task, _ := modelzoo.ProxySQuAD(rng, 31)
-				return task
-			},
-			Workers:       4,
-			Platform:      cluster.Platform1(),
-			Iters:         mIters,
-			Seed:          5151,
-			Schedule:      sched,
-			UseKFAC:       m.UseKFAC,
-			KFAC:          kfac.DefaultConfig(),
-			StatFreq:      1,
-			NewCompressor: m.NewCompressor,
-			AggregationM:  4,
-		}
-		if m.Adaptive {
-			cfg.Controller = compso.DefaultController(sched, mIters)
-		}
-		res, err := train.Run(cfg)
+		row, err := table1Row(m, iters)
 		if err != nil {
-			return nil, nil, fmt.Errorf("table1 %s: %w", m.Name, err)
+			return nil, nil, err
 		}
-
-		// Score the trained model on a held-out set with the SQuAD metrics.
-		task, _ := modelzoo.ProxySQuAD(xrand.NewSeeded(cfg.Seed), 31)
-		ex, ey := task.Data.Sample(xrand.NewSeeded(777), 512)
-		out := res.Model.Forward(ex, false)
-		pred := make([]int, ex.Rows)
-		gold := make([]int, ex.Rows)
-		for i := 0; i < ex.Rows; i++ {
-			row := out.Data[i*out.Cols : (i+1)*out.Cols]
-			best := 0
-			for j, v := range row {
-				if v > row[best] {
-					best = j
-				}
-			}
-			pred[i] = best
-			gold[i] = int(ey.Data[i])
-		}
-		f1, em := spanData.SpanF1EM(pred, gold)
-		rows = append(rows, Table1Row{Method: m.Name, F1: f1, EM: em, MeanCR: res.MeanCR})
+		rows = append(rows, row)
 		cr := "-"
-		if res.MeanCR > 0 {
-			cr = fmtF(res.MeanCR, 1)
+		if row.MeanCR > 0 {
+			cr = fmtF(row.MeanCR, 1)
 		}
-		table.Rows = append(table.Rows, []string{m.Name, fmtF(f1, 2), fmtF(em, 2), cr})
+		table.Rows = append(table.Rows, []string{m.Name, fmtF(row.F1, 2), fmtF(row.EM, 2), cr})
 	}
 	return rows, table, nil
+}
+
+// table1Row fine-tunes the span-extraction proxy with one method for its
+// share of the base budget iters and scores the trained model on a
+// held-out set with the SQuAD metrics.
+func table1Row(m Method, iters int) (Table1Row, error) {
+	mIters := int(float64(iters) * m.IterScale)
+	sched := &opt.SmoothLR{BaseLR: 0.02, MinLR: 0.002, Warmup: mIters / 20, Total: mIters}
+	cfg := train.Config{
+		BuildTask: func(rng *rand.Rand) *modelzoo.ProxyTask {
+			task, _ := modelzoo.ProxySQuAD(rng, 31)
+			return task
+		},
+		Workers:       4,
+		Platform:      cluster.Platform1(),
+		Iters:         mIters,
+		Seed:          5151,
+		Schedule:      sched,
+		UseKFAC:       m.UseKFAC,
+		KFAC:          kfac.DefaultConfig(),
+		StatFreq:      1,
+		NewCompressor: m.NewCompressor,
+		AggregationM:  4,
+	}
+	if m.Adaptive {
+		cfg.Controller = compso.DefaultController(sched, mIters)
+	}
+	res, err := train.Run(cfg)
+	if err != nil {
+		return Table1Row{}, fmt.Errorf("table1 %s: %w", m.Name, err)
+	}
+
+	// The same seed reproduces the task the workers train, and its span
+	// scorer.
+	task, spanData := modelzoo.ProxySQuAD(xrand.NewSeeded(cfg.Seed), 31)
+	ex, ey := task.Data.Sample(xrand.NewSeeded(777), 512)
+	out := res.Model.Forward(ex, false)
+	pred := make([]int, ex.Rows)
+	gold := make([]int, ex.Rows)
+	for i := 0; i < ex.Rows; i++ {
+		row := out.Data[i*out.Cols : (i+1)*out.Cols]
+		best := 0
+		for j, v := range row {
+			if v > row[best] {
+				best = j
+			}
+		}
+		pred[i] = best
+		gold[i] = int(ey.Data[i])
+	}
+	f1, em := spanData.SpanF1EM(pred, gold)
+	return Table1Row{Method: m.Name, F1: f1, EM: em, MeanCR: res.MeanCR}, nil
 }

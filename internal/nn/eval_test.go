@@ -147,8 +147,8 @@ func TestEvalBlockedMatchesUnblockedWalk(t *testing.T) {
 // arena storage and relied on it being zero, or wrote to what it had
 // released, fails here.
 func TestEvalConcurrentLeavesPoolAsFound(t *testing.T) {
+	defer pool.SetDebug(pool.DebugEnabled())
 	pool.SetDebug(true)
-	defer pool.SetDebug(false)
 	for _, c := range evalModels() {
 		m := c.build()
 		x := c.input(3*evalBlockRows + 5)
@@ -195,8 +195,8 @@ func (viewLayer) Forward(x *tensor.Matrix, _ bool) *tensor.Matrix {
 // blocks have arena capacities — released by mistake they would be adopted,
 // poisoned and handed to the next taker.
 func TestEvalNeverReleasesTheCallersInput(t *testing.T) {
+	defer pool.SetDebug(pool.DebugEnabled())
 	pool.SetDebug(true)
-	defer pool.SetDebug(false)
 	const rows, width = 2 * evalBlockRows, 8
 	dense := func() Layer { return NewDense(width, width, xrand.NewSeeded(31)) }
 	for name, layers := range map[string][]Layer{

@@ -1,6 +1,5 @@
-// Package opt provides the first-order optimizers the paper's baselines
-// train with (SGD with momentum, Adam, and a LAMB-style layer-adaptive
-// variant used for BERT) plus the two learning-rate schedules COMPSO's
+// Package opt provides the first-order optimizer the paper's baselines
+// train with (SGD with momentum) plus the two learning-rate schedules COMPSO's
 // iteration-wise adaptive compression keys off (§4.3, Algorithm 1): StepLR
 // with discrete decay points and SmoothLR with warmup followed by cosine
 // decay.
@@ -12,14 +11,6 @@ import (
 
 	"compso/internal/nn"
 )
-
-// Optimizer updates model parameters from their accumulated gradients.
-type Optimizer interface {
-	Name() string
-	// Step applies one update with the given learning rate and clears no
-	// state; callers zero gradients between iterations.
-	Step(params []*nn.Param, lr float64)
-}
 
 // SGD is stochastic gradient descent with classical momentum and optional
 // weight decay.
@@ -34,10 +25,8 @@ func NewSGD(momentum, weightDecay float64) *SGD {
 	return &SGD{Momentum: momentum, WeightDecay: weightDecay, velocity: make(map[*nn.Param][]float64)}
 }
 
-// Name implements Optimizer.
-func (s *SGD) Name() string { return "SGD" }
-
-// Step implements Optimizer.
+// Step applies one update with the given learning rate; callers zero
+// gradients between iterations.
 func (s *SGD) Step(params []*nn.Param, lr float64) {
 	for _, p := range params {
 		v := s.velocity[p]
@@ -49,101 +38,6 @@ func (s *SGD) Step(params []*nn.Param, lr float64) {
 			g := p.Grad.Data[i] + s.WeightDecay*p.W.Data[i]
 			v[i] = s.Momentum*v[i] + g
 			p.W.Data[i] -= lr * v[i]
-		}
-	}
-}
-
-// Adam is the Adam optimizer with bias correction.
-type Adam struct {
-	Beta1, Beta2, Eps float64
-	WeightDecay       float64
-	step              int
-	m, v              map[*nn.Param][]float64
-}
-
-// NewAdam returns Adam with the standard hyper-parameters.
-func NewAdam() *Adam {
-	return &Adam{Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: make(map[*nn.Param][]float64), v: make(map[*nn.Param][]float64)}
-}
-
-// Name implements Optimizer.
-func (a *Adam) Name() string { return "Adam" }
-
-// Step implements Optimizer.
-func (a *Adam) Step(params []*nn.Param, lr float64) {
-	a.step++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.step))
-	for _, p := range params {
-		m := a.m[p]
-		v := a.v[p]
-		if m == nil {
-			m = make([]float64, len(p.W.Data))
-			v = make([]float64, len(p.W.Data))
-			a.m[p], a.v[p] = m, v
-		}
-		for i := range p.W.Data {
-			g := p.Grad.Data[i] + a.WeightDecay*p.W.Data[i]
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-			p.W.Data[i] -= lr * (m[i] / c1) / (math.Sqrt(v[i]/c2) + a.Eps)
-		}
-	}
-}
-
-// LAMB is the layer-adaptive large-batch optimizer the paper's BERT
-// baseline uses [You et al.]: Adam-style moments with a per-layer trust
-// ratio between parameter norm and update norm.
-type LAMB struct {
-	Beta1, Beta2, Eps float64
-	WeightDecay       float64
-	step              int
-	m, v              map[*nn.Param][]float64
-}
-
-// NewLAMB returns LAMB with the standard hyper-parameters.
-func NewLAMB(weightDecay float64) *LAMB {
-	return &LAMB{Beta1: 0.9, Beta2: 0.999, Eps: 1e-6, WeightDecay: weightDecay,
-		m: make(map[*nn.Param][]float64), v: make(map[*nn.Param][]float64)}
-}
-
-// Name implements Optimizer.
-func (l *LAMB) Name() string { return "LAMB" }
-
-// Step implements Optimizer.
-func (l *LAMB) Step(params []*nn.Param, lr float64) {
-	l.step++
-	c1 := 1 - math.Pow(l.Beta1, float64(l.step))
-	c2 := 1 - math.Pow(l.Beta2, float64(l.step))
-	for _, p := range params {
-		m := l.m[p]
-		v := l.v[p]
-		if m == nil {
-			m = make([]float64, len(p.W.Data))
-			v = make([]float64, len(p.W.Data))
-			l.m[p], l.v[p] = m, v
-		}
-		var wNorm, uNorm float64
-		update := make([]float64, len(p.W.Data))
-		for i := range p.W.Data {
-			g := p.Grad.Data[i]
-			m[i] = l.Beta1*m[i] + (1-l.Beta1)*g
-			v[i] = l.Beta2*v[i] + (1-l.Beta2)*g*g
-			u := (m[i]/c1)/(math.Sqrt(v[i]/c2)+l.Eps) + l.WeightDecay*p.W.Data[i]
-			update[i] = u
-			wNorm += p.W.Data[i] * p.W.Data[i]
-			uNorm += u * u
-		}
-		trust := 1.0
-		if wNorm > 0 && uNorm > 0 {
-			trust = math.Sqrt(wNorm) / math.Sqrt(uNorm)
-			if trust > 10 {
-				trust = 10
-			}
-		}
-		for i := range p.W.Data {
-			p.W.Data[i] -= lr * trust * update[i]
 		}
 	}
 }

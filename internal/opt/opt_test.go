@@ -34,7 +34,7 @@ func quadratic(dim int, seed int64) (*nn.Param, func(), func() float64) {
 	return p, setGrad, loss
 }
 
-func testConverges(t *testing.T, o Optimizer, lr float64, iters int) {
+func testConverges(t *testing.T, o *SGD, lr float64, iters int) {
 	t.Helper()
 	p, setGrad, loss := quadratic(8, 42)
 	first := loss()
@@ -44,13 +44,11 @@ func testConverges(t *testing.T, o Optimizer, lr float64, iters int) {
 		o.Step([]*nn.Param{p}, lr)
 	}
 	if last := loss(); last > first/100 {
-		t.Fatalf("%s did not converge: %g -> %g", o.Name(), first, last)
+		t.Fatalf("SGD did not converge: %g -> %g", first, last)
 	}
 }
 
-func TestSGDConverges(t *testing.T)  { testConverges(t, NewSGD(0.9, 0), 0.05, 200) }
-func TestAdamConverges(t *testing.T) { testConverges(t, NewAdam(), 0.3, 300) }
-func TestLAMBConverges(t *testing.T) { testConverges(t, NewLAMB(0), 0.1, 300) }
+func TestSGDConverges(t *testing.T) { testConverges(t, NewSGD(0.9, 0), 0.05, 200) }
 
 func TestSGDMomentumAccelerates(t *testing.T) {
 	lossAfter := func(momentum float64) float64 {
@@ -135,19 +133,6 @@ func TestValidateErrors(t *testing.T) {
 	for i, s := range bad {
 		if Validate(s) == nil {
 			t.Errorf("case %d: Validate accepted invalid schedule", i)
-		}
-	}
-}
-
-func TestLAMBTrustRatioBounded(t *testing.T) {
-	// Huge gradients must not blow up the weights thanks to the trust clip.
-	p := &nn.Param{Name: "w", W: tensor.FromSlice(1, 2, []float64{0.1, 0.1}), Grad: tensor.New(1, 2)}
-	o := NewLAMB(0)
-	p.Grad.Data[0], p.Grad.Data[1] = 1e6, -1e6
-	o.Step([]*nn.Param{p}, 0.01)
-	for _, w := range p.W.Data {
-		if math.Abs(w) > 1 {
-			t.Fatalf("LAMB update exploded: %v", p.W.Data)
 		}
 	}
 }

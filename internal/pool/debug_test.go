@@ -26,8 +26,8 @@ func mustPanic(t *testing.T, want string, fn func()) (msg string) {
 }
 
 func TestDebugDoublePutPanics(t *testing.T) {
+	defer SetDebug(DebugEnabled())
 	SetDebug(true)
-	defer SetDebug(false)
 
 	b := Bytes(100)
 	PutBytes(b)
@@ -38,8 +38,8 @@ func TestDebugDoublePutPanics(t *testing.T) {
 }
 
 func TestDebugDoublePutAcrossArenas(t *testing.T) {
+	defer SetDebug(DebugEnabled())
 	SetDebug(true)
-	defer SetDebug(false)
 
 	f := F32(64)
 	PutF32(f)
@@ -47,8 +47,8 @@ func TestDebugDoublePutAcrossArenas(t *testing.T) {
 }
 
 func TestDebugUseAfterPutPanics(t *testing.T) {
+	defer SetDebug(DebugEnabled())
 	SetDebug(true)
-	defer SetDebug(false)
 
 	s := Bytes(128)
 	PutBytes(s)
@@ -59,8 +59,8 @@ func TestDebugUseAfterPutPanics(t *testing.T) {
 }
 
 func TestDebugUseAfterPutViaArena(t *testing.T) {
+	defer SetDebug(DebugEnabled())
 	SetDebug(true)
-	defer SetDebug(false)
 
 	s := U32(64)
 	k := dataKey(s)
@@ -85,8 +85,8 @@ func TestDebugUseAfterPutViaArena(t *testing.T) {
 }
 
 func TestDebugLeakAccounting(t *testing.T) {
+	defer SetDebug(DebugEnabled())
 	SetDebug(true)
-	defer SetDebug(false)
 
 	base := Stats()
 	a := Bytes(200)
@@ -107,6 +107,7 @@ func TestDebugLeakAccounting(t *testing.T) {
 }
 
 func TestDebugDisabledIsInert(t *testing.T) {
+	defer SetDebug(DebugEnabled())
 	SetDebug(false)
 	b := Bytes(100)
 	PutBytes(b)
@@ -121,8 +122,8 @@ func TestDebugDisabledIsInert(t *testing.T) {
 }
 
 func TestDebugOversizedBuffersUntracked(t *testing.T) {
+	defer SetDebug(DebugEnabled())
 	SetDebug(true)
-	defer SetDebug(false)
 
 	base := Stats()
 	// Above the max size class: plain make, never pooled, never tracked.

@@ -30,12 +30,9 @@ func run(t *testing.T, srv *serve.Server, cfg loadgen.Config) *loadgen.Report {
 // TestThousandConcurrentSessions is the headline acceptance check: ≥1000
 // sessions live at once (every session runs on its own goroutine for its
 // whole lifetime), heavy-tailed sizes from the modelzoo, zero request
-// errors. -short trims the per-session work, not the concurrency.
+// errors.
 func TestThousandConcurrentSessions(t *testing.T) {
-	requests := 3
-	if testing.Short() {
-		requests = 1
-	}
+	const requests = 3
 	// A server sized for the offered scale: the inflight cap must admit the
 	// full worker count, else this becomes a backpressure test (that's
 	// TestOverloadShedsNotFails) instead of a capacity test.

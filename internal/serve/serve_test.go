@@ -615,8 +615,8 @@ func TestShedRequestsAreCounted(t *testing.T) {
 // ---- pool integrity: dead sessions leak nothing ----
 
 func TestNoPooledBufferLeaksAcrossSessionLifecycle(t *testing.T) {
+	defer pool.SetDebug(pool.DebugEnabled())
 	pool.SetDebug(true)
-	defer pool.SetDebug(false)
 
 	s := newServer(t, serve.Config{})
 	base := pool.Stats().Live

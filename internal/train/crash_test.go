@@ -107,6 +107,7 @@ func assertBitIdentical(t *testing.T, crashed, plain *Result, crashRec, plainRec
 // uninterrupted run. Crash points rotate across cells so step-start,
 // mid-step and mid-collective unwinds all get coverage.
 func TestCrashResumeBitIdentityMatrix(t *testing.T) {
+	t.Parallel()
 	newCOMPSO := func(rank int) compress.Compressor { return compso.NewCompressor(nil, rank, 99) }
 	// Ring-mode PowerSGD must share one seed across ranks so the replicated
 	// factor state agrees (the AllReducible contract); the per-rank EF
@@ -193,6 +194,7 @@ func TestCrashResumeBitIdentityMatrix(t *testing.T) {
 // 6–9 of the resumed run precondition with the restored caches. A failure
 // to restore them would change every preconditioned gradient.
 func TestCrashResumeKFACCachesCarryEigens(t *testing.T) {
+	t.Parallel()
 	cfg := baseConfig(10)
 	cfg.EvalEvery = 5
 	cfg.UseKFAC = true
@@ -210,6 +212,7 @@ func TestCrashResumeKFACCachesCarryEigens(t *testing.T) {
 // the rank dies at step 4 of incarnation 0 and step 7 of incarnation 1, so
 // the run recovers twice and must still finish bit-identical.
 func TestCrashRepeatedAcrossIncarnations(t *testing.T) {
+	t.Parallel()
 	cfg := baseConfig(12)
 	cfg.EvalEvery = 4
 	cfg.NewCompressor = func(rank int) compress.Compressor { return compso.NewCompressor(nil, rank, 99) }
@@ -229,6 +232,7 @@ func TestCrashRepeatedAcrossIncarnations(t *testing.T) {
 // (counters reset, no "restores" tally) and must still match the
 // uninterrupted run exactly.
 func TestCrashBeforeFirstCheckpointRestartsFromScratch(t *testing.T) {
+	t.Parallel()
 	cfg := baseConfig(8)
 	cfg.EvalEvery = 4
 	cfg.NewCompressor = func(rank int) compress.Compressor { return compso.NewCompressor(nil, rank, 99) }
@@ -289,8 +293,8 @@ func TestCrashMaxRestartsExhausted(t *testing.T) {
 // under overlap, flat all-reduce staging otherwise). Debug tracking must
 // see every buffer returned once the run finishes.
 func TestCrashRecoveryLeaksNoPooledBuffers(t *testing.T) {
+	defer pool.SetDebug(pool.DebugEnabled())
 	pool.SetDebug(true)
-	defer pool.SetDebug(false)
 	for _, overlap := range []bool{false, true} {
 		cfg := baseConfig(8)
 		cfg.EvalEvery = 4
@@ -325,6 +329,7 @@ func TestCrashRecoveryLeaksNoPooledBuffers(t *testing.T) {
 // land as step-numbered files, the crash recovery restores from the newest
 // complete file, and the results stay bit-identical.
 func TestCheckpointDirPersistsAndRecovers(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	cfg := baseConfig(12)
 	cfg.EvalEvery = 4
@@ -351,6 +356,7 @@ func TestCheckpointDirPersistsAndRecovers(t *testing.T) {
 // checkpoint file must land on exactly the uninterrupted run's results —
 // the externally-driven restart workflow (compso-train -resume).
 func TestResumeFromCheckpointFile(t *testing.T) {
+	t.Parallel()
 	dir := t.TempDir()
 	full := baseConfig(12)
 	full.EvalEvery = 4
@@ -433,6 +439,7 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 // configuration through a crash: adaptive error-bound controller plus
 // compressed factor exchange, resumed mid-schedule.
 func TestCrashResumeWithControllerAndFactors(t *testing.T) {
+	t.Parallel()
 	iters := 12
 	cfg := baseConfig(iters)
 	cfg.EvalEvery = 4

@@ -1,9 +1,11 @@
 package train
 
 import (
+	"errors"
 	"math"
 	"sort"
 	"testing"
+	"time"
 
 	"compso/internal/compress"
 	"compso/internal/fault"
@@ -74,6 +76,7 @@ func canonicalSpans(spans []obs.Span) []obs.Span {
 // identical seeds and fault plans produce bit-identical results and
 // (canonicalized) traces across two runs.
 func TestFaultedRunIsDeterministic(t *testing.T) {
+	t.Parallel()
 	run := func() (*Result, obs.Snapshot) {
 		rec := obs.NewRecorder()
 		res, err := Run(faultedConfig(6, rec))
@@ -132,6 +135,7 @@ func TestFaultedRunIsDeterministic(t *testing.T) {
 // that injects nothing must reproduce the fault-free run bit for bit (the
 // only difference being the zeroed FaultEvents tally).
 func TestDisabledFaultPlanIsInert(t *testing.T) {
+	t.Parallel()
 	base := baseConfig(8)
 	base.UseKFAC = true
 	base.KFAC = kfac.DefaultConfig()
@@ -237,6 +241,7 @@ func TestCorruptionRecoverySGD(t *testing.T) {
 // stretch the simulated timeline but leave every numeric result untouched
 // (compute time is charged, not computed differently).
 func TestStragglerSlowsRunWithoutChangingNumerics(t *testing.T) {
+	t.Parallel()
 	base := baseConfig(8)
 	clean, err := Run(base)
 	if err != nil {
@@ -274,5 +279,49 @@ func TestGuardRetunesUnderDegradedLinks(t *testing.T) {
 	}
 	if res.FaultEvents["retunes"] == 0 {
 		t.Fatalf("guard never retuned under 4x link degradation: %v", res.FaultEvents)
+	}
+}
+
+var errInjected = errors.New("injected compress failure")
+
+// failingCompressor fails its failAt-th Compress call (1-based; 0 never).
+type failingCompressor struct {
+	compress.Compressor
+	calls, failAt int
+}
+
+func (f *failingCompressor) Compress(src []float32) ([]byte, error) {
+	f.calls++
+	if f.calls == f.failAt {
+		return nil, errInjected
+	}
+	return f.Compressor.Compress(src)
+}
+
+// A rank whose step fails ends the run with its error. Its peers are
+// blocked in the next collective when it returns; they must unwind rather
+// than wait for it forever, and their worker-loss unwinds must not hide
+// the real error.
+func TestFailingRankFailsTheRun(t *testing.T) {
+	cfg := baseConfig(10)
+	cfg.NewCompressor = func(rank int) compress.Compressor {
+		c := &failingCompressor{Compressor: compress.NewCocktailSGD(0.2, 8, int64(rank)+100)}
+		if rank == 1 {
+			c.failAt = 3
+		}
+		return c
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(cfg)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, errInjected) {
+			t.Fatalf("Run returned %v, want the injected compress failure", err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Run still blocked a minute after rank 1's compressor failed")
 	}
 }

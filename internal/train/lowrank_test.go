@@ -28,7 +28,7 @@ func powerSGDFactory(ef bool) func(rank int) compress.Compressor {
 // gradient exchange through the ring all-reduce — never the blob
 // all-gather — and still converge.
 func TestSGDWithPowerSGDRingPath(t *testing.T) {
-	cfg := baseConfig(40)
+	cfg := baseConfig(judgeIters(40, 10))
 	cfg.NewCompressor = powerSGDFactory(false)
 	res, err := Run(cfg)
 	if err != nil {
@@ -65,6 +65,7 @@ func TestSGDWithPowerSGDRingPath(t *testing.T) {
 // TestPowerSGDRingDeterministic: repeat runs must be bit-identical — the
 // ring path's shared factor state is deterministic end to end.
 func TestPowerSGDRingDeterministic(t *testing.T) {
+	t.Parallel()
 	run := func() *Result {
 		cfg := baseConfig(20)
 		cfg.NewCompressor = powerSGDFactory(false)
@@ -91,7 +92,7 @@ func TestPowerSGDRingDeterministic(t *testing.T) {
 // TestSGDWithPowerSGDErrorFeedback: the EF wrapper must ride the ring
 // path (residual against the aggregated reconstruction) and converge.
 func TestSGDWithPowerSGDErrorFeedback(t *testing.T) {
-	cfg := baseConfig(40)
+	cfg := baseConfig(judgeIters(40, 10))
 	cfg.NewCompressor = powerSGDFactory(true)
 	res, err := Run(cfg)
 	if err != nil {
@@ -108,6 +109,7 @@ func TestSGDWithPowerSGDErrorFeedback(t *testing.T) {
 // TestEFOverNonReducibleStaysOnAllGather: EF around a family that can't
 // sum-aggregate must fall back to the blob all-gather.
 func TestEFOverNonReducibleStaysOnAllGather(t *testing.T) {
+	t.Parallel()
 	cfg := baseConfig(12)
 	cfg.NewCompressor = func(rank int) compress.Compressor {
 		return compress.NewErrorFeedback(compress.NewQSGD(8, int64(rank)+3))
@@ -128,7 +130,8 @@ func TestEFOverNonReducibleStaysOnAllGather(t *testing.T) {
 // layers, COMPSO on odd) through the K-FAC exchange, decoded by the
 // magic-byte dispatcher on the receive side.
 func TestPerLayerKFACPlan(t *testing.T) {
-	cfg := baseConfig(40)
+	t.Parallel()
+	cfg := baseConfig(judgeIters(40, 10))
 	cfg.UseKFAC = true
 	cfg.KFAC = kfac.DefaultConfig()
 	cfg.AggregationM = 1

@@ -185,6 +185,7 @@ func compressSpanKeys(s obs.Snapshot) []string {
 // the exact same bytes through the wire and the compression kernels. Only
 // the simulated schedule may move.
 func TestOverlapBitIdentityMatrix(t *testing.T) {
+	t.Parallel()
 	for _, cell := range overlapCells() {
 		// Memoized: TestScheduleFingerprint pins these same runs.
 		run := func(overlap bool, plan *fault.Plan) (*Result, obs.Snapshot) {
@@ -249,6 +250,7 @@ func TestOverlapBitIdentityMatrix(t *testing.T) {
 // layer must accept — and the overlapped run must still match the
 // sequential one bit for bit.
 func TestOverlapMoreWorkersThanLayers(t *testing.T) {
+	t.Parallel()
 	for _, compressed := range []bool{false, true} {
 		run := func(overlap bool) *Result {
 			cfg := baseConfig(6)
@@ -290,8 +292,8 @@ func TestOverlapMoreWorkersThanLayers(t *testing.T) {
 // long after the step that built them — on both the sequential and the
 // overlapped path without any arena buffer crossing a collective boundary.
 func TestOverlapChaosUnderPoolDebug(t *testing.T) {
+	defer pool.SetDebug(pool.DebugEnabled())
 	pool.SetDebug(true)
-	defer pool.SetDebug(false)
 
 	for _, overlap := range []bool{false, true} {
 		cfg := faultedConfig(6, obs.NewRecorder())
@@ -332,6 +334,7 @@ func TestOverlapChaosUnderPoolDebug(t *testing.T) {
 // the sequential and overlapped framings, so on/off equality is out of
 // scope — but repeat overlapped runs must still be bit-identical.
 func TestOverlapDeterministicUnderCorruption(t *testing.T) {
+	t.Parallel()
 	run := func() *Result {
 		cfg := faultedConfig(6, obs.NewRecorder())
 		cfg.Overlap = true
@@ -362,6 +365,7 @@ func TestOverlapDeterministicUnderCorruption(t *testing.T) {
 // zero sequentially and rise when overlap is on, and the span-side phase
 // decomposition must show busy time recorded under the overlap phases.
 func TestOverlapHidesCommunication(t *testing.T) {
+	t.Parallel()
 	run := func(overlap bool) (*Result, obs.Snapshot) {
 		cfg := baseConfig(10)
 		cfg.UseKFAC = true

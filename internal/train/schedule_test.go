@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"compso/internal/compress"
@@ -127,29 +128,28 @@ func planName(p *fault.Plan) string {
 	return "timing"
 }
 
-// matrixRuns memoizes 6-step matrix runs by "cell/schedule/plan", so the
-// fingerprint and the bit-identity matrix pay once per test binary for the
-// runs both need. Tests in this package never run in parallel.
-var matrixRuns = map[string]*Result{}
+// matrixRuns memoizes 6-step matrix runs by "cell/schedule/plan", each a
+// sync.OnceValues, so the fingerprint and the bit-identity matrix pay once
+// per test binary for the runs both need, also while they run in parallel.
+var matrixRuns sync.Map
 
 // matrixRun runs one matrix cell with a recorder attached (observation
 // never changes results), or returns the memoized result.
 func matrixRun(t *testing.T, cell string, mut func(*Config), overlap bool, plan *fault.Plan) *Result {
 	t.Helper()
 	key := cell + "/" + schedName(overlap) + "/" + planName(plan)
-	if res, ok := matrixRuns[key]; ok {
-		return res
-	}
-	cfg := baseConfig(6)
-	mut(&cfg)
-	cfg.Overlap = overlap
-	cfg.Fault = plan
-	cfg.Obs = obs.NewRecorder()
-	res, err := Run(cfg)
+	run, _ := matrixRuns.LoadOrStore(key, sync.OnceValues(func() (*Result, error) {
+		cfg := baseConfig(6)
+		mut(&cfg)
+		cfg.Overlap = overlap
+		cfg.Fault = plan
+		cfg.Obs = obs.NewRecorder()
+		return Run(cfg)
+	}))
+	res, err := run.(func() (*Result, error))()
 	if err != nil {
 		t.Fatalf("%s: %v", key, err)
 	}
-	matrixRuns[key] = res
 	return res
 }
 
@@ -217,6 +217,7 @@ func fingerprintOf(res *Result) fingerprint {
 // `go test -run TestScheduleFingerprint -update` at the commit whose
 // schedule is the reference.
 func TestScheduleFingerprint(t *testing.T) {
+	t.Parallel()
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden float bits are recorded on amd64; %s may fuse multiply-adds differently", runtime.GOARCH)
 	}

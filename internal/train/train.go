@@ -344,7 +344,9 @@ func runAttempt(cfg Config, attempt int, start *ckpt.Checkpoint, coord *ckptCoor
 // runWorker is the SPMD body. A worker-crash unwind (the victim's
 // *CrashPanic, the survivors' *LostPanic) converts to a *cluster.WorkerLost
 // error for the driver's recovery loop; survivors additionally charge the
-// simulated peer-loss detection timeout. Any other panic is a bug and
+// simulated peer-loss detection timeout. Any other error takes the worker
+// down first, so its peers unwind as losses instead of waiting for it, and
+// runAttempt reports the error itself. Any other panic is a bug and
 // propagates.
 func runWorker(w *cluster.Worker, cfg Config, result *Result, mu *sync.Mutex, cr *crAccum,
 	start *ckpt.Checkpoint, coord *ckptCoord, tally map[string]int64) (err error) {
@@ -352,6 +354,9 @@ func runWorker(w *cluster.Worker, cfg Config, result *Result, mu *sync.Mutex, cr
 		r := recover()
 		switch p := r.(type) {
 		case nil:
+			if err != nil {
+				w.Down("error")
+			}
 		case *cluster.CrashPanic:
 			err = &cluster.WorkerLost{Rank: p.Rank, Step: p.Step, Point: p.Point}
 		case *cluster.LostPanic:
