@@ -35,6 +35,7 @@ import (
 
 	"compso/internal/experiments"
 	"compso/internal/obs"
+	"compso/internal/profile"
 )
 
 func main() {
@@ -47,7 +48,12 @@ func main() {
 	flag.StringVar(&o.TracePath, "trace", "", "write the selected traced experiment's Chrome trace to this file")
 	flag.StringVar(&o.MetricsPath, "metrics", "", "write the selected traced experiment's flat metrics dump (JSON) to this file")
 	validatePath := flag.String("validate", "", "validate an existing Chrome trace file against the trace-event schema and exit")
+	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	if *validatePath != "" {
 		blob, err := os.ReadFile(*validatePath)
@@ -56,16 +62,16 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "validate: %s: %v\n", *validatePath, err)
-			os.Exit(1)
+			profile.Exit(1)
 		}
 		fmt.Printf("%s: valid Chrome trace\n", *validatePath)
-		return
+		profile.Exit(0)
 	}
 
 	selected, err := experiments.Select(*exp)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		profile.Exit(2)
 	}
 	if o.TracePath != "" || o.MetricsPath != "" {
 		traced := 0
@@ -76,7 +82,7 @@ func main() {
 		}
 		if traced != 1 {
 			fmt.Fprintf(os.Stderr, "-trace and -metrics need exactly one traced experiment (observed or chaos) selected; -exp %s selects %d\n", *exp, traced)
-			os.Exit(2)
+			profile.Exit(2)
 		}
 	}
 
@@ -91,7 +97,7 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
-			os.Exit(1)
+			profile.Exit(1)
 		}
 	}
 	for _, path := range []string{o.TracePath, o.MetricsPath} {
@@ -106,8 +112,9 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
+			profile.Exit(1)
 		}
 		fmt.Printf("wrote %s (%d experiments)\n", *jsonPath, len(collected))
 	}
+	profile.Exit(0)
 }

@@ -25,6 +25,7 @@ import (
 
 	"compso/internal/compress"
 	"compso/internal/encoding"
+	"compso/internal/profile"
 	"compso/internal/stats"
 )
 
@@ -42,7 +43,11 @@ func main() {
 	rank := flag.Int("rank", 4, "PowerSGD factorization rank")
 	ef := flag.Bool("ef", false, "wrap the compressor with an error-feedback residual")
 	seed := flag.Int64("seed", 7, "stochastic rounding seed")
+	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		fail("%v", err)
+	}
 
 	if *in == "" {
 		fail("missing -in")
@@ -125,9 +130,10 @@ func main() {
 			fail("write -roundtrip: %v", err)
 		}
 	}
+	profile.Exit(0)
 }
 
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
+	profile.Exit(1)
 }

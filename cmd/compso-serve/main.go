@@ -32,6 +32,7 @@ import (
 	"syscall"
 	"time"
 
+	"compso/internal/profile"
 	"compso/internal/serve"
 	"compso/internal/serve/loadgen"
 )
@@ -39,9 +40,10 @@ import (
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "loadgen" {
 		loadgenMain(os.Args[2:])
-		return
+	} else {
+		serveMain(os.Args[1:])
 	}
-	serveMain(os.Args[1:])
+	profile.Exit(0)
 }
 
 func serveMain(args []string) {
@@ -60,7 +62,7 @@ func serveMain(args []string) {
 	smokeSessions := fs.Int("sessions", 200, "smoke: concurrent sessions")
 	smokeRequests := fs.Int("requests", 5, "smoke: requests per session")
 	smokeChaos := fs.Float64("chaos", 0.05, "smoke: fraction of decompress payloads corrupted")
-	fs.Parse(args)
+	startProfiles(fs, args)
 
 	cfg := serve.Config{
 		MaxSessions:       *maxSessions,
@@ -74,7 +76,7 @@ func serveMain(args []string) {
 	if *smoke {
 		if err := runSmoke(cfg, *smokeSessions, *smokeRequests, *smokeChaos); err != nil {
 			fmt.Fprintln(os.Stderr, "smoke: FAIL:", err)
-			os.Exit(1)
+			profile.Exit(1)
 		}
 		return
 	}
@@ -113,7 +115,7 @@ func serveMain(args []string) {
 	select {
 	case err := <-errc:
 		fmt.Fprintln(os.Stderr, "compso-serve:", err)
-		os.Exit(1)
+		profile.Exit(1)
 	case <-ctx.Done():
 	}
 
@@ -142,7 +144,7 @@ func loadgenMain(args []string) {
 	seed := fs.Int64("seed", 1, "determinism seed")
 	timeout := fs.Duration("timeout", 10*time.Minute, "whole-run timeout")
 	jsonOut := fs.String("json", "", "write the report as JSON to this path")
-	fs.Parse(args)
+	startProfiles(fs, args)
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
@@ -161,17 +163,28 @@ func loadgenMain(args []string) {
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "loadgen:", err)
-		os.Exit(1)
+		profile.Exit(1)
 	}
 	printReport(rep)
 	if *jsonOut != "" {
 		if err := writeJSON(*jsonOut, rep); err != nil {
 			fmt.Fprintln(os.Stderr, "loadgen:", err)
-			os.Exit(1)
+			profile.Exit(1)
 		}
 	}
 	if rep.Errors > 0 || rep.Exhausted > 0 {
-		os.Exit(1)
+		profile.Exit(1)
+	}
+}
+
+// startProfiles adds the profiling flags to fs, parses args and starts the
+// profiles they ask for.
+func startProfiles(fs *flag.FlagSet, args []string) {
+	prof := profile.Register(fs)
+	fs.Parse(args)
+	if err := prof.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 }
 

@@ -34,6 +34,7 @@ import (
 	"compso/internal/modelzoo"
 	"compso/internal/obs"
 	"compso/internal/opt"
+	"compso/internal/profile"
 	"compso/internal/train"
 )
 
@@ -53,7 +54,11 @@ func main() {
 	ckptDir := flag.String("ckpt", "", "checkpoint directory (enables crash recovery when set)")
 	ckptEvery := flag.Int("ckpt-every", 0, "save a checkpoint every N completed steps (0 disables)")
 	resume := flag.String("resume", "", `resume from a checkpoint file, or "latest" for the newest in -ckpt`)
+	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
+	if err := prof.Start(); err != nil {
+		fail("%v", err)
+	}
 
 	builders := map[string]func(rng *rand.Rand) *modelzoo.ProxyTask{
 		"resnet":   func(rng *rand.Rand) *modelzoo.ProxyTask { return modelzoo.ProxyResNet(rng, *seed) },
@@ -206,9 +211,10 @@ func main() {
 	for _, k := range keys {
 		fmt.Printf("  %-18s %.4fs\n", k, res.CommSeconds[k])
 	}
+	profile.Exit(0)
 }
 
 func fail(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
+	profile.Exit(1)
 }

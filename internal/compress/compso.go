@@ -1,9 +1,11 @@
 package compress
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"math/rand/v2"
+	"sync"
 
 	"compso/internal/bitstream"
 	"compso/internal/encoding"
@@ -279,15 +281,138 @@ func COMPSOStreams(blob []byte) (encoding.Codec, [][]byte, error) {
 	return b.codec, append(streams, b.sections[:b.nSections]...), nil
 }
 
+// A COMPSO call over a large tensor runs as parts on pool helpers (§4.5's
+// block-parallel kernels): the quantize pass by element range, the
+// sections' coding one section a part, the restore pass by word range. No
+// part's output depends on how many parts there are, so blobs and decoded
+// values are the same at every worker count (DESIGN.md §5).
+const (
+	// splitMin is the fewest elements a part gets, so a call splits from
+	// 2·splitMin elements on. BenchmarkCOMPSOSplit (serial beside split, 2
+	// vCPUs) measured a 6 % loss at 2^14, nothing at 2^15–2^16 and gains
+	// of 5–20 % from 2^17 to 2^20.
+	splitMin = 1 << 16
+	// maxParts bounds the parts of one pass, and so each job's arrays.
+	maxParts = 16
+)
+
+// splitParts returns how many element ranges a pass over n elements runs in.
+func splitParts(n int) int { return max(1, min(pool.Workers(), n/splitMin, maxParts)) }
+
+// cutRanges cuts [0, n) into parts ranges at 64-element word boundaries:
+// range i is [cuts[i], cuts[i+1]).
+func cutRanges(cuts *[maxParts + 1]int, n, parts int) {
+	for i := 1; i < parts; i++ {
+		cuts[i] = (i * n / parts) &^ 63
+	}
+	cuts[0], cuts[parts] = 0, n
+}
+
+// compressJob is one Compress call's state, shared by its parts. quantizer
+// and sectionCoder are its two passes as pool.Tasks; jobs are recycled, so
+// handing parts to the pool allocates nothing.
+type compressJob struct {
+	c      *COMPSO
+	cdc    encoding.Codec
+	src    []float32
+	binW   float64
+	pcg    bool // stochastic rounding drawn straight from c.src
+	bitmap []byte
+	zigs   []uint32
+	maxZig uint32
+	// The quantize pass: range i writes kept[i] codes from the code index
+	// its range starts at, drawing from rngs[i].
+	parts   int
+	cuts    [maxParts + 1]int
+	kept    [maxParts]int
+	maxZigs [maxParts]uint32
+	rngs    [maxParts]rand.PCG
+	// The coding pass: section i is encoded as enc[i] into its region of
+	// the pooled scratch, [ends[i-1], ends[i]); sections [0, nSections)
+	// are the code sections, section nSections the bitmap. planes holds
+	// the byte planes' inputs, kept bytes each.
+	nSections int
+	scratch   []byte
+	ends      [maxSections + 1]int
+	enc       [maxSections + 1][]byte
+	planes    []byte
+}
+
+var compressJobs = sync.Pool{New: func() any { return new(compressJob) }}
+
+type quantizer compressJob
+
+// Run quantizes range i. A range after the first starts at the code index
+// of the values kept before it, which is also how many draws the stochastic
+// rounding made before it, so its PCG is the call's advanced by that much.
+func (q *quantizer) Run(i int) {
+	j := (*compressJob)(q)
+	c := j.c
+	lo, hi := j.cuts[i], j.cuts[i+1]
+	off := lo
+	if c.FilterEnabled {
+		off = quant.FilterKept(j.src[:lo], c.EBFilter)
+	}
+	rng := &j.rngs[i]
+	if j.pcg && i > 0 {
+		quant.AdvancePCG(rng, uint64(off))
+	}
+	src, zigs := j.src[lo:hi], j.zigs[off:]
+	kept := hi - lo
+	switch {
+	case c.FilterEnabled && j.pcg:
+		kept, j.maxZigs[i] = quant.FilterQuantizeZigPCG(j.bitmap[lo>>3:(hi+7)>>3], zigs, src, c.EBFilter, j.binW, rng)
+	case c.FilterEnabled:
+		kept, j.maxZigs[i] = quant.FilterQuantizeZig(j.bitmap[lo>>3:(hi+7)>>3], zigs, src, c.EBFilter, j.binW, c.Rounding, c.rng)
+	case j.pcg:
+		j.maxZigs[i] = quant.QuantizeZigIntoPCG(zigs, src, j.binW, rng)
+	default:
+		j.maxZigs[i] = quant.QuantizeZigInto(zigs, src, j.binW, c.Rounding, c.rng)
+	}
+	j.kept[i] = kept
+}
+
+type sectionCoder compressJob
+
+// Run encodes section i into its region of the scratch: byte plane i (or
+// the bit-packed stream), or the bitmap when i is nSections. A section that
+// outgrows its region moves onto a fresh heap array, not into the next.
+func (e *sectionCoder) Run(i int) {
+	j := (*compressJob)(e)
+	kept := len(j.zigs)
+	var in []byte
+	switch {
+	case i == j.nSections:
+		in = j.bitmap // nil without the filter: an empty stream
+	case j.c.BitPacked:
+		// Wide codes (width > 8 bits) overflow the kept+16 guess and make
+		// PackZigs grow onto a fresh array, so Put the original handle.
+		buf := pool.Bytes(kept + 16)
+		defer pool.PutBytes(buf)
+		in = quant.PackZigs(buf, j.zigs, j.maxZig)
+	default:
+		in = j.planes[i*kept : (i+1)*kept]
+		quant.FillPlane(in, j.zigs, i)
+	}
+	start := 0
+	if i > 0 {
+		start = j.ends[i-1]
+	}
+	j.enc[i] = j.cdc.EncodeAppend(j.scratch[start:start:j.ends[i]], in)
+}
+
 // Compress implements Compressor. It is the fused single-pass rewrite of
 // the pipeline (§4.5's kernel fusion): one kernel walks the input once,
 // producing the filter bitmap and the zig-zagged quantization codes
 // together, and every downstream section (bitmap, byte planes or the packed
-// stream) is encoded into one pooled scratch buffer — no intermediate
-// []float32 kept-value slice, no []int32 code vector, no per-plane or
-// per-section []byte materialization. The emitted blob is byte-identical to
-// ReferenceCompress given the same state (the multi-pass original preserved
-// in reference.go), which TestCOMPSOFusedMatchesReference enforces. NaN or
+// stream) is encoded into its region of one pooled scratch — no intermediate
+// []float32 kept-value slice, no []int32 code vector. A large input runs
+// both passes in parts on pool helpers; stochastic rounding splits only
+// over the PCG (c.src), whose draws one can skip, and P0.5, whose draw count
+// depends on every value, runs in one part. The emitted blob is
+// byte-identical to ReferenceCompress given the same state (the multi-pass
+// original preserved in reference.go), which TestCOMPSOFusedMatchesReference
+// enforces, and c's stream ends where the serial pass leaves it. NaN or
 // ±Inf input, which the fused pass finds, fails with ErrOutOfRange.
 func (c *COMPSO) Compress(src []float32) ([]byte, error) {
 	n := len(src)
@@ -295,87 +420,93 @@ func (c *COMPSO) Compress(src []float32) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	binW := quant.BinWidth(c.EBQuant, c.Rounding)
+	j := compressJobs.Get().(*compressJob)
+	defer func() {
+		*j = compressJob{}
+		compressJobs.Put(j)
+	}()
+	j.c, j.cdc, j.src = c, b.codec, src
+	j.binW = quant.BinWidth(c.EBQuant, c.Rounding)
+	j.pcg = c.Rounding == quant.SR && c.src != nil
 
-	// Single fused pass: filter + quantize + zig-zag, tracking the max code
-	// so the plane count / pack width needs no second scan.
-	zigs := pool.U32(n)
-	var bitmap []byte // nil when the filter is off (encoded as an empty stream)
-	kept := n
-	var maxZig uint32
+	// Filter + quantize + zig-zag in one pass over each range, tracking the
+	// max code so the plane count / pack width needs no second scan.
+	j.zigs = pool.U32(n)
 	if c.FilterEnabled {
-		bitmap = pool.Bytes((n + 7) / 8)
-		if c.Rounding == quant.SR && c.src != nil {
-			kept, maxZig = quant.FilterQuantizeZigPCG(bitmap, zigs, src, c.EBFilter, binW, c.src)
-		} else {
-			kept, maxZig = quant.FilterQuantizeZig(bitmap, zigs, src, c.EBFilter, binW, c.Rounding, c.rng)
+		j.bitmap = pool.Bytes((n + 7) / 8)
+	}
+	j.parts = 1
+	if j.pcg || c.Rounding == quant.RN {
+		j.parts = splitParts(n)
+	}
+	cutRanges(&j.cuts, n, j.parts)
+	if j.pcg {
+		for i := range j.parts {
+			j.rngs[i] = *c.src
 		}
-	} else if c.Rounding == quant.SR && c.src != nil {
-		maxZig = quant.QuantizeZigIntoPCG(zigs, src, binW, c.src)
-	} else {
-		maxZig = quant.QuantizeZigInto(zigs, src, binW, c.Rounding, c.rng)
+	}
+	pool.Do(j.parts, j.parts, (*quantizer)(j))
+	kept := 0
+	for i := range j.parts {
+		kept += j.kept[i]
+		j.maxZig = max(j.maxZig, j.maxZigs[i])
+	}
+	if j.pcg {
+		*c.src = j.rngs[j.parts-1]
 	}
 	c.LastFilterTotal = n
 	c.LastFilterKept = kept
-	if maxZig == quant.NonFinite && !allFinite(src) {
-		pool.PutU32(zigs)
-		if bitmap != nil {
-			pool.PutBytes(bitmap)
+	if j.maxZig == quant.NonFinite && !allFinite(src) {
+		pool.PutU32(j.zigs)
+		if j.bitmap != nil {
+			pool.PutBytes(j.bitmap)
 		}
 		return nil, errNonFinite("COMPSO")
 	}
-	zigs = zigs[:kept]
+	j.zigs = j.zigs[:kept]
 	b.kept = kept
 
-	// Encode every section back to back into one pooled scratch, recording
-	// cumulative boundaries, so the final blob is cut with a single
-	// exact-size allocation. The original arena handle is kept because
-	// EncodeAppend may grow scratch onto a fresh heap array: only the
-	// handle goes back to the pool — returning the grown slice would hand
-	// the arena a foreign buffer and leak the pooled one.
-	scratchBuf := pool.Bytes(n/2 + 64)
-	scratch := scratchBuf[:0]
-	scratch = b.codec.EncodeAppend(scratch, bitmap)
-	if bitmap != nil {
-		pool.PutBytes(bitmap)
+	// Byte-plane layout: entropy coders get byte-aligned symbol streams
+	// (plane 0 carries the low bytes where the distribution skew lives,
+	// higher planes are near-constant zero and collapse to almost nothing).
+	// §4.3's ablation packs the codes densely into one section instead.
+	j.nSections = 1
+	if !c.BitPacked {
+		j.nSections = quant.PlaneCount(j.maxZig)
 	}
-	bitmapEnd := len(scratch)
-
-	var ends [maxSections]int // cumulative section ends within scratch
-	if c.BitPacked {
-		// §4.3 ablation: dense bit packing in a single plane-like section.
-		// Wide codes (width > 8 bits) overflow the kept+16 guess and make
-		// PackZigs grow onto a fresh array, so Put the original handle.
-		packedBuf := pool.Bytes(kept + 16)
-		packed := quant.PackZigs(packedBuf, zigs, maxZig)
-		scratch = b.codec.EncodeAppend(scratch, packed)
-		pool.PutBytes(packedBuf)
-		b.nSections = 1
-		ends[0] = len(scratch)
-	} else {
-		// Byte-plane layout: entropy coders get byte-aligned symbol streams
-		// (plane 0 carries the low bytes where the distribution skew lives,
-		// higher planes are near-constant zero and collapse to almost
-		// nothing). One pooled plane buffer is reused across all planes.
-		b.nSections = quant.PlaneCount(maxZig)
-		plane := pool.Bytes(kept)
-		for p := 0; p < b.nSections; p++ {
-			quant.FillPlane(plane, zigs, p)
-			scratch = b.codec.EncodeAppend(scratch, plane)
-			ends[p] = len(scratch)
+	// The caller takes and returns the pooled buffers of every section:
+	// sync.Pool keeps a cache per P, and a buffer taken on a helper's P and
+	// returned on the caller's would leave the helper's cache empty every
+	// call. The scratch is only a handle: a section may outgrow it.
+	end := 0
+	for i := 0; i <= j.nSections; i++ {
+		in := kept // a byte plane
+		switch {
+		case i == j.nSections:
+			in = len(j.bitmap)
+		case c.BitPacked:
+			in = uvarintLen(uint64(kept)) + (6+kept*bits.Len32(j.maxZig)+7)/8
 		}
-		pool.PutBytes(plane)
+		end += in + in>>3 + 64
+		j.ends[i] = end
 	}
-	pool.PutU32(zigs)
-
-	b.bitmap = scratch[:bitmapEnd]
-	prev := bitmapEnd
-	for p := 0; p < b.nSections; p++ {
-		b.sections[p] = scratch[prev:ends[p]]
-		prev = ends[p]
+	j.scratch = pool.Bytes(end)
+	if !c.BitPacked {
+		j.planes = pool.Bytes(j.nSections * kept)
 	}
+	pool.Do(j.nSections+1, splitParts(n), (*sectionCoder)(j))
+	pool.PutU32(j.zigs)
+	if j.bitmap != nil {
+		pool.PutBytes(j.bitmap)
+	}
+	if j.planes != nil {
+		pool.PutBytes(j.planes)
+	}
+	b.bitmap = j.enc[j.nSections]
+	b.nSections = j.nSections
+	copy(b.sections[:], j.enc[:j.nSections])
 	out := b.appendTo(make([]byte, 0, b.size()))
-	pool.PutBytes(scratchBuf)
+	pool.PutBytes(j.scratch)
 	c.observe(n, len(out))
 	return out, nil
 }
@@ -396,192 +527,249 @@ func (c *COMPSO) observe(nIn, nOut int) {
 	}
 }
 
+// decompressJob is one Decompress call's state, shared by its parts:
+// sectionDecoder decodes one section a part, restorer dequantizes one range
+// of words a part.
+type decompressJob struct {
+	b compsoBlob
+	// Section i < b.nSections is code section i, section b.nSections the
+	// bitmap; each decodes into the pooled buf[i] as dec[i] or fails as
+	// errs[i].
+	buf  [maxSections + 1][]byte
+	dec  [maxSections + 1][]byte
+	errs [maxSections + 1]error
+	// The restore pass: range i is elements [cuts[i], cuts[i+1]), whose
+	// first kept value is code ks[i].
+	out    []float32
+	bitmap []byte
+	zigs   []uint32 // bit-packed layout only
+	planes [maxSections][]byte
+	binW   float64
+	lut    [256]float32 // DequantizeZig of every low byte, for one or two planes
+	fast   bool         // one or two byte planes
+	parts  int
+	cuts   [maxParts + 1]int
+	ks     [maxParts + 1]int
+}
+
+var decompressJobs = sync.Pool{New: func() any { return new(decompressJob) }}
+
+type sectionDecoder decompressJob
+
+// Run decodes section i into buf[i], the bitmap when i is b.nSections.
+func (d *sectionDecoder) Run(i int) {
+	j := (*decompressJob)(d)
+	sec := j.b.bitmap
+	if i < j.b.nSections {
+		sec = j.b.sections[i]
+	}
+	j.dec[i], j.errs[i] = j.b.codec.DecodeInto(j.buf[i][:0:len(j.buf[i])], sec)
+}
+
+type restorer decompressJob
+
+// Run writes out[cuts[i]:cuts[i+1]]: each code joined from its planes (or
+// read from the packed stream) and dequantized, and with the filter, the
+// kept values put at the bitmap's zero bits. Decompress has checked that
+// the bitmap's zero bits number the kept values, so k stays in range.
+func (r *restorer) Run(part int) {
+	j := (*decompressJob)(r)
+	lo, hi, k := j.cuts[part], j.cuts[part+1], j.ks[part]
+	out, binW, lut := j.out, j.binW, &j.lut
+	p0, p1 := j.planes[0], j.planes[1]
+	if !j.b.filter {
+		switch {
+		case j.b.bitPacked:
+			for i := lo; i < hi; i++ {
+				out[i] = quant.DequantizeZig(j.zigs[i], binW)
+			}
+		case j.b.nSections == 1:
+			for i := lo; i < hi; i++ {
+				out[i] = lut[p0[i]]
+			}
+		case j.b.nSections == 2:
+			for i := lo; i < hi; i++ {
+				if h := p1[i]; h != 0 {
+					out[i] = quant.DequantizeZig(uint32(p0[i])|uint32(h)<<8, binW)
+				} else {
+					out[i] = lut[p0[i]]
+				}
+			}
+		case j.b.nSections == 0:
+			// Every code is zero; out is already zero-valued.
+		default:
+			for i := lo; i < hi; i++ {
+				out[i] = quant.DequantizeZig(j.code(i), binW)
+			}
+		}
+		return
+	}
+	bitmap := j.bitmap
+	if !j.fast {
+		for i := lo; i < hi; i++ {
+			if bitmap[i>>3]&(1<<(i&7)) == 0 {
+				out[i] = quant.DequantizeZig(j.code(k), binW)
+				k++
+			}
+		}
+		return
+	}
+	// Word-at-a-time restore: 64 bitmap bits load as one little-endian word,
+	// and the kept positions are walked by iterating the zero bits with
+	// TrailingZeros64 — the loop runs once per kept value (plus once per
+	// word), not once per bit with a data-dependent branch.
+	for wi := lo >> 6; wi < hi>>6; wi++ {
+		inv := ^binary.LittleEndian.Uint64(bitmap[wi<<3:])
+		base := wi << 6
+		for ; inv != 0; inv &= inv - 1 {
+			e := base + bits.TrailingZeros64(inv)
+			z := uint32(p0[k])
+			if p1 != nil {
+				if h := p1[k]; h != 0 {
+					out[e] = quant.DequantizeZig(z|uint32(h)<<8, binW)
+					k++
+					continue
+				}
+			}
+			out[e] = lut[z]
+			k++
+		}
+	}
+	for i := hi &^ 63; i < hi; i++ {
+		if bitmap[i>>3]&(1<<(i&7)) == 0 {
+			out[i] = quant.DequantizeZig(j.code(k), binW)
+			k++
+		}
+	}
+}
+
+// code returns kept code k, joined from the planes or read from the packed
+// stream.
+func (j *decompressJob) code(k int) uint32 {
+	if j.b.bitPacked {
+		return j.zigs[k]
+	}
+	var z uint32
+	for p := 0; p < j.b.nSections; p++ {
+		z |= uint32(j.planes[p][k]) << (8 * p)
+	}
+	return z
+}
+
 // Decompress implements Compressor. The fused decode path mirrors Compress:
 // sections decode into pooled scratch, and one fused loop joins the byte
 // planes (or reads the packed stream), dequantizes, and restores the
 // filtered zeros directly into the output slice — no []int32 code vector or
-// intermediate []float32 kept-value slice. It returns exactly the values
-// (and errors, modulo message wording) of the multi-pass
-// ReferenceDecompress.
+// intermediate []float32 kept-value slice. A large blob decodes its
+// sections concurrently and restores by word range on pool helpers. It
+// returns exactly the values (and errors, modulo message wording) of the
+// multi-pass ReferenceDecompress, at every worker count.
 func (c *COMPSO) Decompress(data []byte) ([]float32, error) {
 	b, err := parseCOMPSO(data)
 	if err != nil {
 		return nil, err
 	}
-	n, keptCount, cdc := b.n, b.kept, b.codec
-	bitPacked, nPlanes := b.bitPacked, b.nSections
-	// Pooled scratch handed back on every exit path.
-	var scratches [][]byte
+	j := decompressJobs.Get().(*decompressJob)
 	defer func() {
-		for _, s := range scratches {
-			pool.PutBytes(s)
+		for _, s := range j.buf {
+			if s != nil {
+				pool.PutBytes(s)
+			}
 		}
+		if j.zigs != nil {
+			pool.PutU32(j.zigs)
+		}
+		*j = decompressJob{}
+		decompressJobs.Put(j)
 	}()
-	var bitmap []byte
+	j.b = b
+	n, keptCount, nPlanes := b.n, b.kept, b.nSections
+	j.parts = splitParts(n)
+	nDecode := nPlanes // the code sections, then the bitmap with the filter
 	if b.filter {
-		buf := pool.Bytes((n + 7) / 8)
-		scratches = append(scratches, buf)
-		bitmap, err = cdc.DecodeInto(buf[:0:len(buf)], b.bitmap)
-		if err != nil {
+		nDecode++
+	}
+	// Each section decodes into a pooled buffer sized by the bound the
+	// header sets on it: a bitmap bit per element, a byte per kept value
+	// and plane, or packedLen for the bit-packed stream. The caller takes
+	// and returns them all, as Compress does its scratch.
+	for i := 0; i < nPlanes; i++ {
+		size := keptCount
+		if b.bitPacked {
+			size = packedLen(keptCount)
+		}
+		j.buf[i] = pool.Bytes(size)
+	}
+	if b.filter {
+		j.buf[nPlanes] = pool.Bytes((n + 7) / 8)
+	}
+	pool.Do(nDecode, j.parts, (*sectionDecoder)(j))
+	if b.filter {
+		if j.bitmap, err = j.dec[nPlanes], j.errs[nPlanes]; err != nil {
 			return nil, fmt.Errorf("%w: COMPSO bitmap: %v", ErrCorrupt, err)
 		}
 	}
-
-	// Obtain the zig-zag code stream: either the dense packed section or up
-	// to four decoded byte planes (joined lazily in the fused output loop).
-	var zigs []uint32 // bit-packed path only
-	var planes [maxSections][]byte
-	if bitPacked {
-		buf := pool.Bytes(packedLen(keptCount))
-		scratches = append(scratches, buf)
-		packed, err := cdc.DecodeInto(buf[:0:len(buf)], b.sections[0])
-		if err != nil {
+	if b.bitPacked {
+		if err := j.errs[0]; err != nil {
 			return nil, fmt.Errorf("%w: COMPSO packed: %v", ErrCorrupt, err)
 		}
-		zigs = pool.U32(keptCount)
-		defer pool.PutU32(zigs)
-		if err := unpackZigsInto(zigs, packed, keptCount); err != nil {
+		j.zigs = pool.U32(keptCount)
+		if err := unpackZigsInto(j.zigs, j.dec[0], keptCount); err != nil {
 			return nil, fmt.Errorf("%w: COMPSO: %v", ErrCorrupt, err)
 		}
 	} else {
 		for p := 0; p < nPlanes; p++ {
-			buf := pool.Bytes(keptCount)
-			scratches = append(scratches, buf)
-			planes[p], err = cdc.DecodeInto(buf[:0:len(buf)], b.sections[p])
-			if err != nil {
+			if err := j.errs[p]; err != nil {
 				return nil, fmt.Errorf("%w: COMPSO plane %d: %v", ErrCorrupt, p, err)
 			}
-			if len(planes[p]) != keptCount {
-				return nil, fmt.Errorf("%w: COMPSO: plane %d has %d bytes, want %d", ErrCorrupt, p, len(planes[p]), keptCount)
+			if j.planes[p] = j.dec[p]; len(j.planes[p]) != keptCount {
+				return nil, fmt.Errorf("%w: COMPSO: plane %d has %d bytes, want %d", ErrCorrupt, p, len(j.planes[p]), keptCount)
 			}
 		}
 	}
-	binW := quant.BinWidth(b.ebq, b.rounding)
-	out := make([]float32, n)
+	if !b.filter && keptCount != n {
+		return nil, fmt.Errorf("%w: COMPSO: %d values for %d elements", ErrCorrupt, keptCount, n)
+	}
+	if b.filter && len(j.bitmap) < (n+7)/8 {
+		return nil, fmt.Errorf("%w: COMPSO: bitmap of %d bytes too short for %d values", ErrCorrupt, len(j.bitmap), n)
+	}
+	cutRanges(&j.cuts, n, j.parts)
+	// Each range starts at the kept values before it: the bitmap's zero
+	// bits, counted a word at a time. Their total must be the kept count.
+	for i := 0; i < j.parts; i++ {
+		lo, hi := j.cuts[i], j.cuts[i+1]
+		if !b.filter {
+			j.ks[i+1] = hi
+			continue
+		}
+		kept := j.ks[i]
+		for wi := lo >> 6; wi < hi>>6; wi++ {
+			kept += 64 - bits.OnesCount64(binary.LittleEndian.Uint64(j.bitmap[wi<<3:]))
+		}
+		for e := hi &^ 63; e < hi; e++ {
+			kept += int(^j.bitmap[e>>3] >> (e & 7) & 1)
+		}
+		j.ks[i+1] = kept
+	}
+	if k := j.ks[j.parts]; k > keptCount {
+		return nil, fmt.Errorf("%w: COMPSO: bitmap expects more than %d kept values", ErrCorrupt, keptCount)
+	} else if k < keptCount {
+		return nil, fmt.Errorf("%w: COMPSO: %d kept values unused (bitmap expects %d)", ErrCorrupt, keptCount-k, k)
+	}
+	j.binW = quant.BinWidth(b.ebq, b.rounding)
 	// One or two byte planes cover every real gradient stream; there the
 	// low byte dequantizes through a 256-entry table built with the exact
 	// DequantizeZig arithmetic, and the near-constant-zero high plane falls
 	// back to the full computation only when its byte is set.
-	var lut [256]float32
-	var p0, p1 []byte
-	fastPlanes := !bitPacked && (nPlanes == 1 || nPlanes == 2)
-	if fastPlanes {
-		for z := range lut {
-			lut[z] = quant.DequantizeZig(uint32(z), binW)
-		}
-		p0 = planes[0]
-		if nPlanes == 2 {
-			p1 = planes[1]
+	j.fast = !b.bitPacked && (nPlanes == 1 || nPlanes == 2)
+	if j.fast {
+		for z := range j.lut {
+			j.lut[z] = quant.DequantizeZig(uint32(z), j.binW)
 		}
 	}
-	if !b.filter {
-		if keptCount != n {
-			return nil, fmt.Errorf("%w: COMPSO: %d values for %d elements", ErrCorrupt, keptCount, n)
-		}
-		switch {
-		case bitPacked:
-			for i, z := range zigs {
-				out[i] = quant.DequantizeZig(z, binW)
-			}
-		case nPlanes == 1:
-			for i, b := range p0 {
-				out[i] = lut[b]
-			}
-		case nPlanes == 2:
-			for i := 0; i < n; i++ {
-				if hi := p1[i]; hi != 0 {
-					out[i] = quant.DequantizeZig(uint32(p0[i])|uint32(hi)<<8, binW)
-				} else {
-					out[i] = lut[p0[i]]
-				}
-			}
-		case nPlanes == 0:
-			// Every code is zero; out is already zero-valued.
-		default:
-			for i := 0; i < n; i++ {
-				var z uint32
-				for p := 0; p < nPlanes; p++ {
-					z |= uint32(planes[p][i]) << (8 * p)
-				}
-				out[i] = quant.DequantizeZig(z, binW)
-			}
-		}
-		return out, nil
-	}
-	// Fused dequantize + filter-restore, with filter.Restore's validation.
-	if len(bitmap) < (n+7)/8 {
-		return nil, fmt.Errorf("%w: COMPSO: bitmap of %d bytes too short for %d values", ErrCorrupt, len(bitmap), n)
-	}
-	k := 0
-	if fastPlanes {
-		// Word-at-a-time restore: 64 bitmap bits load as one little-endian
-		// word, and the kept positions are walked by iterating the zero bits
-		// with TrailingZeros64 — the loop runs once per kept value (plus once
-		// per word), not once per bit with a data-dependent branch.
-		nw := n >> 6
-		for wi := 0; wi < nw; wi++ {
-			b := bitmap[wi<<3 : wi<<3+8]
-			inv := ^(uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-				uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56)
-			if inv == 0 {
-				continue
-			}
-			base := wi << 6
-			if k+64 > keptCount && k+bits.OnesCount64(inv) > keptCount {
-				return nil, fmt.Errorf("%w: COMPSO: bitmap expects more than %d kept values", ErrCorrupt, keptCount)
-			}
-			for inv != 0 {
-				j := bits.TrailingZeros64(inv)
-				inv &= inv - 1
-				z := uint32(p0[k])
-				if p1 != nil {
-					if hi := p1[k]; hi != 0 {
-						out[base+j] = quant.DequantizeZig(z|uint32(hi)<<8, binW)
-						k++
-						continue
-					}
-				}
-				out[base+j] = lut[z]
-				k++
-			}
-		}
-		for i := nw << 6; i < n; i++ {
-			if bitmap[i>>3]&(1<<(i&7)) == 0 {
-				if k >= keptCount {
-					return nil, fmt.Errorf("%w: COMPSO: bitmap expects more than %d kept values", ErrCorrupt, keptCount)
-				}
-				z := uint32(p0[k])
-				if p1 != nil {
-					z |= uint32(p1[k]) << 8
-				}
-				out[i] = quant.DequantizeZig(z, binW)
-				k++
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			if bitmap[i>>3]&(1<<(i&7)) != 0 {
-				continue // filtered → zero
-			}
-			if k >= keptCount {
-				return nil, fmt.Errorf("%w: COMPSO: bitmap expects more than %d kept values", ErrCorrupt, keptCount)
-			}
-			var z uint32
-			if bitPacked {
-				z = zigs[k]
-			} else {
-				for p := 0; p < nPlanes; p++ {
-					z |= uint32(planes[p][k]) << (8 * p)
-				}
-			}
-			out[i] = quant.DequantizeZig(z, binW)
-			k++
-		}
-	}
-	if k != keptCount {
-		return nil, fmt.Errorf("%w: COMPSO: %d kept values unused (bitmap expects %d)", ErrCorrupt, keptCount-k, k)
-	}
-	return out, nil
+	j.out = make([]float32, n)
+	pool.Do(j.parts, j.parts, (*restorer)(j))
+	return j.out, nil
 }
 
 // unpackZigsInto reads a PackCodes-format stream into dst, enforcing that it

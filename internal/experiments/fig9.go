@@ -34,21 +34,23 @@ type Fig9Row struct {
 // figMethod couples a compressor with its GPU pipeline cost model and
 // aggregation policy.
 type figMethod struct {
-	name     string
+	name string
+	// mk builds the compressor whose ratio the method is priced at. Nil
+	// reuses the ratio of the method before it.
 	mk       func() compress.Compressor
 	pipeline gpusim.Pipeline
 	dynamicM bool // COMPSO-p: choose m via the performance model
 }
 
-// fig9Methods lists the methods in plot order. COMPSO-f and COMPSO-p share
-// a compressor seed, so they differ in m alone.
+// fig9Methods lists the methods in plot order. COMPSO-p prices COMPSO-f's
+// ratio (one compressor, one seed), so the two differ in m alone.
 func fig9Methods() []figMethod {
 	return []figMethod{
 		{"cuSZ", func() compress.Compressor { return compress.NewSZ(4e-3) }, gpusim.SZCUDA(), false},
 		{"QSGD", func() compress.Compressor { return compress.NewQSGD(8, 91) }, gpusim.QSGDCUDA(), false},
 		{"CocktailSGD", func() compress.Compressor { return compress.NewCocktailSGD(0.2, 8, 92) }, gpusim.CocktailTorch(), false},
 		{"COMPSO-f", func() compress.Compressor { return compso.NewCompressor(nil, 0, 93) }, gpusim.COMPSOFused(), false},
-		{"COMPSO-p", func() compress.Compressor { return compso.NewCompressor(nil, 0, 93) }, gpusim.COMPSOFused(), true},
+		{"COMPSO-p", nil, gpusim.COMPSOFused(), true},
 	}
 }
 
@@ -113,17 +115,23 @@ func fig9Model(pi int, cfg cluster.Config, lt *perfmodel.LookupTable, p modelzoo
 		base[gpus] = breakdown(p, cfg, gpus)
 	}
 	methods := fig9Methods()
-	comps := make([]compress.Compressor, len(methods))
-	for i, method := range methods {
-		comps[i] = method.mk()
+	var comps []compress.Compressor
+	for _, method := range methods {
+		if method.mk != nil {
+			comps = append(comps, method.mk())
+		}
 	}
 	crs, err := measureCRs(p, comps, fig7AggM, 1100+int64(pi))
 	if err != nil {
 		return nil, err
 	}
 	var rows []Fig9Row
-	for i, method := range methods {
-		cr := crs[i]
+	ci := -1 // crs[ci] is the ratio of the last method with an mk
+	for _, method := range methods {
+		if method.mk != nil {
+			ci++
+		}
+		cr := crs[ci]
 		for _, gpus := range []int{8, 16, 32, 64} {
 			b := base[gpus]
 			row := Fig9Row{Platform: platform, Model: p.Name, Method: method.name, GPUs: gpus, AggM: fig7AggM}

@@ -8,17 +8,20 @@
 // conversion scratch — comes from the size-classed sync.Pool arenas here, so
 // steady-state training steps run near-zero-alloc.
 //
-// ParallelFor is the chunk/layer-parallel execution primitive (the
-// thread-block analogue of the fused CUDA kernels): a GOMAXPROCS-aware,
-// process-wide bounded helper pool with deterministic, index-addressed
-// output. Callers write results into their own index, so the schedule never
-// influences the bytes produced — the determinism contract the simulated
-// training results depend on.
+// Do (and ParallelFor over it) is the chunk/layer-parallel execution
+// primitive (the thread-block analogue of the fused CUDA kernels): the
+// caller plus persistent helper goroutines, at most GOMAXPROCS−1 of them
+// process-wide, with deterministic, part-addressed output. Callers write
+// results into their own part, so the schedule never influences the bytes
+// produced — the determinism contract the simulated training results and
+// the compressors' blobs depend on.
 package pool
 
 import (
+	"fmt"
 	"math/bits"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -107,13 +110,6 @@ func Bytes(n int) []byte { return bytesArena.get(n) }
 // retain any reference to it afterwards.
 func PutBytes(b []byte) { bytesArena.put(b) }
 
-// ZeroBytes returns a pooled []byte of length n with every element zeroed.
-func ZeroBytes(n int) []byte {
-	b := bytesArena.get(n)
-	clear(b)
-	return b
-}
-
 // U32 returns a pooled []uint32 of length n. Contents are undefined.
 func U32(n int) []uint32 { return u32Arena.get(n) }
 
@@ -125,13 +121,6 @@ func F32(n int) []float32 { return f32Arena.get(n) }
 
 // PutF32 recycles a buffer obtained from F32.
 func PutF32(s []float32) { f32Arena.put(s) }
-
-// ZeroF32 returns a pooled []float32 of length n with every element zeroed.
-func ZeroF32(n int) []float32 {
-	s := f32Arena.get(n)
-	clear(s)
-	return s
-}
 
 // Ints returns a pooled []int of length n. Contents are undefined.
 func Ints(n int) []int { return intArena.get(n) }
@@ -148,60 +137,165 @@ func PutF64(s []float64) { f64Arena.put(s) }
 // Workers returns the parallelism bound of the shared worker pool.
 func Workers() int { return runtime.GOMAXPROCS(0) }
 
-// helperTokens bounds the number of helper goroutines live across ALL
-// concurrent ParallelFor calls in the process, so nested or concurrent
-// fan-outs (P simulated workers each chunk-compressing) cannot multiply
-// into P×GOMAXPROCS goroutines. The calling goroutine always works without
-// a token, which keeps ParallelFor deadlock-free under arbitrary nesting.
-var helperTokens = make(chan struct{}, max(1, runtime.GOMAXPROCS(0)-1))
+// A Task is work cut into parts: Run(i) does part i. Parts may run
+// concurrently, so Run must write only to part-addressed state.
+type Task interface {
+	Run(part int)
+}
 
-// ParallelFor runs fn(i) for every i in [0, n) using the calling goroutine
-// plus up to limit-1 helpers from the shared bounded pool (limit <= 0 means
-// GOMAXPROCS). Indices are claimed atomically, so the iteration order is
-// unspecified — callers must make fn write only to index-addressed state.
-// ParallelFor returns when every index has been processed.
-func ParallelFor(n, limit int, fn func(i int)) {
+// job is one Do call's state, shared by the caller and every helper that
+// took it. Jobs are recycled, so a dispatch allocates nothing.
+type job struct {
+	t    Task
+	n    int64
+	next atomic.Int64
+	wg   sync.WaitGroup // one count per helper that took the job
+	// panicked holds the first panic a helper recovered from a part, for
+	// the caller to raise again.
+	panicked atomic.Pointer[partPanic]
+}
+
+// partPanic is the value Do panics with when a part panicked on a helper:
+// the part's panic value and the helper's stack where it was raised.
+type partPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *partPanic) Error() string {
+	return fmt.Sprintf("pool: part panicked: %v\n%s", p.value, p.stack)
+}
+
+// help is a helper's share of j. A panicking part is recovered and handed
+// to the caller, so it unwinds the goroutine that called Do (where a server
+// may recover it) instead of ending the process.
+func (j *job) help() {
+	defer func() {
+		if r := recover(); r != nil {
+			j.panicked.CompareAndSwap(nil, &partPanic{value: r, stack: debug.Stack()})
+		}
+		idle.Add(1)
+		j.wg.Done()
+	}()
+	j.work()
+}
+
+// work claims parts in index order until none is left.
+func (j *job) work() {
+	for {
+		i := j.next.Add(1) - 1
+		if i >= j.n {
+			return
+		}
+		j.t.Run(int(i))
+	}
+}
+
+var jobs = sync.Pool{New: func() any { return new(job) }}
+
+// handoff carries jobs to idle helpers. idle counts the helpers that will
+// receive on it next: a helper counts itself in before it signals the end
+// of its last part, so a caller woken by that signal already sees it, and a
+// caller sends only after claiming one count, so every send finds a helper
+// on its way to receive and no job queues behind busy helpers.
+var (
+	handoff = make(chan *job)
+	idle    atomic.Int32
+)
+
+// helpers counts the persistent helper goroutines started so far; helperMu
+// serializes starting them.
+var (
+	helpers  atomic.Int32
+	helperMu sync.Mutex
+)
+
+// startHelpers makes sure at least k helpers exist. They live for the rest
+// of the process, blocked on handoff while idle, so the number of helper
+// goroutines is the largest GOMAXPROCS−1 the process has run with, however
+// many fan-outs nest or run concurrently.
+func startHelpers(k int) {
+	if int(helpers.Load()) >= k {
+		return
+	}
+	helperMu.Lock()
+	defer helperMu.Unlock()
+	for int(helpers.Load()) < k {
+		helpers.Add(1)
+		idle.Add(1)
+		go func() {
+			for j := range handoff {
+				j.help()
+			}
+		}()
+	}
+}
+
+// claimIdle takes one idle helper's count, reporting false when none is
+// idle.
+func claimIdle() bool {
+	for {
+		k := idle.Load()
+		if k <= 0 {
+			return false
+		}
+		if idle.CompareAndSwap(k, k-1) {
+			return true
+		}
+	}
+}
+
+// Do runs t.Run(i) for every i in [0, n) on the calling goroutine plus up to
+// limit−1 idle helpers (limit <= 0 means Workers()), and returns when every
+// part is done. Parts are claimed in index order; which goroutine runs a
+// part is unspecified, so the schedule must not influence what t writes.
+// The caller always works and waits only for helpers that took a part of
+// this call, so nested and concurrent calls cannot deadlock: when no helper
+// is idle, the caller runs every part itself. A part that panics makes Do
+// panic on the caller once every helper is done with the call: with the
+// part's own value when it ran on the caller, with a *partPanic when it
+// ran on a helper.
+func Do(n, limit int, t Task) {
 	if n <= 0 {
 		return
 	}
 	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
+		limit = Workers()
 	}
-	want := min(limit, n) - 1 // helpers beyond the calling goroutine
-	if n == 1 || want <= 0 {
+	want := min(limit, n, Workers()) - 1 // helpers beyond the caller
+	if want <= 0 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			t.Run(i)
 		}
 		return
 	}
-	var next atomic.Int64
-	work := func() {
-		for {
-			i := next.Add(1) - 1
-			if i >= int64(n) {
-				return
-			}
-			fn(int(i))
-		}
+	startHelpers(Workers() - 1)
+	j := jobs.Get().(*job)
+	j.t, j.n = t, int64(n)
+	j.next.Store(0)
+	for k := 0; k < want && claimIdle(); k++ {
+		j.wg.Add(1)
+		handoff <- j
 	}
-	var wg sync.WaitGroup
-	spawned := 0
-	for ; spawned < want; spawned++ {
-		select {
-		case helperTokens <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer func() {
-					<-helperTokens
-					wg.Done()
-				}()
-				work()
-			}()
-		default:
-			// Pool saturated: the calling goroutine absorbs the rest.
-			spawned = want
-		}
+	func() {
+		defer j.wg.Wait() // also when a part panics on the caller
+		j.work()
+	}()
+	if p := j.panicked.Load(); p != nil {
+		panic(p)
 	}
-	work()
-	wg.Wait()
+	j.t = nil
+	jobs.Put(j)
 }
+
+// funcTask adapts a function to Task.
+type funcTask func(i int)
+
+func (f funcTask) Run(i int) { f(i) }
+
+// ParallelFor runs fn(i) for every i in [0, n) through Do: on the calling
+// goroutine plus up to limit−1 idle helpers (limit <= 0 means GOMAXPROCS).
+// Indices are claimed atomically, so the iteration order is unspecified —
+// callers must make fn write only to index-addressed state. ParallelFor
+// returns when every index has been processed.
+func ParallelFor(n, limit int, fn func(i int)) { Do(n, limit, funcTask(fn)) }

@@ -99,16 +99,7 @@ func FilterQuantizeZig(bitmap []byte, dst []uint32, src []float32, ebf, binW flo
 // matches a rand.Rand wrapping the same PCG while the per-kept-value hot
 // path skips the rand.Source interface dispatch.
 func FilterQuantizeZigPCG(bitmap []byte, dst []uint32, src []float32, ebf, binW float64, pcg *rand.PCG) (kept int, maxZig uint32) {
-	// The filter test runs in the integer domain: float32→float64 conversion
-	// is exact, so |v| < ebf holds iff |v| < t for t = the smallest float32
-	// >= ebf, and for non-negative floats (plus NaN/Inf, whose magnitudes
-	// compare above every finite t exactly as math.Abs(NaN/Inf) < ebf is
-	// false) that order matches the order of their bit patterns.
-	t := float32(ebf)
-	if float64(t) < ebf {
-		t = math.Nextafter32(t, float32(math.Inf(1)))
-	}
-	tb := math.Float32bits(t)
+	tb := filterBits(ebf)
 	n := len(src)
 	var peak uint32
 	// 64-element blocks: the filter word is built branch-free (both operands
@@ -177,6 +168,49 @@ func FilterQuantizeZigPCG(bitmap []byte, dst []uint32, src []float32, ebf, binW 
 		bitmap[n>>3] = cur
 	}
 	return kept, checkFinite(maxZig, peak)
+}
+
+// filterBits returns the bit pattern t of the smallest float32 >= ebf. The
+// filter test runs in the integer domain: float32→float64 conversion is
+// exact, so |v| < ebf holds iff |v| < t, and for non-negative floats (plus
+// NaN/Inf, whose magnitudes compare above every finite t exactly as
+// math.Abs(NaN/Inf) < ebf is false) that order matches the order of their
+// bit patterns.
+func filterBits(ebf float64) uint32 {
+	t := float32(ebf)
+	if float64(t) < ebf {
+		t = math.Nextafter32(t, float32(math.Inf(1)))
+	}
+	return math.Float32bits(t)
+}
+
+// FilterKept returns how many values of src the filter at ebf keeps — the
+// kept count FilterQuantizeZig and FilterQuantizeZigPCG return for src,
+// without quantizing. A caller that splits the fused pass by range uses it
+// to place a range's codes and its first stochastic-rounding draw.
+func FilterKept(src []float32, ebf float64) int {
+	// Two magnitudes a 64-bit word, each with its bit 31 set: subtracting
+	// the threshold from both halves borrows across neither, and a half
+	// keeps bit 31 exactly when its |v| >= t. Two words a step keep two
+	// independent sums; a half's count stays below 2^30.
+	tb := filterBits(ebf)
+	t := uint64(tb) | uint64(tb)<<32
+	const abs, top = 0x7fffffff7fffffff, 0x8000000080000000
+	var a, b uint64
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		s := src[i : i+4 : i+4]
+		x := uint64(math.Float32bits(s[0])) | uint64(math.Float32bits(s[1]))<<32
+		y := uint64(math.Float32bits(s[2])) | uint64(math.Float32bits(s[3]))<<32
+		a += ((x&abs | top) - t) & top >> 31
+		b += ((y&abs | top) - t) & top >> 31
+	}
+	a += b
+	kept := int(a&0xffffffff) + int(a>>32)
+	for ; i < len(src); i++ {
+		kept += int(^(math.Float32bits(src[i])&0x7fffffff - tb) >> 31)
+	}
+	return kept
 }
 
 // QuantizeZigIntoPCG is QuantizeZigInto's stochastic-rounding loop over a

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -72,21 +73,27 @@ func canonicalSpans(spans []obs.Span) []obs.Span {
 	return out
 }
 
+// faultedRun is faultedConfig(6)'s run, once per test binary: the first of
+// TestFaultedRunIsDeterministic's two runs and TestCorruptionRecoveryKFAC's
+// one.
+var faultedRun = sync.OnceValues(func() (*Result, error) {
+	return Run(faultedConfig(6, obs.NewRecorder()))
+})
+
 // TestFaultedRunIsDeterministic pins the determinism contract end to end:
 // identical seeds and fault plans produce bit-identical results and
 // (canonicalized) traces across two runs.
 func TestFaultedRunIsDeterministic(t *testing.T) {
 	t.Parallel()
-	run := func() (*Result, obs.Snapshot) {
-		rec := obs.NewRecorder()
-		res, err := Run(faultedConfig(6, rec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, *res.Metrics
+	r1, err := faultedRun()
+	if err != nil {
+		t.Fatal(err)
 	}
-	r1, s1 := run()
-	r2, s2 := run()
+	r2, err := Run(faultedConfig(6, obs.NewRecorder()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, s2 := *r1.Metrics, *r2.Metrics
 
 	if r1.FinalLoss != r2.FinalLoss || r1.FinalAcc != r2.FinalAcc {
 		t.Fatalf("final metrics differ: %v/%v vs %v/%v", r1.FinalLoss, r1.FinalAcc, r2.FinalLoss, r2.FinalAcc)
@@ -184,8 +191,7 @@ func TestDisabledFaultPlanIsInert(t *testing.T) {
 // the full recovery ladder (corruptions, retries, lossless fallbacks) both
 // in FaultEvents and as obs counters.
 func TestCorruptionRecoveryKFAC(t *testing.T) {
-	rec := obs.NewRecorder()
-	res, err := Run(faultedConfig(6, rec))
+	res, err := faultedRun()
 	if err != nil {
 		t.Fatal(err)
 	}
