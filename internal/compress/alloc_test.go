@@ -9,11 +9,11 @@ import (
 )
 
 // Steady-state allocation guards for the fused hot paths: after warm-up has
-// populated the buffer arena, a Compress or Decompress call may allocate the
-// returned blob/value slice and a handful of bookkeeping cells, but must not
-// re-materialize per-stage intermediates. The bounds are deliberately above
-// the observed counts (sync.Pool can shed buffers under GC pressure) yet far
-// below the dozens of allocations the multi-pass pipeline made per call.
+// populated the buffer arena, a Compress or Decompress call allocates the
+// returned blob/value slice and nothing else: no per-stage intermediate and
+// no boxed slice header on Put. AllocsPerRun truncates the mean, so a
+// buffer that sync.Pool sheds under GC pressure and a call reallocates once
+// in the 20 runs does not trip the bound; one more allocation per call does.
 // (Excluded under -race: the detector's instrumentation skews alloc counts.)
 
 func steadyGradient(n int) []float32 {
@@ -39,8 +39,8 @@ func TestCOMPSOCompressSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	_ = sink
-	if allocs > 8 {
-		t.Fatalf("COMPSO Compress steady state: %.1f allocs/op, want <= 8", allocs)
+	if allocs > 1 {
+		t.Fatalf("COMPSO Compress steady state: %.1f allocs/op, want <= 1 (the blob)", allocs)
 	}
 }
 
@@ -65,7 +65,7 @@ func TestCOMPSODecompressSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	_ = sink
-	if allocs > 16 {
-		t.Fatalf("COMPSO Decompress steady state: %.1f allocs/op, want <= 16", allocs)
+	if allocs > 1 {
+		t.Fatalf("COMPSO Decompress steady state: %.1f allocs/op, want <= 1 (the values)", allocs)
 	}
 }

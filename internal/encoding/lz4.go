@@ -178,7 +178,7 @@ func lz4ReadLenExt(src []byte, pos int) (int, int, error) {
 		if b != 255 {
 			return ext, pos, nil
 		}
-		if ext > 1<<31 {
+		if uint64(ext) > 1<<31 { // uint64: int may be 32 bits
 			return 0, 0, corruptf("LZ4: length extension overflow")
 		}
 	}

@@ -29,12 +29,12 @@ type Conv2D struct {
 	// step: Backward's and K-FAC's inputs.
 	lastCols   *tensor.Matrix
 	lastGradPA *tensor.Matrix
-	// Temporaries of a training-mode Forward (prod) and of Backward, and
-	// the output and input gradient it hands out (Layer). Like the two
-	// caches above they are reused from step to step and collected with the
-	// layer.
-	prod, gradW, gradCols tensor.Matrix
-	out, gradIn           tensor.Matrix
+	// Temporaries of a training-mode Forward (prod) and of Backward (gpaT
+	// the packed transpose of the pre-activation gradient), and the output
+	// and input gradient it hands out (Layer). Like the two caches above
+	// they are reused from step to step and collected with the layer.
+	prod, gradW, gpaT, gradCols tensor.Matrix
+	out, gradIn                 tensor.Matrix
 }
 
 // NewConv2D creates a valid-padding stride-1 convolution layer.
@@ -138,7 +138,7 @@ func (c *Conv2D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	c.lastGradPA = gpa
-	c.Weight.Grad.AXPY(1, c.gradW.MatMulT(c.lastCols, gpa))
+	c.Weight.Grad.AXPY(1, c.gradW.MatMulTPacked(c.lastCols, gpa, &c.gpaT))
 
 	// ∂L/∂cols = W·gpa over the weight rows (the bias row has no input),
 	// then col2im scatter-add.

@@ -24,6 +24,7 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Size classes are powers of two from 1<<minClassShift elements up to
@@ -54,8 +55,10 @@ func classFor(n int) int {
 // classCap returns the capacity of buffers in class c.
 func classCap(c int) int { return 1 << (c + minClassShift) }
 
-// arena is a size-classed pool of []T buffers. Pools store *[]T so Put does
-// not allocate a fresh slice-header box per call.
+// arena is a size-classed pool of []T buffers. Pools store the backing
+// array's first element, a pointer, which an interface holds without a heap
+// box; get rebuilds the slice from it and the class capacity. (Storing &s
+// would move the slice header to the heap on every Put.)
 type arena[T any] struct {
 	classes [numClasses]sync.Pool
 }
@@ -68,7 +71,7 @@ func (a *arena[T]) get(n int) []T {
 		return make([]T, n)
 	}
 	if v := a.classes[c].Get(); v != nil {
-		s := (*(v.(*[]T)))[:n]
+		s := unsafe.Slice(v.(*T), classCap(c))[:n]
 		if debugEnabled.Load() {
 			debugGetPooled(s)
 		}
@@ -91,8 +94,7 @@ func (a *arena[T]) put(s []T) {
 	if debugEnabled.Load() {
 		debugPut(s)
 	}
-	s = s[:0]
-	a.classes[c].Put(&s)
+	a.classes[c].Put(unsafe.SliceData(s))
 }
 
 var (
