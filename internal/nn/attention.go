@@ -113,12 +113,13 @@ func (a *SelfAttention) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	attnOut := output(&a.attnOut, train, batch*a.Seq, a.Dim)
 	clear(attnOut.Data) // the heads add into it
 	var probs []*tensor.Matrix
+	var kt tensor.Matrix // each head's kₕᵀ, packed for MatMulT in turn
 	for b := 0; b < batch; b++ {
 		for h := 0; h < a.Heads; h++ {
 			qh := a.headSlice(q, b, h)
 			kh := a.headSlice(k, b, h)
 			vh := a.headSlice(v, b, h)
-			scores := tensor.New(0, 0).MatMulT(qh, kh)
+			scores := tensor.New(0, 0).MatMulTPacked(qh, kh, &kt)
 			scores.Scale(scale, scores)
 			p := softmaxRows(scores)
 			if train {
@@ -167,6 +168,7 @@ func (a *SelfAttention) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	clear(gradK.Data)
 	clear(gradV.Data)
 	pi := 0
+	var vt tensor.Matrix // each head's vₕᵀ, packed for MatMulT in turn
 	for b := 0; b < batch; b++ {
 		for h := 0; h < a.Heads; h++ {
 			p := a.probs[pi]
@@ -176,7 +178,7 @@ func (a *SelfAttention) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 			kh := a.headSlice(a.k, b, h)
 			vh := a.headSlice(a.v, b, h)
 			// o = p·v → ∂p = gO·vᵀ, ∂v = pᵀ·gO.
-			gradP := tensor.New(0, 0).MatMulT(gOh, vh)
+			gradP := tensor.New(0, 0).MatMulTPacked(gOh, vh, &vt)
 			gVh := tensor.New(0, 0).TMatMul(p, gOh)
 			// Softmax backward per row: gS = p ⊙ (gP − ⟨gP, p⟩row).
 			gradS := tensor.New(a.Seq, a.Seq)
