@@ -36,6 +36,7 @@ type shampooLayer struct {
 	param        *nn.Param
 	l, r         *tensor.Matrix // factored statistics
 	lRoot, rRoot *tensor.Matrix // cached inverse fourth roots
+	gradT        tensor.Matrix  // the gradient's transpose, packed for MatMulT
 	vel          []float64
 }
 
@@ -79,7 +80,7 @@ func (s *Shampoo) Precondition(i int) ([]float32, error) {
 	l := s.layers[i]
 	grad := l.param.Grad
 	// Update statistics.
-	l.l.AXPY(1, tensor.New(0, 0).MatMulT(grad, grad))
+	l.l.AXPY(1, tensor.New(0, 0).MatMulTPacked(grad, grad, &l.gradT))
 	l.r.AXPY(1, tensor.New(0, 0).TMatMul(grad, grad))
 	if s.step%s.UpdateFreq == 0 || l.lRoot == nil {
 		var err error
