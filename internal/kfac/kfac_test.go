@@ -232,7 +232,7 @@ func TestPreconditionMatchesDirectInverse(t *testing.T) {
 	l := k.layers[0]
 	// vec ordering: our V = QAᵀ Ĝ QG with Ĝ (in+1)×out corresponds to
 	// F = A ⊗ G acting on vec_row(Ĝ) where rows index A.
-	kron := tensor.Kron(l.A.Clone().Symmetrize(), l.G.Clone().Symmetrize())
+	kron := kron(l.A.Clone().Symmetrize(), l.G.Clone().Symmetrize())
 	kron.AddDiag(0.01)
 	inv, err := tensor.InverseSPD(kron)
 	if err != nil {
@@ -243,6 +243,62 @@ func TestPreconditionMatchesDirectInverse(t *testing.T) {
 	for i := range want {
 		if math.Abs(want[i]-float64(got[i])) > 1e-4*(1+math.Abs(want[i])) {
 			t.Fatalf("precondition[%d] = %g, want %g", i, got[i], want[i])
+		}
+	}
+}
+
+// kron returns the Kronecker product a ⊗ b, the explicit Fisher block that
+// TestPreconditionMatchesDirectInverse inverts as the oracle of the
+// eigenbasis route.
+func kron(a, b *tensor.Matrix) *tensor.Matrix {
+	k := tensor.New(a.Rows*b.Rows, a.Cols*b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < a.Cols; j++ {
+			av := a.At(i, j)
+			if av == 0 {
+				continue
+			}
+			for p := 0; p < b.Rows; p++ {
+				dst := k.Data[(i*b.Rows+p)*k.Cols+j*b.Cols : (i*b.Rows+p)*k.Cols+(j+1)*b.Cols]
+				src := b.Data[p*b.Cols : (p+1)*b.Cols]
+				for q, bv := range src {
+					dst[q] = av * bv
+				}
+			}
+		}
+	}
+	return k
+}
+
+func TestKronDims(t *testing.T) {
+	a := tensor.FromSlice(2, 2, []float64{1, 2, 3, 4})
+	b := tensor.FromSlice(2, 2, []float64{0, 1, 1, 0})
+	k := kron(a, b)
+	if k.Rows != 4 || k.Cols != 4 {
+		t.Fatalf("kron dims = %dx%d, want 4x4", k.Rows, k.Cols)
+	}
+	// Spot-check block (0,1): a[0,1]*b = 2*b.
+	if k.At(0, 3) != 2 || k.At(1, 2) != 2 || k.At(0, 2) != 0 {
+		t.Fatalf("kron block wrong: %v", k)
+	}
+}
+
+func TestKronMixedProductProperty(t *testing.T) {
+	// (A⊗B)(C⊗D) = (AC)⊗(BD) — the identity K-FAC's factorization relies on.
+	rng := xrand.NewSeeded(7)
+	random := func(rows, cols int) *tensor.Matrix {
+		m := tensor.New(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = rng.NormFloat64()
+		}
+		return m
+	}
+	a, c, b, d := random(2, 3), random(3, 2), random(2, 2), random(2, 2)
+	lhs := tensor.New(0, 0).MatMul(kron(a, b), kron(c, d))
+	rhs := kron(tensor.New(0, 0).MatMul(a, c), tensor.New(0, 0).MatMul(b, d))
+	for i := range lhs.Data {
+		if math.Abs(lhs.Data[i]-rhs.Data[i]) > 1e-10 {
+			t.Fatalf("mixed-product property violated at %d: %g vs %g", i, lhs.Data[i], rhs.Data[i])
 		}
 	}
 }
@@ -528,7 +584,7 @@ func TestInverseFourthRoot(t *testing.T) {
 	r4 := tensor.New(0, 0).MatMul(r2, r2)
 	damped := m.Clone().Symmetrize().AddDiag(eps)
 	prod := tensor.New(0, 0).MatMul(r4, damped)
-	id := tensor.Identity(5)
+	id := tensor.New(5, 5).AddDiag(1)
 	for i := range id.Data {
 		if math.Abs(prod.Data[i]-id.Data[i]) > 1e-6 {
 			t.Fatalf("root⁴·m != I at %d: %g", i, prod.Data[i])

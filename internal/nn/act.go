@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"math/bits"
 
 	"compso/internal/tensor"
 )
@@ -25,20 +26,30 @@ func (r *ReLU) Params() []*Param { return nil }
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	out := output(&r.out, train, x.Rows, x.Cols)
+	var mask []bool
 	if train {
 		r.mask = resize(r.mask, len(x.Data))
+		mask = r.mask[:len(x.Data)]
 	}
+	od := out.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		keep := v > 0
-		if !keep {
-			v = 0
-		}
-		out.Data[i] = v
+		keep := reluKeep(v)
+		od[i] = math.Float64frombits(math.Float64bits(v) & keep)
 		if train {
-			r.mask[i] = keep
+			mask[i] = keep != 0
 		}
 	}
 	return out
+}
+
+// reluKeep is all ones when v > 0 and zero otherwise, NaN and ±0 included,
+// computed on the bits without a branch: rectified inputs are negative about
+// every other element, and a branch on them mispredicts about as often.
+// v > 0 holds iff 0 < bits ≤ the bits of +Inf, that is iff bits−1, as an
+// unsigned integer, is below them: the borrow of that subtraction.
+func reluKeep(v float64) uint64 {
+	_, borrow := bits.Sub64(math.Float64bits(v)-1, math.Float64bits(math.Inf(1)), 0)
+	return -borrow
 }
 
 // Backward implements Layer.
@@ -47,11 +58,13 @@ func (r *ReLU) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 		panic("nn: ReLU.Backward shape mismatch with cached mask")
 	}
 	out := reuse(&r.gradIn, gradOut.Rows, gradOut.Cols)
+	mask, od := r.mask[:len(gradOut.Data)], out.Data[:len(gradOut.Data)]
 	for i, g := range gradOut.Data {
-		if !r.mask[i] {
-			g = 0
+		var keep uint64 // 0 or 1 from the mask's byte, not a branch
+		if mask[i] {
+			keep = 1
 		}
-		out.Data[i] = g
+		od[i] = math.Float64frombits(math.Float64bits(g) & -keep)
 	}
 	return out
 }

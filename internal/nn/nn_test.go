@@ -116,6 +116,75 @@ func TestReLUGradCheck(t *testing.T) {
 	numericalGradCheck(t, NewReLU(), in, 1e-5)
 }
 
+// reluForwardBranchy and reluBackwardBranchy are ReLU's loops as they stood
+// before the mask was taken from the bits, kept verbatim as the oracle of
+// TestReLUMatchesBranchyLoops.
+func reluForwardBranchy(x, out []float64, mask []bool) {
+	for i, v := range x {
+		keep := v > 0
+		if !keep {
+			v = 0
+		}
+		out[i] = v
+		mask[i] = keep
+	}
+}
+
+func reluBackwardBranchy(gradOut, out []float64, mask []bool) {
+	for i, g := range gradOut {
+		if !mask[i] {
+			g = 0
+		}
+		out[i] = g
+	}
+}
+
+// TestReLUMatchesBranchyLoops holds ReLU to the branchy loops bit for bit,
+// in both directions, training and evaluation, with NaNs of both signs,
+// ±Inf, ±0, denormals and the extremes planted among Gaussian values.
+func TestReLUMatchesBranchyLoops(t *testing.T) {
+	specials := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(),
+		math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8000000000001),
+		5e-324, -5e-324, 2.2250738585072009e-308, -1e-310, math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, 1, -1,
+	}
+	bitsOf := func(s []float64) []uint64 {
+		b := make([]uint64, len(s))
+		for i, v := range s {
+			b[i] = math.Float64bits(v)
+		}
+		return b
+	}
+	x, g := randomInput(7, 13, 21), randomInput(7, 13, 22)
+	for i, v := range specials {
+		x.Data[i*5] = v
+		g.Data[i*5+2] = v
+		g.Data[len(g.Data)-1-i] = v
+	}
+	copy(x.Data[len(x.Data)-len(specials):], specials)
+
+	wantOut, wantGrad := make([]float64, len(x.Data)), make([]float64, len(x.Data))
+	mask := make([]bool, len(x.Data))
+	reluForwardBranchy(x.Data, wantOut, mask)
+	reluBackwardBranchy(g.Data, wantGrad, mask)
+
+	r := NewReLU()
+	eval := bitsOf(r.Forward(x, false).Data)
+	out := bitsOf(r.Forward(x, true).Data)
+	for i, w := range bitsOf(wantOut) {
+		if out[i] != w || eval[i] != w || r.mask[i] != mask[i] {
+			t.Fatalf("Forward(%g) at %d = %#x (eval %#x, mask %v), want %#x (mask %v)", x.Data[i], i, out[i], eval[i], r.mask[i], w, mask[i])
+		}
+	}
+	grad := bitsOf(r.Backward(g).Data)
+	for i, w := range bitsOf(wantGrad) {
+		if grad[i] != w {
+			t.Fatalf("Backward(%g) at %d under input %g = %#x, want %#x", g.Data[i], i, x.Data[i], grad[i], w)
+		}
+	}
+}
+
 func TestGELUGradCheck(t *testing.T) {
 	numericalGradCheck(t, NewGELU(), randomInput(3, 7, 9), 1e-4)
 }

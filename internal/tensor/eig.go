@@ -51,10 +51,11 @@ func EigenSym(a *Matrix) (*Eigen, error) {
 	}
 	n := a.Rows
 	qt := a.Clone()
-	d, e := make([]float64, n), make([]float64, n)
+	// e[:n] holds the subdiagonal, e[n:] a QL sweep's rotations.
+	d, e := make([]float64, n), make([]float64, 3*n)
 	if n > 0 {
-		tridiagonalize(qt.Data, d, e)
-		if l := tridiagonalQL(qt.Data, d, e); l >= 0 {
+		tridiagonalize(qt.Data, d, e[:n])
+		if l := tridiagonalQL(qt.Data, d, e[:n], e[n:]); l >= 0 {
 			return nil, fmt.Errorf("tensor: EigenSym failed to converge on eigenvalue %d of %dx%d matrix", l, n, n)
 		}
 	}
@@ -95,7 +96,7 @@ func tridiagonalize(w, d, e []float64) {
 		// and underflow. The reflection is I − u·uᵀ/h with h = uᵀu/2.
 		for k := range u {
 			u[k] /= scale
-			h += u[k] * u[k]
+			h += float64(u[k] * u[k])
 		}
 		f := u[i-1]
 		g := math.Sqrt(h)
@@ -103,39 +104,43 @@ func tridiagonalize(w, d, e []float64) {
 			g = -g
 		}
 		e[i] = scale * g
-		h -= f * g
+		h -= float64(f * g)
 		u[i-1] = f - g
 		copy(w[i*n:i*n+i], u)
 		// p = A·u from the upper triangle: row j gives the part of p[j] to
 		// the right of the diagonal and, mirrored, its share of p[j+1:].
+		// Row j's share reaches only p[j+1:], so rows j…j+3 add theirs
+		// before their dot products start from p[j…j+3]: each chain takes
+		// its terms up to column j+3 alone, then the four run interleaved.
 		clear(p)
-		for j, f := range u {
-			row := w[j*n+j+1 : j*n+i]
-			uj, pj := u[j+1:][:len(row)], p[j+1:][:len(row)]
-			g := p[j] + w[j*n+j]*f
-			for k, v := range row {
-				g += v * uj[k]
-				pj[k] += v * f
+		for j := 0; j < i; j += 4 {
+			var g [4]float64
+			end := min(j+4, i)
+			for r := j; r < end; r++ {
+				row := w[r*n : r*n+i]
+				axpy(p[r+1:], row[r+1:], u[r])
+				g[r-j] = p[r] + float64(row[r]*u[r])
+				for k := r + 1; k < end; k++ {
+					g[r-j] += float64(row[k] * u[k])
+				}
 			}
-			p[j] = g
+			if end == j+4 {
+				dots4(&g, u[end:], w[j*n+end:], w[(j+1)*n+end:], w[(j+2)*n+end:], w[(j+3)*n+end:])
+			}
+			copy(p[j:end], g[:])
 		}
 		// A −= u·qᵀ + q·uᵀ with q = p/h − (uᵀp/2h²)·u, left in p.
 		f = 0
 		for j := range p {
 			p[j] /= h
-			f += p[j] * u[j]
+			f += float64(p[j] * u[j])
 		}
 		hh := f / (h + h)
 		for j := range p {
-			p[j] -= hh * u[j]
+			p[j] -= float64(hh * u[j])
 		}
 		for j := 0; j < i; j++ {
-			f, g := u[j], p[j]
-			row := w[j*n+j : j*n+i]
-			uj, pj := u[j:][:len(row)], p[j:][:len(row)]
-			for k := range row {
-				row[k] -= f*pj[k] + g*uj[k]
-			}
+			rank2(w[j*n+j:j*n+i], p[j:], u[j:], u[j], p[j])
 			// u[j] has been used for the last time: column i−1, the next
 			// step's input, takes its place, and column i is done with.
 			d[j] = w[j*n+i-1]
@@ -156,14 +161,15 @@ func tridiagonalize(w, d, e []float64) {
 			for k, v := range u {
 				uh[k] = v / h
 			}
-			for j := 0; j <= i; j++ {
-				row := w[j*n : j*n+i+1][:len(u)]
-				var g float64
-				for k, v := range u {
-					g += v * row[k]
-				}
-				for k, v := range uh[:len(row)] {
-					row[k] -= g * v
+			// Row j takes −(u·row j)·uh. The dot products read rows that
+			// no update of this step has touched, so four run at once,
+			// each in its own ascending order; past row i the last block
+			// repeats row i and drops those chains.
+			for j := 0; j <= i; j += 4 {
+				var g [4]float64
+				dots4(&g, u, w[j*n:], w[min(j+1, i)*n:], w[min(j+2, i)*n:], w[min(j+3, i)*n:])
+				for r := j; r <= min(j+3, i); r++ {
+					axpy(w[r*n:][:len(u)], uh, -g[r-j])
 				}
 			}
 		}
@@ -177,12 +183,28 @@ func tridiagonalize(w, d, e []float64) {
 	e[0] = 0
 }
 
+// dots4 adds u·r_t[:len(u)] into g[t] for t = 0…3: four chains of rounded
+// products and rounded sums, each in ascending order, run interleaved so
+// that one sum's latency hides the others'.
+func dots4(g *[4]float64, u, r0, r1, r2, r3 []float64) {
+	r0, r1, r2, r3 = r0[:len(u)], r1[:len(u)], r2[:len(u)], r3[:len(u)]
+	g0, g1, g2, g3 := g[0], g[1], g[2], g[3]
+	for k, v := range u {
+		g0 += float64(v * r0[k])
+		g1 += float64(v * r1[k])
+		g2 += float64(v * r2[k])
+		g3 += float64(v * r3[k])
+	}
+	g[0], g[1], g[2], g[3] = g0, g1, g2, g3
+}
+
 // tridiagonalQL diagonalises the symmetric tridiagonal matrix with diagonal
 // d and subdiagonal e[1:] by the QL iteration with implicit shifts, applying
-// each rotation to two rows of qt (n×n, n = len(d) ≥ 1). The eigenvalues are
-// left in d, unsorted. It returns −1, or the index of the eigenvalue that
-// did not converge in maxQLIterations.
-func tridiagonalQL(qt, d, e []float64) int {
+// each rotation to two rows of qt (n×n, n = len(d) ≥ 1). A sweep's
+// rotations are recorded in cs (2n long) and applied to qt together, by
+// rotateSweep. The eigenvalues are left in d, unsorted. It returns −1, or
+// the index of the eigenvalue that did not converge in maxQLIterations.
+func tridiagonalQL(qt, d, e, cs []float64) int {
 	n := len(d)
 	copy(e, e[1:])
 	e[n-1] = 0
@@ -222,24 +244,21 @@ func tridiagonalQL(qt, d, e []float64) int {
 			c, c2, c3 := 1.0, 1.0, 1.0
 			el1 := e[l+1]
 			var s, s2 float64
+			t := 0
 			for i := m - 1; i >= l; i-- {
 				c3, c2, s2 = c2, c, s
 				g = c * e[i]
-				h = c * p
+				h = float64(c * p)
 				r = math.Hypot(p, e[i])
 				e[i+1] = s * r
 				s = e[i] / r
 				c = p / r
-				p = c*d[i] - s*g
-				d[i+1] = h + s*(c*g+s*d[i])
-				lo := qt[i*n : (i+1)*n]
-				hi := qt[(i+1)*n : (i+2)*n][:len(lo)]
-				for k, x := range lo {
-					y := hi[k]
-					hi[k] = s*x + c*y
-					lo[k] = c*x - s*y
-				}
+				p = float64(c*d[i]) - float64(s*g)
+				d[i+1] = h + float64(s*(float64(c*g)+float64(s*d[i])))
+				cs[t], cs[t+1] = c, s
+				t += 2
 			}
+			rotateSweep(qt[l*n:(m+1)*n], n, cs[:t])
 			p = -s * s2 * c3 * el1 * e[l] / dl1
 			e[l] = s * p
 			d[l] = c * p

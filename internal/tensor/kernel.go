@@ -110,10 +110,10 @@ func addRowsGo(dst, b []float64, stride int, ks []int, vs []float64) {
 		b2 := b[ks[2]*stride:][:n]
 		b3 := b[ks[3]*stride:][:n]
 		for j, v := range dst {
-			v += a0 * b0[j]
-			v += a1 * b1[j]
-			v += a2 * b2[j]
-			v += a3 * b3[j]
+			v += float64(a0 * b0[j])
+			v += float64(a1 * b1[j])
+			v += float64(a2 * b2[j])
+			v += float64(a3 * b3[j])
 			dst[j] = v
 		}
 		ks, vs = ks[4:], vs[4:]
@@ -121,7 +121,77 @@ func addRowsGo(dst, b []float64, stride int, ks []int, vs []float64) {
 	for t, av := range vs {
 		brow := b[ks[t]*stride:][:n]
 		for j, bv := range brow {
-			dst[j] += av * bv
+			dst[j] += float64(av * bv)
+		}
+	}
+}
+
+// axpy adds a·x into dst, element by element: addRows with the one term
+// (x, a). dst[j] − g·x[j] is dst[j] + (−g)·x[j] bit for bit, so axpy with
+// a = −g also serves for a subtraction.
+func axpy(dst, x []float64, a float64) {
+	ks, vs := [1]int{}, [1]float64{a}
+	addRows(dst, x[:len(dst)], 0, ks[:], vs[:])
+}
+
+// rank2 subtracts f·p + g·u from row, element by element with the roundings
+// of
+//
+//	row[k] -= f*p[k] + g*u[k]
+//
+// — two rounded products, their rounded sum, then the rounded difference,
+// never a fused multiply-add. p and u must hold at least len(row) values.
+func rank2(row, p, u []float64, f, g float64) {
+	p, u = p[:len(row)], u[:len(row)]
+	if useAVX {
+		raceRank2(row, p, u)
+		rank2AVX(row, p, u, f, g)
+		return
+	}
+	rank2Go(row, p, u, f, g)
+}
+
+// rank2Go is rank2's portable body.
+func rank2Go(row, p, u []float64, f, g float64) {
+	p, u = p[:len(row)], u[:len(row)]
+	for k := range row {
+		row[k] -= float64(f*p[k]) + float64(g*u[k])
+	}
+}
+
+// rotateSweep applies a sweep of Givens rotations to the rows of q, each n
+// long: rotation t, with c = cs[2t] and s = cs[2t+1], takes the rows
+// lo = r−1 and hi = r, r = len(cs)/2 − t, to
+//
+//	hi[k], lo[k] = s*lo[k] + c*hi[k], c*lo[k] − s*hi[k]
+//
+// with every product and sum rounded, never fused. The sweep climbs from
+// the last two rows to the first two. Each column sees the rotations in
+// that order, whatever order the columns are taken in, so the AVX kernel
+// carries a strip of columns through the whole sweep in registers. q must
+// hold len(cs)/2 + 1 rows.
+func rotateSweep(q []float64, n int, cs []float64) {
+	q = q[:(len(cs)/2+1)*n]
+	if useAVX {
+		raceRotateSweep(q, cs)
+		rotateSweepAVX(q, n, cs)
+		return
+	}
+	rotateSweepGo(q, n, cs)
+}
+
+// rotateSweepGo is rotateSweep's portable body: one rotation at a time, over
+// two whole rows.
+func rotateSweepGo(q []float64, n int, cs []float64) {
+	for t := 0; 2*t+1 < len(cs); t++ {
+		c, s := cs[2*t], cs[2*t+1]
+		r := len(cs)/2 - t
+		lo := q[(r-1)*n : r*n]
+		hi := q[r*n : (r+1)*n][:len(lo)]
+		for k, x := range lo {
+			y := hi[k]
+			hi[k] = float64(s*x) + float64(c*y)
+			lo[k] = float64(c*x) - float64(s*y)
 		}
 	}
 }

@@ -17,3 +17,18 @@ func hasAVX() bool
 //
 //go:noescape
 func addRowsAVX(dst, b []float64, stride int, ks []int, vs []float64)
+
+// rank2AVX is rank2's body in AVX, sixteen columns per iteration, VMULPD,
+// VADDPD and VSUBPD in the scalar loop's order.
+//
+//go:noescape
+func rank2AVX(row, p, u []float64, pc, uc float64)
+
+// rotateSweepAVX is rotateSweep's body in AVX: for each strip of up to
+// sixteen columns it holds the moving row in registers from the last row to
+// the first, so each row is loaded and stored once per sweep. It reads and
+// writes whatever q points at: rotateSweep has checked that the rows lie in
+// q.
+//
+//go:noescape
+func rotateSweepAVX(q []float64, n int, cs []float64)

@@ -183,3 +183,183 @@ loop1:
 done:
 	VZEROUPPER
 	RET
+
+// MASK sets R13 to min(CX, 4), CX ≥ 1, and loads the mask of that many
+// lanes into Y14, clobbering AX and R12.
+#define MASK \
+	MOVQ    $4, R13;                \
+	CMPQ    CX, R13;                \
+	CMOVQLT CX, R13;                \
+	MOVQ    R13, AX;                \
+	SHLQ    $3, AX;                 \
+	LEAQ    tailMask<>+32(SB), R12; \
+	SUBQ    AX, R12;                \
+	VMOVDQU (R12), Y14
+
+// R2 subtracts f·p + g·u from the four columns of row at off: two rounded
+// products, their rounded sum, the rounded difference.
+#define R2(off) \
+	VMULPD  off(SI), Y4, Y0; \
+	VMULPD  off(DX), Y5, Y1; \
+	VADDPD  Y1, Y0, Y0;      \
+	VMOVUPD off(DI), Y2;     \
+	VSUBPD  Y0, Y2, Y2;      \
+	VMOVUPD Y2, off(DI)
+
+// func rank2AVX(row, p, u []float64, pc, uc float64)
+//
+// Registers: DI row, SI p, DX u, CX the columns left, Y4 pc, Y5 uc.
+TEXT ·rank2AVX(SB), NOSPLIT, $0-88
+	MOVQ         row_base+0(FP), DI
+	MOVQ         row_len+8(FP), CX
+	MOVQ         p_base+24(FP), SI
+	MOVQ         u_base+48(FP), DX
+	VBROADCASTSD pc+72(FP), Y4
+	VBROADCASTSD uc+80(FP), Y5
+	CMPQ         CX, $16
+	JB           r2tail
+
+r2loop:
+	R2(0)
+	R2(32)
+	R2(64)
+	R2(96)
+	ADDQ $128, DI
+	ADDQ $128, SI
+	ADDQ $128, DX
+	SUBQ $16, CX
+	CMPQ CX, $16
+	JAE  r2loop
+
+r2tail:
+	// Up to four columns at a time under the mask in Y14; the lanes
+	// outside it load zero and are never stored.
+	TESTQ      CX, CX
+	JZ         r2done
+	MASK
+	VMASKMOVPD (SI), Y14, Y0
+	VMULPD     Y0, Y4, Y0
+	VMASKMOVPD (DX), Y14, Y1
+	VMULPD     Y1, Y5, Y1
+	VADDPD     Y1, Y0, Y0
+	VMASKMOVPD (DI), Y14, Y2
+	VSUBPD     Y0, Y2, Y2
+	VMASKMOVPD Y2, Y14, (DI)
+	ADDQ       $32, DI
+	ADDQ       $32, SI
+	ADDQ       $32, DX
+	SUBQ       R13, CX
+	JMP        r2tail
+
+r2done:
+	VZEROUPPER
+	RET
+
+// ROT applies the rotation in Y4 (c) and Y5 (s) to the four columns at
+// off: x from the row at SI, y the moving row in register y. The row at
+// BX, one below, takes s·x + c·y; y becomes c·x − s·y. Each product and
+// sum is rounded, as in the scalar loop.
+#define ROT(off, y) \
+	VMOVUPD off(SI), Y6; \
+	VMULPD  Y6, Y5, Y7;  \
+	VMULPD  y, Y4, Y8;   \
+	VADDPD  Y8, Y7, Y7;  \
+	VMOVUPD Y7, off(BX); \
+	VMULPD  Y6, Y4, Y7;  \
+	VMULPD  y, Y5, Y8;   \
+	VSUBPD  Y8, Y7, y
+
+// ROTM is ROT on the lanes of the mask in Y14.
+#define ROTM(y) \
+	VMASKMOVPD (SI), Y14, Y6; \
+	VMULPD     Y6, Y5, Y7;    \
+	VMULPD     y, Y4, Y8;     \
+	VADDPD     Y8, Y7, Y7;    \
+	VMASKMOVPD Y7, Y14, (BX); \
+	VMULPD     Y6, Y4, Y7;    \
+	VMULPD     y, Y5, Y8;     \
+	VSUBPD     Y8, Y7, y
+
+// COEFS broadcasts rotation R10's c into Y4 and s into Y5, steps R10 to
+// the next, and moves the row pointers one row up: BX to SI's row, SI to
+// the row above.
+#define COEFS \
+	VBROADCASTSD (R10), Y4;  \
+	VBROADCASTSD 8(R10), Y5; \
+	ADDQ         $16, R10;   \
+	MOVQ         SI, BX;     \
+	SUBQ         DX, SI
+
+// func rotateSweepAVX(q []float64, n int, cs []float64)
+//
+// For every strip of sixteen columns, then strips of four with the last
+// under a mask: load the strip of the last row into the moving registers,
+// apply every rotation climbing one row each, store the moving registers
+// into the first row. Registers: DI the strip in the last row, DX the
+// stride in bytes, CX the columns left, R8 cs, R9 the rotation count, R10
+// the next rotation, R11 the rotations left, SI the row being rotated in,
+// BX the row below it.
+TEXT ·rotateSweepAVX(SB), NOSPLIT, $0-56
+	MOVQ  q_base+0(FP), DI
+	MOVQ  n+24(FP), CX
+	MOVQ  CX, DX
+	SHLQ  $3, DX
+	MOVQ  cs_base+32(FP), R8
+	MOVQ  cs_len+40(FP), R9
+	SHRQ  $1, R9
+	TESTQ R9, R9
+	JZ    rsdone
+	MOVQ  R9, AX
+	IMULQ DX, AX
+	ADDQ  AX, DI
+	CMPQ  CX, $16
+	JB    rstail
+
+rsstrip:
+	MOVQ    DI, SI
+	MOVQ    R8, R10
+	MOVQ    R9, R11
+	VMOVUPD (SI), Y0
+	VMOVUPD 32(SI), Y1
+	VMOVUPD 64(SI), Y2
+	VMOVUPD 96(SI), Y3
+
+rsrot:
+	COEFS
+	ROT(0, Y0)
+	ROT(32, Y1)
+	ROT(64, Y2)
+	ROT(96, Y3)
+	DECQ R11
+	JNZ  rsrot
+	VMOVUPD Y0, (SI)
+	VMOVUPD Y1, 32(SI)
+	VMOVUPD Y2, 64(SI)
+	VMOVUPD Y3, 96(SI)
+	ADDQ    $128, DI
+	SUBQ    $16, CX
+	CMPQ    CX, $16
+	JAE     rsstrip
+
+rstail:
+	TESTQ      CX, CX
+	JZ         rsdone
+	MASK
+	MOVQ       DI, SI
+	MOVQ       R8, R10
+	MOVQ       R9, R11
+	VMASKMOVPD (SI), Y14, Y0
+
+rstailrot:
+	COEFS
+	ROTM(Y0)
+	DECQ       R11
+	JNZ        rstailrot
+	VMASKMOVPD Y0, Y14, (SI)
+	ADDQ       $32, DI
+	SUBQ       R13, CX
+	JMP        rstail
+
+rsdone:
+	VZEROUPPER
+	RET

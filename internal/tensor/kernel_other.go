@@ -10,3 +10,11 @@ var useAVX = false
 func addRowsAVX(dst, b []float64, stride int, ks []int, vs []float64) {
 	panic("tensor: no AVX kernel on this architecture")
 }
+
+func rank2AVX(row, p, u []float64, pc, uc float64) {
+	panic("tensor: no AVX kernel on this architecture")
+}
+
+func rotateSweepAVX(q []float64, n int, cs []float64) {
+	panic("tensor: no AVX kernel on this architecture")
+}

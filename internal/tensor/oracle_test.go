@@ -54,6 +54,15 @@ func oracleEigenvalues(t *testing.T, key string, a *Matrix) []float64 {
 	return v
 }
 
+// Identity returns the n×n identity matrix.
+func Identity(n int) *Matrix {
+	m := New(n, n)
+	for i := 0; i < n; i++ {
+		m.Data[i*n+i] = 1
+	}
+	return m
+}
+
 // maxJacobiSweeps bounds the cyclic Jacobi iteration. Convergence is
 // quadratic only once the off-diagonal mass is small: activation-covariance
 // factors take 8 to 10 sweeps at n = 55 to 289.

@@ -22,3 +22,25 @@ func raceAddRows(dst, b []float64, stride int, ks []int) {
 	}
 	runtime.RaceWriteRange(unsafe.Pointer(unsafe.SliceData(dst)), n)
 }
+
+// raceRank2 tells the race detector that rank2AVX reads p and u and reads
+// and writes row, all of the same length.
+func raceRank2(row, p, u []float64) {
+	if len(row) == 0 {
+		return
+	}
+	n := len(row) * 8
+	runtime.RaceReadRange(unsafe.Pointer(unsafe.SliceData(p)), n)
+	runtime.RaceReadRange(unsafe.Pointer(unsafe.SliceData(u)), n)
+	runtime.RaceWriteRange(unsafe.Pointer(unsafe.SliceData(row)), n)
+}
+
+// raceRotateSweep tells the race detector that rotateSweepAVX reads cs and
+// reads and writes q, the rows of its sweep.
+func raceRotateSweep(q, cs []float64) {
+	if len(q) == 0 || len(cs) == 0 {
+		return
+	}
+	runtime.RaceReadRange(unsafe.Pointer(unsafe.SliceData(cs)), len(cs)*8)
+	runtime.RaceWriteRange(unsafe.Pointer(unsafe.SliceData(q)), len(q)*8)
+}

@@ -1,7 +1,7 @@
 // Package tensor provides the dense linear-algebra primitives that the
 // K-FAC optimizer and the neural-network substrate are built on: matrices
-// with float64 storage, GEMM variants, Kronecker products, symmetric
-// eigendecomposition and Cholesky factorization.
+// with float64 storage, GEMM variants, symmetric eigendecomposition and
+// Cholesky factorization.
 //
 // The package is deliberately small and allocation-conscious rather than
 // general: K-FAC needs square symmetric factor matrices (typically a few
@@ -42,15 +42,6 @@ func FromSlice(rows, cols int, data []float64) *Matrix {
 		panic(fmt.Sprintf("tensor: slice length %d does not match %dx%d", len(data), rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
 }
 
 // Clone returns a deep copy of m.
@@ -304,27 +295,6 @@ func (m *Matrix) GramRows(a, at *Matrix) *Matrix {
 		}
 	}
 	return m
-}
-
-// Kron returns the Kronecker product a ⊗ b as a new matrix.
-func Kron(a, b *Matrix) *Matrix {
-	k := New(a.Rows*b.Rows, a.Cols*b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			av := a.At(i, j)
-			if av == 0 {
-				continue
-			}
-			for p := 0; p < b.Rows; p++ {
-				dst := k.Data[(i*b.Rows+p)*k.Cols+j*b.Cols : (i*b.Rows+p)*k.Cols+(j+1)*b.Cols]
-				src := b.Data[p*b.Cols : (p+1)*b.Cols]
-				for q, bv := range src {
-					dst[q] = av * bv
-				}
-			}
-		}
-	}
-	return k
 }
 
 // FrobeniusNorm returns the Frobenius norm of m.

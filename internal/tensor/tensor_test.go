@@ -175,35 +175,6 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestKronDims(t *testing.T) {
-	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	b := FromSlice(2, 2, []float64{0, 1, 1, 0})
-	k := Kron(a, b)
-	if k.Rows != 4 || k.Cols != 4 {
-		t.Fatalf("Kron dims = %dx%d, want 4x4", k.Rows, k.Cols)
-	}
-	// Spot-check block (0,1): a[0,1]*b = 2*b.
-	if k.At(0, 3) != 2 || k.At(1, 2) != 2 || k.At(0, 2) != 0 {
-		t.Fatalf("Kron block wrong: %v", k)
-	}
-}
-
-func TestKronMixedProductProperty(t *testing.T) {
-	// (A⊗B)(C⊗D) = (AC)⊗(BD) — the identity K-FAC's factorization relies on.
-	rng := rand.New(rand.NewPCG(7, 8))
-	a := randomMatrix(rng, 2, 3)
-	c := randomMatrix(rng, 3, 2)
-	b := randomMatrix(rng, 2, 2)
-	d := randomMatrix(rng, 2, 2)
-	lhs := New(0, 0).MatMul(Kron(a, b), Kron(c, d))
-	rhs := Kron(New(0, 0).MatMul(a, c), New(0, 0).MatMul(b, d))
-	for i := range lhs.Data {
-		if !almostEqual(lhs.Data[i], rhs.Data[i], 1e-10) {
-			t.Fatalf("mixed-product property violated at %d: %g vs %g", i, lhs.Data[i], rhs.Data[i])
-		}
-	}
-}
-
 func TestAddDiagTrace(t *testing.T) {
 	m := Identity(3)
 	m.AddDiag(2)
