@@ -32,7 +32,9 @@ type Conv2D struct {
 	// Temporaries of a training-mode Forward (prod) and of Backward (gpaT
 	// the packed transpose of the pre-activation gradient), and the output
 	// and input gradient it hands out (Layer). Like the two caches above
-	// they are reused from step to step and collected with the layer.
+	// they are reused from step to step and collected with the layer; as
+	// a model's first layer it never fills gradCols and gradIn
+	// (Sequential.Backward).
 	prod, gradW, gpaT, gradCols tensor.Matrix
 	out, gradIn                 tensor.Matrix
 }
@@ -121,25 +123,11 @@ func (c *Conv2D) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	if c.lastCols == nil {
-		panic("nn: Conv2D.Backward before training-mode Forward")
-	}
+	c.backwardParams(gradOut)
+	gpa := c.lastGradPA
 	batch := gradOut.Rows
 	positions := c.OH * c.OW
 	n := batch * positions
-	if gradOut.Cols != c.OutFeatures() || n != c.lastCols.Cols {
-		panic(fmt.Sprintf("nn: %s Backward got %dx%d", c.Name(), gradOut.Rows, gradOut.Cols))
-	}
-	// Regroup gradOut by channel, as Forward's product: OutC × n.
-	gpa := reuse(c.lastGradPA, c.OutC, n)
-	for b := 0; b < batch; b++ {
-		for ch := 0; ch < c.OutC; ch++ {
-			copy(gpa.Data[ch*n+b*positions:][:positions], gradOut.Data[b*gradOut.Cols+ch*positions:])
-		}
-	}
-	c.lastGradPA = gpa
-	c.Weight.Grad.AXPY(1, c.gradW.MatMulTPacked(c.lastCols, gpa, &c.gpaT))
-
 	// ∂L/∂cols = W·gpa over the weight rows (the bias row has no input),
 	// then col2im scatter-add.
 	colsWidth := c.K * c.K * c.InC
@@ -168,6 +156,29 @@ func (c *Conv2D) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	return gradIn
+}
+
+// backwardParams implements paramBackwarder: Backward up to the weight
+// gradient, without the input gradient's product and scatter.
+func (c *Conv2D) backwardParams(gradOut *tensor.Matrix) {
+	if c.lastCols == nil {
+		panic("nn: Conv2D.Backward before training-mode Forward")
+	}
+	batch := gradOut.Rows
+	positions := c.OH * c.OW
+	n := batch * positions
+	if gradOut.Cols != c.OutFeatures() || n != c.lastCols.Cols {
+		panic(fmt.Sprintf("nn: %s Backward got %dx%d", c.Name(), gradOut.Rows, gradOut.Cols))
+	}
+	// Regroup gradOut by channel, as Forward's product: OutC × n.
+	gpa := reuse(c.lastGradPA, c.OutC, n)
+	for b := 0; b < batch; b++ {
+		for ch := 0; ch < c.OutC; ch++ {
+			copy(gpa.Data[ch*n+b*positions:][:positions], gradOut.Data[b*gradOut.Cols+ch*positions:])
+		}
+	}
+	c.lastGradPA = gpa
+	c.Weight.Grad.AXPY(1, c.gradW.MatMulTPacked(c.lastCols, gpa, &c.gpaT))
 }
 
 // KFACStats implements KFACLayer: the patch matrix and the pre-activation

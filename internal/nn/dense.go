@@ -22,7 +22,8 @@ type Dense struct {
 	lastGradPA *tensor.Matrix
 	// Backward's temporaries, and the output and input gradient it hands
 	// out (Layer). Like the two caches above they are reused from step to
-	// step and collected with the layer.
+	// step and collected with the layer; as a model's first layer it never
+	// fills wT and gradIn (Sequential.Backward).
 	gradW, wT   tensor.Matrix
 	out, gradIn tensor.Matrix
 }
@@ -80,6 +81,17 @@ func (d *Dense) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 
 // Backward implements Layer.
 func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
+	d.backwardParams(gradOut)
+	// ∂L/∂x = gradOut · Wᵀ over the weight rows (the bias has no input).
+	// MatMul against the explicit transpose skips the zeros a ReLU left in
+	// gradOut, with MatMulT's bits on finite input (DESIGN.md §5).
+	weights := tensor.Matrix{Rows: d.In, Cols: d.Out, Data: d.Weight.W.Data[:d.In*d.Out]}
+	return d.gradIn.MatMul(gradOut, d.wT.TransposeOf(&weights))
+}
+
+// backwardParams implements paramBackwarder: Backward up to the weight
+// gradient, without the input gradient's product.
+func (d *Dense) backwardParams(gradOut *tensor.Matrix) {
 	if d.lastInput == nil {
 		panic("nn: Dense.Backward before training-mode Forward")
 	}
@@ -89,11 +101,6 @@ func (d *Dense) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	d.lastGradPA = reuse(d.lastGradPA, gradOut.Cols, gradOut.Rows).TransposeOf(gradOut)
 	// ∂L/∂W = [x 1]ᵀ · gradOut.
 	d.Weight.Grad.AXPY(1, d.gradW.MatMul(d.lastInput, gradOut))
-	// ∂L/∂x = gradOut · Wᵀ over the weight rows (the bias has no input).
-	// MatMul against the explicit transpose skips the zeros a ReLU left in
-	// gradOut, with MatMulT's bits on finite input (DESIGN.md §5).
-	weights := tensor.Matrix{Rows: d.In, Cols: d.Out, Data: d.Weight.W.Data[:d.In*d.Out]}
-	return d.gradIn.MatMul(gradOut, d.wT.TransposeOf(&weights))
 }
 
 // KFACStats implements KFACLayer.

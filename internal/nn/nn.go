@@ -163,12 +163,29 @@ func (s *Sequential) evalBlock(in *tensor.Matrix) *tensor.Matrix {
 	return x
 }
 
-// Backward propagates the loss gradient through the stack in reverse.
-func (s *Sequential) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
+// paramBackwarder is a layer whose Backward can leave out the input
+// gradient: backwardParams accumulates the parameter gradients and keeps
+// the K-FAC statistics exactly as Backward does, and computes nothing else.
+type paramBackwarder interface {
+	backwardParams(gradOut *tensor.Matrix)
+}
+
+// Backward propagates the loss gradient through the stack in reverse,
+// accumulating every parameter gradient. The first layer's input gradient
+// is the data's, which nothing reads: a first layer that can leave it out
+// (paramBackwarder: Conv2D, Dense) does.
+func (s *Sequential) Backward(gradOut *tensor.Matrix) {
+	for i := len(s.Layers) - 1; i > 0; i-- {
 		gradOut = s.Layers[i].Backward(gradOut)
 	}
-	return gradOut
+	if len(s.Layers) == 0 {
+		return
+	}
+	if first, ok := s.Layers[0].Layer.(paramBackwarder); ok {
+		first.backwardParams(gradOut)
+		return
+	}
+	s.Layers[0].Backward(gradOut)
 }
 
 // Params returns every learnable parameter in layer order.

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -373,6 +374,76 @@ func TestConvKFACStatsColumnsArePositions(t *testing.T) {
 	for ch := 0; ch < 2; ch++ {
 		if got, want := g.At(ch, col), out.At(1, ch*positions+1*3+2); got != want || a.At(9, col) != 1 {
 			t.Fatalf("channel %d of column %d = %g, want %g", ch, col, got, want)
+		}
+	}
+}
+
+// Sequential.Backward leaves out the first layer's input gradient and
+// nothing else: after two steps (the second on the first's storage) every
+// parameter gradient and every K-FAC statistic is the full backward's —
+// each layer's Backward in reverse — bit for bit, for a model whose first
+// layer is a Conv2D (ProxyResNet's shapes) and one whose first is a Dense;
+// and the first layer never allocated its input gradient.
+func TestBackwardLeavesOutOnlyTheFirstInputGradient(t *testing.T) {
+	models := []struct {
+		name  string
+		build func() *Sequential
+		in    int
+	}{
+		{"conv-first", func() *Sequential {
+			rng := xrand.NewSeeded(30)
+			return NewSequential(NewConv2D(1, 10, 10, 6, 3, rng), NewReLU(),
+				NewConv2D(6, 8, 8, 8, 3, rng), NewReLU(), NewDense(8*6*6, 10, rng))
+		}, 100},
+		{"dense-first", func() *Sequential {
+			rng := xrand.NewSeeded(31)
+			return NewSequential(NewDense(24, 16, rng), NewReLU(), NewDense(16, 5, rng))
+		}, 24},
+	}
+	for _, m := range models {
+		short, full := m.build(), m.build()
+		for step := range 2 {
+			x := randomInput(32, m.in, int64(40+step))
+			gradOut := randomInput(32, short.Forward(x, true).Cols, int64(50+step))
+			short.Backward(gradOut)
+			full.Forward(x, true)
+			g := gradOut
+			for i := len(full.Layers) - 1; i >= 0; i-- {
+				g = full.Layers[i].Backward(g)
+			}
+		}
+		sameBits := func(what string, got, want []float64) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s %s: %d values, want %d", m.name, what, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s %s: element %d = %g, want %g", m.name, what, i, got[i], want[i])
+				}
+			}
+		}
+		fullParams := full.Params()
+		for i, p := range short.Params() {
+			sameBits(p.Name+" gradient", p.Grad.Data, fullParams[i].Grad.Data)
+		}
+		_, shortLayers := short.KFACLayers()
+		_, fullLayers := full.KFACLayers()
+		for i, l := range shortLayers {
+			act, grad := l.KFACStats()
+			wantAct, wantGrad := fullLayers[i].KFACStats()
+			sameBits(fmt.Sprintf("layer %d K-FAC activations", i), act.Data, wantAct.Data)
+			sameBits(fmt.Sprintf("layer %d K-FAC gradients", i), grad.Data, wantGrad.Data)
+		}
+		switch first := short.Layers[0].Layer.(type) {
+		case *Conv2D:
+			if first.gradCols.Data != nil || first.gradIn.Data != nil {
+				t.Errorf("%s: the first Conv2D computed its input gradient", m.name)
+			}
+		case *Dense:
+			if first.gradIn.Data != nil || first.wT.Data != nil {
+				t.Errorf("%s: the first Dense computed its input gradient", m.name)
+			}
 		}
 	}
 }

@@ -18,7 +18,7 @@ func Cholesky(a *Matrix) (*Matrix, error) {
 		for j := 0; j <= i; j++ {
 			sum := a.Data[i*n+j]
 			for k := 0; k < j; k++ {
-				sum -= l.Data[i*n+k] * l.Data[j*n+k]
+				sum -= float64(l.Data[i*n+k] * l.Data[j*n+k])
 			}
 			if i == j {
 				if sum <= 0 {
@@ -45,7 +45,7 @@ func SolveCholesky(l *Matrix, b []float64) []float64 {
 	for i := 0; i < n; i++ {
 		sum := b[i]
 		for k := 0; k < i; k++ {
-			sum -= l.Data[i*n+k] * y[k]
+			sum -= float64(l.Data[i*n+k] * y[k])
 		}
 		y[i] = sum / l.Data[i*n+i]
 	}
@@ -54,7 +54,7 @@ func SolveCholesky(l *Matrix, b []float64) []float64 {
 	for i := n - 1; i >= 0; i-- {
 		sum := y[i]
 		for k := i + 1; k < n; k++ {
-			sum -= l.Data[k*n+i] * x[k]
+			sum -= float64(l.Data[k*n+i] * x[k])
 		}
 		x[i] = sum / l.Data[i*n+i]
 	}

@@ -2,11 +2,15 @@ package tensor
 
 import "math"
 
-// The four products (MatMul, TMatMul, MatMulT, GramRows) share one inner
-// kernel, addRows: an output row plus a list of (row of b, coefficient)
-// terms. They differ only in how they gather that list — which zeros it
-// skips, and whether b is the operand itself or a transpose packed into the
-// caller's storage.
+// The four products run on two kernels. MatMul, TMatMul and GramRows skip
+// the zeros of a, so each output row gathers its own list of (row of b,
+// coefficient) terms and hands it to addRows, which adds them into that one
+// row. MatMulT skips nothing, so it gathers nothing: addPanel reads the
+// coefficients straight from the rows of a and adds a panel of its packed
+// bᵀ into blockRows output rows at once, whose accumulators share every
+// load of the panel. A row kernel has a whole register file for one row's
+// strip; a block kernel spends it on a narrower strip of several rows, so
+// the two are separate bodies. EigenSym's axpy is addRows with one term.
 
 // gatherBlock is how many terms the gather hands addRows at a time: the
 // kernel keeps a strip of the output row in registers across the whole
@@ -18,6 +22,9 @@ const gatherBlock = 64
 // that MatMulT and GramRows pack into their caller's storage.
 const panelRows = 128
 
+// blockRows is how many output rows addPanel carries at a time.
+const blockRows = 4
+
 // terms is a gathered block: the rows of b and their coefficients that
 // addRows adds next. A product keeps one on its stack for all its rows.
 type terms struct {
@@ -26,42 +33,38 @@ type terms struct {
 }
 
 // rowProduct adds Σ_t c[t·cs]·b[t·stride : t·stride+len(dst)] for t in
-// [0, nk) into dst, one term at a time in ascending t. With skipZeros, a
-// term whose coefficient is ±0 is left out, so a NaN or ±Inf in b under it
-// does not reach dst; without, every term takes part.
-func (g *terms) rowProduct(dst, b []float64, stride int, c []float64, cs, nk int, skipZeros bool) {
+// [0, nk) into dst, one term at a time in ascending t. A term whose
+// coefficient is ±0 is left out, so a NaN or ±Inf in b under it does not
+// reach dst.
+func (g *terms) rowProduct(dst, b []float64, stride int, c []float64, cs, nk int) {
 	if len(dst) == 0 || nk == 0 {
 		return
 	}
 	// The last row addRows may read ends inside b; every gathered row is
 	// an earlier one.
 	_ = b[(nk-1)*stride+len(dst)-1]
-	all := 0
-	if !skipZeros {
-		all = 1
-	}
 	for t := 0; t < nk; {
 		var cnt int
-		cnt, t = g.gather(c, cs, t, nk, all)
+		cnt, t = g.gather(c, cs, t, nk)
 		addRows(dst, b, stride, g.ks[:cnt], g.vs[:cnt])
 	}
 }
 
 // gather stores the terms from t on, coefficient c[t·cs] for row t, until
-// it holds gatherBlock of them or reaches nk, skipping ±0 coefficients
-// unless all is 1. It returns how many it holds and where the next gather
-// starts. It is kept out of rowProduct so that its loop runs in registers;
-// cnt&(gatherBlock-1) is cnt (gatherBlock is a power of two), written so to
-// spare a bounds check per candidate.
+// it holds gatherBlock of them or reaches nk, skipping ±0 coefficients. It
+// returns how many it holds and where the next gather starts. It is kept
+// out of rowProduct so that its loop runs in registers; cnt&(gatherBlock-1)
+// is cnt (gatherBlock is a power of two), written so to spare a bounds
+// check per candidate.
 //
 //go:noinline
-func (g *terms) gather(c []float64, cs, t, nk, all int) (cnt, next int) {
+func (g *terms) gather(c []float64, cs, t, nk int) (cnt, next int) {
 	ks, vs := &g.ks, &g.vs
 	_, _ = ks[0], vs[0] // one nil check, not one per candidate
 	for ; t < nk; t++ {
 		v := c[t*cs]
 		ks[cnt&(gatherBlock-1)], vs[cnt&(gatherBlock-1)] = t, v
-		if cnt += nonZero(v) | all; cnt == gatherBlock {
+		if cnt += nonZero(v); cnt == gatherBlock {
 			return cnt, t + 1
 		}
 	}
@@ -122,6 +125,62 @@ func addRowsGo(dst, b []float64, stride int, ks []int, vs []float64) {
 		brow := b[ks[t]*stride:][:n]
 		for j, bv := range brow {
 			dst[j] += float64(av * bv)
+		}
+	}
+}
+
+// addPanel adds a panel of terms into rows output rows, each n wide: row r,
+// dst[r·n : r·n+n], takes Σ_t a[r·as+t]·(row t of bt) for t in [0, nk),
+// where row t of bt is bt[t·n : t·n+n] — every term, in ascending t, each
+// element seeing exactly the roundings of
+//
+//	for t := range nk { dst[r*n+j] += a[r*as+t] * bt[t*n+j] }
+//
+// — a rounded product, then a rounded sum, never a fused multiply-add.
+// This is addRows with the terms (t, a[r·as+t]) on each row, so the order of
+// the rows, of the columns and the blocking change no bit.
+func addPanel(dst []float64, rows, n int, a []float64, as int, bt []float64, nk int) {
+	if rows == 0 || n == 0 || nk == 0 {
+		return
+	}
+	bt = bt[:nk*n]
+	for i := 0; i < rows; i += blockRows {
+		br := min(blockRows, rows-i)
+		d, c := dst[i*n:][:br*n], a[i*as:][:(br-1)*as+nk]
+		if useAVX {
+			raceAddPanel(d, br, c, as, bt, nk)
+			addPanelAVX(d, br, n, c, as, bt, nk)
+			continue
+		}
+		addPanelGo(d, br, n, c, as, bt, nk)
+	}
+}
+
+// addPanelGo is addPanel's portable body, a row at a time: each element of
+// dst is loaded and stored once per four terms.
+func addPanelGo(dst []float64, rows, n int, a []float64, as int, bt []float64, nk int) {
+	for r := 0; r < rows; r++ {
+		d, c := dst[r*n:][:n], a[r*as:][:nk]
+		t := 0
+		for ; t+4 <= nk; t += 4 {
+			a0, a1, a2, a3 := c[t], c[t+1], c[t+2], c[t+3]
+			b0 := bt[t*n:][:n]
+			b1 := bt[(t+1)*n:][:n]
+			b2 := bt[(t+2)*n:][:n]
+			b3 := bt[(t+3)*n:][:n]
+			for j, v := range d {
+				v += float64(a0 * b0[j])
+				v += float64(a1 * b1[j])
+				v += float64(a2 * b2[j])
+				v += float64(a3 * b3[j])
+				d[j] = v
+			}
+		}
+		for ; t < nk; t++ {
+			av := c[t]
+			for j, bv := range bt[t*n:][:n] {
+				d[j] += float64(av * bv)
+			}
 		}
 	}
 }

@@ -4,8 +4,9 @@ package tensor
 // OSXSAVE bits, and XCR0 saving the YMM state.
 var avxSupported = hasAVX()
 
-// useAVX selects the kernel addRows runs. It is avxSupported, except in the
-// tests that run each product once per path.
+// useAVX selects the kernels addRows, addPanel, rank2 and rotateSweep run.
+// It is avxSupported, except in the tests that run each product once per
+// path.
 var useAVX = avxSupported
 
 func hasAVX() bool
@@ -17,6 +18,16 @@ func hasAVX() bool
 //
 //go:noescape
 func addRowsAVX(dst, b []float64, stride int, ks []int, vs []float64)
+
+// addPanelAVX is addPanel's body in AVX for one block of 1 ≤ rows ≤
+// blockRows rows: for every strip of eight columns, the last under masks,
+// it holds two registers of each row in Y0–Y7 across every term, loading
+// each row of bt once for all the rows. A block of fewer rows repeats its
+// last row, which stores the same bits twice. It reads and writes whatever
+// the slices point at: addPanel has sliced them to the block.
+//
+//go:noescape
+func addPanelAVX(dst []float64, rows, n int, a []float64, as int, bt []float64, nk int)
 
 // rank2AVX is rank2's body in AVX, sixteen columns per iteration, VMULPD,
 // VADDPD and VSUBPD in the scalar loop's order.

@@ -20,17 +20,25 @@ noavx:
 	MOVB $0, ret+0(FP)
 	RET
 
-// tailMask from byte 32−8p holds p all-ones lanes, then zeros: the mask of
-// a strip's last, partial register of p columns.
+// tailMask from byte 64−8p holds p ≤ 8 all-ones lanes, then zeros: the
+// masks of a strip's last, partial registers of p columns.
 DATA tailMask<>+0(SB)/8, $0xffffffffffffffff
 DATA tailMask<>+8(SB)/8, $0xffffffffffffffff
 DATA tailMask<>+16(SB)/8, $0xffffffffffffffff
 DATA tailMask<>+24(SB)/8, $0xffffffffffffffff
-DATA tailMask<>+32(SB)/8, $0
-DATA tailMask<>+40(SB)/8, $0
-DATA tailMask<>+48(SB)/8, $0
-DATA tailMask<>+56(SB)/8, $0
-GLOBL tailMask<>(SB), RODATA|NOPTR, $64
+DATA tailMask<>+32(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+40(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+48(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+56(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+64(SB)/8, $0
+DATA tailMask<>+72(SB)/8, $0
+DATA tailMask<>+80(SB)/8, $0
+DATA tailMask<>+88(SB)/8, $0
+DATA tailMask<>+96(SB)/8, $0
+DATA tailMask<>+104(SB)/8, $0
+DATA tailMask<>+112(SB)/8, $0
+DATA tailMask<>+120(SB)/8, $0
+GLOBL tailMask<>(SB), RODATA|NOPTR, $128
 
 // TERM points AX at term R11's row of b from the strip's first column and
 // broadcasts its coefficient into Y4.
@@ -116,7 +124,7 @@ tail:
 	SUBQ      R12, CX
 	NEGQ      CX
 	LEAQ      tailMask<>(SB), R12
-	VMOVDQU   32(R12)(CX*8), Y14
+	VMOVDQU   64(R12)(CX*8), Y14
 	XORQ      R11, R11
 	CMPQ      BX, $1
 	JB        tail1
@@ -184,6 +192,140 @@ done:
 	VZEROUPPER
 	RET
 
+// NEXTROW points d and ar at the block's row r, one row past pd and pa,
+// when the block has more than r rows (CX); otherwise at pd and pa again.
+#define NEXTROW(r, pd, pa, d, ar) \
+	LEAQ    (pd)(DX*1), d;  \
+	LEAQ    (pa)(BX*1), ar; \
+	CMPQ    CX, $r;         \
+	CMOVQLE pd, d;          \
+	CMOVQLE pa, ar
+
+// PROW adds the coefficient of term AX from the row of a ending at ar times
+// the panel's row in Y8 and Y9 into acc0 and acc1: two rounded products,
+// two rounded sums.
+#define PROW(ar, acc0, acc1) \
+	VBROADCASTSD (ar)(AX*8), Y10; \
+	VMULPD       Y8, Y10, Y11;    \
+	VADDPD       Y11, acc0, acc0; \
+	VMULPD       Y9, Y10, Y12;    \
+	VADDPD       Y12, acc1, acc1
+
+// PTERM adds the term whose row of the panel is in Y8 and Y9 into every
+// row of the block, steps BX to the next row of the panel and loops back
+// to label while terms are left.
+#define PTERM(label) \
+	PROW(R11, Y0, Y1); \
+	PROW(R12, Y2, Y3); \
+	PROW(R13, Y4, Y5); \
+	PROW(R14, Y6, Y7); \
+	ADDQ DX, BX;       \
+	INCQ AX;           \
+	JNZ  label
+
+// func addPanelAVX(dst []float64, rows, n int, a []float64, as int, bt []float64, nk int)
+//
+// For every strip of eight columns, then one strip of the last one to
+// seven under the masks in Y14 and Y15: load the strip of the block's four
+// rows, add every term into it in order, store it. Registers: DI, R8, R9,
+// R10 the strip of the block's rows of dst; R11–R14 the end of each row's
+// coefficients, indexed by AX from −nk; SI the strip in the panel's first
+// row, BX in the current term's; DX the row length in bytes; CX the
+// columns left; Y0–Y7 two registers of each row.
+TEXT ·addPanelAVX(SB), NOSPLIT, $0-104
+	MOVQ  dst_base+0(FP), DI
+	MOVQ  rows+24(FP), CX
+	MOVQ  n+32(FP), DX
+	SHLQ  $3, DX
+	MOVQ  a_base+40(FP), R11
+	MOVQ  as+64(FP), BX
+	SHLQ  $3, BX
+	MOVQ  nk+96(FP), AX
+	TESTQ AX, AX
+	JZ    pdone
+	LEAQ  (R11)(AX*8), R11
+	NEXTROW(1, DI, R11, R8, R12)
+	NEXTROW(2, R8, R12, R9, R13)
+	NEXTROW(3, R9, R13, R10, R14)
+	MOVQ  bt_base+72(FP), SI
+	MOVQ  n+32(FP), CX
+	CMPQ  CX, $8
+	JB    ptail
+
+pstrip:
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD (R8), Y2
+	VMOVUPD 32(R8), Y3
+	VMOVUPD (R9), Y4
+	VMOVUPD 32(R9), Y5
+	VMOVUPD (R10), Y6
+	VMOVUPD 32(R10), Y7
+	MOVQ    SI, BX
+	MOVQ    nk+96(FP), AX
+	NEGQ    AX
+
+ploop:
+	VMOVUPD (BX), Y8
+	VMOVUPD 32(BX), Y9
+	PTERM(ploop)
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (R8)
+	VMOVUPD Y3, 32(R8)
+	VMOVUPD Y4, (R9)
+	VMOVUPD Y5, 32(R9)
+	VMOVUPD Y6, (R10)
+	VMOVUPD Y7, 32(R10)
+	ADDQ    $64, DI
+	ADDQ    $64, R8
+	ADDQ    $64, R9
+	ADDQ    $64, R10
+	ADDQ    $64, SI
+	SUBQ    $8, CX
+	CMPQ    CX, $8
+	JAE     pstrip
+
+ptail:
+	// CX = p columns, 0 ≤ p < 8: Y14 masks the first min(p, 4) lanes,
+	// Y15 the p − 4 after them; the lanes outside load zero and are
+	// never stored.
+	TESTQ      CX, CX
+	JZ         pdone
+	SHLQ       $3, CX
+	LEAQ       tailMask<>+64(SB), BX
+	SUBQ       CX, BX
+	VMOVDQU    (BX), Y14
+	VMOVDQU    32(BX), Y15
+	VMASKMOVPD (DI), Y14, Y0
+	VMASKMOVPD 32(DI), Y15, Y1
+	VMASKMOVPD (R8), Y14, Y2
+	VMASKMOVPD 32(R8), Y15, Y3
+	VMASKMOVPD (R9), Y14, Y4
+	VMASKMOVPD 32(R9), Y15, Y5
+	VMASKMOVPD (R10), Y14, Y6
+	VMASKMOVPD 32(R10), Y15, Y7
+	MOVQ       SI, BX
+	MOVQ       nk+96(FP), AX
+	NEGQ       AX
+
+ptloop:
+	VMASKMOVPD (BX), Y14, Y8
+	VMASKMOVPD 32(BX), Y15, Y9
+	PTERM(ptloop)
+	VMASKMOVPD Y0, Y14, (DI)
+	VMASKMOVPD Y1, Y15, 32(DI)
+	VMASKMOVPD Y2, Y14, (R8)
+	VMASKMOVPD Y3, Y15, 32(R8)
+	VMASKMOVPD Y4, Y14, (R9)
+	VMASKMOVPD Y5, Y15, 32(R9)
+	VMASKMOVPD Y6, Y14, (R10)
+	VMASKMOVPD Y7, Y15, 32(R10)
+
+pdone:
+	VZEROUPPER
+	RET
+
 // MASK sets R13 to min(CX, 4), CX ≥ 1, and loads the mask of that many
 // lanes into Y14, clobbering AX and R12.
 #define MASK \
@@ -192,7 +334,7 @@ done:
 	CMOVQLT CX, R13;                \
 	MOVQ    R13, AX;                \
 	SHLQ    $3, AX;                 \
-	LEAQ    tailMask<>+32(SB), R12; \
+	LEAQ    tailMask<>+64(SB), R12; \
 	SUBQ    AX, R12;                \
 	VMOVDQU (R12), Y14
 

@@ -2,12 +2,16 @@
 
 package tensor
 
-// Off amd64 addRows always runs its portable body.
+// Off amd64 every kernel runs its portable body.
 const avxSupported = false
 
 var useAVX = false
 
 func addRowsAVX(dst, b []float64, stride int, ks []int, vs []float64) {
+	panic("tensor: no AVX kernel on this architecture")
+}
+
+func addPanelAVX(dst []float64, rows, n int, a []float64, as int, bt []float64, nk int) {
 	panic("tensor: no AVX kernel on this architecture")
 }
 

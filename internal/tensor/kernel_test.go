@@ -138,6 +138,29 @@ func FuzzKernelMatchesPortable(f *testing.F) {
 	})
 }
 
+// TestPanelMatchesPortable holds addPanel's AVX kernel to its portable body
+// on blocks of every row count in 1…9 (two blocks and every remainder),
+// every width in 0…19 (two strips of eight and every tail) and zero to six
+// terms and 129, with a stride of a longer than the terms, about one value
+// in eight a special.
+func TestPanelMatchesPortable(t *testing.T) {
+	if !avxSupported {
+		t.Skip("no AVX kernel on this host")
+	}
+	rng := rand.New(rand.NewPCG(42, 4))
+	for rows := 1; rows <= 9; rows++ {
+		for n := 0; n <= 19; n++ {
+			for _, nk := range []int{0, 1, 2, 3, 4, 5, 6, 129} {
+				as := nk + rng.IntN(3)
+				a, bt := kernelValues(rng, (rows-1)*as+nk), kernelValues(rng, nk*n)
+				checkOnPaths(t, fmt.Sprintf("rows=%d n=%d terms=%d", rows, n, nk), kernelValues(rng, rows*n), func(dst []float64) {
+					addPanel(dst, rows, n, a, as, bt, nk)
+				})
+			}
+		}
+	}
+}
+
 // TestRank2MatchesPortable holds rank2's AVX kernel to its portable body at
 // every length in 0…67: every tail after zero to four iterations of
 // sixteen columns.

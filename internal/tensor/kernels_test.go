@@ -425,15 +425,23 @@ func TestGramRowsNonFiniteReachesTheDiagonal(t *testing.T) {
 	})
 }
 
+// MatMulT on the gemmShapes, then on the convolutions' weight gradients
+// (55×1152·(8×1152)ᵀ, 10×2048·(6×2048)ᵀ) and on k around the edge of a
+// panel, with rows and columns that leave every remainder of addPanel's
+// block of rows and strip of columns. NaN and ±Inf in both operands.
 func TestMatMulTMatchesReference(t *testing.T) {
 	skipUnlessAMD64(t)
+	shapes := append(gemmShapes[:len(gemmShapes):len(gemmShapes)],
+		[3]int{55, 1152, 8}, [3]int{10, 2048, 6},
+		[3]int{5, 127, 9}, [3]int{6, 128, 7}, [3]int{7, 129, 17}, [3]int{9, 257, 3}, [3]int{4, 257, 16})
 	eachKernel(t, func(t *testing.T) {
-		for _, s := range gemmShapes {
+		for _, s := range shapes {
 			for _, density := range zeroDensities {
 				rng := rand.New(rand.NewPCG(uint64(s[0]*s[1]), uint64(density*100)))
 				a := sparseMatrix(rng, s[0], s[1], density)
 				b := randomMatrix(rng, s[2], s[1])
 				poison(rng, b)
+				poison(rng, a)
 				name := fmt.Sprintf("%dx%d·(%dx%d)ᵀ/zeros=%g", s[0], s[1], s[2], s[1], density)
 				sameBits(t, "MatMulT "+name, New(0, 0).MatMulT(a, b).Data, refMatMulT(a, b).Data)
 				m := randomMatrix(rng, s[0]+1, s[2]+1)
@@ -523,11 +531,11 @@ func BenchmarkEigenSym(b *testing.B) {
 	}
 }
 
-// benchGEMM runs mul on each of the workload's shapes; dims maps a shape
-// triple to the dimensions of the two operands. The first operand is half
-// zeros, as the rectified activations it stands for are.
-func benchGEMM(b *testing.B, mul func(m, x, y *Matrix) *Matrix, dims func(s [3]int) (xr, xc, yr, yc int)) {
-	for _, s := range gemmShapes[:4] {
+// benchGEMM runs mul on each of shapes; dims maps a shape triple to the
+// dimensions of the two operands. The first operand is half zeros, as the
+// rectified activations it stands for are.
+func benchGEMM(b *testing.B, mul func(m, x, y *Matrix) *Matrix, dims func(s [3]int) (xr, xc, yr, yc int), shapes [][3]int) {
+	for _, s := range shapes {
 		xr, xc, yr, yc := dims(s)
 		rng := rand.New(rand.NewPCG(uint64(s[0]), 15))
 		x, y := sparseMatrix(rng, xr, xc, 0.5), randomMatrix(rng, yr, yc)
@@ -542,11 +550,11 @@ func benchGEMM(b *testing.B, mul func(m, x, y *Matrix) *Matrix, dims func(s [3]i
 }
 
 func BenchmarkMatMul(b *testing.B) {
-	benchGEMM(b, (*Matrix).MatMul, func(s [3]int) (int, int, int, int) { return s[0], s[1], s[1], s[2] })
+	benchGEMM(b, (*Matrix).MatMul, func(s [3]int) (int, int, int, int) { return s[0], s[1], s[1], s[2] }, gemmShapes[:4])
 }
 
 func BenchmarkTMatMul(b *testing.B) {
-	benchGEMM(b, (*Matrix).TMatMul, func(s [3]int) (int, int, int, int) { return s[0], s[1], s[0], s[2] })
+	benchGEMM(b, (*Matrix).TMatMul, func(s [3]int) (int, int, int, int) { return s[0], s[1], s[0], s[2] }, gemmShapes[:4])
 }
 
 // BenchmarkGramRows times the Kronecker-factor product a·aᵀ on the
@@ -567,10 +575,14 @@ func BenchmarkGramRows(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulT is the backward pass's product: the output gradient times
-// the transposed weight matrix, packed into storage kept across calls.
+// BenchmarkMatMulT times the backward pass's products with bᵀ packed into
+// storage kept across calls: first an output gradient times a transposed
+// weight matrix, the input gradients' shapes; then the convolutions' weight
+// gradients, the patch matrix times the transposed pre-activation gradient
+// (55×1152·(8×1152)ᵀ and 10×2048·(6×2048)ᵀ), which the step runs.
 func BenchmarkMatMulT(b *testing.B) {
 	var yt Matrix
 	mulT := func(m, x, y *Matrix) *Matrix { return m.MatMulTPacked(x, y, &yt) }
-	benchGEMM(b, mulT, func(s [3]int) (int, int, int, int) { return s[0], s[2], s[1], s[2] })
+	benchGEMM(b, mulT, func(s [3]int) (int, int, int, int) { return s[0], s[2], s[1], s[2] },
+		append(gemmShapes[:4:4], [3]int{55, 8, 1152}, [3]int{10, 6, 2048}))
 }

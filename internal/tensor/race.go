@@ -23,6 +23,18 @@ func raceAddRows(dst, b []float64, stride int, ks []int) {
 	runtime.RaceWriteRange(unsafe.Pointer(unsafe.SliceData(dst)), n)
 }
 
+// raceAddPanel tells the race detector what addPanelAVX is about to touch:
+// the nk coefficients of each of the block's rows of a and the bt panel,
+// which it reads, and dst, which it reads and writes. addPanel calls it on
+// a non-empty block only.
+func raceAddPanel(dst []float64, rows int, a []float64, as int, bt []float64, nk int) {
+	for r := 0; r < rows; r++ {
+		runtime.RaceReadRange(unsafe.Pointer(&a[r*as]), nk*8)
+	}
+	runtime.RaceReadRange(unsafe.Pointer(unsafe.SliceData(bt)), len(bt)*8)
+	runtime.RaceWriteRange(unsafe.Pointer(unsafe.SliceData(dst)), len(dst)*8)
+}
+
 // raceRank2 tells the race detector that rank2AVX reads p and u and reads
 // and writes row, all of the same length.
 func raceRank2(row, p, u []float64) {

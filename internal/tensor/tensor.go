@@ -116,7 +116,7 @@ func (m *Matrix) Scale(s float64, a *Matrix) *Matrix {
 func (m *Matrix) AXPY(s float64, a *Matrix) *Matrix {
 	checkSameDims(m, a)
 	for i := range a.Data {
-		m.Data[i] += s * a.Data[i]
+		m.Data[i] += float64(s * a.Data[i])
 	}
 	return m
 }
@@ -199,7 +199,7 @@ func (m *Matrix) MatMul(a, b *Matrix) *Matrix {
 	}
 	var g terms
 	for i := 0; i < a.Rows; i++ {
-		g.rowProduct(m.Data[i*m.Cols:(i+1)*m.Cols], b.Data, b.Cols, a.Data[i*a.Cols:], 1, a.Cols, true)
+		g.rowProduct(m.Data[i*m.Cols:(i+1)*m.Cols], b.Data, b.Cols, a.Data[i*a.Cols:], 1, a.Cols)
 	}
 	return m
 }
@@ -217,7 +217,8 @@ func (m *Matrix) MatMulT(a, b *Matrix) *Matrix { return m.MatMulTPacked(a, b, ne
 
 // MatMulTPacked is MatMulT with bᵀ packed, panelRows rows at a time, into
 // bt: the caller's storage, reshaped to at most panelRows × b.Rows. bt
-// must not alias m, a or b.
+// must not alias m, a or b. Each panel is added into blockRows output rows
+// at a time (addPanel).
 func (m *Matrix) MatMulTPacked(a, b, bt *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulT %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -225,13 +226,13 @@ func (m *Matrix) MatMulTPacked(a, b, bt *Matrix) *Matrix {
 	if !m.reshape(a.Rows, b.Rows) {
 		clear(m.Data)
 	}
-	var g terms
+	if a.Rows == 0 {
+		return m // no row of a to take a panel's coefficients from
+	}
 	for k0 := 0; k0 < a.Cols; k0 += panelRows {
 		nk := min(panelRows, a.Cols-k0)
 		bt.transposeCols(b, k0, nk)
-		for i := 0; i < a.Rows; i++ {
-			g.rowProduct(m.Data[i*m.Cols:(i+1)*m.Cols], bt.Data, bt.Cols, a.Data[i*a.Cols+k0:], 1, nk, false)
-		}
+		addPanel(m.Data, a.Rows, m.Cols, a.Data[k0:], a.Cols, bt.Data, nk)
 	}
 	return m
 }
@@ -251,7 +252,7 @@ func (m *Matrix) TMatMul(a, b *Matrix) *Matrix {
 	for k0 := 0; k0 < a.Rows; k0 += panelRows {
 		nk := min(panelRows, a.Rows-k0)
 		for i := 0; i < a.Cols; i++ {
-			g.rowProduct(m.Data[i*m.Cols:(i+1)*m.Cols], b.Data[k0*b.Cols:], b.Cols, a.Data[k0*a.Cols+i:], a.Cols, nk, true)
+			g.rowProduct(m.Data[i*m.Cols:(i+1)*m.Cols], b.Data[k0*b.Cols:], b.Cols, a.Data[k0*a.Cols+i:], a.Cols, nk)
 		}
 	}
 	return m
@@ -286,7 +287,7 @@ func (m *Matrix) GramRows(a, at *Matrix) *Matrix {
 		nk := min(panelRows, kn-k0)
 		at.transposeCols(a, k0, nk)
 		for i := 0; i < n; i++ {
-			g.rowProduct(m.Data[i*n+i:(i+1)*n], at.Data[i:], n, a.Data[i*kn+k0:], 1, nk, true)
+			g.rowProduct(m.Data[i*n+i:(i+1)*n], at.Data[i:], n, a.Data[i*kn+k0:], 1, nk)
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -301,7 +302,7 @@ func (m *Matrix) GramRows(a, at *Matrix) *Matrix {
 func (m *Matrix) FrobeniusNorm() float64 {
 	var s float64
 	for _, v := range m.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
@@ -347,7 +348,7 @@ func (a *Matrix) MulVec(dst, x []float64) []float64 {
 		row := a.Data[i*a.Cols : (i+1)*a.Cols]
 		var sum float64
 		for j, v := range row {
-			sum += v * x[j]
+			sum += float64(v * x[j])
 		}
 		dst[i] = sum
 	}
