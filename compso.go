@@ -312,10 +312,3 @@ func SaveModel(model *nn.Sequential, w io.Writer) error { return nn.Save(model, 
 
 // LoadModel restores parameters saved by SaveModel.
 func LoadModel(model *nn.Sequential, r io.Reader) error { return nn.Load(model, r) }
-
-// NewShampoo returns the Shampoo second-order optimizer over the model's
-// matrix parameters — an alternative preconditioner whose gradients COMPSO
-// compresses identically to K-FAC's.
-func NewShampoo(model *nn.Sequential, epsilon float64, updateFreq int) *kfac.Shampoo {
-	return kfac.NewShampoo(model, epsilon, updateFreq)
-}

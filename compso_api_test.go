@@ -211,23 +211,6 @@ func TestFacadeSaveLoadModel(t *testing.T) {
 	}
 }
 
-// TestFacadeShampoo exercises the alternative second-order optimizer.
-func TestFacadeShampoo(t *testing.T) {
-	task := compso.ProxyResNet(compso.NewRand(6), 6)
-	sh := compso.NewShampoo(task.Model, 1e-4, 5)
-	x, y := task.Data.Sample(compso.NewRand(7), task.Batch)
-	logits := task.Model.Forward(x, true)
-	_, grad := task.Loss.Loss(logits, y)
-	task.Model.ZeroGrad()
-	task.Model.Backward(grad)
-	if sh.NumLayers() == 0 {
-		t.Fatal("Shampoo found no matrix layers")
-	}
-	if err := sh.Step(0.01); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFacadeObservedTraining runs a small instrumented training job through
 // the facade: TrainConfig.Obs is populated, the result carries a snapshot,
 // the trace exports and validates, and the collective span sums reconcile
@@ -284,11 +267,11 @@ func TestFacadeObservedTraining(t *testing.T) {
 		t.Fatalf("trace validation: %v", err)
 	}
 	buf.Reset()
-	if err := snap.WriteMetricsCSV(&buf); err != nil {
+	if err := snap.WriteMetricsJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() == 0 {
-		t.Fatal("empty metrics CSV")
+		t.Fatal("empty metrics JSON")
 	}
 }
 

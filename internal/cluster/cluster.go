@@ -17,15 +17,11 @@ import (
 // which schedules each exchange over simulated point-to-point links.
 // Workers must issue collectives in identical order (the SPMD contract).
 type Cluster struct {
-	cfg    Config
 	p      int
 	rv     *rendezvous
 	engine *collective.Engine
 	rec    *obs.Recorder
 	faults *fault.Injector
-
-	pairMu sync.Mutex
-	pairs  map[pairKey]*pairSlot
 
 	// serializeWire queues engine-scheduled collectives on the run
 	// ledger's wire cursor, so collectives launched back-to-back without
@@ -37,10 +33,8 @@ type Cluster struct {
 	tracing bool
 
 	// incarnation is the restart attempt this cluster serves (crash
-	// recovery); downCh unblocks SendRecv waiters when a worker dies.
+	// recovery).
 	incarnation int
-	downOnce    sync.Once
-	downCh      chan struct{}
 }
 
 // New creates a cluster of p workers on the given platform. It panics on an
@@ -53,15 +47,10 @@ func New(cfg Config, p int) *Cluster {
 		panic(fmt.Sprintf("cluster: %d workers", p))
 	}
 	return &Cluster{
-		cfg: cfg, p: p, rv: newRendezvous(p),
+		p: p, rv: newRendezvous(p),
 		engine: EngineFor(cfg, p),
-		pairs:  make(map[pairKey]*pairSlot),
-		downCh: make(chan struct{}),
 	}
 }
-
-// Config returns the platform configuration.
-func (c *Cluster) Config() Config { return c.cfg }
 
 // Size returns the number of workers.
 func (c *Cluster) Size() int { return c.p }
@@ -72,11 +61,11 @@ func (c *Cluster) Engine() *collective.Engine { return c.engine }
 
 // InjectFaults installs a fault injector: straggler compute multipliers
 // apply to Worker.Compute charges, and degraded-link perturbations apply
-// to every stepped collective schedule and SendRecv transfer (which is
-// what makes the engine's measurement-refined autotuner re-tune under the
-// degraded topology). Payload corruption is the training loop's concern —
-// the cluster moves bytes verbatim. A nil injector (the default) keeps
-// the fault-free fast path. Call before Run.
+// to every stepped collective schedule (which is what makes the engine's
+// measurement-refined autotuner re-tune under the degraded topology).
+// Payload corruption is the training loop's concern — the cluster moves
+// bytes verbatim. A nil injector (the default) keeps the fault-free fast
+// path. Call before Run.
 func (c *Cluster) InjectFaults(inj *fault.Injector) {
 	c.faults = inj
 	if inj != nil {
@@ -333,95 +322,4 @@ func (w *Worker) Barrier() {
 		return make([]any, len(times)), slices.Repeat([]float64{slices.Max(times)}, len(times))
 	})
 	w.led.BarrierRanks(w.rank, w.rank+1, tEnd)
-}
-
-// pairKey identifies a SendRecv meeting point (unordered rank pair).
-type pairKey struct{ lo, hi int }
-
-type pairSlot struct {
-	payload []byte
-	t       float64
-	reply   chan pairReply
-}
-
-type pairReply struct {
-	payload []byte
-	tEnd    float64
-}
-
-// SendRecv exchanges payloads with peer over the direct link between the
-// two ranks (NVLink when co-located, the NICs otherwise), advancing both
-// clocks to the transfer's completion. Both sides must call SendRecv with
-// each other's rank (the SPMD contract — mismatched pairings deadlock, as
-// they would on a real cluster). It is the transport primitive the
-// step-level collective algorithms are built from, exposed for custom
-// exchange patterns.
-func (w *Worker) SendRecv(peer int, payload []byte, category string) []byte {
-	c := w.cluster
-	if peer == w.rank {
-		return payload
-	}
-	if peer < 0 || peer >= c.p {
-		panic(fmt.Sprintf("cluster: SendRecv peer %d, world %d", peer, c.p))
-	}
-	k := pairKey{lo: w.rank, hi: peer}
-	if k.lo > k.hi {
-		k.lo, k.hi = k.hi, k.lo
-	}
-	c.pairMu.Lock()
-	if st, ok := c.pairs[k]; ok {
-		// Second arriver: compute the transfer and release the partner.
-		delete(c.pairs, k)
-		c.pairMu.Unlock()
-		bytes := max(len(payload), len(st.payload))
-		start := max(w.Time(), st.t)
-		tEnd := start + c.engine.P2PTime(w.rank, peer, bytes, start)
-		st.reply <- pairReply{payload: payload, tEnd: tEnd}
-		w.exchanged(peer, bytes, start, tEnd, category)
-		return st.payload
-	}
-	st := &pairSlot{payload: payload, t: w.Time(), reply: make(chan pairReply, 1)}
-	c.pairs[k] = st
-	c.pairMu.Unlock()
-	var rep pairReply
-	select {
-	case rep = <-st.reply:
-	case <-c.downCh:
-		// The partner (or any peer) died before pairing up; unwind like
-		// any other synchronization point. A race where the reply lands
-		// anyway is resolved in the reply's favor — the data exchange
-		// completed before the loss surfaced here.
-		select {
-		case rep = <-st.reply:
-		default:
-			_, p := c.rv.poisoned()
-			panic(p)
-		}
-	}
-	w.exchanged(peer, max(len(payload), len(rep.payload)), w.Time(), rep.tEnd, category)
-	return rep.payload
-}
-
-// exchanged records a point-to-point transfer's span and settles this
-// worker on it.
-func (w *Worker) exchanged(peer, bytes int, start, tEnd float64, category string) {
-	if rec := w.cluster.rec; rec != nil {
-		// Cover exactly the interval the ledger charges so p2p span sums
-		// reconcile with AlgSeconds.
-		a := obs.NoAttrs
-		a.Algorithm = "p2p"
-		a.Peer = peer
-		a.BytesIn = int64(bytes)
-		now := w.Time()
-		rec.Span(w.spanCtx, w.rank, obs.CatCollective, collective.OpSendRecv, now, max(tEnd, now), a)
-	}
-	link := collective.LinkInter
-	if w.cluster.engine.Topology().SameNode(w.rank, peer) {
-		link = collective.LinkIntra
-	}
-	w.led.Exchange(w.rank, collective.Event{
-		Op: collective.OpSendRecv, Algorithm: "p2p",
-		Src: w.rank, Dst: peer, Link: link, Bytes: bytes,
-		Start: start, End: tEnd,
-	}, category)
 }

@@ -9,9 +9,9 @@ import (
 // Worker-loss semantics. A crash is a goroutine-level death: the victim
 // poisons the cluster's rendezvous and panics with *CrashPanic. Every
 // survivor discovers the loss at its next synchronization point — a
-// collective entry, a rendezvous wait, or a blocked SendRecv — and unwinds
-// with *LostPanic, modeling the bounded collective timeout real NCCL-style
-// stacks use for peer-loss detection. The training driver catches both
+// collective entry or a rendezvous wait — and unwinds with *LostPanic,
+// modeling the bounded collective timeout real NCCL-style stacks use for
+// peer-loss detection. The training driver catches both
 // panic kinds at the top of each worker goroutine, converts them to a
 // *WorkerLost error, discards the poisoned cluster, and restarts every
 // rank from the last checkpoint on a fresh one.
@@ -61,9 +61,6 @@ func (e *WorkerLost) Error() string {
 // same replayed step.
 func (c *Cluster) SetIncarnation(n int) { c.incarnation = n }
 
-// Incarnation returns the cluster's restart attempt number.
-func (c *Cluster) Incarnation() int { return c.incarnation }
-
 // Crash kills this worker at the given point: it goes Down and panics
 // with *CrashPanic. It never returns.
 func (w *Worker) Crash(point string) {
@@ -72,15 +69,12 @@ func (w *Worker) Crash(point string) {
 }
 
 // Down takes this worker out of the cluster's collectives without
-// unwinding it: it poisons the rendezvous (waking and unwinding all
-// blocked peers) and closes the peer-loss channel for blocked SendRecv
-// partners. A worker that leaves its program early — a crash, or a step
-// that failed with an error — calls it so that no peer waits for it
+// unwinding it: it poisons the rendezvous, waking and unwinding all
+// blocked peers. A worker that leaves its program early — a crash, or a
+// step that failed with an error — calls it so that no peer waits for it
 // forever.
 func (w *Worker) Down(point string) {
-	c := w.cluster
-	c.rv.poison(w.rank, w.step, point)
-	c.downOnce.Do(func() { close(c.downCh) })
+	w.cluster.rv.poison(w.rank, w.step, point)
 }
 
 // CrashDue reports whether the fault plan kills this worker during the

@@ -27,10 +27,9 @@ var eventBytes = int64(unsafe.Sizeof(collective.Event{}))
 //
 // The rules:
 //   - Compute advances a rank's clock by its charge, under a category.
-//   - Waiting on a collective, a point-to-point exchange or a barrier is
-//     charged only when the end lies past the rank's clock (block): the
-//     blocked interval goes to the category and, except for a barrier, to
-//     the "op/algorithm" column.
+//   - Waiting on a collective or a barrier is charged only when the end
+//     lies past the rank's clock (block): the blocked interval goes to the
+//     category and, except for a barrier, to the "op/algorithm" column.
 //   - A wait on a collective launched earlier also books exposure
 //     (OverlapOf): the blocked interval as exposed, the whole
 //     launch-to-end latency as total.
@@ -202,19 +201,6 @@ func (l *Ledger) Wait(lo, hi int, out *collective.Outcome, launch []float64, cat
 	}
 	if l.tracing {
 		l.trace(lo, hi, out.Events)
-	}
-}
-
-// Exchange settles rank's side of the point-to-point transfer ev, which
-// ends at ev.End: the blocked interval is charged to category and to
-// "sendrecv/p2p", and ev joins the rank's trace.
-func (l *Ledger) Exchange(rank int, ev collective.Event, category string) {
-	cat, alg := l.column(l.cats, category), l.column(l.algs, collective.OpSendRecv+"/p2p")
-	d := l.block(rank, ev.End)
-	alg[rank] += d
-	cat[rank] += d
-	if l.tracing {
-		l.record(rank, ev)
 	}
 }
 

@@ -16,7 +16,6 @@ const (
 	OpAllReduce     = "allreduce"
 	OpReduceScatter = "reducescatter"
 	OpBroadcast     = "broadcast"
-	OpSendRecv      = "sendrecv"
 )
 
 // splitBytes splits n bytes into p near-even chunks (first n%p chunks get

@@ -111,10 +111,9 @@ func NewEngine(topo *Topology, policy string) (*Engine, error) {
 func (e *Engine) Topology() *Topology { return e.topo }
 
 // SetPerturber installs a link perturber (nil removes it). Install before
-// the engine starts executing collectives; the stepped schedules and
-// P2PTime consult it, while prediction dry runs stay fault-free so the
-// tuner's seeds — and the guard's divergence baseline — describe the
-// healthy fabric.
+// the engine starts executing collectives; the stepped schedules consult
+// it, while prediction dry runs stay fault-free so the tuner's seeds — and
+// the guard's divergence baseline — describe the healthy fabric.
 func (e *Engine) SetPerturber(p LinkPerturber) {
 	e.mu.Lock()
 	e.pert = p
@@ -146,26 +145,6 @@ func (e *Engine) Retune() {
 	e.mu.Lock()
 	e.tuner.measured = make(map[tuneKey]*ewma)
 	e.mu.Unlock()
-}
-
-// P2PTime returns the α–β cost of one point-to-point message between two
-// ranks at the given start time, applying the installed link perturber
-// (topology cost when none). It is the engine-aware replacement for
-// Topology.P2PTime on live transfer paths.
-func (e *Engine) P2PTime(src, dst, bytes int, start float64) float64 {
-	if src == dst {
-		return 0
-	}
-	t := e.topo
-	sn, dn := t.Node(src), t.Node(dst)
-	link, alpha, beta := LinkInter, t.InterAlpha, t.InterBeta
-	if sn == dn {
-		link, alpha, beta = LinkIntra, t.IntraAlpha, t.IntraBeta
-	}
-	if p := e.perturber(); p != nil {
-		return perturbedTime(p, src, dst, sn, dn, link, bytes, start, alpha, beta)
-	}
-	return linkTime(alpha, beta, float64(bytes))
 }
 
 // Algorithms returns the step-level algorithm menu for an op.

@@ -114,16 +114,3 @@ func (t *Topology) SameNode(a, b int) bool { return t.Node(a) == t.Node(b) }
 
 // Leader returns the designated leader rank of a node (its first rank).
 func (t *Topology) Leader(node int) int { return node * t.GPUsPerNode }
-
-// P2PTime returns the α–β cost of one point-to-point message between two
-// ranks, ignoring occupancy (used by the Worker.SendRecv primitive, where
-// the pair is the only user of its links).
-func (t *Topology) P2PTime(src, dst, bytes int) float64 {
-	if src == dst {
-		return 0
-	}
-	if t.SameNode(src, dst) {
-		return t.IntraAlpha + t.IntraBeta*float64(bytes)
-	}
-	return t.InterAlpha + t.InterBeta*float64(bytes)
-}

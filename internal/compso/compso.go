@@ -123,25 +123,6 @@ func NewCompressor(codec encoding.Codec, rank int, seed int64) *compress.COMPSO 
 	return comp
 }
 
-// Groups partitions n layer indices into consecutive aggregation groups of
-// size m — the unit COMPSO compresses and all-gathers together. It panics
-// on m < 1.
-func Groups(n, m int) [][]int {
-	if m < 1 {
-		panic(fmt.Sprintf("compso: aggregation factor %d", m))
-	}
-	var out [][]int
-	for g := 0; g < n; g += m {
-		end := min(g+m, n)
-		idx := make([]int, 0, end-g)
-		for i := g; i < end; i++ {
-			idx = append(idx, i)
-		}
-		out = append(out, idx)
-	}
-	return out
-}
-
 // Concat flattens per-layer gradients into one aggregation buffer.
 func Concat(grads [][]float32) []float32 {
 	total := 0

@@ -87,28 +87,6 @@ func TestApplyConfiguresCompressor(t *testing.T) {
 	}
 }
 
-func TestGroups(t *testing.T) {
-	g := Groups(10, 4)
-	if len(g) != 3 || len(g[0]) != 4 || len(g[2]) != 2 {
-		t.Fatalf("Groups(10,4) = %v", g)
-	}
-	if g[2][0] != 8 || g[2][1] != 9 {
-		t.Fatalf("last group = %v", g[2])
-	}
-	if got := Groups(0, 4); len(got) != 0 {
-		t.Fatalf("Groups(0,4) = %v", got)
-	}
-}
-
-func TestGroupsPanicsOnBadM(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Groups(5, 0) did not panic")
-		}
-	}()
-	Groups(5, 0)
-}
-
 func TestConcatSplitRoundTrip(t *testing.T) {
 	grads := [][]float32{{1, 2}, {3}, {}, {4, 5, 6}}
 	flat := Concat(grads)

@@ -168,6 +168,11 @@ func RunOnWorld(w *World, prog Program) {
 // payloads through the rendezvous and launching through the async
 // handles. The cluster's wire is serialized exactly when the program
 // launches, as on a World. Returns the workers in rank order.
+//
+// No program runs it: it exists only as the check that the goroutine
+// engine and World charge a program alike (the golden bit-identity
+// tests). It goes, with its worker adapter, once train.Run prices its
+// steps on a World: the flip of ROADMAP.md's "One time engine", 11(b).
 func RunOnCluster(c *cluster.Cluster, prog Program) []*cluster.Worker {
 	c.SerializeWire(prog.check(c.Size()))
 	return c.Run(func(w *cluster.Worker) { run(worker{w}, prog) })

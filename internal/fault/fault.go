@@ -25,9 +25,9 @@
 //     simulated seconds.
 //   - LinkFault: α/β inflation on selected edges (by node pair and link
 //     class) plus per-message jitter. Injected where the collective
-//     engine's stepped simulator and the SendRecv primitive charge link
-//     time, so the autotuner's measured EWMAs — and therefore its picks —
-//     re-tune under the degraded topology.
+//     engine's stepped simulator charges link time, so the autotuner's
+//     measured EWMAs — and therefore its picks — re-tune under the
+//     degraded topology.
 //   - Corruption: bit-flips in compressed blobs at a configurable
 //     per-blob rate, applied "on the wire" (at the source, so every
 //     receiver observes the same bytes). Injected in the training loop's
@@ -248,14 +248,6 @@ func NewInjector(p *Plan) (*Injector, error) {
 		return nil, nil
 	}
 	return &Injector{plan: *p}, nil
-}
-
-// Plan returns the injector's plan (zero value for a nil injector).
-func (inj *Injector) Plan() Plan {
-	if inj == nil {
-		return Plan{}
-	}
-	return inj.plan
 }
 
 // ComputeFactor returns the compute-time multiplier for a rank at a step

@@ -57,19 +57,6 @@ func COMPSOFused() Pipeline {
 	return Pipeline{Name: "COMPSO (CUDA)", Launches: 2, PassBytesPerElem: 8.5}
 }
 
-// COMPSOUnfused is the ablation without kernel fusion: filter, quantize and
-// encode as separate kernels with materialized intermediates.
-func COMPSOUnfused() Pipeline {
-	return Pipeline{Name: "COMPSO (unfused)", Launches: 4, PassBytesPerElem: 21}
-}
-
-// COMPSONaiveReduce is the ablation without the block-reduce/warp-shuffle
-// extrema kernel: a global atomic per element roughly doubles the extrema
-// pass traffic.
-func COMPSONaiveReduce() Pipeline {
-	return Pipeline{Name: "COMPSO (naive reduce)", Launches: 2, PassBytesPerElem: 12.5}
-}
-
 // QSGDCUDA is the authors' fused CUDA QSGD: extrema pass + one
 // quantize+encode pass. No filter/bitmap work, so it moves slightly fewer
 // bytes than COMPSO — the paper notes its throughput exceeds COMPSO's
@@ -107,11 +94,6 @@ func CocktailTorch() Pipeline {
 // GEMM kernels and the orthogonalization.
 func PowerSGDGEMM() Pipeline {
 	return Pipeline{Name: "PowerSGD (GEMM)", Launches: 3, PassBytesPerElem: 9}
-}
-
-// Figure8Pipelines returns the pipelines of Figure 8 in plot order.
-func Figure8Pipelines() []Pipeline {
-	return []Pipeline{SZCUDA(), QSGDCUDA(), QSGDTorch(), COMPSOFused(), CocktailTorch()}
 }
 
 // Time returns the modeled kernel time in seconds to compress nElem FP32

@@ -71,7 +71,7 @@ func (k *KFAC) refreshCholesky(i int) error {
 		pi = math.Sqrt(traceA / traceG)
 	}
 	sqrtGamma := math.Sqrt(k.cfg.Damping)
-	a.AddDiag(pi * sqrtGamma)
+	a.AddDiag(float64(pi * sqrtGamma)) // rounded here, not fused into AddDiag's +=
 	g.AddDiag(sqrtGamma / pi)
 	invA, err := tensor.InverseSPD(a)
 	if err != nil {

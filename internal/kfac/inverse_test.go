@@ -122,15 +122,3 @@ func TestRefreshEigenRejectsNonFiniteActivation(t *testing.T) {
 		}
 	}
 }
-
-// TestShampooRejectsNonFiniteGradient: the same typed error reaches
-// Shampoo's callers with the layer's parameter name.
-func TestShampooRejectsNonFiniteGradient(t *testing.T) {
-	s := NewShampoo(buildModel(9), 1e-4, 1)
-	p := s.layers[0].param
-	p.Grad.Data[0] = math.NaN()
-	_, err := s.Precondition(0)
-	if !errors.Is(err, tensor.ErrNonFinite) || !strings.Contains(err.Error(), p.Name) {
-		t.Fatalf("error %v, want tensor.ErrNonFinite naming %s", err, p.Name)
-	}
-}

@@ -218,11 +218,11 @@ func (k *KFAC) CommitCovariances(buf []float64, worldSize int) error {
 	pos := 0
 	for _, l := range k.layers {
 		for i := range l.A.Data {
-			l.A.Data[i] = decay*l.A.Data[i] + (1-decay)*buf[pos]*inv
+			l.A.Data[i] = float64(decay*l.A.Data[i]) + float64((1-decay)*buf[pos]*inv)
 			pos++
 		}
 		for i := range l.G.Data {
-			l.G.Data[i] = decay*l.G.Data[i] + (1-decay)*buf[pos]*inv
+			l.G.Data[i] = float64(decay*l.G.Data[i]) + float64((1-decay)*buf[pos]*inv)
 			pos++
 		}
 		l.pending = false
@@ -307,7 +307,7 @@ func (k *KFAC) Precondition(i int) ([]float32, error) {
 			if lg < 0 {
 				lg = 0
 			}
-			v.Data[r*v.Cols+c] /= la*lg + k.cfg.Damping
+			v.Data[r*v.Cols+c] /= float64(la*lg) + k.cfg.Damping
 		}
 	}
 	// P = Q_A · V · Q_Gᵀ.
@@ -365,7 +365,7 @@ func (k *KFAC) ApplyUpdate(lr float64) error {
 			}
 			grad := l.layer.KFACParam().Grad
 			for j, p := range updateOf(l).Data {
-				vg += p * grad.Data[j]
+				vg += float64(p * grad.Data[j])
 			}
 		}
 		if vg > 0 {
@@ -382,9 +382,9 @@ func (k *KFAC) ApplyUpdate(lr float64) error {
 			l.vel = make([]float64, len(p.W.Data))
 		}
 		for j := range p.W.Data {
-			g := nu*src.Data[j] + k.cfg.WeightDecay*p.W.Data[j]
-			l.vel[j] = k.cfg.Momentum*l.vel[j] + g
-			p.W.Data[j] -= lr * l.vel[j]
+			g := float64(nu*src.Data[j]) + float64(k.cfg.WeightDecay*p.W.Data[j])
+			l.vel[j] = float64(k.cfg.Momentum*l.vel[j]) + g
+			p.W.Data[j] -= float64(lr * l.vel[j])
 		}
 		l.precond = nil
 	}
@@ -395,9 +395,9 @@ func (k *KFAC) ApplyUpdate(lr float64) error {
 			k.otherVel[p] = v
 		}
 		for j := range p.W.Data {
-			g := p.Grad.Data[j] + k.cfg.WeightDecay*p.W.Data[j]
-			v[j] = k.cfg.Momentum*v[j] + g
-			p.W.Data[j] -= lr * v[j]
+			g := p.Grad.Data[j] + float64(k.cfg.WeightDecay*p.W.Data[j])
+			v[j] = float64(k.cfg.Momentum*v[j]) + g
+			p.W.Data[j] -= float64(lr * v[j])
 		}
 	}
 	k.step++

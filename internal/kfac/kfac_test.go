@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"compso/internal/compress"
 	"compso/internal/nn"
 	"compso/internal/tensor"
 	"compso/internal/xrand"
@@ -505,90 +504,6 @@ func TestCholeskyMatchesEigenDirection(t *testing.T) {
 func TestInversionString(t *testing.T) {
 	if EigenDecomp.String() != "eigendecomposition" || CholeskyInverse.String() != "cholesky-inverse" {
 		t.Fatal("Inversion.String mismatch")
-	}
-}
-
-func TestShampooConverges(t *testing.T) {
-	model := buildModel(60)
-	s := NewShampoo(model, 1e-4, 5)
-	if s.NumLayers() != 2 {
-		t.Fatalf("shampoo layers %d", s.NumLayers())
-	}
-	rng := xrand.NewSeeded(61)
-	loss := nn.SoftmaxCrossEntropy{}
-	var first, last float64
-	for i := 0; i < 80; i++ {
-		x, y := makeBatch(rng, 32)
-		logits := model.Forward(x, true)
-		l, grad := loss.Loss(logits, y)
-		if i == 0 {
-			first = l
-		}
-		last = l
-		model.ZeroGrad()
-		model.Backward(grad)
-		if err := s.Step(0.02); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if last > first/3 {
-		t.Fatalf("Shampoo did not converge: %g -> %g", first, last)
-	}
-}
-
-func TestShampooGradientsCompressLikeKFACs(t *testing.T) {
-	// COMPSO's pipeline applies unchanged to Shampoo-preconditioned
-	// gradients: same shapes, bounded error round trip.
-	model := buildModel(62)
-	s := NewShampoo(model, 1e-4, 1)
-	rng := xrand.NewSeeded(63)
-	x, y := makeBatch(rng, 32)
-	logits := model.Forward(x, true)
-	_, grad := nn.SoftmaxCrossEntropy{}.Loss(logits, y)
-	model.ZeroGrad()
-	model.Backward(grad)
-	vals, err := s.Precondition(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp := compress.NewCOMPSO(64)
-	blob, err := comp.Compress(vals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := comp.Decompress(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vals {
-		if e := math.Abs(float64(out[i] - vals[i])); e > comp.MaxError()+1e-7 {
-			t.Fatalf("error %g at %d", e, i)
-		}
-	}
-}
-
-func TestInverseFourthRoot(t *testing.T) {
-	// (m+εI)^{-1/4} to the fourth power times (m+εI) must be identity.
-	rng := xrand.NewSeeded(65)
-	b := tensor.New(5, 5)
-	for i := range b.Data {
-		b.Data[i] = rng.NormFloat64()
-	}
-	m := tensor.New(0, 0).TMatMul(b, b)
-	const eps = 1e-6
-	root, err := inverseFourthRoot(m, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := tensor.New(0, 0).MatMul(root, root)
-	r4 := tensor.New(0, 0).MatMul(r2, r2)
-	damped := m.Clone().Symmetrize().AddDiag(eps)
-	prod := tensor.New(0, 0).MatMul(r4, damped)
-	id := tensor.New(5, 5).AddDiag(1)
-	for i := range id.Data {
-		if math.Abs(prod.Data[i]-id.Data[i]) > 1e-6 {
-			t.Fatalf("root⁴·m != I at %d: %g", i, prod.Data[i])
-		}
 	}
 }
 

@@ -216,7 +216,7 @@ func TestProxyModelsAreNNModels(t *testing.T) {
 	// optimizer stack.
 	task := ProxyResNet(xrand.NewSeeded(20), 21)
 	var model *nn.Sequential = task.Model
-	if model.ParamCount() == 0 {
+	if len(model.Params()) == 0 {
 		t.Fatal("empty proxy model")
 	}
 }

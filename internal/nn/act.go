@@ -122,43 +122,3 @@ func (g *GELU) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	}
 	return out
 }
-
-// Tanh is the hyperbolic-tangent activation.
-type Tanh struct {
-	lastOutput  *tensor.Matrix
-	out, gradIn tensor.Matrix
-}
-
-// NewTanh returns a Tanh layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Name implements Layer.
-func (t *Tanh) Name() string { return "tanh" }
-
-// Params implements Layer.
-func (t *Tanh) Params() []*Param { return nil }
-
-// Forward implements Layer.
-func (t *Tanh) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	out := output(&t.out, train, x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
-	}
-	if train {
-		t.lastOutput = reuse(t.lastOutput, out.Rows, out.Cols)
-		copy(t.lastOutput.Data, out.Data)
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (t *Tanh) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	if t.lastOutput == nil || len(t.lastOutput.Data) != len(gradOut.Data) {
-		panic("nn: Tanh.Backward shape mismatch")
-	}
-	out := reuse(&t.gradIn, gradOut.Rows, gradOut.Cols)
-	for i, y := range t.lastOutput.Data {
-		out.Data[i] = gradOut.Data[i] * (1 - y*y)
-	}
-	return out
-}

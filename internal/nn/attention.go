@@ -15,10 +15,7 @@ import (
 // attention weights of the paper's BERT/GPT workloads.
 type SelfAttention struct {
 	Seq, Dim, Heads int
-	// NoResidual disables the built-in residual connection (used when a
-	// containing block manages its own residual structure).
-	NoResidual     bool
-	Wq, Wk, Wv, Wo *Dense
+	Wq, Wk, Wv, Wo  *Dense
 
 	// Caches from the last training-mode forward.
 	batch   int
@@ -137,9 +134,7 @@ func (a *SelfAttention) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	// The output projection's output is this layer's to write into, so
 	// the residual lands in it.
 	out := a.unTokens(y, batch)
-	if !a.NoResidual {
-		out.AXPY(1, x)
-	}
+	out.AXPY(1, x)
 	if !train {
 		release(q, k, v, attnOut)
 	}
@@ -206,9 +201,7 @@ func (a *SelfAttention) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 	gradIn.AXPY(1, a.Wk.Backward(gradK))
 	gradIn.AXPY(1, a.Wv.Backward(gradV))
 	out := a.unTokens(gradIn, batch)
-	if !a.NoResidual {
-		out.AXPY(1, gradOut)
-	}
+	out.AXPY(1, gradOut)
 	return out
 }
 

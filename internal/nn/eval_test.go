@@ -13,7 +13,7 @@ import (
 )
 
 // tokenInput draws rows×cols token ids below vocab, stored as float64 the
-// way the embedding layers read them.
+// way the embedding layer reads them.
 func tokenInput(rows, cols, vocab int, seed int64) *tensor.Matrix {
 	rng := xrand.NewSeeded(seed)
 	m := tensor.New(rows, cols)
@@ -44,17 +44,12 @@ func evalLayers() []evalCase[Layer] {
 	}
 	add(NewDense(7, 5, rng), real(7))
 	add(NewConv2D(2, 6, 6, 3, 3, rng), real(2*6*6))
-	add(NewMaxPool2D(2, 4, 4, 2), real(2*4*4))
 	add(NewSelfAttention(seq, dim, 2, rng), real(seq*dim))
-	add(NewTransformerBlock(seq, dim, 2, 10, rng), real(seq*dim))
-	add(NewLayerNorm(9), real(9))
 	add(NewSeqLayerNorm(seq, dim), real(seq*dim))
-	add(NewEmbedding(vocab, dim, seq, rng), tokens)
 	add(NewEmbeddingSeq(vocab, dim, seq, rng), tokens)
 	add(NewMeanPool(seq, dim), real(seq*dim))
 	add(NewReLU(), real(8))
 	add(NewGELU(), real(8))
-	add(NewTanh(), real(8))
 	return cases
 }
 
@@ -65,22 +60,11 @@ func evalModels() []evalCase[*Sequential] {
 	return []evalCase[*Sequential]{
 		{"proxy-cnn", func() *Sequential { return proxyCNN(21) },
 			func(rows int) *tensor.Matrix { return randomInput(rows, 100, 22) }},
-		{"cnn-maxpool", func() *Sequential {
-			rng := xrand.NewSeeded(23)
-			conv := NewConv2D(1, 10, 10, 4, 3, rng)
-			mp := NewMaxPool2D(4, conv.OH, conv.OW, 2)
-			return NewSequential(conv, NewGELU(), mp, NewDense(mp.OutFeatures(), 5, rng))
-		}, func(rows int) *tensor.Matrix { return randomInput(rows, 100, 24) }},
 		{"transformer", func() *Sequential {
 			rng := xrand.NewSeeded(25)
-			return NewSequential(NewEmbeddingSeq(vocab, dim, seq, rng), NewTransformerBlock(seq, dim, 2, 16, rng),
-				NewSelfAttention(seq, dim, 2, rng), NewSeqLayerNorm(seq, dim), NewMeanPool(seq, dim), NewTanh(),
-				NewDense(dim, 3, rng))
+			return NewSequential(NewEmbeddingSeq(vocab, dim, seq, rng), NewSelfAttention(seq, dim, 2, rng),
+				NewSeqLayerNorm(seq, dim), NewMeanPool(seq, dim), NewGELU(), NewDense(dim, 3, rng))
 		}, func(rows int) *tensor.Matrix { return tokenInput(rows, seq, vocab, 26) }},
-		{"bag-of-tokens", func() *Sequential {
-			rng := xrand.NewSeeded(27)
-			return NewSequential(NewEmbedding(vocab, dim, seq, rng), NewLayerNorm(dim), NewReLU(), NewDense(dim, 3, rng))
-		}, func(rows int) *tensor.Matrix { return tokenInput(rows, seq, vocab, 28) }},
 	}
 }
 

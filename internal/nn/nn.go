@@ -227,15 +227,6 @@ func (s *Sequential) KFACLayers() (names []string, layers []KFACLayer) {
 	return names, layers
 }
 
-// ParamCount returns the total number of scalar parameters.
-func (s *Sequential) ParamCount() int {
-	total := 0
-	for _, p := range s.Params() {
-		total += p.Size()
-	}
-	return total
-}
-
 // reuse returns m reshaped to rows×cols, of unspecified contents, for
 // callers that overwrite every element: in m's storage when it is large
 // enough, otherwise in new storage. A nil m gets a new matrix.

@@ -1,73 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-
-	"compso/internal/tensor"
-)
-
-// LayerNorm normalizes each row to zero mean and unit variance, then
-// applies a learned per-feature affine (gamma, beta). It is updated by the
-// first-order path only — matching the distributed K-FAC systems the paper
-// builds on, which precondition the dense/conv layers and leave norm
-// parameters to SGD.
-type LayerNorm struct {
-	Dim   int
-	Gamma *Param // 1×Dim
-	Beta  *Param // 1×Dim
-	eps   float64
-
-	lastNorm    *tensor.Matrix // normalized input
-	lastStd     []float64      // per-row stddev
-	out, gradIn tensor.Matrix  // handed out (Layer)
-}
-
-// NewLayerNorm creates a LayerNorm over rows of width dim.
-func NewLayerNorm(dim int) *LayerNorm {
-	ln := &LayerNorm{
-		Dim:   dim,
-		Gamma: newParam(fmt.Sprintf("ln%d.gamma", dim), 1, dim),
-		Beta:  newParam(fmt.Sprintf("ln%d.beta", dim), 1, dim),
-		eps:   1e-5,
-	}
-	for i := range ln.Gamma.W.Data {
-		ln.Gamma.W.Data[i] = 1
-	}
-	return ln
-}
-
-// Name implements Layer.
-func (ln *LayerNorm) Name() string { return fmt.Sprintf("layernorm(%d)", ln.Dim) }
-
-// Params implements Layer.
-func (ln *LayerNorm) Params() []*Param { return []*Param{ln.Gamma, ln.Beta} }
-
-// Forward implements Layer.
-func (ln *LayerNorm) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if x.Cols != ln.Dim {
-		panic(fmt.Sprintf("nn: %s fed width %d", ln.Name(), x.Cols))
-	}
-	out := output(&ln.out, train, x.Rows, x.Cols)
-	var norm, stds []float64
-	if train {
-		ln.lastNorm = reuse(ln.lastNorm, x.Rows, x.Cols)
-		ln.lastStd = resize(ln.lastStd, x.Rows)
-		norm, stds = ln.lastNorm.Data, ln.lastStd
-	}
-	normalize(x.Data, out.Data, norm, stds, ln.Dim, ln.eps, ln.Gamma, ln.Beta)
-	return out
-}
-
-// Backward implements Layer.
-func (ln *LayerNorm) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
-	if ln.lastNorm == nil || gradOut.Rows != ln.lastNorm.Rows || gradOut.Cols != ln.Dim {
-		panic("nn: LayerNorm.Backward shape mismatch")
-	}
-	gradIn := reuse(&ln.gradIn, gradOut.Rows, gradOut.Cols)
-	normalizeBackward(gradOut.Data, gradIn.Data, ln.lastNorm.Data, ln.lastStd, ln.Dim, ln.Gamma, ln.Beta)
-	return gradIn
-}
+import "math"
 
 // normalize writes the layer norm of every dim-wide block of x into out,
 // followed by the per-feature affine (gamma, beta). Training passes norm

@@ -1,15 +1,12 @@
 package obs
 
 import (
-	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
 )
 
-// Flat metrics exporters: a JSON dump (the Snapshot's metric maps plus
-// span-category totals) and a CSV with one row per metric.
+// The flat metrics exporter: a JSON dump of the Snapshot's metric maps
+// plus span-category totals.
 
 // metricsDump is the JSON schema of WriteMetricsJSON.
 type metricsDump struct {
@@ -44,67 +41,4 @@ func (s Snapshot) WriteMetricsJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(dump)
-}
-
-// WriteMetricsCSV writes the recorder's metrics as CSV rows of
-// kind,name,count,sum,min,max,mean,value.
-func (r *Recorder) WriteMetricsCSV(w io.Writer) error {
-	return r.Snapshot().WriteMetricsCSV(w)
-}
-
-// WriteMetricsCSV writes the snapshot's metrics as CSV. Counters and
-// gauges fill only the value column; histograms fill count/sum/min/max/
-// mean; span-category totals appear as kind "spans" with the summed
-// simulated seconds in value.
-func (s Snapshot) WriteMetricsCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"kind", "name", "count", "sum", "min", "max", "mean", "value"}); err != nil {
-		return err
-	}
-	f := func(v float64) string { return fmt.Sprintf("%g", v) }
-	for _, name := range sortedStringKeys(s.Counters) {
-		if err := cw.Write([]string{"counter", name, "", "", "", "", "", f(s.Counters[name])}); err != nil {
-			return err
-		}
-	}
-	for _, name := range sortedStringKeys(s.Gauges) {
-		if err := cw.Write([]string{"gauge", name, "", "", "", "", "", f(s.Gauges[name])}); err != nil {
-			return err
-		}
-	}
-	histNames := make([]string, 0, len(s.Histograms))
-	for name := range s.Histograms {
-		histNames = append(histNames, name)
-	}
-	sort.Strings(histNames)
-	for _, name := range histNames {
-		h := s.Histograms[name]
-		row := []string{"histogram", name,
-			fmt.Sprintf("%d", h.Count), f(h.Sum), f(h.Min), f(h.Max), f(h.Mean), ""}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	spanSeconds := s.SpanSeconds()
-	cats := make([]string, 0, len(spanSeconds))
-	for cat := range spanSeconds {
-		cats = append(cats, string(cat))
-	}
-	sort.Strings(cats)
-	for _, cat := range cats {
-		if err := cw.Write([]string{"spans", cat, "", "", "", "", "", f(spanSeconds[Category(cat)])}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-func sortedStringKeys(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

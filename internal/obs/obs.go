@@ -1,7 +1,7 @@
 // Package obs is the simulated-time observability layer: hierarchical
 // spans on the cluster's simulated clock, a typed metrics registry
 // (counters, gauges, histograms), and exporters (Chrome trace.json for
-// chrome://tracing / Perfetto, flat JSON/CSV metrics dumps, and an
+// chrome://tracing / Perfetto, a flat JSON metrics dump, and an
 // in-process Snapshot API for tests and experiments).
 //
 // The central object is the Recorder. A nil *Recorder is the disabled

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -235,17 +234,6 @@ func TestMetricsExports(t *testing.T) {
 		}
 	}
 
-	var csvBuf bytes.Buffer
-	if err := r.WriteMetricsCSV(&csvBuf); err != nil {
-		t.Fatal(err)
-	}
-	out := csvBuf.String()
-	for _, want := range []string{"kind,name,count", "counter,wire/bytes", "gauge,controller/eb_quant",
-		"histogram,compress/ratio", "spans,compress"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("CSV missing %q:\n%s", want, out)
-		}
-	}
 }
 
 func TestReconcileAlgSeconds(t *testing.T) {

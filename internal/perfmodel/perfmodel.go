@@ -24,7 +24,6 @@ import (
 // throughput table for one platform. Queries interpolate between the
 // benchmarked sizes on a log scale, exactly like querying a measured table.
 type LookupTable struct {
-	cfg    cluster.Config
 	sizes  []int // ascending message sizes in bytes
 	counts []int // ascending GPU counts
 	// tput[ci][si] is effective all-gather throughput (bytes/s of own-chunk
@@ -53,7 +52,7 @@ func BuildLookupTable(cfg cluster.Config, gpuCounts []int) (*LookupTable, error)
 	for s := 1 << 10; s <= 1<<28; s <<= 1 {
 		sizes = append(sizes, s)
 	}
-	t := &LookupTable{cfg: cfg, sizes: sizes, counts: counts}
+	t := &LookupTable{sizes: sizes, counts: counts}
 	for _, p := range counts {
 		eng := cluster.EngineFor(cfg, p)
 		row := make([]float64, len(sizes))
@@ -106,9 +105,6 @@ func (t *LookupTable) nearestCountIndex(p int) int {
 	}
 	return best
 }
-
-// Config returns the platform the table was built for.
-func (t *LookupTable) Config() cluster.Config { return t.cfg }
 
 // OnlineProfile holds the quantities measured during the first k warmup
 // iterations (§4.4): compressed fraction and compressor throughputs on

@@ -130,7 +130,3 @@ func (a *admission) releaseRequest(ts *tenantState) {
 
 // Inflight returns the current global in-flight request count.
 func (a *admission) Inflight() int { return a.globalInflight.load() }
-
-// Sessions returns the current global live-session count as admission sees
-// it.
-func (a *admission) Sessions() int { return a.globalSessions.load() }

@@ -146,9 +146,6 @@ func New(cfg Config) *Server {
 // by the load generator and the benchmark — no TCP required).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Obs exposes the metrics recorder backing /metrics.
-func (s *Server) Obs() *obs.Recorder { return s.obs }
-
 // enter registers a data-plane request; it returns false once draining has
 // begun, in which case the caller must answer 503 without touching the
 // WaitGroup.

@@ -116,31 +116,13 @@ func TestTriangularityDistinguishesDistributions(t *testing.T) {
 	}
 }
 
-func TestMeanStddev(t *testing.T) {
+func TestMean(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(xs); !almostEqual(m, 5, 1e-12) {
 		t.Fatalf("Mean = %g, want 5", m)
 	}
-	if s := Stddev(xs); !almostEqual(s, 2, 1e-12) {
-		t.Fatalf("Stddev = %g, want 2", s)
-	}
-	if Mean(nil) != 0 || Stddev(nil) != 0 {
-		t.Fatal("empty Mean/Stddev nonzero")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {-1, 1}, {101, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almostEqual(got, c.want, 1e-12) {
-			t.Fatalf("Percentile(%g) = %g, want %g", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty Percentile nonzero")
+	if Mean(nil) != 0 {
+		t.Fatal("empty Mean nonzero")
 	}
 }
 

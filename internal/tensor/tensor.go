@@ -57,9 +57,6 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Dims returns the (rows, cols) pair.
-func (m *Matrix) Dims() (int, int) { return m.Rows, m.Cols }
-
 // IsSquare reports whether m has as many rows as columns.
 func (m *Matrix) IsSquare() bool { return m.Rows == m.Cols }
 

@@ -202,7 +202,10 @@ func TestLowRankSyncAllocatesLessThanAStream(t *testing.T) {
 	_, grad := task.Loss.Loss(task.Model.Forward(x, true), y)
 	task.Model.Backward(grad)
 	ar, ef := ringCompressor(powerSGDFactory(true)(0))
-	stream := 4 * task.Model.ParamCount()
+	stream := 0
+	for _, p := range task.Model.Params() {
+		stream += 4 * p.Size()
+	}
 	const calls = 6
 	var perCall uint64
 	cluster.New(cluster.Platform1(), 1).Run(func(w *cluster.Worker) {

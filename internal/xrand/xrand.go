@@ -5,10 +5,7 @@
 // bit-for-bit from their seeds.
 package xrand
 
-import (
-	"math"
-	"math/rand/v2"
-)
+import "math/rand/v2"
 
 // New returns a PCG-based generator seeded from the two words.
 func New(seed1, seed2 uint64) *rand.Rand {
@@ -18,16 +15,9 @@ func New(seed1, seed2 uint64) *rand.Rand {
 // NewPCG returns the raw PCG source that NewSeeded(seed) wraps, for hot
 // loops that want devirtualized draws: rand.New(NewPCG(seed)) produces
 // exactly the NewSeeded(seed) stream, and drawing from the PCG directly
-// (see PCGFloat64) advances that same stream.
+// advances that same stream.
 func NewPCG(seed int64) *rand.PCG {
 	return rand.NewPCG(uint64(seed), uint64(seed)*0x9e3779b97f4a7c15+1)
-}
-
-// PCGFloat64 draws a uniform [0,1) value from src with the exact formula
-// (*rand.Rand).Float64 uses, so mixing PCGFloat64 calls with Float64 calls
-// on a rand.Rand wrapping the same PCG yields one consistent stream.
-func PCGFloat64(src *rand.PCG) float64 {
-	return float64(src.Uint64()<<11>>11) / (1 << 53)
 }
 
 // NewSeeded returns a generator from a single int seed, convenient for
@@ -84,16 +74,6 @@ func SGDGradient(rng *rand.Rand, dst []float32, scale float64) {
 			dst[i] = float32(rng.NormFloat64() * 0.05 * scale)
 		}
 	}
-}
-
-// Laplace returns a Laplace(0, b)-distributed value, used by the synthetic
-// distribution experiments in the rounding analysis.
-func Laplace(rng *rand.Rand, b float64) float64 {
-	u := rng.Float64() - 0.5
-	if u >= 0 {
-		return -b * math.Log(1-2*u)
-	}
-	return b * math.Log(1+2*u)
 }
 
 // Shuffle permutes idx in place.

@@ -96,18 +96,6 @@ func TestKFACGradientNearZeroMass(t *testing.T) {
 	}
 }
 
-func TestLaplaceSymmetricZeroMean(t *testing.T) {
-	rng := NewSeeded(5)
-	var sum float64
-	n := 200000
-	for i := 0; i < n; i++ {
-		sum += Laplace(rng, 1.0)
-	}
-	if mean := sum / float64(n); math.Abs(mean) > 0.02 {
-		t.Fatalf("Laplace mean = %g, want ~0", mean)
-	}
-}
-
 func TestShuffleIsPermutation(t *testing.T) {
 	rng := NewSeeded(6)
 	idx := make([]int, 100)
