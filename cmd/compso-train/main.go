@@ -8,8 +8,7 @@
 //	compso-train -model bert -optimizer sgd -compressor cocktail -iters 200
 //
 // Models: resnet, maskrcnn, bert, gpt, squad.
-// Optimizers: kfac (eigendecomposition), kfac-cholesky (KAISA implicit
-// inversion), sgd.
+// Optimizers: kfac (eigendecomposition preconditioning, Eq. 2), sgd.
 // Compressors: none, compso, qsgd8, qsgd4, sz, cocktail, powersgd,
 // powersgd-ef. All lossy families are built through the compressor
 // registry; powersgd under -optimizer sgd routes the gradient exchange
@@ -40,7 +39,7 @@ import (
 
 func main() {
 	model := flag.String("model", "resnet", "proxy model: resnet, maskrcnn, bert, gpt, squad")
-	optimizer := flag.String("optimizer", "kfac", "optimizer: kfac, kfac-cholesky, or sgd")
+	optimizer := flag.String("optimizer", "kfac", "optimizer: kfac or sgd")
 	compressor := flag.String("compressor", "compso",
 		"compressor: none, compso, qsgd8, qsgd4, sz, cocktail, powersgd, powersgd-ef")
 	lrRank := flag.Int("rank", 4, "PowerSGD factorization rank")
@@ -74,6 +73,9 @@ func main() {
 	if !ok {
 		fail("unknown model %q", *model)
 	}
+	if *optimizer != "kfac" && *optimizer != "sgd" {
+		fail("unknown optimizer %q", *optimizer)
+	}
 
 	sched := opt.Schedule(&opt.StepLR{BaseLR: 0.03, Drops: []int{*iters * 2 / 3}, Gamma: 0.1})
 	if *model == "bert" || *model == "gpt" || *model == "squad" {
@@ -100,7 +102,7 @@ func main() {
 		Iters:        *iters,
 		Seed:         *seed,
 		Schedule:     sched,
-		UseKFAC:      *optimizer == "kfac" || *optimizer == "kfac-cholesky",
+		UseKFAC:      *optimizer == "kfac",
 		KFAC:         kfac.DefaultConfig(),
 		StatFreq:     1,
 		AggregationM: *aggM,
@@ -129,9 +131,6 @@ func main() {
 		*resume = path
 	}
 	cfg.Checkpoint.Resume = *resume
-	if *optimizer == "kfac-cholesky" {
-		cfg.KFAC.Inversion = kfac.CholeskyInverse
-	}
 	// Every lossy family is built through the compressor registry; the
 	// per-rank seed decorrelates stochastic rounding across workers, while
 	// the low-rank family shares one seed so its replicated factor state

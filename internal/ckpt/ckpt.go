@@ -47,7 +47,9 @@ var magic = [8]byte{'C', 'O', 'M', 'P', 'S', 'O', 'C', 'R'}
 var (
 	// ErrBadMagic: the blob is not a checkpoint at all.
 	ErrBadMagic = errors.New("ckpt: bad magic")
-	// ErrVersion: a checkpoint, but from an incompatible format version.
+	// ErrVersion: a checkpoint, but from an incompatible format version, or
+	// holding state this build no longer reads (a K-FAC layer cache's
+	// factor inverses).
 	ErrVersion = errors.New("ckpt: unsupported version")
 	// ErrChecksum: the CRC trailer does not match the content — bit rot or
 	// in-flight corruption.
@@ -441,11 +443,36 @@ func encodeKFACCaches(cs []kfac.LayerCache) []byte {
 		e.u64(uint64(c.EigVersion))
 		e.optEigen(c.EigA)
 		e.optEigen(c.EigG)
-		e.u64(uint64(c.InvVersion))
-		e.optMatrix(c.InvA)
-		e.optMatrix(c.InvG)
+		// The inverse slot (a version stamp and two optional matrices) is
+		// kept on the wire, always empty.
+		e.u64(0)
+		e.optMatrix(nil)
+		e.optMatrix(nil)
 	}
 	return e.buf
+}
+
+// emptyInverses reads a layer cache's inverse slot, which only the
+// Cholesky preconditioning route ever filled. That route is gone, so a
+// filled slot is refused: the factor inverses could neither be restored
+// nor dropped without resuming on different numerics.
+func (d *dec) emptyInverses(layer int) error {
+	version := d.u64()
+	invA, err := d.optMatrix()
+	if err != nil {
+		return err
+	}
+	invG, err := d.optMatrix()
+	if err != nil {
+		return err
+	}
+	if d.err != nil {
+		return d.err
+	}
+	if version != 0 || invA != nil || invG != nil {
+		return fmt.Errorf("%w: layer %d cache carries factor inverses (Cholesky preconditioning is not supported)", ErrVersion, layer)
+	}
+	return nil
 }
 
 func decodeKFACCaches(d *dec) ([]kfac.LayerCache, error) {
@@ -468,15 +495,8 @@ func decodeKFACCaches(d *dec) ([]kfac.LayerCache, error) {
 		if c.EigG, err = d.optEigen(); err != nil {
 			return nil, err
 		}
-		c.InvVersion = int(d.u64())
-		if c.InvA, err = d.optMatrix(); err != nil {
+		if err := d.emptyInverses(c.Layer); err != nil {
 			return nil, err
-		}
-		if c.InvG, err = d.optMatrix(); err != nil {
-			return nil, err
-		}
-		if d.err != nil {
-			return nil, d.err
 		}
 		cs = append(cs, c)
 	}

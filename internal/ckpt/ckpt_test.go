@@ -205,6 +205,48 @@ func TestDecodeErrorTaxonomy(t *testing.T) {
 	})
 }
 
+// TestDecodeRefusesFactorInverses: the layer cache's inverse slot stays on
+// the wire, written empty; a checkpoint that fills it — a stamp or either
+// matrix — is refused with ErrVersion rather than resumed without them.
+func TestDecodeRefusesFactorInverses(t *testing.T) {
+	inv := tensor.New(3, 3)
+	for _, tc := range []struct {
+		name       string
+		stamp      uint64
+		invA, invG *tensor.Matrix
+	}{
+		{"stamp", 6, nil, nil},
+		{"invA", 0, inv, nil},
+		{"invG", 0, nil, inv},
+	} {
+		e := &enc{}
+		e.u32(1)
+		e.u32(0)
+		e.u64(6)
+		e.optEigen(nil)
+		e.optEigen(nil)
+		e.u64(tc.stamp)
+		e.optMatrix(tc.invA)
+		e.optMatrix(tc.invG)
+		if _, err := decodeKFACCaches(&dec{data: e.buf}); !errors.Is(err, ErrVersion) {
+			t.Errorf("%s: got %v, want ErrVersion", tc.name, err)
+		}
+	}
+	// The same through Decode: the golden checkpoint's one cache entry ends
+	// the section with the empty slot (a zero stamp, two absent matrices).
+	blob := goldenCheckpoint().Encode()
+	slot := encodeKFACCaches(goldenCheckpoint().KFACCaches)
+	at := bytes.Index(blob, slot)
+	if at < 0 {
+		t.Fatal("cache section not found in the encoded checkpoint")
+	}
+	b := append([]byte(nil), blob...)
+	b[at+len(slot)-10] = 6
+	if _, err := Decode(fixCRC(b)); !errors.Is(err, ErrVersion) {
+		t.Fatalf("stamped inverse slot: got %v, want ErrVersion", err)
+	}
+}
+
 // fixCRC rewrites the trailer CRC so content mutations surface their own
 // error class instead of ErrChecksum.
 func fixCRC(b []byte) []byte {

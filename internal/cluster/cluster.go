@@ -29,9 +29,6 @@ type Cluster struct {
 	// instead of each being scheduled as if it had the links to itself.
 	serializeWire bool
 
-	// tracing is the event-trace switch each Run's ledger starts with.
-	tracing bool
-
 	// incarnation is the restart attempt this cluster serves (crash
 	// recovery).
 	incarnation int
@@ -86,11 +83,6 @@ func (c *Cluster) Faults() *fault.Injector { return c.faults }
 // turn it on. Call before Run.
 func (c *Cluster) SerializeWire(on bool) { c.serializeWire = on }
 
-// SetTracing turns per-rank event-trace retention on or off for the runs
-// that follow — the switch des.World.SetTracing is too, off by default in
-// both engines. Traces are read through Worker.Ledger. Call before Run.
-func (c *Cluster) SetTracing(on bool) { c.tracing = on }
-
 // Observe attaches an observability recorder: every collective records a
 // per-rank span covering exactly the simulated time the rank was blocked
 // (so per-algorithm span sums reconcile with AlgSeconds), plus wire-byte
@@ -106,11 +98,11 @@ func (c *Cluster) Recorder() *obs.Recorder { return c.rec }
 // Run executes fn on every worker concurrently and blocks until all
 // return. Each Run charges a fresh Ledger, every clock at zero, and
 // returns the workers in rank order; they keep reading that run's ledger
-// (simulated time, stats, traces) after Run returns.
+// (simulated time, stats) after Run returns. The engine keeps per-transfer
+// events only for a recorder that asks for transfer spans.
 func (c *Cluster) Run(fn func(w *Worker)) []*Worker {
 	led := NewLedger(c.p, false)
-	led.SetTracing(c.tracing)
-	c.engine.SetEventRetention(c.tracing || c.rec.TransferSpans())
+	c.engine.SetEventRetention(c.rec.TransferSpans())
 	workers := make([]*Worker, c.p)
 	var wg sync.WaitGroup
 	for rank := range workers {
@@ -174,8 +166,8 @@ func (w *Worker) SetStep(it int) { w.step = it; w.collSeq = 0 }
 // Step returns the last step set by SetStep.
 func (w *Worker) Step() int { return w.step }
 
-// Ledger returns the ledger of the Run this worker belongs to: its event
-// trace, the run's merged stats, wire bytes and collective count.
+// Ledger returns the ledger of the Run this worker belongs to: the run's
+// merged stats, wire bytes and collective count.
 func (w *Worker) Ledger() *Ledger { return w.led }
 
 // OverlapStats returns the worker's exposed and total collective seconds

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"compso/internal/collective"
+	"compso/internal/obs"
 )
 
 func tinyConfig() Config {
@@ -347,7 +348,7 @@ func TestRendezvousStressMixedCollectives(t *testing.T) {
 	const p = 8
 	const rounds = 60
 	c := New(tinyConfig(), p)
-	c.SetTracing(true) // every rank writes its own trace ring concurrently too
+	c.Observe(obs.NewRecorder(obs.WithTransferSpans(true))) // every rank records its transfers concurrently too
 	type roundData struct {
 		sum     float64
 		gather  string
@@ -440,12 +441,19 @@ func TestRendezvousStressMixedCollectives(t *testing.T) {
 
 func TestAlgStatsAndEventTrace(t *testing.T) {
 	c := New(tinyConfig(), 4)
-	c.SetTracing(true)
+	rec := obs.NewRecorder(obs.WithTransferSpans(true))
+	c.Observe(rec)
 	workers := c.Run(func(w *Worker) {
 		w.AllReduce(make([]float64, 256), "ar")
 		w.AllGather(make([]byte, 128), "ag")
 	})
 	led := workers[0].Ledger()
+	transfers := make([]int, len(workers))
+	for _, sp := range rec.Snapshot().Spans {
+		if sp.Cat == obs.CatTransfer {
+			transfers[sp.Rank]++
+		}
+	}
 	for _, w := range workers {
 		if len(w.AlgSeconds()) == 0 {
 			t.Fatalf("rank %d: no per-algorithm stats", w.Rank())
@@ -455,14 +463,8 @@ func TestAlgStatsAndEventTrace(t *testing.T) {
 				t.Fatalf("rank %d: negative alg time %s=%g", w.Rank(), k, v)
 			}
 		}
-		events := led.EventsOf(w.Rank())
-		if len(events) == 0 || led.TotalEventsOf(w.Rank()) == 0 {
-			t.Fatalf("rank %d: no event trace", w.Rank())
-		}
-		for _, ev := range events {
-			if ev.Src != w.Rank() && ev.Dst != w.Rank() {
-				t.Fatalf("rank %d trace holds foreign event %+v", w.Rank(), ev)
-			}
+		if transfers[w.Rank()] == 0 {
+			t.Fatalf("rank %d: no transfer spans", w.Rank())
 		}
 	}
 	if _, merged := led.Merged(); len(merged) == 0 {

@@ -150,7 +150,7 @@ func EngineFor(cfg Config, p int) *collective.Engine {
 		IntraAlpha:  cfg.IntraLatency,
 		IntraBeta:   1 / cfg.IntraBW,
 		InterAlpha:  cfg.InterLatency,
-		InterBeta:   (1 + cfg.CongestionLog*doublings) / cfg.InterBW,
+		InterBeta:   (1 + float64(cfg.CongestionLog*doublings)) / cfg.InterBW,
 		Launch:      cfg.CollectiveLaunch,
 	}
 	eng, err := collective.NewEngine(topo, cfg.Collective)

@@ -3,19 +3,11 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"unsafe"
 
 	"compso/internal/collective"
 	"compso/internal/fault"
 	"compso/internal/pool"
 )
-
-// TraceCap bounds each rank's retained event trace: the most recent
-// TraceCap events win.
-const TraceCap = 4096
-
-// eventBytes sizes one trace event for Footprint accounting.
-var eventBytes = int64(unsafe.Sizeof(collective.Event{}))
 
 // Ledger is the simulated-time book of one run of p ranks and the one
 // implementation of the charging rules both time engines use: each
@@ -35,7 +27,6 @@ var eventBytes = int64(unsafe.Sizeof(collective.Event{}))
 //     launch-to-end latency as total.
 //   - Launch books, once per collective, what every rank shares: wire
 //     bytes, the collective count and the schedule seconds.
-//   - With tracing on, each rank keeps a ring of its last TraceCap events.
 //
 // A rank's charges touch only index r of each column, so ranks may settle
 // concurrently; creating a column is serialised by mu. Launch runs on one
@@ -57,11 +48,6 @@ type Ledger struct {
 	wire, colls int64
 	// tail is the wire cursor: the latest end of any collective launched.
 	tail float64
-
-	tracing bool
-	rings   [][]collective.Event
-	heads   []int
-	totals  []int64
 }
 
 // NewLedger returns a ledger of p ranks with every clock at zero. A pooled
@@ -101,18 +87,6 @@ func (l *Ledger) overlap() (exposed, full []float64) {
 		l.exposed, l.full = l.newColumn(), l.newColumn()
 	}
 	return l.exposed, l.full
-}
-
-// SetTracing turns per-rank event retention on or off. Off by default: at
-// mega scale the rings dominate memory, and training never reads them.
-// Call before anything is charged.
-func (l *Ledger) SetTracing(on bool) {
-	l.tracing = on
-	if on && l.rings == nil {
-		l.rings = make([][]collective.Event, l.p)
-		l.heads = make([]int, l.p)
-		l.totals = make([]int64, l.p)
-	}
 }
 
 // block advances rank r's clock to end and returns the interval it was
@@ -177,8 +151,7 @@ func WireStarts(l *Ledger, dst, times []float64) []float64 {
 // the launch in launch[i], and the wait books exposure too — the part of
 // the launch-to-end latency the clock had already passed was hidden
 // behind compute. launch may be the clock vector itself (lo = 0): rank r's
-// entry is read before r's clock moves. With tracing on, each rank's ring
-// receives the events it took part in, in schedule order.
+// entry is read before r's clock moves.
 func (l *Ledger) Wait(lo, hi int, out *collective.Outcome, launch []float64, category string) {
 	cat, alg := l.column(l.cats, category), l.column(l.algs, out.Op+"/"+out.Algorithm)
 	var exposed, full []float64
@@ -199,9 +172,6 @@ func (l *Ledger) Wait(lo, hi int, out *collective.Outcome, launch []float64, cat
 		alg[r] += d
 		cat[r] += d
 	}
-	if l.tracing {
-		l.trace(lo, hi, out.Events)
-	}
 }
 
 // BarrierRanks advances ranks [lo, hi) to t, charging each wait to
@@ -211,33 +181,6 @@ func (l *Ledger) BarrierRanks(lo, hi int, t float64) {
 	for r := lo; r < hi; r++ {
 		cat[r] += l.block(r, t)
 	}
-}
-
-// trace files each event under its endpoints in [lo, hi) — the selection
-// Outcome.EventsFor makes, in one walk.
-func (l *Ledger) trace(lo, hi int, events []collective.Event) {
-	for _, ev := range events {
-		if lo <= ev.Src && ev.Src < hi {
-			l.record(ev.Src, ev)
-		}
-		if ev.Dst != ev.Src && lo <= ev.Dst && ev.Dst < hi {
-			l.record(ev.Dst, ev)
-		}
-	}
-}
-
-func (l *Ledger) record(r int, ev collective.Event) {
-	l.totals[r]++
-	ring := l.rings[r]
-	if len(ring) < TraceCap {
-		if ring == nil {
-			ring = make([]collective.Event, 0, TraceCap)
-		}
-		l.rings[r] = append(ring, ev)
-		return
-	}
-	ring[l.heads[r]] = ev
-	l.heads[r] = (l.heads[r] + 1) % TraceCap
 }
 
 // Size returns the number of ranks.
@@ -331,27 +274,6 @@ func (l *Ledger) WireBytes() int64 { return l.wire }
 // Collectives returns how many collectives were launched.
 func (l *Ledger) Collectives() int64 { return l.colls }
 
-// EventsOf returns a copy of rank's retained trace in arrival order (nil
-// unless tracing is on).
-func (l *Ledger) EventsOf(rank int) []collective.Event {
-	if l.rings == nil {
-		return nil
-	}
-	ring, head := l.rings[rank], l.heads[rank]
-	out := make([]collective.Event, 0, len(ring))
-	out = append(out, ring[head:]...)
-	return append(out, ring[:head]...)
-}
-
-// TotalEventsOf returns how many trace events rank has seen, including
-// those evicted from its ring.
-func (l *Ledger) TotalEventsOf(rank int) int64 {
-	if l.totals == nil {
-		return 0
-	}
-	return l.totals[rank]
-}
-
 // columns lists every column the ledger holds. Call with mu held.
 func (l *Ledger) columns() [][]float64 {
 	cols := [][]float64{l.clocks}
@@ -366,23 +288,19 @@ func (l *Ledger) columns() [][]float64 {
 	return cols
 }
 
-// Footprint returns the bytes of per-rank state the ledger holds (clocks,
-// columns, trace rings) — the memory that scales with the rank count.
+// Footprint returns the bytes of per-rank state the ledger holds (clocks
+// and columns) — the memory that scales with the rank count.
 func (l *Ledger) Footprint() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := 8 * int64(len(l.heads)+len(l.totals))
+	var n int64
 	for _, v := range l.columns() {
 		n += 8 * int64(cap(v))
-	}
-	for _, ring := range l.rings {
-		n += int64(cap(ring)) * eventBytes
 	}
 	return n
 }
 
-// Release hands a pooled ledger's columns back to the pool and drops the
-// rings. The ledger must not be charged afterwards; a second Release is a
+// Release hands a pooled ledger's columns back to the pool. The ledger must not be charged afterwards; a second Release is a
 // no-op.
 func (l *Ledger) Release() {
 	if l.clocks == nil {
@@ -398,5 +316,4 @@ func (l *Ledger) Release() {
 	clear(l.cats)
 	clear(l.algs)
 	l.clocks, l.exposed, l.full = nil, nil, nil
-	l.rings, l.heads, l.totals = nil, nil, nil
 }

@@ -28,17 +28,6 @@ type Outcome struct {
 	Events []Event
 }
 
-// EventsFor returns the trace entries rank participated in.
-func (o *Outcome) EventsFor(rank int) []Event {
-	var out []Event
-	for _, ev := range o.Events {
-		if ev.Src == rank || ev.Dst == rank {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
 // MaxEnd returns the collective's makespan end time.
 func (o *Outcome) MaxEnd() float64 { return maxOf(o.Ends) }
 
@@ -122,9 +111,9 @@ func (e *Engine) SetPerturber(p LinkPerturber) {
 
 // SetEventRetention enables or disables per-transfer event retention in
 // executed schedules (on by default). Both time engines turn it off unless
-// their trace switch (or a recorder's transfer spans) wants the events: a
-// flat ring at P=8192 schedules ~67M transfers per collective, and
-// retaining them would dominate memory for traces nobody reads.
+// a recorder's transfer spans want the events: a flat ring at P=8192
+// schedules ~67M transfers per collective, and retaining them would
+// dominate memory for traces nobody reads.
 // Timing is bit-identical either way — events only record, never steer.
 // Call before the engine starts executing collectives.
 func (e *Engine) SetEventRetention(on bool) { e.dropEvents = !on }

@@ -39,9 +39,10 @@ type World struct {
 	serial bool
 }
 
-// NewWorld builds a discrete-event world of p workers on the platform.
-// Event retention starts disabled (see SetTracing). It panics on an
-// invalid configuration, matching cluster.New.
+// NewWorld builds a discrete-event world of p workers on the platform. Its
+// engine retains no per-transfer events: a mega-scale ring all-gather
+// schedules millions of transfers per collective, and nothing reads them.
+// It panics on an invalid configuration, matching cluster.New.
 func NewWorld(cfg cluster.Config, p int) *World {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
@@ -52,15 +53,6 @@ func NewWorld(cfg cluster.Config, p int) *World {
 	w := &World{Ledger: cluster.NewLedger(p, true), engine: cluster.EngineFor(cfg, p)}
 	w.engine.SetEventRetention(false)
 	return w
-}
-
-// SetTracing turns per-rank event-trace retention on or off — the switch
-// cluster.Cluster.SetTracing is too. Off by default: a mega-scale ring
-// all-gather schedules millions of transfers per collective. Call before
-// executing collectives.
-func (w *World) SetTracing(on bool) {
-	w.Ledger.SetTracing(on)
-	w.engine.SetEventRetention(on)
 }
 
 // InjectFaults installs a fault injector: straggler compute multipliers

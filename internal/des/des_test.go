@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"compso/internal/cluster"
-	"compso/internal/collective"
 	"compso/internal/des"
 	"compso/internal/fault"
 )
@@ -90,23 +89,6 @@ func TestWorldStragglerFaults(t *testing.T) {
 	}
 }
 
-func TestWorldTracing(t *testing.T) {
-	w := des.NewWorld(cluster.Platform1(), 4)
-	defer w.Release()
-	if evs := w.EventsOf(0); evs != nil {
-		t.Fatalf("events retained with tracing off: %d", len(evs))
-	}
-	w.SetTracing(true)
-	des.RunOnWorld(w, des.Program{{Kind: des.KindAllGather, Sizes: []int{1024}, Category: "gather"}})
-	if w.TotalEventsOf(0) == 0 {
-		t.Fatal("no events retained with tracing on")
-	}
-	if len(w.EventsOf(0)) != int(w.TotalEventsOf(0)) {
-		t.Fatalf("EventsOf len %d != TotalEvents %d (under ring cap)",
-			len(w.EventsOf(0)), w.TotalEventsOf(0))
-	}
-}
-
 func TestWorldReleaseIdempotent(t *testing.T) {
 	w := des.NewWorld(cluster.Platform1(), 4)
 	sync := des.Program{{Kind: des.KindAllReduce, Elems: 100, Category: "sync"}}
@@ -160,71 +142,6 @@ func TestProgramValidation(t *testing.T) {
 		}
 		if w.MaxTime() != 0 || w.Collectives() != 0 {
 			t.Errorf("%s: clocks moved to %v before the panic", c.name, w.MaxTime())
-		}
-		w.Release()
-	}
-}
-
-// TestWorldTracingMatchesEventsFor: exec files each event under its
-// endpoints in one walk of Outcome.Events; the reference is the per-rank
-// Outcome.EventsFor scan the goroutine engine's workers use, replayed on a
-// second engine from the same clocks. Enough hierarchical all-reduces run at
-// P=256 for the leaders' rings to evict, and an autotuned world at P=8
-// covers the flat schedules.
-func TestWorldTracingMatchesEventsFor(t *testing.T) {
-	for _, tc := range []struct {
-		policy  string
-		p, reps int
-	}{{"hierarchical", 256, 20}, {"auto", 8, 3}} {
-		cfg := cluster.Platform1()
-		cfg.Collective = tc.policy
-		w := des.NewWorld(cfg, tc.p)
-		w.SetTracing(true)
-		ref := cluster.EngineFor(cfg, tc.p)
-		clocks := make([]float64, tc.p)
-		want := make([][]collective.Event, tc.p)
-		exec := func(op string, sizes []int, root int) {
-			out := ref.Exec(op, sizes, root, clocks)
-			for r := range clocks {
-				want[r] = append(want[r], out.EventsFor(r)...)
-				clocks[r] = max(clocks[r], out.Ends[r])
-			}
-		}
-		sizes := make([]int, tc.p)
-		for r := range sizes {
-			sizes[r] = 700 + 13*(r%5)
-		}
-		for i := 0; i < tc.reps; i++ {
-			des.RunOnWorld(w, des.Program{
-				{Kind: des.KindAllReduce, Elems: 1531, Category: "cov"},
-				{Kind: des.KindAllGather, Sizes: sizes, Category: "gather"},
-				{Kind: des.KindBroadcast, Bytes: 4096, Root: tc.p - 1, Category: "bcast"},
-			})
-			exec(collective.OpAllReduce, []int{4 * 1531}, 0)
-			exec(collective.OpAllGather, sizes, 0)
-			exec(collective.OpBroadcast, []int{4096}, tc.p-1)
-		}
-		evicted := false
-		for r := 0; r < tc.p; r++ {
-			if got := w.TotalEventsOf(r); got != int64(len(want[r])) {
-				t.Fatalf("%s rank %d: TotalEventsOf = %d, EventsFor reference %d", tc.policy, r, got, len(want[r]))
-			}
-			tail := want[r]
-			if len(tail) > cluster.TraceCap {
-				tail, evicted = tail[len(tail)-cluster.TraceCap:], true
-			}
-			got := w.EventsOf(r)
-			if len(got) != len(tail) {
-				t.Fatalf("%s rank %d: %d retained events, reference %d", tc.policy, r, len(got), len(tail))
-			}
-			for i := range got {
-				if got[i] != tail[i] {
-					t.Fatalf("%s rank %d event %d: %+v, reference %+v", tc.policy, r, i, got[i], tail[i])
-				}
-			}
-		}
-		if tc.policy == "hierarchical" && !evicted {
-			t.Fatal("no rank's ring evicted; raise reps")
 		}
 		w.Release()
 	}

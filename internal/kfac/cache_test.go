@@ -12,74 +12,70 @@ import (
 // is indistinguishable from recomputation: a cache-hit RefreshEigen yields
 // bit-identical preconditioned gradients to both the original decomposition
 // and a forced recompute of the same factors, and a covariance commit
-// invalidates the cache. Covers both inversion routes.
+// invalidates the cache.
 func TestFactorCacheHitMatchesRecompute(t *testing.T) {
-	for _, inv := range []Inversion{EigenDecomp, CholeskyInverse} {
-		cfg := DefaultConfig()
-		cfg.Inversion = inv
-		model := buildModel(11)
-		k := New(model, cfg)
-		rng := xrand.NewSeeded(5)
-		x, y := makeBatch(rng, 32)
-		loss := nn.SoftmaxCrossEntropy{}
-		logits := model.Forward(x, true)
-		_, grad := loss.Loss(logits, y)
-		model.ZeroGrad()
-		model.Backward(grad)
-		k.AccumulateStats(32)
-		if err := k.CommitCovariances(k.PendingCovariances(), 1); err != nil {
-			t.Fatal(err)
+	model := buildModel(11)
+	k := New(model, DefaultConfig())
+	rng := xrand.NewSeeded(5)
+	x, y := makeBatch(rng, 32)
+	loss := nn.SoftmaxCrossEntropy{}
+	logits := model.Forward(x, true)
+	_, grad := loss.Loss(logits, y)
+	model.ZeroGrad()
+	model.Backward(grad)
+	k.AccumulateStats(32)
+	if err := k.CommitCovariances(k.PendingCovariances(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if k.EigenCached(0) {
+		t.Fatal("cached before first refresh")
+	}
+	if err := k.RefreshEigen(0); err != nil {
+		t.Fatal(err)
+	}
+	if !k.EigenCached(0) {
+		t.Fatal("not cached after refresh")
+	}
+	p1, err := k.Precondition(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cache-hit refresh: the skipped solve must leave the factors — and
+	// therefore the preconditioned gradient — exactly as they were.
+	if err := k.RefreshEigen(0); err != nil {
+		t.Fatal(err)
+	}
+	p2, err := k.Precondition(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Forced recompute of the same factors must also agree: the cache is
+	// a pure shortcut, never a source of different numbers.
+	l := k.layers[0]
+	l.eigA, l.eigG = nil, nil
+	if k.EigenCached(0) {
+		t.Fatal("cached after invalidation")
+	}
+	if err := k.RefreshEigen(0); err != nil {
+		t.Fatal(err)
+	}
+	p3, err := k.Precondition(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range p1 {
+		if p1[j] != p2[j] || p1[j] != p3[j] {
+			t.Fatalf("element %d diverged: first %g, cache hit %g, recompute %g",
+				j, p1[j], p2[j], p3[j])
 		}
-		if k.EigenCached(0) {
-			t.Fatalf("%v: cached before first refresh", inv)
-		}
-		if err := k.RefreshEigen(0); err != nil {
-			t.Fatal(err)
-		}
-		if !k.EigenCached(0) {
-			t.Fatalf("%v: not cached after refresh", inv)
-		}
-		p1, err := k.Precondition(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Cache-hit refresh: the skipped solve must leave the factors — and
-		// therefore the preconditioned gradient — exactly as they were.
-		if err := k.RefreshEigen(0); err != nil {
-			t.Fatal(err)
-		}
-		p2, err := k.Precondition(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Forced recompute of the same factors must also agree: the cache is
-		// a pure shortcut, never a source of different numbers.
-		l := k.layers[0]
-		l.eigA, l.eigG, l.invA, l.invG = nil, nil, nil, nil
-		if k.EigenCached(0) {
-			t.Fatalf("%v: cached after invalidation", inv)
-		}
-		if err := k.RefreshEigen(0); err != nil {
-			t.Fatal(err)
-		}
-		p3, err := k.Precondition(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range p1 {
-			if p1[j] != p2[j] || p1[j] != p3[j] {
-				t.Fatalf("%v: element %d diverged: first %g, cache hit %g, recompute %g",
-					inv, j, p1[j], p2[j], p3[j])
-			}
-		}
-		// New statistics must invalidate the cache.
-		k.AccumulateStats(32)
-		if err := k.CommitCovariances(k.PendingCovariances(), 1); err != nil {
-			t.Fatal(err)
-		}
-		if k.EigenCached(0) {
-			t.Fatalf("%v: still cached after a covariance commit", inv)
-		}
+	}
+	// New statistics must invalidate the cache.
+	k.AccumulateStats(32)
+	if err := k.CommitCovariances(k.PendingCovariances(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if k.EigenCached(0) {
+		t.Fatal("still cached after a covariance commit")
 	}
 }
 

@@ -35,9 +35,6 @@ type Config struct {
 	// KLClip rescales updates so lr²·Σ⟨P, Ĝ⟩ stays below this bound
 	// (KAISA's gradient scaling); 0 disables clipping.
 	KLClip float64
-	// Inversion selects the preconditioning route: eigendecomposition
-	// (default, Eq. 2) or KAISA's implicit Cholesky inversion.
-	Inversion Inversion
 	// WarmupSteps applies plain-gradient updates for the first N steps
 	// while the Kronecker factors' running averages stabilize — the
 	// standard guard against early preconditioned-step blowups in
@@ -76,10 +73,6 @@ type layerState struct {
 	// computed from; a matching version means A and G are unchanged and the
 	// refresh can be skipped outright.
 	eigVersion int
-	// invA, invG cache the damped factor inverses in CholeskyInverse mode,
-	// stamped with invVersion the same way.
-	invA, invG *tensor.Matrix
-	invVersion int
 	// precond points at pre once Precondition or SetPreconditioned has
 	// filled it; ApplyUpdate clears the pointer and keeps the storage.
 	precond *tensor.Matrix
@@ -94,8 +87,8 @@ type KFAC struct {
 	step int
 	// statVersion counts covariance commits. The factor decompositions are
 	// pure functions of A and G, which only change in CommitCovariances, so
-	// a layer whose cached eigVersion/invVersion matches statVersion can
-	// reuse its factors across the whole inverse-update interval — e.g. with
+	// a layer whose cached eigVersion matches statVersion can reuse its
+	// decomposition across the whole inverse-update interval — e.g. with
 	// StatFreq > InvFreq most RefreshEigen calls become cache hits.
 	statVersion int
 	layers      []*layerState
@@ -239,13 +232,9 @@ func (k *KFAC) NeedsEigen() bool {
 
 // RefreshEigen recomputes the cached factor decomposition of layer i —
 // the "KFAC computation" stage whose cost distributed K-FAC splits across
-// GPUs. In CholeskyInverse mode it inverts the damped factors instead.
-// When the factors have not been recommitted since the cached decomposition
-// was taken, the refresh is a no-op cache hit.
+// GPUs. When the factors have not been recommitted since the cached
+// decomposition was taken, the refresh is a no-op cache hit.
 func (k *KFAC) RefreshEigen(i int) error {
-	if k.cfg.Inversion == CholeskyInverse {
-		return k.refreshCholesky(i)
-	}
 	l := k.layers[i]
 	if l.eigA != nil && l.eigG != nil && l.eigVersion == k.statVersion {
 		return nil
@@ -267,15 +256,12 @@ func (k *KFAC) RefreshEigen(i int) error {
 	return nil
 }
 
-// EigenCached reports whether layer i's decomposition (or inverse, in
-// CholeskyInverse mode) is already valid for the current factor state, i.e.
-// whether RefreshEigen would be a cache hit. Timing harnesses use this to
-// avoid charging eigendecomposition cost for skipped work.
+// EigenCached reports whether layer i's decomposition is already valid for
+// the current factor state, i.e. whether RefreshEigen would be a cache hit.
+// Timing harnesses use this to avoid charging eigendecomposition cost for
+// skipped work.
 func (k *KFAC) EigenCached(i int) bool {
 	l := k.layers[i]
-	if k.cfg.Inversion == CholeskyInverse {
-		return l.invA != nil && l.invG != nil && l.invVersion == k.statVersion
-	}
 	return l.eigA != nil && l.eigG != nil && l.eigVersion == k.statVersion
 }
 
@@ -285,9 +271,6 @@ func (k *KFAC) EigenCached(i int) bool {
 // the exact payload of the paper's "KFAC Allgather". RefreshEigen must have
 // succeeded at least once for the layer.
 func (k *KFAC) Precondition(i int) ([]float32, error) {
-	if k.cfg.Inversion == CholeskyInverse {
-		return k.preconditionCholesky(i)
-	}
 	l := k.layers[i]
 	if l.eigA == nil || l.eigG == nil {
 		return nil, fmt.Errorf("kfac: layer %s preconditioned before eigendecomposition", l.name)

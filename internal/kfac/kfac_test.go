@@ -1,8 +1,10 @@
 package kfac
 
 import (
+	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"compso/internal/nn"
@@ -114,31 +116,27 @@ func TestPreconditionBeforeEigenFails(t *testing.T) {
 // TestPreconditionAllocatesOnlyItsPayload: after one step a layer's
 // preconditioned gradient lives in the layer state, so Precondition
 // allocates only the float32 payload it returns and SetPreconditioned
-// nothing, on both inversion routes.
+// nothing.
 func TestPreconditionAllocatesOnlyItsPayload(t *testing.T) {
-	for _, inv := range []Inversion{EigenDecomp, CholeskyInverse} {
-		model := buildModel(11)
-		cfg := DefaultConfig()
-		cfg.Inversion = inv
-		k := New(model, cfg)
-		x, y := makeBatch(xrand.NewSeeded(12), 8)
-		_, grad := nn.SoftmaxCrossEntropy{}.Loss(model.Forward(x, true), y)
-		model.Backward(grad)
-		if err := k.Step(8, 0.02); err != nil {
-			t.Fatal(err)
+	model := buildModel(11)
+	k := New(model, DefaultConfig())
+	x, y := makeBatch(xrand.NewSeeded(12), 8)
+	_, grad := nn.SoftmaxCrossEntropy{}.Loss(model.Forward(x, true), y)
+	model.Backward(grad)
+	if err := k.Step(8, 0.02); err != nil {
+		t.Fatal(err)
+	}
+	for i := range k.layers {
+		var vals []float32
+		if n := testing.AllocsPerRun(3, func() { vals, _ = k.Precondition(i) }); n > 1 {
+			t.Errorf("layer %d: Precondition allocated %.0f objects, want only its payload", i, n)
 		}
-		for i := range k.layers {
-			var vals []float32
-			if n := testing.AllocsPerRun(3, func() { vals, _ = k.Precondition(i) }); n > 1 {
-				t.Errorf("%v layer %d: Precondition allocated %.0f objects, want only its payload", inv, i, n)
-			}
-			if n := testing.AllocsPerRun(3, func() { _ = k.SetPreconditioned(i, vals) }); n > 0 {
-				t.Errorf("%v layer %d: SetPreconditioned allocated %.0f objects, want none", inv, i, n)
-			}
+		if n := testing.AllocsPerRun(3, func() { _ = k.SetPreconditioned(i, vals) }); n > 0 {
+			t.Errorf("layer %d: SetPreconditioned allocated %.0f objects, want none", i, n)
 		}
-		if err := k.ApplyUpdate(0.02); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := k.ApplyUpdate(0.02); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -232,18 +230,54 @@ func TestPreconditionMatchesDirectInverse(t *testing.T) {
 	// vec ordering: our V = QAᵀ Ĝ QG with Ĝ (in+1)×out corresponds to
 	// F = A ⊗ G acting on vec_row(Ĝ) where rows index A.
 	kron := kron(l.A.Clone().Symmetrize(), l.G.Clone().Symmetrize())
-	kron.AddDiag(0.01)
-	inv, err := tensor.InverseSPD(kron)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < kron.Rows; i++ {
+		kron.Data[i*kron.Cols+i] += 0.01
 	}
-	gradFlat := l.layer.KFACParam().Grad.Data
-	want := inv.MulVec(nil, gradFlat)
+	want := solveSPD(t, kron, l.layer.KFACParam().Grad.Data)
 	for i := range want {
 		if math.Abs(want[i]-float64(got[i])) > 1e-4*(1+math.Abs(want[i])) {
 			t.Fatalf("precondition[%d] = %g, want %g", i, got[i], want[i])
 		}
 	}
+}
+
+// solveSPD solves a·x = b for a symmetric positive-definite a through its
+// Cholesky factor a = L·Lᵀ: the direct route that
+// TestPreconditionMatchesDirectInverse holds the eigenbasis route to.
+func solveSPD(t *testing.T, a *tensor.Matrix, b []float64) []float64 {
+	t.Helper()
+	n := a.Rows
+	l := tensor.New(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			sum := a.Data[i*n+j]
+			for k := 0; k < j; k++ {
+				sum -= l.Data[i*n+k] * l.Data[j*n+k]
+			}
+			if i == j {
+				if sum <= 0 {
+					t.Fatalf("matrix not positive definite (pivot %d = %g)", i, sum)
+				}
+				l.Data[i*n+i] = math.Sqrt(sum)
+			} else {
+				l.Data[i*n+j] = sum / l.Data[j*n+j]
+			}
+		}
+	}
+	x := append([]float64(nil), b...)
+	for i := 0; i < n; i++ { // L·y = b
+		for k := 0; k < i; k++ {
+			x[i] -= l.Data[i*n+k] * x[k]
+		}
+		x[i] /= l.Data[i*n+i]
+	}
+	for i := n - 1; i >= 0; i-- { // Lᵀ·x = y
+		for k := i + 1; k < n; k++ {
+			x[i] -= l.Data[k*n+i] * x[k]
+		}
+		x[i] /= l.Data[i*n+i]
+	}
+	return x
 }
 
 // kron returns the Kronecker product a ⊗ b, the explicit Fisher block that
@@ -431,82 +465,6 @@ func TestDistributedStagesMatchSingleProcess(t *testing.T) {
 	}
 }
 
-func TestCholeskyInversionConverges(t *testing.T) {
-	model := buildModel(30)
-	cfg := DefaultConfig()
-	cfg.Inversion = CholeskyInverse
-	k := New(model, cfg)
-	rng := xrand.NewSeeded(31)
-	loss := nn.SoftmaxCrossEntropy{}
-	var first, last float64
-	for i := 0; i < 60; i++ {
-		x, y := makeBatch(rng, 32)
-		logits := model.Forward(x, true)
-		l, grad := loss.Loss(logits, y)
-		if i == 0 {
-			first = l
-		}
-		last = l
-		model.ZeroGrad()
-		model.Backward(grad)
-		if err := k.Step(32, 0.05); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if last > first/3 {
-		t.Fatalf("Cholesky-mode KFAC did not converge: %g -> %g", first, last)
-	}
-}
-
-func TestCholeskyMatchesEigenDirection(t *testing.T) {
-	// Both inversion routes approximate the same natural-gradient
-	// direction. At vanishing damping they diverge in the factors'
-	// near-null directions (joint vs factored Tikhonov regularize those
-	// differently), so compare at a practical damping where both are
-	// well-posed.
-	run := func(inv Inversion) []float32 {
-		model := buildModel(32)
-		cfg := Config{Damping: 0.05, StatDecay: 0, InvFreq: 1, Inversion: inv}
-		k := New(model, cfg)
-		rng := xrand.NewSeeded(33)
-		x, y := makeBatch(rng, 64)
-		logits := model.Forward(x, true)
-		_, grad := nn.SoftmaxCrossEntropy{}.Loss(logits, y)
-		model.ZeroGrad()
-		model.Backward(grad)
-		k.AccumulateStats(64)
-		if err := k.CommitCovariances(k.PendingCovariances(), 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := k.RefreshEigen(1); err != nil {
-			t.Fatal(err)
-		}
-		v, err := k.Precondition(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v
-	}
-	a := run(EigenDecomp)
-	b := run(CholeskyInverse)
-	var dot, na, nb float64
-	for i := range a {
-		dot += float64(a[i]) * float64(b[i])
-		na += float64(a[i]) * float64(a[i])
-		nb += float64(b[i]) * float64(b[i])
-	}
-	cos := dot / math.Sqrt(na*nb)
-	if cos < 0.95 {
-		t.Fatalf("inversion routes diverge: cosine %.3f", cos)
-	}
-}
-
-func TestInversionString(t *testing.T) {
-	if EigenDecomp.String() != "eigendecomposition" || CholeskyInverse.String() != "cholesky-inverse" {
-		t.Fatal("Inversion.String mismatch")
-	}
-}
-
 func TestWarmupUsesRawGradient(t *testing.T) {
 	// During warmup the update must equal a plain (clipped) gradient step:
 	// two models, one with huge damping (useless preconditioner) and one
@@ -537,6 +495,66 @@ func TestWarmupUsesRawGradient(t *testing.T) {
 	for i := range a {
 		if math.Abs(a[i]-b[i]) > 1e-12 {
 			t.Fatalf("warmup updates depend on damping at %d: %g vs %g", i, a[i], b[i])
+		}
+	}
+}
+
+// TestRefreshEigenRejectsNonFiniteFactors: in eigendecomposition mode a
+// poisoned factor must surface tensor.ErrNonFinite, with the layer's name,
+// at once — not "failed to converge" after the QL iteration has spent its
+// budget on every eigenvalue — and must leave no decomposition cached.
+func TestRefreshEigenRejectsNonFiniteFactors(t *testing.T) {
+	for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		k := New(buildModel(9), DefaultConfig())
+		l := k.layers[1]
+		l.G.Data[1] = poison
+		err := k.RefreshEigen(1)
+		if !errors.Is(err, tensor.ErrNonFinite) || !strings.Contains(err.Error(), l.name) {
+			t.Fatalf("poison %v: error %v, want tensor.ErrNonFinite naming layer %s", poison, err, l.name)
+		}
+		if l.eigA != nil || l.eigG != nil || k.EigenCached(1) {
+			t.Fatalf("poison %v: decomposition cached despite the error", poison)
+		}
+	}
+}
+
+// TestRefreshEigenRejectsNonFiniteActivation: the same error must come up
+// from the other end, a non-finite activation in a training batch. The
+// factor product is symmetric (tensor.GramRows): beside a rectified zero the
+// value stays out of the off-diagonal elements, but its square is on the
+// diagonal.
+func TestRefreshEigenRejectsNonFiniteActivation(t *testing.T) {
+	for _, poison := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		model := buildModel(9)
+		k := New(model, DefaultConfig())
+		x, y := makeBatch(xrand.NewSeeded(5), 16)
+		_, grad := nn.SoftmaxCrossEntropy{}.Loss(model.Forward(x, true), y)
+		model.Backward(grad)
+		// The second Dense layer's activations are rectified: find an
+		// example (a column of the feature-major statistics) with a zero in
+		// it and poison another feature of that example.
+		l := k.layers[1]
+		act, _ := l.layer.KFACStats()
+		feature, example := -1, -1
+		for j := 0; j < act.Cols && example < 0; j++ {
+			for i := 0; i < act.Rows-1; i++ {
+				if act.Data[i*act.Cols+j] == 0 {
+					feature, example = (i+1)%(act.Rows-1), j
+					break
+				}
+			}
+		}
+		if example < 0 {
+			t.Fatal("no rectified zero in the batch")
+		}
+		act.Data[feature*act.Cols+example] = poison
+		k.AccumulateStats(16)
+		if err := k.CommitCovariances(k.PendingCovariances(), 1); err != nil {
+			t.Fatal(err)
+		}
+		err := k.RefreshEigen(1)
+		if !errors.Is(err, tensor.ErrNonFinite) || !strings.Contains(err.Error(), l.name) {
+			t.Fatalf("poison %v: error %v, want tensor.ErrNonFinite naming layer %s", poison, err, l.name)
 		}
 	}
 }

@@ -13,15 +13,15 @@ import (
 //     statVersion counters — is bit-identical on every rank (factors are
 //     all-reduced, gradients averaged), so a checkpoint stores it once.
 //     CaptureState/RestoreState handle it.
-//   - Owner-local caches — the eigendecompositions (eigenvalue mode) or
-//     damped inverses (Cholesky mode) — exist only on the rank that owns the
-//     layer in the distributed-preconditioning work assignment. Losing them
-//     on restore would not break numerics (they are pure functions of A and
-//     G) but WOULD break bit-identical resume timing/caching semantics when
-//     the last refresh predates the checkpoint: the resumed run must keep
-//     using the cached decomposition until the next scheduled refresh, not
-//     recompute it from newer factors. CaptureCaches/RestoreCaches handle
-//     them per owned layer.
+//   - Owner-local caches — the factors' eigendecompositions — exist only
+//     on the rank that owns the layer in the distributed-preconditioning
+//     work assignment. Losing them on restore would not break numerics
+//     (they are pure functions of A and G) but WOULD break bit-identical
+//     resume timing/caching semantics when the last refresh predates the
+//     checkpoint: the resumed run must keep using the cached
+//     decomposition until the next scheduled refresh, not recompute it
+//     from newer factors. CaptureCaches/RestoreCaches handle them per
+//     owned layer.
 //
 // Pending batch factors (pendA/pendG) are consumed at every step boundary —
 // AccumulateStats and CommitCovariances bracket them within a single
@@ -42,15 +42,12 @@ type State struct {
 }
 
 // LayerCache is one layer's owner-local decomposition cache: the cached
-// eigendecomposition and/or damped inverses with the statVersion stamps
-// they were computed from. All matrices are deep copies; nil fields mean
-// the cache was empty.
+// eigendecompositions with the statVersion stamp they were computed from.
+// Both are deep copies; nil fields mean the cache was empty.
 type LayerCache struct {
 	Layer      int
 	EigVersion int
 	EigA, EigG *tensor.Eigen
-	InvVersion int
-	InvA, InvG *tensor.Matrix
 }
 
 // CaptureState deep-copies the replica-identical state. It panics if
@@ -129,7 +126,6 @@ func (k *KFAC) RestoreState(st *State) error {
 		// Any cached decompositions predate the restored factors; drop
 		// them (RestoreCaches re-installs the checkpointed ones).
 		l.eigA, l.eigG, l.eigVersion = nil, nil, 0
-		l.invA, l.invG, l.invVersion = nil, nil, 0
 		l.pending, l.precond = false, nil
 	}
 	for i, p := range k.others {
@@ -153,18 +149,12 @@ func (k *KFAC) CaptureCaches(layers []int) ([]LayerCache, error) {
 			return nil, fmt.Errorf("kfac: capture caches: layer %d out of range [0,%d)", li, len(k.layers))
 		}
 		l := k.layers[li]
-		c := LayerCache{Layer: li, EigVersion: l.eigVersion, InvVersion: l.invVersion}
+		c := LayerCache{Layer: li, EigVersion: l.eigVersion}
 		if l.eigA != nil {
 			c.EigA = cloneEigen(l.eigA)
 		}
 		if l.eigG != nil {
 			c.EigG = cloneEigen(l.eigG)
-		}
-		if l.invA != nil {
-			c.InvA = l.invA.Clone()
-		}
-		if l.invG != nil {
-			c.InvG = l.invG.Clone()
 		}
 		out = append(out, c)
 	}
@@ -186,25 +176,13 @@ func (k *KFAC) RestoreCaches(caches []LayerCache) error {
 		if c.EigG != nil && (len(c.EigG.Values) != dg || c.EigG.Q.Rows != dg || c.EigG.Q.Cols != dg) {
 			return fmt.Errorf("kfac: restore caches: layer %d eigG dim mismatch", c.Layer)
 		}
-		if c.InvA != nil && (c.InvA.Rows != da || c.InvA.Cols != da) {
-			return fmt.Errorf("kfac: restore caches: layer %d invA dim mismatch", c.Layer)
-		}
-		if c.InvG != nil && (c.InvG.Rows != dg || c.InvG.Cols != dg) {
-			return fmt.Errorf("kfac: restore caches: layer %d invG dim mismatch", c.Layer)
-		}
-		l.eigVersion, l.invVersion = c.EigVersion, c.InvVersion
-		l.eigA, l.eigG, l.invA, l.invG = nil, nil, nil, nil
+		l.eigVersion = c.EigVersion
+		l.eigA, l.eigG = nil, nil
 		if c.EigA != nil {
 			l.eigA = cloneEigen(c.EigA)
 		}
 		if c.EigG != nil {
 			l.eigG = cloneEigen(c.EigG)
-		}
-		if c.InvA != nil {
-			l.invA = c.InvA.Clone()
-		}
-		if c.InvG != nil {
-			l.invG = c.InvG.Clone()
 		}
 	}
 	return nil

@@ -171,7 +171,7 @@ func checkEigen(t *testing.T, a *Matrix, e *Eigen) (tol float64) {
 		}
 		sum += v
 	}
-	if d := math.Abs(sum - a.Trace()); !(d <= tol) {
+	if d := math.Abs(sum - trace(a)); !(d <= tol) {
 		t.Errorf("|Σλ − tr A| = %g, want at most %g", d, tol)
 	}
 	aq := refMatMul(a, e.Q)

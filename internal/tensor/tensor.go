@@ -1,7 +1,6 @@
 // Package tensor provides the dense linear-algebra primitives that the
 // K-FAC optimizer and the neural-network substrate are built on: matrices
-// with float64 storage, GEMM variants, symmetric eigendecomposition and
-// Cholesky factorization.
+// with float64 storage, GEMM variants and symmetric eigendecomposition.
 //
 // The package is deliberately small and allocation-conscious rather than
 // general: K-FAC needs square symmetric factor matrices (typically a few
@@ -116,30 +115,6 @@ func (m *Matrix) AXPY(s float64, a *Matrix) *Matrix {
 		m.Data[i] += float64(s * a.Data[i])
 	}
 	return m
-}
-
-// AddDiag adds v to every diagonal element of the square matrix m and
-// returns m.
-func (m *Matrix) AddDiag(v float64) *Matrix {
-	if !m.IsSquare() {
-		panic("tensor: AddDiag on non-square matrix")
-	}
-	for i := 0; i < m.Rows; i++ {
-		m.Data[i*m.Cols+i] += v
-	}
-	return m
-}
-
-// Trace returns the sum of diagonal elements of a square matrix.
-func (m *Matrix) Trace() float64 {
-	if !m.IsSquare() {
-		panic("tensor: Trace on non-square matrix")
-	}
-	var t float64
-	for i := 0; i < m.Rows; i++ {
-		t += m.Data[i*m.Cols+i]
-	}
-	return t
 }
 
 // Transpose returns aᵀ as a new matrix.

@@ -132,12 +132,16 @@ func (co *ckptCoord) restorePoint() (*ckpt.Checkpoint, error) {
 }
 
 // methodFingerprint identifies the parts of the configuration a checkpoint
-// is only valid for. A resume under a different fingerprint would replay
-// different float expressions, so it is rejected instead.
+// is only valid for: the K-FAC hyper-parameters and the factor error bound
+// among them, since neither the optimizer state nor the checkpoint carries
+// them. A resume under a different fingerprint would replay different
+// float expressions, so it is rejected instead.
 func methodFingerprint(cfg Config) string {
 	m := "sgd"
 	if cfg.UseKFAC {
-		m = "kfac"
+		k := cfg.KFAC
+		m = fmt.Sprintf("kfac(damping=%g,decay=%g,invfreq=%d,momentum=%g,wd=%g,klclip=%g,warmup=%d)",
+			k.Damping, k.StatDecay, max(k.InvFreq, 1), k.Momentum, k.WeightDecay, k.KLClip, k.WarmupSteps)
 	}
 	comp := "none"
 	if cfg.NewCompressor != nil {
@@ -146,8 +150,12 @@ func methodFingerprint(cfg Config) string {
 	if cfg.NewLayerCompressor != nil {
 		comp = "per-layer"
 	}
-	return fmt.Sprintf("%s/%s/statfreq=%d/aggm=%d/overlap=%v/factors=%v",
-		m, comp, cfg.StatFreq, cfg.AggregationM, cfg.Overlap, cfg.CompressFactors)
+	factors := fmt.Sprint(cfg.CompressFactors)
+	if cfg.CompressFactors {
+		factors = fmt.Sprintf("eb=%g", cfg.FactorEB)
+	}
+	return fmt.Sprintf("%s/%s/statfreq=%d/aggm=%d/overlap=%v/factors=%s",
+		m, comp, cfg.StatFreq, cfg.AggregationM, cfg.Overlap, factors)
 }
 
 // controllerFingerprint identifies the adaptive-compression controller.

@@ -435,6 +435,46 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsChangedKFACConfig: neither kfac.State nor the
+// checkpoint's tensors carry the K-FAC hyper-parameters, so a resume under
+// another InvFreq (or factor error bound) would replay different float
+// expressions from the uninterrupted run. The method fingerprint refuses
+// it; the unchanged configuration still resumes.
+func TestResumeRejectsChangedKFACConfig(t *testing.T) {
+	t.Parallel()
+	kfacConfig := func() Config {
+		cfg := baseConfig(4)
+		cfg.EvalEvery = 2
+		cfg.UseKFAC = true
+		cfg.KFAC = kfac.DefaultConfig()
+		cfg.CompressFactors = true
+		return cfg
+	}
+	dir := t.TempDir()
+	cfg := kfacConfig()
+	cfg.Checkpoint = CheckpointConfig{Interval: 2, Dir: dir}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, ckpt.FileName(2))
+	for name, change := range map[string]func(*Config){
+		"invfreq":  func(c *Config) { c.KFAC.InvFreq++ },
+		"factoreb": func(c *Config) { c.FactorEB = 2e-3 },
+	} {
+		bad := kfacConfig()
+		change(&bad)
+		bad.Checkpoint = CheckpointConfig{Resume: path}
+		if _, err := Run(bad); err == nil || !strings.Contains(err.Error(), "checkpoint method") {
+			t.Errorf("resume with a changed %s: %v, want the method fingerprint refused", name, err)
+		}
+	}
+	same := kfacConfig()
+	same.Checkpoint = CheckpointConfig{Resume: path}
+	if _, err := Run(same); err != nil {
+		t.Fatalf("resume under the unchanged configuration: %v", err)
+	}
+}
+
 // TestCrashResumeWithControllerAndFactors exercises the widest COMPSO
 // configuration through a crash: adaptive error-bound controller plus
 // compressed factor exchange, resumed mid-schedule.

@@ -143,7 +143,7 @@ func (t *tele) eigen(k *kfac.KFAC, li int) {
 	a, g := float64(da), float64(dg)
 	at := obs.NoAttrs
 	at.Layer = li
-	t.charge(9*(a*a*a+g*g*g)/t.cm.EigFlops, "kfac-eigendecomp", obs.CatPrecondition, "eigendecomp", at)
+	t.charge(9*(float64(a*a*a)+float64(g*g*g))/t.cm.EigFlops, "kfac-eigendecomp", obs.CatPrecondition, "eigendecomp", at)
 }
 
 // precondition charges the modeled two-sided eigenbasis GEMM time for
@@ -153,7 +153,7 @@ func (t *tele) precondition(k *kfac.KFAC, li int) {
 	a, g := float64(da), float64(dg)
 	at := obs.NoAttrs
 	at.Layer = li
-	t.charge(4*(a*a*g+a*g*g)/t.cm.Flops, "kfac-precondition", obs.CatPrecondition, "precondition", at)
+	t.charge(4*(float64(a*a*g)+float64(a*g*g))/t.cm.Flops, "kfac-precondition", obs.CatPrecondition, "precondition", at)
 }
 
 // charge advances the clock by seconds under category and, with a
