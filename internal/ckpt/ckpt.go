@@ -512,7 +512,7 @@ func encodeRanks(rs []RankState) []byte {
 		e.blob(r.DataRNG)
 		e.f64(r.CRSum)
 		e.u64(uint64(r.CRCount))
-		e.optComp(r.Comp)
+		e.comp(r.Comp)
 		e.u32(uint32(len(r.LayerComps)))
 		for _, lc := range r.LayerComps {
 			e.u32(uint32(lc.Layer))
@@ -537,7 +537,7 @@ func decodeRanks(d *dec) ([]RankState, error) {
 		r.DataRNG = d.blob()
 		r.CRSum = d.f64()
 		r.CRCount = int(d.u64())
-		if r.Comp, err = d.optComp(); err != nil {
+		if r.Comp, err = d.comp(0); err != nil {
 			return nil, err
 		}
 		m := d.count(5)
@@ -547,7 +547,7 @@ func decodeRanks(d *dec) ([]RankState, error) {
 		for j := 0; j < m; j++ {
 			var lc LayerComp
 			lc.Layer = int(d.u32())
-			if lc.State, err = d.comp(); err != nil {
+			if lc.State, err = d.comp(0); err != nil {
 				return nil, err
 			}
 			r.LayerComps = append(r.LayerComps, lc)

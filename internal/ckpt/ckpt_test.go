@@ -151,6 +151,9 @@ func TestGoldenFile(t *testing.T) {
 	if !reflect.DeepEqual(goldenCheckpoint(), got) {
 		t.Fatal("golden file decodes to a different checkpoint")
 	}
+	if !bytes.Equal(got.Encode(), want) {
+		t.Fatal("golden file does not re-encode to its own bytes")
+	}
 }
 
 func TestDecodeErrorTaxonomy(t *testing.T) {

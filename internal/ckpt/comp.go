@@ -96,7 +96,7 @@ func (cs *CompState) Value() (any, error) {
 	return nil, fmt.Errorf("ckpt: unknown compressor state kind %d", cs.Kind)
 }
 
-// comp writes a CompState tree.
+// comp writes a CompState tree, or its absence.
 func (e *enc) comp(cs *CompState) {
 	if cs == nil {
 		e.u8(0)
@@ -127,14 +127,10 @@ func (e *enc) comp(cs *CompState) {
 	}
 }
 
-func (e *enc) optComp(cs *CompState) { e.comp(cs) }
-
-// comp reads a CompState tree (depth-bounded).
-func (d *dec) comp() (*CompState, error) { return d.compDepth(0) }
-
-func (d *dec) optComp() (*CompState, error) { return d.compDepth(0) }
-
-func (d *dec) compDepth(depth int) (*CompState, error) {
+// comp reads a CompState tree, or nil where its absence was written. depth
+// counts the wrappers around it; a tree nested past maxCompDepth is an
+// error.
+func (d *dec) comp(depth int) (*CompState, error) {
 	if depth > maxCompDepth {
 		return nil, fmt.Errorf("ckpt: compressor state nested deeper than %d", maxCompDepth)
 	}
@@ -170,7 +166,7 @@ func (d *dec) compDepth(depth int) (*CompState, error) {
 		f.Expect = int(d.u64())
 		f.Pinned = d.bool()
 		f.Residual = d.optF32s()
-		inner, err := d.compDepth(depth + 1)
+		inner, err := d.comp(depth + 1)
 		if err != nil {
 			return nil, err
 		}

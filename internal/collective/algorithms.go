@@ -1,6 +1,10 @@
 package collective
 
-import "fmt"
+import (
+	"fmt"
+
+	"compso/internal/cpu"
+)
 
 // Algorithm names.
 const (
@@ -130,18 +134,31 @@ func ring(s *sim, n, stride, off int, chunks []int) {
 	s.step += n - 1
 }
 
+// useAVX selects ringStep's kernel for untraced steps. It is cpu.HasAVX,
+// except in the tests that run each schedule once per path.
+var useAVX = cpu.HasAVX
+
 // ringStep runs one step of a ring: link i starts when its endpoints,
 // as they stood at the step's entry, and its ports are free, and moves
 // both endpoints' clocks to its end. Link i writes clk[i] once it has read
 // it, so every read in the pass is a step-entry clock: clk[i+1] is not yet
-// written, and the closing link reads clk[n], the copy of clk[0].
+// written, and the closing link reads clk[n], the copy of clk[0]. A link's
+// end reads nothing its predecessor wrote, so with useAVX an untraced step
+// runs its links four at a time in ringStepAVX, and the loop below takes
+// the last n mod 4 from the end of the link before them.
 func ringStep(clk, busy, alpha, beta, size []float64, tr *ringTrace) {
 	n := len(busy)
 	// Every slice gets busy's length, so the loop checks no bound.
 	cur, nxt := clk[:n], clk[1:][:n]
 	alpha, beta, size = alpha[:n], beta[:n], size[:n]
 	a, prev := cur[0], cur[0] // prev is the end on link i−1
-	for i := range busy {
+	i := 0
+	if m := n &^ 3; m > 0 && tr == nil && useAVX {
+		raceRingStep(clk[:m+1], busy[:m], alpha[:m], beta[:m], size[:m])
+		ringStepAVX(clk[:m+1], busy[:m], alpha[:m], beta[:m], size[:m])
+		i, a, prev = m, clk[m], busy[m-1]
+	}
+	for ; i < n; i++ {
 		b := nxt[i]
 		start := later(later(a, b), busy[i])
 		dur := linkTime(alpha[i], beta[i], size[i])

@@ -96,6 +96,6 @@ func (a *autotuner) record(op, alg string, total int, seconds float64) {
 		a.measured[k] = &ewma{value: seconds, count: 1}
 		return
 	}
-	m.value += ewmaAlpha * (seconds - m.value)
+	m.value += float64(ewmaAlpha * (seconds - m.value))
 	m.count++
 }

@@ -1,6 +1,10 @@
 package collective
 
-import "testing"
+import (
+	"testing"
+
+	"compso/internal/cpu"
+)
 
 // benchSizes returns the two collectives the schedule benchmarks time: a
 // 100 MB all-reduce and an all-gather whose per-rank sizes run from 0 to a
@@ -16,7 +20,8 @@ func benchSizes(p int) map[string][]int {
 }
 
 // benchExec times Exec with retention off — the mode des runs — and
-// reports the host cost per simulated transfer.
+// reports the host cost per simulated transfer, once per ring-step path:
+// path=avx where the host has the kernel, then path=go, the portable loop.
 func benchExec(b *testing.B, p int, alg string, transfers map[string]int) {
 	topo := testTopology(p)
 	e, err := NewEngine(topo, alg)
@@ -25,15 +30,28 @@ func benchExec(b *testing.B, p int, alg string, transfers map[string]int) {
 	}
 	e.SetEventRetention(false)
 	starts, bySize := goldenStarts(p), benchSizes(p)
-	for _, op := range []string{OpAllReduce, OpAllGather} {
-		sizes := bySize[op]
-		b.Run(op, func(b *testing.B) {
-			e.Exec(op, sizes, 0, starts) // dry-runs the prediction seed
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Exec(op, sizes, 0, starts)
+	defer func(saved bool) { useAVX = saved }(useAVX)
+	for _, avx := range []bool{true, false} {
+		if avx && !cpu.HasAVX {
+			continue
+		}
+		useAVX = avx
+		path := "path=go"
+		if avx {
+			path = "path=avx"
+		}
+		b.Run(path, func(b *testing.B) {
+			for _, op := range []string{OpAllReduce, OpAllGather} {
+				sizes := bySize[op]
+				b.Run(op, func(b *testing.B) {
+					e.Exec(op, sizes, 0, starts) // dry-runs the prediction seed
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						e.Exec(op, sizes, 0, starts)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(transfers[op]), "ns/transfer")
+				})
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(transfers[op]), "ns/transfer")
 		})
 	}
 }

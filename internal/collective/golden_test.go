@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -23,8 +22,8 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/schedule_ends_v1
 type goldenPerturber struct{}
 
 func (goldenPerturber) PerturbLink(src, dst, srcNode, dstNode int, link LinkClass, bytes int, start float64) (float64, float64, float64) {
-	as := 1 + 0.25*float64((7*src+3*dst)%5)
-	bs := 1 + 0.5*float64((srcNode+2*dstNode)%3)
+	as := 1 + float64(0.25*float64((7*src+3*dst)%5))
+	bs := 1 + float64(0.5*float64((srcNode+2*dstNode)%3))
 	if link == LinkInter {
 		bs *= 1.25
 	}
@@ -69,10 +68,13 @@ func goldenSizes(op, kind string, p int) []int {
 	return sizes
 }
 
+// goldenStarts returns the cells' arrival times. Like the simulator's, its
+// products are rounded before they are added, so the file's bits hold on
+// an architecture that would fuse them.
 func goldenStarts(p int) []float64 {
 	st := make([]float64, p)
 	for r := range st {
-		st[r] = 1e-4*float64((5*r)%7) + 3e-5*float64(r%2)
+		st[r] = float64(1e-4*float64((5*r)%7)) + float64(3e-5*float64(r%2))
 	}
 	return st
 }
@@ -199,10 +201,11 @@ func (c goldenCell) exec(t *testing.T, retain bool) *Outcome {
 // engine-vs-engine matrices cannot see a rewrite that moves both engines
 // the same way; this file, written by `go test -run TestScheduleGolden
 // -update` at the reference commit, can.
-func TestScheduleGolden(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("golden float bits are recorded on amd64; %s may fuse multiply-adds differently", runtime.GOARCH)
-	}
+func TestScheduleGolden(t *testing.T) { eachPath(t, checkScheduleGolden) }
+
+// checkScheduleGolden runs every cell on the ring-step path useAVX selects
+// and compares the records with the file (or, with -update, writes them).
+func checkScheduleGolden(t *testing.T) {
 	got := map[string]string{}
 	for _, c := range goldenCells() {
 		got[c.key] = goldenRecord(c.exec(t, true))
@@ -250,8 +253,15 @@ func TestScheduleGolden(t *testing.T) {
 
 // TestScheduleGoldenWithoutRetention re-runs every golden cell the way des
 // runs collectives — events dropped — and wants the times of the retained
-// run, bit for bit: events record, they never steer.
+// run, bit for bit: events record, they never steer. A retained run steps
+// its rings through the portable loop (only its prediction's dry run
+// reaches the AVX kernel), so this is where the golden's Ends reach the
+// kernel: it runs once per path.
 func TestScheduleGoldenWithoutRetention(t *testing.T) {
+	eachPath(t, scheduleGoldenWithoutRetention)
+}
+
+func scheduleGoldenWithoutRetention(t *testing.T) {
 	for _, c := range goldenCells() {
 		kept, dropped := c.exec(t, true), c.exec(t, false)
 		if len(dropped.Events) != 0 {

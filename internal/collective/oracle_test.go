@@ -108,7 +108,9 @@ func (c ringCase) run(t *testing.T, seed int64, ring func(s *sim, n, stride, off
 // step count and event list, bit for bit — flat and leader rings, node
 // widths with partial last nodes, ragged and zero chunks, both chunk
 // offsets, busy ports, a perturber, retention on and off.
-func TestRingMatchesStepped(t *testing.T) {
+func TestRingMatchesStepped(t *testing.T) { eachPath(t, ringMatchesStepped) }
+
+func ringMatchesStepped(t *testing.T) {
 	seed := int64(0)
 	for _, n := range []int{2, 3, 5, 16, 64, 257, 1000} {
 		for gi, g := range []int{1, 3, 4, 8} {

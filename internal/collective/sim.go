@@ -157,14 +157,15 @@ func (s *sim) endStep() { s.step++ }
 // perturber degrades, in place of the clean α + β·bytes.
 func perturbedTime(pert LinkPerturber, src, dst, srcNode, dstNode int, link LinkClass, bytes int, start, alpha, beta float64) float64 {
 	as, bs, j := pert.PerturbLink(src, dst, srcNode, dstNode, link, bytes, start)
-	return (alpha*as + beta*float64(bytes)*bs) * (1 + j)
+	return (float64(alpha*as) + float64(beta*float64(bytes)*bs)) * (1 + j)
 }
 
 // linkTime is the clean cost of one transfer: the link's latency plus its
-// inverse bandwidth times the message size. send and the ring kernel both
-// charge through it, so an architecture that fuses the multiply-add fuses
-// it for both.
-func linkTime(alpha, beta, bytes float64) float64 { return alpha + beta*bytes }
+// inverse bandwidth times the message size, a rounded product, then a
+// rounded sum, never a fused multiply-add. send and the ring step's
+// portable loop charge through it; ringStepAVX makes the same two
+// roundings with VMULPD and VADDPD.
+func linkTime(alpha, beta, bytes float64) float64 { return alpha + float64(beta*bytes) }
 
 // later returns the later of two simulated times.
 func later(a, b float64) float64 {

@@ -3,13 +3,21 @@ package des_test
 import (
 	"fmt"
 	"testing"
+	_ "unsafe" // for go:linkname
 
 	"compso/internal/cluster"
 	"compso/internal/collective"
+	"compso/internal/cpu"
 	"compso/internal/des"
 	"compso/internal/fault"
 	"compso/internal/obs"
 )
+
+// ringAVX is collective's useAVX, the switch between its ring step's AVX
+// kernel and its portable loop, which the package keeps unexported.
+//
+//go:linkname ringAVX compso/internal/collective.useAVX
+var ringAVX bool
 
 // goldenProgram is a representative COMPSO-shaped comm trace: three
 // training steps of compute, a compressed-gradient all-gather with
@@ -101,7 +109,22 @@ func injectorFor(t *testing.T, plan *fault.Plan) *fault.Injector {
 // that asks for transfer spans, so its engine retains every scheduled
 // transfer; the untraced cells record none. Both pin that events only
 // record and never steer: every number matches either way.
-func TestGoldenBitIdentity(t *testing.T) {
+func TestGoldenBitIdentity(t *testing.T) { goldenMatrix(t) }
+
+// TestGoldenBitIdentityPortable runs the matrix again with collective's
+// ring steps on the portable loop; TestGoldenBitIdentity runs them on the
+// AVX kernel wherever the host has one.
+func TestGoldenBitIdentityPortable(t *testing.T) {
+	if !cpu.HasAVX {
+		t.Skip("no AVX kernel on this host: TestGoldenBitIdentity ran the portable loop")
+	}
+	saved := ringAVX
+	ringAVX = false
+	t.Cleanup(func() { ringAVX = saved }) // after the parallel cells, unlike a defer
+	goldenMatrix(t)
+}
+
+func goldenMatrix(t *testing.T) {
 	worlds := []int{2, 3, 5, 8, 16}
 	policies := []string{"auto", collective.AlgRing, collective.AlgRecursiveDoubling,
 		collective.AlgBinomial, collective.AlgHierarchical}

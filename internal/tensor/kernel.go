@@ -1,6 +1,10 @@
 package tensor
 
-import "math"
+import (
+	"math"
+
+	"compso/internal/cpu"
+)
 
 // The four products run on two kernels. MatMul, TMatMul and GramRows skip
 // the zeros of a, so each output row gathers its own list of (row of b,
@@ -24,6 +28,11 @@ const panelRows = 128
 
 // blockRows is how many output rows addPanel carries at a time.
 const blockRows = 4
+
+// useAVX selects the kernels addRows, addPanel, rank2 and rotateSweep run.
+// It is cpu.HasAVX, except in the tests that run each product once per
+// path.
+var useAVX = cpu.HasAVX
 
 // terms is a gathered block: the rows of b and their coefficients that
 // addRows adds next. A product keeps one on its stack for all its rows.

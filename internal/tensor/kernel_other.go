@@ -2,10 +2,7 @@
 
 package tensor
 
-// Off amd64 every kernel runs its portable body.
-const avxSupported = false
-
-var useAVX = false
+// Off amd64 every kernel runs its portable body: useAVX is false.
 
 func addRowsAVX(dst, b []float64, stride int, ks []int, vs []float64) {
 	panic("tensor: no AVX kernel on this architecture")

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+
+	"compso/internal/cpu"
 )
 
 // kernelSpecials are the values planted in the operands of the kernel's
@@ -99,7 +101,7 @@ func checkKernelPaths(t *testing.T, what string, c kernelCase) {
 // sixteen columns, and every term count in 0…17 covers none, fewer than a
 // gathered block, a block and one more.
 func TestKernelMatchesPortable(t *testing.T) {
-	if !avxSupported {
+	if !cpu.HasAVX {
 		t.Skip("no AVX kernel on this host")
 	}
 	rng := rand.New(rand.NewPCG(41, 16))
@@ -121,7 +123,7 @@ func FuzzKernelMatchesPortable(f *testing.F) {
 	f.Add(uint8(67), uint8(17), uint64(2), binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN())))
 	f.Add(uint8(3), uint8(16), uint64(3), binary.LittleEndian.AppendUint64(nil, 1))
 	f.Fuzz(func(t *testing.T, n, nt uint8, seed uint64, data []byte) {
-		if !avxSupported {
+		if !cpu.HasAVX {
 			t.Skip("no AVX kernel on this host")
 		}
 		c := randomKernelCase(rand.New(rand.NewPCG(seed, uint64(len(data)))), int(n), int(nt%40))
@@ -144,7 +146,7 @@ func FuzzKernelMatchesPortable(f *testing.F) {
 // terms and 129, with a stride of a longer than the terms, about one value
 // in eight a special.
 func TestPanelMatchesPortable(t *testing.T) {
-	if !avxSupported {
+	if !cpu.HasAVX {
 		t.Skip("no AVX kernel on this host")
 	}
 	rng := rand.New(rand.NewPCG(42, 4))
@@ -165,7 +167,7 @@ func TestPanelMatchesPortable(t *testing.T) {
 // every length in 0…67: every tail after zero to four iterations of
 // sixteen columns.
 func TestRank2MatchesPortable(t *testing.T) {
-	if !avxSupported {
+	if !cpu.HasAVX {
 		t.Skip("no AVX kernel on this host")
 	}
 	rng := rand.New(rand.NewPCG(42, 2))
@@ -182,7 +184,7 @@ func TestRank2MatchesPortable(t *testing.T) {
 // portable body for rows of every width in 0…67 and sweeps of zero to
 // seven rotations, whose coefficients need not be a rotation's.
 func TestRotateSweepMatchesPortable(t *testing.T) {
-	if !avxSupported {
+	if !cpu.HasAVX {
 		t.Skip("no AVX kernel on this host")
 	}
 	rng := rand.New(rand.NewPCG(42, 3))
@@ -265,7 +267,7 @@ func FuzzEigenSymMatchesPortable(f *testing.F) {
 	f.Add(uint8(33), uint64(2), binary.LittleEndian.AppendUint64(nil, math.Float64bits(1e300)))
 	f.Add(uint8(17), uint64(3), binary.LittleEndian.AppendUint64(nil, 1))
 	f.Fuzz(func(t *testing.T, n uint8, seed uint64, data []byte) {
-		if !avxSupported {
+		if !cpu.HasAVX {
 			t.Skip("no AVX kernel on this host")
 		}
 		a := reluCovariance(rand.New(rand.NewPCG(seed, uint64(len(data)))), 1+int(n%40))

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"compso/internal/cpu"
 )
 
 // skipUnlessAMD64 gates the bit-for-bit comparisons the way the schedule
@@ -27,7 +29,7 @@ func eachKernel(t *testing.T, f func(t *testing.T)) {
 	defer func(saved bool) { useAVX = saved }(useAVX)
 	useAVX = false
 	t.Run("portable", f)
-	if !avxSupported {
+	if !cpu.HasAVX {
 		t.Logf("no AVX kernel on this host (%s)", runtime.GOARCH)
 		return
 	}
