@@ -46,7 +46,8 @@ func wrap(x, m int) int {
 
 // ringScratch is the ring kernel's working set in floats per member: a
 // clock, its link's occupancy, α and β, and two entries of the doubled
-// chunk-size table.
+// chunk-size table (on a uniform untraced ring, of the duration table it
+// becomes).
 const ringScratch = 6
 
 // ringMembers is the member count of the rings alg's schedules run, which
@@ -73,7 +74,10 @@ func ringMembers(alg string, t *Topology) int {
 // both; member i's clock is written by links i−1 and i only; and a step
 // reads clocks as they stood at its entry. So the ring's state is gathered
 // once, every step is one pass over the links, and clocks and ports are
-// written back at the end.
+// written back at the end. When every link is of one class, so shares one
+// (α, β), and the steps are untraced, a link's duration depends on its
+// chunk alone: the size table is rewritten once as durations, and every
+// step runs ringStepUniform over a window of them.
 func ring(s *sim, n, stride, off int, chunks []int) {
 	if n < 2 {
 		return
@@ -95,14 +99,17 @@ func ring(s *sim, n, stride, off int, chunks []int) {
 	sc := s.scratch[:ringScratch*n]
 	clk, busy, alpha, beta, size := sc[:n+1], sc[n+1:2*n+1], sc[2*n+1:3*n+1], sc[3*n+1:4*n+1], sc[4*n+1:]
 	t := s.topo
+	intra0, uniform := s.node[0] == s.node[stride], true
 	for i, src := 0, 0; i < n; i, src = i+1, src+stride {
 		dst := wrap(i+1, n) * stride
 		clk[i] = s.clock[src]
-		if sn, dn := s.node[src], s.node[dst]; sn == dn {
+		sn, dn := s.node[src], s.node[dst]
+		if sn == dn {
 			alpha[i], beta[i], busy[i] = t.IntraAlpha, t.IntraBeta, later(s.egress[src], s.ingress[dst])
 		} else {
 			alpha[i], beta[i], busy[i] = t.InterAlpha, t.InterBeta, later(s.nicOut[sn], s.nicIn[dn])
 		}
+		uniform = uniform && (sn == dn) == intra0
 		size[i] = float64(chunks[i])
 		if i < n-1 {
 			size[n+i] = size[i]
@@ -112,14 +119,23 @@ func ring(s *sim, n, stride, off int, chunks []int) {
 
 	var tr *ringTrace
 	if s.pert != nil || !s.dropEvents {
-		tr = &ringTrace{s: s, stride: stride, chunks: chunks}
+		tr, uniform = &ringTrace{s: s, stride: stride, chunks: chunks}, false
+	}
+	if uniform {
+		for j, b := range size {
+			size[j] = linkTime(alpha[0], beta[0], b)
+		}
 	}
 	for k := 0; k < n-1; k++ {
 		c := wrap(off+n-k, n) // off is 0 or 1, so the sum is in [0, 2n)
 		if tr != nil {
 			tr.step, tr.first = s.step+k, c
 		}
-		ringStep(clk, busy, alpha, beta, size[c:c+n], tr)
+		if uniform {
+			ringStepUniform(clk, busy, size[c:c+n])
+		} else {
+			ringStep(clk, busy, alpha, beta, size[c:c+n], tr)
+		}
 	}
 
 	for i, src := 0, 0; i < n; i, src = i+1, src+stride {
@@ -166,6 +182,35 @@ func ringStep(clk, busy, alpha, beta, size []float64, tr *ringTrace) {
 			dur = tr.transfer(i, start, dur, alpha[i], beta[i])
 		}
 		end := start + dur
+		busy[i] = end
+		cur[i] = later(later(a, prev), end)
+		a, prev = b, end
+	}
+	cur[0] = later(cur[0], prev)
+	nxt[n-1] = cur[0]
+}
+
+// ringStepUniform is ringStep's untraced pass on a ring whose links share
+// one (α, β): dur[i] is link i's duration, linkTime of its chunk, computed
+// once for the ring instead of once a step. With useAVX it runs its links
+// four at a time in ringStepUniformAVX, which loads four operands a pass
+// where ringStepAVX loads six and multiplies and adds none for the
+// duration, and the loop below takes the rest.
+func ringStepUniform(clk, busy, dur []float64) {
+	n := len(busy)
+	cur, nxt := clk[:n], clk[1:][:n]
+	dur = dur[:n]
+	a, prev := cur[0], cur[0]
+	i := 0
+	if m := n &^ 3; m > 0 && useAVX {
+		raceRingStepUniform(clk[:m+1], busy[:m], dur[:m])
+		ringStepUniformAVX(clk[:m+1], busy[:m], dur[:m])
+		i, a, prev = m, clk[m], busy[m-1]
+	}
+	for ; i < n; i++ {
+		b := nxt[i]
+		start := later(later(a, b), busy[i])
+		end := start + dur[i]
 		busy[i] = end
 		cur[i] = later(later(a, prev), end)
 		a, prev = b, end

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"compso/internal/pool"
 )
 
 // Outcome describes one executed collective: the chosen algorithm, each
@@ -118,13 +120,6 @@ func (e *Engine) SetPerturber(p LinkPerturber) {
 // Call before the engine starts executing collectives.
 func (e *Engine) SetEventRetention(on bool) { e.dropEvents = !on }
 
-// perturber returns the installed link perturber (nil when none).
-func (e *Engine) perturber() LinkPerturber {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.pert
-}
-
 // Retune discards the autotuner's measured state so subsequent picks
 // re-seed from cost-model dry runs and re-learn from fresh measurements —
 // the recovery action of the training loop's straggler guard after the
@@ -220,17 +215,45 @@ func (e *Engine) dispatch(sp spec, starts []float64) *Outcome {
 		return &Outcome{Op: sp.op, Algorithm: "trivial", Bytes: sp.total(), Start: start, Ends: ends}
 	}
 	alg := e.pick(sp)
-	s := e.newSim(sp.op, alg, starts)
-	s.pert = e.perturber()
-	s.dropEvents = e.dropEvents
-	scheduleFor(alg, sp.op)(s, sp)
-	out := &Outcome{Op: sp.op, Algorithm: alg, Bytes: sp.total(), Start: start, Ends: s.clock, Events: s.events}
-	s.release()
+	key := seedKey{op: sp.op, alg: alg, sizes: sizesHash(sp.sizes)}
 	e.mu.Lock()
-	out.Predicted = e.predictSeed(alg, sp)
+	predicted, memo := e.tuner.seeds[key]
+	pert := e.pert
+	e.mu.Unlock()
+	out := &Outcome{Op: sp.op, Algorithm: alg, Bytes: sp.total(), Start: start, Predicted: predicted}
+	if memo {
+		e.execute(out, sp, starts, pert)
+	} else {
+		// The executed schedule and the prediction's dry run share no
+		// state, so an idle helper takes the dry run; with none, the
+		// caller runs both in this order.
+		pool.ParallelFor(2, 2, func(i int) {
+			if i == 0 {
+				e.execute(out, sp, starts, pert)
+			} else {
+				out.Predicted = e.dryRun(alg, sp)
+			}
+		})
+	}
+	e.mu.Lock()
+	if !memo {
+		e.memoSeed(key, out.Predicted)
+	}
 	e.tuner.record(sp.op, alg, sp.total(), out.MaxEnd()-start)
 	e.mu.Unlock()
 	return out
+}
+
+// execute runs out.Algorithm's schedule for sp from the arrival times
+// starts under the perturber pert and sets out's Ends and Events.
+func (e *Engine) execute(out *Outcome, sp spec, starts []float64, pert LinkPerturber) {
+	clock := make([]float64, e.topo.P)
+	copy(clock, starts)
+	s := e.newSim(sp.op, out.Algorithm, clock)
+	s.pert, s.dropEvents = pert, e.dropEvents
+	scheduleFor(out.Algorithm, sp.op)(s, sp)
+	out.Ends, out.Events = s.clock, s.events
+	s.release()
 }
 
 // pick resolves the policy to an algorithm for this spec.
@@ -255,14 +278,32 @@ func (e *Engine) predictSeed(alg string, sp spec) float64 {
 	if v, ok := e.tuner.seeds[key]; ok {
 		return v
 	}
-	s := e.newSim(sp.op, alg, make([]float64, e.topo.P))
-	s.dropEvents = true // dry run: nobody reads the trace
-	scheduleFor(alg, sp.op)(s, sp)
-	v := maxOf(s.clock)
-	s.release()
+	v := e.dryRun(alg, sp)
+	e.memoSeed(key, v)
+	return v
+}
+
+// memoSeed keeps a dry run's makespan while the memo has room. Called with
+// e.mu held.
+func (e *Engine) memoSeed(key seedKey, v float64) {
 	if len(e.tuner.seeds) < seedCacheCap {
 		e.tuner.seeds[key] = v
 	}
+}
+
+// dryRun runs alg's schedule for sp from zero clocks, fault-free and
+// untraced, and returns its makespan. It reads only the engine's fixed
+// topology, so it needs no lock, and its clock comes from the pool and
+// goes back to it.
+func (e *Engine) dryRun(alg string, sp spec) float64 {
+	clock := pool.F64(e.topo.P)
+	clear(clock)
+	s := e.newSim(sp.op, alg, clock)
+	s.dropEvents = true // nobody reads the trace
+	scheduleFor(alg, sp.op)(s, sp)
+	v := maxOf(s.clock)
+	s.release()
+	pool.PutF64(clock)
 	return v
 }
 

@@ -3,3 +3,5 @@
 package collective
 
 func raceRingStep(clk, busy, alpha, beta, size []float64) {}
+
+func raceRingStepUniform(clk, busy, dur []float64) {}

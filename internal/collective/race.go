@@ -20,3 +20,15 @@ func raceRingStep(clk, busy, alpha, beta, size []float64) {
 	runtime.RaceWriteRange(unsafe.Pointer(unsafe.SliceData(clk)), n)
 	runtime.RaceWriteRange(unsafe.Pointer(unsafe.SliceData(busy)), n)
 }
+
+// raceRingStepUniform tells the race detector what ringStepUniformAVX is
+// about to touch: the step's windows of clk and dur, which it reads, and
+// clk and busy, which it writes (busy after reading it). ringStepUniform
+// calls it on a pass of at least four links only.
+func raceRingStepUniform(clk, busy, dur []float64) {
+	n := len(busy) * 8
+	runtime.RaceReadRange(unsafe.Pointer(unsafe.SliceData(clk)), len(clk)*8)
+	runtime.RaceReadRange(unsafe.Pointer(unsafe.SliceData(dur)), n)
+	runtime.RaceWriteRange(unsafe.Pointer(unsafe.SliceData(clk)), n)
+	runtime.RaceWriteRange(unsafe.Pointer(unsafe.SliceData(busy)), n)
+}

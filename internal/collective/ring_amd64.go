@@ -7,3 +7,10 @@ package collective
 //
 //go:noescape
 func ringStepAVX(clk, busy, alpha, beta, size []float64)
+
+// ringStepUniformAVX is the untraced pass of ringStepUniform over links
+// [0, len(busy)), four links a register, on the same terms as ringStepAVX:
+// dur holds the links' durations in place of α, β and size.
+//
+//go:noescape
+func ringStepUniformAVX(clk, busy, dur []float64)

@@ -52,3 +52,46 @@ loop:
 done:
 	VZEROUPPER
 	RET
+
+// func ringStepUniformAVX(clk, busy, dur []float64)
+//
+// ringStepAVX with the duration loaded instead of computed: four loads a
+// pass (two of clk, busy and dur) and no multiply. The end is the start
+// plus the duration, the start as the first source, as in the compiled
+// loop, which adds the loaded duration into the start (ringStep's adds the
+// start into the duration it computed; only a NaN meeting a NaN tells the
+// two orders apart).
+//
+// Registers: DI clk, SI busy, R10 dur, AX the first link of the pass, CX
+// the link count, Y5 the previous pass's ends.
+TEXT ·ringStepUniformAVX(SB), NOSPLIT, $0-72
+	MOVQ         clk_base+0(FP), DI
+	MOVQ         busy_base+24(FP), SI
+	MOVQ         busy_len+32(FP), CX
+	MOVQ         dur_base+48(FP), R10
+	VBROADCASTSD (DI), Y5
+	XORQ         AX, AX
+	TESTQ        CX, CX
+	JZ           udone
+
+uloop:
+	VMOVUPD    (DI)(AX*8), Y0         // a: clk[i..i+3]
+	VMOVUPD    8(DI)(AX*8), Y1        // b: clk[i+1..i+4]
+	VMAXPD     Y0, Y1, Y2             // later(a, b)
+	VMOVUPD    (SI)(AX*8), Y3
+	VMAXPD     Y2, Y3, Y2             // start = later(·, busy)
+	VADDPD     (R10)(AX*8), Y2, Y2    // end = start + dur
+	VMOVUPD    Y2, (SI)(AX*8)
+	VPERM2F128 $0x21, Y2, Y5, Y6      // previous ends' upper pair, ends' lower pair
+	VSHUFPD    $5, Y2, Y6, Y6         // prev: the end of each link's predecessor
+	VMAXPD     Y0, Y6, Y6             // later(a, prev)
+	VMAXPD     Y6, Y2, Y6             // later(·, end)
+	VMOVUPD    Y6, (DI)(AX*8)
+	VMOVAPD    Y2, Y5
+	ADDQ       $4, AX
+	CMPQ       AX, CX
+	JB         uloop
+
+udone:
+	VZEROUPPER
+	RET

@@ -7,3 +7,7 @@ package collective
 func ringStepAVX(clk, busy, alpha, beta, size []float64) {
 	panic("collective: no AVX kernel on this architecture")
 }
+
+func ringStepUniformAVX(clk, busy, dur []float64) {
+	panic("collective: no AVX kernel on this architecture")
+}

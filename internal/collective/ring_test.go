@@ -11,7 +11,11 @@ import (
 )
 
 // eachPath runs f as one subtest per ring-step path this host has: the
-// portable loop, then the AVX kernel where the CPU runs it.
+// portable loops, then the AVX kernels where the CPU runs them. A ring
+// whose links are all of one class (every leader ring, a flat ring on one
+// node or of one GPU a node) takes ringStepUniform and the rest ringStep,
+// so the schedule tests that run on each path hold both kernels and both
+// loops to their oracle, on uniform and on mixed rings.
 func eachPath(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
 	defer func(saved bool) { useAVX = saved }(useAVX)
@@ -40,11 +44,6 @@ var ringSpecials = []float64{
 // α and β, and a window of n chunk sizes.
 type ringState struct{ clk, busy, alpha, beta, size []float64 }
 
-func (r ringState) clone() ringState {
-	cp := func(x []float64) []float64 { return append([]float64(nil), x...) }
-	return ringState{cp(r.clk), cp(r.busy), cp(r.alpha), cp(r.beta), cp(r.size)}
-}
-
 // randomRing is a ring as the schedules build it: clocks and ports apart,
 // two link classes, ragged chunks.
 func randomRing(rng *rand.Rand, n int) ringState {
@@ -63,6 +62,25 @@ func randomRing(rng *rand.Rand, n int) ringState {
 	return r
 }
 
+// uniform gives every link link 0's α and β, as on a ring of one link
+// class.
+func (r ringState) uniform() ringState {
+	for i := range r.alpha {
+		r.alpha[i], r.beta[i] = r.alpha[0], r.beta[0]
+	}
+	return r
+}
+
+// durations returns each link's linkTime of its chunk: the window
+// ringStepUniform reads.
+func (r ringState) durations() []float64 {
+	dur := make([]float64, len(r.size))
+	for i := range dur {
+		dur[i] = linkTime(r.alpha[i], r.beta[i], r.size[i])
+	}
+	return dur
+}
+
 // adversarialRing draws every operand from ringSpecials.
 func adversarialRing(rng *rand.Rand, n int) ringState {
 	r := ringState{make([]float64, n+1), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)}
@@ -74,13 +92,17 @@ func adversarialRing(rng *rand.Rand, n int) ringState {
 	return r
 }
 
-// TestRingKernelMatchesPortable holds ringStepAVX to the portable loop bit
-// for bit, NaN payloads included: from the same operands, three untraced
-// steps through each path must leave the same clk and busy, and neither
-// may write past them. Which of two NaNs an x86 multiply or add keeps
-// follows the order the compiler put its operands in; under the race
-// detector the instrumented loop takes β·size where the native build
-// takes size·β, so there a NaN only has to meet a NaN.
+// TestRingKernelMatchesPortable holds each ring kernel to its portable
+// loop bit for bit, NaN payloads included, on mixed rings and on uniform
+// ones: from the same operands, three untraced steps through each path
+// must leave the same clk and busy, and no kernel may write past them.
+// ringStep runs on (α, β, size) and ringStepUniform on the links'
+// durations, and the two loops must agree with each other too, except in
+// which NaN a NaN start plus a NaN duration keeps. Which of two NaNs an
+// x86 multiply or add keeps follows the order the compiler put its
+// operands in; under the race detector the instrumented loops order them
+// otherwise (β·size where the native build takes size·β), so there a NaN
+// only has to meet a NaN.
 func TestRingKernelMatchesPortable(t *testing.T) {
 	if !cpu.HasAVX {
 		t.Skipf("no AVX kernel on this host (%s)", runtime.GOARCH)
@@ -88,6 +110,44 @@ func TestRingKernelMatchesPortable(t *testing.T) {
 	defer func(saved bool) { useAVX = saved }(useAVX)
 	const guard, steps = 4, 3
 	guardValue := math.Float64frombits(0x7ff80000deadbeef)
+	// run takes three steps from in on one path and returns the clk and
+	// busy it left, each between guard cells.
+	run := func(in ringState, avx, uniform bool) (clkBuf, busyBuf []float64) {
+		n := len(in.busy)
+		clkBuf, busyBuf = make([]float64, guard+n+1+guard), make([]float64, guard+n+guard)
+		for _, b := range [][]float64{clkBuf, busyBuf} {
+			for i := range b {
+				b[i] = guardValue
+			}
+		}
+		clk, busy := clkBuf[guard:guard+n+1:guard+n+1], busyBuf[guard:guard+n:guard+n]
+		copy(clk, in.clk)
+		copy(busy, in.busy)
+		dur := in.durations()
+		useAVX = avx
+		for k := 0; k < steps; k++ {
+			if uniform {
+				ringStepUniform(clk, busy, dur)
+			} else {
+				ringStep(clk, busy, in.alpha, in.beta, in.size, nil)
+			}
+		}
+		return clkBuf, busyBuf
+	}
+	// same compares two runs' buffers; anyNaN lets a NaN match any NaN,
+	// except in the guard cells, which must match by their bits.
+	same := func(what string, got, want [2][]float64, anyNaN bool) {
+		t.Helper()
+		for c, name := range []string{"clk", "busy"} {
+			for i := range want[c] {
+				g, w := got[c][i], want[c][i]
+				inside := i >= guard && i < len(want[c])-guard
+				if math.Float64bits(g) != math.Float64bits(w) && !(anyNaN && inside && math.IsNaN(g) && math.IsNaN(w)) {
+					t.Fatalf("%s: %s[%d] = %#x, want %#x", what, name, i-guard, math.Float64bits(g), math.Float64bits(w))
+				}
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{2, 3, 4, 5, 7, 8, 9, 1023, 1024, 1025} {
 		for trial := 0; trial < 40; trial++ {
@@ -95,46 +155,18 @@ func TestRingKernelMatchesPortable(t *testing.T) {
 			if trial%2 == 1 {
 				kind, in = "adversarial", adversarialRing(rng, n)
 			}
-			want := in.clone()
-			useAVX = false
-			for k := 0; k < steps; k++ {
-				ringStep(want.clk, want.busy, want.alpha, want.beta, want.size, nil)
+			if trial%4 >= 2 {
+				kind, in = kind+" uniform", in.uniform()
 			}
-
-			// The kernel's clk and busy sit between guard values.
-			got := in.clone()
-			clkBuf := make([]float64, guard+n+1+guard)
-			busyBuf := make([]float64, guard+n+guard)
-			for _, b := range [][]float64{clkBuf, busyBuf} {
-				for i := range b {
-					b[i] = guardValue
-				}
-			}
-			got.clk = clkBuf[guard : guard+n+1 : guard+n+1]
-			got.busy = busyBuf[guard : guard+n : guard+n]
-			copy(got.clk, in.clk)
-			copy(got.busy, in.busy)
-			useAVX = true
-			for k := 0; k < steps; k++ {
-				ringStep(got.clk, got.busy, got.alpha, got.beta, got.size, nil)
-			}
-
 			what := fmt.Sprintf("n=%d %s ring %d", n, kind, trial)
-			for name, v := range map[string][2][]float64{"clk": {got.clk, want.clk}, "busy": {got.busy, want.busy}} {
-				for i := range v[1] {
-					g, w := math.Float64bits(v[0][i]), math.Float64bits(v[1][i])
-					if g != w && !(raceEnabled && math.IsNaN(v[0][i]) && math.IsNaN(v[1][i])) {
-						t.Fatalf("%s: %s[%d] = %#x, portable %#x", what, name, i, g, w)
-					}
-				}
-			}
-			for name, b := range map[string][]float64{"clk": clkBuf, "busy": busyBuf} {
-				for i, v := range b {
-					if (i < guard || i >= len(b)-guard) && math.Float64bits(v) != math.Float64bits(guardValue) {
-						t.Fatalf("%s: wrote %g at %d outside %s", what, v, i-guard, name)
-					}
-				}
-			}
+			var loop, kernel, uniformLoop, uniformKernel [2][]float64
+			loop[0], loop[1] = run(in, false, false)
+			kernel[0], kernel[1] = run(in, true, false)
+			uniformLoop[0], uniformLoop[1] = run(in, false, true)
+			uniformKernel[0], uniformKernel[1] = run(in, true, true)
+			same(what+", ringStepAVX", kernel, loop, raceEnabled)
+			same(what+", ringStepUniformAVX", uniformKernel, uniformLoop, raceEnabled)
+			same(what+", ringStepUniform's loop", uniformLoop, loop, true)
 		}
 	}
 }

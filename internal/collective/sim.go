@@ -50,15 +50,16 @@ type sim struct {
 	pert LinkPerturber
 }
 
-// newSim starts a collective at the given per-rank arrival times, charging
-// the per-collective launch cost to every rank. All link-occupancy state
-// comes from the buffer pool; release returns it (the clock slice is a
-// plain allocation because it escapes as Outcome.Ends).
-func (e *Engine) newSim(op, alg string, starts []float64) *sim {
+// newSim starts a collective at the per-rank arrival times clock holds,
+// charging the per-collective launch cost to every rank in place: clock
+// becomes the sim's clock. All link-occupancy state comes from the buffer
+// pool; release returns it. The clock is the caller's: an executed
+// schedule's escapes as Outcome.Ends, a dry run's goes back to the pool.
+func (e *Engine) newSim(op, alg string, clock []float64) *sim {
 	p, n := e.topo.P, e.topo.Nodes()
-	clock := make([]float64, p)
+	clock = clock[:p]
 	for i := range clock {
-		clock[i] = starts[i] + e.topo.Launch
+		clock[i] += e.topo.Launch
 	}
 	ports := 2*p + 2*n
 	f64 := pool.F64(ports + max(p, ringScratch*ringMembers(alg, e.topo)))
@@ -75,8 +76,7 @@ func (e *Engine) newSim(op, alg string, starts []float64) *sim {
 	}
 }
 
-// release returns the pooled scratch. The clock slice stays valid (it is
-// handed out as Outcome.Ends).
+// release returns the pooled scratch. The clock slice stays valid.
 func (s *sim) release() {
 	pool.PutF64(s.f64)
 	pool.PutInts(s.stamp)

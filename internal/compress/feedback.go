@@ -180,7 +180,7 @@ func (e *ErrorFeedback) Restore(state any) error {
 func (e *ErrorFeedback) ResidualNorm() float64 {
 	var s float64
 	for _, v := range e.residual {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }

@@ -135,17 +135,17 @@ func orthonormalize(m []float64, rows, k int) {
 		for i := 0; i < j; i++ {
 			var dot float64
 			for r := 0; r < rows; r++ {
-				dot += m[r*k+j] * m[r*k+i]
+				dot += float64(m[r*k+j] * m[r*k+i])
 			}
 			for r := 0; r < rows; r++ {
-				m[r*k+j] -= dot * m[r*k+i]
+				m[r*k+j] -= float64(dot * m[r*k+i])
 			}
 		}
 	}
 	norm := func(j int) float64 {
 		var s float64
 		for r := 0; r < rows; r++ {
-			s += m[r*k+j] * m[r*k+j]
+			s += float64(m[r*k+j] * m[r*k+j])
 		}
 		return math.Sqrt(s)
 	}
@@ -191,7 +191,7 @@ func mulMQ(src []float32, n, rows, cols, k int, q, dst []float64) {
 			}
 			qrow := q[c*k : c*k+k]
 			for j := range prow {
-				prow[j] += v * qrow[j]
+				prow[j] += float64(v * qrow[j])
 			}
 		}
 	}
@@ -217,7 +217,7 @@ func mulMTP(src []float32, n, rows, cols, k int, p, dst []float64) {
 			}
 			qrow := dst[c*k : c*k+k]
 			for j := range qrow {
-				qrow[j] += v * prow[j]
+				qrow[j] += float64(v * prow[j])
 			}
 		}
 	}
@@ -236,7 +236,7 @@ func lowRankReconstruct(pm, qm []float64, n, cols, k int, out []float32) {
 			qrow := qm[c*k : c*k+k]
 			var s float64
 			for j := range prow {
-				s += prow[j] * qrow[j]
+				s += float64(prow[j] * qrow[j])
 			}
 			out[idx] = float32(s)
 			idx++

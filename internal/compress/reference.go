@@ -129,7 +129,7 @@ func (s *SZ) ReferenceCompress(src []float32) ([]byte, error) {
 		residual := float64(v) - prev
 		c := int32(math.Round(residual / bin))
 		codes[i] = c
-		prev += float64(c) * bin
+		prev += float64(float64(c) * bin)
 	}
 	planes := quant.PlaneSplit(codes)
 	for i, plane := range planes {

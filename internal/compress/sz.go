@@ -78,7 +78,7 @@ func (s *SZ) Compress(src []float32) ([]byte, error) {
 	for i, v := range src {
 		residual := float64(v) - prev
 		c := int32(math.Round(residual / bin))
-		prev += float64(c) * bin
+		prev += float64(float64(c) * bin)
 		z := quant.ZigZag(c)
 		zigs[i] = z
 		if z > maxZig {
@@ -158,7 +158,7 @@ func (s *SZ) Decompress(data []byte) ([]float32, error) {
 		for p := 0; p < nPlanes; p++ {
 			z |= uint32(planes[p][i]) << (8 * p)
 		}
-		prev += float64(quant.UnZigZag(z)) * bin
+		prev += float64(float64(quant.UnZigZag(z)) * bin)
 		out[i] = float32(prev)
 	}
 	return out, nil
