@@ -57,10 +57,18 @@ func (p *Pending[T]) Wait() T {
 // returns. The input is read only during the launch rendezvous (all ranks
 // blocked), so pooled buffers are safe here — unlike AllGather/Broadcast
 // payloads, nothing retains it afterwards.
+//
+// The combining rank sums into the cluster's one sum buffer, and every
+// rank copies the sum out into data as it leaves the launch. That is
+// before it can arrive at any later collective, and the next combine
+// starts only once every rank has arrived there, so no combine overwrites
+// a sum a rank has yet to copy.
 func (w *Worker) AllReduceAsync(data []float64, category string) *PendingReduce {
+	c := w.cluster
 	sum, out := launch(w, data, func(vecs [][]float64, starts []float64) ([][]float64, *collective.Outcome) {
-		sum, out := w.cluster.engine.AllReduce(vecs, starts)
-		return slices.Repeat([][]float64{sum}, len(vecs)), out
+		var out *collective.Outcome
+		c.sum, out = c.engine.AllReduce(c.sum, vecs, starts)
+		return slices.Repeat([][]float64{c.sum}, len(vecs)), out
 	})
 	copy(data, sum)
 	return &PendingReduce{w: w, out: out, launch: w.Time(), category: category, data: data}

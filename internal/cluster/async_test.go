@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"compso/internal/pool"
@@ -216,4 +217,71 @@ func TestAsyncGatherRejectsArenaPayloads(t *testing.T) {
 			t.Fatalf("%s accepted a live arena payload", name)
 		}
 	}
+}
+
+// Every all-reduce sums into the cluster's one buffer, and every rank
+// copies its sum out at launch. Back-to-back launches of different lengths
+// (longer, shorter, empty) waited in reverse, blocking all-reduces and an
+// all-gather in between, and ranks that arrive in a different order each
+// round all leave every rank with its own collective's rank-order sum from
+// +0. Run it under -race too: the buffer is written by whichever rank
+// combines.
+func TestAllReduceSumBufferAcrossCollectives(t *testing.T) {
+	const p = 5
+	lens := []int{1000, 7, 0, 1500, 3, 1000}
+	// contribution makes the sum order-sensitive: rank 0's ±1e16 swamps
+	// the small terms unless they are added in rank order.
+	contribution := func(rank, call, i int) float64 {
+		if rank == 0 {
+			return math.Copysign(1e16, float64(i%2)-0.5)
+		}
+		return float64(rank*(call+1)) + 0.125*float64(i%5)
+	}
+	want := make([][]float64, len(lens))
+	for call, n := range lens {
+		want[call] = make([]float64, n)
+		for i := range want[call] {
+			for r := range p {
+				want[call][i] += contribution(r, call, i)
+			}
+		}
+	}
+	New(tinyConfig(), p).Run(func(w *Worker) {
+		data := make([][]float64, len(lens))
+		for call, n := range lens {
+			data[call] = make([]float64, n)
+			for i := range data[call] {
+				data[call][i] = contribution(w.Rank(), call, i)
+			}
+		}
+		check := func(call int) {
+			for i, v := range data[call] {
+				if math.Float64bits(v) != math.Float64bits(want[call][i]) {
+					t.Errorf("rank %d all-reduce %d value %d = %v, want %v", w.Rank(), call, i, v, want[call][i])
+					return
+				}
+			}
+		}
+		// Ranks reach each launch in a rotating order.
+		stagger := func(call int) {
+			for range (w.Rank() + call) % p {
+				runtime.Gosched()
+			}
+		}
+		var pend []*PendingReduce
+		for call := range 4 {
+			stagger(call)
+			pend = append(pend, w.AllReduceAsync(data[call], "x"))
+		}
+		w.AllGather([]byte{byte(w.Rank())}, "g")
+		for call := 4; call < len(lens); call++ {
+			stagger(call)
+			w.AllReduce(data[call], "x")
+			check(call)
+		}
+		for call := 3; call >= 0; call-- {
+			pend[call].Wait()
+			check(call)
+		}
+	})
 }

@@ -32,6 +32,11 @@ type Cluster struct {
 	// incarnation is the restart attempt this cluster serves (crash
 	// recovery).
 	incarnation int
+
+	// sum is the all-reduce sum's storage, written by each all-reduce's
+	// combining rank and copied out by every rank at launch
+	// (AllReduceAsync).
+	sum []float64
 }
 
 // New creates a cluster of p workers on the given platform. It panics on an

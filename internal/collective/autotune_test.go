@@ -58,7 +58,7 @@ func TestAutotunerExecutionRecordsMeasurements(t *testing.T) {
 	e := forcedEngine(t, 8, "")
 	vecs := mkVecs(8, 1024)
 	for i := 0; i < 3; i++ {
-		e.AllReduce(vecs, make([]float64, 8))
+		e.AllReduce(nil, vecs, make([]float64, 8))
 	}
 	lines := e.TunerSnapshot()
 	if len(lines) == 0 {
@@ -89,7 +89,7 @@ func TestForcedPolicyFallsBackForUnimplementedOp(t *testing.T) {
 	// "binomial" only implements broadcast; other ops must autotune
 	// rather than fail.
 	e := forcedEngine(t, 8, AlgBinomial)
-	_, out := e.AllReduce(mkVecs(8, 16), make([]float64, 8))
+	_, out := e.AllReduce(nil, mkVecs(8, 16), make([]float64, 8))
 	if out.Algorithm == AlgBinomial || out.Algorithm == "" {
 		t.Fatalf("allreduce dispatched to %q", out.Algorithm)
 	}

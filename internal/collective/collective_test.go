@@ -107,10 +107,19 @@ func TestAllReduceAlgorithmsMatchReference(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/p=%d", alg, p), func(t *testing.T) {
 				e := forcedEngine(t, p, algPolicy(alg))
 				vecs := mkVecs(p, 97)
-				sum, out := e.AllReduce(vecs, starts(p))
+				// The sum lands in the caller's storage from +0, whatever
+				// that storage held.
+				dst := make([]float64, 128)
+				for i := range dst {
+					dst[i] = math.NaN()
+				}
+				sum, out := e.AllReduce(dst, vecs, starts(p))
+				if len(sum) != 97 || &sum[0] != &dst[0] {
+					t.Fatalf("sum of %d values outside the caller's storage", len(sum))
+				}
 				want := refReduce(vecs)
 				for i := range want {
-					if sum[i] != want[i] { // bit-identical, rank-order sum
+					if math.Float64bits(sum[i]) != math.Float64bits(want[i]) { // bit-identical, rank-order sum
 						t.Fatalf("elem %d: %g != %g", i, sum[i], want[i])
 					}
 				}
@@ -236,8 +245,8 @@ func TestHierarchicalBeatsFlatRingInterNode(t *testing.T) {
 			ringE := forcedEngine(t, p, AlgRing)
 			hierE := forcedEngine(t, p, AlgHierarchical)
 			st := make([]float64, p)
-			_, ringOut := ringE.AllReduce(vecs, st)
-			_, hierOut := hierE.AllReduce(vecs, st)
+			_, ringOut := ringE.AllReduce(nil, vecs, st)
+			_, hierOut := hierE.AllReduce(nil, vecs, st)
 			if hierOut.MaxEnd() >= ringOut.MaxEnd() {
 				t.Errorf("allreduce p=%d bytes=%d: hierarchical %.3e >= ring %.3e",
 					p, bytes, hierOut.MaxEnd(), ringOut.MaxEnd())
@@ -259,7 +268,7 @@ func TestHierarchicalBeatsFlatRingInterNode(t *testing.T) {
 func TestSingleNodeRingUsesOnlyNVLink(t *testing.T) {
 	e := forcedEngine(t, 4, AlgRing)
 	vecs := mkVecs(4, 64)
-	_, out := e.AllReduce(vecs, make([]float64, 4))
+	_, out := e.AllReduce(nil, vecs, make([]float64, 4))
 	if len(out.Events) == 0 {
 		t.Fatal("no events")
 	}
@@ -347,7 +356,7 @@ func TestTrivialCollectivesAreFreeSyncPoints(t *testing.T) {
 		t.Fatal("trivial collective produced events")
 	}
 	one := forcedEngine(t, 1, "")
-	_, out = one.AllReduce([][]float64{{1, 2}}, []float64{7})
+	_, out = one.AllReduce(nil, [][]float64{{1, 2}}, []float64{7})
 	if out.Ends[0] != 7 {
 		t.Fatalf("single-rank collective cost time: %g", out.Ends[0])
 	}

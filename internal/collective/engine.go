@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -393,12 +394,13 @@ func (e *Engine) AllGather(payloads [][]byte, starts []float64) ([][]byte, *Outc
 	return payloads, out
 }
 
-// AllReduce sums the per-rank vectors element-wise — contributions are
-// accumulated in rank order, so the result is bit-identical on every rank
-// and across algorithms — charging 4·len bytes on the wire (FP32, matching
-// the repo's wire convention).
-func (e *Engine) AllReduce(vecs [][]float64, starts []float64) ([]float64, *Outcome) {
-	sum := e.rankOrderSum(vecs, OpAllReduce)
+// AllReduce sums the per-rank vectors element-wise into dst's storage
+// (grown when it is too small) and returns the sum — contributions are
+// accumulated from +0 in rank order, so the result is bit-identical on
+// every rank and across algorithms — charging 4·len bytes on the wire
+// (FP32, matching the repo's wire convention). dst must not alias a vector.
+func (e *Engine) AllReduce(dst []float64, vecs [][]float64, starts []float64) ([]float64, *Outcome) {
+	sum := e.rankOrderSum(dst, vecs, OpAllReduce)
 	out := e.dispatch(spec{op: OpAllReduce, sizes: []int{4 * len(sum)}}, starts)
 	return sum, out
 }
@@ -415,10 +417,11 @@ func ShardRange(n, p, r int) (lo, hi int) {
 	return lo, hi
 }
 
-// ReduceScatter sums the per-rank vectors and splits the result into the
-// ShardRange shards.
+// ReduceScatter sums the per-rank vectors into fresh storage, since the
+// shards outlive the call, and splits the result into the ShardRange
+// shards.
 func (e *Engine) ReduceScatter(vecs [][]float64, starts []float64) ([][]float64, *Outcome) {
-	sum := e.rankOrderSum(vecs, OpReduceScatter)
+	sum := e.rankOrderSum(nil, vecs, OpReduceScatter)
 	p := e.topo.P
 	sizes := make([]int, p)
 	shards := make([][]float64, p)
@@ -481,13 +484,15 @@ func (e *Engine) Exec(op string, sizes []int, root int, starts []float64) *Outco
 	return e.dispatch(spec{op: op, sizes: sizes, root: root}, starts)
 }
 
-// rankOrderSum adds the vectors in rank order, panicking on length
+// rankOrderSum adds the vectors from +0 in rank order into dst's storage,
+// grown when it is too small, and returns the sum, panicking on length
 // mismatches (an SPMD programming error).
-func (e *Engine) rankOrderSum(vecs [][]float64, op string) []float64 {
+func (e *Engine) rankOrderSum(dst []float64, vecs [][]float64, op string) []float64 {
 	if len(vecs) != e.topo.P {
 		panic(fmt.Sprintf("collective: %s with %d vectors, world %d", op, len(vecs), e.topo.P))
 	}
-	sum := make([]float64, len(vecs[0]))
+	sum := slices.Grow(dst[:0], len(vecs[0]))[:len(vecs[0])]
+	clear(sum)
 	for _, v := range vecs {
 		if len(v) != len(sum) {
 			panic(fmt.Sprintf("collective: %s length mismatch %d vs %d", op, len(v), len(sum)))

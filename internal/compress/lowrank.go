@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"compso/internal/pool"
+	"compso/internal/tensor"
 	"compso/internal/xrand"
 )
 
@@ -56,6 +57,11 @@ type PowerSGD struct {
 	q, p []float64
 	// out is InstallReduced's result, reused from call to call.
 	out []float32
+	// m is the float64 rows×cols view of the input, zero past n, that
+	// Compress and ReduceFactor multiply; InstallReduced reconstructs P·Qᵀ
+	// into it once nothing reads the input any more. qt is the packed Qᵀ
+	// of that reconstruction, and fac ReduceFactor's result.
+	m, qt, fac tensor.Matrix
 	// phase alternates ring-mode steps: 0 → communicate P, 1 → communicate Q.
 	phase int
 	step  int
@@ -170,78 +176,39 @@ func orthonormalize(m []float64, rows, k int) {
 	}
 }
 
-// mulMQ computes dst = M·Q (rows×k), where M is the zero-padded rows×cols
-// view of src[:n] and Q is cols×k.
-func mulMQ(src []float32, n, rows, cols, k int, q, dst []float64) {
-	clear(dst)
-	for r := 0; r < rows; r++ {
-		base := r * cols
-		cend := cols
-		if base+cend > n {
-			cend = n - base
-		}
-		if cend <= 0 {
-			break
-		}
-		prow := dst[r*k : r*k+k]
-		for c := 0; c < cend; c++ {
-			v := float64(src[base+c])
-			if v == 0 {
-				continue
-			}
-			qrow := q[c*k : c*k+k]
-			for j := range prow {
-				prow[j] += float64(v * qrow[j])
-			}
-		}
+// The three products run on tensor's kernels over float64 matrices: M·Q
+// is MatMul and Mᵀ·P TMatMul, both skipping M's ±0 entries (the padding
+// past n among them), and the reconstruction P·Qᵀ is MatMulTPacked, which
+// skips nothing. Each output element adds the same rounded products in
+// ascending order from +0 as the scalar loops it replaced, so every factor
+// and every restored value keeps its bits (lowrank_test.go holds them to
+// those loops).
+
+// loadM copies src into pc.m's rows×cols view, zero past n, and returns it.
+func (pc *PowerSGD) loadM(src []float32) *tensor.Matrix {
+	m := pc.m.Reshape(pc.rows, pc.cols)
+	for i, v := range src {
+		m.Data[i] = float64(v)
+	}
+	clear(m.Data[len(src):])
+	return m
+}
+
+// reconstruct writes flatten(P·Qᵀ)[:len(out)] into out, where P is
+// rows×k and Q cols×k. Only the ⌈len(out)/cols⌉ rows of P that reach out
+// take part: their product lands in dst, a matrix of at most
+// len(out)+cols−1 values, with Qᵀ packed into qt.
+func reconstruct(p, q []float64, cols, k int, dst, qt *tensor.Matrix, out []float32) {
+	rows := (len(out) + cols - 1) / cols
+	dst.MatMulTPacked(factor(p[:rows*k], rows, k), factor(q, cols, k), qt)
+	for i := range out {
+		out[i] = float32(dst.Data[i])
 	}
 }
 
-// mulMTP computes dst = Mᵀ·P (cols×k) for the same padded view.
-func mulMTP(src []float32, n, rows, cols, k int, p, dst []float64) {
-	clear(dst)
-	for r := 0; r < rows; r++ {
-		base := r * cols
-		cend := cols
-		if base+cend > n {
-			cend = n - base
-		}
-		if cend <= 0 {
-			break
-		}
-		prow := p[r*k : r*k+k]
-		for c := 0; c < cend; c++ {
-			v := float64(src[base+c])
-			if v == 0 {
-				continue
-			}
-			qrow := dst[c*k : c*k+k]
-			for j := range qrow {
-				qrow[j] += float64(v * prow[j])
-			}
-		}
-	}
-}
-
-// lowRankReconstruct writes flatten(P·Qᵀ)[:n] into out.
-func lowRankReconstruct(pm, qm []float64, n, cols, k int, out []float32) {
-	idx := 0
-	for r := 0; idx < n; r++ {
-		prow := pm[r*k : r*k+k]
-		cend := cols
-		if n-idx < cend {
-			cend = n - idx
-		}
-		for c := 0; c < cend; c++ {
-			qrow := qm[c*k : c*k+k]
-			var s float64
-			for j := range prow {
-				s += float64(prow[j] * qrow[j])
-			}
-			out[idx] = float32(s)
-			idx++
-		}
-	}
+// factor wraps a rows×k row-major factor as a matrix.
+func factor(f []float64, rows, k int) *tensor.Matrix {
+	return &tensor.Matrix{Rows: rows, Cols: k, Data: f}
 }
 
 func appendF32Factors(dst []byte, vals []float64) []byte {
@@ -270,9 +237,10 @@ func (pc *PowerSGD) Compress(src []float32) ([]byte, error) {
 	if pc.q == nil || !pc.WarmStart {
 		pc.q = pc.initQuery()
 	}
+	m := pc.loadM(src)
 	p := pool.F64(rows * k)
 	defer pool.PutF64(p)
-	mulMQ(src, n, rows, cols, k, pc.q, p)
+	factor(p, rows, k).MatMul(m, factor(pc.q, cols, k))
 	// Every nonzero input meets every column of the query in M·Q, and a
 	// non-finite product stays non-finite in the sums, so P holds a NaN or
 	// an infinity exactly when the input does; finite float32 inputs cannot
@@ -285,7 +253,7 @@ func (pc *PowerSGD) Compress(src []float32) ([]byte, error) {
 	orthonormalize(p, rows, k)
 	qn := pool.F64(cols * k)
 	defer pool.PutF64(qn)
-	mulMTP(src, n, rows, cols, k, p, qn)
+	factor(qn, cols, k).TMatMul(m, factor(p, rows, k))
 	out = appendF32Factors(out, p)
 	out = appendF32Factors(out, qn)
 	// Warm-start the next step's query with the orthonormalized new range.
@@ -340,8 +308,15 @@ func (pc *PowerSGD) Decompress(data []byte) ([]float32, error) {
 	for i := range qm {
 		qm[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(rest[4*i:])))
 	}
+	// Scratch from the arena, not the receiver's fields: any PowerSGD value
+	// may decode any blob, concurrently too.
+	used := (n + cols - 1) / cols
+	prod := pool.F64(used * cols)
+	defer pool.PutF64(prod)
+	qt := pool.F64(k * cols)
+	defer pool.PutF64(qt)
 	out := make([]float32, n)
-	lowRankReconstruct(pm, qm, n, cols, k, out)
+	reconstruct(pm, qm, cols, k, factor(prod, used, cols), factor(qt, k, cols), out)
 	return out, nil
 }
 
@@ -357,7 +332,8 @@ type AllReducible interface {
 	Compressor
 	// ReduceFactor projects src onto this step's communicated factor
 	// (float64 for exact summation; the collective charges FP32 wire
-	// bytes). The returned slice is owned by the caller.
+	// bytes). The result is the compressor's own buffer, valid until its
+	// next ReduceFactor; the caller may sum into it in place.
 	ReduceFactor(src []float32) ([]float64, error)
 	// InstallReduced consumes the element-wise sum of all workers'
 	// factors and returns the averaged restored gradient. The result is
@@ -375,18 +351,15 @@ func (pc *PowerSGD) ReduceFactor(src []float32) ([]float64, error) {
 	if pc.n == 0 {
 		return []float64{}, nil
 	}
-	n, rows, cols, k := pc.n, pc.rows, pc.cols, pc.k
+	rows, cols, k := pc.rows, pc.cols, pc.k
 	if pc.q == nil {
 		pc.q = pc.initQuery()
 	}
+	m := pc.loadM(src)
 	if pc.phase == 0 {
-		f := make([]float64, rows*k)
-		mulMQ(src, n, rows, cols, k, pc.q, f)
-		return f, nil
+		return pc.fac.MatMul(m, factor(pc.q, cols, k)).Data, nil
 	}
-	f := make([]float64, cols*k)
-	mulMTP(src, n, rows, cols, k, pc.p, f)
-	return f, nil
+	return pc.fac.TMatMul(m, factor(pc.p, rows, k)).Data, nil
 }
 
 // InstallReduced implements AllReducible. The averaged factor reconstructs
@@ -418,7 +391,7 @@ func (pc *PowerSGD) InstallReduced(sum []float64, world int) ([]float32, error) 
 		for i, v := range sum {
 			avg[i] = v * inv
 		}
-		lowRankReconstruct(avg, pc.q, n, cols, k, out)
+		reconstruct(avg, pc.q, cols, k, &pc.m, &pc.qt, out)
 		orthonormalize(avg, rows, k)
 		pc.p = avg
 		pc.phase = 1
@@ -430,7 +403,7 @@ func (pc *PowerSGD) InstallReduced(sum []float64, world int) ([]float32, error) 
 		for i, v := range sum {
 			avg[i] = v * inv
 		}
-		lowRankReconstruct(pc.p, avg, n, cols, k, out)
+		reconstruct(pc.p, avg, cols, k, &pc.m, &pc.qt, out)
 		orthonormalize(avg, cols, k)
 		pc.q = avg
 		pc.phase = 0

@@ -1,9 +1,12 @@
 package compress
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -374,4 +377,362 @@ func TestDecodeDispatch(t *testing.T) {
 	if _, err := Decode(nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("empty blob: %v, want ErrCorrupt", err)
 	}
+}
+
+// The scalar loops PowerSGD's three products ran on before they moved to
+// tensor's kernels, verbatim: the oracle the kernels are held to bit for
+// bit.
+
+// mulMQ computes dst = M·Q (rows×k), where M is the zero-padded rows×cols
+// view of src[:n] and Q is cols×k.
+func mulMQ(src []float32, n, rows, cols, k int, q, dst []float64) {
+	clear(dst)
+	for r := 0; r < rows; r++ {
+		base := r * cols
+		cend := cols
+		if base+cend > n {
+			cend = n - base
+		}
+		if cend <= 0 {
+			break
+		}
+		prow := dst[r*k : r*k+k]
+		for c := 0; c < cend; c++ {
+			v := float64(src[base+c])
+			if v == 0 {
+				continue
+			}
+			qrow := q[c*k : c*k+k]
+			for j := range prow {
+				prow[j] += float64(v * qrow[j])
+			}
+		}
+	}
+}
+
+// mulMTP computes dst = Mᵀ·P (cols×k) for the same padded view.
+func mulMTP(src []float32, n, rows, cols, k int, p, dst []float64) {
+	clear(dst)
+	for r := 0; r < rows; r++ {
+		base := r * cols
+		cend := cols
+		if base+cend > n {
+			cend = n - base
+		}
+		if cend <= 0 {
+			break
+		}
+		prow := p[r*k : r*k+k]
+		for c := 0; c < cend; c++ {
+			v := float64(src[base+c])
+			if v == 0 {
+				continue
+			}
+			qrow := dst[c*k : c*k+k]
+			for j := range qrow {
+				qrow[j] += float64(v * prow[j])
+			}
+		}
+	}
+}
+
+// lowRankReconstruct writes flatten(P·Qᵀ)[:n] into out.
+func lowRankReconstruct(pm, qm []float64, n, cols, k int, out []float32) {
+	idx := 0
+	for r := 0; idx < n; r++ {
+		prow := pm[r*k : r*k+k]
+		cend := cols
+		if n-idx < cend {
+			cend = n - idx
+		}
+		for c := 0; c < cend; c++ {
+			qrow := qm[c*k : c*k+k]
+			var s float64
+			for j := range prow {
+				s += float64(prow[j] * qrow[j])
+			}
+			out[idx] = float32(s)
+			idx++
+		}
+	}
+}
+
+// productShapes are the views the products are held to the loops on:
+// near-square with a padded tail, pinned views whose last row is partial
+// or whose last rows are all padding, rows past a gather block of 64 terms
+// and a view taller than TMatMul's 128-row panel.
+var productShapes = []struct{ rows, cols, n int }{
+	{0, 0, 97},
+	{7, 13, 85},
+	{8, 5, 31},
+	{4, 300, 1200},
+	{130, 3, 388},
+	{1, 9, 9},
+}
+
+// productInput draws n gradient values with every case the products treat
+// apart: ±0 entries, an all-zero row of the cols-wide view (its second)
+// and, when special is set, NaN and ±Inf.
+func productInput(n, cols int, special bool, seed int64) []float32 {
+	rng := xrand.NewSeeded(seed)
+	src := make([]float32, n)
+	for i := range src {
+		switch rng.IntN(12) {
+		case 0:
+			src[i] = 0
+		case 1:
+			src[i] = float32(math.Copysign(0, -1))
+		default:
+			src[i] = float32(rng.NormFloat64())
+		}
+	}
+	for c := cols; c < min(2*cols, n); c++ {
+		src[c] = float32(math.Copysign(0, float64(c%2)-0.5))
+	}
+	if special {
+		src[rng.IntN(n)] = float32(math.NaN())
+		src[rng.IntN(n)] = float32(math.Inf(1))
+		src[rng.IntN(n)] = float32(math.Inf(-1))
+	}
+	return src
+}
+
+// firstBitDiff returns the first index at which got and want differ in
+// their bits, or -1. A NaN matches any NaN: when two NaNs meet in an add,
+// x86 keeps the payload of the operand the compiler or the kernel put
+// first, which IEEE 754 leaves open, so a NaN's payload is not part of
+// the products' contract.
+func firstBitDiff[T float32 | float64](got, want []T) int {
+	if len(got) != len(want) {
+		return 0
+	}
+	for i := range want {
+		g, w := float64(got[i]), float64(want[i])
+		if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+			return i
+		}
+	}
+	return -1
+}
+
+// Ring mode on tensor's kernels gives the loops' bits: every rank's factor
+// (M·Q on even steps, Mᵀ·P on odd ones) and every restored gradient, over
+// two rounds of both phases on two ranks, at ranks 1–4 on every view, with
+// NaN and ±Inf among the inputs or not. The factor is the compressor's own
+// storage, the same from step to step once it has grown.
+func TestPowerSGDRingProductsMatchLoops(t *testing.T) {
+	for _, sh := range productShapes {
+		for rank := 1; rank <= 4; rank++ {
+			for _, special := range []bool{false, true} {
+				ranks := []*PowerSGD{NewPowerSGD(rank, 5), NewPowerSGD(rank, 5)}
+				grads := make([][]float32, len(ranks))
+				for r, pc := range ranks {
+					pc.Rows, pc.Cols = sh.rows, sh.cols
+					grads[r] = productInput(sh.n, max(sh.cols, 10), special, int64(10*rank+r))
+				}
+				name := fmt.Sprintf("%dx%d n=%d rank=%d special=%v", sh.rows, sh.cols, sh.n, rank, special)
+				var first []float64
+				for step := range 4 {
+					var sum []float64
+					for r, pc := range ranks {
+						f, err := pc.ReduceFactor(grads[r])
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						n, rows, cols, k := pc.n, pc.rows, pc.cols, pc.k
+						var want []float64
+						if pc.phase == 0 {
+							want = make([]float64, rows*k)
+							mulMQ(grads[r], n, rows, cols, k, pc.q, want)
+						} else {
+							want = make([]float64, cols*k)
+							mulMTP(grads[r], n, rows, cols, k, pc.p, want)
+						}
+						if i := firstBitDiff(f, want); i >= 0 {
+							t.Fatalf("%s: step %d rank %d factor[%d] = %v (%#x), loops %v (%#x)", name, step, r, i, f[i], math.Float64bits(f[i]), want[i], math.Float64bits(want[i]))
+						}
+						// Grown to both phases' length by step 1, the buffer
+						// stays put from then on.
+						if r == 0 && step == 1 {
+							first = f
+						} else if r == 0 && step > 1 && &f[0] != &first[0] {
+							t.Fatalf("%s: ReduceFactor left its own storage", name)
+						}
+						if sum == nil {
+							sum = make([]float64, len(f))
+						}
+						for i, v := range f {
+							sum[i] += v
+						}
+					}
+					for r, pc := range ranks {
+						phase := pc.phase
+						got, err := pc.InstallReduced(sum, len(ranks))
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						avg := make([]float64, len(sum))
+						for i, v := range sum {
+							avg[i] = v * (1 / float64(len(ranks)))
+						}
+						want := make([]float32, pc.n)
+						if phase == 0 {
+							lowRankReconstruct(avg, pc.q, pc.n, pc.cols, pc.k, want)
+						} else {
+							lowRankReconstruct(pc.p, avg, pc.n, pc.cols, pc.k, want)
+						}
+						if i := firstBitDiff(got, want); i >= 0 {
+							t.Fatalf("%s: step %d rank %d restored[%d] = %v, loops %v", name, step, r, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Blob mode on tensor's kernels gives the loops' bits: Compress's factors
+// over warm-started steps, and Decompress on factors holding ±0, NaN and
+// ±Inf, at ranks 1–4 on every view.
+func TestPowerSGDBlobProductsMatchLoops(t *testing.T) {
+	for _, sh := range productShapes {
+		for rank := 1; rank <= 4; rank++ {
+			name := fmt.Sprintf("%dx%d n=%d rank=%d", sh.rows, sh.cols, sh.n, rank)
+			pc := NewPowerSGD(rank, 6)
+			pc.Rows, pc.Cols = sh.rows, sh.cols
+			src := productInput(sh.n, max(sh.cols, 10), false, int64(rank))
+			for step := range 3 {
+				q := pc.q
+				if q == nil {
+					if err := pc.ensureShape(len(src)); err != nil {
+						t.Fatal(err)
+					}
+					q = pc.initQuery()
+				}
+				n, rows, cols, k := pc.n, pc.rows, pc.cols, pc.k
+				p := make([]float64, rows*k)
+				mulMQ(src, n, rows, cols, k, q, p)
+				orthonormalize(p, rows, k)
+				qn := make([]float64, cols*k)
+				mulMTP(src, n, rows, cols, k, p, qn)
+				want := putHeader(nil, magicLowRank, n)
+				for _, d := range []int{rows, cols, k} {
+					want = binary.AppendUvarint(want, uint64(d))
+				}
+				want = appendF32Factors(appendF32Factors(want, p), qn)
+				blob, err := pc.Compress(src)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !bytes.Equal(blob, want) {
+					t.Fatalf("%s: step %d blob differs from the loops'", name, step)
+				}
+			}
+
+			// Factors with every special value, as a blob carries them.
+			rows, cols, k := pc.rows, pc.cols, pc.k
+			pf := productInput(rows*k, k, true, int64(100+rank))
+			qf := productInput(cols*k, k, true, int64(200+rank))
+			blob := putHeader(nil, magicLowRank, sh.n)
+			for _, d := range []int{rows, cols, k} {
+				blob = binary.AppendUvarint(blob, uint64(d))
+			}
+			p64, q64 := make([]float64, len(pf)), make([]float64, len(qf))
+			for i, v := range pf {
+				p64[i] = float64(v)
+			}
+			for i, v := range qf {
+				q64[i] = float64(v)
+			}
+			blob = appendF32Factors(appendF32Factors(blob, p64), q64)
+			got, err := (&PowerSGD{}).Decompress(blob)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want := make([]float32, sh.n)
+			lowRankReconstruct(p64, q64, sh.n, cols, k, want)
+			if i := firstBitDiff(got, want); i >= 0 {
+				t.Fatalf("%s: decoded[%d] = %v, loops %v", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// loopRing is the ring step as it ran on the scalar loops: ReduceFactor,
+// then InstallReduced of that factor alone (a world of one), every buffer
+// held across steps. It is BenchmarkPowerSGDRing's baseline.
+type loopRing struct {
+	n, rows, cols, k int
+	p, q, f          []float64
+	out              []float32
+	phase            int
+}
+
+func newLoopRing(n, rank int, seed int64) *loopRing {
+	pc := NewPowerSGD(rank, seed)
+	if err := pc.ensureShape(n); err != nil {
+		panic(err)
+	}
+	rows, cols, k := pc.rows, pc.cols, pc.k
+	return &loopRing{
+		n: n, rows: rows, cols: cols, k: k,
+		p: make([]float64, rows*k), q: pc.initQuery(), f: make([]float64, max(rows, cols)*k),
+		out: make([]float32, n),
+	}
+}
+
+func (l *loopRing) step(src []float32) {
+	if l.phase == 0 {
+		f := l.f[:l.rows*l.k]
+		mulMQ(src, l.n, l.rows, l.cols, l.k, l.q, f)
+		copy(l.p, f)
+		lowRankReconstruct(l.p, l.q, l.n, l.cols, l.k, l.out)
+		orthonormalize(l.p, l.rows, l.k)
+	} else {
+		f := l.f[:l.cols*l.k]
+		mulMTP(src, l.n, l.rows, l.cols, l.k, l.p, f)
+		copy(l.q, f)
+		lowRankReconstruct(l.p, l.q, l.n, l.cols, l.k, l.out)
+		orthonormalize(l.q, l.cols, l.k)
+	}
+	l.phase ^= 1
+}
+
+// BenchmarkPowerSGDRing times both phases of the ring step (an op is a P
+// step and a Q step, each ReduceFactor then InstallReduced) at rank 4 on
+// 10 078 values, a 101×100 view: on tensor's kernels, and on the scalar
+// loops they replaced. After its warm-up the kernels' step allocates
+// nothing.
+func BenchmarkPowerSGDRing(b *testing.B) {
+	const n, rank = 10078, 4
+	src := kfacData(n, 1)
+	b.Run("kernels", func(b *testing.B) {
+		pc := NewPowerSGD(rank, 1)
+		step := func() {
+			f, err := pc.ReduceFactor(src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := pc.InstallReduced(f, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+		step()
+		step()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			step()
+			step()
+		}
+	})
+	b.Run("loops", func(b *testing.B) {
+		l := newLoopRing(n, rank, 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			l.step(src)
+			l.step(src)
+		}
+	})
 }

@@ -17,8 +17,19 @@ import (
 type Generator interface {
 	Name() string
 	Sample(rng *rand.Rand, n int) (x, y *tensor.Matrix)
+	// SampleInto is Sample into the caller's matrices: it reshapes x and y
+	// (reusing their storage when it is large enough) and writes every
+	// element, taking the same draws from rng in the same order.
+	SampleInto(rng *rand.Rand, n int, x, y *tensor.Matrix)
 	// InputDim returns the width of x.
 	InputDim() int
+}
+
+// sample is every generator's Sample: its SampleInto on fresh matrices.
+func sample(g Generator, rng *rand.Rand, n int) (x, y *tensor.Matrix) {
+	x, y = new(tensor.Matrix), new(tensor.Matrix)
+	g.SampleInto(rng, n, x, y)
+	return x, y
 }
 
 // ImageClassification is the ImageNet stand-in: C×H×W images built from
@@ -53,18 +64,22 @@ func (d *ImageClassification) InputDim() int { return d.C * d.H * d.W }
 
 // Sample implements Generator.
 func (d *ImageClassification) Sample(rng *rand.Rand, n int) (*tensor.Matrix, *tensor.Matrix) {
-	x := tensor.New(n, d.InputDim())
-	y := tensor.New(n, 1)
+	return sample(d, rng, n)
+}
+
+// SampleInto implements Generator.
+func (d *ImageClassification) SampleInto(rng *rand.Rand, n int, x, y *tensor.Matrix) {
+	x.Reshape(n, d.InputDim())
+	y.Reshape(n, 1)
 	for i := 0; i < n; i++ {
 		cls := rng.IntN(d.Classes)
 		y.Data[i] = float64(cls)
 		tmpl := d.templates[cls].Data
 		row := x.Data[i*x.Cols : (i+1)*x.Cols]
 		for j := range row {
-			row[j] = tmpl[j] + rng.NormFloat64()*d.Noise
+			row[j] = tmpl[j] + float64(rng.NormFloat64()*d.Noise)
 		}
 	}
-	return x, y
 }
 
 // Detection is the COCO stand-in for the Mask R-CNN proxy: images contain a
@@ -89,8 +104,13 @@ func (d *Detection) InputDim() int { return d.C * d.H * d.W }
 
 // Sample implements Generator. y is batch×4 normalized box coordinates.
 func (d *Detection) Sample(rng *rand.Rand, n int) (*tensor.Matrix, *tensor.Matrix) {
-	x := tensor.New(n, d.InputDim())
-	y := tensor.New(n, 4)
+	return sample(d, rng, n)
+}
+
+// SampleInto implements Generator.
+func (d *Detection) SampleInto(rng *rand.Rand, n int, x, y *tensor.Matrix) {
+	x.Reshape(n, d.InputDim())
+	y.Reshape(n, 4)
 	for i := 0; i < n; i++ {
 		size := 2 + rng.IntN(d.H/2)
 		cx := rng.IntN(d.W - size)
@@ -106,12 +126,11 @@ func (d *Detection) Sample(rng *rand.Rand, n int) (*tensor.Matrix, *tensor.Matri
 				}
 			}
 		}
-		y.Data[i*4+0] = (float64(cx) + float64(size)/2) / float64(d.W)
-		y.Data[i*4+1] = (float64(cy) + float64(size)/2) / float64(d.H)
+		y.Data[i*4+0] = (float64(cx) + float64(float64(size)/2)) / float64(d.W)
+		y.Data[i*4+1] = (float64(cy) + float64(float64(size)/2)) / float64(d.H)
 		y.Data[i*4+2] = float64(size) / float64(d.W)
 		y.Data[i*4+3] = float64(size) / float64(d.H)
 	}
-	return x, y
 }
 
 // TextClassification is the language-model stand-in for the BERT/GPT
@@ -161,8 +180,13 @@ func (d *TextClassification) InputDim() int { return d.SeqLen }
 
 // Sample implements Generator. x holds token ids as float64 values.
 func (d *TextClassification) Sample(rng *rand.Rand, n int) (*tensor.Matrix, *tensor.Matrix) {
-	x := tensor.New(n, d.SeqLen)
-	y := tensor.New(n, 1)
+	return sample(d, rng, n)
+}
+
+// SampleInto implements Generator.
+func (d *TextClassification) SampleInto(rng *rand.Rand, n int, x, y *tensor.Matrix) {
+	x.Reshape(n, d.SeqLen)
+	y.Reshape(n, 1)
 	for i := 0; i < n; i++ {
 		cls := rng.IntN(d.Classes)
 		y.Data[i] = float64(cls)
@@ -179,7 +203,6 @@ func (d *TextClassification) Sample(rng *rand.Rand, n int) (*tensor.Matrix, *ten
 			tok = next
 		}
 	}
-	return x, y
 }
 
 // SpanExtraction is the SQuAD v1.1 stand-in: a token sequence contains an
@@ -210,8 +233,13 @@ const triggerToken = 0
 
 // Sample implements Generator.
 func (d *SpanExtraction) Sample(rng *rand.Rand, n int) (*tensor.Matrix, *tensor.Matrix) {
-	x := tensor.New(n, d.SeqLen)
-	y := tensor.New(n, 1)
+	return sample(d, rng, n)
+}
+
+// SampleInto implements Generator.
+func (d *SpanExtraction) SampleInto(rng *rand.Rand, n int, x, y *tensor.Matrix) {
+	x.Reshape(n, d.SeqLen)
+	y.Reshape(n, 1)
 	for i := 0; i < n; i++ {
 		length := 1 + rng.IntN(d.MaxLen)
 		start := 1 + rng.IntN(d.SeqLen-length-1)
@@ -225,7 +253,6 @@ func (d *SpanExtraction) Sample(rng *rand.Rand, n int) (*tensor.Matrix, *tensor.
 		}
 		y.Data[i] = float64(start*d.MaxLen + (length - 1))
 	}
-	return x, y
 }
 
 // SpanF1EM scores predicted joint labels against gold labels with the

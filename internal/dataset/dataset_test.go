@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"compso/internal/tensor"
 	"compso/internal/xrand"
 )
 
@@ -227,6 +228,43 @@ func TestSampleIsAPureFunctionOfRngStateAndN(t *testing.T) {
 		g.Sample(replay, n)
 		if againX, _ := g.Sample(replay, n); !reflect.DeepEqual(againX, nextX) {
 			t.Fatalf("%s: the second batch of a stream does not repeat", g.Name())
+		}
+	}
+}
+
+// SampleInto is Sample into the caller's storage: into matrices of another
+// shape, larger and smaller, every element NaN, it gives Sample's bits and
+// leaves the rng where Sample leaves it.
+func TestSampleIntoMatchesSample(t *testing.T) {
+	generators := []Generator{
+		NewImageClassification(5, 2, 6, 6, 0.3, 42),
+		NewDetection(1, 12, 12, 0.1),
+		NewTextClassification(3, 11, 9, 4),
+		NewSpanExtraction(20, 16, 4),
+	}
+	nanMatrix := func(rows, cols int) *tensor.Matrix {
+		m := tensor.New(rows, cols)
+		for i := range m.Data {
+			m.Data[i] = math.NaN()
+		}
+		return m
+	}
+	for _, g := range generators {
+		for _, n := range []int{1, 13} {
+			for _, dims := range [][2]int{{40, 300}, {2, 3}} {
+				const seed = 91
+				want := xrand.NewSeeded(seed)
+				wantX, wantY := g.Sample(want, n)
+				got := xrand.NewSeeded(seed)
+				x, y := nanMatrix(dims[0], dims[1]), nanMatrix(dims[1], dims[0])
+				g.SampleInto(got, n, x, y)
+				if !reflect.DeepEqual(x, wantX) || !reflect.DeepEqual(y, wantY) {
+					t.Fatalf("%s n=%d into %dx%d: SampleInto differs from Sample", g.Name(), n, dims[0], dims[1])
+				}
+				if a, b := got.Uint64(), want.Uint64(); a != b {
+					t.Fatalf("%s n=%d: the rng's next draw is %#x after SampleInto, %#x after Sample", g.Name(), n, a, b)
+				}
+			}
 		}
 	}
 }

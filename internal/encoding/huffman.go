@@ -33,9 +33,17 @@ func (Huffman) EncodeAppend(dst, src []byte) []byte {
 	lens := huffCodeLengths(counts[:])
 	codes := canonicalCodes(lens)
 
-	// Header: 256 code lengths, 6 bits each (lengths <= 57 fit).
+	// Header: 256 code lengths, 6 bits each (lengths <= 57 fit). The
+	// pooled buffer holds the whole stream, so it never grows into storage
+	// the arena did not make: put back, such storage is a foreign buffer
+	// whose address the pool's debug tracking cannot reap once sync.Pool
+	// drops it, and a later allocation there reads as a double Put.
+	bits := 6 * len(lens)
+	for b, c := range counts {
+		bits += c * lens[b]
+	}
 	var w bitstream.Writer
-	w.ResetBuf(pool.Bytes(len(src)/2 + 200))
+	w.ResetBuf(pool.Bytes((bits + 7) / 8))
 	for _, l := range lens {
 		w.WriteBits(uint64(l), 6)
 	}

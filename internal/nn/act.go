@@ -88,14 +88,14 @@ func (g *GELU) Params() []*Param { return nil }
 const geluC = 0.7978845608028654 // sqrt(2/pi)
 
 func gelu(x float64) float64 {
-	return 0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x)))
+	return 0.5 * x * (1 + math.Tanh(geluC*(x+float64(0.044715*x*x*x))))
 }
 
 func geluGrad(x float64) float64 {
-	inner := geluC * (x + 0.044715*x*x*x)
+	inner := geluC * (x + float64(0.044715*x*x*x))
 	t := math.Tanh(inner)
-	sech2 := 1 - t*t
-	return 0.5*(1+t) + 0.5*x*sech2*geluC*(1+3*0.044715*x*x)
+	sech2 := 1 - float64(t*t)
+	return float64(0.5*(1+t)) + float64(0.5*x*sech2*geluC*(1+float64(3*0.044715*x*x)))
 }
 
 // Forward implements Layer.

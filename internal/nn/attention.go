@@ -180,7 +180,7 @@ func (a *SelfAttention) Backward(gradOut *tensor.Matrix) *tensor.Matrix {
 			for t := 0; t < a.Seq; t++ {
 				var dot float64
 				for j := 0; j < a.Seq; j++ {
-					dot += gradP.Data[t*a.Seq+j] * p.Data[t*a.Seq+j]
+					dot += float64(gradP.Data[t*a.Seq+j] * p.Data[t*a.Seq+j])
 				}
 				for j := 0; j < a.Seq; j++ {
 					gradS.Data[t*a.Seq+j] = p.Data[t*a.Seq+j] * (gradP.Data[t*a.Seq+j] - dot)

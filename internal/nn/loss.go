@@ -15,6 +15,10 @@ type Loss interface {
 	// depends on the loss: class indices (batch×1) for cross-entropy,
 	// regression targets (batch×dim) for MSE.
 	Loss(logits, targets *tensor.Matrix) (float64, *tensor.Matrix)
+	// LossInto is Loss with the gradient written into grad, reshaped to
+	// logits' shape (in its storage when that is large enough). A nil grad
+	// computes no gradient; the loss is the same either way.
+	LossInto(logits, targets, grad *tensor.Matrix) float64
 }
 
 // SoftmaxCrossEntropy is the classification loss; targets hold class
@@ -25,11 +29,19 @@ type SoftmaxCrossEntropy struct{}
 func (SoftmaxCrossEntropy) Name() string { return "softmax-xent" }
 
 // Loss implements Loss.
-func (SoftmaxCrossEntropy) Loss(logits, targets *tensor.Matrix) (float64, *tensor.Matrix) {
+func (l SoftmaxCrossEntropy) Loss(logits, targets *tensor.Matrix) (float64, *tensor.Matrix) {
+	grad := new(tensor.Matrix)
+	return l.LossInto(logits, targets, grad), grad
+}
+
+// LossInto implements Loss.
+func (SoftmaxCrossEntropy) LossInto(logits, targets, grad *tensor.Matrix) float64 {
 	if targets.Rows != logits.Rows || targets.Cols != 1 {
 		panic(fmt.Sprintf("nn: xent targets %dx%d for logits %dx%d", targets.Rows, targets.Cols, logits.Rows, logits.Cols))
 	}
-	grad := tensor.New(logits.Rows, logits.Cols)
+	if grad != nil {
+		grad.Reshape(logits.Rows, logits.Cols)
+	}
 	var total float64
 	invB := 1.0 / float64(logits.Rows)
 	for i := 0; i < logits.Rows; i++ {
@@ -51,6 +63,9 @@ func (SoftmaxCrossEntropy) Loss(logits, targets *tensor.Matrix) (float64, *tenso
 		}
 		logSum := math.Log(sum) + maxV
 		total += logSum - row[cls]
+		if grad == nil {
+			continue
+		}
 		for j, v := range row {
 			p := math.Exp(v-maxV) / sum
 			g := p
@@ -60,7 +75,7 @@ func (SoftmaxCrossEntropy) Loss(logits, targets *tensor.Matrix) (float64, *tenso
 			grad.Data[i*logits.Cols+j] = g * invB
 		}
 	}
-	return total * invB, grad
+	return total * invB
 }
 
 // Accuracy returns the fraction of rows whose argmax matches the target
@@ -92,17 +107,27 @@ type MSE struct{}
 func (MSE) Name() string { return "mse" }
 
 // Loss implements Loss.
-func (MSE) Loss(pred, targets *tensor.Matrix) (float64, *tensor.Matrix) {
+func (l MSE) Loss(pred, targets *tensor.Matrix) (float64, *tensor.Matrix) {
+	grad := new(tensor.Matrix)
+	return l.LossInto(pred, targets, grad), grad
+}
+
+// LossInto implements Loss.
+func (MSE) LossInto(pred, targets, grad *tensor.Matrix) float64 {
 	if targets.Rows != pred.Rows || targets.Cols != pred.Cols {
 		panic(fmt.Sprintf("nn: MSE targets %dx%d for pred %dx%d", targets.Rows, targets.Cols, pred.Rows, pred.Cols))
 	}
-	grad := tensor.New(pred.Rows, pred.Cols)
+	if grad != nil {
+		grad.Reshape(pred.Rows, pred.Cols)
+	}
 	var total float64
 	invN := 1.0 / float64(pred.Rows*pred.Cols)
 	for i, p := range pred.Data {
 		d := p - targets.Data[i]
-		total += d * d
-		grad.Data[i] = 2 * d * invN
+		total += float64(d * d)
+		if grad != nil {
+			grad.Data[i] = 2 * d * invN
+		}
 	}
-	return total * invN, grad
+	return total * invN
 }

@@ -234,8 +234,7 @@ func reuse(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
 	if m == nil {
 		m = new(tensor.Matrix)
 	}
-	m.Rows, m.Cols, m.Data = rows, cols, resize(m.Data, rows*cols)
-	return m
+	return m.Reshape(rows, cols)
 }
 
 // resize returns s with length n and unspecified contents, in s's storage

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"compso/internal/tensor"
@@ -206,6 +207,36 @@ func TestSoftmaxCrossEntropyGradCheck(t *testing.T) {
 		num := (up - down) / (2 * h)
 		if math.Abs(num-grad.Data[i]) > 1e-4*(1+math.Abs(num)) {
 			t.Fatalf("xent grad[%d]: analytic %g vs numerical %g", i, grad.Data[i], num)
+		}
+	}
+}
+
+// LossInto is Loss into the caller's storage: into a gradient of another
+// shape, larger and smaller, every element NaN, it gives Loss's bits, and
+// with no gradient at all the same loss.
+func TestLossIntoMatchesLoss(t *testing.T) {
+	logits := randomInput(6, 5, 21)
+	cases := []struct {
+		loss    Loss
+		targets *tensor.Matrix
+	}{
+		{SoftmaxCrossEntropy{}, tensor.FromSlice(6, 1, []float64{0, 3, 2, 4, 1, 1})},
+		{MSE{}, randomInput(6, 5, 22)},
+	}
+	for _, c := range cases {
+		want, wantGrad := c.loss.Loss(logits, c.targets)
+		for _, dims := range [][2]int{{9, 11}, {1, 2}} {
+			grad := tensor.New(dims[0], dims[1])
+			for i := range grad.Data {
+				grad.Data[i] = math.NaN()
+			}
+			got := c.loss.LossInto(logits, c.targets, grad)
+			if math.Float64bits(got) != math.Float64bits(want) || !reflect.DeepEqual(grad, wantGrad) {
+				t.Fatalf("%s into %dx%d: LossInto differs from Loss", c.loss.Name(), dims[0], dims[1])
+			}
+		}
+		if got := c.loss.LossInto(logits, c.targets, nil); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: loss %v without a gradient, %v with one", c.loss.Name(), got, want)
 		}
 	}
 }

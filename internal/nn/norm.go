@@ -18,13 +18,13 @@ func normalize(x, out, norm, stds []float64, dim int, eps float64, gamma, beta *
 		var varSum float64
 		for _, v := range blk {
 			d := v - mean
-			varSum += d * d
+			varSum += float64(d * d)
 		}
 		std := math.Sqrt(varSum/float64(dim) + eps)
 		dst := out[r*dim : (r+1)*dim]
 		if norm == nil {
 			for j, v := range blk {
-				dst[j] = (v-mean)/std*g[j] + b[j]
+				dst[j] = float64((v-mean)/std*g[j]) + b[j]
 			}
 			continue
 		}
@@ -33,7 +33,7 @@ func normalize(x, out, norm, stds []float64, dim int, eps float64, gamma, beta *
 		for j, v := range blk {
 			nv := (v - mean) / std
 			nrm[j] = nv
-			dst[j] = nv*g[j] + b[j]
+			dst[j] = float64(nv*g[j]) + b[j]
 		}
 	}
 }
@@ -48,19 +48,19 @@ func normalizeBackward(gradOut, gradIn, norm, stds []float64, dim int, gamma, be
 		nRow := norm[r*dim : (r+1)*dim]
 		// Parameter gradients.
 		for j, gv := range gRow {
-			gamma.Grad.Data[j] += gv * nRow[j]
+			gamma.Grad.Data[j] += float64(gv * nRow[j])
 			beta.Grad.Data[j] += gv
 		}
 		// Input gradient: standard layer-norm backward.
 		var sumG, sumGN float64
 		for j, gv := range gRow {
-			gh := gv * g[j]
+			gh := float64(gv * g[j])
 			sumG += gh
-			sumGN += gh * nRow[j]
+			sumGN += float64(gh * nRow[j])
 		}
 		dst := gradIn[r*dim : (r+1)*dim]
 		for j, gv := range gRow {
-			gh := gv * g[j]
+			gh := float64(gv * g[j])
 			dst[j] = (gh - sumG/n - nRow[j]*sumGN/n) / stds[r]
 		}
 	}

@@ -184,7 +184,7 @@ func (m *MeanPool) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 		for s := 0; s < m.Seq; s++ {
 			src := x.Data[b*x.Cols+s*m.Dim : b*x.Cols+(s+1)*m.Dim]
 			for j, v := range src {
-				dst[j] += v * inv
+				dst[j] += float64(v * inv)
 			}
 		}
 	}

@@ -327,6 +327,14 @@ func (a *Matrix) MulVec(dst, x []float64) []float64 {
 	return dst
 }
 
+// Reshape sets the dimensions of m to rows×cols and returns m, reusing Data
+// when its capacity allows. The contents are unspecified, for a caller that
+// writes every element.
+func (m *Matrix) Reshape(rows, cols int) *Matrix {
+	m.reshape(rows, cols)
+	return m
+}
+
 // reshape sets the dimensions of m, reusing Data when the capacity allows.
 // It reports whether it allocated: fresh storage is zero, reused storage
 // holds whatever the last user left.

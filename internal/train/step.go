@@ -15,6 +15,7 @@ import (
 	"compso/internal/obs"
 	"compso/internal/opt"
 	"compso/internal/pool"
+	"compso/internal/tensor"
 	"compso/internal/xrand"
 )
 
@@ -142,6 +143,9 @@ type pipeline struct {
 	// position can be checkpointed and restored.
 	dataSrc *rand.PCG
 	dataRng *rand.Rand
+	// x, y and grad are the step's batch and the loss gradient, the
+	// pipeline's own storage, valid until its next step.
+	x, y, grad tensor.Matrix
 
 	stages []stage
 	shape
@@ -228,11 +232,11 @@ func (p *pipeline) step(it int) error {
 			tel.controller(p.cfg.Controller, it)
 		}
 	}
-	x, y := task.Data.Sample(p.dataRng, task.Batch)
-	logits := task.Model.Forward(x, true)
-	_, grad := task.Loss.Loss(logits, y)
+	task.Data.SampleInto(p.dataRng, task.Batch, &p.x, &p.y)
+	logits := task.Model.Forward(&p.x, true)
+	task.Loss.LossInto(logits, &p.y, &p.grad)
 	task.Model.ZeroGrad()
-	task.Model.Backward(grad)
+	task.Model.Backward(&p.grad)
 	p.crashAt(fault.CrashMidStep)
 
 	p.lr = p.cfg.Schedule.LR(it)

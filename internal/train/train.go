@@ -392,7 +392,7 @@ func runWorker(w *cluster.Worker, cfg Config, result *Result, mu *sync.Mutex, cr
 
 		if w.Rank() == 0 && ((it+1)%cfg.EvalEvery == 0 || it == cfg.Iters-1) {
 			out := task.Model.Forward(ex, false)
-			l, _ := task.Loss.Loss(out, ey)
+			l := task.Loss.LossInto(out, ey, nil)
 			acc := -1.0
 			if task.Classes > 0 {
 				acc = nn.Accuracy(out, ey)
